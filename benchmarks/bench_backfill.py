@@ -17,8 +17,9 @@
    collapses to zero, so wall clock with the drain running concurrently
    is reported alongside but not gated.
 
-Writes ``BENCH_backfill.json`` (repo root, or ``$BENCH_OUTPUT``) and
-leaves the populated store at ``bench_backfill_store.db`` next to it —
+Writes ``BENCH_backfill.json`` into the ``$BENCH_OUTPUT`` directory
+(default: the current directory) and leaves the populated store at
+``bench_backfill_store.db`` next to it —
 CI uploads both, so every build ships an inspectable archive.
 """
 

@@ -6,16 +6,14 @@ pipelines over a pre-generated firehose: filter-only, filter+project,
 regex matching, windowed aggregation, grouped windowed aggregation, and
 an eddy with three predicates — plus the sharded engine's workers sweep.
 
-E9d writes ``BENCH_throughput.json`` (repo root, or ``$BENCH_OUTPUT``):
-rows/second for every batch-size × workers × shard-backend point over a
-static in-memory source, plus the two headline speedup measurements —
-vectorized-vs-scalar at batch 256 (asserted ≥ 1.5x everywhere) and
-process-vs-serial at 4 workers (asserted ≥ 2x only on multi-core hosts
-with fork, where forking can actually buy parallelism).
+E9d writes ``BENCH_throughput.json`` into the ``$BENCH_OUTPUT`` directory
+(a directory in every bench that reads it; default: the repo root):
+rows/second for every batch-size × workers point over a static in-memory
+source, plus the headline vectorized-vs-scalar speedup at batch 256
+(asserted ≥ 1.5x everywhere).
 """
 
 import json
-import multiprocessing
 import os
 import pathlib
 import platform
@@ -27,8 +25,6 @@ import pytest
 from repro import EngineConfig, TweeQL
 
 from benchmarks.conftest import SEED
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 PIPELINES = {
     "filter-only": (
@@ -243,12 +239,12 @@ def test_batch_speedup(soccer):
 
 
 # ---------------------------------------------------------------------------
-# E9d — columnar execution and shard backends (BENCH_throughput.json)
+# E9d — columnar execution and sharding (BENCH_throughput.json)
 # ---------------------------------------------------------------------------
 
 #: A deterministic in-memory source: no stream simulator, no API filter,
 #: so the measurements isolate operator dispatch (the thing the columnar
-#: layout and the process exchange change).
+#: layout changes).
 _STATIC_N = 60_000
 _STATIC_SCHEMA = (
     "tweet_id", "text", "loc", "created_at", "lang", "followers"
@@ -273,14 +269,6 @@ _FILTER_HEAVY_SQL = (
     "AND tweet_id > 1000 AND tweet_id < 59000 AND followers <> 2500 "
     "AND tweet_id <> 30000 AND followers > 4000;"
 )
-
-#: CPU-bound per row (regex + casefold scan + comparisons): the shape
-#: where process workers overlap real compute instead of waiting on I/O.
-_CPU_BOUND_SQL = (
-    "SELECT tweet_id FROM s WHERE text matches 'g[oa]+l' "
-    "AND text CONTAINS 'scored' AND followers > 100 AND tweet_id > 1000;"
-)
-
 
 def _static_session(**config_kwargs):
     session = TweeQL(config=EngineConfig(**config_kwargs))
@@ -311,17 +299,14 @@ def throughput_report():
             "cores": os.cpu_count() or 1,
             "python": platform.python_version(),
             "gil_enabled": getattr(sys, "_is_gil_enabled", lambda: True)(),
-            "fork_available": HAS_FORK,
         },
         "rows": _STATIC_N,
         "throughput": [],
     }
     yield report
-    out = os.environ.get("BENCH_OUTPUT")
+    repo_root = pathlib.Path(__file__).resolve().parent.parent
     path = (
-        pathlib.Path(out)
-        if out
-        else pathlib.Path(__file__).resolve().parent.parent
+        pathlib.Path(os.environ.get("BENCH_OUTPUT", repo_root))
         / "BENCH_throughput.json"
     )
     path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
@@ -329,40 +314,25 @@ def throughput_report():
 
 
 def test_throughput_matrix(throughput_report):
-    """E9d — rows/second per batch-size × workers × backend.
-
-    ``clamp_workers=False`` so the process points exercise the real
-    fabric even on small CI hosts (where the planner would otherwise
-    fall back to threads — the fallback is measured by the planner
-    tests, not here).
-    """
+    """E9d — rows/second per batch-size × workers."""
     sql = (
         "SELECT text, followers FROM s "
         "WHERE followers > 500 AND text CONTAINS 'goal';"
     )
     expected = None
-    for backend in ("thread", "process"):
-        if backend == "process" and not HAS_FORK:
-            continue
-        for workers in (1, 4):
-            for batch_size in (1, 64, 256, 1024):
-                session = _static_session(
-                    batch_size=batch_size,
-                    workers=workers,
-                    shard_backend=backend,
-                    clamp_workers=False,
-                )
-                seconds, rows = _timed_run(session, sql, reps=2)
-                if expected is None:
-                    expected = rows
-                assert rows == expected, (backend, workers, batch_size)
-                throughput_report["throughput"].append({
-                    "backend": backend,
-                    "workers": workers,
-                    "batch_size": batch_size,
-                    "seconds": round(seconds, 4),
-                    "rows_per_second": round(_STATIC_N / seconds),
-                })
+    for workers in (1, 4):
+        for batch_size in (1, 64, 256, 1024):
+            session = _static_session(batch_size=batch_size, workers=workers)
+            seconds, rows = _timed_run(session, sql, reps=2)
+            if expected is None:
+                expected = rows
+            assert rows == expected, (workers, batch_size)
+            throughput_report["throughput"].append({
+                "workers": workers,
+                "batch_size": batch_size,
+                "seconds": round(seconds, 4),
+                "rows_per_second": round(_STATIC_N / seconds),
+            })
     fastest = max(
         throughput_report["throughput"], key=lambda p: p["rows_per_second"]
     )
@@ -403,50 +373,6 @@ def test_vectorized_speedup(throughput_report):
     assert speedup >= 1.5, (
         f"expected >= 1.5x vectorized at batch 256, measured {speedup:.2f}x"
     )
-
-
-def test_process_backend_speedup(throughput_report):
-    """The ≥ 2x process-over-serial acceptance criterion.
-
-    Four forked workers against the serial engine on a CPU-bound query.
-    Asserted only where forking can win: ≥ 2 cores and a fork start
-    method. Elsewhere (single-core CI, spawn-only platforms) the point
-    is still measured and recorded — the JSON says what the host was.
-    """
-    if not HAS_FORK:
-        pytest.skip("process backend requires the fork start method")
-    serial = _static_session(batch_size=256)
-    process = _static_session(
-        batch_size=256, workers=4, shard_backend="process",
-        clamp_workers=False,
-    )
-    assert "[process backend]" in process.explain(_CPU_BOUND_SQL)
-    serial_s = process_s = float("inf")
-    serial_rows = process_rows = None
-    for _ in range(3):
-        t, rows = _timed_run(serial, _CPU_BOUND_SQL, reps=1)
-        serial_s, serial_rows = min(serial_s, t), rows
-        t, rows = _timed_run(process, _CPU_BOUND_SQL, reps=1)
-        process_s, process_rows = min(process_s, t), rows
-    assert process_rows == serial_rows
-    speedup = serial_s / process_s if process_s else float("inf")
-    cores = os.cpu_count() or 1
-    asserted = cores >= 2
-    throughput_report["process_speedup"] = {
-        "sql": _CPU_BOUND_SQL,
-        "workers": 4,
-        "serial_seconds": round(serial_s, 4),
-        "process_seconds": round(process_s, 4),
-        "speedup": round(speedup, 2),
-        "asserted": asserted,
-    }
-    print(f"\nE9d process: serial {serial_s*1000:.1f}ms, "
-          f"4 forked workers {process_s*1000:.1f}ms → {speedup:.2f}x "
-          f"(cores={cores}, asserted={asserted})")
-    if asserted:
-        assert speedup >= 2.0, (
-            f"expected >= 2x with 4 process workers, measured {speedup:.2f}x"
-        )
 
 
 def test_parse_plan_execute_smoke(benchmark, chatter):

@@ -27,13 +27,12 @@ SQL = (
 MODES = ("blocking", "cached", "batched", "async")
 
 
-def run_mode(soccer, mode, cache_capacity=10_000, pool_depth=8, lookahead=64,
+def run_mode(soccer, mode, cache_capacity=10_000, pool_depth=8,
              partial_results=False):
     config = EngineConfig(
         latency_mode=mode,
         cache_capacity=cache_capacity,
         pool_depth=pool_depth,
-        lookahead=lookahead,
         partial_results=partial_results,
         geocode_latency=LatencyModel(0.3, sigma=0.25),
     )

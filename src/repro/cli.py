@@ -128,7 +128,6 @@ def build_session(args: argparse.Namespace) -> tuple[TweeQL, list[Scenario]]:
         partial_results=getattr(args, "partial_results", False),
         workers=getattr(args, "workers", 1),
         batch_size=getattr(args, "batch_size", 256),
-        shard_backend=getattr(args, "shard_backend", "thread"),
         columnar=not getattr(args, "no_columnar", False),
         shared_scan=getattr(args, "shared", False),
         sanitize=getattr(args, "sanitize", False),
@@ -289,7 +288,6 @@ def run_check(args: argparse.Namespace) -> int:
         partial_results=getattr(args, "partial_results", False),
         workers=getattr(args, "workers", 1),
         batch_size=getattr(args, "batch_size", 256),
-        shard_backend=getattr(args, "shard_backend", "thread"),
         columnar=not getattr(args, "no_columnar", False),
         sanitize=getattr(args, "sanitize", False),
     )
@@ -501,15 +499,6 @@ def make_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="rows per batch between operators (1 = row-at-a-time; "
         "results are identical at any size)",
-    )
-    parser.add_argument(
-        "--shard-backend",
-        default="thread",
-        choices=("thread", "process"),
-        help="with --workers N: run worker pipelines in threads (share "
-        "the GIL) or forked processes (true CPU parallelism for "
-        "Python-bound predicates; plans that must share the session "
-        "clock fall back to threads with an EXPLAIN note)",
     )
     parser.add_argument(
         "--no-columnar",

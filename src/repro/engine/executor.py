@@ -89,10 +89,9 @@ class QueryHandle:
         Sharded plans sum the per-stage ManagedCall mirrors (see
         :attr:`shard_service_stats`) rather than reading the session's
         global counters: each call lands in exactly one stage mirror, so
-        the sum neither double-counts nor — with the process backend,
-        where a child's calls never touch the parent's globals — loses
-        anything. Cache/resilience/breaker state lives on the shared
-        parent-side service objects either way.
+        the sum neither double-counts nor loses anything.
+        Cache/resilience/breaker state lives on the shared service
+        objects either way.
         """
         import dataclasses as _dc
 

@@ -821,14 +821,3 @@ def contains_aggregate(expr: ast.Expr) -> bool:
         isinstance(node, ast.FuncCall) and node.name in AGGREGATE_NAMES
         for node in ast.walk(expr)
     )
-
-
-def contains_high_latency(
-    expr: ast.Expr, registry: FunctionRegistry
-) -> bool:
-    """True when any sub-expression calls a high-latency function."""
-    for node in ast.walk(expr):
-        if isinstance(node, ast.FuncCall) and node.name not in AGGREGATE_NAMES:
-            if node.name in registry and registry.lookup(node.name).high_latency:
-                return True
-    return False

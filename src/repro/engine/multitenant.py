@@ -73,7 +73,7 @@ from typing import Any
 from repro.engine import operators as ops
 from repro.engine import parallel
 from repro.engine.executor import QueryHandle
-from repro.engine.expressions import compile_expr, contains_aggregate
+from repro.engine.expressions import compile_expr
 from repro.engine.sanitizer import registered_lock
 from repro.engine.planner import (
     Planner,
@@ -87,7 +87,7 @@ from repro.engine.types import (
     Row,
     RowBatch,
 )
-from repro.errors import AdmissionError, ExecutionError, PlanError
+from repro.errors import AdmissionError, ExecutionError
 from repro.sql import ast, parse
 
 _POLL_SECONDS = parallel._POLL_SECONDS
@@ -645,49 +645,11 @@ class SharedScanGroup:
             pipeline, f"Scan({self.label})", plan, lane=lane
         )
 
-        has_aggregates = bool(statement.group_by) or any(
-            not isinstance(item.expr, ast.Star) and contains_aggregate(item.expr)
-            for item in statement.select
+        # No conjuncts: the fanout already evaluated this tenant's WHERE.
+        tenant.pipeline, plan.output_schema = planner._build_body(
+            statement, pipeline, schema, ctx, plan, lane=lane
         )
-        if not has_aggregates:
-            # Analyzer backstops, mirroring the serial planner.
-            if statement.having is not None:
-                raise PlanError("HAVING requires aggregation")
-            if statement.order_by:
-                raise PlanError(
-                    "ORDER BY requires a windowed aggregate query (streams "
-                    "have no global order to sort)"
-                )
-        if not has_aggregates and statement.limit is not None:
-            pipeline = ops.LimitOperator(pipeline, statement.limit)
-            explain.append(f"Limit: {statement.limit}")
-            pipeline = planner._trace(pipeline, "Limit", plan, lane=lane)
-
-        before = pipeline
-        pipeline = planner._maybe_prefetch(statement, pipeline, schema, ctx, plan)
-        if pipeline is not before:
-            pipeline = planner._trace(pipeline, "Prefetch", plan, lane=lane)
-
-        if has_aggregates:
-            pipeline, output_schema = planner._build_aggregation(
-                statement, pipeline, schema, ctx, plan
-            )
-            pipeline = planner._trace(pipeline, "Aggregate", plan, lane=lane)
-        else:
-            pipeline, output_schema = planner._build_projection(
-                statement, pipeline, schema, ctx
-            )
-            pipeline = planner._trace(pipeline, "Project", plan, lane=lane)
-
-        if statement.into is not None:
-            sink = planner._table_factory(statement.into)
-            pipeline = ops.IntoOperator(pipeline, sink)
-            explain.append(f"Into: table {statement.into!r}")
-            pipeline = planner._trace(pipeline, "Into", plan, lane=lane)
-
-        tenant.pipeline = pipeline
         plan.pipeline = _TenantOutput(self, tenant)
-        plan.output_schema = output_schema
         plan.closers.append(lambda: self.detach(tenant.index, "handle closed"))
         handle = QueryHandle(sql, plan)
         self._tenants.append(tenant)

@@ -46,30 +46,6 @@ Known limits (the planner falls back to serial for these): joins,
 count-based windows, global aggregates (single group), and statements
 calling stateful UDFs or ``now()`` — all of which depend on global row
 order that sharding destroys.
-
-Process backend
----------------
-``backend="process"`` runs the same exchange/merge protocol with worker
-*processes* (``multiprocessing`` fork context) instead of threads, so
-CPU-bound shard pipelines execute on real cores rather than time-slicing
-one GIL. Fork is mandatory: the configured worker pipelines are closures
-over the session (clock, registry, compiled expressions) that cannot be
-pickled, but a forked child inherits them wholesale — only *data* crosses
-the process boundary. Routed row-lists travel down per-shard
-``multiprocessing.Queue``s (pickled), workers transpose them into
-ColumnBatches locally, and tagged output rows come back the same way.
-When a worker pipeline exhausts, the child ships one final ``result``
-payload — its QueryStats counters, per-shard service-stats mirrors, trace
-probes, and spans — which the parent folds into the parent-side worker
-contexts, so ``handle.stats``, ``handle.service_stats``, EXPLAIN ANALYZE
-and ``reconcile()`` report identically to the thread backend. (Worker-lane
-*timings* differ: a forked child's virtual clock is frozen, so its batch
-spans have zero duration; counts and census are identical.)
-
-The planner only selects the process backend for plans whose worker
-pipelines never touch the session clock — statements calling high-latency
-(web-service) functions, and confidence-triggered emission, stay on the
-thread backend, where :class:`LockedManagedCall` keeps the clock coherent.
 """
 
 from __future__ import annotations
@@ -262,7 +238,7 @@ class ShardScan:
             ctx.stream_time = stream_time
             if columnar:
                 # Routed row-lists transpose here, on the worker's side of
-                # the queue (and, for the process backend, of the fork).
+                # the queue.
                 yield ColumnBatch.from_rows(rows, seq=seq)
             else:
                 yield RowBatch(rows, seq=seq)
@@ -426,34 +402,17 @@ class ShardedExecution:
         self,
         n_workers: int,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        backend: str = "thread",
     ) -> None:
         if n_workers < 2:
             raise ValueError("sharded execution needs at least 2 workers")
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if backend not in ("thread", "process"):
-            raise ValueError(f"unknown shard backend {backend!r}")
         self.n = n_workers
-        self.backend = backend
         self.lock = registered_lock("sharded.services", rlock=True)
-        self._mp: Any = None
-        if backend == "process":
-            import multiprocessing
-
-            # Fork is required: worker pipelines are unpicklable closures
-            # that a forked child inherits for free. The planner verifies
-            # availability before choosing this backend.
-            self._mp = multiprocessing.get_context("fork")
-            self.stop = self._mp.Event()
-            self._in = [self._mp.Queue(maxsize=64) for _ in range(n_workers)]
-            self._out = [self._mp.Queue() for _ in range(n_workers)]
-            self._done = [self._mp.Event() for _ in range(n_workers)]
-        else:
-            self.stop = threading.Event()
-            self._in = [queue.Queue(maxsize=64) for _ in range(n_workers)]
-            self._out = [queue.Queue() for _ in range(n_workers)]
-            self._done = [threading.Event() for _ in range(n_workers)]
+        self.stop = threading.Event()
+        self._in = [queue.Queue(maxsize=64) for _ in range(n_workers)]
+        self._out = [queue.Queue() for _ in range(n_workers)]
+        self._done = [threading.Event() for _ in range(n_workers)]
         self._batch = batch_size
         #: Per-shard tagged rows already pulled off the output queue but not
         #: yet consumed by the merge heap (workers ship whole batches).
@@ -464,7 +423,6 @@ class ShardedExecution:
         self._error: BaseException | None = None
         self._error_lock = registered_lock("sharded.error")
         self._pool: ThreadPoolExecutor | None = None
-        self._procs: list[Any] = []
         self._started = False
         self._closed = False
         #: Span recorder (set by the planner when tracing is on); the
@@ -473,8 +431,7 @@ class ShardedExecution:
         #: Invariant checker (set by the planner when sanitize mode is
         #: on); the exchange fingerprints each routed row-list at enqueue
         #: and the worker-side ShardScan input verifies it at dequeue
-        #: (TQL905). Thread backend only — the process backend pickles
-        #: payloads across the fork, so copies cannot alias.
+        #: (TQL905).
         self.sanitizer: Any = None
         # Filled by configure():
         self._source: Iterable[Batch] | None = None
@@ -482,16 +439,12 @@ class ShardedExecution:
         self._pipelines: list[Iterable[Batch]] = []
         self._taggers: list[Callable[[Row], tuple[tuple, Row]]] = []
         self._broadcast_punctuation = False
-        self._worker_ctxs: list[EvalContext] = []
-        self._worker_service_stats: list[dict[str, ManagedCallStats]] = []
-        self._result_applied = [False] * n_workers
 
     # -- wiring ----------------------------------------------------------------
 
     def shard_input(self, worker: int) -> _ShardInput:
         """The row iterable worker ``worker``'s pipeline scans."""
-        sanitizer = self.sanitizer if self.backend == "thread" else None
-        return _ShardInput(self._in[worker], self.stop, sanitizer, worker)
+        return _ShardInput(self._in[worker], self.stop, self.sanitizer, worker)
 
     def configure(
         self,
@@ -500,23 +453,13 @@ class ShardedExecution:
         pipelines: list[Iterable[Batch]],
         taggers: list[Callable[[Row], tuple[tuple, Row]]],
         broadcast_punctuation: bool = False,
-        worker_ctxs: list[EvalContext] | None = None,
-        worker_service_stats: list[dict[str, ManagedCallStats]] | None = None,
     ) -> None:
-        """Attach the source, partitioner, and built worker pipelines.
-
-        ``worker_ctxs`` / ``worker_service_stats`` are the parent-side
-        per-shard contexts and ManagedCall mirrors; the process backend
-        folds each child's end-of-stream result payload into them so the
-        observability surface matches the thread backend.
-        """
+        """Attach the source, partitioner, and built worker pipelines."""
         self._source = source
         self._partition = partition
         self._pipelines = pipelines
         self._taggers = taggers
         self._broadcast_punctuation = broadcast_punctuation
-        self._worker_ctxs = worker_ctxs or []
-        self._worker_service_stats = worker_service_stats or []
 
     # -- threads ---------------------------------------------------------------
 
@@ -597,11 +540,7 @@ class ShardedExecution:
                     self._put_batch(shard_id, None)
 
     def _put_batch(self, shard: int, batch: list[Row] | None) -> None:
-        if (
-            batch is not None
-            and self.sanitizer is not None
-            and self.backend == "thread"
-        ):
+        if batch is not None and self.sanitizer is not None:
             # Freeze-on-handoff: fingerprint the routed payload before it
             # becomes visible to the worker; the worker-side _ShardInput
             # re-fingerprints at dequeue and raises TQL905 on mismatch.
@@ -631,131 +570,11 @@ class ShardedExecution:
             self._done[worker].set()
             out.put(("end",))
 
-    # -- process-backend worker (runs in the forked child) ---------------------
-
-    def _worker_process(self, worker: int) -> None:
-        tagger = self._taggers[worker]
-        out = self._out[worker]
-        failed = False
-        try:
-            for batch in self._pipelines[worker]:
-                rows = batch.rows
-                if rows:
-                    out.put(("rows", [tagger(row) for row in rows]))
-                if batch.last:
-                    break
-        except BaseException as error:  # noqa: BLE001
-            failed = True
-            self._done[worker].set()
-            out.put(("error", _picklable_error(error)))
-            out.put(("end",))
-        if not failed:
-            self._done[worker].set()
-            out.put(("result", self._worker_payload(worker)))
-            out.put(("end",))
-
-    def _worker_payload(self, worker: int) -> dict[str, Any]:
-        """Everything the parent needs to mirror this child's accounting."""
-        ctx = self._worker_ctxs[worker]
-        payload: dict[str, Any] = {
-            "stats": ctx.stats.as_dict(),
-            "service_stats": {},
-            "probes": [],
-            "spans": [],
-        }
-        if worker < len(self._worker_service_stats):
-            payload["service_stats"] = {
-                name: dataclasses.asdict(mirror)
-                for name, mirror in self._worker_service_stats[worker].items()
-            }
-        tracer = ctx.tracer
-        if tracer is not None:
-            lane = ctx.lane
-            payload["probes"] = [
-                (p.name, p.rows, p.batches, p.wall_seconds, p.first_ts, p.last_ts)
-                for p in tracer.probes
-                if p.lane == lane
-            ]
-            payload["spans"] = [
-                s.as_dict() for s in tracer.spans if s.lane == lane
-            ]
-        return payload
-
-    def _apply_result(self, worker: int, payload: dict[str, Any]) -> None:
-        """Fold a child's result payload into the parent-side mirrors.
-
-        Assignment, not accumulation: the parent-side worker context never
-        ran, so its counters are zero — and re-applying (the shutdown
-        drain may race the merge) stays idempotent via ``_result_applied``.
-        """
-        if self._result_applied[worker]:
-            return
-        self._result_applied[worker] = True
-        if worker >= len(self._worker_ctxs):
-            return
-        ctx = self._worker_ctxs[worker]
-        for name, value in payload.get("stats", {}).items():
-            setattr(ctx.stats, name, value)
-        if worker < len(self._worker_service_stats):
-            mirrors = self._worker_service_stats[worker]
-            for name, fields in payload.get("service_stats", {}).items():
-                mirror = mirrors.get(name)
-                if mirror is not None:
-                    for field_name, value in fields.items():
-                        setattr(mirror, field_name, value)
-        tracer = ctx.tracer
-        if tracer is None:
-            return
-        lane_probes = [p for p in tracer.probes if p.lane == ctx.lane]
-        for probe, shipped in zip(lane_probes, payload.get("probes", ())):
-            name, rows, batches, wall, first_ts, last_ts = shipped
-            if probe.name != name:  # pragma: no cover - defensive
-                continue
-            probe.rows = rows
-            probe.batches = batches
-            probe.wall_seconds = wall
-            probe.first_ts = first_ts
-            probe.last_ts = last_ts
-        # Re-emit the child's spans under the parent tracer, remapping ids
-        # so batch spans keep pointing at their operator span.
-        id_map: dict[int, int] = {}
-        for shipped_span in payload.get("spans", ()):
-            parent_id = shipped_span.get("parent_id")
-            span = tracer.add(
-                shipped_span["name"],
-                shipped_span["kind"],
-                shipped_span["start"],
-                shipped_span["end"],
-                lane=shipped_span["lane"],
-                parent_id=(
-                    id_map.get(parent_id) if parent_id is not None else None
-                ),
-                **shipped_span.get("attrs", {}),
-            )
-            id_map[shipped_span["span_id"]] = span.span_id
-
     def start(self) -> None:
         """Spawn the exchange and the workers (idempotent)."""
         if self._started:
             return
         self._started = True
-        if self.backend == "process":
-            # Fork the workers *before* any parent thread starts pulling
-            # the source, so every child inherits the pre-run pipeline
-            # state; then run the exchange on a parent thread as usual.
-            self._procs = [
-                self._mp.Process(
-                    target=self._worker_process, args=(worker,), daemon=True
-                )
-                for worker in range(self.n)
-            ]
-            for proc in self._procs:
-                proc.start()
-            self._pool = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="tweeql-shard"
-            )
-            self._pool.submit(self._exchange)
-            return
         self._pool = ThreadPoolExecutor(
             max_workers=self.n + 1, thread_name_prefix="tweeql-shard"
         )
@@ -764,33 +583,13 @@ class ShardedExecution:
             self._pool.submit(self._worker, worker)
 
     def shutdown(self) -> None:
-        """Stop every thread/process and join them (idempotent)."""
+        """Stop every thread and join them (idempotent)."""
         if self._closed:
             return
         self._closed = True
         self.stop.set()
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        if self.backend != "process":
-            return
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - stuck child
-                proc.terminate()
-                proc.join(timeout=1.0)
-        # Salvage any result payloads the merge never reached (early
-        # close / LIMIT), so stats stay as truthful as the thread backend's.
-        for shard in range(self.n):
-            try:
-                while True:
-                    item = self._out[shard].get_nowait()
-                    if item[0] == "result":
-                        self._apply_result(shard, item[1])
-            except (queue.Empty, OSError, ValueError):
-                pass
-        for q in list(self._in) + list(self._out):
-            q.close()
-            q.cancel_join_thread()
 
     # -- consumer --------------------------------------------------------------
 
@@ -841,27 +640,9 @@ class ShardedExecution:
             except queue.Empty:
                 if self.stop.is_set():
                     return None
-                if self.backend == "process" and self._dead(shard):
-                    from repro.errors import ExecutionError
-
-                    self._record_error(
-                        ExecutionError(
-                            f"shard {shard} worker process died "
-                            f"(exit code {self._procs[shard].exitcode})"
-                        )
-                    )
-                    self._raise_if_error()
                 continue
-            kind = item[0]
-            if kind == "end":
+            if item[0] == "end":
                 return None
-            if kind == "result":
-                self._apply_result(shard, item[1])
-                continue
-            if kind == "error":
-                self._record_error(item[1])
-                self._raise_if_error()
-                continue
             rows = item[1]
             if not rows:
                 continue
@@ -869,28 +650,3 @@ class ShardedExecution:
             self._pending_pos[shard] = 1
             tag, row = rows[0]
             return (tag, shard, row)
-
-    def _dead(self, shard: int) -> bool:
-        """A child that exited without punctuating its output queue."""
-        if shard >= len(self._procs):
-            return False
-        proc = self._procs[shard]
-        if proc.is_alive():
-            return False
-        try:
-            return self._out[shard].empty() and proc.exitcode != 0
-        except (OSError, ValueError):  # pragma: no cover - closed queue
-            return True
-
-
-def _picklable_error(error: BaseException) -> BaseException:
-    """The error itself when it pickles, else a faithful substitute."""
-    import pickle
-
-    try:
-        pickle.loads(pickle.dumps(error))
-        return error
-    except Exception:
-        from repro.errors import ExecutionError
-
-        return ExecutionError(f"{type(error).__name__}: {error}")

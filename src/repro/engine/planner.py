@@ -25,7 +25,7 @@ The planner implements the decisions the paper describes:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -41,7 +41,6 @@ from repro.engine.expressions import (
     compile_expr,
     compile_vector_expr,
     contains_aggregate,
-    contains_high_latency,
     resolve_bbox,
 )
 from repro.engine.functions import FunctionRegistry
@@ -302,6 +301,14 @@ def extract_api_candidates(
     return found
 
 
+def _has_aggregates(statement: ast.SelectStatement) -> bool:
+    """Aggregate-mode test, defined once in the analyzer (lazy import: the
+    analysis package depends on engine modules)."""
+    from repro.sql.analysis.semantic import statement_has_aggregates
+
+    return statement_has_aggregates(statement)
+
+
 # ---------------------------------------------------------------------------
 # Aggregate rewriting
 # ---------------------------------------------------------------------------
@@ -430,110 +437,11 @@ class Planner:
         if workers > 1:
             reason = self._shard_blocker(statement)
             if reason is None:
-                backend, workers, notes = self._resolve_backend(
-                    statement, workers
-                )
-                return self._plan_sharded(
-                    statement, binding, workers,
-                    backend=backend, backend_notes=notes,
-                )
+                return self._plan_sharded(statement, binding, workers)
             plan = self._plan_serial(statement, binding)
             plan.explain_lines.append(f"Parallel: serial fallback ({reason})")
-            if getattr(self._config, "shard_backend", "thread") == "process":
-                plan.explain_lines.append(
-                    "Parallel: process backend requested but the plan runs "
-                    "serially (see fallback reason above)"
-                )
             return plan
         return self._plan_serial(statement, binding)
-
-    # -- shard backend ---------------------------------------------------------
-
-    def _process_blocker(self, statement: ast.SelectStatement) -> str | None:
-        """Why this statement cannot use process workers, or None.
-
-        A forked child's virtual clock is a frozen copy, so any worker
-        stage that *advances* the session clock — high-latency (simulated
-        web-service) calls, and the punctuation-coupled confidence
-        emission path — must stay on threads, where
-        :class:`~repro.engine.parallel.LockedManagedCall` serializes clock
-        access. Fork itself must be available: worker pipelines are
-        unpicklable closures that only fork can transplant.
-        """
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return "fork start method unavailable on this platform"
-        has_aggregates = bool(statement.group_by) or any(
-            not isinstance(item.expr, ast.Star) and contains_aggregate(item.expr)
-            for item in statement.select
-        )
-        if (
-            has_aggregates
-            and statement.window is None
-            and self._config.confidence_policy is not None
-        ):
-            return "confidence-triggered emission is clock/punctuation-coupled"
-        exprs: list[ast.Expr] = [
-            item.expr
-            for item in statement.select
-            if not isinstance(item.expr, ast.Star)
-        ]
-        exprs.extend(split_conjuncts(statement.where))
-        exprs.extend(statement.group_by)
-        if statement.having is not None:
-            exprs.append(statement.having)
-        exprs.extend(expr for expr, _desc in statement.order_by)
-        for expr in exprs:
-            if contains_high_latency(expr, self._registry):
-                return "web-service calls must run on the session clock"
-        return None
-
-    def _resolve_backend(
-        self, statement: ast.SelectStatement, workers: int
-    ) -> tuple[str, int, list[str]]:
-        """Pick thread vs process workers; clamp process fan-out to cores.
-
-        Thread shards are *logical* partitions — the determinism contract
-        makes results identical at any worker count, and N threads on one
-        core cost little — so thread worker counts are never clamped (the
-        TQL309 lint warns instead). Process workers each cost a fork and
-        real memory, so asking for more than ``os.cpu_count()`` is clamped
-        unless ``EngineConfig.clamp_workers`` is off (tests use that to
-        exercise the process fabric on small hosts).
-        """
-        import os
-
-        backend = getattr(self._config, "shard_backend", "thread")
-        if backend not in ("thread", "process"):
-            raise PlanError(
-                f"unknown shard_backend {backend!r}; use 'thread' or 'process'"
-            )
-        notes: list[str] = []
-        if backend != "process":
-            return backend, workers, notes
-        reason = self._process_blocker(statement)
-        if reason is None and getattr(self._config, "clamp_workers", True):
-            cores = os.cpu_count() or 1
-            if workers > cores:
-                if cores >= 2:
-                    notes.append(
-                        f"Parallel: workers clamped {workers} -> {cores} "
-                        "(os.cpu_count(); process workers cost real cores)"
-                    )
-                    workers = cores
-                else:
-                    reason = (
-                        f"host has {cores} CPU core(s); process sharding "
-                        "cannot beat serial"
-                    )
-        if reason is not None:
-            notes.append(
-                f"Parallel: process backend unavailable ({reason}); "
-                "using thread workers"
-            )
-            backend = "thread"
-        return backend, workers, notes
 
     # -- columnar layout -------------------------------------------------------
 
@@ -710,7 +618,6 @@ class Planner:
         plan.sanitizer = self._make_sanitizer()
         ctx.tracer = plan.tracer
         self._attach_service_tracers(plan.tracer)
-        explain = plan.explain_lines
 
         conjuncts = split_conjuncts(statement.where)
 
@@ -730,18 +637,44 @@ class Planner:
             )
             pipeline = self._trace(pipeline, "Join", plan)
 
-        # ---- local predicates ----
-        before = pipeline
-        pipeline = self._build_filters(
+        plan.pipeline, plan.output_schema = self._build_body(
+            statement, pipeline, schema, ctx, plan,
+            conjuncts=conjuncts, columnar=columnar,
+        )
+        return plan
+
+    def _build_body(
+        self,
+        statement: ast.SelectStatement,
+        pipeline: ops.Batches,
+        schema: tuple[str, ...],
+        ctx: EvalContext,
+        plan: PhysicalPlan,
+        lane: str = "main",
+        conjuncts: Sequence[ast.Expr] = (),
+        columnar: bool = False,
+        defer: parallel.DeferredOrderLimit | None = None,
+    ) -> tuple[ops.Batches, tuple[str, ...]]:
+        """The query body every plan shape shares, built in one place.
+
+        filters → scalar LIMIT → prefetch → aggregate | project → INTO
+        over ``pipeline`` (the serial scan, a sharded worker's ShardScan,
+        or a shared-scan tenant's TenantScan), each stage wrapped by
+        :meth:`_trace` on ``lane``. Callers whose filtering already
+        happened upstream (tenants, confidence-mode workers) pass no
+        conjuncts. A worker lane's output continues through the merge,
+        which owns the global LIMIT and the INTO sink.
+        """
+        explain = plan.explain_lines
+        feeds_merge = lane.startswith("worker-")
+
+        filtered = self._build_filters(
             conjuncts, pipeline, schema, ctx, plan, columnar=columnar
         )
-        if pipeline is not before:
-            pipeline = self._trace(pipeline, "Filter", plan)
+        if filtered is not pipeline:
+            pipeline = self._trace(filtered, "Filter", plan, lane)
 
-        has_aggregates = bool(statement.group_by) or any(
-            not isinstance(item.expr, ast.Star) and contains_aggregate(item.expr)
-            for item in statement.select
-        )
+        has_aggregates = _has_aggregates(statement)
 
         # Scalar LIMIT sits below prefetch/projection: projection is 1:1,
         # so truncating the filtered batch here yields the same rows while
@@ -750,21 +683,22 @@ class Planner:
         # a post-projection limit trimmed it).
         if not has_aggregates and statement.limit is not None:
             pipeline = ops.LimitOperator(pipeline, statement.limit)
-            explain.append(f"Limit: {statement.limit}")
-            pipeline = self._trace(pipeline, "Limit", plan)
+            explain.append(
+                f"Limit: {statement.limit}"
+                + (" (per shard, re-applied after merge)" if feeds_merge else "")
+            )
+            pipeline = self._trace(pipeline, "Limit", plan, lane)
 
-        # ---- high-latency prefetch ----
-        before = pipeline
-        pipeline = self._maybe_prefetch(statement, pipeline, schema, ctx, plan)
-        if pipeline is not before:
-            pipeline = self._trace(pipeline, "Prefetch", plan)
+        prefetched = self._maybe_prefetch(statement, pipeline, schema, ctx, plan)
+        if prefetched is not pipeline:
+            pipeline = self._trace(prefetched, "Prefetch", plan, lane)
 
-        # ---- projection / aggregation ----
         if has_aggregates:
             pipeline, output_schema = self._build_aggregation(
-                statement, pipeline, schema, ctx, plan, columnar=columnar
+                statement, pipeline, schema, ctx, plan, defer=defer,
+                columnar=columnar,
             )
-            pipeline = self._trace(pipeline, "Aggregate", plan)
+            pipeline = self._trace(pipeline, "Aggregate", plan, lane)
         else:
             if statement.having is not None:
                 raise PlanError("HAVING requires aggregation")
@@ -776,17 +710,14 @@ class Planner:
             pipeline, output_schema = self._build_projection(
                 statement, pipeline, schema, ctx, columnar=columnar
             )
-            pipeline = self._trace(pipeline, "Project", plan)
+            pipeline = self._trace(pipeline, "Project", plan, lane)
 
-        if statement.into is not None:
+        if statement.into is not None and not feeds_merge:
             sink = self._table_factory(statement.into)
             pipeline = ops.IntoOperator(pipeline, sink)
             explain.append(f"Into: table {statement.into!r}")
-            pipeline = self._trace(pipeline, "Into", plan)
-
-        plan.pipeline = pipeline
-        plan.output_schema = output_schema
-        return plan
+            pipeline = self._trace(pipeline, "Into", plan, lane)
+        return pipeline, output_schema
 
     # -- source --------------------------------------------------------------
 
@@ -1427,11 +1358,7 @@ class Planner:
             return "stream joins need co-partitioned inputs"
         if statement.window is not None and statement.window.count_based:
             return "count-based windows depend on global row ordinals"
-        has_aggregates = bool(statement.group_by) or any(
-            not isinstance(item.expr, ast.Star) and contains_aggregate(item.expr)
-            for item in statement.select
-        )
-        if has_aggregates and not statement.group_by:
+        if _has_aggregates(statement) and not statement.group_by:
             return "global aggregates form a single group"
         if self._config.latency_mode == "async" and self._config.partial_results:
             return "partial results depend on in-flight call timing"
@@ -1465,8 +1392,6 @@ class Planner:
         statement: ast.SelectStatement,
         binding: SourceBinding,
         workers: int,
-        backend: str = "thread",
-        backend_notes: tuple[str, ...] = (),
     ) -> PhysicalPlan:
         """Exchange → N worker pipelines → ordered merge.
 
@@ -1477,11 +1402,6 @@ class Planner:
         EvalContext whose services are lock-guarded proxies. The merge
         reassembles shard outputs into the exact serial emission order (see
         :mod:`repro.engine.parallel`).
-
-        With ``backend="process"`` the worker pipelines run in forked
-        child processes instead of threads; the exchange/merge topology,
-        ordering contract, and stats surface are unchanged (per-shard
-        stats ship back in each child's final result payload).
         """
         merge_ctx = EvalContext(
             clock=self._clock, services=dict(self._services), lane="merge"
@@ -1498,10 +1418,7 @@ class Planner:
         source_rows = self._build_source(binding, conjuncts, plan)
         schema = binding.schema
 
-        has_aggregates = bool(statement.group_by) or any(
-            not isinstance(item.expr, ast.Star) and contains_aggregate(item.expr)
-            for item in statement.select
-        )
+        has_aggregates = _has_aggregates(statement)
         windowed_mode = has_aggregates and statement.window is not None
         confidence_mode = (
             has_aggregates
@@ -1516,10 +1433,7 @@ class Planner:
 
         batch_size = self._batch_size_for(statement, plan)
         columnar = self._columnar_for(statement, batch_size)
-        explain.extend(backend_notes)
-        exchange = parallel.ShardedExecution(
-            workers, batch_size=batch_size, backend=backend
-        )
+        exchange = parallel.ShardedExecution(workers, batch_size=batch_size)
         exchange.tracer = plan.tracer
         exchange.sanitizer = plan.sanitizer
         exchange_services, exchange_service_stats = parallel.locked_services(
@@ -1597,14 +1511,12 @@ class Planner:
         explain.append(
             f"Exchange: {partition_desc} over {workers} shards"
             + (" (post-filter, punctuated)" if confidence_mode else "")
-            + f" [{backend} backend]"
         )
 
         # ---- worker pipelines ----
         defer = parallel.DeferredOrderLimit() if windowed_mode else None
         pipelines: list[ops.Batches] = []
         output_schema: tuple[str, ...] = ()
-        limit_noted = False
         for index in range(workers):
             worker_services, worker_service_stats = parallel.locked_services(
                 self._services, exchange.lock
@@ -1630,50 +1542,12 @@ class Planner:
                 exchange.shard_input(index), ctx_w, columnar=columnar
             )
             pipeline = self._trace(pipeline, "ShardScan", wplan, lane=lane)
-            if not confidence_mode:
-                before = pipeline
-                pipeline = self._build_filters(
-                    conjuncts, pipeline, schema, ctx_w, wplan,
-                    columnar=columnar,
-                )
-                if pipeline is not before:
-                    pipeline = self._trace(pipeline, "Filter", wplan, lane=lane)
-            # Per-shard scalar LIMIT below projection, as in the serial
-            # plan: a shard never emits more than LIMIT rows, and the
-            # merge-side LimitOperator enforces the global cap.
-            if not has_aggregates and statement.limit is not None:
-                pipeline = ops.LimitOperator(pipeline, statement.limit)
-                if not limit_noted:
-                    explain.append(
-                        f"Limit: {statement.limit} "
-                        "(per shard, re-applied after merge)"
-                    )
-                    limit_noted = True
-                pipeline = self._trace(pipeline, "Limit", wplan, lane=lane)
-            before = pipeline
-            pipeline = self._maybe_prefetch(
-                statement, pipeline, schema, ctx_w, wplan
+            # In confidence mode the WHERE stage already ran on the exchange.
+            pipeline, output_schema = self._build_body(
+                statement, pipeline, schema, ctx_w, wplan, lane=lane,
+                conjuncts=() if confidence_mode else conjuncts,
+                columnar=columnar, defer=defer,
             )
-            if pipeline is not before:
-                pipeline = self._trace(pipeline, "Prefetch", wplan, lane=lane)
-            if has_aggregates:
-                pipeline, output_schema = self._build_aggregation(
-                    statement, pipeline, schema, ctx_w, wplan, defer=defer,
-                    columnar=columnar,
-                )
-                pipeline = self._trace(pipeline, "Aggregate", wplan, lane=lane)
-            else:
-                if statement.having is not None:
-                    raise PlanError("HAVING requires aggregation")
-                if statement.order_by:
-                    raise PlanError(
-                        "ORDER BY requires a windowed aggregate query "
-                        "(streams have no global order to sort)"
-                    )
-                pipeline, output_schema = self._build_projection(
-                    statement, pipeline, schema, ctx_w, columnar=columnar
-                )
-                pipeline = self._trace(pipeline, "Project", wplan, lane=lane)
             if index > 0:
                 plan.managed_calls.extend(wplan.managed_calls)
             pipelines.append(pipeline)
@@ -1694,11 +1568,6 @@ class Planner:
             pipelines,
             [tagger] * workers,
             broadcast_punctuation=confidence_mode,
-            # shard_ctxs[0] / shard_service_stats[0] belong to the exchange
-            # stage, which always runs in the parent; only worker stats
-            # need to travel back across a process boundary.
-            worker_ctxs=plan.shard_ctxs[1:],
-            worker_service_stats=plan.shard_service_stats[1:],
         )
         merged: ops.Batches = exchange.merged()
         merged = self._trace(merged, "Merge", plan, lane="merge")

@@ -335,14 +335,12 @@ def _fingerprint(rows: list[Row]) -> int:
 class HandoffLedger:
     """Fingerprints for payloads crossing the exchange's shard queues.
 
-    The exchange enqueues whole routed row-lists; with the thread backend
-    the worker receives the very same objects, so any later mutation by
-    the producing side would silently corrupt a shard. :meth:`seal`
-    fingerprints the payload at enqueue; :meth:`verify` recomputes at
-    dequeue and raises ``TQL905`` on mismatch. Queues are FIFO per shard,
-    so (shard, arrival index) pairs the two sides. The process backend
-    pickles payloads across the fork — the child's ledger has no entry,
-    so verification is naturally skipped (copies cannot alias).
+    The exchange enqueues whole routed row-lists and the worker receives
+    the very same objects, so any later mutation by the producing side
+    would silently corrupt a shard. :meth:`seal` fingerprints the payload
+    at enqueue; :meth:`verify` recomputes at dequeue and raises ``TQL905``
+    on mismatch. Queues are FIFO per shard, so (shard, arrival index)
+    pairs the two sides.
     """
 
     def __init__(self, lock: TrackedLock) -> None:
@@ -364,7 +362,7 @@ class HandoffLedger:
             self._dequeued[shard] = index + 1
             expected = self._sealed.pop((shard, index), None)
         if expected is None:
-            return  # other side of a fork (or ledger not in play)
+            return  # ledger not in play for this payload
         if _fingerprint(rows) != expected:
             raise SanitizerError(
                 f"exchange payload for shard {shard} (batch {index}) was "

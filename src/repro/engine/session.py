@@ -81,8 +81,6 @@ class EngineConfig:
             for ``batched``/``async`` latency modes (the batch *is* the
             lookahead). Output is row-for-row identical at every size;
             queries calling ``now()`` are pinned to 1 by the planner.
-        lookahead: legacy row-at-a-time prefetch window; retained for
-            compatibility but unused — the batch size now plays this role.
         partial_results: with ``async`` mode, never block on an in-flight
             service call — emit NULL for the not-yet-known value instead
             (Raman & Hellerstein-style partial results; the paper cites
@@ -147,17 +145,6 @@ class EngineConfig:
             plans (``batch_size=1``) and joins always keep the legacy
             row layout; results are row-for-row identical either way.
             Turn off to A/B against the row pipeline.
-        shard_backend: where sharded worker pipelines run — ``thread``
-            (default; in-process pool, shares the GIL) or ``process``
-            (forked workers, true CPU parallelism for Python-bound
-            predicates/UDFs). Process workers fall back to threads, with
-            an EXPLAIN note, for plans that must share the session clock
-            (web-service calls, confidence emission) or when fork is
-            unavailable; results are identical across backends.
-        clamp_workers: clamp *process* workers to ``os.cpu_count()``
-            (extra forks cost real memory for no speedup). Thread workers
-            are logical shards and are never clamped. Turn off to
-            exercise the process fabric on small hosts (tests do).
         sanitize: run queries under the TQLSAN invariant sanitizer —
             every operator boundary checks seq monotonicity, punctuation
             exactly-once, ColumnBatch coherence, post-handoff
@@ -190,7 +177,6 @@ class EngineConfig:
     cache_ttl: float | None = None
     pool_depth: int = 8
     batch_size: int = 256
-    lookahead: int = 64
     partial_results: bool = False
     use_eddy: bool = False
     eddy_resort_every: int = 64
@@ -218,8 +204,6 @@ class EngineConfig:
     shared_buffer_batches: int = 16
     shared_stall_seconds: float = 5.0
     columnar: bool = True
-    shard_backend: str = "thread"
-    clamp_workers: bool = True
     sanitize: bool = False
     storage_path: str | None = None
     backfill: bool = False

@@ -75,7 +75,7 @@ class _Missing:
         return "MISSING"
 
     def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
-        # Pickling (process-backend transport) must preserve identity.
+        # Copying and pickling must preserve singleton identity.
         return (_Missing, ())
 
 

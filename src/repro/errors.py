@@ -92,21 +92,6 @@ class ExecutionError(TweeQLError):
     """Raised when a planned query fails at runtime."""
 
 
-def _rebuild_sanitizer_error(
-    message: str,
-    code: str,
-    operator: str | None,
-    lane: str | None,
-    hint: str | None,
-    batch_seq: int | None,
-) -> "SanitizerError":
-    """Reconstruct a :class:`SanitizerError` on the far side of a pickle."""
-    return SanitizerError(
-        message, code=code, operator=operator, lane=lane, hint=hint,
-        batch_seq=batch_seq,
-    )
-
-
 class SanitizerError(ExecutionError):
     """Raised when the runtime invariant sanitizer detects a violation.
 
@@ -114,9 +99,6 @@ class SanitizerError(ExecutionError):
     and ``docs/SANITIZER.md``), the offending operator/lane, the batch
     sequence number when one is implicated, a repro hint, and — when the
     plan was traced — the sanitizer's instant span for the violation.
-    Picklable so the process shard backend can ship a worker-side
-    violation back through the merge (the span, which holds live engine
-    state, is dropped in transit).
     """
 
     def __init__(
@@ -137,19 +119,6 @@ class SanitizerError(ExecutionError):
         self.hint = hint
         self.span = span
         self.batch_seq = batch_seq
-
-    def __reduce__(self) -> Any:
-        return (
-            _rebuild_sanitizer_error,
-            (
-                self.args[0] if self.args else "",
-                self.code or "TQL900",
-                self.operator,
-                self.lane,
-                self.hint,
-                self.batch_seq,
-            ),
-        )
 
 
 class AdmissionError(PlanError):

@@ -13,10 +13,6 @@ than the author probably expects on an unbounded stream:
 - ``TQL307`` ``now()`` pins execution to one row per batch;
 - ``TQL308`` statement shape forces the serial fallback despite
   ``workers > 1``;
-- ``TQL309`` more process workers requested than the host has CPU
-  cores (the planner clamps them);
-- ``TQL310`` ``shard_backend="process"`` requested but this statement
-  runs on threads (or serially) instead, with the reason;
 - ``TQL311`` backfill enabled but no ``created_at`` lower bound — the
   whole historical store is replayed before the live tail.
 
@@ -64,8 +60,6 @@ def run_lints(
     _lint_aliases(statement, schema, sink)
     _lint_now_pinning(statement, sink, config)
     _lint_serial_fallback(statement, registry, sink, config)
-    _lint_worker_oversubscription(sink, config)
-    _lint_process_fallback(statement, registry, sink, config)
     _lint_unbounded_backfill(statement, conjuncts, sink, config)
 
 
@@ -544,94 +538,6 @@ def _lint_serial_fallback(
             "TQL308",
             f"workers={workers} has no effect: this statement shape forces "
             f"the serial fallback ({reason})",
-            span,
-        )
-
-
-# ---------------------------------------------------------------------------
-# TQL309 — more workers than CPU cores
-# ---------------------------------------------------------------------------
-
-
-def _lint_worker_oversubscription(sink: DiagnosticSink, config: Any) -> None:
-    import os
-
-    workers = getattr(config, "workers", 1)
-    if workers <= 1:
-        return
-    cores = os.cpu_count() or 1
-    if workers <= cores:
-        return
-    backend = getattr(config, "shard_backend", "thread")
-    if backend == "process":
-        hint = (
-            "the planner clamps process workers to the core count — "
-            "extra forks cost memory without adding parallelism"
-        )
-    else:
-        hint = (
-            "thread workers beyond the core count add no CPU parallelism "
-            "under the GIL (they remain useful only as logical shards)"
-        )
-    sink.info(
-        "TQL309",
-        f"workers={workers} exceeds this host's {cores} CPU core(s); {hint}",
-        None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# TQL310 — process backend requested but not used
-# ---------------------------------------------------------------------------
-
-
-def _lint_process_fallback(
-    statement: ast.SelectStatement,
-    registry: FunctionRegistry,
-    sink: DiagnosticSink,
-    config: Any,
-) -> None:
-    """Mirrors the planner's ``_process_blocker`` (plus the serial
-    fallback, which trumps backend choice entirely)."""
-    import multiprocessing
-
-    workers = getattr(config, "workers", 1)
-    backend = getattr(config, "shard_backend", "thread")
-    if workers <= 1 or backend != "process":
-        return
-    reason, span = _serial_fallback_reason(statement, registry, config)
-    if reason is not None:
-        sink.info(
-            "TQL310",
-            'shard_backend="process" has no effect: this statement runs '
-            f"serially ({reason})",
-            span,
-        )
-        return
-    if "fork" not in multiprocessing.get_all_start_methods():
-        reason = "this platform cannot fork worker processes"
-    elif getattr(config, "confidence_policy", None) is not None and (
-        statement_has_aggregates(statement) and statement.window is None
-    ):
-        reason = "confidence-triggered emission is clock/punctuation-coupled"
-    else:
-        call = _calls_function(
-            statement,
-            lambda node: node.name not in AGGREGATE_NAMES
-            and node.name in registry
-            and registry.lookup(node.name).high_latency,
-        )
-        if call is not None:
-            reason = (
-                f"web-service UDF {call.name}() must run on the session "
-                "clock"
-            )
-            span = span_of(call)
-    if reason is not None:
-        sink.info(
-            "TQL310",
-            'shard_backend="process" falls back to thread workers for this '
-            f"statement ({reason})",
             span,
         )
 

@@ -39,7 +39,7 @@ from repro.sql.ast import span_of
 
 
 def statement_has_aggregates(statement: ast.SelectStatement) -> bool:
-    """The planner's aggregate-mode test, verbatim."""
+    """The aggregate-mode test the planner, analyzer and lints share."""
     from repro.engine.expressions import contains_aggregate
 
     return bool(statement.group_by) or any(

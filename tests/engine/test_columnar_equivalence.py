@@ -1,20 +1,12 @@
-"""Columnar layout and shard backends are pure performance knobs.
+"""Columnar layout and thread sharding are pure performance knobs.
 
 The acceptance sweep: every point of {row, columnar} × batch {1, 7, 256}
-× workers {1, 4} × backend {thread, process} must be row-for-row — and
-stats-for-stats — identical on the paper's demo queries and on the
-static query shapes. Plus the observability contract for the process
-backend (per-shard stats and trace lanes ship back to the parent) and
-the planner's backend-fallback diagnostics.
-
-The process points run with ``clamp_workers=False`` so the fabric is
-exercised even on single-core CI hosts (where the planner would
-otherwise, correctly, fall back to threads).
+× workers {1, 4} must be row-for-row — and stats-for-stats — identical
+on the paper's demo queries and on the static query shapes.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 
 import pytest
@@ -22,12 +14,6 @@ import pytest
 from repro import EngineConfig, TweeQL
 from repro.twitter.users import UserPopulation
 from repro.twitter.workloads import soccer_match_scenario
-
-HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
-
-needs_fork = pytest.mark.skipif(
-    not HAS_FORK, reason="process backend requires the fork start method"
-)
 
 BASE_TS = 1_307_000_000.0
 SCHEMA = ("tweet_id", "text", "loc", "created_at", "lang", "followers")
@@ -79,13 +65,9 @@ EXACT_STATS = (
 )
 
 
-def make_session(workers=1, batch_size=256, columnar=True, backend="thread"):
+def make_session(workers=1, batch_size=256, columnar=True):
     config = EngineConfig(
-        workers=workers,
-        batch_size=batch_size,
-        columnar=columnar,
-        shard_backend=backend,
-        clamp_workers=False,
+        workers=workers, batch_size=batch_size, columnar=columnar
     )
     session = TweeQL(config=config)
     session.register_source(
@@ -102,25 +84,23 @@ def run(session, sql):
     return rows, stats
 
 
-BACKENDS = ["thread", pytest.param("process", marks=needs_fork)]
+#: The ids keep the ``thread-`` prefix these cases have always had, so
+#: recorded test ids stay comparable across commits.
+WORKERS = [pytest.param(1, id="thread-1"), pytest.param(4, id="thread-4")]
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("batch", [1, 7, 256])
-@pytest.mark.parametrize("workers", [1, 4])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_columnar_matches_row_engine(shape, batch, workers, backend):
+@pytest.mark.parametrize("workers", WORKERS)
+def test_columnar_matches_row_engine(shape, batch, workers):
     sql, stats_mode = SHAPES[shape]
     base_rows, base_stats = run(
         make_session(workers=1, batch_size=1, columnar=False), sql
     )
     rows, stats = run(
-        make_session(
-            workers=workers, batch_size=batch, columnar=True, backend=backend
-        ),
-        sql,
+        make_session(workers=workers, batch_size=batch, columnar=True), sql
     )
-    assert rows == base_rows, (shape, batch, workers, backend)
+    assert rows == base_rows, (shape, batch, workers)
     keys = EXACT_STATS if stats_mode == "full" else ("rows_emitted",)
     if stats_mode == "full" and workers == 1:
         keys = keys + ("rows_scanned",)
@@ -128,21 +108,16 @@ def test_columnar_matches_row_engine(shape, batch, workers, backend):
         assert stats[key] == base_stats[key], (key, shape, batch, workers)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_paper_demo_queries_identical_across_backends(news_week, backend):
+def test_paper_demo_queries_identical_across_configs(news_week):
     from tests.integration.test_paper_queries import QUERY_2, QUERY_3
 
     for sql, limit in ((QUERY_2, 1500), (QUERY_3, None)):
-        def run_config(workers, batch, columnar, backend="thread"):
+        def run_config(workers, batch, columnar):
             session = TweeQL.for_scenarios(
                 news_week,
                 seed=11,
                 config=EngineConfig(
-                    workers=workers,
-                    batch_size=batch,
-                    columnar=columnar,
-                    shard_backend=backend,
-                    clamp_workers=False,
+                    workers=workers, batch_size=batch, columnar=columnar
                 ),
             )
             handle = session.query(sql)
@@ -152,74 +127,7 @@ def test_paper_demo_queries_identical_across_backends(news_week, backend):
 
         baseline = run_config(workers=1, batch=1, columnar=False)
         assert run_config(workers=1, batch=256, columnar=True) == baseline
-        assert (
-            run_config(workers=4, batch=256, columnar=True, backend=backend)
-            == baseline
-        )
-
-
-# ---------------------------------------------------------------------------
-# Process-backend observability: stats and trace lanes survive the fork
-# ---------------------------------------------------------------------------
-
-
-@needs_fork
-def test_process_backend_shard_stats_reach_parent():
-    sql = "SELECT text FROM s WHERE text CONTAINS 'goal';"
-    thread_rows, thread_stats = run(
-        make_session(workers=4, backend="thread"), sql
-    )
-    session = make_session(workers=4, backend="process")
-    handle = session.query(sql)
-    rows = handle.all()
-    handle.close()
-    assert rows == thread_rows
-    assert handle.stats.as_dict() == thread_stats
-    # Exchange stage first, then one entry per worker — same surface as
-    # the thread backend, filled from the children's result payloads.
-    assert len(handle.shard_stats) == 5
-    assert handle.shard_stats[0].rows_scanned == len(STATIC_ROWS)
-    worker_emitted = sum(s.rows_emitted for s in handle.shard_stats[1:])
-    assert worker_emitted == len(rows) == handle.stats.rows_emitted
-
-
-@needs_fork
-def test_process_backend_explain_analyze_lane_census_matches_thread():
-    sql = "SELECT text, followers FROM s WHERE followers > 500;"
-
-    def census(backend):
-        config = EngineConfig(
-            workers=2,
-            columnar=True,
-            shard_backend=backend,
-            clamp_workers=False,
-            tracing=True,
-        )
-        session = TweeQL(config=config)
-        session.register_source(
-            "s", lambda: iter([dict(r) for r in STATIC_ROWS]), SCHEMA
-        )
-        handle = session.query(sql)
-        rows = handle.all()
-        analyze = handle.explain(analyze=True)
-        tracer = handle.tracer
-        probes = {
-            (p.lane, p.name): (p.rows, p.batches) for p in tracer.probes
-        }
-        lanes = sorted({s.lane for s in tracer.spans})
-        handle.close()
-        return rows, probes, lanes, analyze
-
-    t_rows, t_probes, t_lanes, t_analyze = census("thread")
-    p_rows, p_probes, p_lanes, p_analyze = census("process")
-    assert p_rows == t_rows
-    # Identical probe census: same operators in the same lanes seeing the
-    # same rows/batches. (Timings differ: the forked child's virtual
-    # clock is frozen, so its spans have zero duration.)
-    assert p_probes == t_probes
-    assert p_lanes == t_lanes
-    for lane in ("worker-0", "worker-1", "exchange", "merge"):
-        assert lane in p_analyze
+        assert run_config(workers=4, batch=256, columnar=True) == baseline
 
 
 def test_sharded_service_stats_sum_of_stage_mirrors():
@@ -250,7 +158,7 @@ def test_sharded_service_stats_sum_of_stage_mirrors():
 
 
 # ---------------------------------------------------------------------------
-# Backend resolution diagnostics
+# EXPLAIN diagnostics
 # ---------------------------------------------------------------------------
 
 
@@ -263,72 +171,14 @@ def _explain(sql, **kw):
     return session.explain(sql)
 
 
-@needs_fork
-def test_process_backend_clamps_workers_to_cores():
-    cores = os.cpu_count() or 1
-    text = _explain(
-        "SELECT text FROM s WHERE followers > 10;",
-        workers=cores + 3,
-        shard_backend="process",
-    )
-    if cores >= 2:
-        assert f"workers clamped {cores + 3} -> {cores}" in text
-        assert f"over {cores} shards" in text
-    else:
-        # One core: forking cannot win; the planner says so and uses
-        # threads at the requested logical shard count.
-        assert "process backend unavailable" in text
-        assert "[thread backend]" in text
-
-
 def test_thread_workers_are_never_clamped():
     cores = os.cpu_count() or 1
     text = _explain(
         "SELECT text FROM s WHERE followers > 10;",
         workers=cores + 3,
-        shard_backend="thread",
     )
     assert f"over {cores + 3} shards" in text
     assert "clamped" not in text
-
-
-def test_process_request_on_serial_fallback_is_explained():
-    text = _explain(
-        "SELECT meandev(followers) AS d FROM s;",
-        workers=4,
-        shard_backend="process",
-    )
-    assert "Parallel: serial fallback" in text
-    assert "process backend requested but the plan runs serially" in text
-
-
-@needs_fork
-def test_web_service_plans_fall_back_to_thread_backend():
-    pop = UserPopulation(size=50, seed=7)
-    scen = soccer_match_scenario(seed=7, population=pop)
-    session = TweeQL.for_scenarios(
-        scen,
-        config=EngineConfig(
-            workers=2, shard_backend="process", clamp_workers=False
-        ),
-    )
-    text = session.explain(
-        "SELECT latitude(loc) AS lat FROM twitter WHERE text CONTAINS 'goal';"
-    )
-    assert "process backend unavailable" in text
-    assert "session clock" in text
-    assert "[thread backend]" in text
-
-
-def test_unknown_backend_is_a_plan_error():
-    from repro.errors import PlanError
-
-    with pytest.raises(PlanError, match="shard_backend"):
-        _explain(
-            "SELECT text FROM s WHERE followers > 10;",
-            workers=2,
-            shard_backend="rocket",
-        )
 
 
 def test_columnar_off_keeps_row_layout_in_explain():
@@ -374,7 +224,7 @@ _new_scenario_baselines: dict[str, list] = {}
 
 
 def _scenario_rows(scenario, sql, **config_kwargs):
-    config = EngineConfig(clamp_workers=False, **config_kwargs)
+    config = EngineConfig(**config_kwargs)
     session = TweeQL.for_scenarios(scenario, seed=11, config=config)
     handle = session.query(sql)
     rows = [

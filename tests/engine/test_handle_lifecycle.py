@@ -10,6 +10,7 @@ never duplicates or drops rows at any worker count.
 from __future__ import annotations
 
 import csv
+import itertools
 import threading
 
 import pytest
@@ -103,6 +104,35 @@ def test_iteration_after_close_raises(workers):
         handle.all()
 
 
+class KthRowError(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_udf_error_surfaces_unwrapped_and_releases_everything(workers):
+    session = scenario_session(workers=workers)
+    calls = itertools.count(1)  # next() is atomic across shard threads
+
+    def flaky(_ctx, text):
+        if next(calls) == 7:
+            raise KthRowError("row 7")
+        return text
+
+    session.register_udf("flaky", flaky)
+    handle = session.query(
+        "SELECT flaky(text) AS t FROM twitter WHERE text CONTAINS 'goal';"
+    )
+    with pytest.raises(KthRowError) as caught:
+        handle.all()
+    assert type(caught.value) is KthRowError
+    assert not [
+        thread.name
+        for thread in threading.enumerate()
+        if thread.name.startswith("tweeql-shard")
+    ]
+    assert session.api.open_connections == 0
+
+
 # ---------------------------------------------------------------------------
 # interleaved fetch never duplicates or drops rows
 # ---------------------------------------------------------------------------
@@ -133,7 +163,7 @@ def test_fetch_after_exhaustion_is_empty(workers):
 
 
 def test_close_drains_in_flight_service_calls():
-    session = scenario_session(latency_mode="async", lookahead=16)
+    session = scenario_session(latency_mode="async")
     handle = session.query(
         "SELECT latitude(loc) AS lat, text FROM twitter "
         "WHERE text CONTAINS 'goal';"
@@ -144,7 +174,7 @@ def test_close_drains_in_flight_service_calls():
 
 
 def test_to_csv_drains_in_flight_service_calls(tmp_path):
-    session = scenario_session(latency_mode="async", lookahead=16)
+    session = scenario_session(latency_mode="async")
     handle = session.query(
         "SELECT latitude(loc) AS lat, text FROM twitter "
         "WHERE text CONTAINS 'goal';"

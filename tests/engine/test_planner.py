@@ -179,3 +179,49 @@ def test_registered_source_schema_validated(soccer_session):
 def test_cannot_shadow_twitter(soccer_session):
     with pytest.raises(PlanError):
         soccer_session.register_source("twitter", lambda: iter(()), ("created_at",))
+
+
+BODY_STAGES = ("Filter", "Limit", "Prefetch", "Aggregate", "Into")
+
+
+def body_stages(explain_text):
+    names = [line.split(":")[0] for line in explain_text.splitlines()]
+    return [name for name in names if name in BODY_STAGES]
+
+
+@pytest.mark.parametrize(
+    "sql,expected",
+    [
+        (
+            "SELECT latitude(loc) AS lat, text FROM twitter WHERE text "
+            "CONTAINS 'goal' AND followers > 10 LIMIT 5 INTO kept;",
+            ["Filter", "Limit", "Prefetch", "Into"],
+        ),
+        (
+            "SELECT COUNT(*) AS n, lang FROM twitter WHERE text CONTAINS "
+            "'goal' AND followers > 10 GROUP BY lang WINDOW 60 seconds;",
+            ["Filter", "Aggregate"],
+        ),
+    ],
+    ids=["scalar", "aggregate"],
+)
+def test_body_stages_match_across_plan_shapes(soccer, sql, expected):
+    """Serial, sharded-worker and shared-scan tenant plans share one body
+    builder, so EXPLAIN lists the same stages in the same order."""
+
+    def session(workers):
+        config = EngineConfig(workers=workers, latency_mode="batched")
+        return TweeQL.for_scenarios(soccer, config=config)
+
+    serial = session(1).explain(sql)
+    sharded = session(4).explain(sql)
+    assert "Exchange:" in sharded and "Exchange:" not in serial
+    group = session(1).shared()
+    try:
+        tenant = group.query(sql).explain()
+    finally:
+        group.close()
+    assert "SharedScan:" in tenant
+    assert body_stages(serial) == expected
+    assert body_stages(sharded) == expected
+    assert body_stages(tenant) == expected

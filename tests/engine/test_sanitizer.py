@@ -3,7 +3,7 @@
 Two halves. The positive half mirrors the tracing contract: with
 ``sanitize=False`` the planner installs zero SanitizeOperator wrappers
 (structural assert, same technique as ``bench_observability``), and with
-it on, a full query sweep across workers × backends is row-for-row
+it on, a full query sweep across worker counts is row-for-row
 identical to the unsanitized run. The negative half feeds each check a
 deliberately-broken operator and asserts the right ``TQL9xx`` fires —
 every invariant is demonstrated to actually trip, not just documented.
@@ -11,7 +11,6 @@ every invariant is demonstrated to actually trip, not just documented.
 
 from __future__ import annotations
 
-import pickle
 import threading
 
 import pytest
@@ -41,13 +40,8 @@ ROWS = [
 ]
 
 
-def make_session(sanitize: bool, workers: int = 1, backend: str = "thread"):
-    config = EngineConfig(
-        sanitize=sanitize,
-        workers=workers,
-        shard_backend=backend,
-        clamp_workers=False,
-    )
+def make_session(sanitize: bool, workers: int = 1):
+    config = EngineConfig(sanitize=sanitize, workers=workers)
     session = TweeQL(config=config)
     session.register_source(
         "s", lambda: iter([dict(r) for r in ROWS]), SCHEMA
@@ -327,20 +321,6 @@ def test_tql911_cross_thread_pull_fires():
 # ---------------------------------------------------------------------------
 # Error plumbing
 # ---------------------------------------------------------------------------
-
-
-def test_sanitizer_error_pickles_for_process_backend():
-    error = SanitizerError(
-        "TQL901: boom", code="TQL901", operator="Filter", lane="worker-2",
-        hint="fix it", batch_seq=7,
-    )
-    clone = pickle.loads(pickle.dumps(error))
-    assert isinstance(clone, SanitizerError)
-    assert clone.code == "TQL901"
-    assert clone.operator == "Filter"
-    assert clone.lane == "worker-2"
-    assert clone.batch_seq == 7
-    assert "boom" in str(clone)
 
 
 def test_violation_carries_span_and_diagnostic():

@@ -303,52 +303,3 @@ def test_clean_query_has_no_diagnostics():
     )
     assert result.diagnostics == ()
     assert result.ok(strict=True)
-
-
-def test_worker_oversubscription_tql309():
-    import os
-
-    cores = os.cpu_count() or 1
-    result = analyze_sql(
-        "SELECT text FROM twitter WHERE text CONTAINS 'a';",
-        config=EngineConfig(workers=cores + 4),
-    )
-    assert "TQL309" in [d.code for d in result.infos]
-    within = analyze_sql(
-        "SELECT text FROM twitter WHERE text CONTAINS 'a';",
-        config=EngineConfig(workers=1),
-    )
-    assert "TQL309" not in [d.code for d in within.diagnostics]
-
-
-def test_process_fallback_tql310_serial_shape():
-    result = analyze_sql(
-        "SELECT meandev(followers) FROM twitter WHERE text CONTAINS 'a';",
-        config=EngineConfig(workers=4, shard_backend="process"),
-    )
-    messages = {d.code: d.message for d in result.infos}
-    assert "TQL310" in messages
-    assert "runs serially" in messages["TQL310"]
-
-
-def test_process_fallback_tql310_web_service_udf():
-    result = analyze_sql(
-        "SELECT latitude(loc) AS lat FROM twitter WHERE text CONTAINS 'a';",
-        config=EngineConfig(workers=4, shard_backend="process"),
-    )
-    messages = {d.code: d.message for d in result.infos}
-    assert "TQL310" in messages
-    assert "thread workers" in messages["TQL310"]
-
-
-def test_process_backend_clean_shape_has_no_tql310():
-    result = analyze_sql(
-        "SELECT text FROM twitter WHERE text CONTAINS 'a';",
-        config=EngineConfig(workers=2, shard_backend="process"),
-    )
-    assert "TQL310" not in [d.code for d in result.diagnostics]
-    thread = analyze_sql(
-        "SELECT latitude(loc) AS lat FROM twitter WHERE text CONTAINS 'a';",
-        config=EngineConfig(workers=4, shard_backend="thread"),
-    )
-    assert "TQL310" not in [d.code for d in thread.diagnostics]
