@@ -328,16 +328,24 @@ class TweeQL:
 
         Safe to call on sessions without a store, and idempotent. Queries
         still running keep their own connections; only the archival side
-        is torn down.
+        is torn down. A writer that failed, or is still draining when its
+        stop times out, raises :class:`~repro.errors.StorageError`.
         """
-        if self.storage_writer is not None:
-            self.storage_writer.stop()
-            self.storage_writer = None
-            if self.api is not None:
-                self.api.tap = None
-        if self.store is not None:
-            self.store.close()
-            self.store = None
+        writer = self.storage_writer
+        try:
+            if writer is not None:
+                writer.stop()
+        finally:
+            # A timed-out stop leaves the drain thread running: the store
+            # stays open under it and close() can be called again. A
+            # failed writer's thread has exited, so the store still closes.
+            if writer is None or not writer.alive:
+                if writer is not None and self.api is not None:
+                    self.api.tap = None
+                self.storage_writer = None
+                if self.store is not None:
+                    self.store.close()
+                    self.store = None
 
     def __enter__(self) -> "TweeQL":
         return self

@@ -13,8 +13,10 @@ et al.) and the SQLite-persistence shape of ``twitter-to-sqlite``:
 
 - btree on ``created_at`` (inherited from :class:`SqliteTweetLog`) — the
   backfill range scan;
-- FTS5 on ``text`` — keyword search over history (:meth:`search_text`);
-- R-tree on coordinates — bounding-box search (:meth:`search_box`);
+- FTS5 on ``text``, ``rowid = tweet_id`` — keyword search over history
+  (:meth:`search_text`);
+- R-tree on coordinates, ``id = tweet_id`` — bounding-box search
+  (:meth:`search_box`);
 - an hour-grain ``partition`` column — pruning and per-partition stats
   (:meth:`partitions`).
 
@@ -32,6 +34,7 @@ event's own timeline.
 
 from __future__ import annotations
 
+import json
 import queue
 import sqlite3
 import threading
@@ -44,6 +47,12 @@ from repro.storage.tweetlog import SqliteTweetLog
 from repro.twitter.models import Tweet
 
 __all__ = ["HistoricalStore", "StorageWriter"]
+
+#: ``rowid`` is the tweet id, so replacing a tweet's text is a keyed
+#: delete + insert and a search joins back to ``tweets`` on the rowid.
+_FTS_DDL = "CREATE VIRTUAL TABLE IF NOT EXISTS tweets_fts USING fts5(text)"
+#: A geotag is the degenerate box ``(id, lat, lat, lon, lon)``.
+_GEO_INSERT = "INSERT INTO tweets_geo VALUES (?1, ?2, ?2, ?3, ?3)"
 
 
 class HistoricalStore(SqliteTweetLog):
@@ -59,6 +68,8 @@ class HistoricalStore(SqliteTweetLog):
         partition_seconds: width of one time partition (default 1 hour).
         commit_every: single-row appends per batched commit.
     """
+
+    _COLUMNS = SqliteTweetLog._COLUMNS + ", partition"
 
     _HIST_SCHEMA = """
         CREATE TABLE IF NOT EXISTS metrics (
@@ -89,14 +100,12 @@ class HistoricalStore(SqliteTweetLog):
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.executescript(self._HIST_SCHEMA)
             self._ensure_partition_column()
-            self.fts_enabled = self._try_virtual_table(
-                "CREATE VIRTUAL TABLE IF NOT EXISTS tweets_fts "
-                "USING fts5(text, tweet_id UNINDEXED)"
-            )
+            self.fts_enabled = self._try_virtual_table(_FTS_DDL)
             self.rtree_enabled = self._try_virtual_table(
                 "CREATE VIRTUAL TABLE IF NOT EXISTS tweets_geo "
                 "USING rtree(id, min_lat, max_lat, min_lon, max_lon)"
             )
+            self._reconcile_indexes()
             self._conn.commit()
 
     # -- schema helpers ----------------------------------------------------
@@ -131,52 +140,52 @@ class HistoricalStore(SqliteTweetLog):
         except sqlite3.OperationalError:
             return False
 
+    def _reconcile_indexes(self) -> None:
+        """Rebuild both indexes from ``tweets``, once per file and layout.
+
+        A plain :class:`SqliteTweetLog` file has rows no index covers, and
+        older stores keyed ``tweets_fts`` by an automatic rowid. The write
+        path skips identical rows, so it would never repair either;
+        ``meta`` records the layout the indexes were last rebuilt for.
+        """
+        layout = {"version": 2, "fts": self.fts_enabled, "rtree": self.rtree_enabled}
+        if self.get_meta("indexes") == layout:
+            return
+        if self.fts_enabled:
+            self._conn.execute("DROP TABLE tweets_fts")
+            self._conn.execute(_FTS_DDL)
+            self._conn.execute(
+                "INSERT INTO tweets_fts (rowid, text) SELECT tweet_id, text FROM tweets"
+            )
+        if self.rtree_enabled:
+            self._conn.execute("DELETE FROM tweets_geo")
+            rows = self._conn.execute("SELECT tweet_id, payload FROM tweets")
+            geotags = ((tweet_id, json.loads(p).get("geo")) for tweet_id, p in rows)
+            self._conn.executemany(
+                _GEO_INSERT, ((tweet_id, *geo) for tweet_id, geo in geotags if geo)
+            )
+        self.set_meta("indexes", layout)
+
     # -- writes ------------------------------------------------------------
 
-    def _insert(self, tweet: Tweet, payload: str) -> None:
-        # The pre-existence probe is an indexed PK lookup; it gates the
-        # FTS purge below, which would otherwise scan the whole FTS table
-        # per insert (tweet_id is UNINDEXED there) — quadratic archival.
-        existed = (
-            self._conn.execute(
-                "SELECT 1 FROM tweets WHERE tweet_id = ?",
-                (tweet.tweet_id,),
-            ).fetchone()
-            is not None
-        )
-        self._conn.execute(
-            "INSERT OR REPLACE INTO tweets "
-            "(tweet_id, created_at, user_id, text, payload, partition) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            (
-                tweet.tweet_id,
-                tweet.created_at,
-                tweet.user.user_id,
-                tweet.text,
-                payload,
-                int(tweet.created_at // self.partition_seconds),
-            ),
-        )
+    def _row(self, tweet: Tweet) -> tuple:
+        partition = int(tweet.created_at // self.partition_seconds)
+        return (*super()._row(tweet), partition)
+
+    def _index(self, changed: list[tuple[tuple, Tweet]], replaced: list) -> None:
+        # Both indexes are keyed by tweet id: dropping a replaced row's
+        # old entry is a rowid lookup, never a scan.
         if self.fts_enabled:
-            if existed:
-                # INSERT OR REPLACE on the base table re-appends; mirror
-                # that by replacing the FTS row rather than accumulating
-                # duplicates.
-                self._conn.execute(
-                    "DELETE FROM tweets_fts WHERE tweet_id = ?",
-                    (tweet.tweet_id,),
-                )
-            self._conn.execute(
-                "INSERT INTO tweets_fts (text, tweet_id) VALUES (?, ?)",
-                (tweet.text, tweet.tweet_id),
+            self._conn.executemany("DELETE FROM tweets_fts WHERE rowid = ?", replaced)
+            self._conn.executemany(
+                "INSERT INTO tweets_fts (rowid, text) VALUES (?, ?)",
+                [(row[0], row[3]) for row, _ in changed],
             )
-        if self.rtree_enabled and tweet.geo is not None:
-            lat, lon = tweet.geo
-            self._conn.execute(
-                "INSERT OR REPLACE INTO tweets_geo "
-                "(id, min_lat, max_lat, min_lon, max_lon) "
-                "VALUES (?, ?, ?, ?, ?)",
-                (tweet.tweet_id, lat, lat, lon, lon),
+        if self.rtree_enabled:
+            self._conn.executemany("DELETE FROM tweets_geo WHERE id = ?", replaced)
+            self._conn.executemany(
+                _GEO_INSERT,
+                [(t.tweet_id, *t.geo) for _, t in changed if t.geo is not None],
             )
 
     # -- backfill support --------------------------------------------------
@@ -225,7 +234,7 @@ class HistoricalStore(SqliteTweetLog):
                 cursor = self._conn.execute(
                     "SELECT t.tweet_id, t.created_at, t.user_id, t.text, "
                     "t.payload FROM tweets_fts f "
-                    "JOIN tweets t ON t.tweet_id = f.tweet_id "
+                    "JOIN tweets t ON t.tweet_id = f.rowid "
                     f"WHERE tweets_fts MATCH ? AND {where} "
                     "ORDER BY t.created_at, t.tweet_id",
                     [self._fts_query(needle), *params],
@@ -364,7 +373,8 @@ class StorageWriter:
     explicit commit at every :meth:`flush`/:meth:`stop` barrier. A
     bounded queue caps memory: when the archive cannot keep up, chunks
     are dropped from the *archive* (counted in ``dropped``), never from
-    the live query.
+    the live query. A store error fails the writer, not the process: it
+    is kept in ``error`` and raised by the next :meth:`flush`/:meth:`stop`.
 
     The writer keeps no wall-clock timers — chunk boundaries and the
     explicit barriers are the only flush points, so behavior is
@@ -388,8 +398,14 @@ class StorageWriter:
         self._chunk: list[Tweet] = []
         self._queue: queue.Queue = queue.Queue(maxsize=capacity)
         self.written = 0
-        self.dropped = 0
         self.flushes = 0
+        #: The exception that failed the drain, once one has; from then on
+        #: every chunk is shed and ``flush``/``stop`` raise.
+        self.error: Exception | None = None
+        # ``dropped`` has one counter per thread that sheds: the producer
+        # (queue full) and the drain (store failed).
+        self._refused = 0
+        self._lost = 0
         self._stopped = False
         self._started = False
         self._thread = threading.Thread(
@@ -416,7 +432,7 @@ class StorageWriter:
             self._queue.put_nowait(chunk)
             return True
         except queue.Full:
-            self.dropped += len(chunk)
+            self._refused += len(chunk)
             return False
 
     def _hand_off_partial_chunk(self) -> None:
@@ -425,29 +441,59 @@ class StorageWriter:
             self._queue.put(chunk)
 
     def flush(self, timeout: float = 30.0) -> None:
-        """Block until everything written so far is committed."""
+        """Block until everything written so far is committed.
+
+        Raises :class:`StorageError` when the drain failed or did not get
+        there within ``timeout`` seconds.
+        """
         if self._stopped:
             return
         self.start()  # a deferred-start writer drains at the barrier
         self._hand_off_partial_chunk()
         done = threading.Event()
         self._queue.put((_FLUSH, done))
-        done.wait(timeout)
+        if not done.wait(timeout):
+            raise StorageError(f"storage writer flush timed out ({timeout}s)")
+        self._raise_if_failed()
 
     def stop(self, timeout: float = 30.0) -> None:
-        """Flush and terminate the writer thread (idempotent)."""
-        if self._stopped:
-            return
-        self.start()  # a deferred-start writer drains at the barrier
-        self._stopped = True
-        self._hand_off_partial_chunk()
-        self._queue.put((_STOP, None))
+        """Flush and terminate the writer thread (idempotent).
+
+        Raises :class:`StorageError` when the drain failed, or when the
+        thread is still draining after ``timeout`` seconds — the store
+        must then stay open; call again to keep waiting.
+        """
+        if not self._stopped:
+            self.start()  # a deferred-start writer drains at the barrier
+            self._stopped = True
+            self._hand_off_partial_chunk()
+            self._queue.put((_STOP, None))
         self._thread.join(timeout)
+        if self.alive:
+            raise StorageError(f"storage writer still draining ({timeout}s)")
+        self._raise_if_failed()
+
+    @property
+    def alive(self) -> bool:
+        """Whether the drain thread is running (and may touch the store)."""
+        return self._thread.is_alive()
+
+    @property
+    def dropped(self) -> int:
+        """Tweets shed from the archive: queue overflow or a failed store."""
+        return self._refused + self._lost
+
+    def _raise_if_failed(self) -> None:
+        if self.error is not None:
+            raise StorageError(
+                f"storage writer failed: {self.error}"
+            ) from self.error
 
     def metrics(self) -> dict[str, int]:
         """Counters for the metrics registry (``storage.*``)."""
         return {
             "written": self.written,
+            "unchanged": getattr(self._store, "unchanged", 0),
             "dropped": self.dropped,
             "flushes": self.flushes,
             "pending": self._queue.qsize() * self._batch_size
@@ -459,15 +505,22 @@ class StorageWriter:
     def _run(self) -> None:
         while True:
             item = self._queue.get()
-            if isinstance(item, tuple):
-                command, event = item
-                self._store.commit()
-                self.flushes += 1
-                if command == _FLUSH and event is not None:
-                    event.set()
-                    continue
-                if command == _STOP:
-                    return
-                continue
-            self._store.extend(item, commit=False)
-            self.written += len(item)
+            command, event = item if isinstance(item, tuple) else (None, None)
+            if self.error is None:  # once failed, never touch the store again
+                try:
+                    if command is None:
+                        self._store.extend(item, commit=False)
+                        self.written += len(item)
+                    else:
+                        self._store.commit()
+                        self.flushes += 1
+                except Exception as exc:
+                    # The thread outlives the failure so that barriers are
+                    # released and later chunks are counted, not stranded.
+                    self.error = exc
+            if self.error is not None and command is None:
+                self._lost += len(item)
+            if event is not None:
+                event.set()
+            if command == _STOP:
+                return

@@ -132,9 +132,16 @@ class SqliteTweetLog:
         );
     """
 
+    #: Stored columns, in the order :meth:`_row` builds them.
+    _COLUMNS = "tweet_id, created_at, user_id, text, payload"
+
     #: Rows fetched per lock acquisition while scanning (keeps long scans
     #: from starving concurrent writers).
     _SCAN_CHUNK = 512
+
+    #: Most ids in one stored-rows probe (SQLite's bound-variable limit
+    #: was 999 before 3.32).
+    _PROBE = 500
 
     def __init__(self, path: str = ":memory:", commit_every: int = 64) -> None:
         if commit_every < 1:
@@ -144,6 +151,8 @@ class SqliteTweetLog:
         self._commit_every = commit_every
         self._pending = 0
         self._closed = False
+        #: Re-archived tweets skipped because the stored row was identical.
+        self.unchanged = 0
         self._conn.executescript(self._SCHEMA)
 
     def close(self) -> None:
@@ -170,6 +179,16 @@ class SqliteTweetLog:
             self._pending = 0
 
     def append(self, tweet: Tweet) -> None:
+        self._write((tweet,), commit=False)
+
+    def extend(self, tweets: Sequence[Tweet], commit: bool = True) -> None:
+        """Bulk append. ``commit=False`` leaves durability to the
+        ``commit_every`` threshold and later :meth:`commit`/:meth:`close`
+        barriers — the storage writer's hot path."""
+        self._write(tweets, commit)
+
+    def _row(self, tweet: Tweet) -> tuple:
+        """The tweet's stored row, in ``_COLUMNS`` order."""
         payload = json.dumps(
             {
                 "user": {
@@ -185,45 +204,73 @@ class SqliteTweetLog:
                 "ground_truth": tweet.ground_truth,
             }
         )
+        return (
+            tweet.tweet_id,
+            tweet.created_at,
+            tweet.user.user_id,
+            tweet.text,
+            payload,
+        )
+
+    def _write(self, tweets: Sequence[Tweet], commit: bool) -> None:
+        """The one write path: upsert a chunk under a single lock hold.
+
+        Rows (payload JSON included) are built before the lock is taken.
+        The chunk goes in pieces that end where sequential appends would
+        have hit ``commit_every``, so the commit points are the same
+        however tweets were grouped into calls. Per piece, one
+        primary-key probe reads the rows the store already holds: a
+        tweet whose row is byte-identical is skipped and counted in
+        ``unchanged``; a fresh or differing row is written, the last
+        occurrence of a repeated id winning as sequential ``INSERT OR
+        REPLACE`` would.
+        """
+        entries = [(self._row(tweet), tweet) for tweet in tweets]
+        marks = ", ".join("?" * len(self._COLUMNS.split(",")))
         try:
             with self._lock:
-                self._insert(tweet, payload)
-                self._pending += 1
-                if self._pending >= self._commit_every:
-                    self._conn.commit()
-                    self._pending = 0
+                done = 0
+                while done < len(entries):
+                    room = min(self._commit_every - self._pending, self._PROBE)
+                    piece = entries[done : done + room]
+                    latest = {entry[0][0]: entry for entry in piece}
+                    stored = {
+                        row[0]: row
+                        for row in self._conn.execute(
+                            f"SELECT {self._COLUMNS} FROM tweets WHERE "
+                            f"tweet_id IN ({', '.join('?' * len(latest))})",
+                            list(latest),
+                        )
+                    }
+                    changed = [
+                        (row, tweet)
+                        for row, tweet in latest.values()
+                        if stored.get(row[0]) != row
+                    ]
+                    self.unchanged += len(latest) - len(changed)
+                    if changed:
+                        self._conn.executemany(
+                            f"INSERT OR REPLACE INTO tweets ({self._COLUMNS}) "
+                            f"VALUES ({marks})",
+                            [row for row, _ in changed],
+                        )
+                        self._index(
+                            changed,
+                            [(row[0],) for row, _ in changed if row[0] in stored],
+                        )
+                    done += len(piece)
+                    self._pending += len(piece)
+                    if self._pending >= self._commit_every:
+                        self.commit()
+                if commit:
+                    self.commit()
         except sqlite3.Error as exc:
             raise StorageError(f"sqlite append failed: {exc}") from exc
 
-    def _insert(self, tweet: Tweet, payload: str) -> None:
-        """One row's INSERT statements; caller holds the lock.
-
-        Subclasses override to maintain auxiliary indexes alongside the
-        base table (FTS, R-tree, partitions) inside the same transaction.
-        """
-        self._conn.execute(
-            "INSERT OR REPLACE INTO tweets "
-            "(tweet_id, created_at, user_id, text, payload) "
-            "VALUES (?, ?, ?, ?, ?)",
-            (
-                tweet.tweet_id,
-                tweet.created_at,
-                tweet.user.user_id,
-                tweet.text,
-                payload,
-            ),
-        )
-
-    def extend(self, tweets: Sequence[Tweet], commit: bool = True) -> None:
-        """Bulk append. ``commit=False`` leaves durability to the
-        ``commit_every`` threshold and later :meth:`commit`/:meth:`close`
-        barriers — the storage writer's hot path."""
-        for tweet in tweets:
-            self.append(tweet)
-        if commit:
-            with self._lock:
-                self._conn.commit()
-                self._pending = 0
+    def _index(self, changed: list[tuple[tuple, Tweet]], replaced: list) -> None:
+        """Hook, same transaction: index the ``(row, tweet)`` pairs just
+        written; ``replaced`` holds the ``(tweet_id,)`` of those that
+        overwrote a stored row."""
 
     def __len__(self) -> int:
         with self._lock:

@@ -17,6 +17,7 @@ import pytest
 
 from repro import EngineConfig, TweeQL
 from repro.engine.planner import _time_window, split_conjuncts
+from repro.errors import StorageError
 from repro.sql.analysis import analyze_sql
 from repro.sql.parser import parse
 from repro.storage import HistoricalStore
@@ -245,6 +246,34 @@ def test_session_close_is_idempotent(scenario, tmp_path):
     session.close()
     session.close()
     assert session.api.tap is None
+
+
+def test_session_close_surfaces_a_failed_writer(scenario, tmp_path):
+    """A store error on the drain thread is not swallowed: close() raises
+    it, after the thread has exited and the store has been closed."""
+    session = TweeQL.for_scenarios(
+        scenario,
+        config=EngineConfig(storage_path=str(tmp_path / "f.db")),
+        delivery_ratio=1.0,
+    )
+    writer, store = session.storage_writer, session.store
+
+    def full_disk(tweets, commit=True):
+        raise StorageError("disk full")
+
+    store.extend = full_disk
+    handle = session.query("SELECT text FROM twitter;")
+    delivered = len(handle.fetch(300))
+    handle.close()
+    with pytest.raises(StorageError, match="disk full"):
+        session.close()
+    assert not writer.alive
+    assert session.store is None and session.api.tap is None
+    with pytest.raises(StorageError):  # closed: the handle is really gone
+        store.append(scenario.tweets[0])
+    assert writer.written == 0
+    assert writer.dropped >= delivered
+    session.close()  # and a second close has nothing left to do
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,33 @@ def test_health_endpoint_serves_stored_series(tracked_app):
         assert {s["name"] for s in json.loads(body)} == {metric}
 
 
+def test_unchanged_rearchives_show_on_metrics_and_health(tracked_app, soccer):
+    """A backfill session replays the stored event through the tap; the
+    writer skips the identical rows and says so, on ``/metrics`` and in
+    the persisted health snapshot, instead of skipping silently."""
+    first, path = tracked_app
+    first.session.storage_writer.flush()  # its partial last chunk too
+    session = _storage_session(soccer, path, backfill=True)
+    try:
+        stored = len(session.store)
+        app = TwitInfoApp(session)
+        app.track("Rerun", ("tevez",), start=soccer.start, end=soccer.end)
+        session.storage_writer.flush()
+        writer = session.storage_writer.metrics()
+        assert writer["written"] == writer["unchanged"] == stored
+        assert len(session.store) == stored
+        with TwitInfoServer(app) as server:
+            _status, body = fetch(server.url + "/metrics")
+            assert f"storage_writer_unchanged {stored}" in body.replace(".", "_")
+            _status, body = fetch(
+                server.url
+                + "/event/Rerun/health.json?name=storage.writer.unchanged"
+            )
+            assert json.loads(body)
+    finally:
+        session.close()
+
+
 def test_health_endpoint_404s_without_store(soccer):
     app = TwitInfoApp(TweeQL.for_scenarios(soccer))
     with TwitInfoServer(app) as server:
