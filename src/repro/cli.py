@@ -128,7 +128,6 @@ def build_session(args: argparse.Namespace) -> tuple[TweeQL, list[Scenario]]:
         partial_results=getattr(args, "partial_results", False),
         workers=getattr(args, "workers", 1),
         batch_size=getattr(args, "batch_size", 256),
-        columnar=not getattr(args, "no_columnar", False),
         shared_scan=getattr(args, "shared", False),
         sanitize=getattr(args, "sanitize", False),
         storage_path=getattr(args, "store", None),
@@ -288,7 +287,6 @@ def run_check(args: argparse.Namespace) -> int:
         partial_results=getattr(args, "partial_results", False),
         workers=getattr(args, "workers", 1),
         batch_size=getattr(args, "batch_size", 256),
-        columnar=not getattr(args, "no_columnar", False),
         sanitize=getattr(args, "sanitize", False),
     )
     queries: list[tuple[str, str]] = []
@@ -497,14 +495,8 @@ def make_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         metavar="N",
-        help="rows per batch between operators (1 = row-at-a-time; "
-        "results are identical at any size)",
-    )
-    parser.add_argument(
-        "--no-columnar",
-        action="store_true",
-        help="keep the legacy row-wise batch layout instead of columnar "
-        "batches with vectorized predicates (results are identical)",
+        help="rows per batch between operators (1 = one row per batch, "
+        "scalar stages; results are identical at any size)",
     )
     parser.add_argument(
         "--sanitize",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.engine.aggregates import AvgAggregate
 from repro.engine.expressions import Evaluator
-from repro.engine.types import EvalContext, Row, RowBatch
+from repro.engine.types import ColumnBatch, EvalContext, Row
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class ConfidenceAggregateOperator:
 
     def __init__(
         self,
-        child: Iterable[RowBatch],
+        child: Iterable[ColumnBatch],
         group_evals: list[Evaluator],
         value_eval: Evaluator,
         output_items: list[tuple[str, Evaluator]],
@@ -100,7 +100,7 @@ class ConfidenceAggregateOperator:
         self._policy = policy or ConfidencePolicy()
         self._groups: dict[tuple, _ConfidenceGroup] = {}
 
-    def __iter__(self) -> Iterator[RowBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         policy = self._policy
         tail_seq = 0
         for batch in self._child:
@@ -142,7 +142,7 @@ class ConfidenceAggregateOperator:
                             )
                         )
             if emitted:
-                yield RowBatch(emitted, seq=batch.seq)
+                yield ColumnBatch.from_rows(emitted, batch.seq)
             if batch.last:
                 break
 
@@ -157,7 +157,7 @@ class ConfidenceAggregateOperator:
             tail.append(self._emit(key, group, "eos", pop=False, order=order))
         self._groups.clear()
         # Tail seq stays strictly above the last input batch's.
-        yield RowBatch(tail, seq=tail_seq, last=True)
+        yield ColumnBatch.from_rows(tail, tail_seq, last=True)
 
     def _order_tag(
         self, trigger: int | None, phase: int, group: _ConfidenceGroup

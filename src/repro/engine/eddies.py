@@ -21,7 +21,12 @@ import time
 from collections.abc import Iterable, Iterator
 
 from repro.engine.expressions import Evaluator
-from repro.engine.types import EvalContext, Row, RowBatch
+from repro.engine.types import ColumnBatch, EvalContext, Row
+
+
+#: Tuples an eddy routes between re-rankings of its predicates (the one
+#: value every plan uses; ablated in benchmarks/bench_eddies.py).
+RESORT_EVERY = 64
 
 
 class AdaptivePredicate:
@@ -90,10 +95,10 @@ class EddyOperator:
 
     def __init__(
         self,
-        child: Iterable[RowBatch],
+        child: Iterable[ColumnBatch],
         predicates: list[AdaptivePredicate],
         ctx: EvalContext,
-        resort_every: int = 64,
+        resort_every: int = RESORT_EVERY,
     ) -> None:
         if resort_every <= 0:
             raise ValueError("resort_every must be positive")
@@ -107,7 +112,7 @@ class EddyOperator:
         """Predicate names in the order tuples currently visit them."""
         return [p.name for p in self._predicates]
 
-    def __iter__(self) -> Iterator[RowBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         ctx = self._ctx
         stats = ctx.stats
         predicates = self._predicates
@@ -134,7 +139,7 @@ class EddyOperator:
                     stats.rows_after_filter += 1
                     append(row)
             if kept or batch.last:
-                yield RowBatch(kept, seq=batch.seq, last=batch.last)
+                yield batch.subset(kept)
             if batch.last:
                 return
 
@@ -144,7 +149,7 @@ class StaticConjunction:
 
     def __init__(
         self,
-        child: Iterable[RowBatch],
+        child: Iterable[ColumnBatch],
         predicates: list[AdaptivePredicate],
         ctx: EvalContext,
     ) -> None:
@@ -152,7 +157,7 @@ class StaticConjunction:
         self._predicates = predicates
         self._ctx = ctx
 
-    def __iter__(self) -> Iterator[RowBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         ctx = self._ctx
         predicates = self._predicates
         for batch in self._child:
@@ -163,6 +168,6 @@ class StaticConjunction:
             ]
             ctx.stats.rows_after_filter += len(kept)
             if kept or batch.last:
-                yield RowBatch(kept, seq=batch.seq, last=batch.last)
+                yield batch.subset(kept)
             if batch.last:
                 return

@@ -194,7 +194,7 @@ class QueryHandle:
         return self._iterator
 
     def _iterate(self) -> Iterator[Row]:
-        # The pipeline speaks RowBatch; the handle flattens back to rows at
+        # The pipeline speaks batches; the handle flattens back to rows at
         # the API boundary so callers never see batch framing.
         pipeline = iter(self._plan.pipeline)
         try:

@@ -20,7 +20,7 @@ with all three techniques, selected by mode:
   that needs an unresolved key stalls only until *that* request lands.
 
 :class:`PrefetchOperator` gives batched/async modes their lookahead
-structurally: each :class:`~repro.engine.types.RowBatch` flowing through it
+structurally: each :class:`~repro.engine.types.ColumnBatch` flowing through it
 has its service keys extracted, deduplicated, and handed to ``prefetch()``
 as one call — by the time the batch's rows reach the projection, every
 result is cached or in flight. The batch size *is* the lookahead.
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.engine.resilience import ResilientService
-from repro.engine.types import EvalContext, Row, RowBatch
+from repro.engine.types import ColumnBatch, EvalContext, Row
 from repro.errors import ServiceError
 from repro.geo.service import SimulatedWebService
 from repro.storage.cache import LRUCache
@@ -345,7 +345,7 @@ class PrefetchOperator:
 
     def __init__(
         self,
-        child: Iterable[RowBatch],
+        child: Iterable[ColumnBatch],
         extractors: list[tuple[ManagedCall, Callable[[Row], Any]]],
         ctx: EvalContext,
     ) -> None:
@@ -353,7 +353,7 @@ class PrefetchOperator:
         self._extractors = extractors
         self._ctx = ctx
 
-    def __iter__(self) -> Iterator[RowBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         extractors = self._extractors
         for batch in self._child:
             if batch.rows:

@@ -83,9 +83,9 @@ from repro.engine.planner import (
 )
 from repro.engine.types import (
     DEFAULT_BATCH_SIZE,
+    ColumnBatch,
     EvalContext,
     Row,
-    RowBatch,
 )
 from repro.errors import AdmissionError, ExecutionError
 from repro.sql import ast, parse
@@ -335,7 +335,7 @@ class TenantScan:
         self._stop = stop
         self._ctx = ctx
 
-    def __iter__(self) -> Iterator[RowBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         tenant = self._tenant
         ctx = self._ctx
         stats = ctx.stats
@@ -347,25 +347,18 @@ class TenantScan:
                     f"{tenant.evicted_reason}"
                 )
             try:
-                item = tenant.queue.get(timeout=_POLL_SECONDS)
+                rows = tenant.queue.get(timeout=_POLL_SECONDS)
             except queue.Empty:
-                if self._stop.is_set() or tenant.detached:
-                    yield RowBatch([], seq=seq, last=True)
-                    return
-                continue
-            if item is None:  # fanout sentinel: stream exhausted
-                yield RowBatch([], seq=seq, last=True)
+                if not (self._stop.is_set() or tenant.detached):
+                    continue
+                rows = None
+            if rows is None:  # fanout sentinel (stream exhausted) or stop
+                yield ColumnBatch.from_rows([], seq, last=True)
                 return
-            rows = item
             stats.rows_scanned += len(rows)
             stats.batches += 1
-            stream_time = ctx.stream_time
-            for row in rows:
-                timestamp = row.get("created_at")
-                if timestamp is not None and timestamp > stream_time:
-                    stream_time = timestamp
-            ctx.stream_time = stream_time
-            yield RowBatch(rows, seq=seq)
+            ctx.advance_to(rows)
+            yield ColumnBatch.from_rows(rows, seq)
             seq += 1
 
 
@@ -380,7 +373,7 @@ class _TenantOutput:
         self._group = group
         self._tenant = tenant
 
-    def __iter__(self) -> Iterator[RowBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         group = self._group
         tenant = self._tenant
         group.start()
@@ -398,7 +391,7 @@ class _TenantOutput:
                 if tenant.error is not None:
                     raise tenant.error
                 # Punctuate with seq strictly above everything yielded.
-                yield RowBatch([], seq=tail_seq, last=True)
+                yield ColumnBatch.from_rows([], tail_seq, last=True)
                 return
             tail_seq = item.seq + 1
             yield item
@@ -534,21 +527,7 @@ class SharedScanGroup:
             return "joins pull a second input the shared scan does not carry"
         if statement.into_stream is not None:
             return "INTO STREAM registers a derived source; run it unshared"
-        exprs: list[ast.Expr] = [
-            item.expr
-            for item in statement.select
-            if not isinstance(item.expr, ast.Star)
-        ]
-        exprs.extend(split_conjuncts(statement.where))
-        exprs.extend(statement.group_by)
-        if statement.having is not None:
-            exprs.append(statement.having)
-        exprs.extend(expr for expr, _desc in statement.order_by)
-        for expr in exprs:
-            for node in ast.walk(expr):
-                if isinstance(node, ast.FuncCall) and node.name == "now":
-                    return "now() reads stream time row by row"
-        return None
+        return self._planner._batch_blocker(statement)
 
     def query(self, sql: str) -> QueryHandle:
         """Admit one tenant query onto the shared scan.
@@ -618,7 +597,10 @@ class SharedScanGroup:
         lane = f"tenant-{index}"
         ctx = EvalContext(clock=self._clock, services=proxies, lane=lane)
         tenant.ctx = ctx
-        plan = PhysicalPlan(pipeline=iter(()), output_schema=(), ctx=ctx)
+        plan = PhysicalPlan(
+            pipeline=iter(()), output_schema=(), ctx=ctx,
+            batch_size=self._batch_size,
+        )
         plan.tracer = planner._make_tracer()
         plan.sanitizer = planner._make_sanitizer()
         ctx.tracer = plan.tracer

@@ -1,8 +1,8 @@
 """Streaming physical operators (batch-at-a-time).
 
-Every operator consumes and produces :class:`~repro.engine.types.RowBatch`
-streams pulled by the executor. The pipeline for a typical TweeQL query
-looks like::
+Every operator consumes and produces
+:class:`~repro.engine.types.ColumnBatch` streams pulled by the executor.
+The pipeline for a typical TweeQL query looks like::
 
     Scan → Filter (local predicates) → Project            (scalar queries)
     Scan → Filter → WindowedAggregate [→ Having/Order/Limit]  (aggregates)
@@ -12,7 +12,14 @@ The scan is the batcher: it slices the source into ``batch_size``-row
 batches and the predicate/projection loops then run per batch, amortizing
 interpreter and call overhead across rows. Batch size never changes
 results — each operator processes the rows of a batch in stream order and
-emits its output in the same order the row-at-a-time pipeline would have.
+emits its output in the same order a one-row-per-batch run would.
+
+Filter, project and aggregate stages each make one choice per batch, from
+what they can observe: a stage the planner gave a whole-column (vector)
+evaluator uses it unless the batch carries ``__punct__`` rows; otherwise
+the scalar closure runs over ``batch.rows``. Not every expression
+vectorizes (UDF calls, ``now()``, select aliases), and the scalar closure
+is the reference the vector form is tested against.
 
 Stream time advances with the tweets the scan yields; windowed operators
 close windows when stream time passes their end, so results are emitted as
@@ -36,34 +43,17 @@ from repro.engine.expressions import (
 from repro.engine.types import (
     DEFAULT_BATCH_SIZE,
     MISSING,
-    Batch,
     ColumnBatch,
     EvalContext,
     Row,
-    RowBatch,
+    batch_rows,
     iter_rows,
 )
 from repro.sql.ast import WindowSpec
 from repro.engine.windows import windows_containing
 
-#: What operators consume and produce. Either batch flavor flows through
-#: every operator: columnar stages test ``isinstance(batch, ColumnBatch)``
-#: and row-oriented stages read the ``rows`` bridge, so mixed pipelines
-#: (e.g. a RowBatch-producing join feeding a columnar filter) stay correct.
-Batches = Iterable[Batch]
-
-
-def rebatch(rows: Iterable[Row], batch_size: int) -> Iterator[RowBatch]:
-    """Re-chunk a row stream into batches (join / merge output adapter)."""
-    pending: list[Row] = []
-    seq = 0
-    for row in rows:
-        pending.append(row)
-        if len(pending) >= batch_size:
-            yield RowBatch(pending, seq=seq)
-            seq += 1
-            pending = []
-    yield RowBatch(pending, seq=seq, last=True)
+#: What operators consume and produce.
+Batches = Iterable[ColumnBatch]
 
 
 class ScanOperator:
@@ -81,20 +71,17 @@ class ScanOperator:
         source: Iterable[Row],
         ctx: EvalContext,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        columnar: bool = False,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         self._source = source
         self._ctx = ctx
         self._batch_size = batch_size
-        self._columnar = columnar
 
-    def __iter__(self) -> Iterator[Batch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         ctx = self._ctx
         stats = ctx.stats
         size = self._batch_size
-        columnar = self._columnar
         source = iter(self._source)
         seq = 0
         while True:
@@ -103,16 +90,8 @@ class ScanOperator:
             if rows:
                 stats.rows_scanned += len(rows)
                 stats.batches += 1
-                stream_time = ctx.stream_time
-                for row in rows:
-                    timestamp = row.get("created_at")
-                    if timestamp is not None and timestamp > stream_time:
-                        stream_time = timestamp
-                ctx.stream_time = stream_time
-            if columnar:
-                yield ColumnBatch.from_rows(rows, seq=seq, last=last)
-            else:
-                yield RowBatch(rows, seq=seq, last=last)
+                ctx.advance_to(rows)
+            yield ColumnBatch.from_rows(rows, seq, last)
             if last:
                 return
             seq += 1
@@ -122,10 +101,10 @@ class FilterOperator:
     """Applies one compiled predicate; keeps rows where it is exactly TRUE
     (NULL, like FALSE, drops the row — SQL WHERE semantics).
 
-    When the planner could vectorize the predicate and the input batch is
-    columnar, the whole verdict column is computed in one call and the
-    batch compressed with ``take``; otherwise the scalar closure runs per
-    row. Both paths keep identical counters and emit identical rows.
+    With a vector predicate and no ``__punct__`` row in the batch, the
+    whole verdict column is computed in one call and the batch compressed;
+    otherwise the scalar closure runs per row. Both paths keep identical
+    counters and emit identical rows.
     """
 
     def __init__(
@@ -140,66 +119,46 @@ class FilterOperator:
         self._ctx = ctx
         self._vector_predicate = vector_predicate
 
-    def __iter__(self) -> Iterator[Batch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         ctx = self._ctx
         stats = ctx.stats
         predicate = self._predicate
         vector = self._vector_predicate
         for batch in self._child:
-            if isinstance(batch, ColumnBatch):
-                has_punct = batch.has_field("__punct__")
-                if vector is not None and not has_punct:
-                    n = batch.length
-                    verdicts = vector(batch, ctx)
-                    if isinstance(verdicts, Broadcast):
-                        value = verdicts.value
-                        out = (
-                            batch
-                            if value is not None and value
-                            else batch.take([])
-                        )
-                    else:
-                        out = batch.compress(verdicts)
-                    stats.predicate_evaluations += n
-                    stats.rows_after_filter += out.length
+            if vector is not None and not batch.has_field("__punct__"):
+                verdicts = vector(batch, ctx)
+                if isinstance(verdicts, Broadcast):
+                    value = verdicts.value
+                    out = (
+                        batch
+                        if value is not None and value
+                        else batch.take([])
+                    )
                 else:
-                    keep = []
-                    evaluated = passed = 0
-                    for i, row in enumerate(batch.rows):
-                        if has_punct and "__punct__" in row:
-                            keep.append(i)
-                            continue
-                        evaluated += 1
-                        verdict = predicate(row, ctx)
-                        if verdict is not None and verdict:
-                            passed += 1
-                            keep.append(i)
-                    stats.predicate_evaluations += evaluated
-                    stats.rows_after_filter += passed
-                    out = batch.take(keep)
-                if out.length or batch.last:
-                    yield out
-                if batch.last:
-                    return
-                continue
-            kept: list[Row] = []
-            append = kept.append
-            evaluated = passed = 0
-            for row in batch.rows:
-                if "__punct__" in row:
-                    # Sharded-execution punctuation carries time, not data;
-                    # it passes every filter without touching the counters.
-                    append(row)
-                    continue
-                evaluated += 1
-                verdict = predicate(row, ctx)
-                if verdict is not None and verdict:
-                    passed += 1
-                    append(row)
-            stats.predicate_evaluations += evaluated
-            stats.rows_after_filter += passed
-            if kept or batch.last:
-                yield RowBatch(kept, seq=batch.seq, last=batch.last)
+                    out = batch.compress(verdicts)
+                stats.predicate_evaluations += batch.length
+                stats.rows_after_filter += out.length
+            else:
+                kept: list[Row] = []
+                append = kept.append
+                evaluated = passed = 0
+                for row in batch.rows:
+                    if "__punct__" in row:
+                        # Sharded-execution punctuation carries time, not
+                        # data; it passes every filter without touching
+                        # the counters.
+                        append(row)
+                        continue
+                    evaluated += 1
+                    verdict = predicate(row, ctx)
+                    if verdict is not None and verdict:
+                        passed += 1
+                        append(row)
+                stats.predicate_evaluations += evaluated
+                stats.rows_after_filter += passed
+                out = batch if len(kept) == batch.length else batch.subset(kept)
+            if out.length or batch.last:
+                yield out
             if batch.last:
                 return
 
@@ -209,7 +168,10 @@ class ProjectOperator:
 
     ``items`` maps output column name → evaluator. ``passthrough_time``
     keeps ``created_at`` on the output row (TwitInfo consumers need it) when
-    the projection didn't select it explicitly.
+    the projection didn't select it explicitly. An all-field select list
+    runs the planner's ``fused`` row constructor; otherwise items with a
+    vector form evaluate whole columns; a select list with neither builds
+    its rows with the scalar closures.
     """
 
     def __init__(
@@ -225,86 +187,87 @@ class ProjectOperator:
         self._items = items
         self._ctx = ctx
         self._passthrough_time = passthrough_time
-        self._vector_items = vector_items
+        # Building per-item columns only pays when some item has a
+        # whole-column form; an all-scalar select list builds rows directly.
+        self._vector_items = (
+            vector_items if vector_items and any(vector_items) else None
+        )
         self._fused = fused
 
-    def __iter__(self) -> Iterator[Batch]:
-        ctx = self._ctx
-        stats = ctx.stats
-        items = self._items
-        passthrough_time = self._passthrough_time
+    def __iter__(self) -> Iterator[ColumnBatch]:
+        stats = self._ctx.stats
         vector_items = self._vector_items
         fused = self._fused
         for batch in self._child:
-            if isinstance(batch, ColumnBatch):
-                n = batch.length
-                if fused is not None:
-                    # All-field select list: one generated dict display per
-                    # row, then re-attach homogeneous special columns.
-                    specials: list[tuple[str, list]] = []
-                    dense = True
-                    for special in ("__tweet__", "__seq__"):
-                        col = batch.field(special)
-                        if col is not None:
-                            if MISSING in col:
-                                dense = False  # ragged specials: general path
-                                break
-                            specials.append((special, col))
-                    if dense:
-                        projected = fused(batch.rows)
-                        for special, col in specials:
-                            for out, value in zip(projected, col):
-                                out[special] = value
-                        stats.rows_emitted += n
-                        if n or batch.last:
-                            yield ColumnBatch.from_rows(
-                                projected, seq=batch.seq, last=batch.last
-                            )
-                        if batch.last:
-                            return
-                        continue
-                out_cols: dict[str, list[Any]] = {}
-                rows: list[Row] | None = None
-                for index, (name, evaluate) in enumerate(items):
-                    vec = vector_items[index] if vector_items else None
-                    if vec is not None:
-                        out_cols[name] = expand_column(vec(batch, ctx), n)
-                    else:
-                        if rows is None:
-                            rows = batch.rows
-                        out_cols[name] = [evaluate(row, ctx) for row in rows]
-                if passthrough_time and "created_at" not in out_cols:
-                    out_cols["created_at"] = batch.values("created_at")
-                for special in ("__tweet__", "__seq__"):
-                    col = batch.field(special)
-                    if col is not None:
-                        out_cols[special] = col
-                stats.rows_emitted += n
-                if n or batch.last:
-                    yield ColumnBatch(
-                        out_cols, n, seq=batch.seq, last=batch.last
-                    )
-                if batch.last:
-                    return
-                continue
-            projected: list[Row] = []
-            append = projected.append
-            for row in batch.rows:
-                out: Row = {}
-                for name, evaluate in items:
-                    out[name] = evaluate(row, ctx)
-                if passthrough_time and "created_at" not in out:
-                    out["created_at"] = row.get("created_at")
-                if "__tweet__" in row:
-                    out["__tweet__"] = row["__tweet__"]
-                if "__seq__" in row:
-                    out["__seq__"] = row["__seq__"]
-                append(out)
-            stats.rows_emitted += len(projected)
-            if projected or batch.last:
-                yield RowBatch(projected, seq=batch.seq, last=batch.last)
+            if batch.length or batch.last:
+                out = self._project_fused(batch) if fused is not None else None
+                if out is None and vector_items is not None:
+                    out = self._project_columns(batch, vector_items)
+                if out is None:
+                    out = self._project_rows(batch)
+                stats.rows_emitted += batch.length
+                yield out
             if batch.last:
                 return
+
+    def _project_fused(self, batch: ColumnBatch) -> ColumnBatch | None:
+        """All-field select list: one generated dict display per row, then
+        re-attach homogeneous special columns (None on ragged specials:
+        the general path handles those)."""
+        specials: list[tuple[str, list]] = []
+        for special in ("__tweet__", "__seq__"):
+            col = batch.field(special)
+            if col is not None:
+                if MISSING in col:
+                    return None
+                specials.append((special, col))
+        assert self._fused is not None
+        projected = self._fused(batch.rows)
+        for special, col in specials:
+            for out, value in zip(projected, col):
+                out[special] = value
+        return ColumnBatch.from_rows(projected, batch.seq, batch.last)
+
+    def _project_columns(
+        self, batch: ColumnBatch, vector_items: list[VectorEvaluator | None]
+    ) -> ColumnBatch:
+        """One output column per item: whole-column where the item has a
+        vector form, the scalar closure mapped over the rows where not."""
+        ctx = self._ctx
+        n = batch.length
+        out_cols: dict[str, list[Any]] = {}
+        for (name, evaluate), vec in zip(self._items, vector_items):
+            if vec is not None:
+                out_cols[name] = expand_column(vec(batch, ctx), n)
+            else:
+                out_cols[name] = [evaluate(row, ctx) for row in batch.rows]
+        if self._passthrough_time and "created_at" not in out_cols:
+            out_cols["created_at"] = batch.values("created_at")
+        for special in ("__tweet__", "__seq__"):
+            col = batch.field(special)
+            if col is not None:
+                out_cols[special] = col
+        return ColumnBatch(out_cols, n, seq=batch.seq, last=batch.last)
+
+    def _project_rows(self, batch: ColumnBatch) -> ColumnBatch:
+        """The scalar select list, row by row."""
+        ctx = self._ctx
+        items = self._items
+        passthrough_time = self._passthrough_time
+        projected: list[Row] = []
+        append = projected.append
+        for row in batch.rows:
+            out: Row = {}
+            for name, evaluate in items:
+                out[name] = evaluate(row, ctx)
+            if passthrough_time and "created_at" not in out:
+                out["created_at"] = row.get("created_at")
+            if "__tweet__" in row:
+                out["__tweet__"] = row["__tweet__"]
+            if "__seq__" in row:
+                out["__seq__"] = row["__seq__"]
+            append(out)
+        return ColumnBatch.from_rows(projected, batch.seq, batch.last)
 
 
 class _GroupState:
@@ -338,8 +301,8 @@ class WindowedAggregateOperator:
 
     Output rows carry ``window_start`` and ``window_end`` columns, plus
     ``created_at`` set to the window end (emission time). Windows closed by
-    a batch's rows are emitted with that batch, in exactly the order the
-    row-at-a-time pipeline interleaved them.
+    a batch's rows are emitted with that batch, in exactly the order a
+    one-row-per-batch run interleaves them.
     """
 
     def __init__(
@@ -374,11 +337,15 @@ class WindowedAggregateOperator:
             and all(v is not None for v in vector_group_evals)
             else None
         )
-        self._vector_agg_args = vector_agg_args
+        self._vector_agg_args = (
+            vector_agg_args
+            if vector_agg_args and any(vector_agg_args)
+            else None
+        )
         # (window_start, window_end) → {group_key: _GroupState}
         self._open: dict[tuple[float, float], dict[tuple, _GroupState]] = {}
 
-    def __iter__(self) -> Iterator[Batch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         ctx = self._ctx
         window = self._window
         group_evals = self._group_evals
@@ -394,9 +361,8 @@ class WindowedAggregateOperator:
             key_col: list[tuple] | None = None
             arg_cols: list[list[Any] | None] | None = None
             if (
-                isinstance(batch, ColumnBatch)
-                and not batch.has_field("__punct__")
-            ):
+                vector_groups is not None or vector_args is not None
+            ) and not batch.has_field("__punct__"):
                 n = batch.length
                 if vector_groups is not None:
                     if vector_groups:
@@ -451,14 +417,14 @@ class WindowedAggregateOperator:
                             continue
                         accumulator.add(value)
             if emitted:
-                yield RowBatch(emitted, seq=batch.seq)
+                yield ColumnBatch.from_rows(emitted, batch.seq)
             if batch.last:
                 break
         # End of stream: flush everything still open. The tail batch must
         # keep seq strictly increasing past the last input batch.
         tail: list[Row] = []
         self._close_due(float("inf"), tail)
-        yield RowBatch(tail, seq=tail_seq, last=True)
+        yield ColumnBatch.from_rows(tail, tail_seq, last=True)
 
     def _close_due(self, timestamp: float, emitted: list[Row]) -> None:
         due = sorted(
@@ -554,7 +520,7 @@ class CountWindowedAggregateOperator:
         self._order_by = order_by or []
         self._limit = limit
 
-    def __iter__(self) -> Iterator[RowBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         # start_ordinal → (groups, first_ts, last_ts, rows_in_window)
         open_windows: dict[int, list] = {}
         index = -1
@@ -583,14 +549,14 @@ class CountWindowedAggregateOperator:
                 # slide > size (sampling windows): rows between windows are
                 # simply not accumulated anywhere.
             if emitted:
-                yield RowBatch(emitted, seq=batch.seq)
+                yield ColumnBatch.from_rows(emitted, batch.seq)
             if batch.last:
                 break
         # Tail seq stays strictly above the last input batch's.
         tail: list[Row] = []
         for start in sorted(open_windows):
             self._emit(open_windows[start], tail)
-        yield RowBatch(tail, seq=tail_seq, last=True)
+        yield ColumnBatch.from_rows(tail, tail_seq, last=True)
 
     def _accumulate(self, state: list, row: Row, timestamp: float) -> None:
         groups, _first, _last, _n = state
@@ -685,8 +651,8 @@ class WindowedJoinOperator:
         self._right_prefix = right_prefix
         self._batch_size = batch_size
 
-    def __iter__(self) -> Iterator[RowBatch]:
-        return rebatch(self._join_rows(), self._batch_size)
+    def __iter__(self) -> Iterator[ColumnBatch]:
+        return batch_rows(self._join_rows(), self._batch_size)
 
     def _join_rows(self) -> Iterator[Row]:
         size = self._window.size_seconds
@@ -782,7 +748,7 @@ class LookupJoinOperator:
         self._right_prefix = right_prefix
         self._left_outer = left_outer
 
-    def __iter__(self) -> Iterator[RowBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         table: dict[Any, list[Row]] = {}
         for row in self._table_rows:
             key = self._table_key(row, self._ctx)
@@ -800,7 +766,7 @@ class LookupJoinOperator:
                 elif self._left_outer:
                     joined.append(self._merge(row, null_extension))
             if joined or batch.last:
-                yield RowBatch(joined, seq=batch.seq, last=batch.last)
+                yield ColumnBatch.from_rows(joined, batch.seq, batch.last)
             if batch.last:
                 return
 
@@ -824,17 +790,16 @@ class LimitOperator:
         self._child = child
         self._limit = limit
 
-    def __iter__(self) -> Iterator[Batch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         remaining = self._limit
         if remaining <= 0:
-            yield RowBatch([], last=True)
+            yield ColumnBatch.from_rows([], last=True)
             return
         tail_seq = 0
         for batch in self._child:
             tail_seq = batch.seq + 1
             size = len(batch)
             if size >= remaining:
-                # head() truncates either batch flavor and re-punctuates.
                 yield batch.head(remaining)
                 return
             remaining -= size
@@ -843,7 +808,7 @@ class LimitOperator:
                 return
         # Child ended without a last batch (defensive): punctuate anyway,
         # with seq strictly above everything already yielded.
-        yield RowBatch([], seq=tail_seq, last=True)
+        yield ColumnBatch.from_rows([], tail_seq, last=True)
 
 
 class IntoOperator:
@@ -853,7 +818,7 @@ class IntoOperator:
         self._child = child
         self._sink = sink
 
-    def __iter__(self) -> Iterator[RowBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         append = self._sink.append
         for batch in self._child:
             for row in batch.rows:

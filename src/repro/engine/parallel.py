@@ -6,7 +6,7 @@ stream across N worker pipelines running in a thread pool, and a
 timestamp-ordered **k-way merge** reassembles shard outputs into exactly
 the row sequence the serial engine would have produced. Rows cross every
 thread boundary in whole batches — the exchange routes one source
-:class:`~repro.engine.types.RowBatch` per lock acquisition and ships
+:class:`~repro.engine.types.ColumnBatch` per lock acquisition and ships
 routed row-lists per queue operation, and workers ship tagged output
 batches back — so queue and lock traffic is per batch, not per row.
 
@@ -63,11 +63,10 @@ from repro.engine.operators import _sort_key
 from repro.engine.sanitizer import registered_lock
 from repro.engine.types import (
     DEFAULT_BATCH_SIZE,
-    Batch,
     ColumnBatch,
     EvalContext,
     Row,
-    RowBatch,
+    batch_rows,
 )
 
 #: Queue poll interval; every blocking loop re-checks the stop event at
@@ -207,43 +206,27 @@ def confidence_tagger(row: Row) -> tuple[tuple, Row]:
 class ShardScan:
     """Worker-side source adapter over a shard's input queue.
 
-    Wraps each routed row-list the exchange shipped into a
-    :class:`~repro.engine.types.RowBatch` and advances the worker
-    context's stream time like a ScanOperator, but does *not* count
-    ``rows_scanned`` — the exchange's scan already counted every source
-    row once, matching the serial engine's counter. A final empty
-    ``last`` batch punctuates end of input.
+    Wraps each routed row-list the exchange shipped into a rows-backed
+    :class:`~repro.engine.types.ColumnBatch` (columns transpose on the
+    worker's side of the queue) and advances the worker context's stream
+    time like a ScanOperator, but does *not* count ``rows_scanned`` — the
+    exchange's scan already counted every source row once, matching the
+    serial engine's counter. A final empty ``last`` batch punctuates end
+    of input.
     """
 
-    def __init__(
-        self,
-        source: Iterable[list[Row]],
-        ctx: EvalContext,
-        columnar: bool = False,
-    ) -> None:
+    def __init__(self, source: Iterable[list[Row]], ctx: EvalContext) -> None:
         self._source = source
         self._ctx = ctx
-        self._columnar = columnar
 
-    def __iter__(self) -> Iterator[Batch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         ctx = self._ctx
-        columnar = self._columnar
         seq = 0
         for rows in self._source:
-            stream_time = ctx.stream_time
-            for row in rows:
-                timestamp = row.get("created_at")
-                if timestamp is not None and timestamp > stream_time:
-                    stream_time = timestamp
-            ctx.stream_time = stream_time
-            if columnar:
-                # Routed row-lists transpose here, on the worker's side of
-                # the queue.
-                yield ColumnBatch.from_rows(rows, seq=seq)
-            else:
-                yield RowBatch(rows, seq=seq)
+            ctx.advance_to(rows)
+            yield ColumnBatch.from_rows(rows, seq)
             seq += 1
-        yield RowBatch([], seq=seq, last=True)
+        yield ColumnBatch.from_rows([], seq, last=True)
 
 
 @dataclasses.dataclass
@@ -279,7 +262,7 @@ class WindowFinalizeOperator:
 
     def __init__(
         self,
-        child: Iterable[RowBatch],
+        child: Iterable[ColumnBatch],
         order_by: list[tuple[Callable, bool]],
         limit: int | None,
         ctx: EvalContext,
@@ -289,7 +272,7 @@ class WindowFinalizeOperator:
         self._limit = limit
         self._ctx = ctx
 
-    def __iter__(self) -> Iterator[RowBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         bucket: list[Row] = []
         current: tuple | None = None
         seq = 0
@@ -303,11 +286,11 @@ class WindowFinalizeOperator:
                 current = bounds
                 bucket.append(row)
             if finalized:
-                yield RowBatch(finalized, seq=seq)
+                yield ColumnBatch.from_rows(finalized, seq)
                 seq += 1
             if batch.last:
                 break
-        yield RowBatch(list(self._flush(bucket)), seq=seq, last=True)
+        yield ColumnBatch.from_rows(list(self._flush(bucket)), seq, last=True)
 
     def _flush(self, bucket: list[Row]) -> list[Row]:
         for evaluate, descending in reversed(self._order_by):
@@ -328,11 +311,11 @@ class CountingOperator:
     ``rows_emitted`` from this counter instead of the shard sum.
     """
 
-    def __init__(self, child: Iterable[RowBatch], ctx: EvalContext) -> None:
+    def __init__(self, child: Iterable[ColumnBatch], ctx: EvalContext) -> None:
         self._child = child
         self._ctx = ctx
 
-    def __iter__(self) -> Iterator[RowBatch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         stats = self._ctx.stats
         for batch in self._child:
             stats.rows_emitted += len(batch.rows)
@@ -434,9 +417,9 @@ class ShardedExecution:
         #: (TQL905).
         self.sanitizer: Any = None
         # Filled by configure():
-        self._source: Iterable[Batch] | None = None
+        self._source: Iterable[ColumnBatch] | None = None
         self._partition: Callable[[Row, int], int] | None = None
-        self._pipelines: list[Iterable[Batch]] = []
+        self._pipelines: list[Iterable[ColumnBatch]] = []
         self._taggers: list[Callable[[Row], tuple[tuple, Row]]] = []
         self._broadcast_punctuation = False
 
@@ -448,9 +431,9 @@ class ShardedExecution:
 
     def configure(
         self,
-        source: Iterable[Batch],
+        source: Iterable[ColumnBatch],
         partition: Callable[[Row, int], int],
-        pipelines: list[Iterable[Batch]],
+        pipelines: list[Iterable[ColumnBatch]],
         taggers: list[Callable[[Row], tuple[tuple, Row]]],
         broadcast_punctuation: bool = False,
     ) -> None:
@@ -593,38 +576,34 @@ class ShardedExecution:
 
     # -- consumer --------------------------------------------------------------
 
-    def merged(self) -> Iterator[RowBatch]:
+    def merged(self) -> Iterator[ColumnBatch]:
         """The k-way ordered merge of shard outputs (lazy thread start).
 
         Consumes whole tagged batches from the worker output queues,
         feeds the heap row by row (ordering is per row), and re-chunks
         the merged sequence into output batches.
         """
-        import heapq
-
         try:
-            self.start()
-            heap: list[tuple[tuple, int, Row]] = []
-            for shard in range(self.n):
-                entry = self._next_output(shard)
-                if entry is not None:
-                    heapq.heappush(heap, entry)
-            out: list[Row] = []
-            seq = 0
-            while heap:
-                _tag, shard, row = heapq.heappop(heap)
-                out.append(row)
-                if len(out) >= self._batch:
-                    yield RowBatch(out, seq=seq)
-                    seq += 1
-                    out = []
-                entry = self._next_output(shard)
-                if entry is not None:
-                    heapq.heappush(heap, entry)
-            self._raise_if_error()
-            yield RowBatch(out, seq=seq, last=True)
+            yield from batch_rows(self._merged_rows(), self._batch)
         finally:
             self.shutdown()
+
+    def _merged_rows(self) -> Iterator[Row]:
+        import heapq
+
+        self.start()
+        heap: list[tuple[tuple, int, Row]] = []
+        for shard in range(self.n):
+            entry = self._next_output(shard)
+            if entry is not None:
+                heapq.heappush(heap, entry)
+        while heap:
+            _tag, shard, row = heapq.heappop(heap)
+            yield row
+            entry = self._next_output(shard)
+            if entry is not None:
+                heapq.heappush(heap, entry)
+        self._raise_if_error()
 
     def _next_output(self, shard: int) -> tuple[tuple, int, Row] | None:
         pending = self._pending[shard]

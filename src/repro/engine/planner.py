@@ -46,7 +46,7 @@ from repro.engine.expressions import (
 from repro.engine.functions import FunctionRegistry
 from repro.engine.latency import ManagedCall, PrefetchOperator
 from repro.engine.selectivity import FilterCandidate, FilterChoice, choose_api_filter
-from repro.engine.types import DEFAULT_BATCH_SIZE, EvalContext, Row, RowBatch
+from repro.engine.types import DEFAULT_BATCH_SIZE, ColumnBatch, EvalContext, Row
 from repro.errors import PlanError
 from repro.sql import ast
 
@@ -73,11 +73,11 @@ class SourceBinding:
 class PhysicalPlan:
     """The executable result of planning one statement.
 
-    ``pipeline`` yields :class:`~repro.engine.types.RowBatch` units; the
+    ``pipeline`` yields :class:`~repro.engine.types.ColumnBatch` units; the
     executor flattens them back to rows at the API boundary.
     """
 
-    pipeline: Iterable[RowBatch]
+    pipeline: Iterable[ColumnBatch]
     output_schema: tuple[str, ...]
     ctx: EvalContext
     explain_lines: list[str] = field(default_factory=list)
@@ -106,6 +106,10 @@ class PhysicalPlan:
     #: Rows served from the historical store before the live tail took
     #: over (set at run time by the hybrid backfill source; 0 otherwise).
     backfill_rows: int = 0
+    #: Rows per batch this plan's scans frame. Stages get whole-column
+    #: (vector) evaluators only above 1: a one-row column costs more than
+    #: the scalar closure it would replace.
+    batch_size: int = DEFAULT_BATCH_SIZE
 
     def explain(self) -> str:
         """Human-readable plan description."""
@@ -301,6 +305,22 @@ def extract_api_candidates(
     return found
 
 
+def _statement_exprs(statement: ast.SelectStatement) -> list[ast.Expr]:
+    """Every expression a statement evaluates: select items, WHERE
+    conjuncts, GROUP BY keys, HAVING and ORDER BY."""
+    exprs: list[ast.Expr] = [
+        item.expr
+        for item in statement.select
+        if not isinstance(item.expr, ast.Star)
+    ]
+    exprs.extend(split_conjuncts(statement.where))
+    exprs.extend(statement.group_by)
+    if statement.having is not None:
+        exprs.append(statement.having)
+    exprs.extend(expr for expr, _desc in statement.order_by)
+    return exprs
+
+
 def _has_aggregates(statement: ast.SelectStatement) -> bool:
     """Aggregate-mode test, defined once in the analyzer (lazy import: the
     analysis package depends on engine modules)."""
@@ -443,24 +463,6 @@ class Planner:
             return plan
         return self._plan_serial(statement, binding)
 
-    # -- columnar layout -------------------------------------------------------
-
-    def _columnar_for(
-        self, statement: ast.SelectStatement, batch_size: int
-    ) -> bool:
-        """Whether this plan's scans should emit ColumnBatches.
-
-        Row-at-a-time plans (batch 1) gain nothing from a transpose, and
-        join pipelines are row-oriented end to end, so both keep the
-        legacy RowBatch layout; everything else defaults to columnar
-        (``EngineConfig.columnar`` turns it off for A/B comparison).
-        """
-        return (
-            bool(getattr(self._config, "columnar", True))
-            and batch_size > 1
-            and statement.join is None
-        )
-
     # -- tracing / sanitizing --------------------------------------------------
 
     def _sanitize_enabled(self) -> bool:
@@ -560,7 +562,7 @@ class Planner:
     # -- batch sizing ----------------------------------------------------------
 
     def _batch_blocker(self, statement: ast.SelectStatement) -> str | None:
-        """Why this statement must run row-at-a-time, or None.
+        """Why this statement must run one row per batch, or None.
 
         The scan advances stream time over a whole batch before any of the
         batch's rows are evaluated, so an expression that *reads* stream
@@ -568,17 +570,7 @@ class Planner:
         its own row's arrival time. Everything else is batch-invariant:
         resolvers are pure and operators preserve row order.
         """
-        exprs: list[ast.Expr] = [
-            item.expr
-            for item in statement.select
-            if not isinstance(item.expr, ast.Star)
-        ]
-        exprs.extend(split_conjuncts(statement.where))
-        exprs.extend(statement.group_by)
-        if statement.having is not None:
-            exprs.append(statement.having)
-        exprs.extend(expr for expr, _desc in statement.order_by)
-        for expr in exprs:
+        for expr in _statement_exprs(statement):
             for node in ast.walk(expr):
                 if isinstance(node, ast.FuncCall) and node.name == "now":
                     return "now() reads stream time row by row"
@@ -587,25 +579,37 @@ class Planner:
     def _batch_size_for(
         self, statement: ast.SelectStatement, plan: PhysicalPlan
     ) -> int:
-        """The effective batch size for this statement, with EXPLAIN note."""
+        """The effective batch size for this statement, with EXPLAIN note
+        (also recorded as ``plan.batch_size``)."""
         configured = getattr(self._config, "batch_size", DEFAULT_BATCH_SIZE)
-        if configured != 1:
-            reason = self._batch_blocker(statement)
-            if reason is not None:
-                plan.explain_lines.append(
-                    f"Batch: 1 row/batch (row-at-a-time fallback: {reason})"
-                )
-                return 1
-        layout = (
-            ", columnar"
-            if self._columnar_for(statement, configured)
-            else ""
-        )
-        plan.explain_lines.append(
-            f"Batch: {configured} row{'s' if configured != 1 else ''}/batch"
-            + layout
-        )
+        reason = self._batch_blocker(statement) if configured != 1 else None
+        if reason is not None:
+            plan.explain_lines.append(
+                f"Batch: 1 row/batch (row-at-a-time fallback: {reason})"
+            )
+            configured = 1
+        else:
+            plan.explain_lines.append(
+                f"Batch: {configured} row{'s' if configured != 1 else ''}/batch"
+            )
+        plan.batch_size = configured
         return configured
+
+    def _vector(
+        self,
+        plan: PhysicalPlan,
+        expr: ast.Expr,
+        schema: tuple[str, ...],
+        ctx: EvalContext,
+        aliases: dict[str, Evaluator] | None = None,
+    ) -> VectorEvaluator | None:
+        """``expr``'s whole-column evaluator, when it has one and this
+        plan's batches are wide enough to use it."""
+        if plan.batch_size <= 1:
+            return None
+        return compile_vector_expr(
+            expr, self._registry, schema, ctx, aliases=aliases
+        )
 
     def _plan_serial(
         self, statement: ast.SelectStatement, binding: SourceBinding
@@ -624,11 +628,8 @@ class Planner:
         # ---- source access + API filter choice ----
         source_rows = self._build_source(binding, conjuncts, plan)
         batch_size = self._batch_size_for(statement, plan)
-        columnar = self._columnar_for(statement, batch_size)
         schema = binding.schema
-        pipeline: ops.Batches = ops.ScanOperator(
-            source_rows, ctx, batch_size, columnar=columnar
-        )
+        pipeline: ops.Batches = ops.ScanOperator(source_rows, ctx, batch_size)
         pipeline = self._trace(pipeline, f"Scan({binding.name})", plan)
 
         if statement.join is not None:
@@ -638,8 +639,7 @@ class Planner:
             pipeline = self._trace(pipeline, "Join", plan)
 
         plan.pipeline, plan.output_schema = self._build_body(
-            statement, pipeline, schema, ctx, plan,
-            conjuncts=conjuncts, columnar=columnar,
+            statement, pipeline, schema, ctx, plan, conjuncts=conjuncts
         )
         return plan
 
@@ -652,7 +652,6 @@ class Planner:
         plan: PhysicalPlan,
         lane: str = "main",
         conjuncts: Sequence[ast.Expr] = (),
-        columnar: bool = False,
         defer: parallel.DeferredOrderLimit | None = None,
     ) -> tuple[ops.Batches, tuple[str, ...]]:
         """The query body every plan shape shares, built in one place.
@@ -668,9 +667,7 @@ class Planner:
         explain = plan.explain_lines
         feeds_merge = lane.startswith("worker-")
 
-        filtered = self._build_filters(
-            conjuncts, pipeline, schema, ctx, plan, columnar=columnar
-        )
+        filtered = self._build_filters(conjuncts, pipeline, schema, ctx, plan)
         if filtered is not pipeline:
             pipeline = self._trace(filtered, "Filter", plan, lane)
 
@@ -695,8 +692,7 @@ class Planner:
 
         if has_aggregates:
             pipeline, output_schema = self._build_aggregation(
-                statement, pipeline, schema, ctx, plan, defer=defer,
-                columnar=columnar,
+                statement, pipeline, schema, ctx, plan, defer=defer
             )
             pipeline = self._trace(pipeline, "Aggregate", plan, lane)
         else:
@@ -708,7 +704,7 @@ class Planner:
                     "have no global order to sort)"
                 )
             pipeline, output_schema = self._build_projection(
-                statement, pipeline, schema, ctx, columnar=columnar
+                statement, pipeline, schema, ctx, plan
             )
             pipeline = self._trace(pipeline, "Project", plan, lane)
 
@@ -868,16 +864,15 @@ class Planner:
         schema: tuple[str, ...],
         ctx: EvalContext,
         plan: PhysicalPlan,
-        columnar: bool = False,
     ) -> ops.Batches:
         """The local predicate stage: an eddy or a fixed conjunction.
 
-        With a columnar layout, each conjunct additionally gets a
-        vectorized form when its expression supports one (pure
-        comparisons / boolean logic / regex — no UDF calls); the
-        FilterOperator uses it per ColumnBatch and falls back to the
-        scalar closure otherwise. Conjunct order — and therefore
-        ``predicate_evaluations`` accounting — is identical either way.
+        Each conjunct additionally gets a vectorized form when its
+        expression supports one (pure comparisons / boolean logic / regex
+        — no UDF calls) and the plan batches more than one row; the
+        FilterOperator falls back to the scalar closure otherwise.
+        Conjunct order — and therefore ``predicate_evaluations``
+        accounting — is identical either way.
         """
         if not conjuncts:
             return pipeline
@@ -894,10 +889,7 @@ class Planner:
                 AdaptivePredicate(name, evaluate)
                 for name, evaluate in predicate_evals
             ]
-            pipeline = EddyOperator(
-                pipeline, adaptive, ctx,
-                resort_every=self._config.eddy_resort_every,
-            )
+            pipeline = EddyOperator(pipeline, adaptive, ctx)
             plan.explain_lines.append(
                 "Filter: eddy over "
                 + ", ".join(name for name, _ in predicate_evals)
@@ -905,11 +897,7 @@ class Planner:
         else:
             vectorized = 0
             for conjunct, (_name, evaluate) in zip(conjuncts, predicate_evals):
-                vector = (
-                    compile_vector_expr(conjunct, self._registry, schema, ctx)
-                    if columnar
-                    else None
-                )
+                vector = self._vector(plan, conjunct, schema, ctx)
                 if vector is not None:
                     vectorized += 1
                 pipeline = ops.FilterOperator(
@@ -1091,57 +1079,45 @@ class Planner:
         pipeline: ops.Batches,
         schema: tuple[str, ...],
         ctx: EvalContext,
-        columnar: bool = False,
+        plan: PhysicalPlan,
     ) -> tuple[ops.Batches, tuple[str, ...]]:
-        items: list[tuple[str, Evaluator]] = []
-        vector_items: list[VectorEvaluator | None] = []
-        output_names: list[str] = []
-        schema_set = {name.lower() for name in schema}
-        fused_pairs: list[tuple[str, str]] | None = []
+        select: list[tuple[str, ast.Expr]] = []
         for item in statement.select:
             if isinstance(item.expr, ast.Star):
-                for name in schema:
-                    if name.startswith("__"):
-                        continue
-                    items.append(
-                        (name, lambda row, _ctx, name=name: row.get(name))
-                    )
-                    # Star fields project as whole columns: no per-cell work.
-                    vector_items.append(
-                        lambda batch, _ctx, name=name: batch.values(name)
-                    )
-                    if fused_pairs is not None:
-                        fused_pairs.append((name, name))
-                    output_names.append(name)
-                continue
-            evaluate = compile_expr(item.expr, self._registry, schema, ctx)
-            name = item.output_name
-            items.append((name, evaluate))
-            vector_items.append(
-                compile_vector_expr(item.expr, self._registry, schema, ctx)
-                if columnar
-                else None
+                select.extend(
+                    (name, ast.FieldRef(name))
+                    for name in schema
+                    if not name.startswith("__")
+                )
+            else:
+                select.append((item.output_name, item.expr))
+        items: list[tuple[str, Evaluator]] = []
+        vector_items: list[VectorEvaluator | None] = []
+        schema_set = {name.lower() for name in schema}
+        fused_pairs: list[tuple[str, str]] | None = []
+        for name, expr in select:
+            items.append(
+                (name, compile_expr(expr, self._registry, schema, ctx))
             )
+            vector_items.append(self._vector(plan, expr, schema, ctx))
             if (
                 fused_pairs is not None
-                and isinstance(item.expr, ast.FieldRef)
-                and item.expr.name.lower() in schema_set
+                and isinstance(expr, ast.FieldRef)
+                and expr.name.lower() in schema_set
             ):
-                fused_pairs.append((name, item.expr.name.lower()))
+                fused_pairs.append((name, expr.name.lower()))
             else:
                 # A computed item: the fused all-field constructor no
                 # longer applies; per-item vector/scalar evaluation runs.
                 fused_pairs = None
-            output_names.append(name)
+        output_names = [name for name, _ in select]
         fused = None
-        if columnar and fused_pairs:
+        if fused_pairs and plan.batch_size > 1:
             if "created_at" not in output_names:
                 fused_pairs.append(("created_at", "created_at"))
             fused = build_fused_projector(fused_pairs)
         pipeline = ops.ProjectOperator(
-            pipeline, items, ctx,
-            vector_items=vector_items if columnar else None,
-            fused=fused,
+            pipeline, items, ctx, vector_items=vector_items, fused=fused
         )
         if "created_at" not in output_names:
             output_names.append("created_at")
@@ -1157,7 +1133,6 @@ class Planner:
         ctx: EvalContext,
         plan: PhysicalPlan,
         defer: parallel.DeferredOrderLimit | None = None,
-        columnar: bool = False,
     ) -> tuple[ops.Batches, tuple[str, ...]]:
         sites: list[AggSite] = []
         by_sql: dict[str, AggSite] = {}
@@ -1191,11 +1166,7 @@ class Planner:
             for expr in statement.group_by
         ]
         vector_group_evals = [
-            compile_vector_expr(
-                expr, self._registry, schema, ctx, aliases=alias_evals
-            )
-            if columnar
-            else None
+            self._vector(plan, expr, schema, ctx, alias_evals)
             for expr in statement.group_by
         ]
 
@@ -1217,10 +1188,9 @@ class Planner:
                                   aliases=alias_evals)
             )
             vector_agg_args.append(
-                compile_vector_expr(call.args[0], self._registry, schema, ctx,
-                                    aliases=alias_evals)
-                if columnar and not count_rows
-                else None
+                None
+                if count_rows
+                else self._vector(plan, call.args[0], schema, ctx, alias_evals)
             )
             probe = make_aggregate(call.name, call.distinct, count_rows)
             agg_factories.append(
@@ -1301,8 +1271,8 @@ class Planner:
                 having=having_eval,
                 order_by=[] if defer is not None else order_evals,
                 limit=None if defer is not None else statement.limit,
-                vector_group_evals=vector_group_evals if columnar else None,
-                vector_agg_args=vector_agg_args if columnar else None,
+                vector_group_evals=vector_group_evals,
+                vector_agg_args=vector_agg_args,
             )
             return pipeline, output_schema + ("window_start", "window_end")
 
@@ -1362,17 +1332,7 @@ class Planner:
             return "global aggregates form a single group"
         if self._config.latency_mode == "async" and self._config.partial_results:
             return "partial results depend on in-flight call timing"
-        exprs: list[ast.Expr] = [
-            item.expr
-            for item in statement.select
-            if not isinstance(item.expr, ast.Star)
-        ]
-        exprs.extend(split_conjuncts(statement.where))
-        exprs.extend(statement.group_by)
-        if statement.having is not None:
-            exprs.append(statement.having)
-        exprs.extend(expr for expr, _desc in statement.order_by)
-        for expr in exprs:
+        for expr in _statement_exprs(statement):
             for node in ast.walk(expr):
                 if not isinstance(node, ast.FuncCall):
                     continue
@@ -1432,7 +1392,6 @@ class Planner:
             )
 
         batch_size = self._batch_size_for(statement, plan)
-        columnar = self._columnar_for(statement, batch_size)
         exchange = parallel.ShardedExecution(workers, batch_size=batch_size)
         exchange.tracer = plan.tracer
         exchange.sanitizer = plan.sanitizer
@@ -1538,15 +1497,15 @@ class Planner:
             )
             wplan.tracer = plan.tracer
             wplan.sanitizer = plan.sanitizer
+            wplan.batch_size = batch_size
             pipeline: ops.Batches = parallel.ShardScan(
-                exchange.shard_input(index), ctx_w, columnar=columnar
+                exchange.shard_input(index), ctx_w
             )
             pipeline = self._trace(pipeline, "ShardScan", wplan, lane=lane)
             # In confidence mode the WHERE stage already ran on the exchange.
             pipeline, output_schema = self._build_body(
                 statement, pipeline, schema, ctx_w, wplan, lane=lane,
-                conjuncts=() if confidence_mode else conjuncts,
-                columnar=columnar, defer=defer,
+                conjuncts=() if confidence_mode else conjuncts, defer=defer,
             )
             if index > 0:
                 plan.managed_calls.extend(wplan.managed_calls)

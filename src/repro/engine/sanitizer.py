@@ -62,7 +62,7 @@ import zlib
 from collections.abc import Iterable, Iterator
 from typing import Any
 
-from repro.engine.types import Batch, ColumnBatch, MISSING, QueryStats, Row
+from repro.engine.types import ColumnBatch, MISSING, QueryStats, Row
 from repro.errors import SanitizerError
 
 __all__ = [
@@ -510,7 +510,7 @@ class SanitizeOperator:
 
     def __init__(
         self,
-        child: Iterable[Batch],
+        child: Iterable[ColumnBatch],
         sanitizer: Sanitizer,
         *,
         name: str,
@@ -531,7 +531,7 @@ class SanitizeOperator:
 
     def _fail(
         self, code: str, message: str,
-        batch: Batch | None = None, hint: str | None = None,
+        batch: ColumnBatch | None = None, hint: str | None = None,
     ) -> None:
         raise self._san.violation(
             code, message, operator=self._name, lane=self._lane,
@@ -555,7 +555,7 @@ class SanitizeOperator:
                 "fanout queues",
             )
 
-    def _check_seq(self, batch: Batch, prev_seq: int | None) -> None:
+    def _check_seq(self, batch: ColumnBatch, prev_seq: int | None) -> None:
         if not isinstance(batch.seq, int):
             self._fail(
                 "TQL901",
@@ -587,20 +587,7 @@ class SanitizeOperator:
                     )
         return snapshot
 
-    def _check_payload(self, batch: Batch) -> None:
-        if isinstance(batch, ColumnBatch):
-            self._check_column_batch(batch)
-        else:
-            if not isinstance(batch.rows, list):
-                self._fail(
-                    "TQL903",
-                    "RowBatch.rows must be a list, got "
-                    f"{type(batch.rows).__name__}",
-                    batch,
-                )
-            self._check_rows(batch, batch.rows)
-
-    def _check_column_batch(self, batch: ColumnBatch) -> None:
+    def _check_payload(self, batch: ColumnBatch) -> None:
         length = batch.length
         if length < 0:
             self._fail("TQL903", f"negative batch length {length}", batch)
@@ -608,6 +595,13 @@ class SanitizeOperator:
         if batch._lazy and backing is None:
             self._fail(
                 "TQL903", "lazy ColumnBatch lost its backing row list", batch
+            )
+        if backing is not None and not isinstance(backing, list):
+            self._fail(
+                "TQL903",
+                "backing rows must be a list, got "
+                f"{type(backing).__name__}",
+                batch,
             )
         if backing is not None and len(backing) != length:
             self._fail(
@@ -637,7 +631,7 @@ class SanitizeOperator:
         if backing is not None:
             self._check_rows(batch, backing)
 
-    def _check_rows(self, batch: Batch, rows: list[Row]) -> None:
+    def _check_rows(self, batch: ColumnBatch, rows: list[Row]) -> None:
         for index, row in enumerate(rows):
             if not isinstance(row, dict):
                 self._fail(
@@ -658,7 +652,7 @@ class SanitizeOperator:
 
     # -- the wrapper -----------------------------------------------------------
 
-    def __iter__(self) -> Iterator[Batch]:
+    def __iter__(self) -> Iterator[ColumnBatch]:
         child = iter(self._child)
         prev_seq: int | None = None
         stats_snapshot: dict[str, int] | None = None

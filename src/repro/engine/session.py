@@ -64,6 +64,11 @@ from repro.twitter.models import TWITTER_SCHEMA
 from repro.twitter.stream import Firehose, StreamingAPI
 from repro.twitter.workloads import Scenario
 
+#: Tweets per archival chunk the storage writer hands to its drain thread.
+STORAGE_BATCH = 256
+#: Open-state cooldown (virtual seconds) before a circuit breaker allows
+#: its half-open probe.
+BREAKER_RESET_SECONDS = 30.0
 
 @dataclass
 class EngineConfig:
@@ -75,19 +80,20 @@ class EngineConfig:
         cache_capacity: LRU size for service caches.
         cache_ttl: optional TTL (virtual seconds) on cached service results.
         pool_depth: max in-flight requests in ``async`` mode.
-        batch_size: rows per :class:`~repro.engine.types.RowBatch` flowing
-            between operators. 1 reproduces row-at-a-time execution; larger
-            batches amortize per-row overhead and widen the prefetch window
-            for ``batched``/``async`` latency modes (the batch *is* the
-            lookahead). Output is row-for-row identical at every size;
-            queries calling ``now()`` are pinned to 1 by the planner.
+        batch_size: rows per :class:`~repro.engine.types.ColumnBatch`
+            flowing between operators. Larger batches amortize per-row
+            overhead, let stages evaluate whole columns at once, and widen
+            the prefetch window for ``batched``/``async`` latency modes
+            (the batch *is* the lookahead); at 1 every stage runs its
+            scalar closure over one-row batches. Output is row-for-row
+            identical at every size; queries calling ``now()`` are pinned
+            to 1 by the planner.
         partial_results: with ``async`` mode, never block on an in-flight
             service call — emit NULL for the not-yet-known value instead
             (Raman & Hellerstein-style partial results; the paper cites
             this as the complementary piece of the async design).
         use_eddy: route local predicates through an adaptive eddy instead
             of a fixed-order conjunction.
-        eddy_resort_every: tuples between eddy re-rankings.
         confidence_policy: enables CONTROL-style confidence-triggered AVG
             emission for windowless aggregate queries.
         workers: shard the query across this many parallel worker
@@ -111,8 +117,6 @@ class EngineConfig:
             floors the wait).
         breaker_threshold: consecutive failures before a service's
             circuit breaker opens; 0 disables the breaker.
-        breaker_reset_seconds: open-state cooldown before a half-open
-            probe is allowed.
         fault_plan: optional deterministic
             :class:`~repro.engine.resilience.FaultPlan` injected into the
             services and the streaming API.
@@ -139,12 +143,6 @@ class EngineConfig:
         shared_stall_seconds: wall-clock budget a slow tenant may stall
             the fanout on its full buffer before being evicted (its
             handle then raises; siblings are unaffected).
-        columnar: store batch payloads column-wise
-            (:class:`~repro.engine.types.ColumnBatch`) and vectorize
-            eligible filter/project/group-key expressions. Row-at-a-time
-            plans (``batch_size=1``) and joins always keep the legacy
-            row layout; results are row-for-row identical either way.
-            Turn off to A/B against the row pipeline.
         sanitize: run queries under the TQLSAN invariant sanitizer —
             every operator boundary checks seq monotonicity, punctuation
             exactly-once, ColumnBatch coherence, post-handoff
@@ -169,7 +167,6 @@ class EngineConfig:
             from SQLite, and the live connection takes over after it
             (see docs/STORAGE.md). A query with no ``created_at`` lower
             bound backfills the whole store (lint ``TQL311`` warns).
-        storage_batch: rows per storage-writer commit batch.
     """
 
     latency_mode: str = "cached"
@@ -179,7 +176,6 @@ class EngineConfig:
     batch_size: int = 256
     partial_results: bool = False
     use_eddy: bool = False
-    eddy_resort_every: int = 64
     confidence_policy: ConfidencePolicy | None = None
     workers: int = 1
     sample_rate: float = 0.01
@@ -194,7 +190,6 @@ class EngineConfig:
     backoff_base_seconds: float = 0.1
     backoff_cap_seconds: float = 5.0
     breaker_threshold: int = 8
-    breaker_reset_seconds: float = 30.0
     fault_plan: "FaultPlan | None" = None
     stream_reconnect: bool = True
     tracing: bool = False
@@ -203,11 +198,9 @@ class EngineConfig:
     shared_max_tenants: int = 16
     shared_buffer_batches: int = 16
     shared_stall_seconds: float = 5.0
-    columnar: bool = True
     sanitize: bool = False
     storage_path: str | None = None
     backfill: bool = False
-    storage_batch: int = 256
 
 
 class TweeQL:
@@ -319,7 +312,7 @@ class TweeQL:
             self.store = HistoricalStore(self.config.storage_path)
             if api is not None:
                 self.storage_writer = StorageWriter(
-                    self.store, batch_size=self.config.storage_batch
+                    self.store, batch_size=STORAGE_BATCH
                 )
                 api.tap = self.storage_writer.write
 
@@ -370,7 +363,7 @@ class TweeQL:
             breaker = CircuitBreaker(
                 self.clock,
                 failure_threshold=self.config.breaker_threshold,
-                reset_timeout_seconds=self.config.breaker_reset_seconds,
+                reset_timeout_seconds=BREAKER_RESET_SECONDS,
                 name=service.name,
             )
         return ResilientService(service, policy, breaker=breaker, seed=seed)

@@ -4,11 +4,11 @@ Rows are plain dicts (field name → value); a schema is an ordered tuple of
 field names. ``None`` is SQL NULL and propagates through expressions per
 three-valued logic (see :mod:`repro.engine.expressions`).
 
-Operators exchange rows in :class:`RowBatch` units — a list of rows plus a
-batch sequence stamp and an end-of-stream marker. Batch size is a pure
-performance knob (``EngineConfig.batch_size``): results are row-for-row
-identical at every size, with 1 reproducing the legacy row-at-a-time
-pipeline.
+Operators exchange rows in :class:`ColumnBatch` units — the engine's one
+batch type: a payload plus a batch sequence stamp and an end-of-stream
+marker. Batch size is a pure performance knob
+(``EngineConfig.batch_size``): results are row-for-row identical at every
+size, including the one-row batches ``now()`` queries are pinned to.
 """
 
 from __future__ import annotations
@@ -26,38 +26,6 @@ Schema = tuple[str, ...]
 #: overhead (and to give batched/async prefetch a useful key window), small
 #: enough that windowed emission latency stays negligible.
 DEFAULT_BATCH_SIZE = 256
-
-
-@dataclass(slots=True)
-class RowBatch:
-    """One unit of batch-at-a-time data flow.
-
-    Attributes:
-        rows: the payload, in stream order. May be empty — operators must
-            tolerate an empty final batch (pure punctuation).
-        seq: batch sequence stamp from the emitting operator, strictly
-            increasing per producer. Diagnostic; row-level ordering under
-            sharding still uses per-row ``__seq__`` stamps.
-        last: end-of-stream punctuation — no further batches follow. Every
-            producer terminates its output with exactly one ``last`` batch
-            (possibly empty), so downstream operators can flush buffered
-            state without waiting on a ``StopIteration`` that a queue-fed
-            pipeline may never deliver promptly.
-    """
-
-    rows: list[Row]
-    seq: int = 0
-    last: bool = False
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self) -> Iterator[Row]:
-        return iter(self.rows)
-
-    def head(self, n: int) -> "RowBatch":
-        """The first ``n`` rows as a terminal batch (LIMIT truncation)."""
-        return RowBatch(self.rows[:n], seq=self.seq, last=True)
 
 
 class _Missing:
@@ -85,26 +53,31 @@ MISSING = _Missing()
 
 
 class ColumnBatch:
-    """Columnar unit of batch-at-a-time data flow.
+    """The unit of batch-at-a-time data flow.
 
-    The payload is one value array per field (``columns``) instead of a
-    list of per-row dicts. Cells are either real values, ``None`` (SQL
-    NULL), or :data:`MISSING` (the row had no such key — rows in one batch
-    need not share a schema). ``seq``/``last`` punctuation matches
-    :class:`RowBatch` exactly, and :meth:`to_rows`/:meth:`from_rows` are
-    cheap bridges so row-oriented consumers (INTO sinks, CSV, TwitInfo,
-    the exchange partitioner) keep working unchanged via the ``rows``
-    property.
+    The payload is one value array per field (``columns``). Cells are
+    real values, ``None`` (SQL NULL), or :data:`MISSING` (the row had no
+    such key — rows in one batch need not share a schema). A batch may be
+    empty: operators must tolerate an empty final batch (pure punctuation).
+
+    ``seq`` is the emitting operator's batch sequence stamp, strictly
+    increasing per producer (diagnostic; row-level ordering under sharding
+    uses per-row ``__seq__`` stamps). ``last`` is end-of-stream
+    punctuation: every producer terminates its output with exactly one
+    ``last`` batch (possibly empty), so downstream operators can flush
+    buffered state without waiting on a ``StopIteration`` that a
+    queue-fed pipeline may never deliver promptly.
 
     Columns materialize *lazily*: a batch built with :meth:`from_rows`
     keeps the row list as its source of truth and transposes one column
     the first time an accessor asks for it. A scan therefore pays no
-    transpose at all for fields the query never touches, and a selective
+    transpose at all for fields the query never touches, a selective
     filter compresses row references (one pointer copy per survivor)
-    instead of re-gathering every column — which is what makes the
-    vectorized path cheaper than the row pipeline rather than merely
-    prettier. Fully-columnar batches (``_lazy`` False, e.g. projection
-    output) behave identically through the same accessors.
+    instead of re-gathering every column, and row-oriented consumers
+    (scalar stages, INTO sinks, CSV, TwitInfo, the exchange partitioner)
+    read the same list back through ``rows``. Fully-columnar batches
+    (``_lazy`` False, e.g. projection output) behave identically through
+    the same accessors.
     """
 
     __slots__ = ("columns", "length", "seq", "last", "_rows", "_lazy", "_absent")
@@ -137,10 +110,31 @@ class ColumnBatch:
         cls, rows: list[Row], seq: int = 0, last: bool = False
     ) -> "ColumnBatch":
         """Wrap a row list; columns transpose lazily on first access."""
-        batch = cls({}, len(rows), seq=seq, last=last)
+        # Slots set directly: every producer comes through here, once per
+        # row at batch size 1, and __init__ would assign five of them twice.
+        batch = cls.__new__(cls)
+        batch.columns = {}
+        batch.length = len(rows)
+        batch.seq = seq
+        batch.last = last
         batch._rows = rows
         batch._lazy = True
+        batch._absent = None
         return batch
+
+    def subset(self, rows: list[Row], last: bool | None = None) -> "ColumnBatch":
+        """A rows-backed batch over some of this batch's rows, in order.
+
+        Keeps ``seq`` (and ``last`` unless overridden) and inherits the
+        negative-probe cache: a subset cannot carry a field the whole
+        batch did not.
+        """
+        out = ColumnBatch.from_rows(
+            rows, self.seq, self.last if last is None else last
+        )
+        if self._absent:
+            out._absent = set(self._absent)
+        return out
 
     def _materialize(self, name: str) -> list[Any]:
         """Transpose one column out of the backing rows (cached)."""
@@ -187,11 +181,8 @@ class ColumnBatch:
 
     @property
     def rows(self) -> list[Row]:
-        """Row-dict view, materialized lazily and cached.
-
-        This is the compatibility bridge: any operator or sink written
-        against ``batch.rows`` works on a ColumnBatch unmodified.
-        """
+        """Row-dict view (the backing list itself on rows-backed batches;
+        materialized once and cached otherwise)."""
         if self._rows is None:
             self._rows = self.to_rows()
         return self._rows
@@ -240,15 +231,6 @@ class ColumnBatch:
             return [None if v is MISSING else v for v in col]
         return col
 
-    def null_mask(self, name: str) -> list[bool]:
-        """True where the field is NULL or absent."""
-        col = self.columns.get(name)
-        if col is None and self._lazy:
-            col = self._materialize(name)
-        if col is None:
-            return [True] * self.length
-        return [v is None or v is MISSING for v in col]
-
     # -- structural ops --------------------------------------------------------
 
     def compress(self, verdicts: list[Any]) -> "ColumnBatch":
@@ -266,12 +248,7 @@ class ColumnBatch:
                 for row, v in zip(self._rows, verdicts)
                 if v is not None and v
             ]
-            if len(kept) == self.length:
-                return self
-            out = ColumnBatch.from_rows(kept, seq=self.seq, last=self.last)
-            if self._absent:
-                out._absent = set(self._absent)
-            return out
+            return self if len(kept) == self.length else self.subset(kept)
         keep = [i for i, v in enumerate(verdicts) if v is not None and v]
         return self.take(keep)
 
@@ -282,12 +259,7 @@ class ColumnBatch:
         if self._lazy:
             assert self._rows is not None
             rows = self._rows
-            out = ColumnBatch.from_rows(
-                [rows[i] for i in indexes], seq=self.seq, last=self.last
-            )
-            if self._absent:
-                out._absent = set(self._absent)
-            return out
+            return self.subset([rows[i] for i in indexes])
         columns = {
             key: [col[i] for i in indexes]
             for key, col in self.columns.items()
@@ -298,11 +270,7 @@ class ColumnBatch:
         """The first ``n`` rows as a terminal batch (LIMIT truncation)."""
         if self._lazy:
             assert self._rows is not None
-            batch = ColumnBatch.from_rows(self._rows[:n], seq=self.seq)
-            batch.last = True
-            if self._absent:
-                batch._absent = set(self._absent)
-            return batch
+            return self.subset(self._rows[:n], last=True)
         columns = {key: col[:n] for key, col in self.columns.items()}
         return ColumnBatch(columns, min(n, self.length), seq=self.seq, last=True)
 
@@ -342,18 +310,14 @@ class ColumnBatch:
         )
 
 
-#: Either batch flavor — operators accept both and the punctuation
-#: contract (seq / last / rows) is identical.
-Batch = RowBatch | ColumnBatch
-
-
 def batch_rows(
     rows: Iterable[Row], batch_size: int = DEFAULT_BATCH_SIZE
-) -> Iterator[RowBatch]:
+) -> Iterator[ColumnBatch]:
     """Chunk a row iterable into batches; the final batch is marked last.
 
     Always yields at least one batch (empty + last for an empty input), so
-    consumers can rely on seeing the punctuation.
+    consumers can rely on seeing the punctuation. Also the join's output
+    adapter: its row-at-a-time merge re-enters the batch pipeline here.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
@@ -362,13 +326,13 @@ def batch_rows(
     for row in rows:
         pending.append(row)
         if len(pending) >= batch_size:
-            yield RowBatch(pending, seq=seq)
+            yield ColumnBatch.from_rows(pending, seq)
             seq += 1
             pending = []
-    yield RowBatch(pending, seq=seq, last=True)
+    yield ColumnBatch.from_rows(pending, seq, last=True)
 
 
-def iter_rows(batches: Iterable["Batch"]) -> Iterator[Row]:
+def iter_rows(batches: Iterable[ColumnBatch]) -> Iterator[Row]:
     """Flatten a batch stream back into rows (executor / test boundary)."""
     for batch in batches:
         yield from batch.rows
@@ -442,6 +406,20 @@ class EvalContext:
     #: The lane label this context's spans carry ("main" for serial plans,
     #: "exchange" / "worker-N" / "merge" for sharded stages).
     lane: str = "main"
+
+    def advance_to(self, rows: list[Row]) -> None:
+        """Move stream time up to the newest ``created_at`` in ``rows``.
+
+        Every scan calls this over a whole batch before releasing it, so
+        the batch's rows are all "seen" by the time downstream operators
+        evaluate them.
+        """
+        stream_time = self.stream_time
+        for row in rows:
+            timestamp = row.get("created_at")
+            if timestamp is not None and timestamp > stream_time:
+                stream_time = timestamp
+        self.stream_time = stream_time
 
     def service(self, name: str) -> Any:
         """Fetch a named service; raises KeyError with a clear message."""

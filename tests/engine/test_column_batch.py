@@ -28,7 +28,7 @@ from repro.engine.expressions import (
     expand_column,
 )
 from repro.engine.functions import default_registry
-from repro.engine.types import MISSING, ColumnBatch, EvalContext, RowBatch
+from repro.engine.types import MISSING, ColumnBatch, EvalContext
 from repro.sql import parse
 
 
@@ -84,7 +84,6 @@ def test_values_matches_row_get(rows):
     batch = ColumnBatch.from_rows([dict(r) for r in rows])
     for name in FIELDS:
         assert batch.values(name) == [row.get(name) for row in rows]
-        assert batch.null_mask(name) == [row.get(name) is None for row in rows]
 
 
 @settings(max_examples=100, deadline=None)
@@ -122,7 +121,6 @@ def test_head_truncates_and_terminates():
     assert head.to_rows() == rows[:4]
     assert head.last  # LIMIT truncation punctuates the stream
     assert head.seq == 2
-    assert RowBatch(rows, seq=2).head(4).rows == rows[:4]
 
 
 def test_missing_is_distinct_from_null():
@@ -131,7 +129,6 @@ def test_missing_is_distinct_from_null():
     assert batch.field("b") == [None, MISSING]
     assert batch.field("zzz") is None
     assert batch.values("b") == [None, None]
-    assert batch.null_mask("b") == [True, True]
     assert batch.to_rows() == rows  # MISSING vanishes, NULL survives
 
 

@@ -1,17 +1,29 @@
-"""Columnar layout and thread sharding are pure performance knobs.
+"""Batch size, vectorization and thread sharding are invisible in results.
 
-The acceptance sweep: every point of {row, columnar} × batch {1, 7, 256}
-× workers {1, 4} must be row-for-row — and stats-for-stats — identical
-on the paper's demo queries and on the static query shapes.
+The acceptance sweep: every point of batch {1, 7, 256} × workers {1, 4}
+must be row-for-row — and stats-for-stats — identical on the paper's demo
+queries and on the static query shapes, against two references that do
+not run the vector path:
+
+- a *scalar-only plan*: the same statement planned while the planner's
+  ``compile_vector_expr`` / ``build_fused_projector`` are patched to return
+  None, i.e. exactly the fallback production runs for expressions that do
+  not vectorize (UDF calls, ``now()``, select aliases), at one row per
+  batch and one worker;
+- for the static shapes, rows and counters worked out in plain Python
+  from ``STATIC_ROWS`` (:func:`expected_static`; no engine import).
 """
 
 from __future__ import annotations
 
+import math
 import os
+from contextlib import contextmanager
 
 import pytest
 
 from repro import EngineConfig, TweeQL
+from repro.engine import planner
 from repro.twitter.users import UserPopulation
 from repro.twitter.workloads import soccer_match_scenario
 
@@ -55,8 +67,8 @@ SHAPES = {
     ),
 }
 
-#: Stats that must match the serial row-engine exactly. windows_closed
-#: and batches vary structurally with sharding/batch size (pre-existing).
+#: Stats that must match the references exactly. windows_closed and
+#: batches vary structurally with sharding/batch size (pre-existing).
 EXACT_STATS = (
     "rows_after_filter",
     "predicate_evaluations",
@@ -65,10 +77,19 @@ EXACT_STATS = (
 )
 
 
-def make_session(workers=1, batch_size=256, columnar=True):
-    config = EngineConfig(
-        workers=workers, batch_size=batch_size, columnar=columnar
-    )
+@contextmanager
+def scalar_only_planner():
+    """Plans built inside attach no vector evaluator and no fused
+    projector, whatever the batch size: every stage runs its scalar
+    closure over ``batch.rows``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planner, "compile_vector_expr", lambda *a, **k: None)
+        patch.setattr(planner, "build_fused_projector", lambda pairs: None)
+        yield
+
+
+def make_session(workers=1, batch_size=256):
+    config = EngineConfig(workers=workers, batch_size=batch_size)
     session = TweeQL(config=config)
     session.register_source(
         "s", lambda: iter([dict(r) for r in STATIC_ROWS]), SCHEMA
@@ -84,6 +105,108 @@ def run(session, sql):
     return rows, stats
 
 
+def run_scalar_only(sql, batch_size=1):
+    """The scalar-only reference: one worker, no vector stage anywhere."""
+    with scalar_only_planner():
+        session = make_session(workers=1, batch_size=batch_size)
+        assert "[vectorized" not in session.explain(sql)
+        return run(session, sql)
+
+
+def expected_static(shape):
+    """``(rows, stats)`` the static SHAPES must produce, in plain Python.
+
+    Predicates are re-stated with string methods and arithmetic on
+    ``STATIC_ROWS``; filter counters follow the plan's one-stage-per-
+    conjunct chain (each stage evaluates the previous stage's survivors).
+    """
+    stats = dict.fromkeys(EXACT_STATS, 0)
+    stats["rows_scanned"] = len(STATIC_ROWS)
+
+    def where(*conjuncts):
+        rows = STATIC_ROWS
+        for conjunct in conjuncts:
+            stats["predicate_evaluations"] += len(rows)
+            rows = [row for row in rows if conjunct(row)]
+            stats["rows_after_filter"] += len(rows)
+        return rows
+
+    def followers_over(bound):
+        return lambda row: (
+            row["followers"] is not None and row["followers"] > bound
+        )
+
+    if shape == "filter_project":
+        kept = where(
+            lambda row: "goal" in row["text"].casefold(), followers_over(500)
+        )
+        rows = [
+            {
+                "text": row["text"],
+                "followers": row["followers"],
+                "created_at": row["created_at"],
+            }
+            for row in kept
+        ]
+    elif shape == "udf_project":
+        kept = where(followers_over(-1), lambda row: row["lang"] in ("en", "pt"))
+        rows = [
+            {
+                "t": row["text"].lower(),
+                "n": len(row["text"]),
+                "created_at": row["created_at"],
+            }
+            for row in kept
+        ]
+    elif shape == "group_window":
+        # Tumbling 120 s windows aligned to the epoch, emitted in window
+        # order with groups in first-seen order; AVG skips NULLs.
+        windows: dict[float, dict[str, list]] = {}
+        for row in STATIC_ROWS:
+            start = math.floor(row["created_at"] / 120.0) * 120.0
+            windows.setdefault(start, {}).setdefault(row["lang"], []).append(
+                row["followers"]
+            )
+        rows = []
+        for start in sorted(windows):
+            for lang, followers in windows[start].items():
+                known = [f for f in followers if f is not None]
+                rows.append(
+                    {
+                        "n": len(followers),
+                        "f": sum(known) / len(known) if known else None,
+                        "lang": lang,
+                        "window_start": start,
+                        "window_end": start + 120.0,
+                        "created_at": start + 120.0,
+                    }
+                )
+        stats["groups_emitted"] = len(rows)
+    elif shape == "limit":
+        kept = [row for row in STATIC_ROWS if followers_over(200)(row)][:9]
+        rows = [
+            {"text": row["text"], "created_at": row["created_at"]}
+            for row in kept
+        ]
+    else:  # pragma: no cover - a new shape needs its expectation
+        raise KeyError(shape)
+    stats["rows_emitted"] = len(rows)
+    return rows, stats
+
+
+def assert_rows_equal(rows, expected, where):
+    """Exact equality, except AVG cells: the engine's running (Welford)
+    mean and a plain ``sum / len`` may differ in the last bits."""
+    assert len(rows) == len(expected), where
+    for row, want in zip(rows, expected):
+        assert row.keys() == want.keys(), where
+        for key, value in want.items():
+            if key == "f" and value is not None:
+                assert math.isclose(row[key], value, rel_tol=1e-12), where
+            else:
+                assert row[key] == value, (key, where)
+
+
 #: The ids keep the ``thread-`` prefix these cases have always had, so
 #: recorded test ids stay comparable across commits.
 WORKERS = [pytest.param(1, id="thread-1"), pytest.param(4, id="thread-4")]
@@ -94,40 +217,53 @@ WORKERS = [pytest.param(1, id="thread-1"), pytest.param(4, id="thread-4")]
 @pytest.mark.parametrize("workers", WORKERS)
 def test_columnar_matches_row_engine(shape, batch, workers):
     sql, stats_mode = SHAPES[shape]
-    base_rows, base_stats = run(
-        make_session(workers=1, batch_size=1, columnar=False), sql
-    )
-    rows, stats = run(
-        make_session(workers=workers, batch_size=batch, columnar=True), sql
-    )
+    base_rows, base_stats = run_scalar_only(sql)
+    want_rows, want_stats = expected_static(shape)
+    rows, stats = run(make_session(workers=workers, batch_size=batch), sql)
     assert rows == base_rows, (shape, batch, workers)
+    assert_rows_equal(rows, want_rows, (shape, batch, workers))
     keys = EXACT_STATS if stats_mode == "full" else ("rows_emitted",)
     if stats_mode == "full" and workers == 1:
         keys = keys + ("rows_scanned",)
     for key in keys:
         assert stats[key] == base_stats[key], (key, shape, batch, workers)
+        assert stats[key] == want_stats[key], (key, shape, batch, workers)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_scalar_only_plan_is_batch_invariant(shape):
+    """The reference itself: the scalar fallback at 256 rows per batch
+    (closures mapped over whole batches) equals its one-row-per-batch run
+    and the plain-Python expectation."""
+    sql, stats_mode = SHAPES[shape]
+    rows, stats = run_scalar_only(sql, batch_size=256)
+    assert rows == run_scalar_only(sql)[0]
+    want_rows, want_stats = expected_static(shape)
+    assert_rows_equal(rows, want_rows, shape)
+    if stats_mode == "full":
+        for key in EXACT_STATS + ("rows_scanned",):
+            assert stats[key] == want_stats[key], (key, shape)
 
 
 def test_paper_demo_queries_identical_across_configs(news_week):
     from tests.integration.test_paper_queries import QUERY_2, QUERY_3
 
     for sql, limit in ((QUERY_2, 1500), (QUERY_3, None)):
-        def run_config(workers, batch, columnar):
+        def run_config(workers, batch):
             session = TweeQL.for_scenarios(
                 news_week,
                 seed=11,
-                config=EngineConfig(
-                    workers=workers, batch_size=batch, columnar=columnar
-                ),
+                config=EngineConfig(workers=workers, batch_size=batch),
             )
             handle = session.query(sql)
             rows = handle.all(limit=limit)
             handle.close()
             return rows
 
-        baseline = run_config(workers=1, batch=1, columnar=False)
-        assert run_config(workers=1, batch=256, columnar=True) == baseline
-        assert run_config(workers=4, batch=256, columnar=True) == baseline
+        with scalar_only_planner():
+            baseline = run_config(workers=1, batch=1)
+        assert run_config(workers=1, batch=256) == baseline
+        assert run_config(workers=4, batch=256) == baseline
 
 
 def test_sharded_service_stats_sum_of_stage_mirrors():
@@ -181,22 +317,22 @@ def test_thread_workers_are_never_clamped():
     assert "clamped" not in text
 
 
-def test_columnar_off_keeps_row_layout_in_explain():
-    on = _explain("SELECT text FROM s WHERE followers > 10;", batch_size=256)
-    off = _explain(
-        "SELECT text FROM s WHERE followers > 10;",
-        batch_size=256,
-        columnar=False,
-    )
-    assert "rows/batch, columnar" in on
-    assert "columnar" not in off
-    assert "[vectorized 1/1]" in on
-    assert "[vectorized" not in off
-
-
 def test_row_at_a_time_plans_stay_row_wise():
-    text = _explain("SELECT text FROM s WHERE followers > 10;", batch_size=1)
-    assert "columnar" not in text
+    """A batch-1 plan — configured, or pinned by ``now()`` — attaches no
+    ``[vectorized`` stage: one-row columns cost more than scalar closures."""
+    sql = "SELECT text FROM s WHERE followers > 10;"
+    assert "[vectorized 1/1]" in _explain(sql, batch_size=256)
+    assert "[vectorized" not in _explain(sql, batch_size=1)
+    pinned = _explain(
+        "SELECT text, now() AS t FROM s WHERE followers > 10;", batch_size=256
+    )
+    assert "Batch: 1 row/batch" in pinned
+    assert "[vectorized" not in pinned
+
+
+def test_the_layout_knob_is_gone():
+    with pytest.raises(TypeError):
+        EngineConfig(columnar=True)
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +376,16 @@ def _scenario_rows(scenario, sql, **config_kwargs):
 def test_new_scenarios_columnar_equivalence(
     request, fixture_name, batch, workers
 ):
-    """Batch size, worker count, and layout are invisible in the output."""
+    """Batch size, worker count and vectorization are invisible in the
+    output (baseline: the scalar-only plan, one row per batch)."""
     scenario = request.getfixturevalue(fixture_name)
     sql = NEW_SCENARIO_SQL[fixture_name]
     if fixture_name not in _new_scenario_baselines:
-        _new_scenario_baselines[fixture_name] = _scenario_rows(
-            scenario, sql, workers=1, batch_size=1, columnar=False
-        )
+        with scalar_only_planner():
+            _new_scenario_baselines[fixture_name] = _scenario_rows(
+                scenario, sql, workers=1, batch_size=1
+            )
     baseline = _new_scenario_baselines[fixture_name]
     assert baseline, f"{fixture_name} baseline produced no rows"
-    rows = _scenario_rows(
-        scenario, sql, workers=workers, batch_size=batch, columnar=True
-    )
+    rows = _scenario_rows(scenario, sql, workers=workers, batch_size=batch)
     assert rows == baseline, (fixture_name, batch, workers)

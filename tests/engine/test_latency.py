@@ -4,7 +4,7 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.engine.latency import ManagedCall, PrefetchOperator
-from repro.engine.types import EvalContext, RowBatch, batch_rows, iter_rows
+from repro.engine.types import ColumnBatch, EvalContext, batch_rows, iter_rows
 from repro.errors import ServiceError
 from repro.geo.service import LatencyModel, SimulatedWebService
 
@@ -261,7 +261,7 @@ def test_prefetch_operator_skips_punctuation_rows():
     service = make_service(clock)
     managed = ManagedCall(service, mode="batched")
     ctx = EvalContext(clock=clock)
-    batch = RowBatch(
+    batch = ColumnBatch.from_rows(
         [
             {"created_at": 0.0, "loc": "boston"},
             {"created_at": 1.0, "loc": "tokyo", "__punct__": True},

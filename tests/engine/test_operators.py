@@ -10,7 +10,7 @@ from repro.sql.ast import WindowSpec
 
 
 def drain(operator):
-    """Flatten an operator's RowBatch output back to rows."""
+    """Flatten an operator's batch output back to rows."""
     return list(iter_rows(operator))
 
 
@@ -99,7 +99,7 @@ def test_into_tees_rows(ctx):
 
 def test_rebatch_rechunks_and_marks_last(ctx):
     rows = rows_at(*((float(i), {}) for i in range(5)))
-    batches = list(ops.rebatch(iter(rows), 2))
+    batches = list(batch_rows(iter(rows), 2))
     assert [len(b) for b in batches] == [2, 2, 1]
     assert [b.last for b in batches] == [False, False, True]
     assert [r["created_at"] for b in batches for r in b.rows] == [

@@ -225,3 +225,74 @@ def test_body_stages_match_across_plan_shapes(soccer, sql, expected):
     assert body_stages(serial) == expected
     assert body_stages(sharded) == expected
     assert body_stages(tenant) == expected
+
+
+def vector_stages(pipeline):
+    """Which Project (fused, then per item) and Aggregate (group keys,
+    then aggregate arguments) slots of an operator chain carry a
+    whole-column evaluator, walking down the ``_child`` links."""
+    from repro.engine import operators as ops
+
+    found = []
+    while pipeline is not None:
+        if isinstance(pipeline, ops.ProjectOperator):
+            found.append((
+                "Project",
+                [pipeline._fused is not None]
+                + [v is not None for v in pipeline._vector_items or ()],
+            ))
+        elif isinstance(pipeline, ops.WindowedAggregateOperator):
+            found.append((
+                "Aggregate",
+                [v is not None for v in pipeline._vector_group_evals or ()]
+                + [v is not None for v in pipeline._vector_agg_args or ()],
+            ))
+        pipeline = getattr(pipeline, "_child", None)
+    return found
+
+
+@pytest.mark.parametrize(
+    "sql,expected",
+    [
+        (
+            "SELECT text, lang FROM twitter WHERE followers > 10;",
+            [("Project", [True, True, True])],
+        ),
+        (
+            "SELECT lower(text) AS t, followers FROM twitter "
+            "WHERE followers > 10;",
+            [("Project", [False, False, True])],
+        ),
+        (
+            "SELECT COUNT(*) AS n, AVG(followers) AS f, lang FROM twitter "
+            "WHERE followers > 10 GROUP BY lang WINDOW 60 seconds;",
+            [("Aggregate", [True, False, True])],
+        ),
+    ],
+    ids=["fused", "mixed", "aggregate"],
+)
+def test_vector_stages_match_across_plan_shapes(soccer, sql, expected):
+    """A shared-scan tenant body gets the same vectorized projection /
+    group-key / aggregate-argument evaluators as a serial plan and a
+    sharded worker (it used to be built without them), and none at one
+    row per batch."""
+
+    def session(**config):
+        return TweeQL.for_scenarios(soccer, config=EngineConfig(**config))
+
+    def tenant_stages(**config):
+        group = session(**config).shared()
+        try:
+            group.query(sql)
+            return vector_stages(group._tenants[0].pipeline)
+        finally:
+            group.close()
+
+    assert vector_stages(session().plan(sql).pipeline) == expected
+    sharded = session(workers=4).plan(sql)
+    exchange = sharded.closers[0].__self__
+    for worker in exchange._pipelines:
+        assert vector_stages(worker) == expected
+    assert tenant_stages() == expected
+    for _stage, flags in tenant_stages(batch_size=1):
+        assert not any(flags)

@@ -23,7 +23,7 @@ from repro.engine.sanitizer import (
     lock_tracking,
     registered_lock,
 )
-from repro.engine.types import MISSING, ColumnBatch, QueryStats, RowBatch
+from repro.engine.types import MISSING, ColumnBatch, QueryStats
 from repro.errors import SanitizerError
 
 SCHEMA = ("tweet_id", "text", "created_at", "lang", "followers")
@@ -142,8 +142,8 @@ def sanitize(child, stats=None) -> SanitizeOperator:
 
 def test_tql901_seq_regression_fires():
     def broken():
-        yield RowBatch([], seq=1)
-        yield RowBatch([], seq=0, last=True)
+        yield ColumnBatch.from_rows([], seq=1)
+        yield ColumnBatch.from_rows([], seq=0, last=True)
 
     error = expect("TQL901", sanitize(broken()))
     assert "seq regression" in str(error)
@@ -152,16 +152,17 @@ def test_tql901_seq_regression_fires():
 
 def test_tql901_equal_seq_fires():
     def broken():
-        yield RowBatch([], seq=3)
-        yield RowBatch([], seq=3, last=True)
+        yield ColumnBatch.from_rows([], seq=3)
+        yield ColumnBatch.from_rows([], seq=3, last=True)
 
     expect("TQL901", sanitize(broken()))
 
 
 def test_tql902_batch_after_last_fires():
     def broken():
-        yield RowBatch([], seq=0, last=True)
-        yield RowBatch([], seq=1)  # double punctuation / late batch
+        yield ColumnBatch.from_rows([], seq=0, last=True)
+        # double punctuation / late batch
+        yield ColumnBatch.from_rows([], seq=1)
 
     error = expect("TQL902", sanitize(broken()))
     assert "after last=True" in str(error)
@@ -169,7 +170,8 @@ def test_tql902_batch_after_last_fires():
 
 def test_tql902_missing_punctuation_fires():
     def broken():
-        yield RowBatch([], seq=0)  # stream just stops, no last=True
+        # the stream just stops, no last=True
+        yield ColumnBatch.from_rows([], seq=0)
 
     expect("TQL902", sanitize(broken()))
 
@@ -191,9 +193,17 @@ def test_tql903_stale_negative_cache_fires():
     assert "negative-probe cache" in str(error)
 
 
+def test_tql903_non_list_backing_rows_fires():
+    def broken():
+        yield ColumnBatch.from_rows(({"a": 1},), seq=0, last=True)
+
+    error = expect("TQL903", sanitize(broken()))
+    assert "must be a list" in str(error)
+
+
 def test_tql904_missing_leak_fires():
     def broken():
-        yield RowBatch([{"a": MISSING}], seq=0, last=True)
+        yield ColumnBatch.from_rows([{"a": MISSING}], seq=0, last=True)
 
     error = expect("TQL904", sanitize(broken()))
     assert "MISSING" in str(error)
@@ -222,9 +232,9 @@ def test_tql906_stats_regression_fires():
 
     def broken():
         stats.rows_scanned = 10
-        yield RowBatch([], seq=0)
+        yield ColumnBatch.from_rows([], seq=0)
         stats.rows_scanned = 5  # counter went backwards
-        yield RowBatch([], seq=1, last=True)
+        yield ColumnBatch.from_rows([], seq=1, last=True)
 
     expect("TQL906", sanitize(broken(), stats=stats))
 
@@ -297,7 +307,7 @@ def test_lock_registry_rlock_reentry_not_a_cycle():
 def test_tql911_cross_thread_pull_fires():
     def source():
         for seq in range(5):
-            yield RowBatch([], seq=seq, last=seq == 4)
+            yield ColumnBatch.from_rows([], seq=seq, last=seq == 4)
 
     operator = sanitize(source())
     iterator = iter(operator)
@@ -344,9 +354,9 @@ def test_violation_carries_span_and_diagnostic():
 
 def test_clean_batches_pass_through_untouched():
     batches = [
-        RowBatch([{"a": 1}], seq=0),
+        ColumnBatch.from_rows([{"a": 1}], seq=0),
         ColumnBatch.from_rows([{"a": 2}], seq=1),
-        RowBatch([], seq=2, last=True),
+        ColumnBatch.from_rows([], seq=2, last=True),
     ]
     out = list(sanitize(iter(batches)))
     assert out == batches

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.engine.types import RowBatch
+from repro.engine.types import ColumnBatch
 from repro.obs import OperatorProbe, Span, TraceOperator, Tracer
 
 
@@ -63,7 +63,7 @@ def test_span_as_dict_round_trips_the_fields():
     }
 
 
-def _ticking_source(clock: FakeClock, batches: list[RowBatch]):
+def _ticking_source(clock: FakeClock, batches: list[ColumnBatch]):
     """Yields the batches, advancing the clock one second per pull."""
     for batch in batches:
         clock.advance(1.0)
@@ -75,8 +75,8 @@ def test_trace_operator_is_transparent_and_counts():
     tracer = Tracer(clock)
     probe = tracer.probe("Scan(fixed)")
     batches = [
-        RowBatch(rows=[{"a": 1}, {"a": 2}], seq=0),
-        RowBatch(rows=[{"a": 3}], seq=1, last=True),
+        ColumnBatch.from_rows([{"a": 1}, {"a": 2}], seq=0),
+        ColumnBatch.from_rows([{"a": 3}], seq=1, last=True),
     ]
     wrapped = TraceOperator(_ticking_source(clock, batches), probe, tracer)
     assert list(wrapped) == batches  # pass-through, untouched objects
@@ -95,7 +95,7 @@ def test_trace_operator_without_batch_spans():
     clock = FakeClock()
     tracer = Tracer(clock, batch_spans=False)
     probe = tracer.probe("Scan(fixed)")
-    batches = [RowBatch(rows=[{"a": 1}], seq=0, last=True)]
+    batches = [ColumnBatch.from_rows([{"a": 1}], seq=0, last=True)]
     list(TraceOperator(_ticking_source(clock, batches), probe, tracer))
     assert tracer.spans_of("batch") == []
     assert probe.rows == 1
@@ -108,8 +108,8 @@ def test_trace_operator_finalizes_span_on_generator_close():
     tracer = Tracer(clock)
     probe = tracer.probe("Scan(fixed)")
     batches = [
-        RowBatch(rows=[{"a": 1}], seq=0),
-        RowBatch(rows=[{"a": 2}], seq=1, last=True),
+        ColumnBatch.from_rows([{"a": 1}], seq=0),
+        ColumnBatch.from_rows([{"a": 2}], seq=1, last=True),
     ]
     iterator = iter(TraceOperator(_ticking_source(clock, batches), probe, tracer))
     next(iterator)

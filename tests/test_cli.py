@@ -127,6 +127,12 @@ def test_parser_defaults():
     assert args.command == "repl"
 
 
+def test_retired_layout_flag_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit):
+        make_parser().parse_args(["--no-columnar", "repl"])
+    assert "--no-columnar" in capsys.readouterr().err
+
+
 def test_run_query_row_budget(soccer_session, capsys):
     printed = run_query(
         soccer_session,
