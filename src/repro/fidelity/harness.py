@@ -31,7 +31,6 @@ from repro.engine.session import EngineConfig, TweeQL
 from repro.fidelity import metrics
 from repro.fidelity.coverage import CoverageEstimate
 from repro.fidelity.report import FidelityReport, FidelityScores, StreamDigest
-from repro.nlp.tokenize import content_tokens
 from repro.twitinfo.app import TrackedEvent, TwitInfoApp
 from repro.twitinfo.peaks import PeakDetectorParams
 from repro.twitter.models import Tweet
@@ -155,7 +154,7 @@ class FidelityRun:
         term_counts: Counter[str] = Counter()
         coordinates: list[tuple[float, float]] = []
         for tweet in tweets:
-            term_counts.update(content_tokens(tweet.text))
+            term_counts.update(tracked.tokens[tweet.tweet_id])
             if tweet.geo is not None:
                 coordinates.append((tweet.geo[0], tweet.geo[1]))
         top_terms = tuple(

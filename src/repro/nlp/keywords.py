@@ -18,7 +18,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 import math
 
-from repro.nlp.tokenize import content_tokens
+from repro.nlp.tokenize import content_tokens, token_docs
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,9 @@ class KeywordExtractor:
 
     Feed every event tweet through :meth:`observe` as it arrives; call
     :meth:`extract` with the texts of a peak window to get its labels.
+    A caller that already holds each tweet's :func:`content_tokens` uses
+    :meth:`observe_tokens` / :meth:`extract_tokens`; the text-taking
+    methods tokenize and call those.
     """
 
     def __init__(self) -> None:
@@ -43,8 +46,12 @@ class KeywordExtractor:
 
     def observe(self, text: str) -> None:
         """Add one tweet to the background model."""
+        self.observe_tokens(content_tokens(text))
+
+    def observe_tokens(self, tokens: Iterable[str]) -> None:
+        """Add one tweet, given as its content tokens."""
         self._documents += 1
-        self._document_frequency.update(set(content_tokens(text)))
+        self._document_frequency.update(set(tokens))
 
     def observe_all(self, texts: Iterable[str]) -> None:
         for text in texts:
@@ -74,9 +81,18 @@ class KeywordExtractor:
             min_frequency: drop terms appearing in fewer than this many
                 window tweets (suppresses one-off noise).
         """
+        return self.extract_tokens(token_docs(texts), k, min_frequency)
+
+    def extract_tokens(
+        self,
+        docs: Iterable[Iterable[str]],
+        k: int = 5,
+        min_frequency: int = 2,
+    ) -> list[ScoredTerm]:
+        """:meth:`extract` over already-tokenized window tweets."""
         term_frequency: Counter[str] = Counter()
-        for text in texts:
-            term_frequency.update(set(content_tokens(text)))
+        for tokens in docs:
+            term_frequency.update(set(tokens))
         scored = [
             ScoredTerm(
                 term=term,

@@ -18,6 +18,7 @@ Labels are integers: +1 positive, -1 negative, 0 neutral.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from collections.abc import Sequence
 
@@ -33,6 +34,21 @@ from repro.nlp.tokenize import (
 )
 
 POSITIVE, NEUTRAL, NEGATIVE = 1, 0, -1
+
+_POSITIVE_EMOTICON_RE = re.compile(
+    "|".join(re.escape(e) for e in sorted(POSITIVE_EMOTICONS))
+)
+_NEGATIVE_EMOTICON_RE = re.compile(
+    "|".join(re.escape(e) for e in sorted(NEGATIVE_EMOTICONS))
+)
+
+
+def _emoticon_label(text: str) -> int:
+    """The emoticon rule: +1 / -1 when the text carries emoticons of one
+    polarity only, 0 when it carries none or both."""
+    has_positive = _POSITIVE_EMOTICON_RE.search(text) is not None
+    has_negative = _NEGATIVE_EMOTICON_RE.search(text) is not None
+    return has_positive - has_negative
 
 
 class SentimentClassifier:
@@ -63,6 +79,9 @@ class SentimentClassifier:
         self._log_likelihood: dict[int, dict[str, float]] = {}
         self._default_ll: dict[int, float] = {}
         self._vocabulary: set[str] = set()
+        #: vocabulary token → positive_ll − negative_ll, what
+        #: :meth:`log_odds` adds per token; derived by :meth:`_finish`.
+        self._token_log_odds: dict[str, float] = {}
         self._trained = False
 
     # -- training -------------------------------------------------------------
@@ -105,6 +124,21 @@ class SentimentClassifier:
                 for token, count in token_counts[label].items()
             }
             self._default_ll[label] = math.log(self._smoothing / denominator)
+        self._finish()
+
+    def _finish(self) -> None:
+        """Derive the per-token log-odds table from the fitted model."""
+        positive, negative = (
+            self._log_likelihood[POSITIVE], self._log_likelihood[NEGATIVE]
+        )
+        default_positive, default_negative = (
+            self._default_ll[POSITIVE], self._default_ll[NEGATIVE]
+        )
+        self._token_log_odds = {
+            token: positive.get(token, default_positive)
+            - negative.get(token, default_negative)
+            for token in self._vocabulary
+        }
         self._trained = True
 
     @property
@@ -118,18 +152,14 @@ class SentimentClassifier:
         """log P(positive | text) − log P(negative | text) (NB estimate)."""
         if not self._trained:
             raise RuntimeError("classifier is not trained; call train() first")
-        tokens = self._features(text)
+        token_log_odds = self._token_log_odds
         score = self._log_prior[POSITIVE] - self._log_prior[NEGATIVE]
-        for token in tokens:
-            if token not in self._vocabulary:
-                continue  # unseen tokens carry no signal either way
-            positive_ll = self._log_likelihood[POSITIVE].get(
-                token, self._default_ll[POSITIVE]
-            )
-            negative_ll = self._log_likelihood[NEGATIVE].get(
-                token, self._default_ll[NEGATIVE]
-            )
-            score += positive_ll - negative_ll
+        # An explicit left-to-right loop: ``sum()`` compensates on
+        # Python >= 3.12 and would change the floats.
+        for token in self._features(text):
+            delta = token_log_odds.get(token)
+            if delta is not None:  # unseen tokens carry no signal either way
+                score += delta
         return score
 
     def classify(self, text: str) -> int:
@@ -138,12 +168,9 @@ class SentimentClassifier:
         The emoticon rule fires first: an unambiguous emoticon decides the
         label outright. Otherwise NB log-odds with the neutral band.
         """
-        has_positive = any(e in text for e in POSITIVE_EMOTICONS)
-        has_negative = any(e in text for e in NEGATIVE_EMOTICONS)
-        if has_positive and not has_negative:
-            return POSITIVE
-        if has_negative and not has_positive:
-            return NEGATIVE
+        label = _emoticon_label(text)
+        if label:
+            return label
         odds = self.log_odds(text)
         if odds > self.neutral_band:
             return POSITIVE
@@ -153,12 +180,9 @@ class SentimentClassifier:
 
     def score(self, text: str) -> float:
         """Signed confidence squashed to [-1, 1] (0 ≈ neutral)."""
-        has_positive = any(e in text for e in POSITIVE_EMOTICONS)
-        has_negative = any(e in text for e in NEGATIVE_EMOTICONS)
-        if has_positive and not has_negative:
-            return 1.0
-        if has_negative and not has_positive:
-            return -1.0
+        label = _emoticon_label(text)
+        if label:
+            return float(label)
         return math.tanh(self.log_odds(text) / 4.0)
 
     # -- persistence ------------------------------------------------------------
@@ -200,7 +224,7 @@ class SentimentClassifier:
             int(k): v for k, v in payload["default_ll"].items()
         }
         classifier._vocabulary = set(payload["vocabulary"])
-        classifier._trained = True
+        classifier._finish()
         return classifier
 
     def save(self, path: str) -> None:

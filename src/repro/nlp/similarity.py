@@ -15,18 +15,9 @@ from collections.abc import Sequence
 from typing import TypeVar, Callable
 
 from repro.nlp.keywords import KeywordExtractor
-from repro.nlp.tokenize import content_tokens
+from repro.nlp.tokenize import content_tokens, token_docs
 
 T = TypeVar("T")
-
-
-def _vectorize(
-    tokens: Sequence[str], extractor: KeywordExtractor | None
-) -> dict[str, float]:
-    counts = Counter(tokens)
-    if extractor is None:
-        return dict(counts)
-    return {term: count * extractor.idf(term) for term, count in counts.items()}
 
 
 def cosine_similarity(
@@ -43,6 +34,54 @@ def cosine_similarity(
     norm_left = math.sqrt(sum(w * w for w in left.values()))
     norm_right = math.sqrt(sum(w * w for w in right.values()))
     return dot / (norm_left * norm_right)
+
+
+def rank_tokens(
+    docs: Sequence[tuple[str, ...]],
+    keywords: Sequence[str],
+    extractor: KeywordExtractor | None = None,
+    limit: int | None = None,
+) -> tuple[list[int], list[float]]:
+    """Rank tokenized documents by cosine similarity to the keywords.
+
+    Args:
+        docs: each document's :func:`content_tokens`, as a tuple.
+        keywords: the event or peak keywords.
+        extractor: optional background model for TF-IDF weighting.
+        limit: truncate the ranking.
+
+    Returns ``(order, scores)``: ``scores[i]`` is ``docs[i]``'s similarity
+    and ``order`` holds the document indices best first; ties keep input
+    order (stable sort), so earlier documents win among equals. Each
+    term's idf is computed once per call and each distinct token tuple is
+    scored once.
+    """
+    idf: dict[str, float] = {}
+
+    def vectorize(tokens: Sequence[str]) -> dict[str, float]:
+        counts = Counter(tokens)
+        if extractor is None:
+            return dict(counts)
+        for term in counts:
+            if term not in idf:
+                idf[term] = extractor.idf(term)
+        return {term: count * idf[term] for term, count in counts.items()}
+
+    query_vector = vectorize(
+        [token for keyword in keywords for token in content_tokens(keyword)]
+        or [k.lower() for k in keywords]
+    )
+    score_of: dict[tuple[str, ...], float] = {}
+    scores: list[float] = []
+    for tokens in docs:
+        score = score_of.get(tokens)
+        if score is None:
+            score = score_of[tokens] = cosine_similarity(
+                vectorize(tokens), query_vector
+            )
+        scores.append(score)
+    order = sorted(range(len(docs)), key=scores.__getitem__, reverse=True)
+    return (order[:limit] if limit is not None else order), scores
 
 
 def rank_by_similarity(
@@ -64,16 +103,7 @@ def rank_by_similarity(
     Returns (item, similarity) pairs, best first; ties broken by input
     order (stable sort), so earlier tweets win among equals.
     """
-    query_vector = _vectorize(
-        [token for keyword in keywords for token in content_tokens(keyword)]
-        or [k.lower() for k in keywords],
-        extractor,
+    order, scores = rank_tokens(
+        token_docs(map(text_of, items)), keywords, extractor, limit
     )
-    scored = [
-        (item, cosine_similarity(
-            _vectorize(content_tokens(text_of(item)), extractor), query_vector
-        ))
-        for item in items
-    ]
-    scored.sort(key=lambda pair: -pair[1])
-    return scored[:limit] if limit is not None else scored
+    return [(items[index], scores[index]) for index in order]

@@ -17,6 +17,7 @@ tokenizer:
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 
 #: Emoticons recognized as standalone tokens.
 EMOTICONS: frozenset[str] = frozenset(
@@ -77,3 +78,9 @@ def content_tokens(text: str) -> list[str]:
         for token in tokenize(text, keep_emoticons=False)
         if token not in STOPWORDS and len(token) > 1
     ]
+
+
+def token_docs(texts: Iterable[str]) -> list[tuple[str, ...]]:
+    """Each text's :func:`content_tokens` as a tuple: the documents the
+    token-taking cores (``extract_tokens``, ``rank_tokens``) read."""
+    return [tuple(content_tokens(text)) for text in texts]

@@ -10,10 +10,12 @@ whole event or for one selected peak (the timeline-as-filter drill-down).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.engine.session import TweeQL
 from repro.fidelity.coverage import CoverageEstimate
+from repro.nlp.tokenize import content_tokens
 from repro.storage.tweetlog import MemoryTweetLog
 from repro.twitinfo.dashboard import Dashboard
 from repro.twitinfo.event import EventDefinition, PeakAnnotation
@@ -21,7 +23,7 @@ from repro.twitinfo.labels import PeakLabeler
 from repro.twitinfo.links import LinkAggregator
 from repro.twitinfo.mapview import MapMarker, MapView
 from repro.twitinfo.peaks import Peak, PeakDetector, PeakDetectorParams
-from repro.twitinfo.relevance import RelevantTweet, relevant_tweets
+from repro.twitinfo.relevance import RelevantTweet, relevant_from_tokens
 from repro.twitinfo.sentiment_view import SentimentSummary
 from repro.twitinfo.timeline import Timeline
 from repro.twitter.models import Tweet
@@ -93,6 +95,13 @@ class TrackedEvent:
         self.timeline = Timeline(bin_seconds=definition.bin_seconds)
         self.labeler = PeakLabeler(definition)
         self.sentiments: dict[int, int] = {}  # tweet_id → label
+        #: tweet_id → the tweet's content tokens, filled once in
+        #: :meth:`ingest`; peak labels, Relevant Tweets and the fidelity
+        #: digest read these instead of tokenizing the log again. Equal
+        #: tuples are one object (``_interned``), so the cache costs one
+        #: tuple per distinct text.
+        self.tokens: dict[int, tuple[str, ...]] = {}
+        self._interned: dict[tuple[str, ...], tuple[str, ...]] = {}
         self.links = LinkAggregator()
         self.map = MapView()
         self.detector = PeakDetector(
@@ -112,7 +121,10 @@ class TrackedEvent:
         """Process one matching tweet through every panel."""
         self.log.append(tweet)
         self.timeline.add(tweet.created_at)
-        self.labeler.observe(tweet.text)
+        tokens = tuple(content_tokens(tweet.text))
+        tokens = self._interned.setdefault(tokens, tokens)
+        self.tokens[tweet.tweet_id] = tokens
+        self.labeler.observe_tokens(tokens)
         self.sentiments[tweet.tweet_id] = sentiment
         assert tweet.entities is not None
         for url in tweet.entities.urls:
@@ -138,8 +150,6 @@ class TrackedEvent:
         detector state advances as stream time does, and a peak becomes
         visible (flag + key terms) as soon as its window ends.
         """
-        import math
-
         bin_seconds = self.definition.bin_seconds
         if math.isinf(upto_time):
             last_full = max(self.timeline._counts, default=0)
@@ -160,12 +170,19 @@ class TrackedEvent:
         self._fed_to_index = max(self._fed_to_index, last_full)
         for peak in self.detector.peaks:
             if peak.closed and peak.label not in self._annotated_labels:
-                texts = [t.text for t in self.log.scan(peak.start, peak.end)]
-                annotation = self.labeler.annotate(peak, texts)
+                annotation = self._annotate(peak)
                 self._annotated_labels.add(peak.label)
                 self.peaks.append(annotation)
                 newly_closed.append(annotation)
         return newly_closed
+
+    def _annotate(self, peak: Peak) -> PeakAnnotation:
+        """Label a peak from the cached tokens of the tweets in its window."""
+        tokens = self.tokens
+        return self.labeler.annotate_tokens(
+            peak,
+            [tokens[t.tweet_id] for t in self.log.scan(peak.start, peak.end)],
+        )
 
     def finish_live(self) -> list[PeakAnnotation]:
         """Close out the live detector at end of stream."""
@@ -185,10 +202,7 @@ class TrackedEvent:
         )
         raw = detector.run(self.timeline.bins())
         self._raw_peaks = raw
-        annotated = []
-        for peak in raw:
-            texts = [t.text for t in self.log.scan(peak.start, peak.end)]
-            annotated.append(self.labeler.annotate(peak, texts))
+        annotated = [self._annotate(peak) for peak in raw]
         self.peaks = annotated
         self._annotated_labels = {p.label for p in annotated}
         return annotated
@@ -211,10 +225,13 @@ class TrackedEvent:
     ) -> list[RelevantTweet]:
         """The Relevant Tweets panel for a timeframe."""
         tweets = list(self.log.scan(start, end))
-        labels = [self.sentiments[t.tweet_id] for t in tweets]
         keywords = tuple(self.definition.keywords) + extra_terms
-        return relevant_tweets(
-            tweets, keywords, labels, extractor=self.labeler.extractor,
+        return relevant_from_tokens(
+            tweets,
+            [self.tokens[t.tweet_id] for t in tweets],
+            keywords,
+            [self.sentiments[t.tweet_id] for t in tweets],
+            extractor=self.labeler.extractor,
             limit=limit,
         )
 

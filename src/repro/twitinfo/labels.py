@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from repro.nlp.keywords import KeywordExtractor, ScoredTerm
+from repro.nlp.tokenize import token_docs
 from repro.twitinfo.event import EventDefinition, PeakAnnotation
 from repro.twitinfo.peaks import Peak
 
@@ -26,7 +27,10 @@ class PeakLabeler:
     """Maintains the event's background model and labels peaks.
 
     Feed every event tweet through :meth:`observe`; call :meth:`annotate`
-    with a peak and the texts inside its window.
+    with a peak and the texts inside its window. The ``*_tokens`` methods
+    take each tweet's content tokens instead of its text (what
+    :class:`~repro.twitinfo.app.TrackedEvent` caches); the text-taking
+    ones tokenize and call them.
     """
 
     def __init__(self, event: EventDefinition, terms_per_peak: int = 5) -> None:
@@ -44,13 +48,23 @@ class PeakLabeler:
         """Add one event tweet to the background model."""
         self._extractor.observe(text)
 
+    def observe_tokens(self, tokens: Iterable[str]) -> None:
+        """Add one event tweet, given as its content tokens."""
+        self._extractor.observe_tokens(tokens)
+
     def observe_all(self, texts: Iterable[str]) -> None:
         self._extractor.observe_all(texts)
 
     def key_terms(self, texts: Sequence[str]) -> list[ScoredTerm]:
         """Top TF-IDF terms for a window, minus the tracked keywords."""
-        scored = self._extractor.extract(
-            texts, k=self._terms_per_peak + len(self._suppressed)
+        return self.key_terms_tokens(token_docs(texts))
+
+    def key_terms_tokens(
+        self, docs: Iterable[Iterable[str]]
+    ) -> list[ScoredTerm]:
+        """:meth:`key_terms` over already-tokenized window tweets."""
+        scored = self._extractor.extract_tokens(
+            docs, k=self._terms_per_peak + len(self._suppressed)
         )
         filtered = [
             term for term in scored if term.term not in self._suppressed
@@ -59,7 +73,13 @@ class PeakLabeler:
 
     def annotate(self, peak: Peak, texts: Sequence[str]) -> PeakAnnotation:
         """Build the flagged, labeled peak for the interface."""
-        terms = tuple(term.term for term in self.key_terms(texts))
+        return self.annotate_tokens(peak, token_docs(texts))
+
+    def annotate_tokens(
+        self, peak: Peak, docs: Iterable[Iterable[str]]
+    ) -> PeakAnnotation:
+        """:meth:`annotate` over already-tokenized window tweets."""
+        terms = tuple(term.term for term in self.key_terms_tokens(docs))
         return PeakAnnotation(
             label=peak.label,
             start=peak.start,

@@ -9,12 +9,17 @@ their detected sentiment is positive, negative, or neutral."
 
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.nlp.keywords import KeywordExtractor
-from repro.nlp.similarity import rank_by_similarity
+from repro.nlp.similarity import rank_tokens
+from repro.nlp.tokenize import token_docs
 from repro.twitter.models import Tweet
+
+_URL_RE = re.compile(r"https?://\S+")
+_RETWEET_PREFIX_RE = re.compile(r"^rt @\w+:\s*")
 
 
 @dataclass(frozen=True)
@@ -51,26 +56,37 @@ def relevant_tweets(
         extractor: background model for TF-IDF weighting (the labeler's).
         limit: panel size.
     """
-    if len(tweets) != len(sentiments):
-        raise ValueError("tweets and sentiments must align")
-    sentiment_of = {id(tweet): label for tweet, label in zip(tweets, sentiments)}
-    ranked = rank_by_similarity(
+    return relevant_from_tokens(
         tweets,
-        keywords,
-        text_of=lambda tweet: tweet.text,
-        extractor=extractor,
+        token_docs(tweet.text for tweet in tweets),
+        keywords, sentiments, extractor, limit,
     )
+
+
+def relevant_from_tokens(
+    tweets: Sequence[Tweet],
+    docs: Sequence[tuple[str, ...]],
+    keywords: Sequence[str],
+    sentiments: Sequence[int],
+    extractor: KeywordExtractor | None = None,
+    limit: int = 10,
+) -> list[RelevantTweet]:
+    """:func:`relevant_tweets` given each tweet's content tokens (``docs``
+    aligned with ``tweets``), so a caller that cached them does not
+    tokenize again."""
+    if not len(tweets) == len(docs) == len(sentiments):
+        raise ValueError("tweets, docs and sentiments must align")
+    order, scores = rank_tokens(docs, keywords, extractor)
     # Deduplicate near-identical texts (Twitter is full of retweets; a
     # panel of ten copies of one tweet is useless). URLs are stripped from
     # the dedup key: the same reaction with ten different shortened links
     # is still one reaction.
-    import re
-
     panel: list[RelevantTweet] = []
     seen_texts: set[str] = set()
-    for tweet, similarity in ranked:
-        stripped = re.sub(r"https?://\S+", "", tweet.text.lower())
-        stripped = re.sub(r"^rt @\w+:\s*", "", stripped)
+    for index in order:
+        tweet = tweets[index]
+        stripped = _URL_RE.sub("", tweet.text.lower())
+        stripped = _RETWEET_PREFIX_RE.sub("", stripped)
         normalized = " ".join(stripped.split())
         if normalized in seen_texts:
             continue
@@ -78,8 +94,8 @@ def relevant_tweets(
         panel.append(
             RelevantTweet(
                 tweet=tweet,
-                similarity=round(similarity, 6),
-                sentiment=sentiment_of[id(tweet)],
+                similarity=round(scores[index], 6),
+                sentiment=sentiments[index],
             )
         )
         if len(panel) >= limit:

@@ -1,5 +1,7 @@
 """Sentiment classifier: training, inference, accuracy on ground truth."""
 
+import math
+
 import pytest
 
 from repro.nlp.corpus import (
@@ -98,3 +100,50 @@ def test_unseen_tokens_are_neutral_signal(classifier):
     odds_empty = classifier.log_odds("")
     odds_unseen = classifier.log_odds("zzz qqq xxyyzz")
     assert odds_empty == pytest.approx(odds_unseen)
+
+
+def three_lookup_log_odds(model: dict, tokens: list[str]) -> float:
+    """``log_odds`` as it stood before the per-token table: a vocabulary
+    test and two likelihood lookups per token, over ``to_dict()`` state."""
+    vocabulary = set(model["vocabulary"])
+    positive, negative = model["log_likelihood"]["1"], model["log_likelihood"]["-1"]
+    score = model["log_prior"]["1"] - model["log_prior"]["-1"]
+    for token in tokens:
+        if token not in vocabulary:
+            continue
+        positive_ll = positive.get(token, model["default_ll"]["1"])
+        negative_ll = negative.get(token, model["default_ll"]["-1"])
+        score += positive_ll - negative_ll
+    return score
+
+
+@pytest.mark.parametrize("ngram", [1, 2])
+def test_log_odds_bit_equal_to_three_lookup_loop(ngram):
+    trained = SentimentClassifier(ngram=ngram)
+    trained.train(training_corpus(size=1500, seed=4))
+    model = trained.to_dict()
+    for candidate in (trained, SentimentClassifier.from_dict(model)):
+        assert candidate.to_dict() == model
+        for example in heldout_corpus(size=400, seed=4):
+            assert candidate.log_odds(example.text) == three_lookup_log_odds(
+                model, candidate._features(example.text)
+            )
+
+
+def test_emoticon_rule_matches_substring_scan():
+    from repro.nlp.tokenize import NEGATIVE_EMOTICONS, POSITIVE_EMOTICONS
+
+    classifier = train_default_classifier(corpus_size=3000, seed=4)
+    texts = [e.text for e in heldout_corpus(size=400, seed=4)]
+    texts += ["both :) and :(", "D: oh", "<3<3", "=(", ":'(", "a:Db", ""]
+    for text in texts:
+        has_positive = any(e in text for e in POSITIVE_EMOTICONS)
+        has_negative = any(e in text for e in NEGATIVE_EMOTICONS)
+        if has_positive != has_negative:
+            expected = 1 if has_positive else -1
+            assert classifier.classify(text) == expected
+            assert classifier.score(text) == float(expected)
+        else:  # none, or both: the rule abstains and log-odds decide
+            assert classifier.score(text) == math.tanh(
+                classifier.log_odds(text) / 4.0
+            )

@@ -1,0 +1,157 @@
+"""The per-event token cache: every panel that needs a tweet's content
+tokens reads ``TrackedEvent.tokens``; results are exactly what
+tokenizing the text again at each use gave."""
+
+import importlib
+import re
+from collections import Counter
+
+import pytest
+
+from repro import TweeQL
+from repro.nlp.keywords import KeywordExtractor
+from repro.nlp.similarity import cosine_similarity
+from repro.nlp.tokenize import content_tokens
+from repro.twitinfo import TwitInfoApp
+from repro.twitinfo.app import TrackedEvent
+from repro.twitinfo.event import EventDefinition
+from repro.twitter.models import Tweet, User
+
+
+def oracle(event, start=None, end=None, extra_terms=()):
+    """Panel entries and peak terms by the text-path formulas as they stood
+    before the token cache: tokenize the tweet text at every use."""
+    background = KeywordExtractor()
+    background.observe_all(t.text for t in event.log.scan())
+    idf = background.idf
+
+    def vector(tokens):
+        return {t: c * idf(t) for t, c in Counter(tokens).items()}
+
+    keywords = tuple(event.definition.keywords) + tuple(extra_terms)
+    query = vector([t for k in keywords for t in content_tokens(k)])
+    scored = [(cosine_similarity(vector(content_tokens(t.text)), query), t)
+              for t in event.log.scan(start, end)]
+    scored.sort(key=lambda pair: -pair[0])
+    panel, seen = [], set()
+    for similarity, tweet in scored:
+        key = re.sub(r"https?://\S+", "", tweet.text.lower())
+        key = " ".join(re.sub(r"^rt @\w+:\s*", "", key).split())
+        if key not in seen and len(panel) < 10:
+            seen.add(key)
+            panel.append((tweet.text, tweet.created_at, round(similarity, 6),
+                          event.sentiments[tweet.tweet_id]))
+    suppressed = {k.lower() for k in event.definition.keywords}
+    terms = {}
+    for peak in event.peaks:
+        tf = Counter(term for tweet in event.log.scan(peak.start, peak.end)
+                     for term in set(content_tokens(tweet.text)))
+        ranked = sorted((-f * idf(t), t) for t, f in tf.items() if f >= 2)
+        top = [t for _score, t in ranked[: 5 + len(suppressed)]]
+        terms[peak.label] = tuple(t for t in top if t not in suppressed)[:5]
+    return panel, terms
+
+
+def panel_of(dashboard_json):
+    return [
+        (e["text"], e["created_at"], e["similarity"], e["sentiment"])
+        for e in dashboard_json["relevant_tweets"]
+    ]
+
+
+@pytest.fixture(scope="module")
+def tracked(soccer):
+    session = TweeQL.for_scenarios(soccer, seed=11)
+    app = TwitInfoApp(session)
+    event = app.track(
+        "Soccer", soccer.keywords, start=soccer.start, end=soccer.end
+    )
+    return app, event
+
+
+def test_dashboard_and_peak_terms_equal_the_text_path(tracked):
+    app, event = tracked
+    panel, terms = oracle(event, event.definition.start, event.definition.end)
+    board = app.dashboard(event).to_json()
+    assert panel_of(board) == panel
+    assert event.peaks
+    assert {p.label: p.terms for p in event.peaks} == terms
+    assert [tuple(p["terms"]) for p in board["peaks"]] == list(terms.values())
+    for peak in event.peaks:
+        drilled = app.dashboard(event, peak.label).to_json()
+        expected, _terms = oracle(event, peak.start, peak.end, peak.terms)
+        assert panel_of(drilled) == expected
+
+
+def tweet_at(tweet_id, created_at, text):
+    return Tweet(
+        tweet_id=tweet_id, created_at=created_at,
+        user=User(user_id=tweet_id, screen_name=f"u{tweet_id}"), text=text,
+    )
+
+
+def test_ties_go_to_log_order_even_when_ingested_out_of_order():
+    event = TrackedEvent(EventDefinition(name="tie", keywords=("goal",)))
+    tweets = [
+        tweet_at(1, 10.0, "goal tevez alpha"),
+        tweet_at(2, 20.0, "goal tevez bravo"),
+        tweet_at(3, 30.0, "goal tevez charlie"),
+        tweet_at(4, 40.0, "nothing relevant here"),
+    ]
+    for tweet in reversed(tweets):  # the MemoryTweetLog bisect-insert case
+        event.ingest(tweet, 0)
+    assert set(event.tokens) == {1, 2, 3, 4}
+    assert event.tokens[2] == ("goal", "tevez", "bravo")
+    panel = event.relevant()
+    assert [entry.tweet.tweet_id for entry in panel] == [1, 2, 3, 4]
+    assert len({entry.similarity for entry in panel[:3]}) == 1
+    expected, _terms = oracle(event)
+    assert [
+        (e.tweet.text, e.tweet.created_at, e.similarity, e.sentiment)
+        for e in panel
+    ] == expected
+
+
+def test_equal_token_tuples_are_one_object():
+    event = TrackedEvent(EventDefinition(name="dup", keywords=("goal",)))
+    event.ingest(tweet_at(1, 1.0, "Goal by Tevez!"), 0)
+    event.ingest(tweet_at(2, 2.0, "goal by tevez"), 0)
+    assert event.tokens[1] is event.tokens[2]
+
+
+def test_each_event_tweet_is_tokenized_once(soccer, monkeypatch, tmp_path):
+    """track + detect_peaks + dashboard + a peak drill-down, then
+    save/load + dashboard: one ``tokenize`` call per event tweet outside
+    the classifier (which binds its own reference to ``tokenize``)."""
+    # ``repro.nlp.tokenize`` the attribute is the re-exported function.
+    module = importlib.import_module("repro.nlp.tokenize")
+    real = module.tokenize
+    calls = Counter()
+
+    def counting(text, keep_emoticons=True):
+        calls[text] += 1
+        return real(text, keep_emoticons)
+
+    monkeypatch.setattr(module, "tokenize", counting)
+
+    def assert_tokenized_once(event):
+        assert len(event.tokens) == len(event.log) > 1000
+        texts = Counter(t.text for t in event.log.scan())
+        assert {text: calls[text] for text in texts} == texts
+
+    app = TwitInfoApp(TweeQL.for_scenarios(soccer, seed=11))
+    event = app.track(
+        "Soccer", soccer.keywords, start=soccer.start, end=soccer.end
+    )
+    event.detect_peaks()
+    app.dashboard(event)
+    app.dashboard(event, event.peaks[0].label)
+    assert_tokenized_once(event)
+
+    path = str(tmp_path / "event.db")
+    app.save_event(event, path)
+    calls.clear()
+    loaded = app.load_event(path)
+    app.dashboard(loaded)
+    assert_tokenized_once(loaded)
+    assert loaded.tokens == event.tokens
