@@ -91,6 +91,44 @@ def test_relevant_reads_the_token_cache(tracked):
     assert from_texts >= 2.0 * cached
 
 
+def test_one_tokenization_per_event_tweet(tracked):
+    """Gate: ``classify_and_ingest`` (one tokenization shared by the
+    classifier and the panels) is >= 1.2x faster per tweet than
+    ``ingest(tweet, classify(tweet.text))`` (two) over the event's tweets.
+    Same run, same tokenizer on both sides, min of 3."""
+    session, app, event, soccer = tracked
+    tweets = list(event.log.scan())
+    classifier = session.classifier
+
+    def best_of_3(feed):
+        times = []
+        for _ in range(3):
+            fresh = app.create_event(
+                "Soccer", soccer.keywords, start=soccer.start, end=soccer.end
+            )
+            start = time.perf_counter()
+            for tweet in tweets:
+                feed(fresh, tweet)
+            times.append(time.perf_counter() - start)
+        assert fresh.tokens == event.tokens
+        assert fresh.sentiments == event.sentiments
+        return min(times)
+
+    two_calls = best_of_3(lambda e, t: e.ingest(t, classifier.classify(t.text)))
+    one_call = best_of_3(lambda e, t: e.classify_and_ingest(t, classifier))
+    per_tweet = 1e6 / len(tweets)
+    print_table(
+        f"E7 classify + ingest over {len(tweets)} event tweets",
+        ["path", "us/tweet", "speedup"],
+        [
+            ("ingest(tweet, classify(text))", f"{two_calls * per_tweet:.2f}", "1.0x"),
+            ("classify_and_ingest(tweet, classifier)",
+             f"{one_call * per_tweet:.2f}", f"{two_calls / one_call:.2f}x"),
+        ],
+    )
+    assert two_calls >= 1.2 * one_call
+
+
 def test_sentiment_pie_tracks_truth(benchmark, tracked):
     session, _app, event, _soccer = tracked
     summary = benchmark.pedantic(event.sentiment_summary, rounds=3, iterations=1)

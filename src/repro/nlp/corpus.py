@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from repro import rng as rng_mod
-from repro.nlp.tokenize import EMOTICONS
+from repro.nlp.tokenize import _EMOTICON_RE
 from repro.twitter import text as text_mod
 from repro.twitter import vocabulary as V
 
@@ -99,7 +99,10 @@ def test_corpus(
 
 
 def strip_emoticons(text: str) -> str:
-    """Remove every known emoticon from ``text`` (training-feature hygiene)."""
-    for emoticon in EMOTICONS:
-        text = text.replace(emoticon, " ")
-    return text
+    """Remove every known emoticon from ``text`` (training-feature hygiene).
+
+    Leftmost match first, longest emoticon first where two start at the
+    same character — the order ``tokenize`` uses, and one that does not
+    depend on the iteration order of the ``EMOTICONS`` set.
+    """
+    return _EMOTICON_RE.sub(" ", text)

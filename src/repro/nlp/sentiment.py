@@ -22,11 +22,7 @@ import re
 from collections import Counter
 from collections.abc import Sequence
 
-from repro.nlp.corpus import (
-    LabeledTweet,
-    strip_emoticons,
-    training_corpus,
-)
+from repro.nlp.corpus import LabeledTweet, training_corpus
 from repro.nlp.tokenize import (
     NEGATIVE_EMOTICONS,
     POSITIVE_EMOTICONS,
@@ -86,15 +82,23 @@ class SentimentClassifier:
 
     # -- training -------------------------------------------------------------
 
-    def _features(self, text: str) -> list[str]:
-        """Tokens (and bigrams when ``ngram=2``) with emoticons stripped."""
-        tokens = tokenize(strip_emoticons(text), keep_emoticons=False)
+    def _ngrams(self, tokens: list[str]) -> list[str]:
+        """``tokens``, plus their adjacent bigrams when ``ngram=2``."""
         if self._ngram == 1:
             return tokens
-        bigrams = [
-            f"{a}_{b}" for a, b in zip(tokens, tokens[1:])
-        ]
-        return tokens + bigrams
+        return tokens + [f"{a}_{b}" for a, b in zip(tokens, tokens[1:])]
+
+    def _features(self, text: str) -> list[str]:
+        """The features of ``text``: its emoticon-free tokens (and their
+        bigrams when ``ngram=2``).
+
+        The features are whatever ``tokenize(text, keep_emoticons=False)``
+        says — the list the TwitInfo panels are built from too. The
+        tokenizer removes URLs before emoticons, so an emoticon inside a
+        URL (``"see http://t.co/a:)b now"``) goes with the URL and leaves
+        no stray ``b`` behind.
+        """
+        return self._ngrams(tokenize(text, keep_emoticons=False))
 
     def train(self, examples: Sequence[LabeledTweet]) -> None:
         """Fit on emoticon-labeled examples (labels must be +1/-1)."""
@@ -148,35 +152,46 @@ class SentimentClassifier:
 
     # -- inference ------------------------------------------------------------
 
-    def log_odds(self, text: str) -> float:
-        """log P(positive | text) − log P(negative | text) (NB estimate)."""
+    def log_odds_tokens(self, tokens: list[str]) -> float:
+        """:meth:`log_odds` of a text whose
+        ``tokenize(text, keep_emoticons=False)`` is ``tokens``."""
         if not self._trained:
             raise RuntimeError("classifier is not trained; call train() first")
         token_log_odds = self._token_log_odds
         score = self._log_prior[POSITIVE] - self._log_prior[NEGATIVE]
         # An explicit left-to-right loop: ``sum()`` compensates on
         # Python >= 3.12 and would change the floats.
-        for token in self._features(text):
+        for token in self._ngrams(tokens):
             delta = token_log_odds.get(token)
             if delta is not None:  # unseen tokens carry no signal either way
                 score += delta
         return score
 
-    def classify(self, text: str) -> int:
-        """Label a tweet: +1 / -1 / 0.
+    def log_odds(self, text: str) -> float:
+        """log P(positive | text) − log P(negative | text) (NB estimate)."""
+        return self.log_odds_tokens(tokenize(text, keep_emoticons=False))
 
-        The emoticon rule fires first: an unambiguous emoticon decides the
-        label outright. Otherwise NB log-odds with the neutral band.
-        """
-        label = _emoticon_label(text)
-        if label:
-            return label
-        odds = self.log_odds(text)
+    def _band(self, odds: float) -> int:
+        """The neutral band: log-odds → +1 / -1 / 0."""
         if odds > self.neutral_band:
             return POSITIVE
         if odds < -self.neutral_band:
             return NEGATIVE
         return NEUTRAL
+
+    def classify(self, text: str) -> int:
+        """Label a tweet: +1 / -1 / 0.
+
+        The emoticon rule fires first: an unambiguous emoticon decides the
+        label outright (and the text is never tokenized). Otherwise NB
+        log-odds with the neutral band.
+        """
+        return _emoticon_label(text) or self._band(self.log_odds(text))
+
+    def classify_tokens(self, text: str, tokens: list[str]) -> int:
+        """:meth:`classify` for a caller that already holds
+        ``tokenize(text, keep_emoticons=False)`` as ``tokens``."""
+        return _emoticon_label(text) or self._band(self.log_odds_tokens(tokens))
 
     def score(self, text: str) -> float:
         """Signed confidence squashed to [-1, 1] (0 ≈ neutral)."""

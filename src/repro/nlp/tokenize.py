@@ -12,6 +12,25 @@ tokenizer:
 - keeps hyphenated number patterns (``3-0``) intact — TwitInfo's peak
   labels depend on them,
 - splits the rest on non-word characters.
+
+Most tweets carry none of the special shapes, so each regex pass runs
+only behind a test that is necessary for it to match — the output is
+what running every pass unconditionally gives
+(``tests/nlp/test_tokenize_oracle.py`` holds that form as the oracle):
+
+- URL removal only when ``"http" in text``: the pattern starts with the
+  literal ``http``.
+- mention removal only when ``"@" in text``: the pattern starts with ``@``.
+- emoticon collection and removal only when the emoticon pattern matches
+  the raw text. Removing URLs and mentions only ever inserts spaces, and
+  no emoticon contains one, so an emoticon present after those passes was
+  present before them.
+- score collection only when ``"-"`` is in the lowered text, and score
+  removal only when a score was collected: the pattern contains a literal
+  ``-``.
+- ``#`` is left in place: the score pattern (word boundaries, digits, a
+  hyphen) and the word pattern (``[a-z0-9']``) treat it as one more
+  non-word character, exactly like the space it used to be replaced with.
 """
 
 from __future__ import annotations
@@ -60,24 +79,34 @@ def tokenize(text: str, keep_emoticons: bool = True) -> list[str]:
             strips them from *training* features because they are the
             distant-supervision labels).
     """
-    emoticons = _EMOTICON_RE.findall(text) if keep_emoticons else []
-    stripped = _URL_RE.sub(" ", text)
-    stripped = _MENTION_RE.sub(" ", stripped)
-    stripped = _EMOTICON_RE.sub(" ", stripped)
-    lowered = stripped.lower().replace("#", " ")
-    scores = _SCORE_RE.findall(lowered)
-    without_scores = _SCORE_RE.sub(" ", lowered)
-    words = _WORD_RE.findall(without_scores)
-    return words + scores + emoticons
+    has_emoticon = _EMOTICON_RE.search(text) is not None
+    emoticons = _EMOTICON_RE.findall(text) if keep_emoticons and has_emoticon else ()
+    if "http" in text:
+        text = _URL_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
+    if has_emoticon:
+        text = _EMOTICON_RE.sub(" ", text)
+    lowered = text.lower()
+    scores = _SCORE_RE.findall(lowered) if "-" in lowered else ()
+    if scores:
+        lowered = _SCORE_RE.sub(" ", lowered)
+    tokens = _WORD_RE.findall(lowered)
+    tokens += scores
+    tokens += emoticons
+    return tokens
+
+
+def content_filter(tokens: Iterable[str]) -> list[str]:
+    """``tokens`` minus stopwords and one-character tokens."""
+    return [
+        token for token in tokens if token not in STOPWORDS and len(token) > 1
+    ]
 
 
 def content_tokens(text: str) -> list[str]:
     """Tokens with stopwords and emoticons removed — the keyword features."""
-    return [
-        token
-        for token in tokenize(text, keep_emoticons=False)
-        if token not in STOPWORDS and len(token) > 1
-    ]
+    return content_filter(tokenize(text, keep_emoticons=False))
 
 
 def token_docs(texts: Iterable[str]) -> list[tuple[str, ...]]:

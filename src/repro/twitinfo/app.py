@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from repro.engine.session import TweeQL
 from repro.fidelity.coverage import CoverageEstimate
-from repro.nlp.tokenize import content_tokens
+from repro.nlp.sentiment import SentimentClassifier
+from repro.nlp.tokenize import content_filter, tokenize
 from repro.storage.tweetlog import MemoryTweetLog
 from repro.twitinfo.dashboard import Dashboard
 from repro.twitinfo.event import EventDefinition, PeakAnnotation
@@ -95,8 +96,8 @@ class TrackedEvent:
         self.timeline = Timeline(bin_seconds=definition.bin_seconds)
         self.labeler = PeakLabeler(definition)
         self.sentiments: dict[int, int] = {}  # tweet_id → label
-        #: tweet_id → the tweet's content tokens, filled once in
-        #: :meth:`ingest`; peak labels, Relevant Tweets and the fidelity
+        #: tweet_id → the tweet's content tokens, filled once as the tweet
+        #: is ingested; peak labels, Relevant Tweets and the fidelity
         #: digest read these instead of tokenizing the log again. Equal
         #: tuples are one object (``_interned``), so the cache costs one
         #: tuple per distinct text.
@@ -118,10 +119,26 @@ class TrackedEvent:
         self._annotated_labels: set[str] = set()
 
     def ingest(self, tweet: Tweet, sentiment: int) -> None:
-        """Process one matching tweet through every panel."""
+        """Process one matching tweet, already labeled ``sentiment``,
+        through every panel."""
+        self._ingest(
+            tweet, sentiment, tokenize(tweet.text, keep_emoticons=False)
+        )
+
+    def classify_and_ingest(
+        self, tweet: Tweet, classifier: SentimentClassifier
+    ) -> None:
+        """Label one matching tweet with ``classifier`` and process it
+        through every panel, tokenizing its text once for both."""
+        raw = tokenize(tweet.text, keep_emoticons=False)
+        self._ingest(tweet, classifier.classify_tokens(tweet.text, raw), raw)
+
+    def _ingest(self, tweet: Tweet, sentiment: int, raw: list[str]) -> None:
+        """The panel updates; ``raw`` is the tweet's emoticon-free token
+        list, of which the panels keep the content tokens."""
         self.log.append(tweet)
         self.timeline.add(tweet.created_at)
-        tokens = tuple(content_tokens(tweet.text))
+        tokens = tuple(content_filter(raw))
         tokens = self._interned.setdefault(tokens, tokens)
         self.tokens[tweet.tweet_id] = tokens
         self.labeler.observe_tokens(tokens)
@@ -320,13 +337,13 @@ class TwitInfoApp:
         """
         if shared is None:
             shared = getattr(self.session.config, "shared_scan", False)
-        classify = self.session.classifier.classify
+        classifier = self.session.classifier
 
         def ingest(tracked: TrackedEvent, handle) -> None:
             count = 0
             for row in handle:
                 tweet: Tweet = row["__tweet__"]
-                tracked.ingest(tweet, classify(tweet.text))
+                tracked.classify_and_ingest(tweet, classifier)
                 count += 1
                 if limit is not None and count >= limit:
                     break
@@ -451,13 +468,13 @@ class TwitInfoApp:
         still running — §3.2's realtime monitoring). A final snapshot
         flushes the detector at end of stream.
         """
-        classify = self.session.classifier.classify
+        classifier = self.session.classifier
         handle = self.session.query(tracked.definition.to_tweeql())
         seen = 0
         try:
             for row in handle:
                 tweet: Tweet = row["__tweet__"]
-                tracked.ingest(tweet, classify(tweet.text))
+                tracked.classify_and_ingest(tweet, classifier)
                 seen += 1
                 if seen % snapshot_every == 0:
                     new_peaks = tracked.feed_closed_bins(tweet.created_at)
@@ -511,7 +528,7 @@ class TwitInfoApp:
         """
         from repro.storage.tweetlog import SqliteTweetLog
 
-        classify = self.session.classifier.classify
+        classifier = self.session.classifier
         with SqliteTweetLog(path) as db:
             meta = db.get_meta("event")
             if meta is None:
@@ -525,7 +542,7 @@ class TwitInfoApp:
             )
             tracked = TrackedEvent(definition)
             for tweet in db.scan():
-                tracked.ingest(tweet, classify(tweet.text))
+                tracked.classify_and_ingest(tweet, classifier)
         tracked.detect_peaks()
         self.events[definition.name] = tracked
         return tracked

@@ -337,9 +337,19 @@ class StreamingAPI:
             )
         if track:
             keywords = tuple(track)
+            # ``Tweet.matches_any_keyword`` with the keywords folded once
+            # per connection instead of once per tweet.
+            folded = tuple(k.casefold() for k in keywords)
+
+            def matches_track(tweet: Tweet) -> bool:
+                text = tweet.text.casefold()
+                for keyword in folded:
+                    if keyword in text:
+                        return True
+                return False
+
             return self._connect(
-                lambda tweet: tweet.matches_any_keyword(keywords),
-                description=f"track={','.join(keywords)}",
+                matches_track, description=f"track={','.join(keywords)}"
             )
         if locations:
             boxes = tuple(locations)

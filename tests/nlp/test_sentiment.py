@@ -1,16 +1,22 @@
 """Sentiment classifier: training, inference, accuracy on ground truth."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.nlp.corpus import (
     LabeledTweet,
     has_emoticon_label,
+    strip_emoticons,
     training_corpus,
 )
 from repro.nlp.corpus import test_corpus as heldout_corpus
 from repro.nlp.sentiment import SentimentClassifier, train_default_classifier
+from repro.nlp.tokenize import tokenize
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +123,15 @@ def three_lookup_log_odds(model: dict, tokens: list[str]) -> float:
     return score
 
 
+def strip_then_tokenize_features(text: str, ngram: int) -> list[str]:
+    """``_features`` as it stood while the classifier tokenized on its own:
+    emoticons replaced first, then the tokenizer."""
+    tokens = tokenize(strip_emoticons(text), keep_emoticons=False)
+    if ngram == 1:
+        return tokens
+    return tokens + [f"{a}_{b}" for a, b in zip(tokens, tokens[1:])]
+
+
 @pytest.mark.parametrize("ngram", [1, 2])
 def test_log_odds_bit_equal_to_three_lookup_loop(ngram):
     trained = SentimentClassifier(ngram=ngram)
@@ -125,9 +140,64 @@ def test_log_odds_bit_equal_to_three_lookup_loop(ngram):
     for candidate in (trained, SentimentClassifier.from_dict(model)):
         assert candidate.to_dict() == model
         for example in heldout_corpus(size=400, seed=4):
-            assert candidate.log_odds(example.text) == three_lookup_log_odds(
-                model, candidate._features(example.text)
+            text = example.text
+            tokens = tokenize(text, keep_emoticons=False)
+            expected = three_lookup_log_odds(
+                model, strip_then_tokenize_features(text, ngram)
             )
+            assert candidate._features(text) == strip_then_tokenize_features(
+                text, ngram
+            )
+            assert candidate.log_odds(text) == expected
+            assert candidate.log_odds_tokens(tokens) == expected
+            assert candidate.classify_tokens(text, tokens) == candidate.classify(text)
+
+
+def test_default_model_is_what_strip_then_tokenize_trained():
+    class StripThenTokenize(SentimentClassifier):
+        def _features(self, text):
+            return strip_then_tokenize_features(text, self._ngram)
+
+    before = StripThenTokenize()
+    before.train(training_corpus(size=4000))
+    assert train_default_classifier().to_dict() == before.to_dict()
+
+
+def test_emoticon_inside_a_url_goes_with_the_url(classifier):
+    """The classifier sees what ``tokenize`` says: the URL pass runs before
+    the emoticon pass, so no stray ``b`` is left of ``http://t.co/a:)b``."""
+    text = "see http://t.co/a:)b now"
+    assert classifier._features(text) == ["see", "now"]
+    assert classifier.log_odds(text) == classifier.log_odds("see now")
+    assert strip_then_tokenize_features(text, 1) == ["see", "b", "now"]
+
+
+OVERLAPPING = {"D:) ok": ["ok"], "x :D: y": ["x", "y"]}
+
+
+def test_overlapping_emoticons_strip_leftmost_longest(classifier):
+    for text, tokens in OVERLAPPING.items():
+        assert tokenize(strip_emoticons(text), keep_emoticons=False) == tokens
+        assert classifier._features(text) == tokens
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_overlapping_emoticons_do_not_depend_on_the_hash_seed(hash_seed):
+    """``strip_emoticons`` used to replace in ``EMOTICONS`` set order, which
+    ``PYTHONHASHSEED`` decides: ``"D:) ok"`` kept a stray ``d`` under some
+    seeds and not others."""
+    script = (
+        "from repro.nlp.corpus import strip_emoticons\n"
+        "from repro.nlp.tokenize import tokenize\n"
+        f"print([tokenize(strip_emoticons(t), False) for t in {list(OVERLAPPING)}])"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, timeout=60,
+        env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == repr(list(OVERLAPPING.values()))
 
 
 def test_emoticon_rule_matches_substring_scan():

@@ -119,27 +119,44 @@ def test_equal_token_tuples_are_one_object():
     assert event.tokens[1] is event.tokens[2]
 
 
-def test_each_event_tweet_is_tokenized_once(soccer, monkeypatch, tmp_path):
-    """track + detect_peaks + dashboard + a peak drill-down, then
-    save/load + dashboard: one ``tokenize`` call per event tweet outside
-    the classifier (which binds its own reference to ``tokenize``)."""
+@pytest.fixture()
+def tokenize_calls(monkeypatch):
+    """text → number of ``tokenize`` calls, counted at every binding the
+    TwitInfo path reaches it through: the tokenizer module's own (under
+    ``content_tokens``), the classifier's and the app's."""
     # ``repro.nlp.tokenize`` the attribute is the re-exported function.
-    module = importlib.import_module("repro.nlp.tokenize")
-    real = module.tokenize
+    real = importlib.import_module("repro.nlp.tokenize").tokenize
     calls = Counter()
 
     def counting(text, keep_emoticons=True):
         calls[text] += 1
         return real(text, keep_emoticons)
 
-    monkeypatch.setattr(module, "tokenize", counting)
+    for name in ("repro.nlp.tokenize", "repro.nlp.sentiment", "repro.twitinfo.app"):
+        monkeypatch.setattr(importlib.import_module(name), "tokenize", counting)
+    return calls
 
-    def assert_tokenized_once(event):
-        assert len(event.tokens) == len(event.log) > 1000
-        texts = Counter(t.text for t in event.log.scan())
+
+def test_each_event_tweet_is_tokenized_once(soccer, tokenize_calls, tmp_path):
+    """track + detect_peaks + dashboard + a peak drill-down, then
+    save/load + dashboard, then monitor and track_many: one ``tokenize``
+    call per event tweet in total, classifier included."""
+    calls = tokenize_calls
+
+    def assert_tokenized_once(*events):
+        texts = Counter()
+        for event in events:
+            assert len(event.tokens) == len(event.log) > 1000
+            texts.update(t.text for t in event.log.scan())
         assert {text: calls[text] for text in texts} == texts
 
-    app = TwitInfoApp(TweeQL.for_scenarios(soccer, seed=11))
+    def fresh_app():
+        calls.clear()
+        # Lossless, so every run path logs the same tweets.
+        session = TweeQL.for_scenarios(soccer, seed=11, delivery_ratio=1.0)
+        return TwitInfoApp(session)
+
+    app = fresh_app()
     event = app.track(
         "Soccer", soccer.keywords, start=soccer.start, end=soccer.end
     )
@@ -155,3 +172,50 @@ def test_each_event_tweet_is_tokenized_once(soccer, monkeypatch, tmp_path):
     app.dashboard(loaded)
     assert_tokenized_once(loaded)
     assert loaded.tokens == event.tokens
+    assert loaded.sentiments == event.sentiments
+
+    app = fresh_app()
+    monitored = app.create_event(
+        "Soccer", soccer.keywords, start=soccer.start, end=soccer.end
+    )
+    assert list(app.monitor(monitored))[-1].final
+    assert_tokenized_once(monitored)
+    assert monitored.tokens == event.tokens
+    assert monitored.sentiments == event.sentiments
+
+    app = fresh_app()
+    together = app.track_many(
+        {"Soccer": soccer.keywords, "Goals": ("goal",)},
+        start=soccer.start, end=soccer.end,
+    )
+    assert_tokenized_once(*together)  # once per event that logged the tweet
+    assert together[0].tokens == event.tokens
+    assert together[0].sentiments == event.sentiments
+
+
+def test_ingest_and_classify_and_ingest_build_the_same_event(soccer):
+    """``ingest(tweet, classify(text))`` — two calls, two tokenizations —
+    and ``classify_and_ingest(tweet, classifier)`` leave identical events."""
+    session = TweeQL.for_scenarios(soccer, seed=11)
+    app = TwitInfoApp(session)
+    classifier = session.classifier
+    matching = [t for t in soccer.tweets if t.matches_any_keyword(soccer.keywords)]
+    assert len(matching) > 1000
+    matching.append(tweet_at(10**12, matching[-1].created_at, "D:) goal http://t.co/a:)b"))
+
+    def build(feed):
+        event = app.create_event(
+            "Soccer", soccer.keywords, start=soccer.start, end=soccer.end
+        )
+        for tweet in matching:
+            feed(event, tweet)
+        event.detect_peaks()
+        return event
+
+    two_calls = build(lambda e, t: e.ingest(t, classifier.classify(t.text)))
+    one_call = build(lambda e, t: e.classify_and_ingest(t, classifier))
+    assert one_call.tokens == two_calls.tokens
+    assert one_call.sentiments == two_calls.sentiments
+    assert one_call.peaks and one_call.peaks == two_calls.peaks
+    assert [p.terms for p in one_call.peaks] == [p.terms for p in two_calls.peaks]
+    assert app.dashboard(one_call).to_json() == app.dashboard(two_calls).to_json()

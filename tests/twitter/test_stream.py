@@ -1,5 +1,7 @@
 """The firehose and streaming API façade."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.clock import VirtualClock
@@ -42,6 +44,28 @@ def test_track_is_or_semantics(api):
     both = list(api.filter(track=("tevez", "silva")))
     only_tevez = list(api.filter(track=("tevez",)))
     assert len(both) > len(only_tevez)
+
+
+@pytest.mark.parametrize(
+    "keywords",
+    [("TEVEZ", "Silva"), ("STRASSE",), ("straße",), ("İstanbul",), ("i̇stanbul", "GOAL")],
+)
+def test_track_delivers_what_matches_any_keyword_accepts(firehose, keywords):
+    """The connection folds the keywords once; the match set is the one
+    ``Tweet.matches_any_keyword`` (which folds per call) defines."""
+    extra = [
+        "Tor in der Straße!", "tor in der strasse", "STRASSENFEST",
+        "İSTANBUL derby", "istanbul derby", "i̇stanbul derby", "nothing here",
+    ]
+    template = firehose.tweets[0]
+    tweets = firehose.tweets + [
+        replace(template, tweet_id=10**9 + i, text=text)
+        for i, text in enumerate(extra)
+    ]
+    api = StreamingAPI(Firehose(tweets), delivery_ratio=1.0)
+    delivered = [t.tweet_id for t in api.filter(track=keywords)]
+    expected = [t.tweet_id for t in tweets if t.matches_any_keyword(keywords)]
+    assert delivered == expected != []
 
 
 def test_locations_filter_requires_geotag(api):
