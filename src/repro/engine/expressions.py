@@ -29,7 +29,7 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.engine.aggregates import AGGREGATE_NAMES
-from repro.engine.functions import FunctionRegistry
+from repro.engine.functions import FunctionRegistry, nullsafe_inner
 from repro.engine.types import ColumnBatch, EvalContext, Row
 from repro.errors import PlanError, UnknownFieldError
 from repro.geo.bbox import BoundingBox, named_box
@@ -433,6 +433,62 @@ def _vec_binary(
     return fn
 
 
+def _vec_call(impl: Callable[..., Any], args: list[_VectorNode]) -> VectorEvaluator:
+    """Map a scalar function over its argument columns, in row order.
+
+    One call per row (none on an empty batch), exactly as the scalar
+    closure makes them. A NULL-propagating builtin runs as its raw
+    function with the NULL test inline — the wrapper is "any argument
+    NULL → NULL, else ``fn(*args)``", so the values are the same and the
+    per-cell wrapper frame, ``any()`` and generator are not paid.
+    """
+    raw = nullsafe_inner(impl)
+
+    if len(args) == 1:
+        (arg,) = args
+
+        def call_unary(batch: ColumnBatch, ctx: EvalContext) -> Any:
+            col = arg.fn(batch, ctx)
+            if isinstance(col, Broadcast):
+                col = itertools.repeat(col.value, batch.length)
+            if raw is not None:
+                return [None if a is None else raw(a) for a in col]
+            return [impl(ctx, a) for a in col]
+
+        return call_unary
+
+    def call(batch: ColumnBatch, ctx: EvalContext) -> Any:
+        n = batch.length
+        cols = [arg.fn(batch, ctx) for arg in args]
+        head = cols[0]
+        if not isinstance(head, Broadcast) and all(
+            isinstance(col, Broadcast) for col in cols[1:]
+        ):
+            # A column, then literals (``round(x, 1)``, ``substr(text, 2,
+            # 3)``): bind the literals once instead of zipping them.
+            tail = [col.value for col in cols[1:]]
+            if raw is None:
+                return [impl(ctx, a, *tail) for a in head]
+            if any(value is None for value in tail):
+                return Broadcast(None)
+            return [None if a is None else raw(a, *tail) for a in head]
+        cells = zip(
+            *(
+                itertools.repeat(col.value, n)
+                if isinstance(col, Broadcast)
+                else col
+                for col in cols
+            )
+        )
+        if raw is None:
+            return [impl(ctx, *row) for row in cells]
+        return [
+            None if any(a is None for a in row) else raw(*row) for row in cells
+        ]
+
+    return call
+
+
 def build_fused_projector(
     pairs: list[tuple[str, str]],
 ) -> Callable[[list], list]:
@@ -467,12 +523,25 @@ def compile_vector_expr(
     The vector form computes ``(batch, ctx) -> list-of-values`` (or a
     :class:`Broadcast` constant) with semantics identical to the scalar
     closure applied row by row: NULL propagation, three-valued AND/OR,
-    TypeError-absorbing comparisons, NULL on division by zero. Anything
-    that needs a row dict or per-row state — UDF calls, select aliases —
-    returns None here; the planner then keeps the scalar path for that
-    expression. Call this only *after* ``compile_expr`` succeeded on the
-    same expression: plan-time validation (unknown fields, bad patterns)
-    is the scalar compiler's job and is not repeated here.
+    TypeError-absorbing comparisons, NULL on division by zero, and the
+    same exceptions (when several rows of a batch would raise, the first
+    in column order surfaces rather than the first in row order).
+
+    A function call vectorizes when its spec is neither ``stateful`` nor
+    ``high_latency``, it has at least one argument and every argument
+    has a vector form: the argument columns are evaluated once per batch
+    and the implementation mapped over them in row order. Returns None —
+    the planner then keeps the scalar path for that expression — for
+    anything that needs a row dict or whose call order is observable:
+    stateful call sites (per-row state), high-latency calls (their
+    virtual-clock stalls and cache TTLs depend on when each call runs),
+    zero-argument calls (``now()`` is pinned to one row per batch
+    anyway), aggregates, select aliases (scalar closures over the row),
+    and a call under ``AND``/``OR`` (calls can raise, and the scalar
+    form short-circuits). Call this only *after* ``compile_expr``
+    succeeded on the same expression: plan-time validation (unknown
+    fields and functions, bad patterns) is the scalar compiler's job and
+    is not repeated here.
     """
     schema_set = {name.lower() for name in schema}
     alias_names = set(aliases or ())
@@ -573,7 +642,23 @@ def compile_vector_expr(
         if isinstance(node, ast.BinaryOp):
             return compile_binary(node)
 
-        # FuncCall (UDFs, stateful or not), Star, anything new: scalar only.
+        if isinstance(node, ast.FuncCall):
+            if node.name in AGGREGATE_NAMES or not node.args:
+                return None
+            spec = registry.lookup(node.name)
+            if spec.stateful or spec.high_latency:
+                return None
+            args = [compile_node(arg) for arg in node.args]
+            if any(arg is None for arg in args):
+                return None
+            # Any implementation may raise (sqrt of a negative, a user
+            # UDF), so a call never joins a vector AND/OR.
+            return _VectorNode(
+                _vec_call(spec.impl, args),  # type: ignore[arg-type]
+                total=False,
+            )
+
+        # Star, anything new: scalar only.
         return None
 
     def compile_binary(node: ast.BinaryOp) -> _VectorNode | None:

@@ -6,7 +6,10 @@ explicitly — a classification framework (sentiment), web-service UDFs
 (geocoding, OpenCalais entities), and stateful UDFs (TwitInfo's peak
 detector). The registry models all three:
 
-- ``scalar``: pure functions of their arguments,
+- ``scalar``: pure functions of their arguments. The engine calls one once
+  per row per call site, in row order within the site — possibly a whole
+  batch at a time (:func:`~repro.engine.expressions.compile_vector_expr`),
+  so the order of calls *across* call sites is not row-major,
 - ``stateful``: a factory is instantiated per *call site* per query, so the
   UDF can carry running state across tuples (the peak detector),
 - ``high_latency``: the function's cost is a remote round trip; the planner
@@ -20,7 +23,9 @@ NULL (return ``None`` rather than raising).
 
 from __future__ import annotations
 
+import datetime as dt
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
@@ -28,6 +33,7 @@ from typing import Any
 from repro.clock import format_timestamp
 from repro.engine.types import EvalContext
 from repro.errors import UnknownFunctionError
+from repro.geo.gazetteer import default_gazetteer
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,11 @@ class FunctionRegistry:
     ) -> None:
         """Register a function under ``name`` (lowercased).
 
+        Neither ``stateful`` nor ``high_latency`` makes it a *scalar*: it
+        must be a pure function of its arguments, because the engine may
+        call it a batch at a time (see the module docstring). A function
+        that keeps state or whose call order matters must say so.
+
         Re-registering an existing name requires ``replace=True``;
         otherwise a :class:`ValueError` flags the accidental shadowing
         (silently clobbering a builtin like ``sentiment`` turns every
@@ -151,7 +162,19 @@ def _nullsafe(fn: Callable[..., Any]) -> Callable[..., Any]:
             return None
         return fn(*args)
 
+    wrapper.nullsafe_inner = fn  # type: ignore[attr-defined]
     return wrapper
+
+
+def nullsafe_inner(impl: Callable[..., Any]) -> Callable[..., Any] | None:
+    """The context-free function behind a NULL-propagating builtin.
+
+    For an implementation that is exactly "any argument NULL → NULL, else
+    ``fn(*args)``" this is ``fn``, so a whole-column caller can inline
+    the NULL test and skip the wrapper's per-cell frame; None for
+    everything else (user UDFs included, whatever decorators they wear).
+    """
+    return getattr(impl, "nullsafe_inner", None)
 
 
 def _fn_substr(_ctx: EvalContext, text: Any, start: Any, length: Any = None) -> Any:
@@ -225,8 +248,6 @@ def _fn_extract(
     """
     if text is None or pattern is None:
         return None
-    import re
-
     cache = ctx.state.setdefault("__extract_patterns__", {})
     compiled = cache.get(pattern)
     if compiled is None:
@@ -248,29 +269,26 @@ def _fn_place_name(ctx: EvalContext, lat: Any, lon: Any) -> str | None:
     """Reverse geocoding: nearest gazetteer city for a coordinate pair."""
     if lat is None or lon is None:
         return None
-    from repro.geo.gazetteer import default_gazetteer
-
     return default_gazetteer().nearest(float(lat), float(lon)).name
 
 
 # --- tweet helpers ----------------------------------------------------------
 
+_URL_RE = re.compile(r"https?://\S+")
+_HASHTAG_RE = re.compile(r"#(\w+)")
+
 
 def _fn_first_url(_ctx: EvalContext, text: Any) -> str | None:
     if text is None:
         return None
-    import re
-
-    match = re.search(r"https?://\S+", str(text))
+    match = _URL_RE.search(str(text))
     return match.group(0).rstrip(".,;!?)") if match else None
 
 
 def _fn_hashtags(_ctx: EvalContext, text: Any) -> tuple[str, ...] | None:
     if text is None:
         return None
-    import re
-
-    return tuple(m.group(1).lower() for m in re.finditer(r"#(\w+)", str(text)))
+    return tuple(m.group(1).lower() for m in _HASHTAG_RE.finditer(str(text)))
 
 
 def _fn_point(_ctx: EvalContext, lat: Any, lon: Any) -> tuple[float, float] | None:
@@ -285,24 +303,18 @@ def _fn_point(_ctx: EvalContext, lat: Any, lon: Any) -> tuple[float, float] | No
 def _fn_hour(_ctx: EvalContext, timestamp: Any) -> int | None:
     if timestamp is None:
         return None
-    import datetime as dt
-
     return dt.datetime.fromtimestamp(float(timestamp), tz=dt.timezone.utc).hour
 
 
 def _fn_minute(_ctx: EvalContext, timestamp: Any) -> int | None:
     if timestamp is None:
         return None
-    import datetime as dt
-
     return dt.datetime.fromtimestamp(float(timestamp), tz=dt.timezone.utc).minute
 
 
 def _fn_day(_ctx: EvalContext, timestamp: Any) -> int | None:
     if timestamp is None:
         return None
-    import datetime as dt
-
     return dt.datetime.fromtimestamp(float(timestamp), tz=dt.timezone.utc).day
 
 

@@ -18,8 +18,8 @@ Filter, project and aggregate stages each make one choice per batch, from
 what they can observe: a stage the planner gave a whole-column (vector)
 evaluator uses it unless the batch carries ``__punct__`` rows; otherwise
 the scalar closure runs over ``batch.rows``. Not every expression
-vectorizes (UDF calls, ``now()``, select aliases), and the scalar closure
-is the reference the vector form is tested against.
+vectorizes (stateful and high-latency calls, ``now()``, select aliases),
+and the scalar closure is the reference the vector form is tested against.
 
 Stream time advances with the tweets the scan yields; windowed operators
 close windows when stream time passes their end, so results are emitted as
@@ -353,6 +353,9 @@ class WindowedAggregateOperator:
         open_windows = self._open
         vector_groups = self._vector_group_evals
         vector_args = self._vector_agg_args
+        # Earliest end among the open windows: no row before it can close
+        # anything, so the open set is scanned only when a row reaches it.
+        next_close = float("inf")
         tail_seq = 0
         for batch in self._child:
             tail_seq = batch.seq + 1
@@ -386,9 +389,14 @@ class WindowedAggregateOperator:
             for i, row in enumerate(rows):
                 timestamp = row.get("created_at", ctx.stream_time)
                 # Close every window that ended at or before this row's time.
-                self._close_due(timestamp, emitted)
+                if timestamp >= next_close:
+                    next_close = self._close_due(timestamp, emitted)
                 for bounds in windows_containing(timestamp, window):
-                    groups = open_windows.setdefault(bounds, {})
+                    groups = open_windows.get(bounds)
+                    if groups is None:
+                        groups = open_windows[bounds] = {}
+                        if bounds[1] < next_close:
+                            next_close = bounds[1]
                     if key_col is not None:
                         key = key_col[i]
                     else:
@@ -426,7 +434,10 @@ class WindowedAggregateOperator:
         self._close_due(float("inf"), tail)
         yield ColumnBatch.from_rows(tail, tail_seq, last=True)
 
-    def _close_due(self, timestamp: float, emitted: list[Row]) -> None:
+    def _close_due(self, timestamp: float, emitted: list[Row]) -> float:
+        """Emit, in (start, end) order, every open window that ended at or
+        before ``timestamp``; returns the earliest end still open (inf
+        when none is)."""
         due = sorted(
             bounds for bounds in self._open if bounds[1] <= timestamp
         )
@@ -434,6 +445,7 @@ class WindowedAggregateOperator:
             groups = self._open.pop(bounds)
             self._ctx.stats.windows_closed += 1
             self._emit_window(bounds, groups, emitted)
+        return min((end for _start, end in self._open), default=float("inf"))
 
     def _emit_window(
         self,
@@ -523,6 +535,9 @@ class CountWindowedAggregateOperator:
     def __iter__(self) -> Iterator[ColumnBatch]:
         # start_ordinal → (groups, first_ts, last_ts, rows_in_window)
         open_windows: dict[int, list] = {}
+        # Ordinal at which the earliest open window is full (see
+        # WindowedAggregateOperator): rows before it close nothing.
+        next_close = float("inf")
         index = -1
         tail_seq = 0
         for batch in self._child:
@@ -530,11 +545,15 @@ class CountWindowedAggregateOperator:
             emitted: list[Row] = []
             for row in batch.rows:
                 index += 1
-                due = sorted(
-                    s for s in open_windows if s + self._size <= index
-                )
-                for start in due:
-                    self._emit(open_windows.pop(start), emitted)
+                if index >= next_close:
+                    due = sorted(
+                        s for s in open_windows if s + self._size <= index
+                    )
+                    for start in due:
+                        self._emit(open_windows.pop(start), emitted)
+                    next_close = (
+                        min(open_windows, default=float("inf")) + self._size
+                    )
                 latest = (index // self._slide) * self._slide
                 start = latest
                 while start > index - self._size and start >= 0:
@@ -543,6 +562,7 @@ class CountWindowedAggregateOperator:
                     if state is None:
                         state = [{}, timestamp, timestamp, 0]
                         open_windows[start] = state
+                        next_close = min(next_close, start + self._size)
                     self._accumulate(state, row, timestamp)
                     start -= self._slide
                 # Windows that started before row 0 don't exist; also handle

@@ -868,9 +868,10 @@ class Planner:
         """The local predicate stage: an eddy or a fixed conjunction.
 
         Each conjunct additionally gets a vectorized form when its
-        expression supports one (pure comparisons / boolean logic / regex
-        — no UDF calls) and the plan batches more than one row; the
-        FilterOperator falls back to the scalar closure otherwise.
+        expression supports one (comparisons / boolean logic / regex /
+        calls to functions that are neither stateful nor high-latency)
+        and the plan batches more than one row; the FilterOperator falls
+        back to the scalar closure otherwise.
         Conjunct order — and therefore ``predicate_evaluations``
         accounting — is identical either way.
         """

@@ -7,7 +7,9 @@ sinks, the exchange partitioner, CSV export) reads through ``.rows`` and
 every columnar producer writes through ``from_rows``. The vectorized
 expression layer is then checked cell-for-cell against the scalar
 compiler on deliberately nasty values (None, mixed types, zero
-divisors).
+divisors), function calls included: every vectorizable builtin must give
+the scalar closure's column or raise its exception, and every call whose
+order is observable must decline.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from repro.engine.expressions import (
 )
 from repro.engine.functions import default_registry
 from repro.engine.types import MISSING, ColumnBatch, EvalContext
-from repro.sql import parse
+from repro.sql import ast, parse
 
 
 def parse_expression(fragment):
@@ -48,7 +50,7 @@ cell_values = st.one_of(
 
 
 @st.composite
-def row_lists(draw):
+def row_lists(draw, cells=cell_values):
     """Row dicts with per-row key subsets (ragged schemas included)."""
     n = draw(st.integers(min_value=0, max_value=12))
     rows = []
@@ -56,7 +58,7 @@ def row_lists(draw):
         keys = draw(
             st.lists(st.sampled_from(FIELDS), unique=True, max_size=len(FIELDS))
         )
-        rows.append({key: draw(cell_values) for key in keys})
+        rows.append({key: draw(cells) for key in keys})
     return rows
 
 
@@ -148,7 +150,9 @@ def test_take_identity_shortcut_preserves_batch():
 # ---------------------------------------------------------------------------
 
 #: Expressions with hostile value mixes: NULL propagation, three-valued
-#: AND/OR, TypeError-absorbing comparisons, zero divisors, regex/LIKE.
+#: AND/OR, TypeError-absorbing comparisons, zero divisors, regex/LIKE —
+#: and function calls (NULL and missing arguments, ``sqrt`` of a negative,
+#: a zero divisor inside an argument, nested, variadic, literal-bound).
 VECTOR_EXPRS = (
     "followers > 500",
     "followers >= 0 AND lang = 'en'",
@@ -162,7 +166,35 @@ VECTOR_EXPRS = (
     "followers + 1 > 100",
     "followers / 0 IS NULL",
     "-followers < 0",
-    "length(text) > 3",  # UDF: vector compiler must decline (None)
+    "length(text) > 3",
+    "lower(text)",
+    "length(lower(text)) + 1",
+    "upper(NULL)",
+    "sqrt(followers)",
+    "sqrt(followers - 100)",
+    "sqrt(text)",
+    "round(followers / 7, 1)",
+    "round(100 / followers)",
+    "round(followers, NULL)",
+    "abs(-followers)",
+    "floor(followers / 3) % 2 = 0",
+    "substr(text, 2, 3)",
+    "substr(text, followers)",
+    "replace(text, 'goal', lang)",
+    "replace(text, 'goal', NULL)",
+    "concat(text, lang, '!')",
+    "concat('#', followers)",
+    "coalesce(loc, lang, 'nowhere')",
+    "if(followers > 10, text, lang)",
+    "hashtags(concat('#', lang, ' ', text))",
+    "first_url(concat('see http://t.co/', lang, '.'))",
+    "extract(text, '(g.al)')",
+    "extract(text, lang, 0)",
+    "point(followers, 2)",
+    "hour(followers * 3600)",
+    "format_time(followers)",
+    "sentiment(text) >= 0",
+    "sentiment_score(text)",
 )
 
 ROWS = [
@@ -176,21 +208,161 @@ ROWS = [
 SCHEMA = ("text", "followers", "lang", "loc")
 
 
-@pytest.mark.parametrize("sql", VECTOR_EXPRS)
-def test_vector_evaluator_matches_scalar(sql):
-    registry = default_registry()
-    ctx = EvalContext(clock=VirtualClock())
-    expr = parse_expression(sql)
+#: Clock-free stand-ins for the session's classifier services.
+SERVICES = {
+    "sentiment": lambda text: len(text) % 3 - 1,
+    "sentiment_score": lambda text: (len(text) % 7 - 3) / 3,
+}
+
+
+def make_ctx():
+    return EvalContext(clock=VirtualClock(), services=dict(SERVICES))
+
+
+def outcome(thunk):
+    """``("ok", value)`` or ``("raised", exception type)``."""
+    try:
+        return "ok", thunk()
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return "raised", type(exc)
+
+
+def assert_vector_matches_scalar(expr, rows, registry=None):
+    """The vector form exists and yields the scalar closure's column, or
+    both raise the same exception type."""
+    registry = registry or default_registry()
+    ctx = make_ctx()
     scalar = compile_expr(expr, registry, SCHEMA, ctx)
     vector = compile_vector_expr(expr, registry, SCHEMA, ctx)
-    if "length(" in sql:
-        assert vector is None  # UDFs stay on the scalar path
-        return
-    assert vector is not None, sql
-    batch = ColumnBatch.from_rows([dict(r) for r in ROWS])
-    result = expand_column(vector(batch, ctx), len(batch))
-    expected = [scalar(row, ctx) for row in batch.rows]
-    assert result == expected, sql
+    assert vector is not None, expr.to_sql()
+    batch = ColumnBatch.from_rows([dict(r) for r in rows])
+    got = outcome(lambda: expand_column(vector(batch, ctx), len(batch)))
+    want = outcome(lambda: [scalar(row, ctx) for row in batch.rows])
+    assert got == want, expr.to_sql()
+
+
+@pytest.mark.parametrize("sql", VECTOR_EXPRS)
+def test_vector_evaluator_matches_scalar(sql):
+    assert_vector_matches_scalar(parse_expression(sql), ROWS)
+
+
+def vectorizable_calls():
+    """``(name, min arity, max arity)`` of every builtin that must have a
+    vector form: not stateful, not high-latency, takes an argument."""
+    registry = default_registry()
+    calls = []
+    for name in registry.names():
+        spec = registry.lookup(name)
+        if spec.stateful or spec.high_latency or not spec.arg_types:
+            continue
+        declared = len(spec.arg_types)
+        low = declared if spec.min_args is None else spec.min_args
+        high = declared + 2 if spec.variadic else declared
+        calls.append((name, max(low, 1), high))
+    return calls
+
+
+argument_cells = st.one_of(
+    st.none(),
+    st.integers(min_value=-5, max_value=2000),
+    st.sampled_from((0, 0.0, -1.5, 2.25, 1_307_000_000.5)),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.sampled_from(
+        ("goal", "", "Goal! #win", "ÉCOLE ñandú", "日本 http://t.co/x.", "12")
+    ),
+)
+
+call_arguments = st.one_of(
+    st.sampled_from(FIELDS).map(ast.FieldRef),
+    argument_cells.map(ast.Literal),
+)
+
+
+@pytest.mark.parametrize("name,low,high", vectorizable_calls())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_vector_call_matches_scalar(name, low, high, data):
+    """Every vectorizable builtin, over NULLs, missing keys, negatives,
+    zero, empty and non-ASCII strings, with literals in argument slots."""
+    args = data.draw(st.lists(call_arguments, min_size=low, max_size=high))
+    rows = data.draw(row_lists(argument_cells))
+    assert_vector_matches_scalar(ast.FuncCall(name, tuple(args)), rows)
+
+
+def test_every_builtin_is_vectorizable_or_a_pinned_decline():
+    vectorizable = {name for name, _low, _high in vectorizable_calls()}
+    assert set(default_registry().names()) - vectorizable == {
+        "latitude", "longitude", "named_entities", "meandev", "now",
+    }
+
+
+class Running:
+    """A user stateful UDF: running sum of its argument."""
+
+    def __init__(self):
+        self.total = 0
+
+    def __call__(self, _ctx, value):
+        self.total += value or 0
+        return self.total
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "meandev(followers)",
+        "latitude(loc) > 40",
+        "named_entities(text)",
+        "length(named_entities(text))",
+        "now()",
+        "running(followers) > 3",
+        "length(t) > 3",  # t: a select alias, a scalar closure over the row
+        "count(text)",
+        # Scalar OR skips the right arm on a TRUE left one; a call can raise.
+        "followers > 10 OR length(text) > 3",
+        "sqrt(followers) > 3 AND lang = 'en'",
+    ],
+)
+def test_vector_compiler_declines(sql):
+    """Calls whose order or per-row state is observable stay scalar."""
+    registry = default_registry()
+    registry.register("running", Running, stateful=True)
+    ctx = make_ctx()
+    alias = compile_expr(parse_expression("lower(text)"), registry, SCHEMA, ctx)
+    vector = compile_vector_expr(
+        parse_expression(sql), registry, SCHEMA, ctx, aliases={"t": alias}
+    )
+    assert vector is None
+
+
+def test_vector_call_runs_once_per_row_in_row_order():
+    """A user scalar is called once per row per call site, in row order;
+    an empty batch calls nothing — column arguments or literal ones."""
+    registry = default_registry()
+    seen = []
+
+    def tap(_ctx, value, suffix=""):
+        seen.append(value)
+        return f"{value}{suffix}"
+
+    registry.register("tap", tap)
+    ctx = make_ctx()
+    for sql, expected_calls in (
+        ("tap(followers)", [900, None, 0, 10, 501]),
+        ("tap(followers, '!')", [900, None, 0, 10, 501]),
+        ("tap(7)", [7] * len(ROWS)),
+    ):
+        vector = compile_vector_expr(
+            parse_expression(sql), registry, SCHEMA, ctx
+        )
+        assert vector is not None, sql
+        empty = ColumnBatch.from_rows([], last=True)
+        assert expand_column(vector(empty, ctx), 0) == []
+        assert seen == [], sql
+        batch = ColumnBatch.from_rows([dict(r) for r in ROWS])
+        expand_column(vector(batch, ctx), len(batch))
+        assert seen == expected_calls, sql
+        seen.clear()
 
 
 def test_vector_and_does_not_mask_scalar_type_errors():

@@ -8,14 +8,15 @@ not run the vector path:
 - a *scalar-only plan*: the same statement planned while the planner's
   ``compile_vector_expr`` / ``build_fused_projector`` are patched to return
   None, i.e. exactly the fallback production runs for expressions that do
-  not vectorize (UDF calls, ``now()``, select aliases), at one row per
-  batch and one worker;
+  not vectorize (stateful and high-latency calls, ``now()``, select
+  aliases), at one row per batch and one worker;
 - for the static shapes, rows and counters worked out in plain Python
   from ``STATIC_ROWS`` (:func:`expected_static`; no engine import).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from contextlib import contextmanager
@@ -43,8 +44,10 @@ STATIC_ROWS = [
 ]
 
 #: Query shapes that exercise the vectorized filter, columnar projection,
-#: and columnar group-key paths. LIMIT shapes stop the scan early, so
-#: only output rows are comparable there (as in test_parallel).
+#: and columnar group-key paths — the ``udf_*`` ones through whole-column
+#: function calls (``tally`` is a user UDF, see :func:`make_session`).
+#: LIMIT shapes stop the scan early, so only output rows are comparable
+#: there (as in test_parallel).
 SHAPES = {
     "filter_project": (
         "SELECT text, followers FROM s "
@@ -54,6 +57,32 @@ SHAPES = {
     "udf_project": (
         "SELECT lower(text) AS t, length(text) AS n FROM s "
         "WHERE followers >= 0 AND lang IN ('en', 'pt');",
+        "full",
+    ),
+    "udf_where": (
+        "SELECT text FROM s WHERE length(text) > 13 AND followers > 500;",
+        "full",
+    ),
+    "udf_nested": (
+        "SELECT length(lower(text)) AS n, round(followers / 7, 1) AS r, "
+        "substr(text, 2, 3) AS sub FROM s WHERE followers >= 0;",
+        "full",
+    ),
+    "udf_group": (
+        "SELECT COUNT(*) AS n, upper(lang) AS l FROM s "
+        "GROUP BY upper(lang) WINDOW 120 seconds;",
+        "full",
+    ),
+    # Sliding, size not a multiple of the slide: the scalar loop evaluates
+    # the argument once per (row, window), the column once per row.
+    "udf_agg_sliding": (
+        "SELECT AVG(length(text)) AS f, COUNT(*) AS n FROM s "
+        "WINDOW 120 seconds EVERY 50 seconds;",
+        "full",
+    ),
+    "udf_tally": (
+        "SELECT MAX(tally(followers)) AS top, COUNT(*) AS n, lang FROM s "
+        "GROUP BY lang WINDOW 120 seconds;",
         "full",
     ),
     "group_window": (
@@ -88,12 +117,21 @@ def scalar_only_planner():
         yield
 
 
-def make_session(workers=1, batch_size=256):
+def make_session(workers=1, batch_size=256, tally=None):
+    """A session over ``STATIC_ROWS`` with ``tally(x)``, a user UDF that
+    returns its argument and advances the ``tally`` counter per call."""
     config = EngineConfig(workers=workers, batch_size=batch_size)
     session = TweeQL(config=config)
     session.register_source(
         "s", lambda: iter([dict(r) for r in STATIC_ROWS]), SCHEMA
     )
+    calls = itertools.count() if tally is None else tally
+
+    def count_call(_ctx, value):
+        next(calls)  # atomic across shard threads
+        return value
+
+    session.register_udf("tally", count_call)
     return session
 
 
@@ -105,10 +143,10 @@ def run(session, sql):
     return rows, stats
 
 
-def run_scalar_only(sql, batch_size=1):
+def run_scalar_only(sql, batch_size=1, tally=None):
     """The scalar-only reference: one worker, no vector stage anywhere."""
     with scalar_only_planner():
-        session = make_session(workers=1, batch_size=batch_size)
+        session = make_session(workers=1, batch_size=batch_size, tally=tally)
         assert "[vectorized" not in session.explain(sql)
         return run(session, sql)
 
@@ -136,6 +174,34 @@ def expected_static(shape):
             row["followers"] is not None and row["followers"] > bound
         )
 
+    def windowed(size, slide, key, value, outputs):
+        """Epoch-aligned windows of ``size`` every ``slide`` seconds,
+        emitted in window order with groups in first-seen order;
+        ``outputs(key, values)`` makes a group's aggregate columns."""
+        windows: dict[float, dict] = {}
+        for row in STATIC_ROWS:
+            start = math.floor(row["created_at"] / slide) * slide
+            while start > row["created_at"] - size:
+                groups = windows.setdefault(start, {})
+                groups.setdefault(key(row), []).append(value(row))
+                start -= slide
+        rows = [
+            {
+                **outputs(group, values),
+                "window_start": start,
+                "window_end": start + size,
+                "created_at": start + size,
+            }
+            for start in sorted(windows)
+            for group, values in windows[start].items()
+        ]
+        stats["groups_emitted"] = len(rows)
+        return rows
+
+    def mean(values):
+        known = [v for v in values if v is not None]
+        return sum(known) / len(known) if known else None
+
     if shape == "filter_project":
         kept = where(
             lambda row: "goal" in row["text"].casefold(), followers_over(500)
@@ -158,30 +224,58 @@ def expected_static(shape):
             }
             for row in kept
         ]
+    elif shape == "udf_where":
+        kept = where(lambda row: len(row["text"]) > 13, followers_over(500))
+        rows = [
+            {"text": row["text"], "created_at": row["created_at"]}
+            for row in kept
+        ]
+    elif shape == "udf_nested":
+        kept = where(followers_over(-1))
+        rows = [
+            {
+                "n": len(row["text"].lower()),
+                "r": round(row["followers"] / 7, 1),
+                "sub": row["text"][1:4],
+                "created_at": row["created_at"],
+            }
+            for row in kept
+        ]
+    elif shape == "udf_group":
+        rows = windowed(
+            120.0, 120.0,
+            key=lambda row: row["lang"].upper(),
+            value=lambda row: 1,
+            outputs=lambda lang, ones: {"n": len(ones), "l": lang},
+        )
+    elif shape == "udf_agg_sliding":
+        rows = windowed(
+            120.0, 50.0,
+            key=lambda row: (),
+            value=lambda row: len(row["text"]),
+            outputs=lambda _key, sizes: {"f": mean(sizes), "n": len(sizes)},
+        )
+    elif shape == "udf_tally":
+        rows = windowed(
+            120.0, 120.0,
+            key=lambda row: row["lang"],
+            value=lambda row: row["followers"],
+            outputs=lambda lang, followers: {
+                "top": max((f for f in followers if f is not None), default=None),
+                "n": len(followers),
+                "lang": lang,
+            },
+        )
     elif shape == "group_window":
-        # Tumbling 120 s windows aligned to the epoch, emitted in window
-        # order with groups in first-seen order; AVG skips NULLs.
-        windows: dict[float, dict[str, list]] = {}
-        for row in STATIC_ROWS:
-            start = math.floor(row["created_at"] / 120.0) * 120.0
-            windows.setdefault(start, {}).setdefault(row["lang"], []).append(
-                row["followers"]
-            )
-        rows = []
-        for start in sorted(windows):
-            for lang, followers in windows[start].items():
-                known = [f for f in followers if f is not None]
-                rows.append(
-                    {
-                        "n": len(followers),
-                        "f": sum(known) / len(known) if known else None,
-                        "lang": lang,
-                        "window_start": start,
-                        "window_end": start + 120.0,
-                        "created_at": start + 120.0,
-                    }
-                )
-        stats["groups_emitted"] = len(rows)
+        # AVG skips NULLs.
+        rows = windowed(
+            120.0, 120.0,
+            key=lambda row: row["lang"],
+            value=lambda row: row["followers"],
+            outputs=lambda lang, followers: {
+                "n": len(followers), "f": mean(followers), "lang": lang,
+            },
+        )
     elif shape == "limit":
         kept = [row for row in STATIC_ROWS if followers_over(200)(row)][:9]
         rows = [
@@ -217,9 +311,16 @@ WORKERS = [pytest.param(1, id="thread-1"), pytest.param(4, id="thread-4")]
 @pytest.mark.parametrize("workers", WORKERS)
 def test_columnar_matches_row_engine(shape, batch, workers):
     sql, stats_mode = SHAPES[shape]
-    base_rows, base_stats = run_scalar_only(sql)
+    base_calls, calls = itertools.count(), itertools.count()
+    base_rows, base_stats = run_scalar_only(sql, tally=base_calls)
     want_rows, want_stats = expected_static(shape)
-    rows, stats = run(make_session(workers=workers, batch_size=batch), sql)
+    rows, stats = run(
+        make_session(workers=workers, batch_size=batch, tally=calls), sql
+    )
+    if shape == "udf_tally":
+        # Tumbling windows: one call per row, vector or scalar, on every
+        # plan shape.
+        assert next(calls) == next(base_calls) == len(STATIC_ROWS)
     assert rows == base_rows, (shape, batch, workers)
     assert_rows_equal(rows, want_rows, (shape, batch, workers))
     keys = EXACT_STATS if stats_mode == "full" else ("rows_emitted",)
@@ -243,6 +344,58 @@ def test_scalar_only_plan_is_batch_invariant(shape):
     if stats_mode == "full":
         for key in EXACT_STATS + ("rows_scanned",):
             assert stats[key] == want_stats[key], (key, shape)
+
+
+UDF_SHAPES = sorted(shape for shape in SHAPES if shape.startswith("udf_"))
+
+
+def test_function_shapes_are_planned_whole_column():
+    """What the grid above compares really is the vector path: every
+    function-bearing slot of the ``udf_*`` shapes carries a whole-column
+    evaluator (COUNT(*) has no argument to evaluate)."""
+    from tests.engine.test_planner import vector_stages
+
+    session = make_session()
+    assert "[vectorized 2/2]" in session.explain(SHAPES["udf_where"][0])
+    stages = {
+        shape: vector_stages(session.plan(SHAPES[shape][0]).pipeline)
+        for shape in UDF_SHAPES
+    }
+    assert stages == {
+        "udf_where": [("Project", [True, True])],
+        "udf_project": [("Project", [False, True, True])],
+        "udf_nested": [("Project", [False, True, True, True])],
+        "udf_group": [("Aggregate", [True])],
+        "udf_agg_sliding": [("Aggregate", [True, False])],
+        "udf_tally": [("Aggregate", [True, True, False])],
+    }
+
+
+@pytest.mark.parametrize("shape", UDF_SHAPES)
+def test_function_shapes_as_shared_scan_tenant(shape):
+    """A tenant body maps functions over whole columns too."""
+    group = make_session().shared("s")
+    try:
+        rows = group.query(SHAPES[shape][0]).all()
+    finally:
+        group.close()
+    rows = [
+        {k: v for k, v in row.items() if not k.startswith("__")} for row in rows
+    ]
+    assert_rows_equal(rows, expected_static(shape)[0], shape)
+
+
+@pytest.mark.parametrize("shape", UDF_SHAPES)
+def test_function_shapes_under_sanitizer(shape, monkeypatch):
+    monkeypatch.setenv("TWEEQL_SAN", "1")
+    session = make_session()
+    sql = SHAPES[shape][0]
+    assert session.plan(sql).sanitizer is not None
+    rows, stats = run(session, sql)
+    want_rows, want_stats = expected_static(shape)
+    assert_rows_equal(rows, want_rows, shape)
+    for key in EXACT_STATS + ("rows_scanned",):
+        assert stats[key] == want_stats[key], (key, shape)
 
 
 def test_paper_demo_queries_identical_across_configs(news_week):

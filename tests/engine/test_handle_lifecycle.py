@@ -64,7 +64,11 @@ def test_close_mid_stream_releases_api_connections(workers):
     handle = session.query("SELECT text FROM twitter WHERE text CONTAINS 'goal';")
     rows = handle.fetch(5)
     assert rows
-    assert session.api.open_connections == 1
+    # Exactly one connection was opened. Whether it is still held is up to
+    # the sharded pump: it runs ahead of fetch() and may already have
+    # drained the firehose, which releases the connection on its own.
+    assert len(handle.connections) == 1
+    assert session.api.open_connections <= 1
     handle.close()
     assert session.api.open_connections == 0
     # close() is idempotent.

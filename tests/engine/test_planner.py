@@ -261,7 +261,7 @@ def vector_stages(pipeline):
         (
             "SELECT lower(text) AS t, followers FROM twitter "
             "WHERE followers > 10;",
-            [("Project", [False, False, True])],
+            [("Project", [False, True, True])],
         ),
         (
             "SELECT COUNT(*) AS n, AVG(followers) AS f, lang FROM twitter "
