@@ -83,15 +83,16 @@ def test_independent_sessions_throughput(benchmark, soccer):
 
 
 def test_shared_scan_speedup(soccer):
-    """The >= 2x acceptance criterion: 8 tenants on one scan beat 8
+    """The >= 4x acceptance criterion: 8 tenants on one scan beat 8
     independent sessions on aggregate throughput.
 
-    No parallelism gate: the win is *work elimination* (1 scan instead of
-    8, shared filter evaluation), not thread-level parallelism, so it
-    survives the GIL and single-core hosts. Interleaved best-of-3 min
-    timing — noise only ever slows a run down, so the min converges on
-    the true cost, and alternating sides keeps a load spike from biasing
-    one of them.
+    The win is *work elimination* (1 scan instead of 8, the shared filter
+    evaluated once per row over whole columns), not parallelism: the
+    group runs on the consumer's thread, so it holds on single-core
+    hosts (6.5-7.9x measured on a 2-vCPU VM with CPython 3.11).
+    Interleaved best-of-3 min timing — noise only ever slows a run down,
+    so the min converges on the true cost, and alternating sides keeps a
+    load spike from biasing one of them.
     """
     shared_rows = _run_shared(soccer)
     independent_rows = _run_independent(soccer)
@@ -120,8 +121,8 @@ def test_shared_scan_speedup(soccer):
     print(f"\nE12 speedup: independent {independent:.2f}s, "
           f"shared {shared:.2f}s → {speedup:.2f}x aggregate throughput "
           f"({len(TENANT_SQLS)} tenants)")
-    assert speedup >= 2.0, (
-        f"expected >= 2x aggregate throughput from the shared scan, "
+    assert speedup >= 4.0, (
+        f"expected >= 4x aggregate throughput from the shared scan, "
         f"measured {speedup:.2f}x"
     )
 

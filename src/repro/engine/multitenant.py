@@ -6,38 +6,47 @@ This module adds the shared-scan layer: **one** Firehose connection and
 **one** scan per source, with post-scan batches fanned out to every live
 tenant query.
 
-Architecture (the fanout protocol)
-----------------------------------
+Architecture (the fanout protocol: pump on pull)
+------------------------------------------------
 A :class:`SharedScanGroup` admits tenant queries *before* the stream
-starts (admission control), then runs three kinds of threads, reusing the
-exchange/worker substrate of :mod:`repro.engine.parallel`:
+starts (admission control) and then runs entirely on the thread that
+pulls its handles — no threads, no queues, no locks:
 
-- the **fanout** thread pulls source batches through one ScanOperator
-  (source pulls hold the group lock — the stream advances the shared
-  virtual clock), evaluates every tenant's WHERE conjuncts *fanout-side*
-  with a per-row memo keyed by the conjunct's rendered SQL — so a filter
-  prefix shared by N tenants is evaluated **once** per row, not N times —
-  and routes passing rows into per-tenant bounded queues;
-- one **tenant worker** thread per query runs the residual pipeline
-  (prefetch → aggregate/project → into; no filter stage — filtering
-  already happened) and ships output batches to an unbounded queue;
-- the **consumer** (the tenant's :class:`~repro.engine.executor.QueryHandle`)
-  drains that queue on the caller's thread.
+- each tenant's pipeline is its **residual body** (prefetch →
+  aggregate/project → into; no filter stage — filtering happens at the
+  fanout) over a :class:`TenantScan` that reads routed row-lists from the
+  tenant's inbox;
+- when that inbox is empty, the TenantScan **pumps** the group: one source
+  batch is pulled through the single ScanOperator and routed. Routing
+  evaluates every live tenant's WHERE conjuncts with a per-batch memo
+  keyed by the conjunct's rendered SQL — a filter prefix shared by N
+  tenants is evaluated **once** per row, not N times — each conjunct over
+  a whole column when it has a vector form, by scalar closure otherwise.
+  Passing rows collect per tenant and move into its inbox in
+  ``batch_size`` frames; at end of stream the remainders are flushed and
+  the connection closes.
 
-Backpressure policy
--------------------
-Tenant input queues are bounded (``EngineConfig.shared_buffer_batches``).
-A worker never blocks on output (unbounded out-queues), so under normal
-operation it always drains its input and the fanout never stalls. When a
-tenant's pipeline is genuinely slower than the stream (a slow UDF, a
-stuck consumer), the fanout blocks on its full queue for at most
-``EngineConfig.shared_stall_seconds`` of wall time and then **evicts**
-the tenant — its handle raises :class:`~repro.errors.ExecutionError`,
-siblings never wait longer than the stall budget. A tenant that finishes
-early (LIMIT) or whose handle is closed is **detached**: its feed is
-dropped, nothing else changes. When every tenant is done the fanout
-stops pulling and closes the shared connection, so early completion is
-visible in the connection's :class:`~repro.twitter.stream.ConnectionStats`.
+Consumer-order buffering
+------------------------
+A tenant's body runs only when its own consumer pulls, so nothing can
+fall behind the stream and there is no backpressure policy: a slow UDF
+costs only the tenant that calls it. Rows routed to a tenant whose
+consumer has not pulled yet wait in its inbox — ``buffer_depth`` and
+``buffer_highwater`` measure that consumer lag — so draining tenants one
+after another (as ``TwitInfoApp.run_events`` does) buffers the later
+tenants' substreams. A tenant that finishes early (LIMIT) or whose handle
+is closed mid-stream (**detached**) stops receiving rows; once every
+tenant is done or detached the scan stops and the shared connection
+closes, so early completion is visible in the connection's
+:class:`~repro.twitter.stream.ConnectionStats`.
+
+A source or fanout-conjunct error is stored on the group and re-raised to
+every tenant; an error inside one tenant's body reaches only that
+tenant's handle, with its original exception type.
+
+Like any :class:`~repro.engine.executor.QueryHandle`, one group's handles
+are pulled from one thread. Under the sanitizer, pumping the group from a
+second thread raises ``TQL911`` on the fanout scan.
 
 Admission control
 -----------------
@@ -63,18 +72,15 @@ fanout context where the sharing happens.
 
 from __future__ import annotations
 
-import queue
-import threading
-from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from repro.engine import operators as ops
 from repro.engine import parallel
 from repro.engine.executor import QueryHandle
-from repro.engine.expressions import compile_expr
-from repro.engine.sanitizer import registered_lock
+from repro.engine.expressions import compile_expr, expand_column
 from repro.engine.planner import (
     Planner,
     PhysicalPlan,
@@ -90,11 +96,7 @@ from repro.engine.types import (
 from repro.errors import AdmissionError, ExecutionError
 from repro.sql import ast, parse
 
-_POLL_SECONDS = parallel._POLL_SECONDS
-_END = object()
 _MISS = object()
-
-_HIT_INDEX = parallel._MANAGED_FIELDS.index("cache_hits")
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +141,7 @@ class SharedServiceCache:
     The :class:`~repro.engine.latency.ManagedCall` LRUs are session-owned,
     so tenants share them by construction; this object only *attributes*
     that sharing — which tenant first requested each key, and how many
-    hits crossed tenant boundaries. All mutation happens under the group
-    lock (the proxies call :meth:`record` while holding it).
+    hits crossed tenant boundaries.
     """
 
     def __init__(self) -> None:
@@ -174,83 +175,40 @@ class SharedServiceCache:
         }
 
 
-class TenantManagedCall(parallel.LockedManagedCall):
-    """A tenant's lock-guarded view of a shared :class:`ManagedCall`.
+class TenantManagedCall(parallel.ManagedCallProxy):
+    """A tenant's view of a shared :class:`ManagedCall`.
 
-    Extends the per-shard stats mirror of
-    :class:`~repro.engine.parallel.LockedManagedCall` with cross-tenant
+    Extends the per-stage stats mirror of
+    :class:`~repro.engine.parallel.ManagedCallProxy` with cross-tenant
     cache attribution: every call reports to the group's
     :class:`SharedServiceCache` whether it hit, and who owned the key.
     """
 
     def __init__(
-        self,
-        inner: Any,
-        lock: threading.RLock,
-        tenant: int,
-        shared: SharedServiceCache,
+        self, inner: Any, tenant: int, shared: SharedServiceCache
     ) -> None:
-        super().__init__(inner, lock)
+        super().__init__(inner)
         self._tenant = tenant
         self._shared = shared
         self._service_name = inner.service.name
 
     def __call__(self, key: Any) -> Any:
-        with self._lock:
-            before = self._snapshot()
-            try:
-                return self._inner(key)
-            finally:
-                after = self._snapshot()
-                self._accumulate(before)
-                self._shared.record(
-                    self._service_name,
-                    self._tenant,
-                    key,
-                    hit=after[_HIT_INDEX] > before[_HIT_INDEX],
-                )
+        hits = self.stats.cache_hits
+        try:
+            return super().__call__(key)
+        finally:
+            self._shared.record(
+                self._service_name,
+                self._tenant,
+                key,
+                hit=self.stats.cache_hits > hits,
+            )
 
     def prefetch(self, keys: Any) -> None:
         keys = list(keys)
-        with self._lock:
-            for key in keys:
-                self._shared.claim(self._service_name, self._tenant, key)
-            before = self._snapshot()
-            try:
-                self._inner.prefetch(keys)
-            finally:
-                self._accumulate(before)
-
-
-def tenant_services(
-    services: dict[str, Any],
-    lock: threading.RLock,
-    tenant: int,
-    shared: SharedServiceCache,
-) -> tuple[dict[str, Any], dict[str, Any]]:
-    """Per-tenant service catalog: shared-cache proxies over ManagedCalls.
-
-    Mirrors :func:`repro.engine.parallel.locked_services` — aliases of one
-    ManagedCall share one proxy so the per-tenant stats mirror is not
-    double-counted — but the proxies additionally attribute cache traffic
-    to this tenant in the group's :class:`SharedServiceCache`.
-    """
-    from repro.engine.latency import ManagedCall
-
-    proxies: dict[str, Any] = {}
-    by_id: dict[int, TenantManagedCall] = {}
-    stats: dict[str, Any] = {}
-    for name, svc in services.items():
-        if isinstance(svc, ManagedCall):
-            proxy = by_id.get(id(svc))
-            if proxy is None:
-                proxy = TenantManagedCall(svc, lock, tenant, shared)
-                by_id[id(svc)] = proxy
-                stats[svc.service.name] = proxy.stats
-            proxies[name] = proxy
-        else:
-            proxies[name] = svc
-    return proxies, stats
+        for key in keys:
+            self._shared.claim(self._service_name, self._tenant, key)
+        super().prefetch(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +222,18 @@ class GroupStats:
 
     admitted: int = 0
     rejected: int = 0
-    evicted: int = 0
     detached: int = 0
     #: Total row deliveries across tenants (one row routed to 3 tenants
     #: counts 3).
     rows_routed: int = 0
-    #: Predicate evaluations *saved* by the per-row conjunct memo — each
-    #: is an evaluation an independent run would have performed again.
+    #: Predicate evaluations *saved* by the conjunct memo — each is an
+    #: evaluation an independent run would have performed again.
     evaluations_shared: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
             "admitted": self.admitted,
             "rejected": self.rejected,
-            "evicted": self.evicted,
             "detached": self.detached,
             "rows_routed": self.rows_routed,
             "evaluations_shared": self.evaluations_shared,
@@ -287,34 +243,30 @@ class GroupStats:
 class _Tenant:
     """One admitted query's runtime state inside the group."""
 
-    def __init__(self, index: int, sql: str, buffer_batches: int) -> None:
+    def __init__(self, index: int) -> None:
         self.index = index
-        self.sql = sql
-        self.queue: queue.Queue = queue.Queue(maxsize=buffer_batches)
-        self.out: queue.Queue = queue.Queue()
-        self.done = threading.Event()
-        self.evicted = threading.Event()
-        self.evicted_reason: str | None = None
+        #: Routed row-lists waiting for this tenant's consumer to pull.
+        self.inbox: deque[list[Row]] = deque()
+        #: Passing rows not yet framed into a ``batch_size`` inbox entry.
+        self.pending: list[Row] = []
+        self.done = False
         self.detached = False
-        self.error: BaseException | None = None
         self.conjunct_keys: tuple[str, ...] = ()
         self.pipeline: Any = None
-        self.ctx: EvalContext | None = None
         self.rows_routed = 0
         self.buffer_highwater = 0
 
     @property
     def finished(self) -> bool:
         """No more input should be routed to this tenant."""
-        return self.done.is_set() or self.detached or self.evicted.is_set()
+        return self.done or self.detached
 
     def as_dict(self) -> dict[str, Any]:
         return {
             "rows_routed": self.rows_routed,
-            "buffer_depth": self.queue.qsize(),
+            "buffer_depth": len(self.inbox),
             "buffer_highwater": self.buffer_highwater,
-            "done": self.done.is_set(),
-            "evicted": self.evicted.is_set(),
+            "done": self.done,
             "detached": self.detached,
         }
 
@@ -322,39 +274,35 @@ class _Tenant:
 class TenantScan:
     """Source stage of a tenant's residual pipeline, fed by the fanout.
 
-    Counts routed rows as this tenant's ``rows_scanned`` (its view of the
-    stream is the post-shared-filter substream) and advances the tenant
-    context's stream time like a ScanOperator. Ends with an empty ``last``
-    batch on the fanout's sentinel; raises if the tenant was evicted.
+    Pumps the group whenever the tenant's inbox is empty. Counts routed
+    rows as this tenant's ``rows_scanned`` (its view of the stream is the
+    post-shared-filter substream) and advances the tenant context's
+    stream time like a ScanOperator. Ends with an empty ``last`` batch
+    once the stream has ended and the inbox is drained.
     """
 
     def __init__(
-        self, tenant: _Tenant, stop: threading.Event, ctx: EvalContext
+        self, group: "SharedScanGroup", tenant: _Tenant, ctx: EvalContext
     ) -> None:
+        self._group = group
         self._tenant = tenant
-        self._stop = stop
         self._ctx = ctx
 
     def __iter__(self) -> Iterator[ColumnBatch]:
-        tenant = self._tenant
+        group = self._group
+        inbox = self._tenant.inbox
         ctx = self._ctx
         stats = ctx.stats
         seq = 0
         while True:
-            if tenant.evicted.is_set():
-                raise ExecutionError(
-                    f"tenant {tenant.index} evicted from shared scan: "
-                    f"{tenant.evicted_reason}"
-                )
-            try:
-                rows = tenant.queue.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                if not (self._stop.is_set() or tenant.detached):
+            if group._error is not None:
+                raise group._error
+            if not inbox:
+                if group._pump():
                     continue
-                rows = None
-            if rows is None:  # fanout sentinel (stream exhausted) or stop
                 yield ColumnBatch.from_rows([], seq, last=True)
                 return
+            rows = inbox.popleft()
             stats.rows_scanned += len(rows)
             stats.batches += 1
             ctx.advance_to(rows)
@@ -363,10 +311,12 @@ class TenantScan:
 
 
 class _TenantOutput:
-    """The tenant plan's pipeline: drains the worker's output queue.
+    """The tenant plan's pipeline: its residual body, pulled directly.
 
-    Pulled on the consumer's thread; the first pull lazily starts the
-    group's threads (planning and EXPLAIN must not open the stream).
+    The first pull lazily starts the group (planning and EXPLAIN must not
+    open the stream). Ending — exhaustion, an error, or the handle closing
+    the iterator — marks the tenant done, which stops the shared scan once
+    no tenant is left to read it.
     """
 
     def __init__(self, group: "SharedScanGroup", tenant: _Tenant) -> None:
@@ -374,29 +324,11 @@ class _TenantOutput:
         self._tenant = tenant
 
     def __iter__(self) -> Iterator[ColumnBatch]:
-        group = self._group
-        tenant = self._tenant
-        group.start()
-        tail_seq = 0
-        while True:
-            group._raise_if_error()
-            if tenant.error is not None:
-                raise tenant.error
-            try:
-                item = tenant.out.get(timeout=_POLL_SECONDS)
-            except queue.Empty:
-                continue
-            if item is None:  # worker ended without a last batch
-                group._raise_if_error()
-                if tenant.error is not None:
-                    raise tenant.error
-                # Punctuate with seq strictly above everything yielded.
-                yield ColumnBatch.from_rows([], tail_seq, last=True)
-                return
-            tail_seq = item.seq + 1
-            yield item
-            if item.last:
-                return
+        self._group.start()
+        try:
+            yield from self._tenant.pipeline
+        finally:
+            self._group._finish(self._tenant)
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +344,14 @@ class SharedScanGroup:
         group = session.shared()
         h1 = group.query("SELECT …;")   # admission happens here
         h2 = group.query("SELECT …;")
-        rows = h1.all()                 # first pull starts the fanout
+        rows = h1.all()                 # first pull opens the scan
         …
-        group.close()                   # join threads, close the stream
+        group.close()                   # stop the scan, close the stream
 
     Tenant handles are ordinary :class:`QueryHandle` objects: ``stats``,
     ``service_stats``, ``explain(analyze=True)`` and ``metrics()`` all
-    work, scoped to the tenant's own slice of the work.
+    work, scoped to the tenant's own slice of the work. All of a group's
+    handles must be pulled from one thread.
     """
 
     def __init__(
@@ -429,54 +362,47 @@ class SharedScanGroup:
         clock: Any,
         *,
         max_tenants: int = 16,
-        buffer_batches: int = 16,
-        stall_seconds: float = 5.0,
         label: str | None = None,
     ) -> None:
         if max_tenants < 1:
             raise ValueError("max_tenants must be positive")
-        if buffer_batches < 1:
-            raise ValueError("buffer_batches must be positive")
         self._planner = planner
         self._binding = binding
         self._services = services
         self._clock = clock
         self.max_tenants = max_tenants
-        self.buffer_batches = buffer_batches
-        self.stall_seconds = stall_seconds
         self.label = label or f"shared:{binding.name}"
 
-        self._lock = registered_lock("shared.services", rlock=True)
-        self._stop = threading.Event()
-        self._state_lock = registered_lock("shared.state")
         self._started = False
         self._closed = False
-        self._pool: ThreadPoolExecutor | None = None
+        #: The scan's batch iterator while the stream is open.
+        self._source: Iterator[ColumnBatch] | None = None
         self._error: BaseException | None = None
-        self._error_lock = registered_lock("shared.error")
 
         self.stats = GroupStats()
         self.shared_cache = SharedServiceCache()
         self._tenants: list[_Tenant] = []
         self._handles: list[QueryHandle] = []
-        #: Deduplicated compiled conjuncts, keyed by rendered SQL — the
-        #: "share common filter prefixes" mechanism.
-        self._predicates: dict[str, Any] = {}
+        #: Deduplicated compiled conjuncts (scalar closure, vector form or
+        #: None), keyed by rendered SQL — the "share common filter
+        #: prefixes" mechanism.
+        self._predicates: dict[str, tuple[Any, Any]] = {}
 
         # Fanout-side context and source pipeline. The fanout's services
-        # are lock-guarded (WHERE conjuncts may call them), with a stats
-        # mirror so service attribution reconciles: per-tenant mirrors +
-        # the fanout mirror sum to the session's global counters.
+        # carry a stats mirror (WHERE conjuncts may call them) so service
+        # attribution reconciles: per-tenant mirrors + the fanout mirror
+        # sum to the session's global counters.
         config = planner._config
         self._batch_size = getattr(config, "batch_size", DEFAULT_BATCH_SIZE)
-        fanout_services, self.fanout_service_stats = parallel.locked_services(
-            services, self._lock
+        fanout_services, self.fanout_service_stats = parallel.proxy_services(
+            services
         )
         self._fanout_ctx = EvalContext(
             clock=clock, services=fanout_services, lane="fanout"
         )
         self._fanout_plan = PhysicalPlan(
-            pipeline=iter(()), output_schema=(), ctx=self._fanout_ctx
+            pipeline=iter(()), output_schema=(), ctx=self._fanout_ctx,
+            batch_size=self._batch_size,
         )
         self._fanout_plan.tracer = planner._make_tracer()
         self._fanout_plan.sanitizer = planner._make_sanitizer()
@@ -537,66 +463,70 @@ class SharedScanGroup:
         every other validation error carries its usual diagnostic code via
         the static analyzer.
         """
-        with self._state_lock:
-            if self._closed:
-                self.stats.rejected += 1
-                raise AdmissionError(
-                    "shared scan group is closed", code="TQL403"
-                )
-            if self._started:
-                self.stats.rejected += 1
-                raise AdmissionError(
-                    "shared scan group is already streaming; tenants must "
-                    "be admitted before the first row is pulled",
-                    code="TQL403",
-                )
-            if len(self._tenants) >= self.max_tenants:
-                self.stats.rejected += 1
-                raise AdmissionError(
-                    f"shared scan group is at capacity "
-                    f"({self.max_tenants} live queries); close one or raise "
-                    "EngineConfig.shared_max_tenants",
-                    code="TQL401",
-                )
-            statement = parse(sql)
-            reason = self._share_blocker(statement)
-            if reason is not None:
-                self.stats.rejected += 1
-                raise AdmissionError(
-                    f"statement cannot share a scan: {reason}", code="TQL402"
-                )
-            self._planner.analyze(statement).raise_first_error()
-            handle = self._admit(statement, sql)
-            self.stats.admitted += 1
-            return handle
+        if self._closed:
+            self.stats.rejected += 1
+            raise AdmissionError("shared scan group is closed", code="TQL403")
+        if self._started:
+            self.stats.rejected += 1
+            raise AdmissionError(
+                "shared scan group is already streaming; tenants must "
+                "be admitted before the first row is pulled",
+                code="TQL403",
+            )
+        if len(self._tenants) >= self.max_tenants:
+            self.stats.rejected += 1
+            raise AdmissionError(
+                f"shared scan group is at capacity "
+                f"({self.max_tenants} live queries); close one or raise "
+                "EngineConfig.shared_max_tenants",
+                code="TQL401",
+            )
+        statement = parse(sql)
+        reason = self._share_blocker(statement)
+        if reason is not None:
+            self.stats.rejected += 1
+            raise AdmissionError(
+                f"statement cannot share a scan: {reason}", code="TQL402"
+            )
+        self._planner.analyze(statement).raise_first_error()
+        handle = self._admit(statement, sql)
+        self.stats.admitted += 1
+        return handle
 
     def _admit(self, statement: ast.SelectStatement, sql: str) -> QueryHandle:
         planner = self._planner
-        binding = self._binding
-        schema = binding.schema
+        schema = self._binding.schema
         index = len(self._tenants)
-        tenant = _Tenant(index, sql, self.buffer_batches)
+        tenant = _Tenant(index)
 
         # Shared filter compilation: each distinct conjunct (by rendered
-        # SQL) is compiled once against the fanout context and evaluated
-        # once per row for the whole group.
-        conjuncts = split_conjuncts(statement.where)
+        # SQL) is compiled once against the fanout context — with its
+        # whole-column form when it has one — and evaluated once per row
+        # for the whole group.
         keys: list[str] = []
-        for conjunct in conjuncts:
+        vectorized = 0
+        for conjunct in split_conjuncts(statement.where):
             key = conjunct.to_sql()
             if key not in self._predicates:
-                self._predicates[key] = compile_expr(
-                    conjunct, planner._registry, schema, self._fanout_ctx
+                self._predicates[key] = (
+                    compile_expr(
+                        conjunct, planner._registry, schema, self._fanout_ctx
+                    ),
+                    planner._vector(
+                        self._fanout_plan, conjunct, schema, self._fanout_ctx
+                    ),
                 )
+            if self._predicates[key][1] is not None:
+                vectorized += 1
             keys.append(key)
         tenant.conjunct_keys = tuple(keys)
 
-        proxies, proxy_stats = tenant_services(
-            self._services, self._lock, index, self.shared_cache
+        proxies, _ = parallel.proxy_services(
+            self._services,
+            lambda svc: TenantManagedCall(svc, index, self.shared_cache),
         )
         lane = f"tenant-{index}"
         ctx = EvalContext(clock=self._clock, services=proxies, lane=lane)
-        tenant.ctx = ctx
         plan = PhysicalPlan(
             pipeline=iter(()), output_schema=(), ctx=ctx,
             batch_size=self._batch_size,
@@ -614,6 +544,7 @@ class SharedScanGroup:
             explain.append(
                 "Filter: " + " AND ".join(keys)
                 + " (evaluated fanout-side, memoized across tenants)"
+                + (f" [vectorized {vectorized}/{len(keys)}]" if vectorized else "")
             )
         explain.append(f"Batch: {self._batch_size} rows/batch (fanout-framed)")
         if getattr(planner._config, "workers", 1) > 1:
@@ -622,7 +553,7 @@ class SharedScanGroup:
                 "rows identical either way)"
             )
 
-        pipeline: ops.Batches = TenantScan(tenant, self._stop, ctx)
+        pipeline: ops.Batches = TenantScan(self, tenant, ctx)
         pipeline = planner._trace(
             pipeline, f"Scan({self.label})", plan, lane=lane
         )
@@ -632,7 +563,7 @@ class SharedScanGroup:
             statement, pipeline, schema, ctx, plan, lane=lane
         )
         plan.pipeline = _TenantOutput(self, tenant)
-        plan.closers.append(lambda: self.detach(tenant.index, "handle closed"))
+        plan.closers.append(lambda: self.detach(tenant.index))
         handle = QueryHandle(sql, plan)
         self._tenants.append(tenant)
         self._handles.append(handle)
@@ -640,75 +571,115 @@ class SharedScanGroup:
 
     # -- fanout ----------------------------------------------------------------
 
-    def _record_error(self, error: BaseException) -> None:
-        with self._error_lock:
-            if self._error is None:
-                self._error = error
-        self._stop.set()
+    def _pump(self) -> bool:
+        """Pull and route one source batch on the calling consumer's thread.
 
-    def _raise_if_error(self) -> None:
-        with self._error_lock:
-            error = self._error
-        if error is not None:
-            raise error
-
-    def _admit_row(
-        self, row: Row, tenant: _Tenant, memo: dict[str, Any]
-    ) -> bool:
-        """Does ``row`` pass this tenant's WHERE? Memoized per row.
-
-        Short-circuits in conjunct order like a serial filter chain;
-        verdicts are normalized to SQL WHERE semantics (NULL drops).
+        Moves each live tenant's pending rows into its inbox once they
+        fill a ``batch_size`` frame (all of them at end of stream, which
+        also stops the scan). Returns False once the stream has ended. A
+        source or fanout-conjunct error is stored — every tenant re-raises
+        it — and stops the scan.
         """
-        predicates = self._predicates
-        ctx = self._fanout_ctx
-        stats = ctx.stats
-        for key in tenant.conjunct_keys:
-            value = memo.get(key, _MISS)
-            if value is _MISS:
-                verdict = predicates[key](row, ctx)
-                value = verdict is not None and bool(verdict)
-                memo[key] = value
-                stats.predicate_evaluations += 1
-            else:
-                self.stats.evaluations_shared += 1
-            if not value:
-                return False
+        source = self._source
+        if source is None:
+            return False
+        try:
+            batch = next(source, None)
+            if batch is not None:
+                self._route(batch)
+        except BaseException as error:  # noqa: BLE001 — surfaced at tenants
+            self._error = error
+            self._stop_scan()
+            raise
+        end = batch is None or batch.last
+        for tenant in self._tenants:
+            pending = tenant.pending
+            if tenant.finished or not pending:
+                continue
+            if end or len(pending) >= self._batch_size:
+                tenant.pending = []
+                tenant.inbox.append(pending)
+                tenant.rows_routed += len(pending)
+                self.stats.rows_routed += len(pending)
+                tenant.buffer_highwater = max(
+                    tenant.buffer_highwater, len(tenant.inbox)
+                )
+        if end:
+            self._stop_scan()
         return True
 
-    def _put(self, tenant: _Tenant, item: list[Row] | None) -> None:
-        """Route one batch (or the end sentinel) with bounded-stall policy."""
-        waited = 0.0
-        while not self._stop.is_set():
-            if tenant.finished:
-                return
-            try:
-                tenant.queue.put(item, timeout=_POLL_SECONDS)
-            except queue.Full:
-                waited += _POLL_SECONDS
-                if waited >= self.stall_seconds:
-                    self._evict(
-                        tenant,
-                        f"consumer stalled the fanout for ≥"
-                        f"{self.stall_seconds:g}s with a full buffer "
-                        f"({self.buffer_batches} batches)",
-                    )
-                    return
-                continue
-            depth = tenant.queue.qsize()
-            if depth > tenant.buffer_highwater:
-                tenant.buffer_highwater = depth
-            if item is not None:
-                tenant.rows_routed += len(item)
-                self.stats.rows_routed += len(item)
+    def _route(self, batch: ColumnBatch) -> None:
+        """Append each row of ``batch`` to every live tenant it passes.
+
+        The conjunct memo is one verdict column per distinct conjunct.
+        For each live tenant in admission order, and each of its
+        conjuncts in order, only the rows of the tenant's surviving
+        selection the memo lacks are evaluated. That visits exactly the
+        (row, conjunct) pairs a per-row memo would, in the same per-row
+        order, so ``predicate_evaluations`` and ``evaluations_shared`` do
+        not depend on the batch size.
+        """
+        rows = batch.rows
+        if not rows:
             return
+        memo: dict[str, list[Any]] = {}
+        everyone = range(len(rows))
+        for tenant in self._tenants:
+            if tenant.finished:
+                continue
+            selection: Sequence[int] = everyone
+            for key in tenant.conjunct_keys:
+                verdicts = memo.get(key)
+                if verdicts is None:
+                    verdicts = memo[key] = [_MISS] * len(rows)
+                    needed = list(selection)
+                else:
+                    needed = [i for i in selection if verdicts[i] is _MISS]
+                    self.stats.evaluations_shared += len(selection) - len(needed)
+                if needed:
+                    self._decide(key, batch, needed, verdicts)
+                selection = [i for i in selection if verdicts[i]]
+                if not selection:
+                    break
+            tenant.pending.extend(map(rows.__getitem__, selection))
 
-    def _evict(self, tenant: _Tenant, reason: str) -> None:
-        tenant.evicted_reason = reason
-        tenant.evicted.set()
-        self.stats.evicted += 1
+    def _decide(
+        self,
+        key: str,
+        batch: ColumnBatch,
+        needed: list[int],
+        verdicts: list[Any],
+    ) -> None:
+        """Evaluate conjunct ``key`` on rows ``needed`` into its memo
+        column, whole-column when it has a vector form. Verdicts follow
+        SQL WHERE semantics: NULL drops the row like FALSE."""
+        predicate, vector = self._predicates[key]
+        ctx = self._fanout_ctx
+        if vector is not None:
+            values = expand_column(vector(batch.take(needed), ctx), len(needed))
+        else:
+            rows = batch.rows
+            values = [predicate(rows[i], ctx) for i in needed]
+        for i, value in zip(needed, values):
+            verdicts[i] = value is not None and bool(value)
+        ctx.stats.predicate_evaluations += len(needed)
 
-    def detach(self, index: int, reason: str = "detached") -> None:
+    def _stop_scan(self) -> None:
+        """Close the scan (running its trace finalizers) and release the
+        (scarce) streaming connection; idempotent."""
+        source, self._source = self._source, None
+        if source is not None:
+            source.close()
+        for connection in self._fanout_plan.connections:
+            connection.close()
+
+    def _finish(self, tenant: _Tenant) -> None:
+        """A tenant's pipeline ended; stop the scan if no tenant is left."""
+        tenant.done = True
+        if all(t.finished for t in self._tenants):
+            self._stop_scan()
+
+    def detach(self, index: int) -> None:
         """Drop a live tenant's feed (dead/closed consumer); idempotent.
 
         A tenant whose pipeline already completed is not "detached" — its
@@ -716,111 +687,34 @@ class SharedScanGroup:
         only moves for tenants abandoned mid-stream.
         """
         tenant = self._tenants[index]
-        if tenant.detached or tenant.evicted.is_set() or tenant.done.is_set():
+        if tenant.finished:
             return
         tenant.detached = True
         self.stats.detached += 1
-
-    def _fanout(self) -> None:
-        tenants = self._tenants
-        pending: list[list[Row]] = [[] for _ in tenants]
-        iterator: Any = None
-        try:
-            iterator = iter(self._scan)
-            while True:
-                if self._stop.is_set():
-                    return
-                if all(t.finished for t in tenants):
-                    break
-                # Source pulls hold the group lock: the stream advances
-                # the shared virtual clock, and so do tenant service calls.
-                with self._lock:
-                    batch = next(iterator, _END)
-                if batch is _END:
-                    break
-                for row in batch.rows:
-                    memo: dict[str, Any] = {}
-                    for tenant in tenants:
-                        if tenant.finished:
-                            continue
-                        if self._admit_row(row, tenant, memo):
-                            pending[tenant.index].append(row)
-                for tenant in tenants:
-                    if len(pending[tenant.index]) >= self._batch_size:
-                        self._put(tenant, pending[tenant.index])
-                        pending[tenant.index] = []
-                if batch.last:
-                    break
-        except BaseException as error:  # noqa: BLE001 — surfaced at tenants
-            self._record_error(error)
-            return
-        finally:
-            if not self._stop.is_set():
-                for tenant in tenants:
-                    if tenant.finished:
-                        continue
-                    if pending[tenant.index]:
-                        self._put(tenant, pending[tenant.index])
-                    self._put(tenant, None)
-            # Stop pulling promptly: run the scan's trace finalizers and
-            # release the (scarce) streaming connection.
-            close = getattr(iterator, "close", None)
-            if close is not None:
-                close()
-            for connection in self._fanout_plan.connections:
-                connection.close()
-
-    def _worker(self, tenant: _Tenant) -> None:
-        iterator = iter(tenant.pipeline)
-        try:
-            for batch in iterator:
-                tenant.out.put(batch)
-                if batch.last:
-                    break
-        except BaseException as error:  # noqa: BLE001
-            tenant.error = error
-        finally:
-            # Close the operator chain so trace-wrapper finalizers run
-            # (operator spans end) before the handle renders EXPLAIN ANALYZE.
-            close = getattr(iterator, "close", None)
-            if close is not None:
-                close()
-            tenant.done.set()
-            tenant.out.put(None)
+        if all(t.finished for t in self._tenants):
+            self._stop_scan()
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the fanout and tenant worker threads (idempotent)."""
-        with self._state_lock:
-            if self._started:
-                return
-            if self._closed:
-                raise ExecutionError("shared scan group is closed")
-            if not self._tenants:
-                raise ExecutionError(
-                    "shared scan group has no tenants; admit queries first"
-                )
-            self._started = True
-        self._pool = ThreadPoolExecutor(
-            max_workers=len(self._tenants) + 1,
-            thread_name_prefix="tweeql-shared",
-        )
-        self._pool.submit(self._fanout)
-        for tenant in self._tenants:
-            self._pool.submit(self._worker, tenant)
+        """Open the shared scan (idempotent); admission closes here."""
+        if self._started:
+            return
+        if self._closed:
+            raise ExecutionError("shared scan group is closed")
+        if not self._tenants:
+            raise ExecutionError(
+                "shared scan group has no tenants; admit queries first"
+            )
+        self._started = True
+        self._source = iter(self._scan)
 
     def close(self) -> None:
-        """Stop the fanout, join every thread, release the stream."""
-        with self._state_lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._stop.set()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-        for connection in self._fanout_plan.connections:
-            connection.close()
+        """Stop the scan, release the stream, drain fanout service calls."""
+        if self._closed:
+            return
+        self._closed = True
+        self._stop_scan()
         for proxy in {
             id(s): s
             for s in self._fanout_ctx.services.values()
@@ -847,8 +741,7 @@ class SharedScanGroup:
             f"SharedScan group {self.label}: {len(self._tenants)} tenant(s), "
             f"max {self.max_tenants}",
             f"Fanout: {len(self._predicates)} distinct conjunct(s) shared "
-            f"across tenants; buffers {self.buffer_batches} batches, "
-            f"stall budget {self.stall_seconds:g}s",
+            "across tenants",
         ]
         lines.extend(self._fanout_plan.explain_lines)
         return "\n".join(lines)
@@ -857,7 +750,7 @@ class SharedScanGroup:
         """One nested snapshot of everything the group counts.
 
         Shape: ``group`` (admission/routing), ``fanout`` (scan counters),
-        ``tenant.<i>`` (per-tenant routing + buffer depth — the fanout-lag
+        ``tenant.<i>`` (per-tenant routing + inbox depth — the consumer-lag
         signal), ``cache.<service>`` (cross-tenant hit attribution), and
         ``connection`` (the shared stream's delivery accounting).
         """

@@ -36,8 +36,8 @@ under the virtual clock. Three mechanisms make that hold:
 
 Thread safety: the virtual clock, the simulated web services, and the
 :class:`~repro.engine.latency.ManagedCall` wrappers are single-threaded
-constructs. Workers reach them only through :class:`LockedManagedCall`
-proxies sharing one lock, which also collect per-shard
+constructs. Workers reach them only through :class:`ManagedCallProxy`
+objects sharing one lock, which also collect per-shard
 :class:`~repro.engine.latency.ManagedCallStats`. Row *values* remain
 deterministic because the service resolvers are pure; only latency
 accounting depends on thread scheduling.
@@ -50,6 +50,7 @@ order that sharding destroys.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import queue
 import threading
@@ -88,26 +89,28 @@ def stable_hash(value: Any) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Locked service proxies
+# Service proxies
 # ---------------------------------------------------------------------------
 
 
 _MANAGED_FIELDS = tuple(f.name for f in dataclasses.fields(ManagedCallStats))
 
 
-class LockedManagedCall:
-    """A thread-safe façade over a shared :class:`ManagedCall`.
+class ManagedCallProxy:
+    """A per-stage view of a shared :class:`ManagedCall`.
 
-    All forwarded operations hold ``lock`` (shared with the exchange's
-    source pulls) because the underlying call advances the virtual clock
-    and mutates its cache. The proxy's own ``stats`` mirror accumulates
-    the *delta* each forwarded operation produced, giving per-shard
-    ManagedCallStats on top of the service's global counters.
+    The proxy's own ``stats`` mirror accumulates the *delta* each
+    forwarded operation produced, giving per-stage ManagedCallStats on top
+    of the service's global counters. With a ``lock``, every forwarded
+    operation holds it: the ``workers=N`` shards call services from pool
+    threads (sharing the lock with the exchange's source pulls), and the
+    underlying call advances the virtual clock and mutates its cache.
+    Single-threaded callers (the shared scan) pass none.
     """
 
-    def __init__(self, inner: ManagedCall, lock: threading.RLock) -> None:
+    def __init__(self, inner: ManagedCall, lock: Any = None) -> None:
         self._inner = inner
-        self._lock = lock
+        self._lock = contextlib.nullcontext() if lock is None else lock
         self.stats = ManagedCallStats()
 
     @property
@@ -152,23 +155,24 @@ class LockedManagedCall:
             self._inner.drain()
 
 
-def locked_services(
-    services: dict[str, Any], lock: threading.RLock
+def proxy_services(
+    services: dict[str, Any],
+    make_proxy: Callable[[ManagedCall], ManagedCallProxy] = ManagedCallProxy,
 ) -> tuple[dict[str, Any], dict[str, ManagedCallStats]]:
-    """Wrap every ManagedCall in ``services`` with a locking proxy.
+    """Wrap every ManagedCall in ``services`` with a ``make_proxy`` proxy.
 
-    Returns the proxied mapping plus {service name → per-shard stats
+    Returns the proxied mapping plus {service name → per-stage stats
     mirror}. Aliases of one ManagedCall (``geocode`` / ``geocode_managed``)
     share one proxy so the mirror is not double-counted.
     """
     proxies: dict[str, Any] = {}
-    by_id: dict[int, LockedManagedCall] = {}
+    by_id: dict[int, ManagedCallProxy] = {}
     stats: dict[str, ManagedCallStats] = {}
     for name, svc in services.items():
         if isinstance(svc, ManagedCall):
             proxy = by_id.get(id(svc))
             if proxy is None:
-                proxy = LockedManagedCall(svc, lock)
+                proxy = make_proxy(svc)
                 by_id[id(svc)] = proxy
                 stats[svc.service.name] = proxy.stats
             proxies[name] = proxy

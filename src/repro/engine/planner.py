@@ -24,6 +24,7 @@ The planner implements the decisions the paper describes:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -1396,8 +1397,9 @@ class Planner:
         exchange = parallel.ShardedExecution(workers, batch_size=batch_size)
         exchange.tracer = plan.tracer
         exchange.sanitizer = plan.sanitizer
-        exchange_services, exchange_service_stats = parallel.locked_services(
-            self._services, exchange.lock
+        locked = functools.partial(parallel.ManagedCallProxy, lock=exchange.lock)
+        exchange_services, exchange_service_stats = parallel.proxy_services(
+            self._services, locked
         )
         exchange_ctx = EvalContext(
             clock=self._clock, services=exchange_services,
@@ -1478,8 +1480,8 @@ class Planner:
         pipelines: list[ops.Batches] = []
         output_schema: tuple[str, ...] = ()
         for index in range(workers):
-            worker_services, worker_service_stats = parallel.locked_services(
-                self._services, exchange.lock
+            worker_services, worker_service_stats = parallel.proxy_services(
+                self._services, locked
             )
             lane = f"worker-{index}"
             ctx_w = EvalContext(

@@ -551,8 +551,9 @@ class SanitizeOperator:
                 "stage driven from two threads (batch ownership violation): "
                 f"bound to thread {self._thread}, pulled from {ident}",
                 hint="each lane's pipeline belongs to exactly one thread; "
-                "cross-thread data must travel through the exchange or "
-                "fanout queues",
+                "cross-thread data must travel through the exchange "
+                "queues, and one shared-scan group's handles are pulled "
+                "from one thread",
             )
 
     def _check_seq(self, batch: ColumnBatch, prev_seq: int | None) -> None:

@@ -133,16 +133,11 @@ class EngineConfig:
         shared_scan: route multi-query consumers (``TwitInfoApp``, the
             CLI's multi-``--sql`` runs) through one shared-scan group per
             source — one Firehose connection and one scan fanned out to
-            every live query (see :mod:`repro.engine.multitenant` and
+            every live query, pumped on the thread that pulls the
+            handles (see :mod:`repro.engine.multitenant` and
             :meth:`TweeQL.shared`). Single queries are unaffected.
         shared_max_tenants: admission-control capacity of a shared-scan
             group; query N+1 is rejected with ``TQL401``.
-        shared_buffer_batches: bound of each tenant's fanout buffer, in
-            batches — the backpressure window between the shared scan and
-            one consumer.
-        shared_stall_seconds: wall-clock budget a slow tenant may stall
-            the fanout on its full buffer before being evicted (its
-            handle then raises; siblings are unaffected).
         sanitize: run queries under the TQLSAN invariant sanitizer —
             every operator boundary checks seq monotonicity, punctuation
             exactly-once, ColumnBatch coherence, post-handoff
@@ -196,8 +191,6 @@ class EngineConfig:
     trace_batch_spans: bool = True
     shared_scan: bool = False
     shared_max_tenants: int = 16
-    shared_buffer_batches: int = 16
-    shared_stall_seconds: float = 5.0
     sanitize: bool = False
     storage_path: str | None = None
     backfill: bool = False
@@ -531,8 +524,6 @@ class TweeQL:
         source: str = "twitter",
         *,
         max_tenants: int | None = None,
-        buffer_batches: int | None = None,
-        stall_seconds: float | None = None,
     ):
         """Open a multi-tenant shared-scan group over one source.
 
@@ -540,10 +531,11 @@ class TweeQL:
         batches out to every admitted query — ``group.query(sql)`` instead
         of :meth:`query` — with shared filter-prefix evaluation and
         cross-tenant UDF cache attribution. Admission closes when the
-        first row is pulled. Defaults come from ``EngineConfig``
-        (``shared_max_tenants`` / ``shared_buffer_batches`` /
-        ``shared_stall_seconds``). See :mod:`repro.engine.multitenant`
-        and docs/MULTITENANT.md.
+        first row is pulled; the scan then advances on whichever handle's
+        consumer needs rows, so all of a group's handles are pulled from
+        one thread. ``max_tenants`` defaults to
+        ``EngineConfig.shared_max_tenants``. See
+        :mod:`repro.engine.multitenant` and docs/MULTITENANT.md.
         """
         from repro.engine.multitenant import SharedScanGroup
         from repro.errors import UnknownSourceError
@@ -551,7 +543,6 @@ class TweeQL:
         binding = self._sources.get(source.lower())
         if binding is None:
             raise UnknownSourceError(source, tuple(sorted(self._sources)))
-        config = self.config
         return SharedScanGroup(
             self._planner(),
             binding,
@@ -560,17 +551,7 @@ class TweeQL:
             max_tenants=(
                 max_tenants
                 if max_tenants is not None
-                else config.shared_max_tenants
-            ),
-            buffer_batches=(
-                buffer_batches
-                if buffer_batches is not None
-                else config.shared_buffer_batches
-            ),
-            stall_seconds=(
-                stall_seconds
-                if stall_seconds is not None
-                else config.shared_stall_seconds
+                else self.config.shared_max_tenants
             ),
         )
 

@@ -212,10 +212,11 @@ def shared_metrics(
 
     ``shared.group.*`` carries admission/routing/sharing totals,
     ``shared.fanout.*`` the shared scan's QueryStats, ``shared.tenant.<i>.*``
-    per-tenant routing plus live ``buffer_depth`` (the fanout-lag signal)
-    and ``buffer_highwater``, ``shared.cache.<service>.*`` cross-tenant
-    hit-rate attribution, and ``shared.connection.*`` the single stream
-    connection's delivery accounting.
+    per-tenant routing plus live ``buffer_depth`` (routed-but-unread
+    frames: the consumer-lag signal) and ``buffer_highwater``,
+    ``shared.cache.<service>.*`` cross-tenant hit-rate attribution, and
+    ``shared.connection.*`` the single stream connection's delivery
+    accounting.
     """
     if registry is None:
         registry = MetricsRegistry()

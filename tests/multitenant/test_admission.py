@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro import EngineConfig
 from repro.errors import AdmissionError, PlanError, UnknownSourceError
 
 from tests.multitenant.conftest import QUERY_POOL
@@ -99,10 +102,24 @@ def test_analyzer_errors_keep_their_diagnostics(shared_session):
 def test_group_parameter_validation(shared_session):
     with pytest.raises(ValueError):
         shared_session.shared(max_tenants=0)
-    with pytest.raises(ValueError):
-        shared_session.shared(buffer_batches=0)
     with pytest.raises(UnknownSourceError):
         shared_session.shared(source="nope")
+
+
+def test_the_backpressure_knobs_are_gone(shared_session):
+    """The shared scan runs on its consumers' thread, so nothing can lag
+    behind it: no buffer bound, no stall budget, no eviction."""
+    with pytest.raises(TypeError):
+        EngineConfig(shared_buffer_batches=4)
+    with pytest.raises(TypeError):
+        EngineConfig(shared_stall_seconds=1.0)
+    with pytest.raises(TypeError):
+        shared_session.shared(stall_seconds=1.0)
+    with pytest.raises(TypeError):
+        shared_session.shared(buffer_batches=4)
+    fields = {f.name for f in dataclasses.fields(EngineConfig)}
+    assert len(fields) == 28
+    assert not {"shared_buffer_batches", "shared_stall_seconds"} & fields
 
 
 def test_admission_error_is_a_plan_error():

@@ -103,7 +103,6 @@ def test_shared_group_used_one_connection(runs):
     assert len(app.shared_groups) == 1
     group = app.shared_groups[0]
     assert group.stats.admitted == 2
-    assert group.stats.evicted == 0
     tree = group.stats_dict()
     assert tree["connection"]["delivered"] == tree["connection"]["scanned"]
     snapshot = app_metrics(app).snapshot()
