@@ -13,7 +13,10 @@ source, the batch-size-1 ÷ batch-size-256 rows/s ratio of that same run
 (one-row batches run scalar stages; the ratio keeps their cost visible),
 plus the headline vectorized-vs-scalar speedups at batch 256: a
 comparison-only filter chain (asserted ≥ 1.5x everywhere) and a
-function-heavy projection (whole-column UDF calls, asserted ≥ 1.8x).
+function-heavy projection (whole-column UDF calls, asserted ≥ 1.8x), and
+the source side: the regex statement over the live twitter source against
+the same statement over the same tweets' pre-built rows, lossless and at
+the default 0.98 delivery ratio (asserted ≤ 1.0x both).
 """
 
 import contextlib
@@ -450,6 +453,77 @@ def _vectorized_vs_scalar(report, key, sql, explain_note):
     print(f"\nE9d {key}: scalar {scalar_s*1000:.1f}ms, "
           f"columnar {columnar_s*1000:.1f}ms → {speedup:.2f}x")
     return speedup
+
+
+#: The benchmark's regex statement: a column filter, then a field-only
+#: projection that reads row dicts for the survivors.
+_REGEX_SQL = (
+    "SELECT text, screen_name FROM {source} "
+    "WHERE text matches 'g[oa]+l' AND lang = 'en';"
+)
+
+
+@pytest.mark.parametrize("delivery_ratio", [1.0, 0.98])
+def test_tweet_source_not_slower_than_prebuilt_rows(
+    soccer, throughput_report, delivery_ratio
+):
+    """The ≤ 1.0x source-side criterion: scanning the live twitter source
+    (stream chunks, tweet-backed batches) costs no more than scanning the
+    same tweets' ``to_row()`` dicts built ahead of time and registered as
+    an in-memory source.
+
+    Same session for both, interleaved best-of-5 (as in
+    :func:`test_batch_speedup`). Run lossless, where both sides see every
+    tweet and equal rows are asserted, and at the sessions' default
+    delivery ratio, where the stream draws per match and delivers a
+    subsequence of the pre-built rows' answer.
+    """
+    rows = [tweet.to_row() for tweet in soccer.tweets]
+    session = TweeQL.for_scenarios(
+        soccer, delivery_ratio=delivery_ratio, seed=SEED
+    )
+    session.register_source(
+        "mem",
+        lambda: iter(rows),
+        tuple(k for k in rows[0] if not k.startswith("__")),
+    )
+    twitter_s = prebuilt_s = float("inf")
+    twitter_rows = prebuilt_rows = None
+    for _ in range(5):
+        t, twitter_rows = _timed_run(
+            session, _REGEX_SQL.format(source="twitter"), reps=1
+        )
+        twitter_s = min(twitter_s, t)
+        t, prebuilt_rows = _timed_run(
+            session, _REGEX_SQL.format(source="mem"), reps=1
+        )
+        prebuilt_s = min(prebuilt_s, t)
+    assert twitter_rows
+    if delivery_ratio == 1.0:
+        assert twitter_rows == prebuilt_rows
+    else:
+        remaining = iter(prebuilt_rows)
+        assert all(row in remaining for row in twitter_rows)  # subsequence
+        assert len(twitter_rows) < len(prebuilt_rows)
+    ratio = twitter_s / prebuilt_s
+    key = "tweet_source_vs_prebuilt_rows"
+    if delivery_ratio < 1.0:
+        key += f"@{delivery_ratio:g}"
+    throughput_report[key] = {
+        "sql": _REGEX_SQL.format(source="twitter"),
+        "delivery_ratio": delivery_ratio,
+        "tweets": len(soccer.tweets),
+        "twitter_seconds": round(twitter_s, 4),
+        "prebuilt_rows_seconds": round(prebuilt_s, 4),
+        "ratio": round(ratio, 3),
+        "asserted": True,
+    }
+    print(f"\nE9d tweet source (delivery {delivery_ratio:g}) "
+          f"{twitter_s*1000:.1f}ms, pre-built rows "
+          f"{prebuilt_s*1000:.1f}ms → {ratio:.2f}x")
+    assert ratio <= 1.0, (
+        f"the twitter source took {ratio:.2f}x the pre-built-rows scan"
+    )
 
 
 def test_parse_plan_execute_smoke(benchmark, chatter):

@@ -91,11 +91,41 @@ def _like_to_regex(pattern: str) -> re.Pattern[str]:
     return re.compile(f"^{''.join(parts)}$", re.IGNORECASE | re.DOTALL)
 
 
-_ARITH: dict[str, Callable[[Any, Any], Any]] = {
+_SEQUENCES = (str, bytes, tuple, list)
+
+
+def _mul(lhs: Any, rhs: Any) -> Any:
+    """``*`` over numbers. Python would also repeat a string, tuple or
+    list by an integer, into a result as long as the count asks for, so
+    that raises TypeError like any other non-numeric arithmetic."""
+    if isinstance(lhs, _SEQUENCES) or isinstance(rhs, _SEQUENCES):
+        raise TypeError(
+            f"unsupported operand type(s) for *: {type(lhs).__name__!r} "
+            f"and {type(rhs).__name__!r}"
+        )
+    return lhs * rhs
+
+
+def _mod(lhs: Any, rhs: Any) -> Any:
+    """``%`` over numbers. Python would printf-format a string left
+    operand, whose width fields (``'%999999999d'``) allocate without
+    bound, so that raises TypeError like any other non-numeric
+    arithmetic."""
+    if isinstance(lhs, (str, bytes)):
+        raise TypeError(
+            f"unsupported operand type(s) for %: {type(lhs).__name__!r} "
+            f"and {type(rhs).__name__!r}"
+        )
+    return lhs % rhs
+
+
+#: The arithmetic operators, with the evaluator's semantics (the static
+#: analyzer's constant folder evaluates through the same table).
+ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
     "+": operator.add,
     "-": operator.sub,
-    "*": operator.mul,
-    "%": operator.mod,
+    "*": _mul,
+    "%": _mod,
 }
 
 _COMPARE: dict[str, Callable[[Any, Any], bool]] = {
@@ -357,9 +387,9 @@ def compile_expr(
 
             return eval_compare
 
-        if op in _ARITH:
+        if op in ARITHMETIC:
             left, right = compile_node(node.left), compile_node(node.right)
-            arith = _ARITH[op]
+            arith = ARITHMETIC[op]
 
             def eval_arith(row: Row, context: EvalContext) -> Any:
                 lhs, rhs = left(row, context), right(row, context)
@@ -489,26 +519,43 @@ def _vec_call(impl: Callable[..., Any], args: list[_VectorNode]) -> VectorEvalua
     return call
 
 
+def _generated_lambda(param: str, body: str) -> Callable[[Any], Any]:
+    return eval(  # noqa: S307 - operands are repr'd string literals
+        compile(f"lambda {param}: {body}", "<fused-projection>", "eval")
+    )
+
+
 def build_fused_projector(
     pairs: list[tuple[str, str]],
-) -> Callable[[list], list]:
-    """Synthesize ``rows -> [{out: r.get(src), …} for r in rows]``.
+) -> Callable[[ColumnBatch], list[Row]]:
+    """Synthesize ``batch -> [{out: <src of the row>, …} for each row]``.
 
     For select lists made purely of field references the fastest row
     constructor CPython offers is a literal dict display inside a list
     comprehension (one BUILD_MAP per row, keys interned at compile time)
     — measurably quicker than per-item evaluator closures or
-    ``dict(zip(...))``. The display can't be written generically, so it
-    is generated: names come from the parsed statement and are embedded
-    via ``repr``, which yields a quoted string literal — there is no
-    injection surface.
+    ``dict(zip(...))``. A batch whose row dicts exist is read through
+    them (``r.get(src)``); any other — a tweet-backed batch, a columnar
+    one — zips its ``src`` columns, so no intermediate row is built. The
+    displays can't be written generically, so they are generated: names
+    come from the parsed statement and are embedded via ``repr``, which
+    yields a quoted string literal — there is no injection surface.
     """
-    body = "[{" + ", ".join(
+    cells = [f"c{i}" for i in range(len(pairs))]
+    by_rows = _generated_lambda("rows", "[{" + ", ".join(
         f"{out!r}: r.get({src!r})" for out, src in pairs
-    ) + "} for r in rows]"
-    return eval(  # noqa: S307 - operands are repr'd string literals
-        compile(f"lambda rows: {body}", "<fused-projection>", "eval")
-    )
+    ) + "} for r in rows]")
+    by_columns = _generated_lambda("columns", "[{" + ", ".join(
+        f"{out!r}: {cell}" for (out, _src), cell in zip(pairs, cells)
+    ) + f"}} for {', '.join(cells)}, in zip(*columns)]")
+    sources = [src for _out, src in pairs]
+
+    def project(batch: ColumnBatch) -> list[Row]:
+        if batch.has_rows:
+            return by_rows(batch.rows)
+        return by_columns([batch.values(src) for src in sources])
+
+    return project
 
 
 def compile_vector_expr(
@@ -858,12 +905,12 @@ def compile_vector_expr(
                 eval_compare_vec, total=left.total and right.total
             )
 
-        if op in _ARITH:
+        if op in ARITHMETIC:
             left = compile_node(node.left)
             right = compile_node(node.right)
             if left is None or right is None:
                 return None
-            arith = _ARITH[op]
+            arith = ARITHMETIC[op]
 
             def arith_cell(a: Any, b: Any, arith=arith) -> Any:
                 if a is None or b is None:

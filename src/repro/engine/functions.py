@@ -186,6 +186,21 @@ def _fn_substr(_ctx: EvalContext, text: Any, start: Any, length: Any = None) -> 
     return str(text)[begin : begin + int(length)]
 
 
+def _round(x: Any, ndigits: Any = 0) -> Any:
+    """Python's ``round(x, ndigits)``, in time bounded by the size of ``x``.
+
+    An integer rounded to ``-k`` digits costs ``10**k``: a huge negative
+    ``ndigits`` would never return. Once ``10**k`` exceeds ``2 * |x|`` the
+    result is 0, so clamping ``k`` at ``(b + 1) // 3 + 1`` for ``b =
+    x.bit_length()`` — ``10**k > 2**(b + 1) > 2 * |x|`` there — gives
+    Python's value exactly.
+    """
+    nd = int(ndigits)
+    if isinstance(x, int) and nd < 0:
+        nd = max(nd, -((x.bit_length() + 1) // 3 + 1))
+    return round(x, nd)
+
+
 def _fn_coalesce(_ctx: EvalContext, *args: Any) -> Any:
     for value in args:
         if value is not None:
@@ -386,7 +401,7 @@ def default_registry() -> FunctionRegistry:
         arg_types=("number",), return_type="integer",
     )
     registry.register(
-        "round", _nullsafe(lambda x, nd=0: round(x, int(nd))),
+        "round", _nullsafe(_round),
         arg_types=("number", "integer"), return_type="number", min_args=1,
     )
     registry.register(

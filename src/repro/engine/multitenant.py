@@ -305,8 +305,9 @@ class TenantScan:
             rows = inbox.popleft()
             stats.rows_scanned += len(rows)
             stats.batches += 1
-            ctx.advance_to(rows)
-            yield ColumnBatch.from_rows(rows, seq)
+            batch = ColumnBatch.from_rows(rows, seq)
+            ctx.advance_to(batch)
+            yield batch
             seq += 1
 
 
@@ -410,9 +411,9 @@ class SharedScanGroup:
         # Service spans belong to whichever single query planned last;
         # a shared group has no single owner, so it records none.
         planner._attach_service_tracers(None)
-        source_rows = planner._build_source(binding, [], self._fanout_plan)
+        source = planner._build_source(binding, [], self._fanout_plan)
         scan: ops.Batches = ops.ScanOperator(
-            source_rows, self._fanout_ctx, self._batch_size
+            source, self._fanout_ctx, self._batch_size
         )
         self._scan = planner._trace(
             scan, f"Scan({binding.name})", self._fanout_plan, lane="fanout"

@@ -8,11 +8,13 @@ The pipeline for a typical TweeQL query looks like::
     Scan → Filter → WindowedAggregate [→ Having/Order/Limit]  (aggregates)
     Scan + Scan → WindowedJoin → …                        (two-stream joins)
 
-The scan is the batcher: it slices the source into ``batch_size``-row
-batches and the predicate/projection loops then run per batch, amortizing
-interpreter and call overhead across rows. Batch size never changes
-results — each operator processes the rows of a batch in stream order and
-emits its output in the same order a one-row-per-batch run would.
+The scan is the batcher: it frames the source's chunks into
+``batch_size``-row batches — tweet-backed for the ``twitter`` source,
+rows-backed for row sources — and the predicate/projection loops then run
+per batch, amortizing interpreter and call overhead across rows. Batch
+size never changes results — each operator processes the rows of a batch
+in stream order and emits its output in the same order a
+one-row-per-batch run would.
 
 Filter, project and aggregate stages each make one choice per batch, from
 what they can observe: a stage the planner gave a whole-column (vector)
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
-from typing import Any
+from typing import Any, Protocol
 
 from repro.engine.expressions import (
     Broadcast,
@@ -56,19 +58,55 @@ from repro.engine.windows import windows_containing
 Batches = Iterable[ColumnBatch]
 
 
-class ScanOperator:
-    """Source adapter: slices rows into batches, advancing stream time.
+class ScanSource(Protocol):
+    """What a scan reads: ``chunks(size)`` yields lists of ``size`` items,
+    then one shorter list (possibly empty) that ends the stream, and
+    ``batch(chunk, seq, last)`` wraps one list as a ColumnBatch."""
 
-    ``source`` yields rows that must contain a ``created_at`` timestamp (the
-    ``twitter`` source guarantees it). Stream time advances over the whole
-    batch before it is released — the batch's rows are all "seen" by the
-    time downstream operators evaluate them, exactly as if each row had
-    been pulled individually.
+    def batch(self, chunk: list[Any], seq: int, last: bool) -> ColumnBatch: ...
+
+    def chunks(self, size: int) -> Iterator[list[Any]]: ...
+
+
+def frame(items: Iterable[Any], size: int) -> Iterator[list[Any]]:
+    """``items`` as a :class:`ScanSource` frames them: lists of ``size``,
+    then one shorter list (possibly empty)."""
+    items = iter(items)
+    while True:
+        chunk = list(islice(items, size))
+        yield chunk
+        if len(chunk) < size:
+            return
+
+
+class RowSource:
+    """A row iterable as a scan source (registered sources, derived
+    streams): :func:`frame` frames it, ``from_rows`` wraps each frame."""
+
+    batch = staticmethod(ColumnBatch.from_rows)
+
+    def __init__(self, rows: Iterable[Row]) -> None:
+        self._rows = rows
+
+    def chunks(self, size: int) -> Iterator[list[Row]]:
+        return frame(self._rows, size)
+
+
+class ScanOperator:
+    """Source adapter: frames a :class:`ScanSource` into batches of
+    ``batch_size``, advancing stream time.
+
+    Items must carry a ``created_at`` timestamp (the ``twitter`` source
+    guarantees it). The twitter source delivers lists of tweets, which
+    become tweet-backed batches; row sources become rows-backed ones.
+    Stream time advances over the whole batch before it is released — the
+    batch's rows are all "seen" by the time downstream operators evaluate
+    them, exactly as if each row had been pulled individually.
     """
 
     def __init__(
         self,
-        source: Iterable[Row],
+        source: ScanSource,
         ctx: EvalContext,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
@@ -82,16 +120,16 @@ class ScanOperator:
         ctx = self._ctx
         stats = ctx.stats
         size = self._batch_size
-        source = iter(self._source)
+        wrap = self._source.batch
         seq = 0
-        while True:
-            rows = list(islice(source, size))
-            last = len(rows) < size
-            if rows:
-                stats.rows_scanned += len(rows)
+        for chunk in self._source.chunks(size):
+            last = len(chunk) < size
+            batch = wrap(chunk, seq, last)
+            if chunk:
+                stats.rows_scanned += len(chunk)
                 stats.batches += 1
-                ctx.advance_to(rows)
-            yield ColumnBatch.from_rows(rows, seq, last)
+                ctx.advance_to(batch)
+            yield batch
             if last:
                 return
             seq += 1
@@ -181,7 +219,7 @@ class ProjectOperator:
         ctx: EvalContext,
         passthrough_time: bool = True,
         vector_items: list[VectorEvaluator | None] | None = None,
-        fused: Callable[[list[Row]], list[Row]] | None = None,
+        fused: Callable[[ColumnBatch], list[Row]] | None = None,
     ) -> None:
         self._child = child
         self._items = items
@@ -222,7 +260,7 @@ class ProjectOperator:
                     return None
                 specials.append((special, col))
         assert self._fused is not None
-        projected = self._fused(batch.rows)
+        projected = self._fused(batch)
         for special, col in specials:
             for out, value in zip(projected, col):
                 out[special] = value
@@ -342,6 +380,15 @@ class WindowedAggregateOperator:
             if vector_agg_args and any(vector_agg_args)
             else None
         )
+        # Every key and every aggregate argument has a column form: a
+        # batch on the vector path needs no row dicts, only one per new
+        # group (its representative).
+        self._columns_only = self._vector_group_evals is not None and all(
+            arg_eval is None or vec is not None
+            for (_factory, arg_eval, _skip), vec in zip(
+                agg_factories, vector_agg_args or [None] * len(agg_factories)
+            )
+        )
         # (window_start, window_end) → {group_key: _GroupState}
         self._open: dict[tuple[float, float], dict[tuple, _GroupState]] = {}
 
@@ -360,13 +407,12 @@ class WindowedAggregateOperator:
         for batch in self._child:
             tail_seq = batch.seq + 1
             emitted: list[Row] = []
-            rows = batch.rows
+            n = batch.length
             key_col: list[tuple] | None = None
             arg_cols: list[list[Any] | None] | None = None
             if (
                 vector_groups is not None or vector_args is not None
             ) and not batch.has_field("__punct__"):
-                n = batch.length
                 if vector_groups is not None:
                     if vector_groups:
                         key_col = list(
@@ -386,8 +432,16 @@ class WindowedAggregateOperator:
                         else None
                         for vec in vector_args
                     ]
-            for i, row in enumerate(rows):
-                timestamp = row.get("created_at", ctx.stream_time)
+            rows = (
+                None if key_col is not None and self._columns_only
+                else batch.rows
+            )
+            stamps = batch.field("created_at") or [MISSING] * n
+            for i, timestamp in enumerate(stamps):
+                if timestamp is MISSING:
+                    timestamp = ctx.stream_time
+                # None on a columns-only batch: nothing below reads it.
+                row: Any = None if rows is None else rows[i]
                 # Close every window that ended at or before this row's time.
                 if timestamp >= next_close:
                     next_close = self._close_due(timestamp, emitted)
@@ -407,7 +461,7 @@ class WindowedAggregateOperator:
                     if state is None:
                         state = _GroupState(
                             [factory() for factory, _arg, _skip in agg_factories],
-                            representative=row,
+                            representative=batch.row(i) if row is None else row,
                         )
                         groups[key] = state
                     state.count += 1

@@ -227,8 +227,9 @@ class ShardScan:
         ctx = self._ctx
         seq = 0
         for rows in self._source:
-            ctx.advance_to(rows)
-            yield ColumnBatch.from_rows(rows, seq)
+            batch = ColumnBatch.from_rows(rows, seq)
+            ctx.advance_to(batch)
+            yield batch
             seq += 1
         yield ColumnBatch.from_rows([], seq, last=True)
 

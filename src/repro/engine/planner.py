@@ -117,23 +117,92 @@ class PhysicalPlan:
         return "\n".join(self.explain_lines)
 
 
-def _lazy_connection_rows(open_connection: Callable[[], Any], plan: "PhysicalPlan"):
-    """Row generator that opens its API connection only on first pull.
+class TweetSource:
+    """The live ``twitter`` source: the connection's chunks of delivered
+    tweets, scanned as tweet-backed batches.
 
-    Planning must not consume scarce streaming connections: a session may
-    plan (EXPLAIN) many queries without running them, and the real API's
-    connection budget was tiny. The connection is registered on the plan
-    at open time so :meth:`QueryHandle.close` can cancel it.
+    The API connection opens only on the first pull. Planning must not
+    consume scarce streaming connections: a session may plan (EXPLAIN)
+    many queries without running them, and the real API's connection
+    budget was tiny. The connection is registered on the plan at open
+    time so :meth:`QueryHandle.close` can cancel it.
     """
 
-    def rows():
-        connection = open_connection()
-        connection.tracer = plan.tracer
-        plan.connections.append(connection)
-        for tweet in connection:
+    batch = staticmethod(ColumnBatch.from_tweets)
+
+    def __init__(
+        self, open_connection: Callable[[], Any], plan: "PhysicalPlan"
+    ) -> None:
+        self._open_connection = open_connection
+        self._plan = plan
+
+    def open(self) -> Any:
+        """Open the connection and register it on the plan."""
+        connection = self._open_connection()
+        connection.tracer = self._plan.tracer
+        self._plan.connections.append(connection)
+        return connection
+
+    def chunks(self, size: int) -> Iterator[list[Any]]:
+        yield from self.open().chunks(size)
+
+    def rows(self) -> Iterator[Row]:
+        """One ``twitter`` row per delivered tweet (a join's right input,
+        which the join pulls a row at a time)."""
+        for tweet in self.open():
             yield tweet.to_row()
 
-    return rows()
+
+class BackfillSource:
+    """Historical tweets up to the store's watermark, then the live tail
+    strictly above it, framed as one tweet stream (see
+    :meth:`Planner._maybe_backfill`)."""
+
+    batch = staticmethod(ColumnBatch.from_tweets)
+
+    def __init__(
+        self,
+        store: Any,
+        live: TweetSource,
+        server_matches: Callable[[Any], bool] | None,
+        window: tuple[float | None, float | None],
+        plan: "PhysicalPlan",
+    ) -> None:
+        self._store = store
+        self._live = live
+        self._server_matches = server_matches
+        self._window = window
+        self._plan = plan
+
+    def chunks(self, size: int) -> Iterator[list[Any]]:
+        return ops.frame(self._tweets(), size)
+
+    def _tweets(self) -> Iterator[Any]:
+        start, end = self._window
+        watermark = self._store.watermark()
+        cut = None
+        if watermark is not None:
+            # nextafter makes the backfill half-open bound include rows
+            # at exactly the watermark.
+            cut = math.nextafter(watermark, math.inf)
+            if end is not None:
+                cut = min(cut, end)
+        matches = self._server_matches
+        served = 0
+        if cut is not None and (start is None or start < cut):
+            for tweet in self._store.scan(start, cut):
+                if matches is not None and not matches(tweet):
+                    continue
+                served += 1
+                yield tweet
+        self._plan.backfill_rows = served
+        # The live tail is pulled a tweet at a time, exactly as far as the
+        # frame it completes: the connection, its clock and its counters
+        # stand where a row-at-a-time splice would leave them.
+        for tweet in self._live.open():
+            if cut is not None and tweet.created_at < cut:
+                continue  # history already served this timestamp range
+            yield tweet
 
 
 # ---------------------------------------------------------------------------
@@ -627,10 +696,10 @@ class Planner:
         conjuncts = split_conjuncts(statement.where)
 
         # ---- source access + API filter choice ----
-        source_rows = self._build_source(binding, conjuncts, plan)
+        source = self._build_source(binding, conjuncts, plan)
         batch_size = self._batch_size_for(statement, plan)
         schema = binding.schema
-        pipeline: ops.Batches = ops.ScanOperator(source_rows, ctx, batch_size)
+        pipeline: ops.Batches = ops.ScanOperator(source, ctx, batch_size)
         pipeline = self._trace(pipeline, f"Scan({binding.name})", plan)
 
         if statement.join is not None:
@@ -723,12 +792,12 @@ class Planner:
         binding: SourceBinding,
         conjuncts: list[ast.Expr],
         plan: PhysicalPlan,
-    ) -> Iterable[Row]:
+    ) -> ops.ScanSource:
         explain = plan.explain_lines
         if binding.api is None:
             assert binding.rows_factory is not None
             explain.append(f"Scan: registered source {binding.name!r}")
-            return binding.rows_factory()
+            return ops.RowSource(binding.rows_factory())
 
         api = binding.api
         # The backfill window is read *before* the API-filter choice
@@ -742,8 +811,8 @@ class Planner:
                 "Scan: twitter firehose (no API-eligible predicate; elevated "
                 "access tier)"
             )
-            live_rows = _lazy_connection_rows(api.unfiltered, plan)
-            return self._maybe_backfill(live_rows, server_matches, window, plan)
+            live = TweetSource(api.unfiltered, plan)
+            return self._maybe_backfill(live, server_matches, window, plan)
 
         from repro.errors import RateLimitError
 
@@ -788,23 +857,24 @@ class Planner:
         # Backfill rows bypass the server, so the server-side conjunct
         # must be re-applied to them locally.
         server_matches = choice.chosen.matches
-        live_rows = _lazy_connection_rows(lambda: api.filter(**kwargs), plan)
-        return self._maybe_backfill(live_rows, server_matches, window, plan)
+        live = TweetSource(lambda: api.filter(**kwargs), plan)
+        return self._maybe_backfill(live, server_matches, window, plan)
 
     def _maybe_backfill(
         self,
-        live_rows: Iterable[Row],
+        live: TweetSource,
         server_matches: Callable[[Any], bool] | None,
         window: tuple[float | None, float | None],
         plan: PhysicalPlan,
-    ) -> Iterable[Row]:
+    ) -> ops.ScanSource:
         """Wrap the live connection in a backfill + live-tail split.
 
         With a historical store and ``EngineConfig.backfill`` on, the
         query's time window is split at the store's *watermark* (largest
-        archived ``created_at``): rows at or below it come straight from
-        the indexed SQLite scan — no connection opened, no clock advance
-        — and the live tail contributes only rows strictly above it.
+        archived ``created_at``): tweets at or below it come straight
+        from the indexed SQLite scan — no connection opened, no clock
+        advance — and the live tail contributes only tweets strictly
+        above it (:class:`BackfillSource`).
 
         The two runs are timestamp-disjoint by construction, so the
         ordered concatenation *is* the seq-stamped k-way merge from
@@ -820,8 +890,7 @@ class Planner:
             and getattr(self._config, "backfill", False)
         )
         if not backfill_on:
-            return live_rows
-        store = self._store
+            return live
         start, end = window
         plan.explain_lines.append(
             "Backfill: historical store "
@@ -829,32 +898,7 @@ class Planner:
             f"{'…' if end is None else f'{end:g}'}) up to the store "
             "watermark, then live tail (timestamp-disjoint merge)"
         )
-
-        def rows() -> Iterator[Row]:
-            watermark = store.watermark()
-            cut = None
-            if watermark is not None:
-                # nextafter makes the backfill half-open bound include
-                # rows at exactly the watermark.
-                cut = math.nextafter(watermark, math.inf)
-                if end is not None:
-                    cut = min(cut, end)
-            served = 0
-            if cut is not None and (start is None or start < cut):
-                for tweet in store.scan(start, cut):
-                    if server_matches is not None and not server_matches(
-                        tweet
-                    ):
-                        continue
-                    served += 1
-                    yield tweet.to_row()
-            plan.backfill_rows = served
-            for row in live_rows:
-                if cut is not None and row["created_at"] < cut:
-                    continue  # history already served this timestamp range
-                yield row
-
-        return rows()
+        return BackfillSource(self._store, live, server_matches, window, plan)
 
     # -- local predicates -----------------------------------------------------
 
@@ -941,9 +985,9 @@ class Planner:
             raise PlanError("stream-stream JOIN requires a *time* WINDOW "
                             "clause (streams join within a time band)")
         if right_binding.api is not None:
-            right_rows: Iterable[Row] = _lazy_connection_rows(
+            right_rows: Iterable[Row] = TweetSource(
                 right_binding.api.unfiltered, plan
-            )
+            ).rows()
         else:
             assert right_binding.rows_factory is not None
             right_rows = right_binding.rows_factory()
@@ -1377,7 +1421,7 @@ class Planner:
         explain = plan.explain_lines
 
         conjuncts = split_conjuncts(statement.where)
-        source_rows = self._build_source(binding, conjuncts, plan)
+        source = self._build_source(binding, conjuncts, plan)
         schema = binding.schema
 
         has_aggregates = _has_aggregates(statement)
@@ -1453,7 +1497,7 @@ class Planner:
 
         # ---- exchange-side stages ----
         exchange_source: ops.Batches = ops.ScanOperator(
-            source_rows, exchange_ctx, batch_size
+            source, exchange_ctx, batch_size
         )
         exchange_source = self._trace(
             exchange_source, f"Scan({binding.name})", plan, lane="exchange"

@@ -39,7 +39,8 @@ TQL901  batch ``seq`` regression (not strictly increasing per producer)
 TQL902  punctuation protocol: batch after ``last=True`` / stream ended
         without punctuation
 TQL903  ColumnBatch incoherence (column/row length mismatch, stale
-        negative-probe cache)
+        negative-probe cache, a tweet backing that is not a list of one
+        ``Tweet`` per row)
 TQL904  ``MISSING`` sentinel leaked into a materialized row dict
 TQL905  batch payload mutated after exchange handoff (fingerprint mismatch)
 TQL906  stats counter regression (a ``QueryStats`` counter decreased)
@@ -64,6 +65,7 @@ from typing import Any
 
 from repro.engine.types import ColumnBatch, MISSING, QueryStats, Row
 from repro.errors import SanitizerError
+from repro.twitter.models import Tweet
 
 __all__ = [
     "HandoffLedger",
@@ -593,7 +595,10 @@ class SanitizeOperator:
         if length < 0:
             self._fail("TQL903", f"negative batch length {length}", batch)
         backing = batch._rows
-        if batch._lazy and backing is None:
+        tweets = batch._tweets
+        if tweets is not None:
+            self._check_tweets(batch, tweets)
+        elif batch._lazy and backing is None:
             self._fail(
                 "TQL903", "lazy ColumnBatch lost its backing row list", batch
             )
@@ -631,6 +636,32 @@ class SanitizeOperator:
                 )
         if backing is not None:
             self._check_rows(batch, backing)
+
+    def _check_tweets(self, batch: ColumnBatch, tweets: Any) -> None:
+        """A tweet-backed batch's backing: a list of ``Tweet``s, one per
+        row. (Its row dicts, once built, are checked like any others.)"""
+        if not isinstance(tweets, list):
+            self._fail(
+                "TQL903",
+                "backing tweets must be a list, got "
+                f"{type(tweets).__name__}",
+                batch,
+            )
+        if len(tweets) != batch.length:
+            self._fail(
+                "TQL903",
+                f"tweet/row length mismatch: {len(tweets)} backing tweets "
+                f"vs declared length {batch.length}",
+                batch,
+            )
+        for index, tweet in enumerate(tweets):
+            if not isinstance(tweet, Tweet):
+                self._fail(
+                    "TQL903",
+                    f"backing tweet {index} is a {type(tweet).__name__}, "
+                    "not a Tweet",
+                    batch,
+                )
 
     def _check_rows(self, batch: ColumnBatch, rows: list[Row]) -> None:
         for index, row in enumerate(rows):

@@ -13,11 +13,13 @@ size, including the one-row batches ``now()`` queries are pinned to.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.clock import VirtualClock
+from repro.twitter.models import TWEET_COLUMNS
 
 Row = dict[str, Any]
 Schema = tuple[str, ...]
@@ -68,19 +70,31 @@ class ColumnBatch:
     buffered state without waiting on a ``StopIteration`` that a
     queue-fed pipeline may never deliver promptly.
 
-    Columns materialize *lazily*: a batch built with :meth:`from_rows`
-    keeps the row list as its source of truth and transposes one column
-    the first time an accessor asks for it. A scan therefore pays no
-    transpose at all for fields the query never touches, a selective
-    filter compresses row references (one pointer copy per survivor)
-    instead of re-gathering every column, and row-oriented consumers
-    (scalar stages, INTO sinks, CSV, TwitInfo, the exchange partitioner)
-    read the same list back through ``rows``. Fully-columnar batches
-    (``_lazy`` False, e.g. projection output) behave identically through
-    the same accessors.
+    Columns materialize *lazily* from a backing list (``_lazy`` True),
+    one column the first time an accessor asks for it, so a field the
+    query never touches costs nothing:
+
+    - :meth:`from_rows` keeps a row list and transposes a column out of
+      the dicts. A selective filter compresses row references (one
+      pointer copy per survivor) instead of re-gathering every column,
+      and row-oriented consumers read the same list back through
+      ``rows``.
+    - :meth:`from_tweets` keeps the ``twitter`` source's list of
+      :class:`~repro.twitter.models.Tweet` and reads a column off the
+      tweets through :data:`~repro.twitter.models.TWEET_COLUMNS`; which
+      fields exist is known from that table without looking at a tweet.
+      Filters keep the batch tweet-backed, and ``rows`` builds
+      ``Tweet.to_row()`` dicts only when a row consumer (scalar stages,
+      INTO sinks, CSV, prefetch, the exchange partitioner) asks, once.
+
+    Fully-columnar batches (``_lazy`` False, e.g. projection output)
+    behave identically through the same accessors.
     """
 
-    __slots__ = ("columns", "length", "seq", "last", "_rows", "_lazy", "_absent")
+    __slots__ = (
+        "columns", "length", "seq", "last", "_rows", "_tweets", "_lazy",
+        "_absent",
+    )
 
     def __init__(
         self,
@@ -94,6 +108,7 @@ class ColumnBatch:
         self.seq = seq
         self.last = last
         self._rows: list[Row] | None = None
+        self._tweets: list[Any] | None = None
         self._lazy = False
         # Fields a probe found on no row. A filter stack asks every batch
         # "any __punct__?"; caching the negative — and handing it down to
@@ -118,9 +133,35 @@ class ColumnBatch:
         batch.seq = seq
         batch.last = last
         batch._rows = rows
+        batch._tweets = None
         batch._lazy = True
         batch._absent = None
         return batch
+
+    @classmethod
+    def from_tweets(
+        cls, tweets: list[Any], seq: int = 0, last: bool = False
+    ) -> "ColumnBatch":
+        """Wrap a list of tweets; columns are read off them on first
+        access and row dicts are built only if ``rows`` is asked for."""
+        batch = cls.__new__(cls)
+        batch.columns = {}
+        batch.length = len(tweets)
+        batch.seq = seq
+        batch.last = last
+        batch._rows = None
+        batch._tweets = tweets
+        batch._lazy = True
+        batch._absent = None
+        return batch
+
+    def _keep_tweets(
+        self, tweets: list[Any], last: bool | None = None
+    ) -> "ColumnBatch":
+        """A tweet-backed batch over some of this batch's tweets."""
+        return ColumnBatch.from_tweets(
+            tweets, self.seq, self.last if last is None else last
+        )
 
     def subset(self, rows: list[Row], last: bool | None = None) -> "ColumnBatch":
         """A rows-backed batch over some of this batch's rows, in order.
@@ -137,9 +178,13 @@ class ColumnBatch:
         return out
 
     def _materialize(self, name: str) -> list[Any]:
-        """Transpose one column out of the backing rows (cached)."""
-        assert self._rows is not None
-        col = [row.get(name, MISSING) for row in self._rows]
+        """Read one column out of the backing list (cached). On a
+        tweet-backed batch ``name`` must be a ``TWEET_COLUMNS`` key."""
+        if self._tweets is not None:
+            col = list(map(TWEET_COLUMNS[name], self._tweets))
+        else:
+            assert self._rows is not None
+            col = [row.get(name, MISSING) for row in self._rows]
         self.columns[name] = col
         return col
 
@@ -147,11 +192,14 @@ class ColumnBatch:
         """Complete the transpose (equality and repr need every column)."""
         if not self._lazy:
             return
-        assert self._rows is not None
-        keys: dict[str, None] = {}
-        for row in self._rows:
-            for key in row:
-                keys[key] = None
+        if self._tweets is not None:
+            keys = dict.fromkeys(TWEET_COLUMNS)
+        else:
+            assert self._rows is not None
+            keys = {}
+            for row in self._rows:
+                for key in row:
+                    keys[key] = None
         for key in keys:
             if key not in self.columns:
                 self._materialize(key)
@@ -159,6 +207,8 @@ class ColumnBatch:
 
     def to_rows(self) -> list[Row]:
         """Materialize per-row dicts (MISSING cells are omitted)."""
+        if self._tweets is not None:
+            return [tweet.to_row() for tweet in self._tweets]
         if self._lazy:
             assert self._rows is not None
             return self._rows
@@ -187,6 +237,24 @@ class ColumnBatch:
             self._rows = self.to_rows()
         return self._rows
 
+    @property
+    def has_rows(self) -> bool:
+        """True when ``rows`` costs nothing: the batch is rows-backed, or
+        its row dicts were already built."""
+        return self._rows is not None
+
+    def row(self, index: int) -> Row:
+        """One row as a dict, without building the batch's other rows."""
+        if self._rows is not None:
+            return self._rows[index]
+        if self._tweets is not None:
+            return self._tweets[index].to_row()
+        return {
+            name: col[index]
+            for name, col in self.columns.items()
+            if col[index] is not MISSING
+        }
+
     # -- columnar accessors ----------------------------------------------------
 
     def field(self, name: str) -> list[Any] | None:
@@ -195,6 +263,10 @@ class ColumnBatch:
         if col is None:
             if not self._lazy:
                 return None
+            if self._tweets is not None:
+                if not self.has_field(name):
+                    return None
+                return self._materialize(name)
             absent = self._absent
             if absent is not None and name in absent:
                 return None
@@ -214,11 +286,21 @@ class ColumnBatch:
 
     def has_field(self, name: str) -> bool:
         """True when any row in the batch carries this field."""
+        if self._tweets is not None:
+            # Every tweet carries every column of the table, and no other.
+            return self.length > 0 and name in TWEET_COLUMNS
         return self.field(name) is not None
 
     def values(self, name: str) -> list[Any]:
         """The column as ``row.get(name)`` would see it (MISSING → None)."""
         col = self.columns.get(name)
+        if self._tweets is not None:
+            # Tweet columns have no MISSING cells.
+            if col is not None:
+                return col
+            if name in TWEET_COLUMNS:
+                return self._materialize(name)
+            return [None] * self.length
         if col is None and self._lazy:
             absent = self._absent
             if absent is not None and name in absent:
@@ -236,11 +318,16 @@ class ColumnBatch:
     def compress(self, verdicts: list[Any]) -> "ColumnBatch":
         """Surviving-rows batch from a verdict column (truthy keeps).
 
-        The filter hot path: rows-backed batches copy one row reference
-        per survivor — already-transposed columns are dropped and
+        The filter hot path: lazy batches copy one row (or tweet)
+        reference per survivor — already-read columns are dropped and
         re-materialize from the survivors on demand, which is cheaper
         than gathering every cached column through an index list.
         """
+        if self._lazy and self._tweets is not None:
+            tweets = list(itertools.compress(self._tweets, verdicts))
+            if len(tweets) == self.length:
+                return self
+            return self._keep_tweets(tweets)
         if self._lazy:
             assert self._rows is not None
             kept = [
@@ -256,6 +343,9 @@ class ColumnBatch:
         """A new batch keeping only the given row positions, in order."""
         if len(indexes) == self.length:
             return self
+        if self._lazy and self._tweets is not None:
+            tweets = self._tweets
+            return self._keep_tweets([tweets[i] for i in indexes])
         if self._lazy:
             assert self._rows is not None
             rows = self._rows
@@ -268,6 +358,8 @@ class ColumnBatch:
 
     def head(self, n: int) -> "ColumnBatch":
         """The first ``n`` rows as a terminal batch (LIMIT truncation)."""
+        if self._lazy and self._tweets is not None:
+            return self._keep_tweets(self._tweets[:n], last=True)
         if self._lazy:
             assert self._rows is not None
             return self.subset(self._rows[:n], last=True)
@@ -407,19 +499,20 @@ class EvalContext:
     #: "exchange" / "worker-N" / "merge" for sharded stages).
     lane: str = "main"
 
-    def advance_to(self, rows: list[Row]) -> None:
-        """Move stream time up to the newest ``created_at`` in ``rows``.
+    def advance_to(self, batch: ColumnBatch) -> None:
+        """Move stream time up to the newest ``created_at`` in ``batch``.
 
         Every scan calls this over a whole batch before releasing it, so
         the batch's rows are all "seen" by the time downstream operators
         evaluate them.
         """
-        stream_time = self.stream_time
-        for row in rows:
-            timestamp = row.get("created_at")
-            if timestamp is not None and timestamp > stream_time:
-                stream_time = timestamp
-        self.stream_time = stream_time
+        stamps = batch.values("created_at")
+        try:
+            newest = max(stamps, default=None)
+        except TypeError:  # NULL cells: no time to advance to
+            newest = max((t for t in stamps if t is not None), default=None)
+        if newest is not None and newest > self.stream_time:
+            self.stream_time = newest
 
     def service(self, name: str) -> Any:
         """Fetch a named service; raises KeyError with a clear message."""

@@ -209,12 +209,12 @@ class TraceOperator:
                 if batch is None:
                     break
                 probe.batches += 1
-                probe.rows += len(batch.rows)
+                probe.rows += batch.length
                 if tracer.batch_spans:
                     tracer.add(
                         probe.name, "batch", t0, t1, lane=probe.lane,
                         parent_id=op_span.span_id,
-                        rows=len(batch.rows), seq=batch.seq, last=batch.last,
+                        rows=batch.length, seq=batch.seq, last=batch.last,
                     )
                 yield batch
                 if batch.last:

@@ -29,6 +29,7 @@ import re
 from typing import Any
 
 from repro.engine.aggregates import AGGREGATE_NAMES
+from repro.engine.expressions import ARITHMETIC
 from repro.engine.functions import FunctionRegistry
 from repro.sql import ast
 from repro.sql.analysis.catalog import Catalog
@@ -371,14 +372,8 @@ def fold_constant(expr: ast.Expr) -> Any:
             return lhs >= rhs
         if op == "CONTAINS":
             return str(rhs).casefold() in str(lhs).casefold()
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "%":
-            return lhs % rhs
+        if op in ARITHMETIC:
+            return ARITHMETIC[op](lhs, rhs)
         if op == "/":
             return None if rhs == 0 else lhs / rhs
     except (TypeError, ZeroDivisionError):

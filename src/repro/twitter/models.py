@@ -15,7 +15,9 @@ evaluation.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 _HASHTAG_RE = re.compile(r"#(\w+)")
@@ -147,17 +149,34 @@ class Tweet:
         }
 
 
-#: Column names of the ``twitter`` stream schema, in order.
-TWITTER_SCHEMA: tuple[str, ...] = (
-    "tweet_id",
-    "text",
-    "loc",
-    "created_at",
-    "user_id",
-    "screen_name",
-    "geo_lat",
-    "geo_lon",
-    "location",
-    "lang",
-    "followers",
+def _geo_lat(tweet: Tweet) -> float | None:
+    return None if tweet.geo is None else tweet.geo[0]
+
+
+def _geo_lon(tweet: Tweet) -> float | None:
+    return None if tweet.geo is None else tweet.geo[1]
+
+
+#: One getter per ``twitter`` column, in :meth:`Tweet.to_row` key order:
+#: ``TWEET_COLUMNS[name](tweet) == tweet.to_row()[name]``. A tweet-backed
+#: batch reads its columns through this table, one column at a time.
+TWEET_COLUMNS: dict[str, Callable[[Tweet], Any]] = {
+    "tweet_id": attrgetter("tweet_id"),
+    "text": attrgetter("text"),
+    "loc": attrgetter("user.location"),
+    "created_at": attrgetter("created_at"),
+    "user_id": attrgetter("user.user_id"),
+    "screen_name": attrgetter("user.screen_name"),
+    "geo_lat": _geo_lat,
+    "geo_lon": _geo_lon,
+    "location": attrgetter("geo"),
+    "lang": attrgetter("user.lang"),
+    "followers": attrgetter("user.followers"),
+    "__tweet__": lambda tweet: tweet,
+}
+
+#: Column names of the ``twitter`` stream schema, in order (the table
+#: above less the raw tweet, which queries cannot name).
+TWITTER_SCHEMA: tuple[str, ...] = tuple(
+    name for name in TWEET_COLUMNS if not name.startswith("__")
 )

@@ -23,6 +23,8 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from itertools import chain, islice
+from operator import attrgetter, length_hint
 from typing import Any
 
 from repro import rng as rng_mod
@@ -32,6 +34,7 @@ from repro.geo.bbox import BoundingBox
 from repro.twitter.models import Tweet
 from repro.twitter.workloads import Scenario
 
+_created_at = attrgetter("created_at")
 
 class Firehose:
     """The full simulated tweet stream, in timestamp order."""
@@ -45,14 +48,18 @@ class Firehose:
 
         Tweets are merged by timestamp and re-assigned globally unique,
         increasing ids (preserving each tweet's other fields and ground
-        truth).
+        truth). A tweet whose id already equals its merged position is
+        kept as is — tweets are frozen, so sessions built over the same
+        scenario share one copy of the stream instead of one each.
         """
         merged = heapq.merge(
             *(s.tweets for s in scenarios), key=lambda t: t.created_at
         )
         tweets = [
-            replace(tweet, tweet_id=index + 1)
-            for index, tweet in enumerate(merged)
+            tweet
+            if tweet.tweet_id == index
+            else replace(tweet, tweet_id=index)
+            for index, tweet in enumerate(merged, start=1)
         ]
         return cls(tweets)
 
@@ -102,9 +109,12 @@ class ConnectionStats:
 class StreamConnection:
     """One long-running filtered stream request.
 
-    Iterating yields matching tweets in timestamp order; if the connection
-    was opened with a clock, the clock advances to each tweet's creation
-    time as it is delivered (stream time drives query time).
+    :meth:`chunks` is the delivery loop: it yields the matching tweets in
+    timestamp order, a list at a time, and a connection opened with a
+    clock advances it to the newest tweet of each list before yielding
+    the list (stream time drives query time). Iterating the connection is
+    the per-tweet view of ``chunks(1)``. ``predicate`` is the server-side
+    filter; None is the unfiltered firehose.
 
     ``drops`` is a fault schedule (see
     :class:`~repro.engine.resilience.StreamDrop`): the connection
@@ -129,7 +139,9 @@ class StreamConnection:
         auto_reconnect: bool = True,
         tap=None,
     ) -> None:
-        self._tweets = tweets
+        # The delivery loop reads a list through one iterator, whose
+        # length hint says how far a C-level filter scanned.
+        self._tweets = tweets if isinstance(tweets, list) else list(tweets)
         self._predicate = predicate
         self._delivery_ratio = delivery_ratio
         self._rng = rng_mod.derive(seed, f"connection:{description}")
@@ -139,6 +151,10 @@ class StreamConnection:
         self.description = description
         self._drops = sorted(drops, key=lambda d: d.after_delivered)
         self._auto_reconnect = auto_reconnect
+        # Fault-schedule cursor: index of the next pending drop, plus how
+        # many deliverable tweets of the current gap remain.
+        self._next_drop = 0
+        self._gap_remaining = 0
         self.stats = ConnectionStats()
         self._closed = False
         #: Span recorder (set by the planner at open time when tracing is
@@ -146,61 +162,155 @@ class StreamConnection:
         self.tracer = None
 
     def __iter__(self) -> Iterator[Tweet]:
-        # Fault-schedule cursor: index of the next pending drop, plus how
-        # many deliverable tweets of the current gap remain.
-        next_drop = 0
-        gap_remaining = 0
+        return chain.from_iterable(self.chunks(1))
+
+    def chunks(self, size: int) -> Iterator[list[Tweet]]:
+        """Delivered tweets, ``size`` to a list, then one shorter list
+        (possibly empty) when the stream ends or the connection closes.
+
+        Each list holds exactly what ``size`` pulls of a per-tweet loop
+        would deliver, and the firehose is read no further than the
+        list's last tweet, so the counters, delivery draws, tap calls and
+        reconnects agree with that loop at every list boundary. While no
+        stream drop can fall inside the next list — always, on a
+        connection without a fault schedule — the predicate runs over the
+        firehose in one ``filter`` call, a lossy connection draws only
+        for the matches, the counters move once and the clock advances
+        once, to the list's newest tweet; otherwise the list is filled
+        tweet by tweet.
+        """
+        if size < 1:
+            raise ValueError("size must be positive")
+        source = iter(self._tweets)
+        stats = self.stats
+        predicate = self._predicate
+        tap = self._tap
+        clock = self._clock
+        drops = self._drops
+        lossy = self._delivery_ratio < 1.0
         try:
-            for tweet in self._tweets:
+            while True:
                 if self._closed:
+                    chunk: list[Tweet] = []
+                elif not self._gap_remaining and (
+                    self._next_drop == len(drops)
+                    or stats.delivered + size
+                    <= drops[self._next_drop].after_delivered
+                ):
+                    if predicate is None:
+                        matches = source
+                    else:
+                        before = length_hint(source)
+                        matches = filter(predicate, source)
+                    if lossy:
+                        chunk, matched = self._draw(matches, size)
+                        stats.dropped += matched - len(chunk)
+                    else:
+                        chunk = list(islice(matches, size))
+                        matched = len(chunk)
+                    stats.scanned += (
+                        matched if predicate is None
+                        else before - length_hint(source)
+                    )
+                    stats.matched += matched
+                    stats.delivered += len(chunk)
+                    if tap is not None:
+                        for tweet in chunk:
+                            tap(tweet)
+                    if clock is not None and chunk:
+                        # max() alone costs the per-tweet view a third of
+                        # its time; a one-tweet list needs no comparison.
+                        newest = (
+                            max(map(_created_at, chunk))
+                            if len(chunk) > 1
+                            else chunk[0].created_at
+                        )
+                        if newest > clock.now:
+                            clock.advance_to(newest)
+                else:
+                    chunk = self._walk(source, size)
+                yield chunk
+                if len(chunk) < size:
                     return
-                self.stats.scanned += 1
-                if not self._predicate(tweet):
-                    continue
-                self.stats.matched += 1
-                if (
-                    self._delivery_ratio < 1.0
-                    and self._rng.random() > self._delivery_ratio
-                ):
-                    self.stats.dropped += 1
-                    continue
-                while (
-                    next_drop < len(self._drops)
-                    and self.stats.delivered
-                    >= self._drops[next_drop].after_delivered
-                ):
-                    gap_remaining += self._drops[next_drop].gap
-                    next_drop += 1
-                    if self._auto_reconnect:
-                        self.stats.reconnects += 1
-                        if self.tracer is not None:
-                            self.tracer.instant(
-                                f"reconnect({self.description})",
-                                "reconnect",
-                                lane="stream",
-                                delivered=self.stats.delivered,
-                                gap=self._drops[next_drop - 1].gap,
-                            )
-                if gap_remaining > 0:
-                    gap_remaining -= 1
-                    self.stats.gap_tweets += 1
-                    if not self._auto_reconnect:
-                        # Disconnected and no backfill: the tweet is gone.
-                        self.stats.dropped += 1
-                        continue
-                    # Reconnected from the cursor: the tweet is recovered
-                    # and delivered below like any other.
-                self.stats.delivered += 1
-                if self._tap is not None:
-                    self._tap(tweet)
-                if self._clock is not None and tweet.created_at > self._clock.now:
-                    self._clock.advance_to(tweet.created_at)
-                yield tweet
         finally:
             # A drained (or abandoned) connection releases its slot; real
             # streams end when the server hangs up, not only on client
             # close.
             self.close()
+
+    def _draw(
+        self, matches: Iterator[Tweet], size: int
+    ) -> tuple[list[Tweet], int]:
+        """Up to ``size`` deliveries out of ``matches``, one delivery draw
+        per match; returns them with the number of matches read."""
+        random = self._rng.random
+        ratio = self._delivery_ratio
+        chunk: list[Tweet] = []
+        matched = 0
+        for tweet in matches:
+            matched += 1
+            if random() <= ratio:
+                chunk.append(tweet)
+                if len(chunk) == size:
+                    break
+        return chunk, matched
+
+    def _walk(self, source: Iterator[Tweet], size: int) -> list[Tweet]:
+        """Up to ``size`` deliveries, tweet by tweet: the delivery draw,
+        the fault-schedule cursor, the tap and the clock per tweet (a list
+        a scheduled stream drop may fall inside)."""
+        stats = self.stats
+        predicate = self._predicate
+        drops = self._drops
+        chunk: list[Tweet] = []
+        for tweet in source:
+            if self._closed:
+                break
+            stats.scanned += 1
+            if predicate is not None and not predicate(tweet):
+                continue
+            stats.matched += 1
+            if (
+                self._delivery_ratio < 1.0
+                and self._rng.random() > self._delivery_ratio
+            ):
+                stats.dropped += 1
+                continue
+            while (
+                self._next_drop < len(drops)
+                and stats.delivered >= drops[self._next_drop].after_delivered
+            ):
+                drop = drops[self._next_drop]
+                self._gap_remaining += drop.gap
+                self._next_drop += 1
+                if self._auto_reconnect:
+                    stats.reconnects += 1
+                    if self.tracer is not None:
+                        self.tracer.instant(
+                            f"reconnect({self.description})",
+                            "reconnect",
+                            lane="stream",
+                            delivered=stats.delivered,
+                            gap=drop.gap,
+                        )
+            if self._gap_remaining > 0:
+                self._gap_remaining -= 1
+                stats.gap_tweets += 1
+                if not self._auto_reconnect:
+                    # Disconnected and no backfill: the tweet is gone.
+                    stats.dropped += 1
+                    continue
+                # Reconnected from the cursor: the tweet is recovered and
+                # delivered below like any other.
+            stats.delivered += 1
+            if self._tap is not None:
+                self._tap(tweet)
+            if self._clock is not None and tweet.created_at > self._clock.now:
+                self._clock.advance_to(tweet.created_at)
+            chunk.append(tweet)
+            if len(chunk) == size:
+                break
+        return chunk
 
     def close(self) -> None:
         """Terminate the connection; iteration stops at the next tweet."""
@@ -291,7 +401,7 @@ class StreamingAPI:
         self._open_connections += 1
         self._connection_serial += 1
         connection = StreamConnection(
-            self._firehose,
+            self._firehose.tweets,
             predicate,
             self._delivery_ratio,
             seed=self._seed + self._connection_serial,
@@ -371,7 +481,7 @@ class StreamingAPI:
         no API-eligible predicate still run. Counts against the connection
         limit like any other stream.
         """
-        return self._connect(lambda _tweet: True, description="firehose")
+        return self._connect(None, description="firehose")
 
     def sample(
         self,

@@ -11,12 +11,20 @@ the virtual clock — the whole point of the tier).
 
 from __future__ import annotations
 
+import math
 import shutil
+from itertools import islice
 
 import pytest
 
 from repro import EngineConfig, TweeQL
-from repro.engine.planner import _time_window, split_conjuncts
+from repro.engine.planner import (
+    BackfillSource,
+    PhysicalPlan,
+    TweetSource,
+    _time_window,
+    split_conjuncts,
+)
 from repro.errors import StorageError
 from repro.sql.analysis import analyze_sql
 from repro.sql.parser import parse
@@ -124,6 +132,69 @@ def test_windowed_backfill_matches_pure_live(scenario, archive_path, tmp_path):
         assert handle.backfill_rows > 0
     finally:
         session.close()
+
+
+def _row_splice(store, open_live, matches, window, size):
+    """The backfill split as a row-at-a-time splice framed by ``islice``:
+    matching store tweets below the cut, then each live tweet above it."""
+    start, end = window
+    cut = math.nextafter(store.watermark(), math.inf)
+    if end is not None:
+        cut = min(cut, end)
+    served = []
+
+    def tweets():
+        for tweet in store.scan(start, cut):
+            if matches(tweet):
+                served.append(tweet)
+                yield tweet
+        for tweet in open_live():
+            if tweet.created_at >= cut:
+                yield tweet
+
+    source = tweets()
+    while True:
+        chunk = list(islice(source, size))
+        yield chunk, len(served)
+        if len(chunk) < size:
+            return
+
+
+@pytest.mark.parametrize("size", [1, 7, 256])
+def test_backfill_framing_across_the_cut(scenario, archive_path, tmp_path, size):
+    """Chunks of store-then-live tweets are framed exactly as the row
+    splice frames them, the live connection reads no further and the
+    clock moves no further at any chunk boundary, and the served count
+    is the splice's."""
+    window = (scenario.start + 600.0, None)
+    runs = []
+    for side in ("ours", "splice"):
+        path = str(tmp_path / f"{side}.db")
+        shutil.copy(archive_path, path)
+        session = _hybrid_session(scenario, path)
+        plan = PhysicalPlan(pipeline=iter(()), output_schema=(), ctx=None)
+        live = TweetSource(lambda: session.api.filter(track=("tevez",)), plan)
+        matches = lambda tweet: tweet.matches_any_keyword(("tevez",))  # noqa: E731
+        if side == "ours":
+            source = BackfillSource(session.store, live, matches, window, plan)
+            chunks = ((chunk, plan.backfill_rows) for chunk in source.chunks(size))
+        else:
+            chunks = _row_splice(session.store, live.open, matches, window, size)
+        frames = []
+        for chunk, served in chunks:
+            stats = plan.connections[0].stats if plan.connections else None
+            frames.append((
+                [t.tweet_id for t in chunk],
+                None if stats is None else (stats.scanned, stats.delivered),
+                session.clock.now,
+            ))
+        runs.append((frames, served))
+        session.close()
+    (ours, our_served), (splice, splice_served) = runs
+    assert ours == splice
+    assert our_served == splice_served > 0
+    assert any(frame[1] is None for frame in ours)  # some chunks: store only
+    assert [len(ids) for ids, _, _ in ours[:-1]] == [size] * (len(ours) - 1)
 
 
 # ---------------------------------------------------------------------------

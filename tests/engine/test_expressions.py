@@ -3,11 +3,16 @@
 import pytest
 
 from repro.clock import VirtualClock
-from repro.engine.expressions import compile_expr, contains_aggregate
+from repro.engine.expressions import (
+    compile_expr,
+    compile_vector_expr,
+    contains_aggregate,
+)
 from repro.engine.functions import default_registry
-from repro.engine.types import EvalContext
+from repro.engine.types import ColumnBatch, EvalContext
 from repro.errors import PlanError, UnknownFieldError
 from repro.sql import parse
+from repro.sql.analysis.lints import fold_constant
 
 SCHEMA = ("text", "n", "m", "loc", "location", "flag")
 
@@ -32,6 +37,33 @@ def test_arithmetic(ctx):
     assert evaluate("n + m * 2", {"n": 1, "m": 3}, ctx) == 7
     assert evaluate("(n + m) * 2", {"n": 1, "m": 3}, ctx) == 8
     assert evaluate("n % m", {"n": 7, "m": 4}, ctx) == 3
+
+
+@pytest.mark.parametrize(
+    "fragment,row",
+    [
+        # Python would repeat the string or tuple, as long as asked.
+        ("text * n", {"text": "ab", "n": 10**19}),
+        ("n * text", {"text": "ab", "n": 3}),
+        ("loc * n", {"loc": ("a", "b"), "n": 10**19}),
+        # Python would printf-format, width fields and all.
+        ("text % n", {"text": "%9d", "n": 1}),
+    ],
+)
+def test_arithmetic_is_numeric_only(ctx, fragment, row):
+    """``*`` and ``%`` never build a result whose size an operand's value
+    picks: on a string or sequence they raise like ``-`` does, in the
+    row path, the column path and the analyzer's constant folder."""
+    with pytest.raises(TypeError):
+        evaluate(fragment, row, ctx)
+    vector = compile_vector_expr(
+        expr_of(fragment), default_registry(), SCHEMA, ctx
+    )
+    with pytest.raises(TypeError):
+        vector(ColumnBatch.from_rows([row]), ctx)
+    assert fold_constant(expr_of("'ab' * 10000000000000000000")) is None
+    assert fold_constant(expr_of("'%9d' % 1")) is None
+    assert fold_constant(expr_of("6 * 7 % 5")) == 2
 
 
 def test_null_propagates_through_arithmetic(ctx):

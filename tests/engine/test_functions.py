@@ -1,7 +1,13 @@
 """Builtin functions and the registry."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.clock import DEFAULT_EPOCH, VirtualClock
 from repro.engine.functions import MeanDevUDF, default_registry
 from repro.engine.types import EvalContext
@@ -159,3 +165,46 @@ def test_meandev_scores_spikes(ctx):
 
 def test_meandev_null_passthrough(ctx):
     assert MeanDevUDF()(ctx, None) is None
+
+
+#: Runs the statement in a child interpreter, so that a ``round`` whose
+#: cost runs away fails the test on its timeout instead of hanging it.
+_ROUND_SCRIPT = """
+import json
+from repro import EngineConfig, TweeQL
+
+values = [0, 7, -49, 1234567, -98765, 10**40, True, 2.5, -3.75e300]
+out = []
+for batch_size in (1, 256):
+    session = TweeQL(config=EngineConfig(batch_size=batch_size))
+    session.register_source(
+        "s",
+        lambda: iter(
+            [{"created_at": float(i), "followers": v} for i, v in enumerate(values)]
+        ),
+        ("created_at", "followers"),
+    )
+    rows = session.query(
+        "SELECT round(followers, -10000000000) AS r FROM s;"
+    ).all()
+    out.append([[type(row["r"]).__name__, repr(row["r"])] for row in rows])
+print(json.dumps(out))
+"""
+
+
+def test_round_with_a_huge_negative_ndigits_returns_at_once():
+    """Rounding an integer to -10**10 digits is 0 — the value Python's
+    ``round`` gives, were it to finish computing ``10**(10**10)``; for a
+    float Python returns at once, and the engine returns the same."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _ROUND_SCRIPT],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    expected = [["int", "0"]] * 7 + [
+        ["float", repr(round(2.5, -10**10))],
+        ["float", repr(round(-3.75e300, -10**10))],
+    ]
+    assert json.loads(done.stdout) == [expected, expected]

@@ -26,7 +26,7 @@ def rows_at(*specs):
 
 def test_scan_advances_stream_time_and_counts(ctx):
     rows = rows_at((1.0, {}), (5.0, {}), (9.0, {}))
-    out = drain(ops.ScanOperator(rows, ctx))
+    out = drain(ops.ScanOperator(ops.RowSource(rows), ctx))
     assert len(out) == 3
     assert ctx.stream_time == 9.0
     assert ctx.stats.rows_scanned == 3
@@ -34,7 +34,7 @@ def test_scan_advances_stream_time_and_counts(ctx):
 
 def test_scan_batches_by_size(ctx):
     rows = rows_at(*((float(i), {}) for i in range(5)))
-    batches = list(ops.ScanOperator(rows, ctx, batch_size=2))
+    batches = list(ops.ScanOperator(ops.RowSource(rows), ctx, batch_size=2))
     assert [len(b) for b in batches] == [2, 2, 1]
     assert [b.seq for b in batches] == [0, 1, 2]
     assert [b.last for b in batches] == [False, False, True]
@@ -43,14 +43,14 @@ def test_scan_batches_by_size(ctx):
 
 def test_scan_emits_empty_last_batch_on_aligned_exhaustion(ctx):
     rows = rows_at((1.0, {}), (2.0, {}))
-    batches = list(ops.ScanOperator(rows, ctx, batch_size=2))
+    batches = list(ops.ScanOperator(ops.RowSource(rows), ctx, batch_size=2))
     assert [len(b) for b in batches] == [2, 0]
     assert batches[-1].last
 
 
 def test_scan_validates_batch_size(ctx):
     with pytest.raises(ValueError):
-        ops.ScanOperator([], ctx, batch_size=0)
+        ops.ScanOperator(ops.RowSource([]), ctx, batch_size=0)
 
 
 def test_filter_true_only(ctx):

@@ -115,7 +115,9 @@ def run(session, sql):
 
 @settings(
     max_examples=20,
-    deadline=None,
+    # Generous: the shapes call builtins, and a builtin whose cost runs
+    # away must fail the example rather than stall the suite.
+    deadline=10_000,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(

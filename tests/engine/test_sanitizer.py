@@ -12,6 +12,7 @@ every invariant is demonstrated to actually trip, not just documented.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.engine.sanitizer import (
 )
 from repro.engine.types import MISSING, ColumnBatch, QueryStats
 from repro.errors import SanitizerError
+from repro.twitter.models import Tweet, User
 
 SCHEMA = ("tweet_id", "text", "created_at", "lang", "followers")
 
@@ -199,6 +201,62 @@ def test_tql903_non_list_backing_rows_fires():
 
     error = expect("TQL903", sanitize(broken()))
     assert "must be a list" in str(error)
+
+
+def _tweets(n=3):
+    user = User(user_id=7, screen_name="ref", location="Leeds")
+    return [
+        Tweet(tweet_id=i, created_at=100.0 + i, user=user, text=f"goal {i}")
+        for i in range(n)
+    ]
+
+
+def test_tweet_backed_batch_passes_clean():
+    batch = ColumnBatch.from_tweets(_tweets(), seq=0, last=True)
+    batch.values("text"), batch.rows  # a read column and built rows
+    assert list(sanitize([batch])) == [batch]
+
+
+def test_tql903_non_list_backing_tweets_fires():
+    def broken():
+        yield ColumnBatch.from_tweets(tuple(_tweets()), seq=0, last=True)
+
+    error = expect("TQL903", sanitize(broken()))
+    assert "backing tweets must be a list" in str(error)
+
+
+def test_tql903_tweet_count_mismatch_fires():
+    def broken():
+        batch = ColumnBatch.from_tweets(_tweets(), seq=0, last=True)
+        batch.length = 2  # declares fewer rows than it holds tweets
+        yield batch
+
+    error = expect("TQL903", sanitize(broken()))
+    assert "3 backing tweets vs declared length 2" in str(error)
+
+
+def test_tql903_backing_row_dict_instead_of_tweet_fires():
+    def broken():
+        tweets = _tweets()
+        yield ColumnBatch.from_tweets(
+            [tweets[0], tweets[1].to_row(), tweets[2]], seq=0, last=True
+        )
+
+    error = expect("TQL903", sanitize(broken()))
+    assert "backing tweet 1 is a dict, not a Tweet" in str(error)
+
+
+def test_tql904_missing_leak_through_tweet_rows_fires():
+    """Row dicts a tweet-backed batch built are checked like any other."""
+    def broken():
+        tweets = _tweets()
+        tweets[2] = replace(tweets[2], user=replace(tweets[2].user, lang=MISSING))
+        batch = ColumnBatch.from_tweets(tweets, seq=0, last=True)
+        batch.rows  # a row consumer asked
+        yield batch
+
+    error = expect("TQL904", sanitize(broken()))
+    assert "row 2 field 'lang'" in str(error)
 
 
 def test_tql904_missing_leak_fires():

@@ -107,7 +107,7 @@ def run(session: TweeQL, sql: str) -> list[dict]:
 
 @settings(
     max_examples=60,
-    deadline=None,
+    deadline=5000,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(sql=queries())
@@ -129,7 +129,7 @@ def test_analyzer_verdict_matches_engine(sql):
 
 @settings(
     max_examples=30,
-    deadline=None,
+    deadline=5000,
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(sql=queries())

@@ -1,6 +1,12 @@
 """Tweet/user records and schema projection."""
 
-from repro.twitter.models import TWITTER_SCHEMA, Tweet, TweetEntities, User
+from repro.twitter.models import (
+    TWEET_COLUMNS,
+    TWITTER_SCHEMA,
+    Tweet,
+    TweetEntities,
+    User,
+)
 
 
 def make_tweet(text="hello world", geo=None, location="Boston"):
@@ -52,6 +58,21 @@ def test_to_row_without_geotag():
     row = make_tweet().to_row()
     assert row["geo_lat"] is None
     assert row["location"] is None
+
+
+def test_tweet_columns_read_what_to_row_writes(soccer, election_small):
+    """The getter table a tweet-backed batch reads columns through gives
+    ``to_row()``'s value for every column of every scenario tweet, and
+    lists the columns in ``to_row()``'s key order."""
+    for scenario in (soccer, election_small):
+        for tweet in scenario.tweets:
+            row = tweet.to_row()
+            assert list(TWEET_COLUMNS) == list(row)
+            for name, get in TWEET_COLUMNS.items():
+                value = get(tweet)
+                assert value == row[name] and type(value) is type(row[name])
+    assert TWITTER_SCHEMA == tuple(TWEET_COLUMNS)[:-1]
+    assert TWEET_COLUMNS["__tweet__"](tweet) is tweet
 
 
 def test_location_property_is_profile_location():

@@ -27,6 +27,26 @@ def test_merge_orders_and_reids(firehose):
     assert ids == list(range(1, len(firehose) + 1))
 
 
+def test_single_scenario_firehose_shares_its_tweets(soccer):
+    """A scenario's tweets already carry their merged ids, so every
+    session over it reads the same tweet objects."""
+    firehose = Firehose.from_scenarios(soccer)
+    assert len(firehose) == len(soccer.tweets)
+    assert all(a is b for a, b in zip(firehose, soccer.tweets))
+
+
+def test_merged_firehose_reids_and_keeps_every_other_field(
+    firehose, soccer, chatter
+):
+    merged = sorted(
+        soccer.tweets + chatter.tweets, key=lambda t: t.created_at
+    )
+    assert [t.tweet_id for t in firehose] == list(range(1, len(merged) + 1))
+    for tweet, source in zip(firehose, merged):
+        assert tweet == replace(source, tweet_id=tweet.tweet_id)
+        assert tweet.ground_truth == source.ground_truth
+
+
 def test_span(firehose):
     first, last = firehose.span
     assert first < last
