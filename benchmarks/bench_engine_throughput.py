@@ -4,11 +4,11 @@ The engine must keep up with the stream it consumes ("view live streaming
 results"). This bench measures tuples/second through representative
 pipelines over a pre-generated firehose: filter-only, filter+project,
 regex matching, windowed aggregation, grouped windowed aggregation, and
-an eddy with three predicates — plus the sharded engine's workers sweep.
+an eddy with three predicates.
 
 E9d writes ``BENCH_throughput.json`` into the ``$BENCH_OUTPUT`` directory
 (a directory in every bench that reads it; default: the repo root):
-rows/second for every batch-size × workers point over a static in-memory
+rows/second for every batch size over a static in-memory
 source, the batch-size-1 ÷ batch-size-256 rows/s ratio of that same run
 (one-row batches run scalar stages; the ratio keeps their cost visible),
 plus the headline vectorized-vs-scalar speedups at batch 256: a
@@ -88,83 +88,9 @@ def test_pipeline_throughput(benchmark, soccer, name):
     assert tuples_per_second > 10_000
 
 
-def _parallelism_available() -> bool:
-    """True only where shard threads can actually run concurrently.
-
-    On a single-core box — or under the GIL — the sharded engine pays
-    coordination overhead with no compute to overlap, so the speedup
-    assertion would test the hardware, not the engine.
-    """
-    cores = os.cpu_count() or 1
-    gil_enabled = getattr(sys, "_is_gil_enabled", lambda: True)()
-    return cores >= 2 and not gil_enabled
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_sharded_throughput_sweep(benchmark, soccer, workers):
-    """E9b — the grouped-window pipeline across worker counts.
-
-    Records tuples/second at each worker count; asserts the >= 1.5x
-    speedup at 4 workers only when the host can express parallelism.
-    """
-    sql = (
-        "SELECT AVG(followers) AS f, lang FROM twitter "
-        "WHERE text contains 'soccer' GROUP BY lang WINDOW 5 minutes;"
-    )
-
-    def run():
-        session = TweeQL.for_scenarios(
-            soccer, config=EngineConfig(workers=workers), seed=SEED
-        )
-        handle = session.query(sql)
-        rows = handle.all()
-        if workers > 1:
-            explain = handle.explain()
-            assert "Exchange" in explain and "Merge" in explain
-        return rows
-
-    rows = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert rows
-    tuples_per_second = len(soccer) / benchmark.stats.stats.mean
-    benchmark.extra_info["workers"] = workers
-    benchmark.extra_info["tuples_per_second"] = round(tuples_per_second)
-    print(f"\nE9b workers={workers}: {len(soccer)} stream tweets → "
-          f"{tuples_per_second:,.0f} tweets/s (wall)")
-
-
-def test_sharded_speedup(soccer):
-    """The >= 1.5x acceptance criterion, gated on usable parallelism."""
-    import time
-
-    sql = (
-        "SELECT AVG(followers) AS f, lang FROM twitter "
-        "WHERE text contains 'soccer' GROUP BY lang WINDOW 5 minutes;"
-    )
-
-    def timed(workers: int) -> float:
-        session = TweeQL.for_scenarios(
-            soccer, config=EngineConfig(workers=workers), seed=SEED
-        )
-        start = time.perf_counter()
-        session.query(sql).all()
-        return time.perf_counter() - start
-
-    serial = timed(1)
-    sharded = timed(4)
-    speedup = serial / sharded if sharded else float("inf")
-    print(f"\nE9b speedup: serial {serial:.2f}s, 4 workers {sharded:.2f}s "
-          f"→ {speedup:.2f}x (cores={os.cpu_count()}, "
-          f"parallelism_available={_parallelism_available()})")
-    if _parallelism_available():
-        assert speedup >= 1.5, (
-            f"expected >= 1.5x at 4 workers, measured {speedup:.2f}x"
-        )
-
-
-@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("batch_size", [1, 64, 256, 1024])
-def test_batch_size_sweep(benchmark, soccer, batch_size, workers):
-    """E9c — the select+project pipeline across batch sizes and workers.
+def test_batch_size_sweep(benchmark, soccer, batch_size):
+    """E9c — the select+project pipeline across batch sizes.
 
     batch_size=1 is the legacy row-at-a-time engine; larger batches
     amortize per-pull dispatch across the pipeline. Records rows/sec so
@@ -183,7 +109,7 @@ def test_batch_size_sweep(benchmark, soccer, batch_size, workers):
     def run():
         session = TweeQL.for_scenarios(
             soccer,
-            config=EngineConfig(batch_size=batch_size, workers=workers),
+            config=EngineConfig(batch_size=batch_size),
             seed=SEED,
         )
         handle = session.query(sql)
@@ -195,19 +121,17 @@ def test_batch_size_sweep(benchmark, soccer, batch_size, workers):
     assert rows
     tuples_per_second = len(soccer) / benchmark.stats.stats.mean
     benchmark.extra_info["batch_size"] = batch_size
-    benchmark.extra_info["workers"] = workers
     benchmark.extra_info["tuples_per_second"] = round(tuples_per_second)
-    print(f"\nE9c batch={batch_size} workers={workers}: "
+    print(f"\nE9c batch={batch_size}: "
           f"{len(soccer)} stream tweets → "
           f"{tuples_per_second:,.0f} tweets/s (wall)")
 
 
 def test_batch_speedup(soccer):
-    """The >= 1.3x batching acceptance criterion (single worker).
+    """The >= 1.3x batching acceptance criterion.
 
-    Unlike the sharded speedup this needs no parallelism gate: batching
-    amortizes interpreter dispatch on one thread, so the win survives
-    the GIL and single-core hosts. Same non-API-eligible predicate as
+    Batching amortizes interpreter dispatch on one thread, so the win
+    survives the GIL and single-core hosts. Same non-API-eligible predicate as
     the sweep, for the same reason; the projection is plain columns so
     the measurement is dominated by the dispatch batching amortizes,
     not by per-row UDF evaluation (which costs the same either way).
@@ -247,7 +171,7 @@ def test_batch_speedup(soccer):
 
 
 # ---------------------------------------------------------------------------
-# E9d — vectorized execution and sharding (BENCH_throughput.json)
+# E9d — vectorized execution (BENCH_throughput.json)
 # ---------------------------------------------------------------------------
 
 #: A deterministic in-memory source: no stream simulator, no API filter,
@@ -340,42 +264,38 @@ def throughput_report():
 
 
 def test_throughput_matrix(throughput_report):
-    """E9d — rows/second per batch-size × workers."""
+    """E9d — rows/second per batch size."""
     sql = (
         "SELECT text, followers FROM s "
         "WHERE followers > 500 AND text CONTAINS 'goal';"
     )
     expected = None
-    for workers in (1, 4):
-        for batch_size in (1, 64, 256, 1024):
-            session = _static_session(batch_size=batch_size, workers=workers)
-            seconds, rows = _timed_run(session, sql, reps=2)
-            if expected is None:
-                expected = rows
-            assert rows == expected, (workers, batch_size)
-            throughput_report["throughput"].append({
-                "workers": workers,
-                "batch_size": batch_size,
-                "seconds": round(seconds, 4),
-                "rows_per_second": round(_STATIC_N / seconds),
-            })
+    for batch_size in (1, 64, 256, 1024):
+        session = _static_session(batch_size=batch_size)
+        seconds, rows = _timed_run(session, sql, reps=2)
+        if expected is None:
+            expected = rows
+        assert rows == expected, batch_size
+        throughput_report["throughput"].append({
+            "batch_size": batch_size,
+            "seconds": round(seconds, 4),
+            "rows_per_second": round(_STATIC_N / seconds),
+        })
     fastest = max(
         throughput_report["throughput"], key=lambda p: p["rows_per_second"]
     )
     print(f"\nE9d fastest point: {fastest}")
     # Ratio of the same run: what one row per batch (scalar stages; the
     # only shape ``now()`` queries get) costs against the default size.
-    serial = {
+    rate = {
         p["batch_size"]: p["rows_per_second"]
         for p in throughput_report["throughput"]
-        if p["workers"] == 1
     }
-    ratio = serial[1] / serial[256]
+    ratio = rate[1] / rate[256]
     throughput_report["batch1_vs_batch256"] = {
         "sql": sql,
-        "workers": 1,
-        "batch1_rows_per_second": serial[1],
-        "batch256_rows_per_second": serial[256],
+        "batch1_rows_per_second": rate[1],
+        "batch256_rows_per_second": rate[256],
         "ratio": round(ratio, 3),
     }
     print(f"E9d batch 1 runs at {ratio:.2f}x the batch-256 rate")

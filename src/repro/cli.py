@@ -126,7 +126,6 @@ def build_session(args: argparse.Namespace) -> tuple[TweeQL, list[Scenario]]:
         latency_mode=getattr(args, "latency_mode", "cached"),
         use_eddy=getattr(args, "use_eddy", False),
         partial_results=getattr(args, "partial_results", False),
-        workers=getattr(args, "workers", 1),
         batch_size=getattr(args, "batch_size", 256),
         shared_scan=getattr(args, "shared", False),
         sanitize=getattr(args, "sanitize", False),
@@ -285,7 +284,6 @@ def run_check(args: argparse.Namespace) -> int:
         latency_mode=getattr(args, "latency_mode", "cached"),
         use_eddy=getattr(args, "use_eddy", False),
         partial_results=getattr(args, "partial_results", False),
-        workers=getattr(args, "workers", 1),
         batch_size=getattr(args, "batch_size", 256),
         sanitize=getattr(args, "sanitize", False),
     )
@@ -483,14 +481,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="how high-latency UDFs reach their web services",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help="shard each query across N parallel worker pipelines "
-        "(1 = serial; results are identical at any worker count)",
-    )
-    parser.add_argument(
         "--batch-size",
         type=int,
         default=256,
@@ -502,8 +492,8 @@ def make_parser() -> argparse.ArgumentParser:
         "--sanitize",
         action="store_true",
         help="run queries under the TQLSAN invariant sanitizer: check "
-        "seq monotonicity, punctuation, ColumnBatch coherence, handoff "
-        "immutability, and lock ordering at every operator boundary "
+        "seq monotonicity, punctuation, ColumnBatch coherence, stage "
+        "ownership, and lock ordering at every operator boundary "
         "(TQL9xx violations; also via TWEEQL_SAN=1; see docs/SANITIZER.md)",
     )
     parser.add_argument(

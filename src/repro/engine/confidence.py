@@ -108,18 +108,10 @@ class ConfidenceAggregateOperator:
             emitted: list[Row] = []
             for row in batch.rows:
                 now = row.get("created_at", self._ctx.stream_time)
-                # Under sharded execution rows carry a global sequence
-                # number and time-only punctuation arrives for rows routed
-                # to other shards; both keep age-based flushes firing at
-                # exactly the triggers the serial operator would have seen.
-                trigger = row.get("__seq__")
 
                 # Freshness bound: age out slow groups before processing.
                 if policy.max_age_seconds is not None:
-                    self._flush_aged(now, trigger, emitted)
-
-                if "__punct__" in row:
-                    continue
+                    self._flush_aged(now, emitted)
 
                 key = tuple(e(row, self._ctx) for e in self._group_evals)
                 value = self._value_eval(row, self._ctx)
@@ -135,12 +127,7 @@ class ConfidenceAggregateOperator:
                 if group.aggregate.n >= policy.min_count:
                     half = group.aggregate.confidence_interval(policy.z)
                     if half is not None and half <= policy.ci_halfwidth:
-                        emitted.append(
-                            self._emit(
-                                key, group, "confidence",
-                                order=self._order_tag(trigger, 1, group),
-                            )
-                        )
+                        emitted.append(self._emit(key, group, "confidence"))
             if emitted:
                 yield ColumnBatch.from_rows(emitted, batch.seq)
             if batch.last:
@@ -148,34 +135,12 @@ class ConfidenceAggregateOperator:
 
         tail: list[Row] = []
         for key in sorted(self._groups, key=_key_order):
-            group = self._groups[key]
-            order = (
-                (math.inf, 2, _key_order(key))
-                if "__seq__" in group.representative
-                else None
-            )
-            tail.append(self._emit(key, group, "eos", pop=False, order=order))
+            tail.append(self._emit(key, self._groups[key], "eos", pop=False))
         self._groups.clear()
         # Tail seq stays strictly above the last input batch's.
         yield ColumnBatch.from_rows(tail, tail_seq, last=True)
 
-    def _order_tag(
-        self, trigger: int | None, phase: int, group: _ConfidenceGroup
-    ) -> tuple | None:
-        """Merge-order tag for sharded execution; None when serial.
-
-        Tags sort by (triggering row, phase, group first-seen row): the
-        serial operator flushes aged groups before processing the trigger
-        row's own group (phase 0 < 1), and emits multiple aged groups in
-        creation order.
-        """
-        if trigger is None:
-            return None
-        return (trigger, phase, group.representative.get("__seq__", -1))
-
-    def _flush_aged(
-        self, now: float, trigger: int | None, emitted: list[Row]
-    ) -> None:
+    def _flush_aged(self, now: float, emitted: list[Row]) -> None:
         assert self._policy.max_age_seconds is not None
         horizon = now - self._policy.max_age_seconds
         aged = [
@@ -184,12 +149,7 @@ class ConfidenceAggregateOperator:
             if group.first_time <= horizon and group.aggregate.n >= 2
         ]
         for key in aged:
-            group = self._groups[key]
-            emitted.append(
-                self._emit(
-                    key, group, "age", order=self._order_tag(trigger, 0, group)
-                )
-            )
+            emitted.append(self._emit(key, self._groups[key], "age"))
 
     def _emit(
         self,
@@ -197,7 +157,6 @@ class ConfidenceAggregateOperator:
         group: _ConfidenceGroup,
         reason: str,
         pop: bool = True,
-        order: tuple | None = None,
     ) -> Row:
         env = dict(group.representative)
         env["__agg0"] = group.aggregate.result()
@@ -212,8 +171,6 @@ class ConfidenceAggregateOperator:
         out["emit_reason"] = reason
         out["group_started"] = group.first_time
         out["created_at"] = group.last_time
-        if order is not None:
-            out["__order__"] = order
         if pop:
             del self._groups[key]
         self._ctx.stats.groups_emitted += 1

@@ -122,10 +122,6 @@ class EddyOperator:
             kept: list[Row] = []
             append = kept.append
             for row in batch.rows:
-                if "__punct__" in row:
-                    # Sharded-execution punctuation: pass through untested.
-                    append(row)
-                    continue
                 since_resort += 1
                 if since_resort >= resort_every:
                     predicates.sort(key=lambda p: p.rank)

@@ -42,38 +42,14 @@ class QueryHandle:
 
     @property
     def stats(self) -> QueryStats:
-        """Engine counters for this query.
-
-        Sharded plans aggregate the per-shard counters; ``rows_emitted``
-        comes from the merge stage, which sees the post-LIMIT output.
-        """
-        plan = self._plan
-        if plan.shard_ctxs:
-            total = QueryStats()
-            for ctx in plan.shard_ctxs:
-                total.merge(ctx.stats)
-            if plan.merge_stats is not None:
-                total.rows_emitted = plan.merge_stats.rows_emitted
-            return total
-        return plan.ctx.stats
+        """Engine counters for this query."""
+        return self._plan.ctx.stats
 
     @property
     def backfill_rows(self) -> int:
         """Rows served from the historical store ahead of the live tail
         (0 for pure-live plans, and until the backfill scan has run)."""
         return self._plan.backfill_rows
-
-    @property
-    def shard_stats(self) -> list[QueryStats]:
-        """Per-stage counters for sharded plans (exchange first, then one
-        entry per worker); empty for serial plans."""
-        return [ctx.stats for ctx in self._plan.shard_ctxs]
-
-    @property
-    def shard_service_stats(self) -> list[dict]:
-        """Per-stage ``{service name → ManagedCallStats}`` for sharded
-        plans; empty for serial plans."""
-        return list(self._plan.shard_service_stats)
 
     @property
     def service_stats(self) -> dict[str, dict]:
@@ -86,44 +62,17 @@ class QueryHandle:
         giveups, backoff time) and — with a breaker configured —
         ``breaker`` (state plus transition counters) appear too.
 
-        Sharded plans sum the per-stage ManagedCall mirrors (see
-        :attr:`shard_service_stats`) rather than reading the session's
-        global counters: each call lands in exactly one stage mirror, so
-        the sum neither double-counts nor loses anything.
-        Cache/resilience/breaker state lives on the shared service
-        objects either way.
+        A shared-scan tenant's call counters are its own stats mirror
+        (see :class:`~repro.engine.multitenant.TenantManagedCall`);
+        cache/resilience/breaker state lives on the shared service
+        objects.
         """
-        import dataclasses as _dc
-
-        plan = self._plan
-        shard_mirrors = plan.shard_service_stats
         out: dict[str, dict] = {}
-        for name, managed in plan.ctx.services.items():
+        for name, managed in self._plan.ctx.services.items():
             if not name.endswith("_managed"):
                 continue
             service_name = name.removesuffix("_managed")
-            source = managed.stats
-            if shard_mirrors:
-                # Mirrors are keyed by the underlying service's own name
-                # (e.g. "geocoder"), not the session alias ("geocode").
-                mirror_key = getattr(
-                    getattr(managed, "service", None), "name", service_name
-                )
-                total = None
-                for stage in shard_mirrors:
-                    mirror = stage.get(mirror_key)
-                    if mirror is None:
-                        continue
-                    if total is None:
-                        total = type(mirror)()
-                    for f in _dc.fields(mirror):
-                        setattr(
-                            total, f.name,
-                            getattr(total, f.name) + getattr(mirror, f.name),
-                        )
-                if total is not None:
-                    source = total
-            stats = dict(source.as_dict())
+            stats = dict(managed.stats.as_dict())
             cache = getattr(managed, "cache", None)
             if cache is not None:
                 stats["cache"] = cache.stats.as_dict()
@@ -231,9 +180,9 @@ class QueryHandle:
     def _release(self) -> None:
         """Tear down plan-owned resources exactly once.
 
-        Order matters: worker threads are joined first (they may still be
-        pulling the source), then API connections close, then in-flight
-        service requests drain so their effects reach the stats.
+        Order matters: plan closers run first (a shared-scan tenant
+        detaches from its group), then API connections close, then
+        in-flight service requests drain so their effects reach the stats.
         """
         if self._released:
             return
@@ -307,8 +256,8 @@ class QueryHandle:
         return written
 
     def close(self) -> None:
-        """Cancel the query: stop worker threads, close API connections,
-        and drain in-flight service requests."""
+        """Cancel the query: close API connections and drain in-flight
+        service requests."""
         if self._closed:
             return
         self._closed = True

@@ -336,7 +336,7 @@ class PrefetchOperator:
 
     For every batch flowing through, each managed call receives the keys
     the batch's rows will need as one ``prefetch()`` call — deduplicated
-    within the batch, with NULL keys and punctuation rows skipped — then
+    within the batch, with NULL keys skipped — then
     the batch passes downstream unchanged. By the time the projection
     evaluates ``latitude(loc)``, the geocode result is cached or in
     flight; the engine's batch size is the prefetch lookahead, so one
@@ -361,8 +361,6 @@ class PrefetchOperator:
                     keys: list[Any] = []
                     seen: set[Any] = set()
                     for row in batch.rows:
-                        if "__punct__" in row:
-                            continue
                         key = extract(row)
                         if key is None or key in seen:
                             continue

@@ -72,15 +72,16 @@ fanout context where the sharing happens.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from repro.engine import operators as ops
-from repro.engine import parallel
 from repro.engine.executor import QueryHandle
 from repro.engine.expressions import compile_expr, expand_column
+from repro.engine.latency import ManagedCall, ManagedCallStats
 from repro.engine.planner import (
     Planner,
     PhysicalPlan,
@@ -175,40 +176,109 @@ class SharedServiceCache:
         }
 
 
-class TenantManagedCall(parallel.ManagedCallProxy):
-    """A tenant's view of a shared :class:`ManagedCall`.
+_MANAGED_FIELDS = tuple(f.name for f in dataclasses.fields(ManagedCallStats))
 
-    Extends the per-stage stats mirror of
-    :class:`~repro.engine.parallel.ManagedCallProxy` with cross-tenant
-    cache attribution: every call reports to the group's
-    :class:`SharedServiceCache` whether it hit, and who owned the key.
+
+class TenantManagedCall:
+    """One stage's view of a shared :class:`ManagedCall`: a tenant's, or
+    the fanout's.
+
+    ``stats`` mirrors the *delta* each forwarded call produced on the
+    shared call's global counters, so the tenants' mirrors plus the
+    fanout's sum to the session's own. A tenant view also reports every
+    call to the group's :class:`SharedServiceCache` — whether it hit, and
+    who owned the key; the fanout's view (``shared`` None) reports none.
     """
 
     def __init__(
-        self, inner: Any, tenant: int, shared: SharedServiceCache
+        self,
+        inner: ManagedCall,
+        tenant: int = -1,
+        shared: SharedServiceCache | None = None,
     ) -> None:
-        super().__init__(inner)
+        self._inner = inner
         self._tenant = tenant
         self._shared = shared
         self._service_name = inner.service.name
+        self.stats = ManagedCallStats()
+
+    @property
+    def mode(self) -> str:
+        return self._inner.mode
+
+    @property
+    def cache(self):
+        return self._inner.cache
+
+    @property
+    def service(self):
+        return self._inner.service
+
+    def _snapshot(self) -> tuple:
+        return tuple(getattr(self._inner.stats, f) for f in _MANAGED_FIELDS)
+
+    def _accumulate(self, before: tuple) -> None:
+        after = self._snapshot()
+        for name, b, a in zip(_MANAGED_FIELDS, before, after):
+            setattr(self.stats, name, getattr(self.stats, name) + (a - b))
 
     def __call__(self, key: Any) -> Any:
         hits = self.stats.cache_hits
+        before = self._snapshot()
         try:
-            return super().__call__(key)
+            return self._inner(key)
         finally:
-            self._shared.record(
-                self._service_name,
-                self._tenant,
-                key,
-                hit=self.stats.cache_hits > hits,
-            )
+            self._accumulate(before)
+            if self._shared is not None:
+                self._shared.record(
+                    self._service_name,
+                    self._tenant,
+                    key,
+                    hit=self.stats.cache_hits > hits,
+                )
 
-    def prefetch(self, keys: Any) -> None:
+    def prefetch(self, keys: Iterable[Any]) -> None:
         keys = list(keys)
-        for key in keys:
-            self._shared.claim(self._service_name, self._tenant, key)
-        super().prefetch(keys)
+        if self._shared is not None:
+            for key in keys:
+                self._shared.claim(self._service_name, self._tenant, key)
+        before = self._snapshot()
+        try:
+            self._inner.prefetch(keys)
+        finally:
+            self._accumulate(before)
+
+    def drain(self) -> None:
+        self._inner.drain()
+
+
+def proxy_services(
+    services: dict[str, Any],
+    tenant: int = -1,
+    shared: SharedServiceCache | None = None,
+) -> tuple[dict[str, Any], dict[str, ManagedCallStats]]:
+    """Wrap every ManagedCall in ``services`` with a
+    :class:`TenantManagedCall` view for ``tenant`` (the fanout's when
+    ``shared`` is None).
+
+    Returns the proxied mapping plus {service name → stats mirror}.
+    Aliases of one ManagedCall (``geocode`` / ``geocode_managed``) share
+    one view so the mirror is not double-counted.
+    """
+    proxies: dict[str, Any] = {}
+    by_id: dict[int, TenantManagedCall] = {}
+    stats: dict[str, ManagedCallStats] = {}
+    for name, svc in services.items():
+        if isinstance(svc, ManagedCall):
+            proxy = by_id.get(id(svc))
+            if proxy is None:
+                proxy = TenantManagedCall(svc, tenant, shared)
+                by_id[id(svc)] = proxy
+                stats[svc.service.name] = proxy.stats
+            proxies[name] = proxy
+        else:
+            proxies[name] = svc
+    return proxies, stats
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +465,7 @@ class SharedScanGroup:
         # sum to the session's global counters.
         config = planner._config
         self._batch_size = getattr(config, "batch_size", DEFAULT_BATCH_SIZE)
-        fanout_services, self.fanout_service_stats = parallel.proxy_services(
-            services
-        )
+        fanout_services, self.fanout_service_stats = proxy_services(services)
         self._fanout_ctx = EvalContext(
             clock=clock, services=fanout_services, lane="fanout"
         )
@@ -522,10 +590,7 @@ class SharedScanGroup:
             keys.append(key)
         tenant.conjunct_keys = tuple(keys)
 
-        proxies, _ = parallel.proxy_services(
-            self._services,
-            lambda svc: TenantManagedCall(svc, index, self.shared_cache),
-        )
+        proxies, _ = proxy_services(self._services, index, self.shared_cache)
         lane = f"tenant-{index}"
         ctx = EvalContext(clock=self._clock, services=proxies, lane=lane)
         plan = PhysicalPlan(
@@ -548,11 +613,6 @@ class SharedScanGroup:
                 + (f" [vectorized {vectorized}/{len(keys)}]" if vectorized else "")
             )
         explain.append(f"Batch: {self._batch_size} rows/batch (fanout-framed)")
-        if getattr(planner._config, "workers", 1) > 1:
-            explain.append(
-                "Parallel: serial within shared scan (workers ignored; "
-                "rows identical either way)"
-            )
 
         pipeline: ops.Batches = TenantScan(self, tenant, ctx)
         pipeline = planner._trace(

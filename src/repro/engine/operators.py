@@ -16,12 +16,11 @@ size never changes results — each operator processes the rows of a batch
 in stream order and emits its output in the same order a
 one-row-per-batch run would.
 
-Filter, project and aggregate stages each make one choice per batch, from
-what they can observe: a stage the planner gave a whole-column (vector)
-evaluator uses it unless the batch carries ``__punct__`` rows; otherwise
-the scalar closure runs over ``batch.rows``. Not every expression
-vectorizes (stateful and high-latency calls, ``now()``, select aliases),
-and the scalar closure is the reference the vector form is tested against.
+Filter, project and aggregate stages each run the whole-column (vector)
+evaluator the planner gave them; a stage without one runs the scalar
+closure over ``batch.rows``. Not every expression vectorizes (stateful
+and high-latency calls, ``now()``, select aliases), and the scalar
+closure is the reference the vector form is tested against.
 
 Stream time advances with the tweets the scan yields; windowed operators
 close windows when stream time passes their end, so results are emitted as
@@ -139,10 +138,9 @@ class FilterOperator:
     """Applies one compiled predicate; keeps rows where it is exactly TRUE
     (NULL, like FALSE, drops the row — SQL WHERE semantics).
 
-    With a vector predicate and no ``__punct__`` row in the batch, the
-    whole verdict column is computed in one call and the batch compressed;
-    otherwise the scalar closure runs per row. Both paths keep identical
-    counters and emit identical rows.
+    With a vector predicate the whole verdict column is computed in one
+    call and the batch compressed; otherwise the scalar closure runs per
+    row. Both paths keep identical counters and emit identical rows.
     """
 
     def __init__(
@@ -163,7 +161,7 @@ class FilterOperator:
         predicate = self._predicate
         vector = self._vector_predicate
         for batch in self._child:
-            if vector is not None and not batch.has_field("__punct__"):
+            if vector is not None:
                 verdicts = vector(batch, ctx)
                 if isinstance(verdicts, Broadcast):
                     value = verdicts.value
@@ -179,21 +177,12 @@ class FilterOperator:
             else:
                 kept: list[Row] = []
                 append = kept.append
-                evaluated = passed = 0
                 for row in batch.rows:
-                    if "__punct__" in row:
-                        # Sharded-execution punctuation carries time, not
-                        # data; it passes every filter without touching
-                        # the counters.
-                        append(row)
-                        continue
-                    evaluated += 1
                     verdict = predicate(row, ctx)
                     if verdict is not None and verdict:
-                        passed += 1
                         append(row)
-                stats.predicate_evaluations += evaluated
-                stats.rows_after_filter += passed
+                stats.predicate_evaluations += batch.length
+                stats.rows_after_filter += len(kept)
                 out = batch if len(kept) == batch.length else batch.subset(kept)
             if out.length or batch.last:
                 yield out
@@ -250,20 +239,16 @@ class ProjectOperator:
 
     def _project_fused(self, batch: ColumnBatch) -> ColumnBatch | None:
         """All-field select list: one generated dict display per row, then
-        re-attach homogeneous special columns (None on ragged specials:
-        the general path handles those)."""
-        specials: list[tuple[str, list]] = []
-        for special in ("__tweet__", "__seq__"):
-            col = batch.field(special)
-            if col is not None:
-                if MISSING in col:
-                    return None
-                specials.append((special, col))
+        re-attach a homogeneous ``__tweet__`` column (None on a ragged
+        one: the general path handles that)."""
+        tweets = batch.field("__tweet__")
+        if tweets is not None and MISSING in tweets:
+            return None
         assert self._fused is not None
         projected = self._fused(batch)
-        for special, col in specials:
-            for out, value in zip(projected, col):
-                out[special] = value
+        if tweets is not None:
+            for out, tweet in zip(projected, tweets):
+                out["__tweet__"] = tweet
         return ColumnBatch.from_rows(projected, batch.seq, batch.last)
 
     def _project_columns(
@@ -281,10 +266,9 @@ class ProjectOperator:
                 out_cols[name] = [evaluate(row, ctx) for row in batch.rows]
         if self._passthrough_time and "created_at" not in out_cols:
             out_cols["created_at"] = batch.values("created_at")
-        for special in ("__tweet__", "__seq__"):
-            col = batch.field(special)
-            if col is not None:
-                out_cols[special] = col
+        tweets = batch.field("__tweet__")
+        if tweets is not None:
+            out_cols["__tweet__"] = tweets
         return ColumnBatch(out_cols, n, seq=batch.seq, last=batch.last)
 
     def _project_rows(self, batch: ColumnBatch) -> ColumnBatch:
@@ -302,8 +286,6 @@ class ProjectOperator:
                 out["created_at"] = row.get("created_at")
             if "__tweet__" in row:
                 out["__tweet__"] = row["__tweet__"]
-            if "__seq__" in row:
-                out["__seq__"] = row["__seq__"]
             append(out)
         return ColumnBatch.from_rows(projected, batch.seq, batch.last)
 
@@ -410,9 +392,7 @@ class WindowedAggregateOperator:
             n = batch.length
             key_col: list[tuple] | None = None
             arg_cols: list[list[Any] | None] | None = None
-            if (
-                vector_groups is not None or vector_args is not None
-            ) and not batch.has_field("__punct__"):
+            if vector_groups is not None or vector_args is not None:
                 if vector_groups is not None:
                     if vector_groups:
                         key_col = list(
@@ -523,10 +503,6 @@ class WindowedAggregateOperator:
             out["window_start"] = start
             out["window_end"] = end
             out["created_at"] = end
-            if "__seq__" in env:
-                # Sharded execution: the merge orders same-window groups by
-                # the sequence of the group's first (representative) row.
-                out["__seq__"] = env["__seq__"]
             window_rows.append(out)
             self._ctx.stats.groups_emitted += 1
         for evaluate, descending in reversed(self._order_by):

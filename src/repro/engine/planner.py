@@ -24,14 +24,12 @@ The planner implements the decisions the paper describes:
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.engine import operators as ops
-from repro.engine import parallel
 from repro.engine.aggregates import AGGREGATE_NAMES, make_aggregate
 from repro.engine.confidence import ConfidenceAggregateOperator, ConfidencePolicy
 from repro.engine.eddies import AdaptivePredicate, EddyOperator
@@ -85,16 +83,8 @@ class PhysicalPlan:
     filter_choice: FilterChoice | None = None
     connections: list[Any] = field(default_factory=list)
     managed_calls: list[Any] = field(default_factory=list)
-    #: Sharded plans: one EvalContext per stats-bearing stage (the exchange
-    #: first, then each worker). Empty for serial plans.
-    shard_ctxs: list[EvalContext] = field(default_factory=list)
-    #: Sharded plans: per stage, {service name → ManagedCallStats mirror}.
-    shard_service_stats: list[dict[str, Any]] = field(default_factory=list)
-    #: Sharded plans: stats of the merge stage; its ``rows_emitted`` is the
-    #: authoritative output count (per-shard counters over-count under
-    #: merge-side LIMIT).
-    merge_stats: Any = None
-    #: Callbacks that tear down plan-owned resources (worker threads).
+    #: Callbacks that tear down plan-owned resources (a shared-scan
+    #: tenant's detach).
     closers: list[Callable[[], None]] = field(default_factory=list)
     #: Span recorder (:class:`repro.obs.trace.Tracer`) when
     #: ``EngineConfig.tracing`` was on at plan time; None otherwise, in
@@ -478,11 +468,6 @@ class Planner:
     def plan(self, statement: ast.SelectStatement) -> PhysicalPlan:
         """Plan one parsed statement into a runnable pipeline.
 
-        With ``EngineConfig.workers > 1`` the plan is sharded (exchange +
-        N worker pipelines + ordered merge) whenever the statement shape
-        allows it; shapes that depend on global row order fall back to the
-        serial pipeline with an EXPLAIN note.
-
         Validation runs through the static analyzer first, so every
         rejection carries a stable ``TQL…`` code and a source span; the
         inline raises below remain as backstops for states the analyzer
@@ -498,7 +483,7 @@ class Planner:
             raise UnknownSourceError(
                 statement.source, tuple(sorted(self._sources))
             )
-        return self._plan_validated(statement)
+        return self._plan_serial(statement, binding)
 
     def analyze(self, statement: ast.SelectStatement):
         """This catalog/config's plan-gating analysis of one statement.
@@ -517,21 +502,6 @@ class Planner:
             config=self._config,
         )
         return analysis.gate_result(result)
-
-    def _plan_validated(self, statement: ast.SelectStatement) -> PhysicalPlan:
-        """Build the pipeline for a statement the analyzer accepted."""
-        binding = self._sources.get(statement.source.lower())
-        assert binding is not None
-
-        workers = getattr(self._config, "workers", 1)
-        if workers > 1:
-            reason = self._shard_blocker(statement)
-            if reason is None:
-                return self._plan_sharded(statement, binding, workers)
-            plan = self._plan_serial(statement, binding)
-            plan.explain_lines.append(f"Parallel: serial fallback ({reason})")
-            return plan
-        return self._plan_serial(statement, binding)
 
     # -- tracing / sanitizing --------------------------------------------------
 
@@ -571,20 +541,6 @@ class Planner:
 
         return Sanitizer(self._clock)
 
-    def _sanitize_stats(self, plan: PhysicalPlan, lane: str) -> Any:
-        """The QueryStats the sanitizer monitors for this lane.
-
-        ``plan.ctx`` is the merge context on sharded plans (and worker 0
-        aliases the top-level plan object), so stats must be resolved by
-        lane, falling back to the plan's own context for the serial case.
-        """
-        if plan.ctx.lane == lane:
-            return plan.ctx.stats
-        for ctx in plan.shard_ctxs:
-            if ctx.lane == lane:
-                return ctx.stats
-        return plan.ctx.stats
-
     def _trace(
         self, pipeline: ops.Batches, name: str, plan: PhysicalPlan,
         lane: str = "main",
@@ -603,7 +559,7 @@ class Planner:
                 plan.sanitizer,
                 name=name,
                 lane=lane,
-                stats=self._sanitize_stats(plan, lane),
+                stats=plan.ctx.stats,
                 tracer=plan.tracer,
             )
         if plan.tracer is None:
@@ -722,20 +678,16 @@ class Planner:
         plan: PhysicalPlan,
         lane: str = "main",
         conjuncts: Sequence[ast.Expr] = (),
-        defer: parallel.DeferredOrderLimit | None = None,
     ) -> tuple[ops.Batches, tuple[str, ...]]:
         """The query body every plan shape shares, built in one place.
 
         filters → scalar LIMIT → prefetch → aggregate | project → INTO
-        over ``pipeline`` (the serial scan, a sharded worker's ShardScan,
-        or a shared-scan tenant's TenantScan), each stage wrapped by
-        :meth:`_trace` on ``lane``. Callers whose filtering already
-        happened upstream (tenants, confidence-mode workers) pass no
-        conjuncts. A worker lane's output continues through the merge,
-        which owns the global LIMIT and the INTO sink.
+        over ``pipeline`` (the serial scan or a shared-scan tenant's
+        TenantScan), each stage wrapped by :meth:`_trace` on ``lane``. A
+        tenant's filtering already happened at the fanout, so it passes no
+        conjuncts.
         """
         explain = plan.explain_lines
-        feeds_merge = lane.startswith("worker-")
 
         filtered = self._build_filters(conjuncts, pipeline, schema, ctx, plan)
         if filtered is not pipeline:
@@ -750,10 +702,7 @@ class Planner:
         # a post-projection limit trimmed it).
         if not has_aggregates and statement.limit is not None:
             pipeline = ops.LimitOperator(pipeline, statement.limit)
-            explain.append(
-                f"Limit: {statement.limit}"
-                + (" (per shard, re-applied after merge)" if feeds_merge else "")
-            )
+            explain.append(f"Limit: {statement.limit}")
             pipeline = self._trace(pipeline, "Limit", plan, lane)
 
         prefetched = self._maybe_prefetch(statement, pipeline, schema, ctx, plan)
@@ -762,7 +711,7 @@ class Planner:
 
         if has_aggregates:
             pipeline, output_schema = self._build_aggregation(
-                statement, pipeline, schema, ctx, plan, defer=defer
+                statement, pipeline, schema, ctx, plan
             )
             pipeline = self._trace(pipeline, "Aggregate", plan, lane)
         else:
@@ -778,7 +727,7 @@ class Planner:
             )
             pipeline = self._trace(pipeline, "Project", plan, lane)
 
-        if statement.into is not None and not feeds_merge:
+        if statement.into is not None:
             sink = self._table_factory(statement.into)
             pipeline = ops.IntoOperator(pipeline, sink)
             explain.append(f"Into: table {statement.into!r}")
@@ -876,11 +825,9 @@ class Planner:
         advance — and the live tail contributes only tweets strictly
         above it (:class:`BackfillSource`).
 
-        The two runs are timestamp-disjoint by construction, so the
-        ordered concatenation *is* the seq-stamped k-way merge from
-        ``parallel.py`` degenerated to two pre-sorted runs: the scan
-        operator re-stamps batch seqs exactly as the exchange tagger
-        would, and downstream operators see one monotone stream. Window
+        The two runs are timestamp-disjoint by construction, so their
+        ordered concatenation is one monotone stream, and the scan
+        operator stamps its batch seqs like any other source. Window
         conjuncts are left in the local filter stage, which makes the
         store's range bounds purely an access-path optimization — a
         superset scan stays correct.
@@ -1094,7 +1041,7 @@ class Planner:
                     continue
                 seen_args.add(dedup)
                 # Resolve through the context, not the session catalog:
-                # sharded worker contexts carry locked per-shard proxies.
+                # shared-scan tenant contexts carry per-tenant proxies.
                 managed = ctx.services.get(f"{spec.service}_managed")
                 if managed is None:
                     continue
@@ -1178,7 +1125,6 @@ class Planner:
         schema: tuple[str, ...],
         ctx: EvalContext,
         plan: PhysicalPlan,
-        defer: parallel.DeferredOrderLimit | None = None,
     ) -> tuple[ops.Batches, tuple[str, ...]]:
         sites: list[AggSite] = []
         by_sql: dict[str, AggSite] = {}
@@ -1302,11 +1248,6 @@ class Planner:
                 f"window {statement.window.size_seconds:g}s "
                 f"slide {statement.window.slide:g}s"
             )
-            if defer is not None:
-                # Sharded: a worker holds only a slice of each window, so
-                # ORDER BY / LIMIT move past the merge (WindowFinalize).
-                defer.order_evals = order_evals
-                defer.limit = statement.limit
             pipeline = ops.WindowedAggregateOperator(
                 pipeline,
                 statement.window,
@@ -1315,8 +1256,8 @@ class Planner:
                 output_items,
                 ctx,
                 having=having_eval,
-                order_by=[] if defer is not None else order_evals,
-                limit=None if defer is not None else statement.limit,
+                order_by=order_evals,
+                limit=statement.limit,
                 vector_group_evals=vector_group_evals,
                 vector_agg_args=vector_agg_args,
             )
@@ -1357,246 +1298,3 @@ class Planner:
             "aggregate queries need a WINDOW clause (or a session "
             "confidence policy for AVG; see EngineConfig.confidence_policy)"
         )
-
-    # -- sharded execution -----------------------------------------------------
-
-    def _shard_blocker(self, statement: ast.SelectStatement) -> str | None:
-        """Why this statement cannot shard, or None when it can.
-
-        Everything listed here depends on a *global* property of the stream
-        that hash partitioning destroys: joins see both sides, count-based
-        windows bucket by global row ordinal, a global aggregate is one
-        group, stateful UDFs fold over arrival order, and ``now()`` reads
-        the global stream time. Partial-result emission depends on service
-        call *timing*, which thread interleaving would perturb.
-        """
-        if statement.join is not None:
-            return "stream joins need co-partitioned inputs"
-        if statement.window is not None and statement.window.count_based:
-            return "count-based windows depend on global row ordinals"
-        if _has_aggregates(statement) and not statement.group_by:
-            return "global aggregates form a single group"
-        if self._config.latency_mode == "async" and self._config.partial_results:
-            return "partial results depend on in-flight call timing"
-        for expr in _statement_exprs(statement):
-            for node in ast.walk(expr):
-                if not isinstance(node, ast.FuncCall):
-                    continue
-                if node.name in AGGREGATE_NAMES or node.name not in self._registry:
-                    continue
-                if node.name == "now":
-                    return "now() reads the global stream time"
-                if self._registry.lookup(node.name).stateful:
-                    return (
-                        f"stateful UDF {node.name}() folds over global "
-                        "row order"
-                    )
-        return None
-
-    def _plan_sharded(
-        self,
-        statement: ast.SelectStatement,
-        binding: SourceBinding,
-        workers: int,
-    ) -> PhysicalPlan:
-        """Exchange → N worker pipelines → ordered merge.
-
-        The exchange thread pulls the (single) source, hash-partitions on
-        the GROUP BY key (aggregates) or tweet id (scalar queries), and
-        stamps each row with a global sequence number. Worker pipelines are
-        built by the same helpers as the serial plan, each with its own
-        EvalContext whose services are lock-guarded proxies. The merge
-        reassembles shard outputs into the exact serial emission order (see
-        :mod:`repro.engine.parallel`).
-        """
-        merge_ctx = EvalContext(
-            clock=self._clock, services=dict(self._services), lane="merge"
-        )
-        plan = PhysicalPlan(pipeline=iter(()), output_schema=(), ctx=merge_ctx)
-        plan.merge_stats = merge_ctx.stats
-        plan.tracer = self._make_tracer()
-        plan.sanitizer = self._make_sanitizer()
-        merge_ctx.tracer = plan.tracer
-        self._attach_service_tracers(plan.tracer)
-        explain = plan.explain_lines
-
-        conjuncts = split_conjuncts(statement.where)
-        source = self._build_source(binding, conjuncts, plan)
-        schema = binding.schema
-
-        has_aggregates = _has_aggregates(statement)
-        windowed_mode = has_aggregates and statement.window is not None
-        confidence_mode = (
-            has_aggregates
-            and statement.window is None
-            and self._config.confidence_policy is not None
-        )
-        if has_aggregates and not windowed_mode and not confidence_mode:
-            raise PlanError(
-                "aggregate queries need a WINDOW clause (or a session "
-                "confidence policy for AVG; see EngineConfig.confidence_policy)"
-            )
-
-        batch_size = self._batch_size_for(statement, plan)
-        exchange = parallel.ShardedExecution(workers, batch_size=batch_size)
-        exchange.tracer = plan.tracer
-        exchange.sanitizer = plan.sanitizer
-        locked = functools.partial(parallel.ManagedCallProxy, lock=exchange.lock)
-        exchange_services, exchange_service_stats = parallel.proxy_services(
-            self._services, locked
-        )
-        exchange_ctx = EvalContext(
-            clock=self._clock, services=exchange_services,
-            tracer=plan.tracer, lane="exchange",
-        )
-        plan.shard_ctxs.append(exchange_ctx)
-        plan.shard_service_stats.append(exchange_service_stats)
-
-        # ---- partition function (runs on the exchange thread) ----
-        if has_aggregates:
-            aliases: dict[str, Evaluator] = {}
-            for item in statement.select:
-                if isinstance(item.expr, ast.Star):
-                    raise PlanError("SELECT * cannot be combined with aggregates")
-                if item.alias and not contains_aggregate(item.expr):
-                    aliases[item.alias] = compile_expr(
-                        item.expr, self._registry, schema, exchange_ctx
-                    )
-            key_evals = [
-                compile_expr(
-                    expr, self._registry, schema, exchange_ctx, aliases=aliases
-                )
-                for expr in statement.group_by
-            ]
-
-            def partition(
-                row: Row, seq: int, _evals=key_evals, _ctx=exchange_ctx,
-                _n=workers,
-            ) -> int:
-                key = tuple(evaluate(row, _ctx) for evaluate in _evals)
-                return parallel.stable_hash(key) % _n
-
-            partition_desc = "hash(" + ", ".join(
-                expr.to_sql() for expr in statement.group_by
-            ) + ")"
-        elif "tweet_id" in schema:
-
-            def partition(row: Row, seq: int, _n=workers) -> int:
-                value = row.get("tweet_id")
-                if value is None:
-                    return seq % _n
-                return parallel.stable_hash(value) % _n
-
-            partition_desc = "hash(tweet_id)"
-        else:
-
-            def partition(row: Row, seq: int, _n=workers) -> int:
-                return seq % _n
-
-            partition_desc = "round-robin"
-
-        # ---- exchange-side stages ----
-        exchange_source: ops.Batches = ops.ScanOperator(
-            source, exchange_ctx, batch_size
-        )
-        exchange_source = self._trace(
-            exchange_source, f"Scan({binding.name})", plan, lane="exchange"
-        )
-        if confidence_mode:
-            # Age-out punctuation must reflect *post-filter* rows (the
-            # serial operator only sees triggers that passed WHERE), so the
-            # WHERE stage runs on the exchange in this mode.
-            before = exchange_source
-            exchange_source = self._build_filters(
-                conjuncts, exchange_source, schema, exchange_ctx, plan
-            )
-            if exchange_source is not before:
-                exchange_source = self._trace(
-                    exchange_source, "Filter", plan, lane="exchange"
-                )
-        explain.append(
-            f"Exchange: {partition_desc} over {workers} shards"
-            + (" (post-filter, punctuated)" if confidence_mode else "")
-        )
-
-        # ---- worker pipelines ----
-        defer = parallel.DeferredOrderLimit() if windowed_mode else None
-        pipelines: list[ops.Batches] = []
-        output_schema: tuple[str, ...] = ()
-        for index in range(workers):
-            worker_services, worker_service_stats = parallel.proxy_services(
-                self._services, locked
-            )
-            lane = f"worker-{index}"
-            ctx_w = EvalContext(
-                clock=self._clock, services=worker_services,
-                tracer=plan.tracer, lane=lane,
-            )
-            plan.shard_ctxs.append(ctx_w)
-            plan.shard_service_stats.append(worker_service_stats)
-            # Worker 0 contributes the EXPLAIN lines; the others build
-            # against throwaway plans so stages aren't listed N times.
-            # The tracer is shared either way — every worker lane probes.
-            wplan = (
-                plan
-                if index == 0
-                else PhysicalPlan(pipeline=iter(()), output_schema=(), ctx=ctx_w)
-            )
-            wplan.tracer = plan.tracer
-            wplan.sanitizer = plan.sanitizer
-            wplan.batch_size = batch_size
-            pipeline: ops.Batches = parallel.ShardScan(
-                exchange.shard_input(index), ctx_w
-            )
-            pipeline = self._trace(pipeline, "ShardScan", wplan, lane=lane)
-            # In confidence mode the WHERE stage already ran on the exchange.
-            pipeline, output_schema = self._build_body(
-                statement, pipeline, schema, ctx_w, wplan, lane=lane,
-                conjuncts=() if confidence_mode else conjuncts, defer=defer,
-            )
-            if index > 0:
-                plan.managed_calls.extend(wplan.managed_calls)
-            pipelines.append(pipeline)
-
-        # ---- merge + post-merge stages ----
-        if windowed_mode:
-            tagger = parallel.window_tagger
-            merge_desc = "window end"
-        elif confidence_mode:
-            tagger = parallel.confidence_tagger
-            merge_desc = "emission trigger"
-        else:
-            tagger = parallel.scalar_tagger
-            merge_desc = "stream order"
-        exchange.configure(
-            exchange_source,
-            partition,
-            pipelines,
-            [tagger] * workers,
-            broadcast_punctuation=confidence_mode,
-        )
-        merged: ops.Batches = exchange.merged()
-        merged = self._trace(merged, "Merge", plan, lane="merge")
-        explain.append(f"Merge: {workers}-way ordered merge on {merge_desc}")
-        if defer is not None and (defer.order_evals or defer.limit is not None):
-            merged = parallel.WindowFinalizeOperator(
-                merged, defer.order_evals, defer.limit, merge_ctx
-            )
-            explain.append("Finalize: per-window ORDER BY / LIMIT after merge")
-            merged = self._trace(merged, "Finalize", plan, lane="merge")
-        if not has_aggregates and statement.limit is not None:
-            merged = ops.LimitOperator(merged, statement.limit)
-            merged = self._trace(merged, "Limit", plan, lane="merge")
-        merged = parallel.CountingOperator(merged, merge_ctx)
-        if statement.into is not None:
-            sink = self._table_factory(statement.into)
-            merged = ops.IntoOperator(merged, sink)
-            explain.append(f"Into: table {statement.into!r}")
-        # The Output probe wraps the counting stage, so its row total is
-        # the authoritative post-merge emission count reconcile() checks.
-        merged = self._trace(merged, "Output", plan, lane="merge")
-
-        plan.pipeline = merged
-        plan.output_schema = output_schema
-        plan.closers.append(exchange.shutdown)
-        return plan

@@ -5,10 +5,9 @@ are easy to state and easy to break silently: batch ``seq`` stamps are
 strictly increasing per producer, every producer punctuates with exactly
 one ``last=True`` batch and nothing after it, ColumnBatches stay coherent
 (column lengths agree, the ``MISSING`` sentinel never leaks into row
-dicts, negative-probe caches never go stale), data handed across the
-exchange is never mutated by the producing side afterwards, stats
-counters only grow, and the trace probes reconcile with the engine's own
-counters at close. PRs 1–7 pinned these indirectly through equivalence
+dicts, negative-probe caches never go stale), one pipeline stage is
+driven from one thread, stats counters only grow, and the trace probes
+reconcile with the engine's own counters at close. PRs 1–7 pinned these indirectly through equivalence
 sweeps; this module checks them *directly*, TSAN-style, at every operator
 boundary.
 
@@ -25,11 +24,10 @@ Three cooperating pieces:
   happens-before graph. Cycles in that graph are potential deadlocks
   (``TQL910``); the engine-source lint (:mod:`repro.sql.analysis.engine_lint`)
   flags any bare ``threading.Lock()`` that bypasses registration.
-- :class:`Sanitizer` — the per-plan checking context: it owns the
-  exchange :class:`HandoffLedger` (freeze/fingerprint on enqueue,
-  verify on dequeue), runs the mandatory ``reconcile()`` cross-check at
-  query close, and turns violations into structured
-  :class:`~repro.errors.SanitizerError` records.
+- :class:`Sanitizer` — the per-plan checking context: it runs the
+  mandatory ``reconcile()`` cross-check at query close and turns
+  violations into structured :class:`~repro.errors.SanitizerError`
+  records.
 
 Violation codes (catalogued in ``docs/ANALYSIS.md`` and
 ``docs/SANITIZER.md``):
@@ -42,7 +40,6 @@ TQL903  ColumnBatch incoherence (column/row length mismatch, stale
         negative-probe cache, a tweet backing that is not a list of one
         ``Tweet`` per row)
 TQL904  ``MISSING`` sentinel leaked into a materialized row dict
-TQL905  batch payload mutated after exchange handoff (fingerprint mismatch)
 TQL906  stats counter regression (a ``QueryStats`` counter decreased)
 TQL907  trace/stats reconciliation failed at query close
 TQL910  lock-order cycle (potential deadlock) in the acquisition graph
@@ -59,7 +56,6 @@ from __future__ import annotations
 
 import os
 import threading
-import zlib
 from collections.abc import Iterable, Iterator
 from typing import Any
 
@@ -68,7 +64,6 @@ from repro.errors import SanitizerError
 from repro.twitter.models import Tweet
 
 __all__ = [
-    "HandoffLedger",
     "LockRegistry",
     "SanitizeOperator",
     "Sanitizer",
@@ -105,7 +100,7 @@ class LockRegistry:
     """Happens-before graph over named lock acquisitions.
 
     Edges are recorded by *name*, not instance — two queries each taking
-    ``sharded.services`` then ``sharded.error`` produce one edge — so the
+    lock ``a`` then lock ``b`` produce one edge — so the
     graph (and any cycle report) is deterministic across runs and across
     instances. A cycle ``A → B → A`` means two threads can take the same
     pair of locks in opposite orders: a potential deadlock, reported as
@@ -325,58 +320,6 @@ def registered_lock(name: str, *, rlock: bool = False) -> TrackedLock:
 
 
 # ---------------------------------------------------------------------------
-# Exchange handoff ledger: freeze/fingerprint on enqueue, verify on dequeue
-# ---------------------------------------------------------------------------
-
-
-def _fingerprint(rows: list[Row]) -> int:
-    """Stable digest of a routed row-list's *values* (order included)."""
-    return zlib.crc32(repr(rows).encode("utf-8", "backslashreplace"))
-
-
-class HandoffLedger:
-    """Fingerprints for payloads crossing the exchange's shard queues.
-
-    The exchange enqueues whole routed row-lists and the worker receives
-    the very same objects, so any later mutation by the producing side
-    would silently corrupt a shard. :meth:`seal` fingerprints the payload
-    at enqueue; :meth:`verify` recomputes at dequeue and raises ``TQL905``
-    on mismatch. Queues are FIFO per shard, so (shard, arrival index)
-    pairs the two sides.
-    """
-
-    def __init__(self, lock: TrackedLock) -> None:
-        self._lock = lock
-        self._sealed: dict[tuple[int, int], int] = {}
-        self._enqueued: dict[int, int] = {}
-        self._dequeued: dict[int, int] = {}
-
-    def seal(self, shard: int, rows: list[Row]) -> None:
-        digest = _fingerprint(rows)
-        with self._lock:
-            index = self._enqueued.get(shard, 0)
-            self._enqueued[shard] = index + 1
-            self._sealed[(shard, index)] = digest
-
-    def verify(self, shard: int, rows: list[Row]) -> None:
-        with self._lock:
-            index = self._dequeued.get(shard, 0)
-            self._dequeued[shard] = index + 1
-            expected = self._sealed.pop((shard, index), None)
-        if expected is None:
-            return  # ledger not in play for this payload
-        if _fingerprint(rows) != expected:
-            raise SanitizerError(
-                f"exchange payload for shard {shard} (batch {index}) was "
-                "mutated after handoff",
-                code="TQL905",
-                lane=f"worker-{shard}",
-                hint="the exchange must never touch a routed row-list "
-                "after enqueueing it; copy before mutating",
-            )
-
-
-# ---------------------------------------------------------------------------
 # The per-plan sanitizer context
 # ---------------------------------------------------------------------------
 
@@ -385,15 +328,12 @@ class Sanitizer:
     """Shared checking state for one physical plan.
 
     One instance is created at plan time (``Planner._make_sanitizer``)
-    and shared by every :class:`SanitizeOperator` the planner installs,
-    the exchange (for the handoff ledger), and the executor (for the
-    close-time reconciliation). Thread-safe: worker lanes check
-    concurrently.
+    and shared by every :class:`SanitizeOperator` the planner installs
+    and the executor (for the close-time reconciliation).
     """
 
     def __init__(self, clock: Any = None) -> None:
         self.clock = clock
-        self.handoff = HandoffLedger(registered_lock("sanitizer.handoff"))
         self.lock_registry = enable_lock_tracking()
         #: Wrappers installed under this sanitizer (off-mode asserts zero).
         self.wrappers = 0
@@ -552,10 +492,9 @@ class SanitizeOperator:
                 "TQL911",
                 "stage driven from two threads (batch ownership violation): "
                 f"bound to thread {self._thread}, pulled from {ident}",
-                hint="each lane's pipeline belongs to exactly one thread; "
-                "cross-thread data must travel through the exchange "
-                "queues, and one shared-scan group's handles are pulled "
-                "from one thread",
+                hint="each lane's pipeline belongs to exactly one thread, "
+                "and one shared-scan group's handles are pulled from one "
+                "thread",
             )
 
     def _check_seq(self, batch: ColumnBatch, prev_seq: int | None) -> None:

@@ -96,13 +96,11 @@ class EngineConfig:
             of a fixed-order conjunction.
         confidence_policy: enables CONTROL-style confidence-triggered AVG
             emission for windowless aggregate queries.
-        workers: shard the query across this many parallel worker
-            pipelines (thread pool) behind a hash exchange and an ordered
-            merge; 1 (the default) keeps the serial pipeline. Results are
-            identical to serial execution at any worker count; statements
-            whose semantics need global row order (joins, count windows,
-            global aggregates, stateful UDFs, ``now()``) silently fall
-            back to serial with an EXPLAIN note.
+        workers: inert; nothing in the engine reads it, and every plan
+            is the serial plan whatever its value. It stays only because
+            the ``bench/`` harness's mode probe still builds
+            ``EngineConfig(workers=2)``; the benchmark change that retires
+            that probe leg (ROADMAP item 4) deletes this field with it.
         sample_rate / sample_limit: ``statuses/sample`` parameters for
             selectivity estimation.
         geocode_latency: latency model of the geocoding service.
@@ -140,8 +138,8 @@ class EngineConfig:
             group; query N+1 is rejected with ``TQL401``.
         sanitize: run queries under the TQLSAN invariant sanitizer —
             every operator boundary checks seq monotonicity, punctuation
-            exactly-once, ColumnBatch coherence, post-handoff
-            immutability, and stats monotonicity; lock acquisitions feed
+            exactly-once, ColumnBatch coherence, single-thread stage
+            ownership, and stats monotonicity; lock acquisitions feed
             the lock-order detector; ``reconcile()`` is enforced at
             close. Violations raise
             :class:`~repro.errors.SanitizerError` with a stable

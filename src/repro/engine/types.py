@@ -63,12 +63,10 @@ class ColumnBatch:
     empty: operators must tolerate an empty final batch (pure punctuation).
 
     ``seq`` is the emitting operator's batch sequence stamp, strictly
-    increasing per producer (diagnostic; row-level ordering under sharding
-    uses per-row ``__seq__`` stamps). ``last`` is end-of-stream
-    punctuation: every producer terminates its output with exactly one
-    ``last`` batch (possibly empty), so downstream operators can flush
-    buffered state without waiting on a ``StopIteration`` that a
-    queue-fed pipeline may never deliver promptly.
+    increasing per producer (a diagnostic the sanitizer checks). ``last``
+    is end-of-stream punctuation: every producer terminates its output
+    with exactly one ``last`` batch (possibly empty), so downstream
+    operators can flush buffered state on it.
 
     Columns materialize *lazily* from a backing list (``_lazy`` True),
     one column the first time an accessor asks for it, so a field the
@@ -85,7 +83,7 @@ class ColumnBatch:
       fields exist is known from that table without looking at a tweet.
       Filters keep the batch tweet-backed, and ``rows`` builds
       ``Tweet.to_row()`` dicts only when a row consumer (scalar stages,
-      INTO sinks, CSV, prefetch, the exchange partitioner) asks, once.
+      INTO sinks, CSV, prefetch, the shared-scan router) asks, once.
 
     Fully-columnar batches (``_lazy`` False, e.g. projection output)
     behave identically through the same accessors.
@@ -110,8 +108,9 @@ class ColumnBatch:
         self._rows: list[Row] | None = None
         self._tweets: list[Any] | None = None
         self._lazy = False
-        # Fields a probe found on no row. A filter stack asks every batch
-        # "any __punct__?"; caching the negative — and handing it down to
+        # Fields a probe found on no row. ``field`` and ``values`` ask
+        # for columns a row source may not carry (``__tweet__``, a missing
+        # ``created_at``); caching the negative — and handing it down to
         # compress/take children, whose rows are a subset — turns O(rows)
         # probes per operator into one probe per source batch. Row dicts
         # are never mutated in place once batched, so the cache cannot go
@@ -442,9 +441,7 @@ class QueryStats:
     predicate_evaluations: int = 0
     windows_closed: int = 0
     groups_emitted: int = 0
-    #: Batches emitted by the source scan. Sharded plans count per shard
-    #: scan, so this aggregates differently from serial — comparisons
-    #: across worker counts should exclude it.
+    #: Batches emitted by the source scan.
     batches: int = 0
 
     def as_dict(self) -> dict[str, int]:
@@ -458,21 +455,6 @@ class QueryStats:
             "groups_emitted": self.groups_emitted,
             "batches": self.batches,
         }
-
-    def merge(self, other: "QueryStats") -> "QueryStats":
-        """Accumulate another stats object into this one.
-
-        Sharded plans keep one ``QueryStats`` per worker context; the
-        query handle merges them into the aggregate view callers see.
-        """
-        self.rows_scanned += other.rows_scanned
-        self.rows_after_filter += other.rows_after_filter
-        self.rows_emitted += other.rows_emitted
-        self.predicate_evaluations += other.predicate_evaluations
-        self.windows_closed += other.windows_closed
-        self.groups_emitted += other.groups_emitted
-        self.batches += other.batches
-        return self
 
 
 @dataclass
@@ -495,8 +477,8 @@ class EvalContext:
     #: Span recorder (:class:`repro.obs.trace.Tracer`) when the session
     #: enabled tracing; None keeps the hot path entirely untouched.
     tracer: Any = None
-    #: The lane label this context's spans carry ("main" for serial plans,
-    #: "exchange" / "worker-N" / "merge" for sharded stages).
+    #: The lane label this context's spans carry ("main" for a plan of its
+    #: own, "fanout" / "tenant-N" for a shared scan's stages).
     lane: str = "main"
 
     def advance_to(self, batch: ColumnBatch) -> None:

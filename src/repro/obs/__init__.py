@@ -6,8 +6,8 @@ The engine's accounting used to live in scattered counter objects
 missing layer on top of the same virtual clock that drives execution:
 
 - :mod:`repro.obs.trace` — structured spans (operator, batch, service,
-  retry, reconnect, exchange) recorded by a thread-safe :class:`Tracer`;
-  virtual timestamps make serial traces fully deterministic.
+  retry, reconnect) recorded by a thread-safe :class:`Tracer`; virtual
+  timestamps make traces fully deterministic.
 - :mod:`repro.obs.metrics` — a counter/gauge/histogram registry that
   absorbs the ad-hoc stats objects behind one ``snapshot()`` tree.
 - :mod:`repro.obs.analyze` — EXPLAIN ANALYZE rendering: the plan

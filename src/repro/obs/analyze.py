@@ -5,9 +5,7 @@ execution profile: one line per instrumented operator (lane, rows,
 batches, inclusive wall time, self time), the query-level counter totals,
 per-service call/cache/stall/retry accounting, and a span census. All
 numbers come from the virtual clock and deterministic counters, so the
-rendering is golden-testable (serial timings are exact; sharded worker
-timings depend on thread interleaving, which the golden tests avoid by
-profiling sources that never advance the clock).
+rendering is golden-testable.
 
 ``reconcile(handle)`` cross-checks the trace against the engine's own
 counters — the probes are an independent measurement of the same stream,
@@ -120,9 +118,7 @@ def render_analyze(handle: Any) -> str:
 def reconcile(handle: Any) -> dict[str, Any]:
     """Cross-check trace probes against the engine's own counters.
 
-    - scan rows: the sum over ``Scan``-named probes (the sharded plan's
-      worker-side ShardScan deliberately does not re-count, matching how
-      ``rows_scanned`` itself is kept);
+    - scan rows: the sum over ``Scan``-named probes;
     - emitted rows: the last-registered probe wraps the plan's final
       stage, whose row count is the query's output (plus, symmetrically,
       whatever punctuation the stats counter also never sees).

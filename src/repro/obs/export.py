@@ -4,8 +4,7 @@ Chrome traces load in ``chrome://tracing`` / Perfetto: each lane becomes
 a named thread row, every span a complete ("X") event with virtual-clock
 microsecond timestamps. Events are ordered by the per-lane emission
 ordinal, so the file is byte-deterministic whenever the underlying trace
-is (always for serial plans; for sharded plans whenever the source never
-advances the clock — see :mod:`repro.obs.trace`).
+is (see :mod:`repro.obs.trace`).
 
 The Prometheus exporter renders a :class:`~repro.obs.metrics.MetricsRegistry`
 in the text exposition format (version 0.0.4) for the TwitInfo server's

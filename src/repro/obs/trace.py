@@ -2,20 +2,16 @@
 
 A :class:`Span` is one timed interval — an operator's lifetime, one batch
 pull, one service round trip, one retry backoff, one stream reconnect —
-with a name, a kind, a lane (the logical execution thread: ``main`` for
-serial plans, ``exchange`` / ``worker-N`` / ``merge`` for sharded ones),
-virtual-clock start/end timestamps, and optional parent linkage (batch
-spans point at their operator span).
+with a name, a kind, a lane (the logical stream the span belongs to:
+``main`` for a plan of its own, ``fanout`` / ``tenant-N`` for a shared
+scan's stages, ``services`` for service calls), virtual-clock start/end
+timestamps, and optional parent linkage (batch spans point at their
+operator span).
 
-The :class:`Tracer` records spans append-only under a lock, so sharded
-worker pipelines can emit concurrently. Timestamps come from the shared
-:class:`~repro.clock.VirtualClock`; on a serial plan the clock advances
+The :class:`Tracer` records spans append-only under a lock. Timestamps
+come from the shared :class:`~repro.clock.VirtualClock`, which advances
 deterministically (stream delivery and service latency draws are seeded),
-so two runs of the same query produce byte-identical traces. Under
-sharding, *counts* stay deterministic but worker-lane timestamps depend on
-thread interleaving — the chaos/parallel docs call this out, and the
-golden tests pin sharded traces only on sources that never advance the
-clock.
+so two runs of the same query produce byte-identical traces.
 
 :class:`TraceOperator` is the pipeline instrumentation: the planner wraps
 each stage in one when tracing is enabled, and the wrapper counts rows and
@@ -36,7 +32,7 @@ from repro.engine.sanitizer import registered_lock
 #: marks TQLSAN violation instants (see repro.engine.sanitizer).
 KINDS = (
     "query", "operator", "batch", "service", "stall",
-    "retry", "reconnect", "exchange", "sanitizer",
+    "retry", "reconnect", "sanitizer",
 )
 
 
@@ -50,8 +46,7 @@ class Span:
     lane: str
     start: float
     end: float
-    #: Per-lane emission ordinal — the deterministic sort key exporters
-    #: use (global span_id allocation order is racy under sharding).
+    #: Per-lane emission ordinal — the sort key exporters use.
     lane_seq: int
     parent_id: int | None = None
     attrs: dict[str, Any] = field(default_factory=dict)

@@ -11,8 +11,6 @@ than the author probably expects on an unbounded stream:
 - ``TQL305`` constant predicates (always true / always false);
 - ``TQL306`` redundant or field-shadowing select aliases;
 - ``TQL307`` ``now()`` pins execution to one row per batch;
-- ``TQL308`` statement shape forces the serial fallback despite
-  ``workers > 1``;
 - ``TQL311`` backfill enabled but no ``created_at`` lower bound — the
   whole historical store is replayed before the live tail.
 
@@ -60,7 +58,6 @@ def run_lints(
     _lint_constant_predicates(conjuncts, statement, sink)
     _lint_aliases(statement, schema, sink)
     _lint_now_pinning(statement, sink, config)
-    _lint_serial_fallback(statement, registry, sink, config)
     _lint_unbounded_backfill(statement, conjuncts, sink, config)
 
 
@@ -472,68 +469,6 @@ def _lint_now_pinning(
             "disabled)",
             span_of(call),
             "use created_at where per-row arrival time is what you mean",
-        )
-
-
-# ---------------------------------------------------------------------------
-# TQL308 — serial fallback despite workers > 1
-# ---------------------------------------------------------------------------
-
-
-def _serial_fallback_reason(
-    statement: ast.SelectStatement,
-    registry: FunctionRegistry,
-    config: Any,
-) -> tuple[str | None, Any]:
-    """Why this statement cannot shard, or (None, None) — mirrors the
-    planner's ``_shard_blocker`` (reimplemented; see module docstring)."""
-    if statement.join is not None:
-        return "stream joins need co-partitioned inputs", None
-    if statement.window is not None and statement.window.count_based:
-        return (
-            "count-based windows depend on global row ordinals",
-            span_of(statement.window),
-        )
-    if statement_has_aggregates(statement) and not statement.group_by:
-        return "global aggregates form a single group", None
-    if (
-        getattr(config, "latency_mode", "sync") == "async"
-        and getattr(config, "partial_results", False)
-    ):
-        return "partial results depend on in-flight call timing", None
-    call = _calls_function(statement, lambda node: node.name == "now")
-    if call is not None:
-        return "now() reads the global stream time", span_of(call)
-    call = _calls_function(
-        statement,
-        lambda node: node.name not in AGGREGATE_NAMES
-        and node.name in registry
-        and registry.lookup(node.name).stateful,
-    )
-    if call is not None:
-        return (
-            f"stateful UDF {call.name}() folds over global row order",
-            span_of(call),
-        )
-    return None, None
-
-
-def _lint_serial_fallback(
-    statement: ast.SelectStatement,
-    registry: FunctionRegistry,
-    sink: DiagnosticSink,
-    config: Any,
-) -> None:
-    workers = getattr(config, "workers", 1)
-    if workers <= 1:
-        return
-    reason, span = _serial_fallback_reason(statement, registry, config)
-    if reason is not None:
-        sink.info(
-            "TQL308",
-            f"workers={workers} has no effect: this statement shape forces "
-            f"the serial fallback ({reason})",
-            span,
         )
 
 

@@ -106,9 +106,9 @@ class SqliteTweetLog:
     :class:`Tweet` objects.
 
     The connection is opened with ``check_same_thread=False`` and every
-    statement runs under an internal lock, so engine worker threads (the
-    sharded executor, the background :class:`~repro.storage.historical.
-    StorageWriter`) can share one log safely.
+    statement runs under an internal lock, so the background
+    :class:`~repro.storage.historical.StorageWriter` thread and the
+    engine's readers can share one log safely.
 
     Durability: :meth:`append` batches its commit — the transaction is
     flushed every ``commit_every`` single-row appends and always on

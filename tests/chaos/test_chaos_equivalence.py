@@ -4,9 +4,9 @@ A retry budget covering the fault plan's worst burst (``retries >=
 max_burst``) plus auto-reconnecting streams means every service key
 eventually resolves to its true value and every gap tweet is recovered —
 so a faulted run must emit **exactly** the rows of the fault-free
-baseline, at every batch size and worker count. Faults are keyed on
-request content, never arrival order, which is what makes the property
-hold across execution schedules.
+baseline, at every batch size. Faults are keyed on request content,
+never arrival order, which is what makes the property hold across
+execution schedules.
 """
 
 from __future__ import annotations
@@ -20,17 +20,15 @@ from repro.engine.resilience import FaultPlan, ServiceFaultModel, StreamDrop
 
 pytestmark = pytest.mark.chaos
 
-#: The acceptance grid: row-at-a-time and large batches, serial and
-#: sharded.
-GRID = [(1, 1), (1, 4), (256, 1), (256, 4)]
+#: The acceptance grid: row-at-a-time and large batches.
+GRID = [1, 256]
 
 
-def faulted_config(plan: FaultPlan, batch_size: int, workers: int) -> EngineConfig:
+def faulted_config(plan: FaultPlan, batch_size: int) -> EngineConfig:
     return EngineConfig(
         retries=3,  # covers every plan's max_burst (<= 2 below)
         fault_plan=plan,
         batch_size=batch_size,
-        workers=workers,
     )
 
 
@@ -52,13 +50,11 @@ def baseline(small_chatter):
     return rows
 
 
-@pytest.mark.parametrize("batch_size,workers", GRID)
+@pytest.mark.parametrize("batch_size", GRID)
 def test_fixed_plan_equivalence_across_the_grid(
-    run_rows, fault_plan, baseline, batch_size, workers
+    run_rows, fault_plan, baseline, batch_size
 ):
-    rows, session = run_rows(
-        config=faulted_config(fault_plan, batch_size, workers)
-    )
+    rows, session = run_rows(config=faulted_config(fault_plan, batch_size))
     assert rows == baseline
     # The run was actually exercised: faults were injected and retried.
     injector = session.geocode_service.fault_injector
@@ -126,12 +122,9 @@ plans = st.builds(
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(plan=plans, grid_point=st.sampled_from(GRID))
+@given(plan=plans, batch_size=st.sampled_from(GRID))
 def test_generated_plans_preserve_the_baseline(
-    run_rows, baseline, plan, grid_point
+    run_rows, baseline, plan, batch_size
 ):
-    batch_size, workers = grid_point
-    rows, _session = run_rows(
-        config=faulted_config(plan, batch_size, workers)
-    )
+    rows, _session = run_rows(config=faulted_config(plan, batch_size))
     assert rows == baseline

@@ -2,8 +2,8 @@
 
 The acceptance sweep: a time-windowed query over a session with a
 populated historical store and ``backfill=True`` must produce rows
-row-for-row identical to a pure-live run of the same query, across
-batch {1, 256} × workers {1, 4}. Plus the planner's window extraction,
+row-for-row identical to a pure-live run of the same query at batch
+sizes 1 and 256. Plus the planner's window extraction,
 the EXPLAIN note, the stream-tap archival wiring, the TQL311 lint, and
 the instant-backfill property (historical rows arrive without advancing
 the virtual clock — the whole point of the tier).
@@ -93,18 +93,15 @@ def _hybrid_session(scenario, path, **config_kwargs):
 
 
 @pytest.mark.parametrize("batch_size", [1, 256])
-@pytest.mark.parametrize("workers", [1, 4])
 def test_backfill_plus_live_matches_pure_live(
-    scenario, baseline_ids, archive_path, tmp_path, batch_size, workers
+    scenario, baseline_ids, archive_path, tmp_path, batch_size
 ):
     # Each sweep point gets its own store copy: the hybrid session's own
     # writer re-archives the live tail, which would otherwise grow the
     # watermark between points.
     path = str(tmp_path / "store.db")
     shutil.copy(archive_path, path)
-    session = _hybrid_session(
-        scenario, path, batch_size=batch_size, workers=workers
-    )
+    session = _hybrid_session(scenario, path, batch_size=batch_size)
     try:
         handle = session.query(QUERY)
         ids = [r["tweet_id"] for r in handle.all()]

@@ -1,7 +1,6 @@
-"""Batch size, vectorization and thread sharding are invisible in results.
+"""Batch size and vectorization are invisible in results.
 
-The acceptance sweep: every point of batch {1, 7, 256} × workers {1, 4}
-must be row-for-row — and stats-for-stats — identical on the paper's demo
+The acceptance sweep: every batch size in {1, 7, 256} must be row-for-row — and stats-for-stats — identical on the paper's demo
 queries and on the static query shapes, against two references that do
 not run the vector path:
 
@@ -9,7 +8,7 @@ not run the vector path:
   ``compile_vector_expr`` / ``build_fused_projector`` are patched to return
   None, i.e. exactly the fallback production runs for expressions that do
   not vectorize (stateful and high-latency calls, ``now()``, select
-  aliases), at one row per batch and one worker;
+  aliases), at one row per batch;
 - for the static shapes, rows and counters worked out in plain Python
   from ``STATIC_ROWS`` (:func:`expected_static`; no engine import).
 """
@@ -18,15 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from contextlib import contextmanager
 
 import pytest
 
 from repro import EngineConfig, TweeQL
 from repro.engine import planner
-from repro.twitter.users import UserPopulation
-from repro.twitter.workloads import soccer_match_scenario
 
 BASE_TS = 1_307_000_000.0
 SCHEMA = ("tweet_id", "text", "loc", "created_at", "lang", "followers")
@@ -47,7 +43,7 @@ STATIC_ROWS = [
 #: and columnar group-key paths — the ``udf_*`` ones through whole-column
 #: function calls (``tally`` is a user UDF, see :func:`make_session`).
 #: LIMIT shapes stop the scan early, so only output rows are comparable
-#: there (as in test_parallel).
+#: there.
 SHAPES = {
     "filter_project": (
         "SELECT text, followers FROM s "
@@ -97,7 +93,7 @@ SHAPES = {
 }
 
 #: Stats that must match the references exactly. windows_closed and
-#: batches vary structurally with sharding/batch size (pre-existing).
+#: batches vary structurally with batch size.
 EXACT_STATS = (
     "rows_after_filter",
     "predicate_evaluations",
@@ -117,10 +113,10 @@ def scalar_only_planner():
         yield
 
 
-def make_session(workers=1, batch_size=256, tally=None):
+def make_session(batch_size=256, tally=None):
     """A session over ``STATIC_ROWS`` with ``tally(x)``, a user UDF that
     returns its argument and advances the ``tally`` counter per call."""
-    config = EngineConfig(workers=workers, batch_size=batch_size)
+    config = EngineConfig(batch_size=batch_size)
     session = TweeQL(config=config)
     session.register_source(
         "s", lambda: iter([dict(r) for r in STATIC_ROWS]), SCHEMA
@@ -128,7 +124,7 @@ def make_session(workers=1, batch_size=256, tally=None):
     calls = itertools.count() if tally is None else tally
 
     def count_call(_ctx, value):
-        next(calls)  # atomic across shard threads
+        next(calls)
         return value
 
     session.register_udf("tally", count_call)
@@ -144,9 +140,9 @@ def run(session, sql):
 
 
 def run_scalar_only(sql, batch_size=1, tally=None):
-    """The scalar-only reference: one worker, no vector stage anywhere."""
+    """The scalar-only reference: no vector stage anywhere."""
     with scalar_only_planner():
-        session = make_session(workers=1, batch_size=batch_size, tally=tally)
+        session = make_session(batch_size=batch_size, tally=tally)
         assert "[vectorized" not in session.explain(sql)
         return run(session, sql)
 
@@ -301,34 +297,33 @@ def assert_rows_equal(rows, expected, where):
                 assert row[key] == value, (key, where)
 
 
-#: The ids keep the ``thread-`` prefix these cases have always had, so
+#: The ids keep the ``thread-1-`` prefix these cases have always had, so
 #: recorded test ids stay comparable across commits.
-WORKERS = [pytest.param(1, id="thread-1"), pytest.param(4, id="thread-4")]
+BATCHES = [pytest.param(b, id=f"thread-1-{b}") for b in (1, 7, 256)]
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-@pytest.mark.parametrize("batch", [1, 7, 256])
-@pytest.mark.parametrize("workers", WORKERS)
-def test_columnar_matches_row_engine(shape, batch, workers):
+@pytest.mark.parametrize("batch", BATCHES)
+def test_columnar_matches_row_engine(shape, batch):
     sql, stats_mode = SHAPES[shape]
     base_calls, calls = itertools.count(), itertools.count()
     base_rows, base_stats = run_scalar_only(sql, tally=base_calls)
     want_rows, want_stats = expected_static(shape)
-    rows, stats = run(
-        make_session(workers=workers, batch_size=batch, tally=calls), sql
-    )
+    rows, stats = run(make_session(batch_size=batch, tally=calls), sql)
     if shape == "udf_tally":
         # Tumbling windows: one call per row, vector or scalar, on every
         # plan shape.
         assert next(calls) == next(base_calls) == len(STATIC_ROWS)
-    assert rows == base_rows, (shape, batch, workers)
-    assert_rows_equal(rows, want_rows, (shape, batch, workers))
-    keys = EXACT_STATS if stats_mode == "full" else ("rows_emitted",)
-    if stats_mode == "full" and workers == 1:
-        keys = keys + ("rows_scanned",)
+    assert rows == base_rows, (shape, batch)
+    assert_rows_equal(rows, want_rows, (shape, batch))
+    keys = (
+        EXACT_STATS + ("rows_scanned",)
+        if stats_mode == "full"
+        else ("rows_emitted",)
+    )
     for key in keys:
-        assert stats[key] == base_stats[key], (key, shape, batch, workers)
-        assert stats[key] == want_stats[key], (key, shape, batch, workers)
+        assert stats[key] == base_stats[key], (key, shape, batch)
+        assert stats[key] == want_stats[key], (key, shape, batch)
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -402,11 +397,9 @@ def test_paper_demo_queries_identical_across_configs(news_week):
     from tests.integration.test_paper_queries import QUERY_2, QUERY_3
 
     for sql, limit in ((QUERY_2, 1500), (QUERY_3, None)):
-        def run_config(workers, batch):
+        def run_config(batch):
             session = TweeQL.for_scenarios(
-                news_week,
-                seed=11,
-                config=EngineConfig(workers=workers, batch_size=batch),
+                news_week, seed=11, config=EngineConfig(batch_size=batch)
             )
             handle = session.query(sql)
             rows = handle.all(limit=limit)
@@ -414,36 +407,8 @@ def test_paper_demo_queries_identical_across_configs(news_week):
             return rows
 
         with scalar_only_planner():
-            baseline = run_config(workers=1, batch=1)
-        assert run_config(workers=1, batch=256) == baseline
-        assert run_config(workers=4, batch=256) == baseline
-
-
-def test_sharded_service_stats_sum_of_stage_mirrors():
-    """handle.service_stats on sharded plans must equal the sum of the
-    per-stage mirrors — one attribution per call, none lost."""
-    pop = UserPopulation(size=200, seed=7)
-    scen = soccer_match_scenario(seed=7, population=pop)
-    session = TweeQL.for_scenarios(
-        scen, config=EngineConfig(workers=4)
-    )
-    handle = session.query(
-        "SELECT latitude(loc) AS lat, text FROM twitter "
-        "WHERE text CONTAINS 'goal' LIMIT 50;"
-    )
-    rows = handle.all(limit=50)
-    handle.close()
-    assert rows
-    stats = handle.service_stats
-    assert "geocode" in stats
-    # Stage mirrors key by the underlying service name ("geocoder").
-    mirror_total = sum(
-        stage["geocoder"].calls
-        for stage in handle.shard_service_stats
-        if "geocoder" in stage
-    )
-    assert stats["geocode"]["calls"] == mirror_total
-    assert mirror_total > 0
+            baseline = run_config(batch=1)
+        assert run_config(batch=256) == baseline
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +423,6 @@ def _explain(sql, **kw):
         "s", lambda: iter([dict(r) for r in STATIC_ROWS]), SCHEMA
     )
     return session.explain(sql)
-
-
-def test_thread_workers_are_never_clamped():
-    cores = os.cpu_count() or 1
-    text = _explain(
-        "SELECT text FROM s WHERE followers > 10;",
-        workers=cores + 3,
-    )
-    assert f"over {cores + 3} shards" in text
-    assert "clamped" not in text
 
 
 def test_row_at_a_time_plans_stay_row_wise():
@@ -524,21 +479,19 @@ def _scenario_rows(scenario, sql, **config_kwargs):
     return rows
 
 
-@pytest.mark.parametrize("batch,workers", [(1, 1), (1, 4), (256, 1), (256, 4)])
+@pytest.mark.parametrize("batch", [1, 256])
 @pytest.mark.parametrize("fixture_name", sorted(NEW_SCENARIO_SQL))
-def test_new_scenarios_columnar_equivalence(
-    request, fixture_name, batch, workers
-):
-    """Batch size, worker count and vectorization are invisible in the
-    output (baseline: the scalar-only plan, one row per batch)."""
+def test_new_scenarios_columnar_equivalence(request, fixture_name, batch):
+    """Batch size and vectorization are invisible in the output
+    (baseline: the scalar-only plan, one row per batch)."""
     scenario = request.getfixturevalue(fixture_name)
     sql = NEW_SCENARIO_SQL[fixture_name]
     if fixture_name not in _new_scenario_baselines:
         with scalar_only_planner():
             _new_scenario_baselines[fixture_name] = _scenario_rows(
-                scenario, sql, workers=1, batch_size=1
+                scenario, sql, batch_size=1
             )
     baseline = _new_scenario_baselines[fixture_name]
     assert baseline, f"{fixture_name} baseline produced no rows"
-    rows = _scenario_rows(scenario, sql, workers=workers, batch_size=batch)
-    assert rows == baseline, (fixture_name, batch, workers)
+    rows = _scenario_rows(scenario, sql, batch_size=batch)
+    assert rows == baseline, (fixture_name, batch)

@@ -4,6 +4,8 @@ construct)."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clock import VirtualClock
 from repro.engine.confidence import (
@@ -124,3 +126,35 @@ def test_normal_halfwidth():
     assert normal_halfwidth(1.0, 100) == pytest.approx(0.196)
     with pytest.raises(ValueError):
         normal_halfwidth(1.0, 0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    values=st.lists(
+        st.tuples(
+            st.sampled_from((0.0, 1.0, 45.0, 400.0)),
+            st.sampled_from("abc"),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+        min_size=5,
+        max_size=60,
+    ),
+    batch_size=st.sampled_from((7, 256)),
+)
+def test_emission_is_batch_size_invariant(values, batch_size):
+    """Age-based flushes fire on *other groups'* rows, so a batch must
+    be walked row by row: any batch size emits exactly the one-row-per-
+    batch sequence."""
+    rows, t = [], 0.0
+    for gap, group, value in values:
+        t += gap
+        rows.append({"created_at": t, "g": group, "v": value})
+    policy = ConfidencePolicy(
+        ci_halfwidth=0.2, max_age_seconds=300.0, min_count=2
+    )
+
+    def run(size):
+        ctx = EvalContext(clock=VirtualClock(start=0.0))
+        return list(operator(rows, ctx, policy, batch_size=size))
+
+    assert run(batch_size) == run(1)

@@ -1,17 +1,15 @@
 """QueryHandle lifecycle: close() must release everything, exactly once.
 
-Covers the two bugs fixed alongside the sharded engine — close()/to_csv()
-never drained in-flight async service calls, and to_csv() appended a
-``created_at`` column that was not in the schema — plus the new sharded
-concerns: worker threads join on close, and interleaved fetch()/all()
-never duplicates or drops rows at any worker count.
+Covers two regressions — close()/to_csv() never drained in-flight async
+service calls, and to_csv() appended a ``created_at`` column that was not
+in the schema — plus connection release on close, and interleaved
+fetch()/all() never duplicating or dropping rows.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-import threading
 
 import pytest
 
@@ -36,39 +34,36 @@ ROWS = [
 ]
 
 
-def make_session(workers=1, **config_kwargs):
-    session = TweeQL(config=EngineConfig(workers=workers, **config_kwargs))
+def make_session(**config_kwargs):
+    session = TweeQL(config=EngineConfig(**config_kwargs))
     session.register_source(
         "s", lambda: iter([dict(r) for r in ROWS]), SCHEMA
     )
     return session
 
 
-def scenario_session(workers=1, **config_kwargs):
+def scenario_session(**config_kwargs):
     scenario = soccer_match_scenario(
         seed=11, population=UserPopulation(size=300, seed=11)
     )
     return TweeQL.for_scenarios(
-        scenario, seed=11, config=EngineConfig(workers=workers, **config_kwargs)
+        scenario, seed=11, config=EngineConfig(**config_kwargs)
     )
 
 
 # ---------------------------------------------------------------------------
-# close() releases connections and threads
+# close() releases connections
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_close_mid_stream_releases_api_connections(workers):
-    session = scenario_session(workers=workers)
+def test_close_mid_stream_releases_api_connections():
+    session = scenario_session()
     handle = session.query("SELECT text FROM twitter WHERE text CONTAINS 'goal';")
     rows = handle.fetch(5)
     assert rows
-    # Exactly one connection was opened. Whether it is still held is up to
-    # the sharded pump: it runs ahead of fetch() and may already have
-    # drained the firehose, which releases the connection on its own.
+    # Exactly one connection was opened, and fetch(5) leaves it held.
     assert len(handle.connections) == 1
-    assert session.api.open_connections <= 1
+    assert session.api.open_connections == 1
     handle.close()
     assert session.api.open_connections == 0
     # close() is idempotent.
@@ -76,27 +71,8 @@ def test_close_mid_stream_releases_api_connections(workers):
     assert session.api.open_connections == 0
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_close_mid_stream_joins_worker_threads(workers):
-    baseline = threading.active_count()
-    session = make_session(workers=workers)
-    handle = session.query("SELECT text FROM s WHERE followers > 100;")
-    assert handle.fetch(3)
-    handle.close()
-    assert threading.active_count() == baseline
-
-
-def test_exhaustion_joins_worker_threads_without_close():
-    baseline = threading.active_count()
-    session = make_session(workers=4)
-    handle = session.query("SELECT text FROM s WHERE followers > 100;")
-    list(handle)
-    assert threading.active_count() == baseline
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_iteration_after_close_raises(workers):
-    session = make_session(workers=workers)
+def test_iteration_after_close_raises():
+    session = make_session()
     handle = session.query("SELECT text FROM s;")
     handle.fetch(2)
     handle.close()
@@ -112,10 +88,9 @@ class KthRowError(RuntimeError):
     pass
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_udf_error_surfaces_unwrapped_and_releases_everything(workers):
-    session = scenario_session(workers=workers)
-    calls = itertools.count(1)  # next() is atomic across shard threads
+def test_udf_error_surfaces_unwrapped_and_releases_everything():
+    session = scenario_session()
+    calls = itertools.count(1)
 
     def flaky(_ctx, text):
         if next(calls) == 7:
@@ -129,11 +104,6 @@ def test_udf_error_surfaces_unwrapped_and_releases_everything(workers):
     with pytest.raises(KthRowError) as caught:
         handle.all()
     assert type(caught.value) is KthRowError
-    assert not [
-        thread.name
-        for thread in threading.enumerate()
-        if thread.name.startswith("tweeql-shard")
-    ]
     assert session.api.open_connections == 0
 
 
@@ -142,21 +112,19 @@ def test_udf_error_surfaces_unwrapped_and_releases_everything(workers):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_interleaved_fetch_matches_single_drain(workers):
+def test_interleaved_fetch_matches_single_drain():
     sql = "SELECT text, followers FROM s WHERE followers > 50;"
-    piecemeal = make_session(workers=workers).query(sql)
+    piecemeal = make_session().query(sql)
     collected = piecemeal.fetch(13) + piecemeal.fetch(1) + piecemeal.fetch(29)
     collected += piecemeal.all()
     piecemeal.close()
     # fetch() past end of stream returns empty, not an error.
-    reference = make_session(workers=workers).query(sql).all()
+    reference = make_session().query(sql).all()
     assert collected == reference
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_fetch_after_exhaustion_is_empty(workers):
-    handle = make_session(workers=workers).query("SELECT text FROM s;")
+def test_fetch_after_exhaustion_is_empty():
+    handle = make_session().query("SELECT text FROM s;")
     handle.all()
     assert handle.fetch(5) == []
 
@@ -213,13 +181,11 @@ def test_to_csv_columns_come_from_schema_only(tmp_path):
     assert len(body) == count > 0
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_to_csv_matches_all(tmp_path, workers):
+def test_to_csv_matches_all(tmp_path):
     sql = "SELECT text, followers FROM s WHERE followers > 50;"
-    out = tmp_path / f"w{workers}.csv"
-    writer = make_session(workers=workers)
-    written = writer.query(sql).to_csv(str(out))
-    reference = make_session(workers=workers).query(sql).all()
+    out = tmp_path / "rows.csv"
+    written = make_session().query(sql).to_csv(str(out))
+    reference = make_session().query(sql).all()
     assert written == len(reference)
     with open(out, newline="", encoding="utf-8") as f:
         rows = list(csv.DictReader(f))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.engine.latency import ManagedCall, PrefetchOperator
-from repro.engine.types import ColumnBatch, EvalContext, batch_rows, iter_rows
+from repro.engine.types import EvalContext, batch_rows, iter_rows
 from repro.errors import ServiceError
 from repro.geo.service import LatencyModel, SimulatedWebService
 
@@ -254,22 +254,3 @@ def test_prefetch_operator_dedupes_within_batch():
     # Eight copies of one key → a single-item batch request.
     assert service.stats.batch_requests == 1
     assert service.stats.items == 1
-
-
-def test_prefetch_operator_skips_punctuation_rows():
-    clock = VirtualClock(start=0.0)
-    service = make_service(clock)
-    managed = ManagedCall(service, mode="batched")
-    ctx = EvalContext(clock=clock)
-    batch = ColumnBatch.from_rows(
-        [
-            {"created_at": 0.0, "loc": "boston"},
-            {"created_at": 1.0, "loc": "tokyo", "__punct__": True},
-        ],
-        last=True,
-    )
-    operator = PrefetchOperator(
-        iter([batch]), [(managed, lambda row: row["loc"])], ctx
-    )
-    assert len(list(iter_rows(operator))) == 2
-    assert service.stats.items == 1  # the punctuated row's key was skipped

@@ -206,24 +206,21 @@ def body_stages(explain_text):
     ids=["scalar", "aggregate"],
 )
 def test_body_stages_match_across_plan_shapes(soccer, sql, expected):
-    """Serial, sharded-worker and shared-scan tenant plans share one body
-    builder, so EXPLAIN lists the same stages in the same order."""
+    """Serial and shared-scan tenant plans share one body builder, so
+    EXPLAIN lists the same stages in the same order."""
 
-    def session(workers):
-        config = EngineConfig(workers=workers, latency_mode="batched")
+    def session():
+        config = EngineConfig(latency_mode="batched")
         return TweeQL.for_scenarios(soccer, config=config)
 
-    serial = session(1).explain(sql)
-    sharded = session(4).explain(sql)
-    assert "Exchange:" in sharded and "Exchange:" not in serial
-    group = session(1).shared()
+    serial = session().explain(sql)
+    group = session().shared()
     try:
         tenant = group.query(sql).explain()
     finally:
         group.close()
     assert "SharedScan:" in tenant
     assert body_stages(serial) == expected
-    assert body_stages(sharded) == expected
     assert body_stages(tenant) == expected
 
 
@@ -273,9 +270,8 @@ def vector_stages(pipeline):
 )
 def test_vector_stages_match_across_plan_shapes(soccer, sql, expected):
     """A shared-scan tenant body gets the same vectorized projection /
-    group-key / aggregate-argument evaluators as a serial plan and a
-    sharded worker (it used to be built without them), and none at one
-    row per batch."""
+    group-key / aggregate-argument evaluators as a serial plan (it used
+    to be built without them), and none at one row per batch."""
 
     def session(**config):
         return TweeQL.for_scenarios(soccer, config=EngineConfig(**config))
@@ -289,10 +285,36 @@ def test_vector_stages_match_across_plan_shapes(soccer, sql, expected):
             group.close()
 
     assert vector_stages(session().plan(sql).pipeline) == expected
-    sharded = session(workers=4).plan(sql)
-    exchange = sharded.closers[0].__self__
-    for worker in exchange._pipelines:
-        assert vector_stages(worker) == expected
     assert tenant_stages() == expected
     for _stage, flags in tenant_stages(batch_size=1):
         assert not any(flags)
+
+
+#: The ``query_cpu`` benchmark workload's three statements.
+QUERY_CPU_STATEMENTS = (
+    "SELECT lower(text) AS t, length(text) AS n, hour(created_at) AS h "
+    "FROM twitter WHERE length(text) > 10 AND followers >= 10;",
+    "SELECT text, screen_name FROM twitter "
+    "WHERE text matches 'g[oa]+l' AND lang = 'en';",
+    "SELECT AVG(followers) AS f, COUNT(*) AS n, lang FROM twitter "
+    "WHERE length(text) > 10 GROUP BY lang WINDOW 5 minutes;",
+)
+
+
+@pytest.mark.parametrize(
+    "sql", QUERY_CPU_STATEMENTS, ids=["project_udf", "regex", "grouped_avg"]
+)
+def test_inert_workers_field_plans_the_serial_plan(soccer, sql):
+    """``EngineConfig.workers`` has no reader: the same rows and a
+    byte-identical EXPLAIN as the default configuration."""
+
+    def run(config):
+        session = TweeQL.for_scenarios(soccer, config=config)
+        handle = session.query(sql)
+        explain, rows = handle.explain(), handle.all()
+        handle.close()
+        return explain, rows
+
+    serial_explain, serial_rows = run(EngineConfig())
+    assert serial_rows
+    assert run(EngineConfig(workers=2)) == (serial_explain, serial_rows)

@@ -1,10 +1,11 @@
-"""Where the engine may run threads.
+"""The engine runs no threads.
 
 Under the GIL a thread per shard or per tenant buys a CPU-bound operator
-chain nothing, so the engine keeps a pool only where a ledger number
-still argues for one: the ``workers=N`` sharded path in ``parallel.py``.
-The shared scan runs on its consumers' thread; this pins that, and stops
-a new pool or queue from appearing anywhere else unnoticed.
+chain nothing, and the one stall worth overlapping — a high-latency
+service call — is overlapped on the virtual clock by the ``batched`` and
+``async`` latency modes. Every pipeline, the shared scan included, runs
+on the thread that pulls its handle; this pins that, and stops a pool or
+a queue from appearing in the engine unnoticed.
 """
 
 from __future__ import annotations
@@ -13,10 +14,6 @@ import ast
 from pathlib import Path
 
 ENGINE = Path(__file__).resolve().parents[2] / "src" / "repro" / "engine"
-
-#: Engine modules allowed to import ``queue`` / ``concurrent.futures`` or
-#: start a ``threading.Thread``.
-THREADED = {"parallel.py"}
 
 
 def _imports(tree: ast.Module) -> set[str]:
@@ -30,8 +27,10 @@ def _imports(tree: ast.Module) -> set[str]:
     return modules
 
 
-def _thread_machinery(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def _thread_machinery(source: str) -> list[str]:
+    """What in ``source`` imports ``queue`` / ``concurrent.*`` or starts a
+    ``threading.Thread``."""
+    tree = ast.parse(source)
     found = [
         name
         for name in sorted(_imports(tree))
@@ -49,14 +48,29 @@ def _thread_machinery(path: Path) -> list[str]:
     return found
 
 
-def test_only_the_sharded_path_runs_threads():
+def test_no_engine_module_runs_threads():
     offenders = {
         path.name: uses
         for path in sorted(ENGINE.glob("*.py"))
-        if path.name not in THREADED and (uses := _thread_machinery(path))
+        if (uses := _thread_machinery(path.read_text(encoding="utf-8")))
     }
     assert offenders == {}
-    assert _thread_machinery(ENGINE / "parallel.py")  # the rule still bites
+
+
+def test_the_rule_catches_a_thread_and_a_pool():
+    started = "import threading\nthreading.Thread(target=print).start()\n"
+    assert _thread_machinery(started) == ["threading.Thread()"]
+    pooled = (
+        "import queue\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from threading import Thread\n"
+    )
+    assert _thread_machinery(pooled) == [
+        "concurrent.futures",
+        "concurrent.futures.ThreadPoolExecutor",
+        "queue",
+        "threading.Thread",
+    ]
 
 
 def test_the_shared_scan_takes_no_lock_and_polls_nothing():

@@ -19,7 +19,7 @@ from repro.engine.types import ColumnBatch
 from repro.twitter.models import TWEET_COLUMNS, Tweet
 
 #: Every column of the table, plus names no tweet carries.
-NAMES = (*TWEET_COLUMNS, "__punct__", "__seq__", "window_start")
+NAMES = (*TWEET_COLUMNS, "__agg0", "window_start")
 
 verdict_cells = st.sampled_from((True, False, None, 0, 1, "", "x"))
 
@@ -78,7 +78,7 @@ def test_tweet_backed_batch_equals_its_rows(soccer, data, seq, last):
 def test_field_presence_needs_no_tweet(soccer):
     """``has_field`` answers from the column table: no column is read."""
     batch = ColumnBatch.from_tweets(soccer.tweets[:256])
-    assert not batch.has_field("__punct__")
+    assert not batch.has_field("window_start")
     assert batch.has_field("__tweet__") and batch.has_field("lang")
     assert batch.columns == {}
     assert not ColumnBatch.from_tweets([]).has_field("text")

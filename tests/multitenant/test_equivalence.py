@@ -55,23 +55,19 @@ SWEEP_SQLS = [
 ]
 
 
-@pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("batch_size", [1, 256])
 @pytest.mark.parametrize("tracing", [False, True])
-def test_equivalence_sweep(mini_soccer, workers, batch_size, tracing):
+def test_equivalence_sweep(mini_soccer, batch_size, tracing):
     """Equivalence must survive every engine configuration.
 
-    batch_size=1 is the legacy row-at-a-time framing; workers>1 shards
-    the *independent* baselines (the shared group itself stays serial and
-    says so in EXPLAIN); tracing wraps every operator in span probes.
+    batch_size=1 is the legacy row-at-a-time framing; tracing wraps every
+    operator in span probes.
     """
-    config = EngineConfig(
-        workers=workers, batch_size=batch_size, tracing=tracing
-    )
+    config = EngineConfig(batch_size=batch_size, tracing=tracing)
     shared, group = run_shared(mini_soccer, SWEEP_SQLS, config=config)
     for i, sql in enumerate(SWEEP_SQLS):
         assert shared[i] == run_independent(mini_soccer, sql, config=config), (
-            f"workers={workers} batch={batch_size} tracing={tracing}: {sql}"
+            f"batch={batch_size} tracing={tracing}: {sql}"
         )
     # Two tenants share the `text contains 'goal'` conjunct, so the
     # per-row memo must have saved evaluations.
@@ -106,11 +102,15 @@ def test_group_explain_describes_fanout(mini_soccer):
 
 
 def test_workers_are_ignored_but_rows_identical(mini_soccer):
-    """A sharded config admits fine; the plan notes workers are ignored."""
-    config = EngineConfig(workers=4)
-    shared, group = run_shared(mini_soccer, [QUERY_POOL[1]], config=config)
-    assert shared[0] == run_independent(mini_soccer, QUERY_POOL[1], config=config)
-    assert "workers ignored" in group.handles[0].explain()
+    """The inert ``workers`` field changes neither a tenant's rows nor
+    its EXPLAIN."""
+    shared, group = run_shared(
+        mini_soccer, [QUERY_POOL[1]], config=EngineConfig(workers=4)
+    )
+    serial, serial_group = run_shared(mini_soccer, [QUERY_POOL[1]])
+    assert shared == serial
+    assert shared[0] == run_independent(mini_soccer, QUERY_POOL[1])
+    assert group.handles[0].explain() == serial_group.handles[0].explain()
 
 
 def test_tenant_stats_count_routed_rows(mini_soccer):

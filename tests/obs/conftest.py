@@ -1,9 +1,11 @@
 """Shared observability-test helpers.
 
-Sharded traces are only byte-deterministic when the source never advances
-the virtual clock (worker timestamps otherwise race), so the golden and
-determinism tests run against ``fixed``: a registered static source of
-1000 pre-stamped rows, all at t=0.
+The golden and determinism tests run against ``fixed``: a registered
+static source of 1000 pre-stamped rows, all at t=0.
+
+The grid's ids — and the golden files named after them — keep the
+``w1_`` prefix they were recorded under, when a worker count was part of
+each configuration.
 """
 
 from __future__ import annotations
@@ -17,26 +19,27 @@ ROWS = [
     for i in range(N_ROWS)
 ]
 
-#: Exercises scan, filter, grouped windowed aggregation, and (sharded)
-#: the exchange/merge machinery — 5 output groups at every config.
+#: Exercises scan, filter and grouped windowed aggregation — 5 output
+#: groups at every config.
 GROUPED_SQL = (
     "SELECT count(*) AS n FROM fixed WHERE user_id > 1 "
     "GROUP BY user_id WINDOW 60 seconds;"
 )
 
 
+#: Batch sizes of the grid, and their ids.
+BATCH_SIZES = [1, 256]
+GRID_IDS = [f"w1_b{batch_size}" for batch_size in BATCH_SIZES]
+
+
 def static_session(
-    workers: int = 1,
     batch_size: int = 256,
     tracing: bool = True,
     **config_kwargs,
 ) -> TweeQL:
     """A session over the static ``fixed`` source (no twitter stream)."""
     config = EngineConfig(
-        workers=workers,
-        batch_size=batch_size,
-        tracing=tracing,
-        **config_kwargs,
+        batch_size=batch_size, tracing=tracing, **config_kwargs
     )
     session = TweeQL(config=config)
     session.register_source("fixed", lambda: iter(ROWS), SCHEMA)

@@ -8,11 +8,16 @@ import pytest
 
 from repro.obs import chrome_trace, write_chrome_trace
 
-from tests.obs.conftest import GROUPED_SQL, static_session
+from tests.obs.conftest import (
+    BATCH_SIZES,
+    GRID_IDS,
+    GROUPED_SQL,
+    static_session,
+)
 
 
-def _run_trace(workers: int, batch_size: int) -> dict:
-    session = static_session(workers=workers, batch_size=batch_size)
+def _run_trace(batch_size: int) -> dict:
+    session = static_session(batch_size=batch_size)
     handle = session.query(GROUPED_SQL)
     try:
         handle.all()
@@ -21,19 +26,15 @@ def _run_trace(workers: int, batch_size: int) -> dict:
         handle.close()
 
 
-@pytest.mark.parametrize(
-    ("workers", "batch_size"),
-    [(1, 1), (1, 256), (4, 1), (4, 256)],
-    ids=["w1_b1", "w1_b256", "w4_b1", "w4_b256"],
-)
-def test_trace_is_byte_deterministic(workers, batch_size):
-    first = json.dumps(_run_trace(workers, batch_size), sort_keys=True)
-    second = json.dumps(_run_trace(workers, batch_size), sort_keys=True)
+@pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=GRID_IDS)
+def test_trace_is_byte_deterministic(batch_size):
+    first = json.dumps(_run_trace(batch_size), sort_keys=True)
+    second = json.dumps(_run_trace(batch_size), sort_keys=True)
     assert first == second
 
 
 def test_document_structure():
-    document = _run_trace(workers=1, batch_size=256)
+    document = _run_trace(batch_size=256)
     assert document["displayTimeUnit"] == "ms"
     events = document["traceEvents"]
     metadata = [e for e in events if e["ph"] == "M"]
@@ -48,17 +49,6 @@ def test_document_structure():
     batch_events = [e for e in spans if e["cat"] == "batch"]
     assert batch_events
     assert all("parent" in e["args"] for e in batch_events)
-
-
-def test_sharded_trace_names_every_lane():
-    document = _run_trace(workers=4, batch_size=256)
-    lanes = {
-        event["args"]["name"]
-        for event in document["traceEvents"]
-        if event["ph"] == "M" and event["name"] == "thread_name"
-    }
-    assert {"exchange", "merge"} <= lanes
-    assert {f"worker-{i}" for i in range(4)} <= lanes
 
 
 def test_multi_query_export_gets_one_pid_per_query(tmp_path):

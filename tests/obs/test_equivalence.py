@@ -6,13 +6,16 @@ import pytest
 
 from repro import EngineConfig
 
-from tests.obs.conftest import GROUPED_SQL, static_session
+from tests.obs.conftest import (
+    BATCH_SIZES,
+    GRID_IDS,
+    GROUPED_SQL,
+    static_session,
+)
 
 
-def _rows(tracing: bool, workers: int, batch_size: int) -> list[dict]:
-    session = static_session(
-        workers=workers, batch_size=batch_size, tracing=tracing
-    )
+def _rows(tracing: bool, batch_size: int) -> list[dict]:
+    session = static_session(batch_size=batch_size, tracing=tracing)
     handle = session.query(GROUPED_SQL)
     try:
         return handle.all()
@@ -20,13 +23,9 @@ def _rows(tracing: bool, workers: int, batch_size: int) -> list[dict]:
         handle.close()
 
 
-@pytest.mark.parametrize(
-    ("workers", "batch_size"),
-    [(1, 1), (1, 256), (4, 1), (4, 256)],
-    ids=["w1_b1", "w1_b256", "w4_b1", "w4_b256"],
-)
-def test_rows_identical_with_and_without_tracing(workers, batch_size):
-    assert _rows(True, workers, batch_size) == _rows(False, workers, batch_size)
+@pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=GRID_IDS)
+def test_rows_identical_with_and_without_tracing(batch_size):
+    assert _rows(True, batch_size) == _rows(False, batch_size)
 
 
 def test_scenario_rows_and_stats_identical(session_factory):

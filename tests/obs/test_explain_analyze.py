@@ -1,8 +1,7 @@
 """Golden EXPLAIN ANALYZE renderings and span/stats reconciliation.
 
-The batch-size × worker-count grid runs over the static ``fixed`` source
-(the clock never advances, so even sharded renderings are deterministic).
-Regenerate after an intentional change with::
+The batch-size grid runs over the static ``fixed`` source (the clock
+never advances). Regenerate after an intentional change with::
 
     UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/obs/test_explain_analyze.py
 """
@@ -18,11 +17,14 @@ from repro import EngineConfig
 from repro.errors import ExecutionError
 from repro.obs import reconcile
 
-from tests.obs.conftest import GROUPED_SQL, static_session
+from tests.obs.conftest import (
+    BATCH_SIZES,
+    GRID_IDS,
+    GROUPED_SQL,
+    static_session,
+)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
-
-GRID = [(1, 1), (1, 256), (4, 1), (4, 256)]
 
 
 def _check_golden(name: str, rendered: str) -> None:
@@ -32,12 +34,9 @@ def _check_golden(name: str, rendered: str) -> None:
     assert rendered + "\n" == path.read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize(
-    ("workers", "batch_size"), GRID,
-    ids=[f"w{w}_b{b}" for w, b in GRID],
-)
-def test_golden_rendering(workers, batch_size):
-    session = static_session(workers=workers, batch_size=batch_size)
+@pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=GRID_IDS)
+def test_golden_rendering(batch_size):
+    session = static_session(batch_size=batch_size)
     handle = session.query(GROUPED_SQL)
     try:
         rows = handle.all()
@@ -45,15 +44,12 @@ def test_golden_rendering(workers, batch_size):
     finally:
         handle.close()
     assert len(rows) == 5
-    _check_golden(f"analyze_w{workers}_b{batch_size}", rendered)
+    _check_golden(f"analyze_w1_b{batch_size}", rendered)
 
 
-@pytest.mark.parametrize(
-    ("workers", "batch_size"), GRID,
-    ids=[f"w{w}_b{b}" for w, b in GRID],
-)
-def test_reconcile_across_grid(workers, batch_size):
-    session = static_session(workers=workers, batch_size=batch_size)
+@pytest.mark.parametrize("batch_size", BATCH_SIZES, ids=GRID_IDS)
+def test_reconcile_across_grid(batch_size):
+    session = static_session(batch_size=batch_size)
     handle = session.query(GROUPED_SQL)
     try:
         handle.all()
@@ -103,7 +99,7 @@ def test_session_explain_analyze_forces_tracing():
 
 def test_analyze_totals_match_query_stats():
     """The rendered totals line is exactly QueryStats.as_dict()."""
-    session = static_session(workers=4, batch_size=256)
+    session = static_session(batch_size=256)
     handle = session.query(GROUPED_SQL)
     try:
         handle.all()
@@ -120,7 +116,7 @@ def test_analyze_totals_match_query_stats():
 
 
 def test_every_golden_file_has_a_case():
-    expected = {f"analyze_w{w}_b{b}.txt" for w, b in GRID}
+    expected = {f"analyze_{case}.txt" for case in GRID_IDS}
     expected.add("analyze_soccer_serial.txt")
     on_disk = {p.name for p in GOLDEN_DIR.glob("*.txt")}
     assert on_disk == expected

@@ -1,6 +1,6 @@
 """Property test: the trace is an independent recount of the same stream.
 
-For any row count, predicate threshold, batch size, and worker count, the
+For any row count, predicate threshold, and batch size, the
 probe totals must reconcile exactly with the engine's own ``QueryStats``
 counters, and the traced output must equal the untraced output.
 """
@@ -16,14 +16,12 @@ from repro.obs import reconcile
 SCHEMA = ("text", "user_id", "created_at")
 
 
-def _session(n_rows: int, workers: int, batch_size: int, tracing: bool):
+def _session(n_rows: int, batch_size: int, tracing: bool):
     rows = [
         {"text": f"tweet {i}", "user_id": i % 11, "created_at": 0.0}
         for i in range(n_rows)
     ]
-    config = EngineConfig(
-        workers=workers, batch_size=batch_size, tracing=tracing
-    )
+    config = EngineConfig(batch_size=batch_size, tracing=tracing)
     session = TweeQL(config=config)
     session.register_source("fixed", lambda: iter(rows), SCHEMA)
     return session
@@ -34,16 +32,13 @@ def _session(n_rows: int, workers: int, batch_size: int, tracing: bool):
     n_rows=st.integers(min_value=1, max_value=300),
     threshold=st.integers(min_value=0, max_value=12),
     batch_size=st.sampled_from([1, 3, 64, 256]),
-    workers=st.sampled_from([1, 2, 4]),
 )
-def test_probes_reconcile_with_query_stats(
-    n_rows, threshold, batch_size, workers
-):
+def test_probes_reconcile_with_query_stats(n_rows, threshold, batch_size):
     sql = (
         f"SELECT count(*) AS n FROM fixed WHERE user_id > {threshold} "
         "GROUP BY user_id WINDOW 60 seconds;"
     )
-    handle = _session(n_rows, workers, batch_size, tracing=True).query(sql)
+    handle = _session(n_rows, batch_size, tracing=True).query(sql)
     try:
         traced_rows = handle.all()
         report = reconcile(handle)
@@ -51,7 +46,7 @@ def test_probes_reconcile_with_query_stats(
         handle.close()
     assert report["ok"], report
 
-    untraced = _session(n_rows, workers, batch_size, tracing=False).query(sql)
+    untraced = _session(n_rows, batch_size, tracing=False).query(sql)
     try:
         assert untraced.all() == traced_rows
     finally:

@@ -64,9 +64,9 @@ def test_sink_collect_sorts_by_severity_then_position():
     sink.warning("TQL305", "late warning", Span(3, 4))
     sink.error("TQL201", "late error", Span(20, 21))
     sink.error("TQL202", "early error", Span(2, 3))
-    sink.info("TQL308", "note", Span(0, 1))
+    sink.info("TQL307", "note", Span(0, 1))
     codes = [d.code for d in sink.collect()]
-    assert codes == ["TQL202", "TQL201", "TQL305", "TQL308"]
+    assert codes == ["TQL202", "TQL201", "TQL305", "TQL307"]
     assert sink.has_errors
 
 

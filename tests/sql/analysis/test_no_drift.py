@@ -5,8 +5,8 @@ fields, functions, aggregates, and clause tails. For every generated
 query:
 
 * analyzer-accepted (no gating errors) ⇒ the engine plans and executes
-  it, and the output rows are identical at batch_size {1, 256} × workers
-  {1, 4} — the analyzer never green-lights a query the engine rejects,
+  it, and the output rows are identical at batch_size {1, 256} — the
+  analyzer never green-lights a query the engine rejects,
   and pure performance knobs never change results;
 * analyzer-rejected ⇒ ``session.query`` raises a typed
   :class:`TweeQLError` carrying one of the predicted diagnostic codes.
@@ -87,10 +87,8 @@ def queries(draw):
     return f"SELECT {', '.join(items)} FROM s{where}{tail};"
 
 
-def make_session(workers: int = 1, batch_size: int = 1) -> TweeQL:
-    session = TweeQL(
-        config=EngineConfig(workers=workers, batch_size=batch_size)
-    )
+def make_session(batch_size: int = 1) -> TweeQL:
+    session = TweeQL(config=EngineConfig(batch_size=batch_size))
     session.register_source(
         "s", lambda: iter([dict(r) for r in ROWS]), SCHEMA
     )
@@ -121,10 +119,8 @@ def test_analyzer_verdict_matches_engine(sql):
         assert getattr(excinfo.value, "code", None) in expected
     else:
         baseline = run(baseline_session, sql)
-        for workers in (1, 4):
-            for batch in (1, 256):
-                rows = run(make_session(workers, batch), sql)
-                assert rows == baseline, (workers, batch)
+        rows = run(make_session(batch_size=256), sql)
+        assert rows == baseline
 
 
 @settings(

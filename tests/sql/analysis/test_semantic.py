@@ -1,7 +1,5 @@
 """Semantic (TQL2xx) checks and lint (TQL3xx) rules via analyze_sql."""
 
-import pytest
-
 from repro.engine.session import EngineConfig
 from repro.sql.analysis import Catalog, SourceInfo, analyze_sql
 
@@ -277,23 +275,6 @@ def test_now_pinning_tql307():
         config=EngineConfig(batch_size=1),
     )
     assert "TQL307" not in [d.code for d in row_at_a_time.diagnostics]
-
-
-@pytest.mark.parametrize(
-    "sql",
-    [
-        "SELECT count(*) FROM twitter WHERE text CONTAINS 'a' "
-        "WINDOW 1 minutes;",  # global aggregate: one group
-        "SELECT meandev(followers) FROM twitter WHERE text CONTAINS 'a';",
-        "SELECT count(*) FROM twitter WHERE text CONTAINS 'a' "
-        "GROUP BY lang WINDOW 10 tweets;",  # count window
-    ],
-)
-def test_serial_fallback_tql308(sql):
-    result = analyze_sql(sql, config=EngineConfig(workers=4))
-    assert "TQL308" in [d.code for d in result.infos]
-    serial = analyze_sql(sql, config=EngineConfig(workers=1))
-    assert "TQL308" not in [d.code for d in serial.diagnostics]
 
 
 def test_clean_query_has_no_diagnostics():

@@ -164,8 +164,9 @@ def test_equal_timestamp_range_bounds(log):
 
 
 def test_sqlite_usable_from_worker_threads():
-    """The connection is shared across threads (engine workers scan and
-    append concurrently); this used to raise sqlite3.ProgrammingError."""
+    """The connection is shared across threads (the storage writer
+    appends on its own thread while readers scan); this used to raise
+    sqlite3.ProgrammingError."""
     import threading
 
     db = SqliteTweetLog(":memory:", commit_every=1)

@@ -133,6 +133,12 @@ def test_retired_layout_flag_is_an_argparse_error(capsys):
     assert "--no-columnar" in capsys.readouterr().err
 
 
+def test_retired_workers_flag_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit):
+        make_parser().parse_args(["--workers=4", "repl"])
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_run_query_row_budget(soccer_session, capsys):
     printed = run_query(
         soccer_session,
