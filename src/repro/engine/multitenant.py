@@ -97,6 +97,10 @@ from repro.engine.types import (
 from repro.errors import AdmissionError, ExecutionError
 from repro.sql import ast, parse
 
+#: Live queries one shared-scan group admits by default; query N+1 is
+#: rejected with ``TQL401``.
+MAX_TENANTS = 16
+
 _MISS = object()
 
 
@@ -432,7 +436,7 @@ class SharedScanGroup:
         services: dict[str, Any],
         clock: Any,
         *,
-        max_tenants: int = 16,
+        max_tenants: int = MAX_TENANTS,
         label: str | None = None,
     ) -> None:
         if max_tenants < 1:
@@ -546,8 +550,8 @@ class SharedScanGroup:
             self.stats.rejected += 1
             raise AdmissionError(
                 f"shared scan group is at capacity "
-                f"({self.max_tenants} live queries); close one or raise "
-                "EngineConfig.shared_max_tenants",
+                f"({self.max_tenants} live queries); close one or open "
+                "the group with a larger TweeQL.shared(max_tenants=...)",
                 code="TQL401",
             )
         statement = parse(sql)

@@ -302,7 +302,12 @@ class _GroupState:
 
 
 class WindowedAggregateOperator:
-    """GROUP BY + aggregates over tumbling/sliding time windows.
+    """GROUP BY + aggregates over tumbling/sliding windows.
+
+    A row's window coordinate is its ``created_at`` for time windows and
+    its global ordinal for tweet-count windows (``WINDOW n TWEETS``, the
+    alternative §2 weighs and finds wanting for uneven groups — see
+    benchmark E4); a window closes when a row's coordinate reaches its end.
 
     Args:
         child: input batch stream (rows time-ordered).
@@ -319,10 +324,12 @@ class WindowedAggregateOperator:
         order_by: optional [(evaluator, descending)] applied per window.
         limit: optional per-window row cap (after ordering).
 
-    Output rows carry ``window_start`` and ``window_end`` columns, plus
-    ``created_at`` set to the window end (emission time). Windows closed by
-    a batch's rows are emitted with that batch, in exactly the order a
-    one-row-per-batch run interleaves them.
+    Output rows carry ``window_start`` and ``window_end``, plus
+    ``created_at`` set to the window end (emission time). A count window
+    stamps its first and last rows' timestamps instead (so downstream time
+    filtering still works) and adds ``window_rows``, its row count. Windows
+    closed by a batch's rows are emitted with that batch, in exactly the
+    order a one-row-per-batch run interleaves them.
     """
 
     def __init__(
@@ -373,6 +380,11 @@ class WindowedAggregateOperator:
         )
         # (window_start, window_end) → {group_key: _GroupState}
         self._open: dict[tuple[float, float], dict[tuple, _GroupState]] = {}
+        # Count windows only: (start, end) → [first timestamp, last
+        # timestamp, rows], what they emit in place of their bounds.
+        self._extents: dict[tuple[float, float], list[Any]] | None = (
+            {} if window.count_based else None
+        )
 
     def __iter__(self) -> Iterator[ColumnBatch]:
         ctx = self._ctx
@@ -380,11 +392,13 @@ class WindowedAggregateOperator:
         group_evals = self._group_evals
         agg_factories = self._agg_factories
         open_windows = self._open
+        extents = self._extents
         vector_groups = self._vector_group_evals
         vector_args = self._vector_agg_args
         # Earliest end among the open windows: no row before it can close
         # anything, so the open set is scanned only when a row reaches it.
         next_close = float("inf")
+        ordinal = 0
         tail_seq = 0
         for batch in self._child:
             tail_seq = batch.seq + 1
@@ -417,15 +431,21 @@ class WindowedAggregateOperator:
                 else batch.rows
             )
             stamps = batch.field("created_at") or [MISSING] * n
-            for i, timestamp in enumerate(stamps):
-                if timestamp is MISSING:
-                    timestamp = ctx.stream_time
+            if extents is None:
+                coordinates: Iterable[Any] = stamps
+            else:
+                coordinates = range(ordinal, ordinal + n)
+                ordinal += n
+                self._extend(extents, coordinates, stamps)
+            for i, coordinate in enumerate(coordinates):
+                if coordinate is MISSING:
+                    coordinate = ctx.stream_time
                 # None on a columns-only batch: nothing below reads it.
                 row: Any = None if rows is None else rows[i]
-                # Close every window that ended at or before this row's time.
-                if timestamp >= next_close:
-                    next_close = self._close_due(timestamp, emitted)
-                for bounds in windows_containing(timestamp, window):
+                # Close every window that ended at or before this row.
+                if coordinate >= next_close:
+                    next_close = self._close_due(coordinate, emitted)
+                for bounds in windows_containing(coordinate, window):
                     groups = open_windows.get(bounds)
                     if groups is None:
                         groups = open_windows[bounds] = {}
@@ -468,26 +488,55 @@ class WindowedAggregateOperator:
         self._close_due(float("inf"), tail)
         yield ColumnBatch.from_rows(tail, tail_seq, last=True)
 
-    def _close_due(self, timestamp: float, emitted: list[Row]) -> float:
+    def _extend(
+        self,
+        extents: dict[tuple[float, float], list[Any]],
+        coordinates: range,
+        stamps: list[Any],
+    ) -> None:
+        """Count windows: fold a batch's timestamps into the [first, last,
+        rows] record of each window its rows enter. No row reaches a window
+        that closed before it, so one pass per batch equals one per row."""
+        for coordinate, timestamp in zip(coordinates, stamps):
+            if timestamp is MISSING:
+                timestamp = self._ctx.stream_time
+            for bounds in windows_containing(coordinate, self._window):
+                extent = extents.get(bounds)
+                if extent is None:
+                    extents[bounds] = [timestamp, timestamp, 1]
+                else:
+                    extent[1] = max(extent[1], timestamp)
+                    extent[2] += 1
+
+    def _close_due(self, coordinate: float, emitted: list[Row]) -> float:
         """Emit, in (start, end) order, every open window that ended at or
-        before ``timestamp``; returns the earliest end still open (inf
+        before ``coordinate``; returns the earliest end still open (inf
         when none is)."""
         due = sorted(
-            bounds for bounds in self._open if bounds[1] <= timestamp
+            bounds for bounds in self._open if bounds[1] <= coordinate
         )
         for bounds in due:
             groups = self._open.pop(bounds)
             self._ctx.stats.windows_closed += 1
-            self._emit_window(bounds, groups, emitted)
+            if self._extents is None:
+                start, end = bounds
+                columns = {"window_start": start, "window_end": end}
+            else:
+                start, end, count = self._extents.pop(bounds)
+                columns = {"window_start": start, "window_end": end,
+                           "window_rows": count}
+            columns["created_at"] = end
+            self._emit_window(groups, columns, emitted)
         return min((end for _start, end in self._open), default=float("inf"))
 
     def _emit_window(
         self,
-        bounds: tuple[float, float],
         groups: dict[tuple, _GroupState],
+        columns: Row,
         emitted: list[Row],
     ) -> None:
-        start, end = bounds
+        """One output row per group that passes HAVING, each ending with
+        the window's ``columns``; ordered and limited per window."""
         window_rows: list[Row] = []
         for state in groups.values():
             env = dict(state.representative)
@@ -500,9 +549,7 @@ class WindowedAggregateOperator:
             out: Row = {}
             for name, evaluate in self._output_items:
                 out[name] = evaluate(env, self._ctx)
-            out["window_start"] = start
-            out["window_end"] = end
-            out["created_at"] = end
+            out.update(columns)
             window_rows.append(out)
             self._ctx.stats.groups_emitted += 1
         for evaluate, descending in reversed(self._order_by):
@@ -523,145 +570,6 @@ def _sort_key(value: Any) -> tuple[int, Any]:
     if isinstance(value, (int, float, bool)):
         return (1, value)
     return (2, str(value))
-
-
-class CountWindowedAggregateOperator:
-    """GROUP BY + aggregates over tweet-count windows (``WINDOW n TWEETS``).
-
-    Windows are defined over the input row *ordinal*: with size N and slide
-    M, window k covers rows [k·M, k·M + N). The ordinal is global across
-    batches. Emitted rows carry ``window_start``/``window_end`` as the
-    timestamps of the window's first and last rows (so downstream time
-    filtering still works) plus ``window_rows`` with the exact row count.
-
-    This is the "window size on tweet count" alternative §2 weighs (and
-    finds wanting for uneven groups — see benchmark E4).
-    """
-
-    def __init__(
-        self,
-        child: Batches,
-        window: WindowSpec,
-        group_evals: list[Evaluator],
-        agg_factories: list[tuple[Any, Evaluator | None, bool]],
-        output_items: list[tuple[str, Evaluator]],
-        ctx: EvalContext,
-        having: Evaluator | None = None,
-        order_by: list[tuple[Evaluator, bool]] | None = None,
-        limit: int | None = None,
-    ) -> None:
-        assert window.count_based
-        self._child = child
-        self._size = int(window.size_count)
-        self._slide = int(window.slide)
-        self._group_evals = group_evals
-        self._agg_factories = agg_factories
-        self._output_items = output_items
-        self._ctx = ctx
-        self._having = having
-        self._order_by = order_by or []
-        self._limit = limit
-
-    def __iter__(self) -> Iterator[ColumnBatch]:
-        # start_ordinal → (groups, first_ts, last_ts, rows_in_window)
-        open_windows: dict[int, list] = {}
-        # Ordinal at which the earliest open window is full (see
-        # WindowedAggregateOperator): rows before it close nothing.
-        next_close = float("inf")
-        index = -1
-        tail_seq = 0
-        for batch in self._child:
-            tail_seq = batch.seq + 1
-            emitted: list[Row] = []
-            for row in batch.rows:
-                index += 1
-                if index >= next_close:
-                    due = sorted(
-                        s for s in open_windows if s + self._size <= index
-                    )
-                    for start in due:
-                        self._emit(open_windows.pop(start), emitted)
-                    next_close = (
-                        min(open_windows, default=float("inf")) + self._size
-                    )
-                latest = (index // self._slide) * self._slide
-                start = latest
-                while start > index - self._size and start >= 0:
-                    state = open_windows.get(start)
-                    timestamp = row.get("created_at", self._ctx.stream_time)
-                    if state is None:
-                        state = [{}, timestamp, timestamp, 0]
-                        open_windows[start] = state
-                        next_close = min(next_close, start + self._size)
-                    self._accumulate(state, row, timestamp)
-                    start -= self._slide
-                # Windows that started before row 0 don't exist; also handle
-                # slide > size (sampling windows): rows between windows are
-                # simply not accumulated anywhere.
-            if emitted:
-                yield ColumnBatch.from_rows(emitted, batch.seq)
-            if batch.last:
-                break
-        # Tail seq stays strictly above the last input batch's.
-        tail: list[Row] = []
-        for start in sorted(open_windows):
-            self._emit(open_windows[start], tail)
-        yield ColumnBatch.from_rows(tail, tail_seq, last=True)
-
-    def _accumulate(self, state: list, row: Row, timestamp: float) -> None:
-        groups, _first, _last, _n = state
-        state[2] = max(state[2], timestamp)
-        state[3] += 1
-        key = tuple(e(row, self._ctx) for e in self._group_evals)
-        group = groups.get(key)
-        if group is None:
-            group = _GroupState(
-                [factory() for factory, _a, _s in self._agg_factories],
-                representative=row,
-            )
-            groups[key] = group
-        group.count += 1
-        for accumulator, (_factory, arg_eval, skip_nulls) in zip(
-            group.accumulators, self._agg_factories
-        ):
-            if arg_eval is None:
-                accumulator.add(1)
-                continue
-            value = arg_eval(row, self._ctx)
-            if value is None and skip_nulls:
-                continue
-            accumulator.add(value)
-
-    def _emit(self, state: list, emitted: list[Row]) -> None:
-        groups, first_ts, last_ts, rows_in_window = state
-        self._ctx.stats.windows_closed += 1
-        window_rows: list[Row] = []
-        for group in groups.values():
-            env = dict(group.representative)
-            for agg_index, accumulator in enumerate(group.accumulators):
-                env[f"__agg{agg_index}"] = accumulator.result()
-            if self._having is not None:
-                verdict = self._having(env, self._ctx)
-                if verdict is None or not verdict:
-                    continue
-            out: Row = {}
-            for name, evaluate in self._output_items:
-                out[name] = evaluate(env, self._ctx)
-            out["window_start"] = first_ts
-            out["window_end"] = last_ts
-            out["window_rows"] = rows_in_window
-            out["created_at"] = last_ts
-            window_rows.append(out)
-            self._ctx.stats.groups_emitted += 1
-        for evaluate, descending in reversed(self._order_by):
-            window_rows.sort(
-                key=lambda r, e=evaluate: _sort_key(e(r, self._ctx)),
-                reverse=descending,
-            )
-        if self._limit is not None:
-            window_rows = window_rows[: self._limit]
-        self._ctx.stats.rows_emitted += len(window_rows)
-        emitted.extend(window_rows)
 
 
 class WindowedJoinOperator:

@@ -769,8 +769,6 @@ class Planner:
             choice = choose_api_filter(
                 api,
                 [candidate for _idx, candidate in candidates],
-                sample_rate=self._config.sample_rate,
-                sample_limit=self._config.sample_limit,
             )
         except RateLimitError:
             # Sampling is metered; when the budget is gone, degrade to the
@@ -1220,37 +1218,21 @@ class Planner:
 
         output_schema = tuple(name for name, _ in rewritten_items)
 
-        if statement.window is not None:
-            if statement.window.count_based:
-                plan.explain_lines.append(
-                    f"Aggregate: {len(sites)} aggregate(s), "
-                    f"{len(group_evals)} group key(s), "
-                    f"window {statement.window.size_count} tweets "
-                    f"slide {int(statement.window.slide)} tweets"
-                )
-                pipeline = ops.CountWindowedAggregateOperator(
-                    pipeline,
-                    statement.window,
-                    group_evals,
-                    agg_factories,
-                    output_items,
-                    ctx,
-                    having=having_eval,
-                    order_by=order_evals,
-                    limit=statement.limit,
-                )
-                return pipeline, output_schema + (
-                    "window_start", "window_end", "window_rows"
-                )
+        window = statement.window
+        if window is not None:
+            window_columns: tuple[str, ...] = ("window_start", "window_end")
+            if window.count_based:
+                shape = f"{window.size_count} tweets slide {int(window.slide)} tweets"
+                window_columns += ("window_rows",)
+            else:
+                shape = f"{window.size_seconds:g}s slide {window.slide:g}s"
             plan.explain_lines.append(
                 f"Aggregate: {len(sites)} aggregate(s), "
-                f"{len(group_evals)} group key(s), "
-                f"window {statement.window.size_seconds:g}s "
-                f"slide {statement.window.slide:g}s"
+                f"{len(group_evals)} group key(s), window {shape}"
             )
             pipeline = ops.WindowedAggregateOperator(
                 pipeline,
-                statement.window,
+                window,
                 group_evals,
                 agg_factories,
                 output_items,
@@ -1261,7 +1243,7 @@ class Planner:
                 vector_group_evals=vector_group_evals,
                 vector_agg_args=vector_agg_args,
             )
-            return pipeline, output_schema + ("window_start", "window_end")
+            return pipeline, output_schema + window_columns
 
         policy: ConfidencePolicy | None = self._config.confidence_policy
         if policy is not None:

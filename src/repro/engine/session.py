@@ -32,6 +32,7 @@ from repro.engine.confidence import ConfidencePolicy
 from repro.engine.executor import QueryHandle
 from repro.engine.functions import FunctionRegistry, default_registry
 from repro.engine.latency import ManagedCall
+from repro.engine.multitenant import MAX_TENANTS, SharedScanGroup
 from repro.engine.planner import Planner, PhysicalPlan, SourceBinding
 from repro.engine.resilience import (
     CircuitBreaker,
@@ -66,6 +67,8 @@ from repro.twitter.workloads import Scenario
 
 #: Tweets per archival chunk the storage writer hands to its drain thread.
 STORAGE_BATCH = 256
+#: Consecutive failures before a service's circuit breaker opens.
+BREAKER_THRESHOLD = 8
 #: Open-state cooldown (virtual seconds) before a circuit breaker allows
 #: its half-open probe.
 BREAKER_RESET_SECONDS = 30.0
@@ -101,20 +104,17 @@ class EngineConfig:
             the ``bench/`` harness's mode probe still builds
             ``EngineConfig(workers=2)``; the benchmark change that retires
             that probe leg (ROADMAP item 4) deletes this field with it.
-        sample_rate / sample_limit: ``statuses/sample`` parameters for
-            selectivity estimation.
         geocode_latency: latency model of the geocoding service.
         entities_latency: latency model of the entity-extraction service.
         service_failure_rate: transient failure probability per request.
-        retries: max retry attempts per service call (0 disables the
-            resilience layer entirely — calls behave exactly as before).
+        retries: max retry attempts per service call, with full-jitter
+            exponential backoff (:class:`~repro.engine.resilience.
+            RetryPolicy`'s defaults) and a circuit breaker per service
+            that opens after ``BREAKER_THRESHOLD`` consecutive failures
+            (0 disables the resilience layer entirely — calls behave
+            exactly as before).
         retry_deadline_seconds: optional per-call wall budget (virtual
             seconds) across all attempts of one logical request.
-        backoff_base_seconds / backoff_cap_seconds: exponential backoff
-            parameters (full jitter; a server-provided ``retry_after``
-            floors the wait).
-        breaker_threshold: consecutive failures before a service's
-            circuit breaker opens; 0 disables the breaker.
         fault_plan: optional deterministic
             :class:`~repro.engine.resilience.FaultPlan` injected into the
             services and the streaming API.
@@ -134,8 +134,6 @@ class EngineConfig:
             every live query, pumped on the thread that pulls the
             handles (see :mod:`repro.engine.multitenant` and
             :meth:`TweeQL.shared`). Single queries are unaffected.
-        shared_max_tenants: admission-control capacity of a shared-scan
-            group; query N+1 is rejected with ``TQL401``.
         sanitize: run queries under the TQLSAN invariant sanitizer —
             every operator boundary checks seq monotonicity, punctuation
             exactly-once, ColumnBatch coherence, single-thread stage
@@ -171,8 +169,6 @@ class EngineConfig:
     use_eddy: bool = False
     confidence_policy: ConfidencePolicy | None = None
     workers: int = 1
-    sample_rate: float = 0.01
-    sample_limit: int = 2000
     geocode_latency: LatencyModel = field(default_factory=LatencyModel)
     entities_latency: LatencyModel = field(
         default_factory=lambda: LatencyModel(mean_seconds=0.45, sigma=0.35)
@@ -180,15 +176,11 @@ class EngineConfig:
     service_failure_rate: float = 0.0
     retries: int = 0
     retry_deadline_seconds: float | None = None
-    backoff_base_seconds: float = 0.1
-    backoff_cap_seconds: float = 5.0
-    breaker_threshold: int = 8
     fault_plan: "FaultPlan | None" = None
     stream_reconnect: bool = True
     tracing: bool = False
     trace_batch_spans: bool = True
     shared_scan: bool = False
-    shared_max_tenants: int = 16
     sanitize: bool = False
     storage_path: str | None = None
     backfill: bool = False
@@ -346,17 +338,13 @@ class TweeQL:
         policy = RetryPolicy(
             max_retries=self.config.retries,
             deadline_seconds=self.config.retry_deadline_seconds,
-            backoff_base_seconds=self.config.backoff_base_seconds,
-            backoff_cap_seconds=self.config.backoff_cap_seconds,
         )
-        breaker = None
-        if self.config.breaker_threshold > 0:
-            breaker = CircuitBreaker(
-                self.clock,
-                failure_threshold=self.config.breaker_threshold,
-                reset_timeout_seconds=BREAKER_RESET_SECONDS,
-                name=service.name,
-            )
+        breaker = CircuitBreaker(
+            self.clock,
+            failure_threshold=BREAKER_THRESHOLD,
+            reset_timeout_seconds=BREAKER_RESET_SECONDS,
+            name=service.name,
+        )
         return ResilientService(service, policy, breaker=breaker, seed=seed)
 
     # -- construction helpers --------------------------------------------------
@@ -521,7 +509,7 @@ class TweeQL:
         self,
         source: str = "twitter",
         *,
-        max_tenants: int | None = None,
+        max_tenants: int = MAX_TENANTS,
     ):
         """Open a multi-tenant shared-scan group over one source.
 
@@ -531,11 +519,10 @@ class TweeQL:
         cross-tenant UDF cache attribution. Admission closes when the
         first row is pulled; the scan then advances on whichever handle's
         consumer needs rows, so all of a group's handles are pulled from
-        one thread. ``max_tenants`` defaults to
-        ``EngineConfig.shared_max_tenants``. See
+        one thread. ``max_tenants`` caps the live queries; query N+1 is
+        rejected with ``TQL401``. See
         :mod:`repro.engine.multitenant` and docs/MULTITENANT.md.
         """
-        from repro.engine.multitenant import SharedScanGroup
         from repro.errors import UnknownSourceError
 
         binding = self._sources.get(source.lower())
@@ -546,11 +533,7 @@ class TweeQL:
             binding,
             self._services,
             self.clock,
-            max_tenants=(
-                max_tenants
-                if max_tenants is not None
-                else self.config.shared_max_tenants
-            ),
+            max_tenants=max_tenants,
         )
 
     def explain(

@@ -156,7 +156,7 @@ _PLANNER_ORDER: dict[str, int] = {
             "TQL209", "TQL210", "TQL208",
             "TQL206", "TQL211",
             "TQL204", "TQL205",
-            "TQL207", "TQL213",
+            "TQL207", "TQL213", "TQL217",
         )
     )
 }

@@ -25,6 +25,7 @@ import re
 
 from repro.engine.aggregates import AGGREGATE_NAMES
 from repro.engine.functions import FunctionRegistry
+from repro.engine.windows import MAX_WINDOWS_PER_ROW, windows_per_row
 from repro.geo.bbox import BoundingBox, named_box
 from repro.sql import ast
 from repro.sql.analysis.catalog import Catalog
@@ -305,6 +306,19 @@ def check_statement(
                         if statement.order_by
                         else None,
                     )
+
+    # ---- window fan-out -----------------------------------------------------
+    window = statement.window
+    if window is not None:
+        fan_out = windows_per_row(window)
+        if fan_out > MAX_WINDOWS_PER_ROW:
+            sink.error(
+                "TQL217",
+                f"window size / slide puts every row in {fan_out} windows; "
+                f"at most {MAX_WINDOWS_PER_ROW} are allowed",
+                span_of(window),
+                "use a longer EVERY slide or a shorter window",
+            )
 
     # ---- string-operator literal rules --------------------------------------
     for clause in _all_exprs(statement):

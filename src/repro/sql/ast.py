@@ -211,7 +211,8 @@ class WindowSpec:
     §2 alternative whose inadequacy on uneven groups motivates
     confidence-triggered emission. The slide defaults to the size (a
     tumbling window) when EVERY is omitted. Mixing a time size with a
-    count slide (or vice versa) is rejected by the parser.
+    count slide (or vice versa) is rejected by the parser; a size or slide
+    that is not positive by the parser and by the constructor.
     """
 
     size_seconds: float | None = None
@@ -225,6 +226,8 @@ class WindowSpec:
             raise ValueError(
                 "exactly one of size_seconds / size_count must be set"
             )
+        if not self.size > 0 or not self.slide > 0:
+            raise ValueError("window size and slide must be positive")
 
     @property
     def count_based(self) -> bool:
@@ -243,9 +246,13 @@ class WindowSpec:
         )
 
     @property
+    def size(self) -> float:
+        """The size in the window's own unit: seconds, or tweets."""
+        return self.size_count if self.count_based else self.size_seconds
+
+    @property
     def tumbling(self) -> bool:
-        size = self.size_count if self.count_based else self.size_seconds
-        return self.slide >= size
+        return self.slide >= self.size
 
     def to_sql(self) -> str:
         if self.count_based:

@@ -287,6 +287,10 @@ class _Parser:
         unit = self._current
         if unit.type is TokenType.KEYWORD and unit.value in _UNIT_SECONDS:
             self._advance()
+            if magnitude <= 0:
+                raise self._error(
+                    "time windows need a positive duration", at=token
+                )
             return magnitude * _UNIT_SECONDS[unit.value], False
         if unit.is_keyword("TWEET", "TWEETS"):
             self._advance()

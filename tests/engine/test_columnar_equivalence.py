@@ -86,6 +86,18 @@ SHAPES = {
         "GROUP BY lang WINDOW 120 seconds;",
         "full",
     ),
+    # Tweet-count windows: the row's ordinal is the window coordinate, so
+    # the same column path runs over them.
+    "count_group": (
+        "SELECT COUNT(*) AS n, AVG(followers) AS f, lang FROM s "
+        "GROUP BY lang WINDOW 50 TWEETS;",
+        "full",
+    ),
+    "udf_count_sliding": (
+        "SELECT AVG(length(text)) AS f, COUNT(*) AS n FROM s "
+        "WINDOW 50 TWEETS EVERY 20 TWEETS;",
+        "full",
+    ),
     "limit": (
         "SELECT text FROM s WHERE followers > 200 LIMIT 9;",
         "limit",
@@ -194,6 +206,29 @@ def expected_static(shape):
         stats["groups_emitted"] = len(rows)
         return rows
 
+    def counted(size, slide, key, value, outputs):
+        """Count windows: rows ``[j·slide, j·slide + size)`` by ordinal,
+        stamped with their first and last timestamps and row count."""
+        rows = []
+        for start in range(0, len(STATIC_ROWS), slide):
+            members = STATIC_ROWS[start : start + size]
+            groups: dict = {}
+            for row in members:
+                groups.setdefault(key(row), []).append(value(row))
+            first, last = members[0]["created_at"], members[-1]["created_at"]
+            rows += [
+                {
+                    **outputs(group, values),
+                    "window_start": first,
+                    "window_end": last,
+                    "window_rows": len(members),
+                    "created_at": last,
+                }
+                for group, values in groups.items()
+            ]
+        stats["groups_emitted"] = len(rows)
+        return rows
+
     def mean(values):
         known = [v for v in values if v is not None]
         return sum(known) / len(known) if known else None
@@ -272,6 +307,22 @@ def expected_static(shape):
                 "n": len(followers), "f": mean(followers), "lang": lang,
             },
         )
+    elif shape == "count_group":
+        rows = counted(
+            50, 50,
+            key=lambda row: row["lang"],
+            value=lambda row: row["followers"],
+            outputs=lambda lang, followers: {
+                "n": len(followers), "f": mean(followers), "lang": lang,
+            },
+        )
+    elif shape == "udf_count_sliding":
+        rows = counted(
+            50, 20,
+            key=lambda row: (),
+            value=lambda row: len(row["text"]),
+            outputs=lambda _key, sizes: {"f": mean(sizes), "n": len(sizes)},
+        )
     elif shape == "limit":
         kept = [row for row in STATIC_ROWS if followers_over(200)(row)][:9]
         rows = [
@@ -342,6 +393,8 @@ def test_scalar_only_plan_is_batch_invariant(shape):
 
 
 UDF_SHAPES = sorted(shape for shape in SHAPES if shape.startswith("udf_"))
+#: Under TQLSAN: the function shapes plus the grouped count window.
+SANITIZED_SHAPES = sorted(UDF_SHAPES + ["count_group"])
 
 
 def test_function_shapes_are_planned_whole_column():
@@ -362,8 +415,27 @@ def test_function_shapes_are_planned_whole_column():
         "udf_nested": [("Project", [False, True, True, True])],
         "udf_group": [("Aggregate", [True])],
         "udf_agg_sliding": [("Aggregate", [True, False])],
+        "udf_count_sliding": [("Aggregate", [True, False])],
         "udf_tally": [("Aggregate", [True, True, False])],
     }
+
+
+def test_count_windows_take_the_column_path():
+    """Count windows run the one windowed aggregate: every key and
+    argument has a column form, so a batch builds no row dicts."""
+    from repro.engine import operators as ops
+    from tests.engine.test_planner import vector_stages
+
+    session = make_session()
+    for shape, slots in (
+        ("count_group", [True, False, True]),
+        ("udf_count_sliding", [True, False]),
+    ):
+        pipeline = session.plan(SHAPES[shape][0]).pipeline
+        assert vector_stages(pipeline) == [("Aggregate", slots)], shape
+        while not isinstance(pipeline, ops.WindowedAggregateOperator):
+            pipeline = pipeline._child
+        assert pipeline._columns_only, shape
 
 
 @pytest.mark.parametrize("shape", UDF_SHAPES)
@@ -380,7 +452,7 @@ def test_function_shapes_as_shared_scan_tenant(shape):
     assert_rows_equal(rows, expected_static(shape)[0], shape)
 
 
-@pytest.mark.parametrize("shape", UDF_SHAPES)
+@pytest.mark.parametrize("shape", SANITIZED_SHAPES)
 def test_function_shapes_under_sanitizer(shape, monkeypatch):
     monkeypatch.setenv("TWEEQL_SAN", "1")
     session = make_session()

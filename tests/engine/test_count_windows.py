@@ -65,7 +65,7 @@ def make_operator(rows, ctx, size, slide=None, group=None):
     if group:
         output.append(("key", lambda r, _c: r.get("k")))
     return iter_rows(
-        ops.CountWindowedAggregateOperator(
+        ops.WindowedAggregateOperator(
             batch_rows(rows, 4), spec, group or [], agg_factories, output, ctx
         )
     )

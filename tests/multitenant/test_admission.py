@@ -20,9 +20,13 @@ def test_capacity_rejection_is_tql401(shared_session):
         group.query(QUERY_POOL[2])
     assert err.value.code == "TQL401"
     assert "capacity" in str(err.value)
+    assert "TweeQL.shared(max_tenants=" in str(err.value)
     assert group.stats.admitted == 2
     assert group.stats.rejected == 1
     group.close()
+    default = shared_session.shared()
+    assert default.max_tenants == 16
+    default.close()
 
 
 @pytest.mark.parametrize(
@@ -118,8 +122,14 @@ def test_the_backpressure_knobs_are_gone(shared_session):
     with pytest.raises(TypeError):
         shared_session.shared(buffer_batches=4)
     fields = {f.name for f in dataclasses.fields(EngineConfig)}
-    assert len(fields) == 28
+    assert len(fields) == 22
     assert not {"shared_buffer_batches", "shared_stall_seconds"} & fields
+    # Knobs no caller set are module constants or defaults instead (the
+    # group's capacity is ``TweeQL.shared(max_tenants=...)``).
+    assert not {
+        "sample_rate", "sample_limit", "shared_max_tenants",
+        "breaker_threshold", "backoff_base_seconds", "backoff_cap_seconds",
+    } & fields
 
 
 def test_admission_error_is_a_plan_error():

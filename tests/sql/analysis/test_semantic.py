@@ -151,6 +151,29 @@ def test_join_field_resolution_tql216():
     )
 
 
+def test_window_fan_out_past_the_bound_tql217():
+    from repro.engine.windows import MAX_WINDOWS_PER_ROW
+
+    result = analyze_sql(
+        "SELECT count(*) AS n FROM twitter "
+        "WINDOW 1 hours EVERY 0.001 seconds LIMIT 1;"
+    )
+    [diag] = [d for d in result.errors if d.code == "TQL217"]
+    assert "3600000 windows" in diag.message
+    assert str(MAX_WINDOWS_PER_ROW) in diag.message
+    assert diag.span is not None
+    assert "TQL217" in codes(
+        "SELECT count(*) AS n FROM twitter WINDOW 1001 TWEETS EVERY 1 TWEETS;"
+    )
+    # At the bound, for either window kind, the clause plans.
+    assert "TQL217" not in codes(
+        "SELECT count(*) AS n FROM twitter WINDOW 1000 seconds EVERY 1 seconds;"
+    )
+    assert "TQL217" not in codes(
+        "SELECT count(*) AS n FROM twitter WINDOW 1000 TWEETS EVERY 1 TWEETS;"
+    )
+
+
 def test_join_merged_schema_resolves_right_fields():
     # 'city' comes from the right side; 'r_'-prefixing only on collision.
     result = analyze_sql(

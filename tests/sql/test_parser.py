@@ -182,6 +182,34 @@ def test_bad_window_unit_raises():
         parse("SELECT COUNT(*) FROM twitter WINDOW 3 parsecs;")
 
 
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT COUNT(*) AS n FROM twitter WINDOW 0 seconds;",
+        "SELECT COUNT(*) AS n FROM twitter WINDOW 10 seconds EVERY 0 seconds;",
+    ],
+)
+def test_zero_length_time_window_is_a_parse_error(sql):
+    """A zero size or slide would divide by zero at the first row; the
+    error spans the offending number."""
+    with pytest.raises(ParseError) as excinfo:
+        parse(sql)
+    assert excinfo.value.code == "TQL002"
+    zero = sql.rindex(" 0 ") + 1
+    assert (excinfo.value.position, excinfo.value.end) == (zero, zero + 1)
+
+
+def test_windowspec_rejects_non_positive_sizes():
+    with pytest.raises(ValueError):
+        ast.WindowSpec(size_seconds=0.0)
+    with pytest.raises(ValueError):
+        ast.WindowSpec(size_seconds=10.0, slide_seconds=-1.0)
+    with pytest.raises(ValueError):
+        ast.WindowSpec(size_count=0)
+    with pytest.raises(ValueError):
+        ast.WindowSpec(size_count=5, slide_count=0)
+
+
 def test_unterminated_bbox_raises():
     with pytest.raises(ParseError):
         parse("SELECT text FROM twitter WHERE location in [bounding box for;")
