@@ -25,7 +25,12 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.engine.aggregates import AvgAggregate
-from repro.engine.expressions import Evaluator
+from repro.engine.expressions import (
+    Evaluator,
+    VectorEvaluator,
+    expand_column,
+    key_column,
+)
 from repro.engine.types import ColumnBatch, EvalContext, Row
 
 
@@ -77,6 +82,10 @@ class ConfidenceAggregateOperator:
         output_items: output column name → post-aggregation evaluator over
             an environment row with ``__agg0`` holding the group mean.
         policy: the emission policy.
+        vector_group_evals / vector_value_eval: whole-column forms of
+            every key (or None) and of the value (or None), evaluated once
+            per batch as in
+            :class:`~repro.engine.operators.WindowedAggregateOperator`.
 
     One aggregate call is supported per query in this mode — the paper's
     construct is specifically about a single windowed AVG; richer mixes
@@ -91,10 +100,14 @@ class ConfidenceAggregateOperator:
         output_items: list[tuple[str, Evaluator]],
         ctx: EvalContext,
         policy: ConfidencePolicy | None = None,
+        vector_group_evals: list[VectorEvaluator] | None = None,
+        vector_value_eval: VectorEvaluator | None = None,
     ) -> None:
         self._child = child
         self._group_evals = group_evals
         self._value_eval = value_eval
+        self._vector_group_evals = vector_group_evals
+        self._vector_value_eval = vector_value_eval
         self._output_items = output_items
         self._ctx = ctx
         self._policy = policy or ConfidencePolicy()
@@ -102,19 +115,36 @@ class ConfidenceAggregateOperator:
 
     def __iter__(self) -> Iterator[ColumnBatch]:
         policy = self._policy
+        ctx = self._ctx
+        vector_groups = self._vector_group_evals
+        vector_value = self._vector_value_eval
         tail_seq = 0
         for batch in self._child:
             tail_seq = batch.seq + 1
             emitted: list[Row] = []
-            for row in batch.rows:
-                now = row.get("created_at", self._ctx.stream_time)
+            keys = (
+                None if vector_groups is None
+                else key_column(vector_groups, batch, ctx)
+            )
+            values = (
+                None if vector_value is None
+                else expand_column(vector_value(batch, ctx), batch.length)
+            )
+            for i, row in enumerate(batch.rows):
+                now = row.get("created_at", ctx.stream_time)
 
                 # Freshness bound: age out slow groups before processing.
                 if policy.max_age_seconds is not None:
                     self._flush_aged(now, emitted)
 
-                key = tuple(e(row, self._ctx) for e in self._group_evals)
-                value = self._value_eval(row, self._ctx)
+                key = (
+                    keys[i] if keys is not None
+                    else tuple(e(row, ctx) for e in self._group_evals)
+                )
+                value = (
+                    values[i] if values is not None
+                    else self._value_eval(row, ctx)
+                )
                 if value is None:
                     continue
                 group = self._groups.get(key)

@@ -9,10 +9,19 @@ wants from a long-running stream query: incremental fetching, cancellation
 from __future__ import annotations
 
 from collections.abc import Iterator
+from typing import Any
 
 from repro.engine.planner import PhysicalPlan
 from repro.engine.types import QueryStats, Row
 from repro.errors import ExecutionError
+
+
+def drain_services(services: dict[str, Any]) -> None:
+    """Wait out the in-flight async requests of every managed call (or
+    tenant proxy) in a context's ``services``."""
+    for name, managed in services.items():
+        if name.endswith("_managed"):
+            managed.drain()
 
 
 class QueryHandle:
@@ -191,7 +200,7 @@ class QueryHandle:
             closer()
         for connection in self._plan.connections:
             connection.close()
-        self._drain_managed()
+        drain_services(self._plan.ctx.services)
         tracer = self.tracer
         if tracer is not None:
             tracer.add(
@@ -203,11 +212,6 @@ class QueryHandle:
             # Mandatory close-time checks: lock-order cycles always;
             # probe/stats reconciliation when the stream fully drained.
             sanitizer.at_close(self, exhausted=self._exhausted)
-
-    def _drain_managed(self) -> None:
-        """Wait out in-flight async service requests (stats visibility)."""
-        for managed in self._plan.managed_calls:
-            managed.drain()
 
     def fetch(self, n: int) -> list[Row]:
         """Pull up to ``n`` result rows (fewer at end of stream)."""
@@ -231,7 +235,7 @@ class QueryHandle:
             rows.append(row)
             if limit is not None and len(rows) >= limit:
                 break
-        self._drain_managed()
+        drain_services(self._plan.ctx.services)
         return rows
 
     def to_csv(self, path: str, limit: int | None = None) -> int:
@@ -252,7 +256,7 @@ class QueryHandle:
                 written += 1
                 if limit is not None and written >= limit:
                     break
-        self._drain_managed()
+        drain_services(self._plan.ctx.services)
         return written
 
     def close(self) -> None:

@@ -29,7 +29,11 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.engine.aggregates import AGGREGATE_NAMES
-from repro.engine.functions import FunctionRegistry, nullsafe_inner
+from repro.engine.functions import (
+    FunctionRegistry,
+    nullsafe_inner,
+    service_column,
+)
 from repro.engine.types import ColumnBatch, EvalContext, Row
 from repro.errors import PlanError, UnknownFieldError
 from repro.geo.bbox import BoundingBox, named_box
@@ -58,6 +62,17 @@ def expand_column(result: Any, length: int) -> list[Any]:
     if isinstance(result, Broadcast):
         return [result.value] * length
     return result
+
+
+def key_column(
+    vectors: list[VectorEvaluator], batch: ColumnBatch, ctx: EvalContext
+) -> list[tuple]:
+    """One grouping-key tuple per row of ``batch``, from the keys'
+    whole-column evaluators."""
+    n = batch.length
+    if not vectors:
+        return [()] * n
+    return list(zip(*(expand_column(vec(batch, ctx), n) for vec in vectors)))
 
 
 def resolve_bbox(node: ast.BBox) -> BoundingBox:
@@ -519,6 +534,15 @@ def _vec_call(impl: Callable[..., Any], args: list[_VectorNode]) -> VectorEvalua
     return call
 
 
+def _vec_service(
+    column: Callable[[EvalContext, list[Any]], list[Any]], arg: _VectorNode
+) -> VectorEvaluator:
+    """A web-service builtin: the batch's whole key column in one call."""
+    return lambda batch, ctx: column(
+        ctx, expand_column(arg.fn(batch, ctx), batch.length)
+    )
+
+
 def _generated_lambda(param: str, body: str) -> Callable[[Any], Any]:
     return eval(  # noqa: S307 - operands are repr'd string literals
         compile(f"lambda {param}: {body}", "<fused-projection>", "eval")
@@ -563,7 +587,7 @@ def compile_vector_expr(
     registry: FunctionRegistry,
     schema: tuple[str, ...],
     ctx: EvalContext,
-    aliases: dict[str, Evaluator] | None = None,
+    aliases: dict[str, ast.Expr] | None = None,
 ) -> VectorEvaluator | None:
     """Compile an expression to a whole-column evaluator, or None.
 
@@ -574,25 +598,28 @@ def compile_vector_expr(
     same exceptions (when several rows of a batch would raise, the first
     in column order surfaces rather than the first in row order).
 
-    A function call vectorizes when its spec is neither ``stateful`` nor
-    ``high_latency``, it has at least one argument and every argument
-    has a vector form: the argument columns are evaluated once per batch
-    and the implementation mapped over them in row order. Returns None —
-    the planner then keeps the scalar path for that expression — for
-    anything that needs a row dict or whose call order is observable:
-    stateful call sites (per-row state), high-latency calls (their
-    virtual-clock stalls and cache TTLs depend on when each call runs),
-    zero-argument calls (``now()`` is pinned to one row per batch
-    anyway), aggregates, select aliases (scalar closures over the row),
-    and a call under ``AND``/``OR`` (calls can raise, and the scalar
-    form short-circuits). Call this only *after* ``compile_expr``
-    succeeded on the same expression: plan-time validation (unknown
-    fields and functions, bad patterns) is the scalar compiler's job and
-    is not repeated here.
+    A function call vectorizes when its spec is not ``stateful``, it has
+    at least one argument and every argument has a vector form: the
+    argument columns are evaluated once per batch and the implementation
+    mapped over them in row order. A web-service builtin (``latitude``,
+    ``longitude``, ``named_entities``) instead hands its whole key column
+    to one :meth:`~repro.engine.latency.ManagedCall.resolve`. A field
+    reference naming a select alias (``aliases``: name → the aliased
+    expression) compiles that expression; the schema wins over an alias,
+    as in ``compile_expr``. Returns None — the planner then keeps the
+    scalar path for that expression — for anything that needs a row dict
+    or whose call order is observable: stateful call sites (per-row
+    state), any other high-latency call (a user UDF: its stalls depend on
+    when each call runs), zero-argument calls (``now()`` is pinned to one
+    row per batch anyway), aggregates, and a call under ``AND``/``OR``
+    (calls can raise, and the scalar form short-circuits). Call this only
+    *after* ``compile_expr`` succeeded on the same expression: plan-time
+    validation (unknown fields and functions, bad patterns) is the scalar
+    compiler's job and is not repeated here.
     """
     schema_set = {name.lower() for name in schema}
-    alias_names = set(aliases or ())
-    alias_names |= {name.lower() for name in alias_names}
+    aliases = aliases or {}
+    lowered_aliases = {name.lower(): expr for name, expr in aliases.items()}
 
     def compile_node(node: ast.Expr) -> _VectorNode | None:
         if isinstance(node, ast.Literal):
@@ -605,8 +632,10 @@ def compile_vector_expr(
                 return _VectorNode(
                     lambda batch, _ctx, key=key: batch.values(key), total=True
                 )
-            # Aliases are scalar closures over the projected row; stay scalar.
-            return None
+            alias = aliases.get(node.name, lowered_aliases.get(key))
+            # An aliased expression names schema fields only (compile_expr
+            # resolved it without aliases), so this cannot recurse.
+            return None if alias is None else compile_node(alias)
 
         if isinstance(node, ast.BBox):
             box = resolve_bbox(node)
@@ -693,7 +722,8 @@ def compile_vector_expr(
             if node.name in AGGREGATE_NAMES or not node.args:
                 return None
             spec = registry.lookup(node.name)
-            if spec.stateful or spec.high_latency:
+            column = service_column(spec.impl) if len(node.args) == 1 else None
+            if spec.stateful or (spec.high_latency and column is None):
                 return None
             args = [compile_node(arg) for arg in node.args]
             if any(arg is None for arg in args):
@@ -701,7 +731,9 @@ def compile_vector_expr(
             # Any implementation may raise (sqrt of a negative, a user
             # UDF), so a call never joins a vector AND/OR.
             return _VectorNode(
-                _vec_call(spec.impl, args),  # type: ignore[arg-type]
+                _vec_call(spec.impl, args)  # type: ignore[arg-type]
+                if column is None
+                else _vec_service(column, args[0]),  # type: ignore[arg-type]
                 total=False,
             )
 

@@ -12,9 +12,11 @@ detector). The registry models all three:
   so the order of calls *across* call sites is not row-major,
 - ``stateful``: a factory is instantiated per *call site* per query, so the
   UDF can carry running state across tuples (the peak detector),
-- ``high_latency``: the function's cost is a remote round trip; the planner
-  routes these through the caching/batching/async machinery in
-  :mod:`repro.engine.latency`.
+- ``high_latency``: the function's cost is a remote round trip. The
+  web-service builtins (``latitude``, ``longitude``, ``named_entities``)
+  resolve a whole column of keys per batch through the caching/batching/
+  async machinery in :mod:`repro.engine.latency`; any other high-latency
+  function is called once per row.
 
 Functions receive already-evaluated argument values plus the
 :class:`~repro.engine.types.EvalContext` and must treat ``None`` as SQL
@@ -46,10 +48,11 @@ class FunctionSpec:
             functions, a zero-argument factory returning a callable with
             that signature.
         stateful: instantiate ``impl()`` once per call site per query.
-        high_latency: the call is a remote round trip; eligible for the
-            latency machinery.
+        high_latency: the call is a remote round trip: it runs on the
+            column path only through a web-service builtin's column form
+            (see :func:`service_column`), else once per row.
         service: name of the context service the implementation uses
-            (documentation + dependency check at plan time).
+            (documentation).
         arg_types: declared parameter types for the static analyzer, one
             of ``"boolean" | "integer" | "float" | "number" | "string" |
             "point" | "list" | "any"`` per positional slot. ``None`` means
@@ -215,20 +218,50 @@ def _fn_if(_ctx: EvalContext, condition: Any, then: Any, otherwise: Any) -> Any:
 # --- web-service UDFs -------------------------------------------------------
 
 
-def _fn_latitude(ctx: EvalContext, location: Any) -> float | None:
-    """Geocode a free-text location's latitude via the geocoding service."""
-    if location is None or not str(location).strip():
-        return None
-    coords = ctx.service("geocode")(str(location))
-    return None if coords is None else coords[0]
+def _service_udf(
+    service: str, pick: Callable[[Any], Any]
+) -> Callable[..., Any]:
+    """A web-service UDF, written once over a column of keys.
+
+    The column form normalises each key (NULL or blank → NULL, else
+    ``str``), resolves the whole column with one
+    :meth:`~repro.engine.latency.ManagedCall.resolve` on the context's
+    ``service`` (a shared-scan tenant's context carries its proxy there),
+    and maps ``pick`` over the answers, NULL where the service gave NULL.
+    The returned scalar implementation is the one-key column.
+    """
+
+    def column(ctx: EvalContext, values: list[Any]) -> list[Any]:
+        keys = [
+            None if value is None or not str(value).strip() else str(value)
+            for value in values
+        ]
+        return [
+            None if answer is None else pick(answer)
+            for answer in ctx.service(service).resolve(keys)
+        ]
+
+    def scalar(ctx: EvalContext, value: Any) -> Any:
+        return column(ctx, [value])[0]
+
+    scalar.column = column  # type: ignore[attr-defined]
+    return scalar
 
 
-def _fn_longitude(ctx: EvalContext, location: Any) -> float | None:
-    """Geocode a free-text location's longitude via the geocoding service."""
-    if location is None or not str(location).strip():
-        return None
-    coords = ctx.service("geocode")(str(location))
-    return None if coords is None else coords[1]
+def service_column(
+    impl: Callable[..., Any],
+) -> Callable[[EvalContext, list[Any]], list[Any]] | None:
+    """The whole-column form of a web-service builtin (see
+    :func:`_service_udf`); None for every other implementation."""
+    return getattr(impl, "column", None)
+
+
+#: Geocode a free-text location's latitude / longitude via the geocoding
+#: service.
+_fn_latitude = _service_udf("geocode", lambda coords: coords[0])
+_fn_longitude = _service_udf("geocode", lambda coords: coords[1])
+#: Named entities via the simulated OpenCalais service.
+_fn_named_entities = _service_udf("entities", tuple)
 
 
 def _fn_sentiment(ctx: EvalContext, text: Any) -> int | None:
@@ -243,13 +276,6 @@ def _fn_sentiment_score(ctx: EvalContext, text: Any) -> float | None:
     if text is None:
         return None
     return ctx.service("sentiment_score")(str(text))
-
-
-def _fn_named_entities(ctx: EvalContext, text: Any) -> tuple[str, ...] | None:
-    """Named entities via the simulated OpenCalais service."""
-    if text is None:
-        return None
-    return tuple(ctx.service("entities")(str(text)))
 
 
 def _fn_extract(

@@ -13,33 +13,46 @@ with all three techniques, selected by mode:
 - ``blocking`` — the naive baseline: one synchronous round trip per call.
 - ``cached``   — an LRU (optionally TTL) cache in front of blocking calls;
   repeated keys (Zipf-distributed profile locations!) skip the trip.
-- ``batched``  — cache plus a prefetch path that resolves many pending keys
-  in one batch round trip.
+- ``batched``  — cache plus batch round trips that resolve many pending
+  keys at once.
 - ``async``    — cache plus a bounded pool of in-flight asynchronous
-  requests; prefetched keys resolve while the stream flows, and a consumer
+  requests; launched keys resolve while the stream flows, and a consumer
   that needs an unresolved key stalls only until *that* request lands.
 
-:class:`PrefetchOperator` gives batched/async modes their lookahead
-structurally: each :class:`~repro.engine.types.ColumnBatch` flowing through it
-has its service keys extracted, deduplicated, and handed to ``prefetch()``
-as one call — by the time the batch's rows reach the projection, every
-result is cached or in flight. The batch size *is* the lookahead.
+:meth:`ManagedCall.resolve` is the one way a service is called: the
+service-backed builtins hand it a batch's whole key column (a scalar call
+is a one-key column), and it runs two phases:
+
+1. **Warm** (``batched`` and ``async`` only): the keys, NULLs skipped,
+   deduplicated in first-appearance order, cached and in-flight ones
+   skipped, go out as batch round trips of up to ``max_batch_size`` keys
+   or as async launches into the pool. The batch size *is* the lookahead.
+2. **Look up**, in row order: one cache probe, else a stall on the key's
+   in-flight request, else a blocking round trip. A NULL key gives NULL
+   and is not counted.
+
+Two call sites on one key column (``latitude(loc)``, ``longitude(loc)``)
+resolve one after the other; the second finds every key the first
+resolved as long as a batch's distinct keys fit the cache and no TTL runs
+out within one batch's stalls. Below that capacity, or with such a TTL,
+it can request a key again.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from repro.engine.resilience import ResilientService
-from repro.engine.types import ColumnBatch, EvalContext, Row
 from repro.errors import ServiceError
 from repro.geo.service import SimulatedWebService
 from repro.storage.cache import LRUCache
 
 #: Valid ManagedCall modes.
 MODES = ("blocking", "cached", "batched", "async")
+
+_MISSING = object()
 
 
 @dataclass
@@ -73,7 +86,7 @@ class ManagedCallStats:
 
 
 class ManagedCall:
-    """A service call wrapped with caching, batching, and async prefetch.
+    """A service call wrapped with caching, batching, and async requests.
 
     Args:
         service: the simulated remote service — raw, or wrapped in a
@@ -92,9 +105,8 @@ class ManagedCall:
             design that would permit exactly this trade of completeness
             for zero blocking.
 
-    Calling the instance resolves one key to a value (``None`` on service
-    failure). ``prefetch(keys)`` warms the cache ahead of need; it is a
-    no-op in ``blocking`` and ``cached`` modes.
+    :meth:`resolve` maps a column of keys to values (``None`` on service
+    failure); calling the instance resolves one key.
     """
 
     def __init__(
@@ -148,11 +160,40 @@ class ManagedCall:
     # -- resolution ----------------------------------------------------------
 
     def __call__(self, key: Any) -> Any:
-        """Resolve one key, using whatever the mode has already arranged."""
+        """Resolve one key: a one-key :meth:`resolve`."""
+        return self.resolve([key])[0]
+
+    def resolve(self, keys: Sequence[Any]) -> list[Any]:
+        """Resolve a column of keys to their values, in order, in the two
+        phases the module docstring describes."""
+        return self._resolve(keys, None)
+
+    def _resolve(
+        self,
+        keys: Sequence[Any],
+        on_lookup: Callable[[Any, bool], None] | None,
+    ) -> list[Any]:
+        """:meth:`resolve`, reporting each lookup's key and whether it was
+        a cache hit to ``on_lookup`` (a shared-scan tenant's accounting)."""
+        if self._mode in ("batched", "async"):
+            self._warm(keys)
+        values: list[Any] = []
+        for key in keys:
+            if key is None:
+                values.append(None)
+                continue
+            hits = self.stats.cache_hits
+            values.append(self._lookup(key))
+            if on_lookup is not None:
+                on_lookup(key, self.stats.cache_hits > hits)
+        return values
+
+    def _lookup(self, key: Any) -> Any:
+        """Resolve one key, using whatever the warm phase arranged."""
         self.stats.calls += 1
-        if self._cache is not None and self._cache.contains(key):
-            self.stats.cache_hits += 1
-            return self._cache.get(key)
+        value = self._cached(key)
+        if value is not _MISSING:
+            return value
         if self._partial_results:
             # Partial-results mode: never block. If the value is in flight,
             # report "unknown yet"; if it was never requested, launch it
@@ -176,10 +217,19 @@ class ManagedCall:
                     lane="services", key=str(key), path="in_flight",
                 )
             # The completion callback has now run and populated the cache.
-            if self._cache is not None and self._cache.contains(key):
-                self.stats.cache_hits += 1
-                return self._cache.get(key)
+            value = self._cached(key)
+            if value is not _MISSING:
+                return value
         return self._request_blocking(key)
+
+    def _cached(self, key: Any) -> Any:
+        """One counted cache probe: the value, or ``_MISSING``."""
+        if self._cache is None:
+            return _MISSING
+        value = self._cache.get(key, _MISSING)
+        if value is not _MISSING:
+            self.stats.cache_hits += 1
+        return value
 
     def _request_blocking(self, key: Any) -> Any:
         before = self._clock.now
@@ -205,17 +255,10 @@ class ManagedCall:
             return
         self._cache.put(key, value)
 
-    # -- prefetch paths --------------------------------------------------------
+    # -- warm phase ------------------------------------------------------------
 
-    def prefetch(self, keys: Iterable[Any]) -> None:
-        """Warm the cache for keys about to be needed.
-
-        Deduplicates against the cache and in-flight set. Batched mode
-        resolves misses with batch round trips; async mode launches
-        requests into the bounded pool; other modes ignore the hint.
-        """
-        if self._mode not in ("batched", "async"):
-            return
+    def _warm(self, keys: Iterable[Any]) -> None:
+        """The warm phase of :meth:`resolve` (see the module docstring)."""
         pending: list[Any] = []
         seen: set[Any] = set()
         for key in keys:
@@ -330,44 +373,3 @@ class ManagedCall:
         while self._in_flight:
             self._await_in_flight()
 
-
-class PrefetchOperator:
-    """Warms managed calls with each batch's service keys before release.
-
-    For every batch flowing through, each managed call receives the keys
-    the batch's rows will need as one ``prefetch()`` call — deduplicated
-    within the batch, with NULL keys skipped — then
-    the batch passes downstream unchanged. By the time the projection
-    evaluates ``latitude(loc)``, the geocode result is cached or in
-    flight; the engine's batch size is the prefetch lookahead, so one
-    batch round trip amortizes over up to ``batch_size`` distinct keys.
-    """
-
-    def __init__(
-        self,
-        child: Iterable[ColumnBatch],
-        extractors: list[tuple[ManagedCall, Callable[[Row], Any]]],
-        ctx: EvalContext,
-    ) -> None:
-        self._child = child
-        self._extractors = extractors
-        self._ctx = ctx
-
-    def __iter__(self) -> Iterator[ColumnBatch]:
-        extractors = self._extractors
-        for batch in self._child:
-            if batch.rows:
-                for managed, extract in extractors:
-                    keys: list[Any] = []
-                    seen: set[Any] = set()
-                    for row in batch.rows:
-                        key = extract(row)
-                        if key is None or key in seen:
-                            continue
-                        seen.add(key)
-                        keys.append(key)
-                    if keys:
-                        managed.prefetch(keys)
-            yield batch
-            if batch.last:
-                return

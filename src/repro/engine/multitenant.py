@@ -12,10 +12,9 @@ A :class:`SharedScanGroup` admits tenant queries *before* the stream
 starts (admission control) and then runs entirely on the thread that
 pulls its handles — no threads, no queues, no locks:
 
-- each tenant's pipeline is its **residual body** (prefetch →
-  aggregate/project → into; no filter stage — filtering happens at the
-  fanout) over a :class:`TenantScan` that reads routed row-lists from the
-  tenant's inbox;
+- each tenant's pipeline is its **residual body** (aggregate/project →
+  into; no filter stage — filtering happens at the fanout) over a
+  :class:`TenantScan` that reads routed row-lists from the tenant's inbox;
 - when that inbox is empty, the TenantScan **pumps** the group: one source
   batch is pulled through the single ScanOperator and routed. Routing
   evaluates every live tenant's WHERE conjuncts with a per-batch memo
@@ -74,12 +73,12 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from repro.engine import operators as ops
-from repro.engine.executor import QueryHandle
+from repro.engine.executor import QueryHandle, drain_services
 from repro.engine.expressions import compile_expr, expand_column
 from repro.engine.latency import ManagedCall, ManagedCallStats
 from repro.engine.planner import (
@@ -169,10 +168,6 @@ class SharedServiceCache:
             if owner != tenant:
                 stats.cross_tenant_hits += 1
 
-    def claim(self, service: str, tenant: int, key: Any) -> None:
-        """Ownership-only record (prefetch warms keys without a lookup)."""
-        self._owners.setdefault((service, key), tenant)
-
     def as_dict(self) -> dict[str, dict[str, float]]:
         return {
             name: stats.as_dict()
@@ -190,8 +185,9 @@ class TenantManagedCall:
     ``stats`` mirrors the *delta* each forwarded call produced on the
     shared call's global counters, so the tenants' mirrors plus the
     fanout's sum to the session's own. A tenant view also reports every
-    call to the group's :class:`SharedServiceCache` — whether it hit, and
-    who owned the key; the fanout's view (``shared`` None) reports none.
+    lookup to the group's :class:`SharedServiceCache` — whether it hit,
+    and who owned the key; the fanout's view (``shared`` None) reports
+    none.
     """
 
     def __init__(
@@ -205,10 +201,6 @@ class TenantManagedCall:
         self._shared = shared
         self._service_name = inner.service.name
         self.stats = ManagedCallStats()
-
-    @property
-    def mode(self) -> str:
-        return self._inner.mode
 
     @property
     def cache(self):
@@ -226,29 +218,16 @@ class TenantManagedCall:
         for name, b, a in zip(_MANAGED_FIELDS, before, after):
             setattr(self.stats, name, getattr(self.stats, name) + (a - b))
 
-    def __call__(self, key: Any) -> Any:
-        hits = self.stats.cache_hits
+    def resolve(self, keys: Sequence[Any]) -> list[Any]:
+        """The shared call's :meth:`ManagedCall.resolve`, with the stats
+        delta taken once and every lookup reported to the shared cache."""
+        shared = self._shared
+        record = None if shared is None else (
+            lambda key, hit: shared.record(self._service_name, self._tenant, key, hit)
+        )
         before = self._snapshot()
         try:
-            return self._inner(key)
-        finally:
-            self._accumulate(before)
-            if self._shared is not None:
-                self._shared.record(
-                    self._service_name,
-                    self._tenant,
-                    key,
-                    hit=self.stats.cache_hits > hits,
-                )
-
-    def prefetch(self, keys: Iterable[Any]) -> None:
-        keys = list(keys)
-        if self._shared is not None:
-            for key in keys:
-                self._shared.claim(self._service_name, self._tenant, key)
-        before = self._snapshot()
-        try:
-            self._inner.prefetch(keys)
+            return self._inner._resolve(keys, record)
         finally:
             self._accumulate(before)
 
@@ -780,12 +759,7 @@ class SharedScanGroup:
             return
         self._closed = True
         self._stop_scan()
-        for proxy in {
-            id(s): s
-            for s in self._fanout_ctx.services.values()
-            if hasattr(s, "drain")
-        }.values():
-            proxy.drain()
+        drain_services(self._fanout_ctx.services)
 
     def __enter__(self) -> "SharedScanGroup":
         return self

@@ -19,8 +19,8 @@ one-row-per-batch run would.
 Filter, project and aggregate stages each run the whole-column (vector)
 evaluator the planner gave them; a stage without one runs the scalar
 closure over ``batch.rows``. Not every expression vectorizes (stateful
-and high-latency calls, ``now()``, select aliases), and the scalar
-closure is the reference the vector form is tested against.
+calls, a user UDF marked high-latency, ``now()``), and the scalar closure
+is the reference the vector form is tested against.
 
 Stream time advances with the tweets the scan yields; windowed operators
 close windows when stream time passes their end, so results are emitted as
@@ -40,6 +40,7 @@ from repro.engine.expressions import (
     Evaluator,
     VectorEvaluator,
     expand_column,
+    key_column,
 )
 from repro.engine.types import (
     DEFAULT_BATCH_SIZE,
@@ -323,6 +324,10 @@ class WindowedAggregateOperator:
         having: optional post-aggregation predicate.
         order_by: optional [(evaluator, descending)] applied per window.
         limit: optional per-window row cap (after ordering).
+        vector_group_evals: whole-column forms of *every* grouping key, or
+            None (keys then evaluate per row and window).
+        vector_agg_args: per aggregate call site, the argument's
+            whole-column form or None.
 
     Output rows carry ``window_start`` and ``window_end``, plus
     ``created_at`` set to the window end (emission time). A count window
@@ -343,7 +348,7 @@ class WindowedAggregateOperator:
         having: Evaluator | None = None,
         order_by: list[tuple[Evaluator, bool]] | None = None,
         limit: int | None = None,
-        vector_group_evals: list[VectorEvaluator | None] | None = None,
+        vector_group_evals: list[VectorEvaluator] | None = None,
         vector_agg_args: list[VectorEvaluator | None] | None = None,
     ) -> None:
         self._child = child
@@ -355,15 +360,7 @@ class WindowedAggregateOperator:
         self._having = having
         self._order_by = order_by or []
         self._limit = limit
-        # Whole-column precompute is sound only when *every* grouping key
-        # is vectorizable (pure — a stateful key must be re-evaluated per
-        # (row, window) exactly as the scalar loop does).
-        self._vector_group_evals = (
-            vector_group_evals
-            if vector_group_evals is not None
-            and all(v is not None for v in vector_group_evals)
-            else None
-        )
+        self._vector_group_evals = vector_group_evals
         self._vector_agg_args = (
             vector_agg_args
             if vector_agg_args and any(vector_agg_args)
@@ -406,26 +403,15 @@ class WindowedAggregateOperator:
             n = batch.length
             key_col: list[tuple] | None = None
             arg_cols: list[list[Any] | None] | None = None
-            if vector_groups is not None or vector_args is not None:
-                if vector_groups is not None:
-                    if vector_groups:
-                        key_col = list(
-                            zip(
-                                *(
-                                    expand_column(vec(batch, ctx), n)
-                                    for vec in vector_groups
-                                )
-                            )
-                        )
-                    else:
-                        key_col = [()] * n
-                if vector_args is not None:
-                    arg_cols = [
-                        expand_column(vec(batch, ctx), n)
-                        if vec is not None
-                        else None
-                        for vec in vector_args
-                    ]
+            if vector_groups is not None:
+                key_col = key_column(vector_groups, batch, ctx)
+            if vector_args is not None:
+                arg_cols = [
+                    expand_column(vec(batch, ctx), n)
+                    if vec is not None
+                    else None
+                    for vec in vector_args
+                ]
             rows = (
                 None if key_col is not None and self._columns_only
                 else batch.rows

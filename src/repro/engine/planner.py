@@ -12,10 +12,10 @@ The planner implements the decisions the paper describes:
    ``use_eddy`` enabled, the local filter is an
    :class:`~repro.engine.eddies.EddyOperator` instead of a fixed-order
    conjunction.
-3. **High-latency UDFs**: when the query calls latitude/longitude/
-   named_entities and the latency mode is ``batched`` or ``async``, a
-   :class:`~repro.engine.latency.PrefetchOperator` is inserted upstream of
-   the consumer so round trips overlap stream processing.
+3. **High-latency UDFs**: latitude/longitude/named_entities compile to
+   whole-column nodes that resolve each batch's keys with one
+   :meth:`~repro.engine.latency.ManagedCall.resolve`, so the latency
+   mode's batching or async pool sees a batch of keys at a time.
 4. **Aggregation**: windowed GROUP BY when ``WINDOW`` is present;
    confidence-triggered emission (CONTROL-style) when the query has
    aggregates but no window and the session configured a
@@ -43,7 +43,6 @@ from repro.engine.expressions import (
     resolve_bbox,
 )
 from repro.engine.functions import FunctionRegistry
-from repro.engine.latency import ManagedCall, PrefetchOperator
 from repro.engine.selectivity import FilterCandidate, FilterChoice, choose_api_filter
 from repro.engine.types import DEFAULT_BATCH_SIZE, ColumnBatch, EvalContext, Row
 from repro.errors import PlanError
@@ -82,7 +81,6 @@ class PhysicalPlan:
     explain_lines: list[str] = field(default_factory=list)
     filter_choice: FilterChoice | None = None
     connections: list[Any] = field(default_factory=list)
-    managed_calls: list[Any] = field(default_factory=list)
     #: Callbacks that tear down plan-owned resources (a shared-scan
     #: tenant's detach).
     closers: list[Callable[[], None]] = field(default_factory=list)
@@ -627,7 +625,7 @@ class Planner:
         expr: ast.Expr,
         schema: tuple[str, ...],
         ctx: EvalContext,
-        aliases: dict[str, Evaluator] | None = None,
+        aliases: dict[str, ast.Expr] | None = None,
     ) -> VectorEvaluator | None:
         """``expr``'s whole-column evaluator, when it has one and this
         plan's batches are wide enough to use it."""
@@ -681,7 +679,7 @@ class Planner:
     ) -> tuple[ops.Batches, tuple[str, ...]]:
         """The query body every plan shape shares, built in one place.
 
-        filters → scalar LIMIT → prefetch → aggregate | project → INTO
+        filters → scalar LIMIT → aggregate | project → INTO
         over ``pipeline`` (the serial scan or a shared-scan tenant's
         TenantScan), each stage wrapped by :meth:`_trace` on ``lane``. A
         tenant's filtering already happened at the fanout, so it passes no
@@ -695,7 +693,7 @@ class Planner:
 
         has_aggregates = _has_aggregates(statement)
 
-        # Scalar LIMIT sits below prefetch/projection: projection is 1:1,
+        # Scalar LIMIT sits below the projection: projection is 1:1,
         # so truncating the filtered batch here yields the same rows while
         # sparing per-row downstream work — and keeps ``rows_emitted``
         # exact (the projection would otherwise count a whole batch before
@@ -704,10 +702,6 @@ class Planner:
             pipeline = ops.LimitOperator(pipeline, statement.limit)
             explain.append(f"Limit: {statement.limit}")
             pipeline = self._trace(pipeline, "Limit", plan, lane)
-
-        prefetched = self._maybe_prefetch(statement, pipeline, schema, ctx, plan)
-        if prefetched is not pipeline:
-            pipeline = self._trace(prefetched, "Prefetch", plan, lane)
 
         if has_aggregates:
             pipeline, output_schema = self._build_aggregation(
@@ -1002,66 +996,6 @@ class Planner:
         )
         return pipeline, merged_schema
 
-    # -- high-latency prefetch -------------------------------------------------
-
-    def _maybe_prefetch(
-        self,
-        statement: ast.SelectStatement,
-        pipeline: ops.Batches,
-        schema: tuple[str, ...],
-        ctx: EvalContext,
-        plan: PhysicalPlan,
-    ) -> ops.Batches:
-        mode = self._config.latency_mode
-        if mode not in ("batched", "async"):
-            return pipeline
-
-        # Find distinct high-latency calls anywhere in the statement.
-        exprs: list[ast.Expr] = [item.expr for item in statement.select
-                                 if not isinstance(item.expr, ast.Star)]
-        exprs.extend(statement.group_by)
-        if statement.having is not None:
-            exprs.append(statement.having)
-        seen_args: set[str] = set()
-        extractors: list[tuple[ManagedCall, Callable[[Row], Any]]] = []
-        for expr in exprs:
-            for node in ast.walk(expr):
-                if not isinstance(node, ast.FuncCall):
-                    continue
-                if node.name in AGGREGATE_NAMES or node.name not in self._registry:
-                    continue
-                spec = self._registry.lookup(node.name)
-                if not spec.high_latency or not node.args:
-                    continue
-                key = node.args[0].to_sql()
-                dedup = f"{spec.service}:{key}"
-                if dedup in seen_args:
-                    continue
-                seen_args.add(dedup)
-                # Resolve through the context, not the session catalog:
-                # shared-scan tenant contexts carry per-tenant proxies.
-                managed = ctx.services.get(f"{spec.service}_managed")
-                if managed is None:
-                    continue
-                arg_eval = compile_expr(node.args[0], self._registry, schema, ctx)
-
-                def extract(row: Row, arg_eval=arg_eval) -> Any:
-                    value = arg_eval(row, ctx)
-                    if value is None or (isinstance(value, str) and not value.strip()):
-                        return None
-                    return str(value)
-
-                extractors.append((managed, extract))
-                if managed not in plan.managed_calls:
-                    plan.managed_calls.append(managed)
-        if not extractors:
-            return pipeline
-        plan.explain_lines.append(
-            f"Prefetch: {mode} per-batch warm-up for {len(extractors)} "
-            "high-latency call(s)"
-        )
-        return PrefetchOperator(pipeline, extractors, ctx)
-
     # -- projection ------------------------------------------------------------
 
     def _build_projection(
@@ -1129,6 +1063,7 @@ class Planner:
 
         rewritten_items: list[tuple[str, ast.Expr]] = []
         alias_evals: dict[str, Evaluator] = {}
+        alias_exprs: dict[str, ast.Expr] = {}
         for item in statement.select:
             if isinstance(item.expr, ast.Star):
                 raise PlanError("SELECT * cannot be combined with aggregates")
@@ -1138,6 +1073,7 @@ class Planner:
                 alias_evals[item.alias] = compile_expr(
                     item.expr, self._registry, schema, ctx
                 )
+                alias_exprs[item.alias] = item.expr
 
         having_rewritten = (
             _rewrite_aggregates(statement.having, sites, by_sql)
@@ -1155,10 +1091,15 @@ class Planner:
             compile_expr(expr, self._registry, schema, ctx, aliases=alias_evals)
             for expr in statement.group_by
         ]
-        vector_group_evals = [
-            self._vector(plan, expr, schema, ctx, alias_evals)
+        vector_keys = [
+            self._vector(plan, expr, schema, ctx, alias_exprs)
             for expr in statement.group_by
         ]
+        # Keys precompute as columns only when *every* key has a column
+        # form (a stateful key must be re-evaluated per (row, window)
+        # exactly as the scalar loop does).
+        present = [vec for vec in vector_keys if vec is not None]
+        vector_group_evals = present if len(present) == len(vector_keys) else None
 
         agg_factories = []
         vector_agg_args: list[VectorEvaluator | None] = []
@@ -1180,7 +1121,7 @@ class Planner:
             vector_agg_args.append(
                 None
                 if count_rows
-                else self._vector(plan, call.args[0], schema, ctx, alias_evals)
+                else self._vector(plan, call.args[0], schema, ctx, alias_exprs)
             )
             probe = make_aggregate(call.name, call.distinct, count_rows)
             agg_factories.append(
@@ -1271,6 +1212,8 @@ class Planner:
                 output_items,
                 ctx,
                 policy=policy,
+                vector_group_evals=vector_group_evals,
+                vector_value_eval=vector_agg_args[0],
             )
             return pipeline, output_schema + (
                 "n", "ci_halfwidth", "emit_reason"

@@ -86,7 +86,7 @@ class EngineConfig:
         batch_size: rows per :class:`~repro.engine.types.ColumnBatch`
             flowing between operators. Larger batches amortize per-row
             overhead, let stages evaluate whole columns at once, and widen
-            the prefetch window for ``batched``/``async`` latency modes
+            the key window for ``batched``/``async`` latency modes
             (the batch *is* the lookahead); at 1 every stage runs its
             scalar closure over one-row batches. Output is row-for-row
             identical at every size; queries calling ``now()`` are pinned

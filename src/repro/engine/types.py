@@ -25,8 +25,8 @@ Row = dict[str, Any]
 Schema = tuple[str, ...]
 
 #: Default rows per batch. Large enough to amortize per-batch interpreter
-#: overhead (and to give batched/async prefetch a useful key window), small
-#: enough that windowed emission latency stays negligible.
+#: overhead (and to give batched/async service calls a useful key window),
+#: small enough that windowed emission latency stays negligible.
 DEFAULT_BATCH_SIZE = 256
 
 
@@ -83,7 +83,7 @@ class ColumnBatch:
       fields exist is known from that table without looking at a tweet.
       Filters keep the batch tweet-backed, and ``rows`` builds
       ``Tweet.to_row()`` dicts only when a row consumer (scalar stages,
-      INTO sinks, CSV, prefetch, the shared-scan router) asks, once.
+      INTO sinks, CSV, the shared-scan router) asks, once.
 
     Fully-columnar batches (``_lazy`` False, e.g. projection output)
     behave identically through the same accessors.

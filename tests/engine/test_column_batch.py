@@ -30,7 +30,9 @@ from repro.engine.expressions import (
     expand_column,
 )
 from repro.engine.functions import default_registry
+from repro.engine.latency import ManagedCall
 from repro.engine.types import MISSING, ColumnBatch, EvalContext
+from repro.geo.service import LatencyModel, SimulatedWebService
 from repro.sql import ast, parse
 
 
@@ -215,8 +217,28 @@ SERVICES = {
 }
 
 
+def managed_stand_in(name, resolver, clock):
+    """A cached managed call over an instant service; it answers NULL
+    for keys containing ``"no"``."""
+    service = SimulatedWebService(
+        name,
+        lambda key: None if "no" in key else resolver(key),
+        clock=clock,
+        latency=LatencyModel(0.0, sigma=0.0),
+    )
+    return ManagedCall(service, mode="cached")
+
+
 def make_ctx():
-    return EvalContext(clock=VirtualClock(), services=dict(SERVICES))
+    clock = VirtualClock()
+    services = dict(SERVICES)
+    services["geocode"] = managed_stand_in(
+        "geocoder", lambda loc: (len(loc), -len(loc)), clock
+    )
+    services["entities"] = managed_stand_in(
+        "opencalais", lambda text: text.split()[:2], clock
+    )
+    return EvalContext(clock=clock, services=services)
 
 
 def outcome(thunk):
@@ -227,13 +249,20 @@ def outcome(thunk):
         return "raised", type(exc)
 
 
-def assert_vector_matches_scalar(expr, rows, registry=None):
+def assert_vector_matches_scalar(expr, rows, registry=None, aliases=None):
     """The vector form exists and yields the scalar closure's column, or
-    both raise the same exception type."""
+    both raise the same exception type. ``aliases`` maps a select alias
+    to its SQL."""
     registry = registry or default_registry()
     ctx = make_ctx()
-    scalar = compile_expr(expr, registry, SCHEMA, ctx)
-    vector = compile_vector_expr(expr, registry, SCHEMA, ctx)
+    aliases = {
+        name: parse_expression(sql) for name, sql in (aliases or {}).items()
+    }
+    scalar = compile_expr(expr, registry, SCHEMA, ctx, aliases={
+        name: compile_expr(alias, registry, SCHEMA, ctx)
+        for name, alias in aliases.items()
+    })
+    vector = compile_vector_expr(expr, registry, SCHEMA, ctx, aliases=aliases)
     assert vector is not None, expr.to_sql()
     batch = ColumnBatch.from_rows([dict(r) for r in rows])
     got = outcome(lambda: expand_column(vector(batch, ctx), len(batch)))
@@ -248,12 +277,12 @@ def test_vector_evaluator_matches_scalar(sql):
 
 def vectorizable_calls():
     """``(name, min arity, max arity)`` of every builtin that must have a
-    vector form: not stateful, not high-latency, takes an argument."""
+    vector form: not stateful, takes an argument."""
     registry = default_registry()
     calls = []
     for name in registry.names():
         spec = registry.lookup(name)
-        if spec.stateful or spec.high_latency or not spec.arg_types:
+        if spec.stateful or not spec.arg_types:
             continue
         declared = len(spec.arg_types)
         low = declared if spec.min_args is None else spec.min_args
@@ -293,9 +322,7 @@ def test_vector_call_matches_scalar(name, low, high, data):
 
 def test_every_builtin_is_vectorizable_or_a_pinned_decline():
     vectorizable = {name for name, _low, _high in vectorizable_calls()}
-    assert set(default_registry().names()) - vectorizable == {
-        "latitude", "longitude", "named_entities", "meandev", "now",
-    }
+    assert set(default_registry().names()) - vectorizable == {"meandev", "now"}
 
 
 class Running:
@@ -313,12 +340,13 @@ class Running:
     "sql",
     [
         "meandev(followers)",
-        "latitude(loc) > 40",
-        "named_entities(text)",
-        "length(named_entities(text))",
         "now()",
         "running(followers) > 3",
-        "length(t) > 3",  # t: a select alias, a scalar closure over the row
+        # t: a name outside the schema with no aliased expression handed
+        # to the vector compiler; only the scalar path can resolve it.
+        "length(t) > 3",
+        # A user high-latency UDF: no column form, one call per row.
+        "slow(loc) > 40",
         "count(text)",
         # Scalar OR skips the right arm on a TRUE left one; a call can raise.
         "followers > 10 OR length(text) > 3",
@@ -329,12 +357,27 @@ def test_vector_compiler_declines(sql):
     """Calls whose order or per-row state is observable stay scalar."""
     registry = default_registry()
     registry.register("running", Running, stateful=True)
+    registry.register("slow", lambda _ctx, loc: 41, high_latency=True)
     ctx = make_ctx()
-    alias = compile_expr(parse_expression("lower(text)"), registry, SCHEMA, ctx)
-    vector = compile_vector_expr(
-        parse_expression(sql), registry, SCHEMA, ctx, aliases={"t": alias}
-    )
+    vector = compile_vector_expr(parse_expression(sql), registry, SCHEMA, ctx)
     assert vector is None
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "latitude(loc) > 40",
+        "named_entities(text)",
+        "length(named_entities(text))",
+        "length(t) > 3",  # t: a select alias
+    ],
+)
+def test_vector_compiler_compiles_service_calls_and_aliases(sql):
+    """Web-service builtins resolve a whole key column (NULL answers
+    included), and a select alias compiles its expression."""
+    assert_vector_matches_scalar(
+        parse_expression(sql), ROWS, aliases={"t": "lower(text)"}
+    )
 
 
 def test_vector_call_runs_once_per_row_in_row_order():

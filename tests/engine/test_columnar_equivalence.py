@@ -7,10 +7,11 @@ not run the vector path:
 - a *scalar-only plan*: the same statement planned while the planner's
   ``compile_vector_expr`` / ``build_fused_projector`` are patched to return
   None, i.e. exactly the fallback production runs for expressions that do
-  not vectorize (stateful and high-latency calls, ``now()``, select
-  aliases), at one row per batch;
+  not vectorize (stateful calls, ``now()``, a user UDF marked
+  high-latency), at one row per batch;
 - for the static shapes, rows and counters worked out in plain Python
-  from ``STATIC_ROWS`` (:func:`expected_static`; no engine import).
+  from ``STATIC_ROWS`` (:func:`expected_static`; no engine import — the
+  service shapes ask the geocoder and entity extractor directly).
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ import pytest
 
 from repro import EngineConfig, TweeQL
 from repro.engine import planner
+from repro.errors import GeocodeError
+from repro.geo.geocode import Geocoder
+from repro.nlp.entities import EntityExtractor
 
 BASE_TS = 1_307_000_000.0
 SCHEMA = ("tweet_id", "text", "loc", "created_at", "lang", "followers")
@@ -102,6 +106,36 @@ SHAPES = {
         "SELECT text FROM s WHERE followers > 200 LIMIT 9;",
         "limit",
     ),
+    # A GROUP BY naming a select alias compiles the aliased expression.
+    "udf_alias_group": (
+        "SELECT lower(text) AS t, COUNT(*) AS n FROM s "
+        "GROUP BY t WINDOW 120 seconds;",
+        "full",
+    ),
+    # Web-service builtins: one resolve per batch and call site, in the
+    # latency mode of SERVICE_MODES.
+    "svc_cached_project": (
+        "SELECT latitude(loc) AS la, longitude(loc) AS lo FROM s "
+        "WHERE followers >= 0;",
+        "full",
+    ),
+    "svc_batched_group": (
+        "SELECT COUNT(*) AS n, floor(latitude(loc)) AS lat FROM s "
+        "GROUP BY lat WINDOW 120 seconds;",
+        "full",
+    ),
+    "svc_async_entities": (
+        "SELECT text, named_entities(concat(text, ' in ', loc)) AS e "
+        "FROM s WHERE followers >= 0;",
+        "full",
+    ),
+}
+
+#: The latency mode each service shape runs in (default: cached).
+SERVICE_MODES = {
+    "svc_cached_project": "cached",
+    "svc_batched_group": "batched",
+    "svc_async_entities": "async",
 }
 
 #: Stats that must match the references exactly. windows_closed and
@@ -125,10 +159,14 @@ def scalar_only_planner():
         yield
 
 
-def make_session(batch_size=256, tally=None):
+def make_session(batch_size=256, tally=None, shape=None):
     """A session over ``STATIC_ROWS`` with ``tally(x)``, a user UDF that
-    returns its argument and advances the ``tally`` counter per call."""
-    config = EngineConfig(batch_size=batch_size)
+    returns its argument and advances the ``tally`` counter per call, in
+    ``shape``'s latency mode."""
+    config = EngineConfig(
+        batch_size=batch_size,
+        latency_mode=SERVICE_MODES.get(shape, "cached"),
+    )
     session = TweeQL(config=config)
     session.register_source(
         "s", lambda: iter([dict(r) for r in STATIC_ROWS]), SCHEMA
@@ -151,12 +189,23 @@ def run(session, sql):
     return rows, stats
 
 
-def run_scalar_only(sql, batch_size=1, tally=None):
+def run_scalar_only(shape, batch_size=1, tally=None):
     """The scalar-only reference: no vector stage anywhere."""
+    sql = SHAPES[shape][0]
     with scalar_only_planner():
-        session = make_session(batch_size=batch_size, tally=tally)
+        session = make_session(batch_size=batch_size, tally=tally, shape=shape)
         assert "[vectorized" not in session.explain(sql)
         return run(session, sql)
+
+
+def geocoded(loc, index):
+    """Coordinate ``index`` of the geocoder's answer for ``loc``, or None."""
+    if loc is None:
+        return None
+    try:
+        return Geocoder().geocode(loc)[index]
+    except GeocodeError:
+        return None
 
 
 def expected_static(shape):
@@ -323,6 +372,45 @@ def expected_static(shape):
             value=lambda row: len(row["text"]),
             outputs=lambda _key, sizes: {"f": mean(sizes), "n": len(sizes)},
         )
+    elif shape == "udf_alias_group":
+        rows = windowed(
+            120.0, 120.0,
+            key=lambda row: row["text"].lower(),
+            value=lambda row: 1,
+            outputs=lambda text, ones: {"t": text, "n": len(ones)},
+        )
+    elif shape == "svc_cached_project":
+        kept = where(followers_over(-1))
+        rows = [
+            {
+                "la": geocoded(row["loc"], 0),
+                "lo": geocoded(row["loc"], 1),
+                "created_at": row["created_at"],
+            }
+            for row in kept
+        ]
+    elif shape == "svc_batched_group":
+        rows = windowed(
+            120.0, 120.0,
+            key=lambda row: (
+                None if geocoded(row["loc"], 0) is None
+                else math.floor(geocoded(row["loc"], 0))
+            ),
+            value=lambda row: 1,
+            outputs=lambda lat, ones: {"n": len(ones), "lat": lat},
+        )
+    elif shape == "svc_async_entities":
+        kept = where(followers_over(-1))
+        rows = [
+            {
+                "text": row["text"],
+                "e": None if row["loc"] is None else tuple(
+                    EntityExtractor()(f"{row['text']} in {row['loc']}")
+                ),
+                "created_at": row["created_at"],
+            }
+            for row in kept
+        ]
     elif shape == "limit":
         kept = [row for row in STATIC_ROWS if followers_over(200)(row)][:9]
         rows = [
@@ -358,9 +446,11 @@ BATCHES = [pytest.param(b, id=f"thread-1-{b}") for b in (1, 7, 256)]
 def test_columnar_matches_row_engine(shape, batch):
     sql, stats_mode = SHAPES[shape]
     base_calls, calls = itertools.count(), itertools.count()
-    base_rows, base_stats = run_scalar_only(sql, tally=base_calls)
+    base_rows, base_stats = run_scalar_only(shape, tally=base_calls)
     want_rows, want_stats = expected_static(shape)
-    rows, stats = run(make_session(batch_size=batch, tally=calls), sql)
+    rows, stats = run(
+        make_session(batch_size=batch, tally=calls, shape=shape), sql
+    )
     if shape == "udf_tally":
         # Tumbling windows: one call per row, vector or scalar, on every
         # plan shape.
@@ -383,8 +473,8 @@ def test_scalar_only_plan_is_batch_invariant(shape):
     (closures mapped over whole batches) equals its one-row-per-batch run
     and the plain-Python expectation."""
     sql, stats_mode = SHAPES[shape]
-    rows, stats = run_scalar_only(sql, batch_size=256)
-    assert rows == run_scalar_only(sql)[0]
+    rows, stats = run_scalar_only(shape, batch_size=256)
+    assert rows == run_scalar_only(shape)[0]
     want_rows, want_stats = expected_static(shape)
     assert_rows_equal(rows, want_rows, shape)
     if stats_mode == "full":
@@ -393,8 +483,9 @@ def test_scalar_only_plan_is_batch_invariant(shape):
 
 
 UDF_SHAPES = sorted(shape for shape in SHAPES if shape.startswith("udf_"))
-#: Under TQLSAN: the function shapes plus the grouped count window.
-SANITIZED_SHAPES = sorted(UDF_SHAPES + ["count_group"])
+#: Under TQLSAN: the function and service shapes plus the grouped count
+#: window.
+SANITIZED_SHAPES = sorted(UDF_SHAPES + list(SERVICE_MODES) + ["count_group"])
 
 
 def test_function_shapes_are_planned_whole_column():
@@ -417,6 +508,25 @@ def test_function_shapes_are_planned_whole_column():
         "udf_agg_sliding": [("Aggregate", [True, False])],
         "udf_count_sliding": [("Aggregate", [True, False])],
         "udf_tally": [("Aggregate", [True, True, False])],
+        "udf_alias_group": [("Aggregate", [True])],
+    }
+
+
+def test_service_shapes_are_planned_whole_column():
+    """Service calls — projected, and behind a GROUP BY alias — carry a
+    whole-column evaluator in every latency mode."""
+    from tests.engine.test_planner import vector_stages
+
+    stages = {
+        shape: vector_stages(
+            make_session(shape=shape).plan(SHAPES[shape][0]).pipeline
+        )
+        for shape in SERVICE_MODES
+    }
+    assert stages == {
+        "svc_cached_project": [("Project", [False, True, True])],
+        "svc_batched_group": [("Aggregate", [True])],
+        "svc_async_entities": [("Project", [False, True, True])],
     }
 
 
@@ -438,10 +548,10 @@ def test_count_windows_take_the_column_path():
         assert pipeline._columns_only, shape
 
 
-@pytest.mark.parametrize("shape", UDF_SHAPES)
+@pytest.mark.parametrize("shape", UDF_SHAPES + ["svc_batched_group"])
 def test_function_shapes_as_shared_scan_tenant(shape):
     """A tenant body maps functions over whole columns too."""
-    group = make_session().shared("s")
+    group = make_session(shape=shape).shared("s")
     try:
         rows = group.query(SHAPES[shape][0]).all()
     finally:
@@ -455,7 +565,7 @@ def test_function_shapes_as_shared_scan_tenant(shape):
 @pytest.mark.parametrize("shape", SANITIZED_SHAPES)
 def test_function_shapes_under_sanitizer(shape, monkeypatch):
     monkeypatch.setenv("TWEEQL_SAN", "1")
-    session = make_session()
+    session = make_session(shape=shape)
     sql = SHAPES[shape][0]
     assert session.plan(sql).sanitizer is not None
     rows, stats = run(session, sql)

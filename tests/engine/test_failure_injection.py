@@ -5,6 +5,8 @@ engine must degrade (NULLs) rather than die, and negative caching must not
 pin a transient failure forever when a TTL is set.
 """
 
+import pytest
+
 from repro import EngineConfig
 from repro.geo.service import LatencyModel
 
@@ -24,6 +26,27 @@ def test_queries_survive_service_failures(session_factory):
     succeeded = [r for r in rows if r["lat"] is not None]
     assert succeeded  # most calls still succeed
     assert session.geocode_service.stats.failures > 0
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"latency_mode": "async", "partial_results": True},
+        {"latency_mode": "cached", "service_failure_rate": 0.3},
+    ],
+    ids=["async-partial", "cached-failing"],
+)
+def test_named_entities_null_answer_is_null(session_factory, config):
+    """A NULL entity answer (a partial result, a failed call) is a NULL
+    cell, as for latitude — not a crash."""
+    session = session_factory("soccer", config=EngineConfig(**config))
+    rows = session.query(
+        "SELECT text, named_entities(text) AS e FROM twitter "
+        "WHERE text CONTAINS 'goal';"
+    ).all()
+    assert any(row["e"] is None for row in rows)
+    assert any(row["e"] is not None for row in rows)
+    assert all(isinstance(row["e"], (tuple, type(None))) for row in rows)
 
 
 def test_failures_are_negative_cached(session_factory):
@@ -127,15 +150,17 @@ def test_retried_success_overwrites_negative_cache_entry():
     assert no_retry.cache.contains("x")
 
     # A retried async launch on the same cache rides out the rest of the
-    # burst and must overwrite the stale negative entry.
+    # burst and must overwrite the stale negative entry. (Partial results:
+    # the resolve launches the request and answers NULL without waiting.)
     retried = ManagedCall(
         ResilientService(
             service, RetryPolicy(max_retries=3, jitter=False)
         ),
         mode="async",
         cache_ttl=3600.0,
+        partial_results=True,
     )
-    retried.prefetch(["x"])
+    assert retried.resolve(["x"]) == [None]
     retried.cache.put("x", None)  # the stale NULL, as the first call left it
     retried.drain()
     assert retried("x") == (1.0, 2.0)
@@ -163,8 +188,9 @@ def test_late_async_failure_does_not_clobber_landed_value():
     managed = ManagedCall(
         ResilientService(service, RetryPolicy(max_retries=2, jitter=False)),
         mode="async",
+        partial_results=True,
     )
-    managed.prefetch(["x"])
+    assert managed.resolve(["x"]) == [None]  # launched, not waited for
     managed.cache.put("x", (9.0, 9.0))  # consumer resolved it meanwhile
     managed.drain()  # the chain exhausts its budget and fails
     assert managed("x") == (9.0, 9.0)

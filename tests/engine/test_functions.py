@@ -95,12 +95,26 @@ def test_sentiment_uses_service(ctx):
     assert call("sentiment", ctx, None) is None
 
 
+class Resolver:
+    """A managed-service stand-in: ``resolve`` maps ``answer`` over a key
+    column, NULL keys to NULL."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.keys = []
+
+    def resolve(self, keys):
+        self.keys.extend(keys)
+        return [None if key is None else self.answer(key) for key in keys]
+
+
 def test_latitude_longitude_use_geocode_service(ctx):
-    ctx.services["geocode"] = lambda loc: (42.0, -71.0)
+    ctx.services["geocode"] = geocode = Resolver(lambda loc: (42.0, -71.0))
     assert call("latitude", ctx, "Boston") == 42.0
     assert call("longitude", ctx, "Boston") == -71.0
     assert call("latitude", ctx, "") is None
-    ctx.services["geocode"] = lambda loc: None
+    assert geocode.keys == ["Boston", "Boston", None]  # blank → NULL key
+    ctx.services["geocode"] = Resolver(lambda loc: None)
     assert call("latitude", ctx, "nowhere") is None
 
 
@@ -111,8 +125,11 @@ def test_missing_service_raises_clear_error(ctx):
 
 
 def test_named_entities(ctx):
-    ctx.services["entities"] = lambda text: ["obama/Person"]
+    ctx.services["entities"] = Resolver(lambda text: ["obama/Person"])
     assert call("named_entities", ctx, "obama spoke") == ("obama/Person",)
+    # A failed (NULL) service answer is NULL, like latitude's.
+    ctx.services["entities"] = Resolver(lambda text: None)
+    assert call("named_entities", ctx, "obama spoke") is None
 
 
 def test_registry_lookup_unknown():

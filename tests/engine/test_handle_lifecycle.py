@@ -140,7 +140,20 @@ def test_close_drains_in_flight_service_calls():
         "SELECT latitude(loc) AS lat, text FROM twitter "
         "WHERE text CONTAINS 'goal';"
     )
-    handle.fetch(4)  # prefetch leaves requests in flight
+    handle.fetch(4)  # the batch's launches are still in flight
+    handle.close()
+    assert not session.geocode_managed._in_flight
+
+
+def test_close_drains_service_calls_only_the_where_makes():
+    """Requests launched by a WHERE conjunct drain too, not only the
+    select list's."""
+    session = scenario_session(latency_mode="async", partial_results=True)
+    handle = session.query(
+        "SELECT text FROM twitter "
+        "WHERE text CONTAINS 'goal' AND latitude(loc) > 0;"
+    )
+    handle.fetch(5)
     handle.close()
     assert not session.geocode_managed._in_flight
 

@@ -1,10 +1,11 @@
-"""High-latency UDF machinery: caching, batching, async prefetch."""
+"""High-latency UDF machinery: caching, batching, async requests, all
+through ``ManagedCall.resolve``'s warm and look-up phases."""
 
 import pytest
 
 from repro.clock import VirtualClock
-from repro.engine.latency import ManagedCall, PrefetchOperator
-from repro.engine.types import EvalContext, batch_rows, iter_rows
+from repro.engine.latency import ManagedCall
+from repro.engine.types import batch_rows
 from repro.errors import ServiceError
 from repro.geo.service import LatencyModel, SimulatedWebService
 
@@ -79,12 +80,12 @@ def test_batched_prefetch_amortizes():
     service = make_service(clock)
     managed = ManagedCall(service, mode="batched")
     keys = [f"city{i}" for i in range(10)]
-    managed.prefetch(keys)
-    after_prefetch = clock.now
-    assert after_prefetch == pytest.approx(0.3 + 9 * 0.002)
+    assert managed.resolve(keys) == [f"value:{key}" for key in keys]
+    after_resolve = clock.now
+    assert after_resolve == pytest.approx(0.3 + 9 * 0.002)
     for key in keys:
         assert managed(key) == f"value:{key}"
-    assert clock.now == after_prefetch  # all hits
+    assert clock.now == after_resolve  # all hits
     assert service.stats.batch_requests == 1
 
 
@@ -95,7 +96,7 @@ def test_batched_prefetch_chunks_by_service_limit():
         latency=LatencyModel(0.3, sigma=0.0), max_batch_size=4,
     )
     managed = ManagedCall(service, mode="batched")
-    managed.prefetch([f"k{i}" for i in range(10)])
+    managed.resolve([f"k{i}" for i in range(10)])
     assert service.stats.batch_requests == 3
 
 
@@ -103,17 +104,20 @@ def test_prefetch_dedupes_and_skips_cached():
     clock = VirtualClock(start=0.0)
     service = make_service(clock)
     managed = ManagedCall(service, mode="batched")
-    managed.prefetch(["a", "a", "b"])
+    managed.resolve(["a", "a", "b"])
     assert service.stats.items == 2
-    managed.prefetch(["a", "b", "c"])
+    managed.resolve(["a", "b", "c"])
     assert service.stats.items == 3  # only 'c' was new
 
 
 def test_async_overlaps_with_stream_time():
     clock = VirtualClock(start=0.0)
     service = make_service(clock, mean=0.3)
-    managed = ManagedCall(service, mode="async", pool_depth=8)
-    managed.prefetch(["a", "b", "c"])
+    # Partial results: the warm phase launches, the lookups never block.
+    managed = ManagedCall(
+        service, mode="async", pool_depth=8, partial_results=True
+    )
+    assert managed.resolve(["a", "b", "c"]) == [None, None, None]
     assert clock.now == 0.0  # nothing blocked
     # Stream processing advances the clock past the completion time.
     clock.advance(0.5)
@@ -124,8 +128,7 @@ def test_async_overlaps_with_stream_time():
 def test_async_stalls_only_until_request_lands():
     clock = VirtualClock(start=0.0)
     managed = ManagedCall(make_service(clock, mean=0.3), mode="async")
-    managed.prefetch(["a"])
-    value = managed("a")  # still in flight: stall to t=0.3
+    (value,) = managed.resolve(["a"])  # launched, then stall to t=0.3
     assert value == "value:a"
     assert clock.now == pytest.approx(0.3)
     assert managed.stats.stalls == 1
@@ -136,14 +139,16 @@ def test_async_pool_depth_bounds_in_flight():
     clock = VirtualClock(start=0.0)
     service = make_service(clock, mean=0.3)
     managed = ManagedCall(service, mode="async", pool_depth=2)
-    managed.prefetch([f"k{i}" for i in range(6)])
+    managed.resolve([f"k{i}" for i in range(6)])
     assert service.stats.in_flight_high_water <= 2
 
 
 def test_async_drain_completes_everything():
     clock = VirtualClock(start=0.0)
-    managed = ManagedCall(make_service(clock), mode="async", pool_depth=8)
-    managed.prefetch(["a", "b"])
+    managed = ManagedCall(
+        make_service(clock), mode="async", pool_depth=8, partial_results=True
+    )
+    managed.resolve(["a", "b"])
     managed.drain()
     assert managed("a") == "value:a"
     assert managed.stats.stalls == 0
@@ -153,8 +158,11 @@ def test_prefetch_noop_for_blocking_and_cached():
     clock = VirtualClock(start=0.0)
     service = make_service(clock)
     managed = ManagedCall(service, mode="cached")
-    managed.prefetch(["a", "b"])
-    assert service.stats.requests == 0
+    managed.resolve(["a", "b"])
+    # No warm phase: each key took its own blocking round trip.
+    assert service.stats.batch_requests == 0
+    assert managed.stats.prefetched == 0
+    assert managed.stats.stalls == service.stats.requests == 2
 
 
 def test_mode_validated():
@@ -168,7 +176,7 @@ def test_mode_validated():
 def test_batched_prefetch_charges_prefetch_seconds_not_stalls():
     clock = VirtualClock(start=0.0)
     managed = ManagedCall(make_service(clock), mode="batched")
-    managed.prefetch([f"city{i}" for i in range(10)])
+    managed.resolve([f"city{i}" for i in range(10)])
     # The round trip advanced the clock, but no consumer was blocked.
     assert managed.stats.prefetch_seconds == pytest.approx(clock.now)
     assert managed.stats.stall_seconds == 0.0
@@ -182,18 +190,20 @@ def test_async_pool_full_wait_still_counts_as_stall():
     clock = VirtualClock(start=0.0)
     managed = ManagedCall(make_service(clock, mean=0.3), mode="async",
                           pool_depth=2)
-    managed.prefetch([f"k{i}" for i in range(5)])
+    managed.resolve([f"k{i}" for i in range(5)])
     # Launching 5 requests through a depth-2 pool blocks on completions.
     assert managed.stats.stalls > 0
     assert managed.stats.stall_seconds > 0.0
     assert managed.stats.prefetch_seconds == 0.0
 
 
-def prefetch_pipeline(rows, managed, batch_size):
-    ctx = EvalContext(clock=managed.service.clock)
-    return PrefetchOperator(
-        batch_rows(rows, batch_size), [(managed, lambda row: row["loc"])], ctx
-    )
+def resolve_per_batch(rows, managed, batch_size):
+    """Frame ``rows`` into batches and resolve each batch's ``loc`` column
+    with one call, as a service-backed builtin does; returns the batches."""
+    batches = list(batch_rows(rows, batch_size))
+    for batch in batches:
+        managed.resolve(batch.values("loc"))
+    return batches
 
 
 def test_prefetch_operator_warms_downstream():
@@ -201,10 +211,7 @@ def test_prefetch_operator_warms_downstream():
     service = make_service(clock)
     managed = ManagedCall(service, mode="batched")
     rows = [{"created_at": float(i), "loc": f"city{i % 3}"} for i in range(30)]
-    out = []
-    for row in iter_rows(prefetch_pipeline(rows, managed, 10)):
-        out.append(managed(row["loc"]))
-    assert len(out) == 30
+    resolve_per_batch(rows, managed, 10)
     # Only 3 distinct keys existed; the batch path resolved them.
     assert service.stats.items == 3
     assert managed.stats.cache_hits == 30
@@ -215,9 +222,8 @@ def test_prefetch_operator_batch_of_one_degenerates_to_per_row():
     service = make_service(clock)
     managed = ManagedCall(service, mode="batched")
     rows = [{"created_at": float(i), "loc": f"city{i}"} for i in range(4)]
-    out = list(iter_rows(prefetch_pipeline(rows, managed, 1)))
-    assert len(out) == 4
-    # One prefetch round trip per batch → per row at batch size 1.
+    resolve_per_batch(rows, managed, 1)
+    # One batch round trip per batch → per row at batch size 1.
     assert service.stats.batch_requests == 4
 
 
@@ -225,10 +231,9 @@ def test_prefetch_operator_partial_final_batch():
     clock = VirtualClock(start=0.0)
     service = make_service(clock)
     managed = ManagedCall(service, mode="batched")
-    # 7 rows through batches of 3: the source runs dry mid-refill and the
-    # final short batch still prefetches and flows downstream.
+    # 7 rows through batches of 3: the final short batch still resolves.
     rows = [{"created_at": float(i), "loc": f"city{i}"} for i in range(7)]
-    batches = list(prefetch_pipeline(rows, managed, 3))
+    batches = resolve_per_batch(rows, managed, 3)
     assert [len(b) for b in batches] == [3, 3, 1]
     assert batches[-1].last
     assert service.stats.items == 7
@@ -238,9 +243,8 @@ def test_prefetch_operator_all_none_keys_skips_service():
     clock = VirtualClock(start=0.0)
     service = make_service(clock)
     managed = ManagedCall(service, mode="batched")
-    rows = [{"created_at": float(i), "loc": None} for i in range(6)]
-    out = list(iter_rows(prefetch_pipeline(rows, managed, 3)))
-    assert len(out) == 6
+    assert managed.resolve([None] * 3) == [None] * 3
+    assert managed.stats.calls == 0  # NULL keys are not counted
     assert service.stats.batch_requests == 0
     assert service.stats.requests == 0
 
@@ -249,8 +253,19 @@ def test_prefetch_operator_dedupes_within_batch():
     clock = VirtualClock(start=0.0)
     service = make_service(clock)
     managed = ManagedCall(service, mode="batched")
-    rows = [{"created_at": float(i), "loc": "boston"} for i in range(8)]
-    list(iter_rows(prefetch_pipeline(rows, managed, 8)))
+    assert managed.resolve(["boston"] * 8) == ["value:boston"] * 8
     # Eight copies of one key → a single-item batch request.
     assert service.stats.batch_requests == 1
     assert service.stats.items == 1
+
+
+def test_cache_counts_every_lookup_once():
+    """Each lookup is one counted cache probe, so misses show up and the
+    hit rate is not stuck at 100%."""
+    clock = VirtualClock(start=0.0)
+    managed = ManagedCall(make_service(clock), mode="cached")
+    for key in ("a", "a", "b", "a"):
+        managed(key)
+    assert managed.stats.cache_hits == managed.cache.stats.hits == 2
+    assert managed.cache.stats.misses == 2
+    assert managed.cache.stats.hit_rate == 0.5

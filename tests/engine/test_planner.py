@@ -181,7 +181,7 @@ def test_cannot_shadow_twitter(soccer_session):
         soccer_session.register_source("twitter", lambda: iter(()), ("created_at",))
 
 
-BODY_STAGES = ("Filter", "Limit", "Prefetch", "Aggregate", "Into")
+BODY_STAGES = ("Filter", "Limit", "Aggregate", "Into")
 
 
 def body_stages(explain_text):
@@ -195,7 +195,7 @@ def body_stages(explain_text):
         (
             "SELECT latitude(loc) AS lat, text FROM twitter WHERE text "
             "CONTAINS 'goal' AND followers > 10 LIMIT 5 INTO kept;",
-            ["Filter", "Limit", "Prefetch", "Into"],
+            ["Filter", "Limit", "Into"],
         ),
         (
             "SELECT COUNT(*) AS n, lang FROM twitter WHERE text CONTAINS "
