@@ -25,7 +25,7 @@ import pytest
 
 from repro.clock import VirtualClock
 from repro.engine.confidence import ConfidenceAggregateOperator, ConfidencePolicy
-from repro.engine.types import EvalContext
+from repro.engine.types import EvalContext, batch_rows, iter_rows
 
 from benchmarks.conftest import print_table
 
@@ -120,7 +120,7 @@ def count_window_emissions(rows, window_count):
 def confidence_emissions(rows, max_age):
     ctx = EvalContext(clock=VirtualClock(start=0.0))
     operator = ConfidenceAggregateOperator(
-        rows,
+        batch_rows(rows),
         group_evals=[lambda r, _c: r["region"]],
         value_eval=lambda r, _c: r["value"],
         output_items=[
@@ -133,7 +133,7 @@ def confidence_emissions(rows, max_age):
         ),
     )
     emissions = []
-    for out in operator:
+    for out in iter_rows(operator):
         emissions.append(
             {
                 "region": out["region"],
@@ -249,14 +249,16 @@ def test_ablation_ci_width(benchmark, ci):
     def run():
         ctx = EvalContext(clock=VirtualClock(start=0.0))
         operator = ConfidenceAggregateOperator(
-            rows,
+            batch_rows(rows),
             group_evals=[lambda r, _c: r["region"]],
             value_eval=lambda r, _c: r["value"],
             output_items=[("region", lambda r, _c: r["region"])],
             ctx=ctx,
             policy=ConfidencePolicy(ci_halfwidth=ci, max_age_seconds=None),
         )
-        return [o for o in operator if o["emit_reason"] == "confidence"]
+        return [
+            o for o in iter_rows(operator) if o["emit_reason"] == "confidence"
+        ]
 
     emissions = benchmark.pedantic(run, rounds=1, iterations=1)
     tokyo = [e for e in emissions if e["region"] == "tokyo"]

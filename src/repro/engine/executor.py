@@ -209,8 +209,8 @@ class QueryHandle:
             )
         sanitizer = self._plan.sanitizer
         if sanitizer is not None:
-            # Mandatory close-time checks: lock-order cycles always;
-            # probe/stats reconciliation when the stream fully drained.
+            # Mandatory close-time check: probe/stats reconciliation
+            # when the stream fully drained.
             sanitizer.at_close(self, exhausted=self._exhausted)
 
     def fetch(self, n: int) -> list[Row]:

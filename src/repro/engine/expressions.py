@@ -9,7 +9,8 @@
   TRUE, ``NULL AND FALSE`` is FALSE, otherwise NULL);
 - ``CONTAINS`` is the paper's case-insensitive substring operator;
 - ``MATCHES`` is regular-expression search (compiled once per call site);
-- ``LIKE`` supports ``%`` and ``_`` wildcards, case-insensitively;
+- ``LIKE`` matches the whole string with ``%`` and ``_`` wildcards,
+  case-insensitively, in time linear in the text;
 - ``IN_BBOX`` tests a (lat, lon) point against a bounding-box literal;
 - division by zero yields NULL rather than killing a long-running stream
   query (documented divergence from strict SQL, matching the original
@@ -94,16 +95,48 @@ def resolve_bbox(node: ast.BBox) -> BoundingBox:
         raise PlanError(str(exc.args[0])) from exc
 
 
-def _like_to_regex(pattern: str) -> re.Pattern[str]:
-    parts = []
-    for char in pattern:
-        if char == "%":
-            parts.append(".*")
-        elif char == "_":
-            parts.append(".")
-        else:
-            parts.append(re.escape(char))
-    return re.compile(f"^{''.join(parts)}$", re.IGNORECASE | re.DOTALL)
+def _like_matcher(pattern: str) -> Callable[[str], bool]:
+    """A whole-string, case-insensitive ``LIKE`` test, linear in the text.
+
+    ``%`` splits the pattern into segments, and each segment matches a
+    fixed number of characters (``_`` is any one). So the first segment
+    is anchored at the start, the last at the end, and each middle one is
+    placed at its leftmost match after the one before: a later placement
+    never leaves more room. ``re`` matches each segment, so case folding
+    is ``re.IGNORECASE``'s own.
+    """
+
+    def segment(text: str) -> re.Pattern[str]:
+        return re.compile(
+            "".join("." if char == "_" else re.escape(char) for char in text),
+            re.IGNORECASE | re.DOTALL,
+        )
+
+    first, *rest = pattern.split("%")
+    head = segment(first)
+    if not rest:
+        return lambda text: head.fullmatch(text) is not None
+    *inner, last = rest
+    tail = segment(last)
+    middles = [segment(part) for part in inner if part]
+
+    def like(text: str) -> bool:
+        end = len(text) - len(last)
+        if (
+            end < len(first)
+            or head.match(text) is None
+            or tail.fullmatch(text, end) is None
+        ):
+            return False
+        pos = len(first)
+        for middle in middles:
+            found = middle.search(text, pos, end)
+            if found is None:
+                return False
+            pos = found.end()
+        return True
+
+    return like
 
 
 _SEQUENCES = (str, bytes, tuple, list)
@@ -357,13 +390,13 @@ def compile_expr(
                 and isinstance(node.right.value, str)
             ):
                 raise PlanError("LIKE requires a string literal pattern")
-            pattern = _like_to_regex(node.right.value)
+            like = _like_matcher(node.right.value)
 
             def eval_like(row: Row, context: EvalContext) -> Any:
                 text = left(row, context)
                 if text is None:
                     return None
-                return pattern.match(str(text)) is not None
+                return like(str(text))
 
             return eval_like
 
@@ -850,13 +883,10 @@ def compile_vector_expr(
             # Non-literal patterns were rejected at scalar compile time.
             assert isinstance(node.right, ast.Literal)
             assert isinstance(node.right.value, str)
-            match = _like_to_regex(node.right.value).match
+            like = _like_matcher(node.right.value)
             return _VectorNode(
                 _vec_unary(
-                    left,
-                    lambda t, match=match: (
-                        None if t is None else match(str(t)) is not None
-                    ),
+                    left, lambda t: None if t is None else like(str(t))
                 ),
                 total=left.total,
             )

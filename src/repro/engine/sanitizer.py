@@ -1,4 +1,4 @@
-"""TQLSAN — the engine's runtime invariant sanitizer and lock-order detector.
+"""TQLSAN — the engine's runtime invariant sanitizer.
 
 The engine's correctness rests on a small set of protocol invariants that
 are easy to state and easy to break silently: batch ``seq`` stamps are
@@ -11,19 +11,13 @@ reconcile with the engine's own counters at close. PRs 1–7 pinned these indire
 sweeps; this module checks them *directly*, TSAN-style, at every operator
 boundary.
 
-Three cooperating pieces:
+Two cooperating pieces:
 
 - :class:`SanitizeOperator` — a pipeline wrapper the planner installs at
   every stage boundary when ``EngineConfig.sanitize`` (or ``TWEEQL_SAN=1``
   in the environment, or ``tweeql --sanitize``) is on. Mirrors the
   ``TraceOperator`` pattern: when off, the planner adds **zero** wrappers
   and the hot path is byte-identical to an unsanitized build.
-- :class:`LockRegistry` + :func:`registered_lock` — every lock the engine
-  creates goes through :func:`registered_lock`, which returns a
-  :class:`TrackedLock` recording per-thread acquisition stacks into a
-  happens-before graph. Cycles in that graph are potential deadlocks
-  (``TQL910``); the engine-source lint (:mod:`repro.sql.analysis.engine_lint`)
-  flags any bare ``threading.Lock()`` that bypasses registration.
 - :class:`Sanitizer` — the per-plan checking context: it runs the
   mandatory ``reconcile()`` cross-check at query close and turns
   violations into structured :class:`~repro.errors.SanitizerError`
@@ -42,14 +36,12 @@ TQL903  ColumnBatch incoherence (column/row length mismatch, stale
 TQL904  ``MISSING`` sentinel leaked into a materialized row dict
 TQL906  stats counter regression (a ``QueryStats`` counter decreased)
 TQL907  trace/stats reconciliation failed at query close
-TQL910  lock-order cycle (potential deadlock) in the acquisition graph
 TQL911  batch ownership violation (one pipeline stage driven from two
         threads)
 ======= ====================================================================
 
-Everything here is deterministic: violation messages sort lock names and
-carry stable operator/lane labels, so a sanitized CI lane can golden-match
-its output.
+Everything here is deterministic: violation messages carry stable
+operator/lane labels, so a sanitized CI lane can golden-match its output.
 """
 
 from __future__ import annotations
@@ -64,14 +56,8 @@ from repro.errors import SanitizerError
 from repro.twitter.models import Tweet
 
 __all__ = [
-    "LockRegistry",
     "SanitizeOperator",
     "Sanitizer",
-    "TrackedLock",
-    "enable_lock_tracking",
-    "lock_registry",
-    "lock_tracking",
-    "registered_lock",
     "sanitize_env_enabled",
 ]
 
@@ -81,242 +67,6 @@ def sanitize_env_enabled() -> bool:
     return os.environ.get("TWEEQL_SAN", "").strip().lower() in (
         "1", "true", "on", "yes",
     )
-
-
-# ---------------------------------------------------------------------------
-# Lock registry: instrumented locks + happens-before acquisition graph
-# ---------------------------------------------------------------------------
-
-
-class _HeldLocks(threading.local):
-    """Per-thread stack of currently-held tracked locks."""
-
-    def __init__(self) -> None:
-        self.stack: list[TrackedLock] = []
-        self.depth: dict[int, int] = {}
-
-
-class LockRegistry:
-    """Happens-before graph over named lock acquisitions.
-
-    Edges are recorded by *name*, not instance — two queries each taking
-    lock ``a`` then lock ``b`` produce one edge — so the
-    graph (and any cycle report) is deterministic across runs and across
-    instances. A cycle ``A → B → A`` means two threads can take the same
-    pair of locks in opposite orders: a potential deadlock, reported as
-    ``TQL910``. Detection happens at edge-insertion time and is recorded
-    rather than raised (raising inside an engine thread could deadlock the
-    very teardown being diagnosed); :meth:`check` raises at query close.
-    """
-
-    def __init__(self) -> None:
-        # Internal synchronization is deliberately a *raw* lock: the
-        # registry cannot track itself, and the engine lint allowlists
-        # this module for exactly that reason.
-        self._mutex = threading.Lock()
-        self._held = _HeldLocks()
-        #: name -> set of names acquired while holding it.
-        self._edges: dict[str, set[str]] = {}
-        #: Deterministic violation records: (code, message) sorted-unique.
-        self._violations: dict[tuple[str, str], None] = {}
-        #: Names ever registered (for the how-to docs / debugging).
-        self.names: dict[str, int] = {}
-
-    # -- instrumentation callbacks (called by TrackedLock) ------------------
-
-    def register(self, lock: "TrackedLock") -> None:
-        with self._mutex:
-            self.names[lock.name] = self.names.get(lock.name, 0) + 1
-
-    def acquired(self, lock: "TrackedLock") -> None:
-        held = self._held
-        key = id(lock)
-        depth = held.depth.get(key, 0)
-        held.depth[key] = depth + 1
-        if depth:
-            return  # reentrant re-acquire adds no ordering information
-        new_edges: list[tuple[str, str]] = []
-        for outer in held.stack:
-            if outer.name != lock.name:
-                new_edges.append((outer.name, lock.name))
-        held.stack.append(lock)
-        if not new_edges:
-            return
-        with self._mutex:
-            for src, dst in new_edges:
-                targets = self._edges.setdefault(src, set())
-                if dst in targets:
-                    continue
-                targets.add(dst)
-                cycle = self._find_cycle(dst, src)
-                if cycle is not None:
-                    path = " -> ".join(cycle + [cycle[0]])
-                    self._violations[(
-                        "TQL910",
-                        f"lock-order cycle (potential deadlock): {path}",
-                    )] = None
-
-    def released(self, lock: "TrackedLock") -> None:
-        held = self._held
-        key = id(lock)
-        depth = held.depth.get(key, 0)
-        if depth > 1:
-            held.depth[key] = depth - 1
-            return
-        held.depth.pop(key, None)
-        for index in range(len(held.stack) - 1, -1, -1):
-            if held.stack[index] is lock:
-                del held.stack[index]
-                break
-
-    def _find_cycle(self, start: str, goal: str) -> list[str] | None:
-        """A path ``start → … → goal`` in the edge graph, if one exists.
-
-        Called with the just-inserted edge ``goal → start`` already in the
-        graph, so a returned path closes a cycle through it. Deterministic:
-        neighbors are visited in sorted order.
-        """
-        stack = [(start, [start])]
-        seen = {start}
-        while stack:
-            node, path = stack.pop()
-            if node == goal:
-                return path
-            for neighbor in sorted(self._edges.get(node, ()), reverse=True):
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append((neighbor, path + [neighbor]))
-        return None
-
-    # -- reporting -----------------------------------------------------------
-
-    def report(self) -> list[tuple[str, str]]:
-        """Recorded violations, deterministically ordered."""
-        with self._mutex:
-            return sorted(self._violations)
-
-    def edges(self) -> list[tuple[str, str]]:
-        """The acquisition graph as sorted (outer, inner) name pairs."""
-        with self._mutex:
-            return sorted(
-                (src, dst)
-                for src, targets in self._edges.items()
-                for dst in targets
-            )
-
-    def check(self) -> None:
-        """Raise ``TQL910`` for the first (deterministic) recorded cycle."""
-        violations = self.report()
-        if violations:
-            code, message = violations[0]
-            raise SanitizerError(
-                message,
-                code=code,
-                hint="two code paths take these locks in opposite orders; "
-                "pick one order and stick to it (see docs/SANITIZER.md)",
-            )
-
-
-class TrackedLock:
-    """A ``Lock``/``RLock`` façade that reports acquisitions to the registry.
-
-    Created by :func:`registered_lock`; behaves exactly like the wrapped
-    primitive (context manager, ``acquire(blocking, timeout)``,
-    ``locked()``). When no registry is active the per-operation cost is
-    one module-global load and a ``None`` check.
-    """
-
-    __slots__ = ("_inner", "name")
-
-    def __init__(self, inner: Any, name: str) -> None:
-        self._inner = inner
-        self.name = name
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        acquired = self._inner.acquire(blocking, timeout)
-        if acquired:
-            registry = _ACTIVE_REGISTRY
-            if registry is not None:
-                registry.acquired(self)
-        return acquired
-
-    def release(self) -> None:
-        registry = _ACTIVE_REGISTRY
-        if registry is not None:
-            registry.released(self)
-        self._inner.release()
-
-    def locked(self) -> bool:
-        return bool(self._inner.locked())
-
-    def __enter__(self) -> bool:
-        return self.acquire()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.release()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TrackedLock({self.name!r})"
-
-
-#: The process-wide active registry; None keeps TrackedLock at its cheap
-#: fast path. Installed by enable_lock_tracking() (idempotent) when a
-#: sanitizing session plans its first query, or scoped via lock_tracking().
-_ACTIVE_REGISTRY: LockRegistry | None = None
-
-
-def lock_registry() -> LockRegistry | None:
-    """The active registry, or None when lock tracking is off."""
-    return _ACTIVE_REGISTRY
-
-
-def enable_lock_tracking() -> LockRegistry:
-    """Install (or return) the process-wide lock registry."""
-    global _ACTIVE_REGISTRY
-    if _ACTIVE_REGISTRY is None:
-        _ACTIVE_REGISTRY = LockRegistry()
-    return _ACTIVE_REGISTRY
-
-
-class lock_tracking:
-    """Context manager installing a fresh registry (tests use this).
-
-    Restores the previous registry (possibly None) on exit, so a test
-    asserting on one query's acquisition graph does not see edges from
-    the rest of the suite.
-    """
-
-    def __init__(self) -> None:
-        self.registry = LockRegistry()
-        self._previous: LockRegistry | None = None
-
-    def __enter__(self) -> LockRegistry:
-        global _ACTIVE_REGISTRY
-        self._previous = _ACTIVE_REGISTRY
-        _ACTIVE_REGISTRY = self.registry
-        return self.registry
-
-    def __exit__(self, *exc: Any) -> None:
-        global _ACTIVE_REGISTRY
-        _ACTIVE_REGISTRY = self._previous
-
-
-def registered_lock(name: str, *, rlock: bool = False) -> TrackedLock:
-    """An engine lock registered with the lock-order detector.
-
-    Every ``threading.Lock()`` / ``RLock()`` in engine code must be
-    created through this helper (the engine-source lint enforces it).
-    The wrapper is always returned — tracking activates lazily when a
-    registry is installed, so locks created before ``--sanitize`` was
-    seen still participate.
-    """
-    lock = TrackedLock(
-        threading.RLock() if rlock else threading.Lock(), name
-    )
-    registry = _ACTIVE_REGISTRY
-    if registry is not None:
-        registry.register(lock)
-    return lock
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +84,6 @@ class Sanitizer:
 
     def __init__(self, clock: Any = None) -> None:
         self.clock = clock
-        self.lock_registry = enable_lock_tracking()
         #: Wrappers installed under this sanitizer (off-mode asserts zero).
         self.wrappers = 0
 
@@ -385,13 +134,11 @@ class Sanitizer:
     def at_close(self, handle: Any, exhausted: bool) -> None:
         """Mandatory end-of-query checks (called by ``QueryHandle``).
 
-        Lock-order cycles always raise. The probe/stats reconciliation
-        runs only when the stream was drained to punctuation — a query
-        abandoned mid-stream (LIMIT on an unbounded source,
-        ``handle.close()``) legitimately leaves probes ahead of the
-        counters.
+        The probe/stats reconciliation runs only when the stream was
+        drained to punctuation — a query abandoned mid-stream (LIMIT on
+        an unbounded source, ``handle.close()``) legitimately leaves
+        probes ahead of the counters.
         """
-        self.lock_registry.check()
         if not exhausted:
             return
         tracer = getattr(handle, "tracer", None)

@@ -137,9 +137,8 @@ class EngineConfig:
         sanitize: run queries under the TQLSAN invariant sanitizer —
             every operator boundary checks seq monotonicity, punctuation
             exactly-once, ColumnBatch coherence, single-thread stage
-            ownership, and stats monotonicity; lock acquisitions feed
-            the lock-order detector; ``reconcile()`` is enforced at
-            close. Violations raise
+            ownership, and stats monotonicity; ``reconcile()`` is
+            enforced at close. Violations raise
             :class:`~repro.errors.SanitizerError` with a stable
             ``TQL9xx`` code (see docs/SANITIZER.md). Off by default and
             zero-wrapper when off, exactly like ``tracing``; the

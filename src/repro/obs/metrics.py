@@ -15,9 +15,8 @@ the session's services) for the server's ``/metrics`` endpoint.
 
 from __future__ import annotations
 
+import threading
 from typing import Any
-
-from repro.engine.sanitizer import registered_lock
 
 #: Histogram bucket upper bounds (virtual seconds) — tuned for service
 #: latencies in the hundreds-of-ms range the paper describes.
@@ -114,7 +113,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
-        self._lock = registered_lock("metrics.registry")
+        # The dashboard's HTTP server thread renders /metrics.
+        self._lock = threading.Lock()
 
     def _get_or_create(self, name: str, factory: Any, kind: type[Any]) -> Any:
         metric = self._metrics.get(name)

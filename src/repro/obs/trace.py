@@ -22,11 +22,10 @@ span over the stage's lifetime.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Any
-
-from repro.engine.sanitizer import registered_lock
 
 #: Span kinds, for filtering and for exporter categories. ``sanitizer``
 #: marks TQLSAN violation instants (see repro.engine.sanitizer).
@@ -109,7 +108,9 @@ class Tracer:
         self.batch_spans = batch_spans
         self.spans: list[Span] = []
         self.probes: list[OperatorProbe] = []
-        self._lock = registered_lock("trace.spans")
+        # Session-owned service wrappers share one tracer across plans,
+        # and each plan's handle may be pulled on its own thread.
+        self._lock = threading.Lock()
         self._next_id = 0
         self._lane_seq: dict[str, int] = {}
 

@@ -15,23 +15,17 @@ TQL920  wall-clock read in engine code — ``time.time()`` / ``time.time_ns()``
 TQL921  unseeded randomness in engine code — module-level ``random.*``
         calls or a no-argument ``random.Random()``. All randomness must
         flow from an explicit seed so runs are reproducible.
-TQL922  bare lock in engine code — ``threading.Lock()`` / ``RLock()`` /
-        ``Condition()`` constructed directly instead of through
-        :func:`repro.engine.sanitizer.registered_lock`. Unregistered
-        locks are invisible to the lock-order race detector (TQL910).
 TQL923  swallowed exception in engine code — ``except Exception:`` (or a
         bare ``except:``) whose body is only ``pass``/``...``. Operator
         code that drops errors silently turns protocol violations into
         wrong answers.
 ======= ====================================================================
 
-Scope: TQL920–TQL922 apply to :mod:`repro.engine` and :mod:`repro.obs`
-(the concurrent core); TQL923 applies to :mod:`repro.engine` operator
-code. ``repro/engine/sanitizer.py`` itself is exempt from TQL922 — the
-lock registry cannot register its own internal mutex — and ``clock.py``/
-``rng.py``-style shims would be the sanctioned wall-clock/randomness
-homes. Findings are deterministic (sorted by file, then offset) so the
-CI lint job can assert an empty baseline.
+Scope: TQL920 and TQL921 apply to :mod:`repro.engine` and
+:mod:`repro.obs`; TQL923 applies to :mod:`repro.engine` operator code.
+``clock.py``/``rng.py``-style shims would be the sanctioned
+wall-clock/randomness homes. Findings are deterministic (sorted by file,
+then offset) so the CI lint job can assert an empty baseline.
 
 Run as::
 
@@ -61,9 +55,6 @@ _WALL_CLOCK_CALLS = {
     ("datetime", "now"),
     ("datetime", "utcnow"),
 }
-
-#: threading constructors that must go through registered_lock().
-_LOCK_CONSTRUCTORS = {"Lock", "RLock", "Condition"}
 
 
 @dataclass(frozen=True)
@@ -114,19 +105,10 @@ def _dotted(node: ast.AST) -> tuple[str, ...] | None:
 
 
 class _EngineVisitor(ast.NodeVisitor):
-    """Collects TQL920–TQL923 findings over one module's AST."""
+    """Collects TQL920, TQL921 and TQL923 findings over one module's AST."""
 
-    def __init__(
-        self,
-        source: str,
-        *,
-        check_determinism: bool,
-        check_locks: bool,
-        check_excepts: bool,
-    ) -> None:
+    def __init__(self, source: str, *, check_excepts: bool) -> None:
         self._source = source
-        self._determinism = check_determinism
-        self._locks = check_locks
         self._excepts = check_excepts
         self.findings: list[tuple[int, Diagnostic]] = []
 
@@ -155,44 +137,33 @@ class _EngineVisitor(ast.NodeVisitor):
     def _check_call(self, node: ast.Call, dotted: tuple[str, ...]) -> None:
         # Normalize "datetime.datetime.now" to its last two components.
         tail = dotted[-2:] if len(dotted) >= 2 else dotted
-        if self._determinism:
-            if tuple(tail) in _WALL_CLOCK_CALLS:
-                self._report(
-                    node,
-                    "TQL920",
-                    f"wall-clock read: {'.'.join(dotted)}() in engine code",
-                    "engine time must come from the session's virtual "
-                    "clock (repro.clock); wall-clock reads break replay "
-                    "determinism",
-                )
-            if dotted[0] == "random" and len(dotted) == 2:
-                if dotted[1] == "Random":
-                    if not node.args and not node.keywords:
-                        self._report(
-                            node,
-                            "TQL921",
-                            "unseeded random.Random() in engine code",
-                            "pass an explicit seed so runs are "
-                            "reproducible",
-                        )
-                else:
+        if tuple(tail) in _WALL_CLOCK_CALLS:
+            self._report(
+                node,
+                "TQL920",
+                f"wall-clock read: {'.'.join(dotted)}() in engine code",
+                "engine time must come from the session's virtual "
+                "clock (repro.clock); wall-clock reads break replay "
+                "determinism",
+            )
+        if dotted[0] == "random" and len(dotted) == 2:
+            if dotted[1] == "Random":
+                if not node.args and not node.keywords:
                     self._report(
                         node,
                         "TQL921",
-                        f"module-level random.{dotted[1]}() in engine code "
-                        "(shared, effectively unseeded state)",
-                        "draw from a seeded random.Random instance "
-                        "threaded through the call site instead",
+                        "unseeded random.Random() in engine code",
+                        "pass an explicit seed so runs are "
+                        "reproducible",
                     )
-        if self._locks and len(dotted) == 2 and dotted[0] == "threading":
-            if dotted[1] in _LOCK_CONSTRUCTORS:
+            else:
                 self._report(
                     node,
-                    "TQL922",
-                    f"bare threading.{dotted[1]}() in engine code",
-                    "create engine locks with "
-                    "repro.engine.sanitizer.registered_lock(name) so the "
-                    "lock-order detector (TQL910) can see them",
+                    "TQL921",
+                    f"module-level random.{dotted[1]}() in engine code "
+                    "(shared, effectively unseeded state)",
+                    "draw from a seeded random.Random instance "
+                    "threaded through the call site instead",
                 )
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
@@ -238,14 +209,7 @@ def lint_source(source: str, path: str) -> list[FileFinding]:
     in_obs = "/obs/" in normalized
     if not (in_engine or in_obs):
         return []
-    is_sanitizer = normalized.endswith("/sanitizer.py")
-    visitor = _EngineVisitor(
-        source,
-        check_determinism=True,
-        # The registry cannot register the mutex that guards itself.
-        check_locks=not is_sanitizer,
-        check_excepts=in_engine,
-    )
+    visitor = _EngineVisitor(source, check_excepts=in_engine)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as error:
@@ -293,7 +257,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="engine_lint",
         description="TQLSAN determinism lint over the engine's own source "
-        "(TQL920-TQL923; see docs/SANITIZER.md)",
+        "(TQL920, TQL921, TQL923; see docs/SANITIZER.md)",
     )
     parser.add_argument("paths", nargs="+", help="files or directories")
     parser.add_argument(

@@ -1,7 +1,16 @@
 """Expression compilation: SQL semantics including NULLs and tweet ops."""
 
-import pytest
+import json
+import os
+import re
+import subprocess
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro
 from repro.clock import VirtualClock
 from repro.engine.expressions import (
     compile_expr,
@@ -127,6 +136,80 @@ def test_like_wildcards(ctx):
     assert evaluate("text like 'goal%'", {"text": "GOAL scored"}, ctx) is True
     assert evaluate("text like '%1_0%'", {"text": "now 1-0 up"}, ctx) is True
     assert evaluate("text like 'goal'", {"text": "goal!"}, ctx) is False
+
+
+def like_both_paths(pattern, text, ctx):
+    """``text LIKE pattern`` on the row path and on the column path."""
+    where = parse(f"SELECT text FROM t WHERE text LIKE '{pattern}';").where
+    scalar = compile_expr(where, default_registry(), SCHEMA, ctx)
+    vector = compile_vector_expr(where, default_registry(), SCHEMA, ctx)
+    row = {"text": text}
+    return scalar(row, ctx), vector(ColumnBatch.from_rows([row]), ctx)[0]
+
+
+def test_like_matches_the_whole_string_trailing_newline_included(ctx):
+    assert like_both_paths("goal", "goal\n", ctx) == (False, False)
+    assert like_both_paths("goal%", "goal\n", ctx) == (True, True)
+    assert like_both_paths("goal_", "goal\n", ctx) == (True, True)
+    assert like_both_paths("%goal", "a\ngoal", ctx) == (True, True)
+
+
+_LIKE_SCRIPT = """
+import json
+from repro import EngineConfig, TweeQL
+out = []
+for batch_size in (1, 256):
+    session = TweeQL(config=EngineConfig(batch_size=batch_size))
+    session.register_source(
+        "s",
+        lambda: iter([{"created_at": 0.0, "text": "a" * 60}]),
+        ("created_at", "text"),
+    )
+    rows = session.query(
+        "SELECT text LIKE '" + "%a" * 8 + "%b' AS hit FROM s;"
+    ).all()
+    out.append([row["hit"] for row in rows])
+print(json.dumps(out))
+"""
+
+
+def test_like_with_many_wildcards_returns_at_once():
+    """Eight ``%a`` then ``%b`` against sixty ``a``s: a backtracking
+    regex tries every way to split the run and takes minutes; the
+    segment matcher answers at once, on the row and column paths."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _LIKE_SCRIPT],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[False], [False]]
+
+
+def backtracking_like(pattern):
+    """The reference: ``%`` as ``.*`` and ``_`` as ``.`` in one regex."""
+    body = "".join(
+        ".*" if char == "%" else "." if char == "_" else re.escape(char)
+        for char in pattern
+    )
+    return re.compile(body, re.IGNORECASE | re.DOTALL)
+
+
+#: Case-folding corner cases (Kelvin sign, long s, sharp s, dotted I)
+#: and a newline, beside the wildcards.
+_LIKE_ALPHABET = "aAbBsSKkK\u017f\u00df\u0130i\n"
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    pattern=st.text(alphabet=_LIKE_ALPHABET + "%_", max_size=7),
+    text=st.text(alphabet=_LIKE_ALPHABET, max_size=9),
+)
+def test_like_agrees_with_the_backtracking_regex(pattern, text):
+    ctx = EvalContext(clock=VirtualClock())
+    expected = backtracking_like(pattern).fullmatch(text) is not None
+    assert like_both_paths(pattern, text, ctx) == (expected, expected)
 
 
 def test_in_list(ctx):

@@ -18,12 +18,7 @@ import pytest
 
 from repro import EngineConfig, TweeQL
 from repro.clock import VirtualClock
-from repro.engine.sanitizer import (
-    SanitizeOperator,
-    Sanitizer,
-    lock_tracking,
-    registered_lock,
-)
+from repro.engine.sanitizer import SanitizeOperator, Sanitizer
 from repro.engine.types import MISSING, ColumnBatch, QueryStats
 from repro.errors import SanitizerError
 from repro.twitter.models import Tweet, User
@@ -281,66 +276,25 @@ def test_tql906_stats_regression_fires():
 def test_tql907_reconcile_mismatch_fires_at_close():
     from repro.obs.trace import Tracer
 
-    with lock_tracking():
-        sanitizer = fresh_sanitizer()
-        tracer = Tracer(VirtualClock())
-        tracer.probe("Scan(s)", "main").rows = 100
-        tracer.probe("Output", "main").rows = 7
-        stats = QueryStats()
-        stats.rows_scanned = 100
-        stats.rows_emitted = 9  # disagrees with the Output probe
+    sanitizer = fresh_sanitizer()
+    tracer = Tracer(VirtualClock())
+    tracer.probe("Scan(s)", "main").rows = 100
+    tracer.probe("Output", "main").rows = 7
+    stats = QueryStats()
+    stats.rows_scanned = 100
+    stats.rows_emitted = 9  # disagrees with the Output probe
 
-        class FakeHandle:
-            pass
+    class FakeHandle:
+        pass
 
-        handle = FakeHandle()
-        handle.tracer = tracer
-        handle.stats = stats
-        with pytest.raises(SanitizerError) as excinfo:
-            sanitizer.at_close(handle, exhausted=True)
-        assert excinfo.value.code == "TQL907"
-        # An abandoned (non-exhausted) query legitimately skips it.
-        sanitizer.at_close(handle, exhausted=False)
-
-
-def test_tql910_lock_order_cycle_detected():
-    with lock_tracking() as registry:
-        a = registered_lock("test.a")
-        b = registered_lock("test.b")
-        with a:
-            with b:
-                pass
-        with b:
-            with a:  # opposite order: potential deadlock
-                pass
-        report = registry.report()
-        assert report and report[0][0] == "TQL910"
-        assert "test.a" in report[0][1] and "test.b" in report[0][1]
-        with pytest.raises(SanitizerError) as excinfo:
-            registry.check()
-        assert excinfo.value.code == "TQL910"
-
-
-def test_lock_registry_consistent_order_is_clean():
-    with lock_tracking() as registry:
-        a = registered_lock("test.a")
-        b = registered_lock("test.b")
-        for _ in range(3):
-            with a:
-                with b:
-                    pass
-        assert registry.report() == []
-        registry.check()  # no raise
-        assert ("test.a", "test.b") in registry.edges()
-
-
-def test_lock_registry_rlock_reentry_not_a_cycle():
-    with lock_tracking() as registry:
-        a = registered_lock("test.r", rlock=True)
-        with a:
-            with a:  # reentrant re-acquire must not self-edge
-                pass
-        assert registry.report() == []
+    handle = FakeHandle()
+    handle.tracer = tracer
+    handle.stats = stats
+    with pytest.raises(SanitizerError) as excinfo:
+        sanitizer.at_close(handle, exhausted=True)
+    assert excinfo.value.code == "TQL907"
+    # An abandoned (non-exhausted) query legitimately skips it.
+    sanitizer.at_close(handle, exhausted=False)
 
 
 def test_tql911_cross_thread_pull_fires():
@@ -375,20 +329,19 @@ def test_tql911_cross_thread_pull_fires():
 def test_violation_carries_span_and_diagnostic():
     from repro.obs.trace import Tracer
 
-    with lock_tracking():
-        sanitizer = fresh_sanitizer()
-        tracer = Tracer(VirtualClock())
-        error = sanitizer.violation(
-            "TQL901", "seq went backwards", operator="Filter",
-            lane="worker-1", tracer=tracer,
-        )
-        assert error.code == "TQL901"
-        assert error.span is not None and error.span.kind == "sanitizer"
-        assert error.span.attrs["code"] == "TQL901"
-        assert error.diagnostic is not None
-        assert error.diagnostic.as_dict()["code"] == "TQL901"
-        # The violation also landed in the trace record itself.
-        assert tracer.spans_of("sanitizer")
+    sanitizer = fresh_sanitizer()
+    tracer = Tracer(VirtualClock())
+    error = sanitizer.violation(
+        "TQL901", "seq went backwards", operator="Filter",
+        lane="worker-1", tracer=tracer,
+    )
+    assert error.code == "TQL901"
+    assert error.span is not None and error.span.kind == "sanitizer"
+    assert error.span.attrs["code"] == "TQL901"
+    assert error.diagnostic is not None
+    assert error.diagnostic.as_dict()["code"] == "TQL901"
+    # The violation also landed in the trace record itself.
+    assert tracer.spans_of("sanitizer")
 
 
 def test_clean_batches_pass_through_untouched():

