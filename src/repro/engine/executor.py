@@ -190,14 +190,16 @@ class QueryHandle:
         """Tear down plan-owned resources exactly once.
 
         Order matters: plan closers run first (a shared-scan tenant
-        detaches from its group), then API connections close, then
-        in-flight service requests drain so their effects reach the stats.
+        leaves its group: done, or detached when the handle was closed
+        mid-stream), then API connections close, then in-flight service
+        requests drain so their effects reach the stats.
         """
         if self._released:
             return
         self._released = True
+        abandoned = self._closed and not self._exhausted
         for closer in self._plan.closers:
-            closer()
+            closer(abandoned)
         for connection in self._plan.connections:
             connection.close()
         drain_services(self._plan.ctx.services)

@@ -12,18 +12,22 @@ A :class:`SharedScanGroup` admits tenant queries *before* the stream
 starts (admission control) and then runs entirely on the thread that
 pulls its handles — no threads, no queues, no locks:
 
-- each tenant's pipeline is its **residual body** (aggregate/project →
-  into; no filter stage — filtering happens at the fanout) over a
-  :class:`TenantScan` that reads routed row-lists from the tenant's inbox;
-- when that inbox is empty, the TenantScan **pumps** the group: one source
-  batch is pulled through the single ScanOperator and routed. Routing
+- the fanout is the planner's scan of the source (:meth:`Planner.scan`),
+  and each tenant's pipeline is the planner's ordinary plan of its
+  statement (:meth:`Planner.plan`) over a **routed feed**: a scan source
+  whose chunks are the frames in the tenant's inbox. The fanout applied
+  the tenant's WHERE clause, so its plan has no filter stage;
+- when that inbox is empty, the feed **pumps** the group: one source
+  batch is pulled through the fanout scan and routed. Routing
   evaluates every live tenant's WHERE conjuncts with a per-batch memo
   keyed by the conjunct's rendered SQL — a filter prefix shared by N
   tenants is evaluated **once** per row, not N times — each conjunct over
   a whole column when it has a vector form, by scalar closure otherwise.
-  Passing rows collect per tenant and move into its inbox in
-  ``batch_size`` frames; at end of stream the remainders are flushed and
-  the connection closes.
+  The router moves the scan's own items — tweets for ``twitter``, row
+  dicts for a registered source — so tenants scan tweet-backed batches
+  like any other ``twitter`` plan. Passing items collect per tenant and
+  move into its inbox in frames of exactly ``batch_size``; at end of
+  stream the remainders are flushed and the connection closes.
 
 Consumer-order buffering
 ------------------------
@@ -77,22 +81,11 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
 
-from repro.engine import operators as ops
 from repro.engine.executor import QueryHandle, drain_services
-from repro.engine.expressions import compile_expr, expand_column
+from repro.engine.expressions import expand_column
 from repro.engine.latency import ManagedCall, ManagedCallStats
-from repro.engine.planner import (
-    Planner,
-    PhysicalPlan,
-    SourceBinding,
-    split_conjuncts,
-)
-from repro.engine.types import (
-    DEFAULT_BATCH_SIZE,
-    ColumnBatch,
-    EvalContext,
-    Row,
-)
+from repro.engine.planner import Planner, SourceBinding, split_conjuncts
+from repro.engine.types import ColumnBatch, EvalContext
 from repro.errors import AdmissionError, ExecutionError
 from repro.sql import ast, parse
 
@@ -265,7 +258,7 @@ def proxy_services(
 
 
 # ---------------------------------------------------------------------------
-# Tenant bookkeeping and pipeline endpoints
+# Tenant bookkeeping and the routed feed
 # ---------------------------------------------------------------------------
 
 
@@ -298,14 +291,15 @@ class _Tenant:
 
     def __init__(self, index: int) -> None:
         self.index = index
-        #: Routed row-lists waiting for this tenant's consumer to pull.
-        self.inbox: deque[list[Row]] = deque()
-        #: Passing rows not yet framed into a ``batch_size`` inbox entry.
-        self.pending: list[Row] = []
+        #: Routed frames (tweets, or a registered source's row dicts) of
+        #: exactly ``batch_size`` items, the last one shorter, waiting for
+        #: this tenant's consumer to pull.
+        self.inbox: deque[list[Any]] = deque()
+        #: Routed items not yet framed into an inbox entry.
+        self.pending: list[Any] = []
         self.done = False
         self.detached = False
         self.conjunct_keys: tuple[str, ...] = ()
-        self.pipeline: Any = None
         self.rows_routed = 0
         self.buffer_highwater = 0
 
@@ -324,65 +318,41 @@ class _Tenant:
         }
 
 
-class TenantScan:
-    """Source stage of a tenant's residual pipeline, fed by the fanout.
+class _TenantFeed:
+    """A tenant's scan source: the frames the router put in its inbox.
 
-    Pumps the group whenever the tenant's inbox is empty. Counts routed
-    rows as this tenant's ``rows_scanned`` (its view of the stream is the
-    post-shared-filter substream) and advances the tenant context's
-    stream time like a ScanOperator. Ends with an empty ``last`` batch
-    once the stream has ended and the inbox is drained.
+    The tenant plan's ordinary ScanOperator reads it, so it counts the
+    tenant's ``rows_scanned`` and ``batches`` and advances its stream
+    time. The first pull starts the group (planning and EXPLAIN open no
+    connection); an empty inbox pumps the group; a stored group error is
+    re-raised. The group frames at its batch size, which is the tenant
+    plan's too, so ``chunks`` meets the ScanSource contract.
     """
 
     def __init__(
-        self, group: "SharedScanGroup", tenant: _Tenant, ctx: EvalContext
+        self,
+        group: "SharedScanGroup",
+        tenant: _Tenant,
+        explain_lines: list[str],
     ) -> None:
         self._group = group
-        self._tenant = tenant
-        self._ctx = ctx
+        self._inbox = tenant.inbox
+        self.batch = group._wrap
+        #: EXPLAIN lines the planner prints in place of a scan line.
+        self.explain_lines = explain_lines
 
-    def __iter__(self) -> Iterator[ColumnBatch]:
+    def chunks(self, size: int) -> Iterator[list[Any]]:
         group = self._group
-        inbox = self._tenant.inbox
-        ctx = self._ctx
-        stats = ctx.stats
-        seq = 0
+        inbox = self._inbox
+        group.start()
         while True:
             if group._error is not None:
                 raise group._error
-            if not inbox:
-                if group._pump():
-                    continue
-                yield ColumnBatch.from_rows([], seq, last=True)
+            if inbox:
+                yield inbox.popleft()
+            elif not group._pump():
+                yield []
                 return
-            rows = inbox.popleft()
-            stats.rows_scanned += len(rows)
-            stats.batches += 1
-            batch = ColumnBatch.from_rows(rows, seq)
-            ctx.advance_to(batch)
-            yield batch
-            seq += 1
-
-
-class _TenantOutput:
-    """The tenant plan's pipeline: its residual body, pulled directly.
-
-    The first pull lazily starts the group (planning and EXPLAIN must not
-    open the stream). Ending — exhaustion, an error, or the handle closing
-    the iterator — marks the tenant done, which stops the shared scan once
-    no tenant is left to read it.
-    """
-
-    def __init__(self, group: "SharedScanGroup", tenant: _Tenant) -> None:
-        self._group = group
-        self._tenant = tenant
-
-    def __iter__(self) -> Iterator[ColumnBatch]:
-        self._group.start()
-        try:
-            yield from self._tenant.pipeline
-        finally:
-            self._group._finish(self._tenant)
 
 
 # ---------------------------------------------------------------------------
@@ -442,32 +412,19 @@ class SharedScanGroup:
         #: prefixes" mechanism.
         self._predicates: dict[str, tuple[Any, Any]] = {}
 
-        # Fanout-side context and source pipeline. The fanout's services
-        # carry a stats mirror (WHERE conjuncts may call them) so service
-        # attribution reconciles: per-tenant mirrors + the fanout mirror
-        # sum to the session's global counters.
-        config = planner._config
-        self._batch_size = getattr(config, "batch_size", DEFAULT_BATCH_SIZE)
+        # The fanout: the planner's scan of the source, on a context whose
+        # services carry a stats mirror (WHERE conjuncts may call them) so
+        # service attribution reconciles: per-tenant mirrors + the fanout
+        # mirror sum to the session's global counters.
         fanout_services, self.fanout_service_stats = proxy_services(services)
-        self._fanout_ctx = EvalContext(
-            clock=clock, services=fanout_services, lane="fanout"
+        self._fanout = planner.scan(
+            binding,
+            EvalContext(clock=clock, services=fanout_services, lane="fanout"),
         )
-        self._fanout_plan = PhysicalPlan(
-            pipeline=iter(()), output_schema=(), ctx=self._fanout_ctx,
-            batch_size=self._batch_size,
-        )
-        self._fanout_plan.tracer = planner._make_tracer()
-        self._fanout_plan.sanitizer = planner._make_sanitizer()
-        self._fanout_ctx.tracer = self._fanout_plan.tracer
-        # Service spans belong to whichever single query planned last;
-        # a shared group has no single owner, so it records none.
-        planner._attach_service_tracers(None)
-        source = planner._build_source(binding, [], self._fanout_plan)
-        scan: ops.Batches = ops.ScanOperator(
-            source, self._fanout_ctx, self._batch_size
-        )
-        self._scan = planner._trace(
-            scan, f"Scan({binding.name})", self._fanout_plan, lane="fanout"
+        self._batch_size = self._fanout.batch_size
+        #: Wraps a frame of routed items as the scan wrapped them.
+        self._wrap = (
+            ColumnBatch.from_rows if binding.api is None else ColumnBatch.from_tweets
         )
 
     # -- admission -------------------------------------------------------------
@@ -485,7 +442,7 @@ class SharedScanGroup:
     @property
     def connections(self) -> list:
         """The (single) streaming connection, once the scan has started."""
-        return list(self._fanout_plan.connections)
+        return list(self._fanout.connections)
 
     def _share_blocker(self, statement: ast.SelectStatement) -> str | None:
         """Why this statement cannot ride a shared scan, or None.
@@ -505,7 +462,7 @@ class SharedScanGroup:
             return "joins pull a second input the shared scan does not carry"
         if statement.into_stream is not None:
             return "INTO STREAM registers a derived source; run it unshared"
-        return self._planner._batch_blocker(statement)
+        return self._planner.batch_blocker(statement)
 
     def query(self, sql: str) -> QueryHandle:
         """Admit one tenant query onto the shared scan.
@@ -546,13 +503,11 @@ class SharedScanGroup:
         return handle
 
     def _admit(self, statement: ast.SelectStatement, sql: str) -> QueryHandle:
-        planner = self._planner
-        schema = self._binding.schema
         index = len(self._tenants)
         tenant = _Tenant(index)
 
         # Shared filter compilation: each distinct conjunct (by rendered
-        # SQL) is compiled once against the fanout context — with its
+        # SQL) is compiled once against the fanout plan — with its
         # whole-column form when it has one — and evaluated once per row
         # for the whole group.
         keys: list[str] = []
@@ -560,54 +515,33 @@ class SharedScanGroup:
         for conjunct in split_conjuncts(statement.where):
             key = conjunct.to_sql()
             if key not in self._predicates:
-                self._predicates[key] = (
-                    compile_expr(
-                        conjunct, planner._registry, schema, self._fanout_ctx
-                    ),
-                    planner._vector(
-                        self._fanout_plan, conjunct, schema, self._fanout_ctx
-                    ),
+                self._predicates[key] = self._planner.compile_predicate(
+                    conjunct, self._fanout
                 )
             if self._predicates[key][1] is not None:
                 vectorized += 1
             keys.append(key)
         tenant.conjunct_keys = tuple(keys)
 
-        proxies, _ = proxy_services(self._services, index, self.shared_cache)
-        lane = f"tenant-{index}"
-        ctx = EvalContext(clock=self._clock, services=proxies, lane=lane)
-        plan = PhysicalPlan(
-            pipeline=iter(()), output_schema=(), ctx=ctx,
-            batch_size=self._batch_size,
-        )
-        plan.tracer = planner._make_tracer()
-        plan.sanitizer = planner._make_sanitizer()
-        ctx.tracer = plan.tracer
-        explain = plan.explain_lines
-        explain.append(
+        explain = [
             f"SharedScan: tenant {index} of {self.label} "
             f"(1 connection / 1 scan fanned out to "
             f"{self.max_tenants}-tenant group)"
-        )
+        ]
         if keys:
             explain.append(
                 "Filter: " + " AND ".join(keys)
                 + " (evaluated fanout-side, memoized across tenants)"
                 + (f" [vectorized {vectorized}/{len(keys)}]" if vectorized else "")
             )
-        explain.append(f"Batch: {self._batch_size} rows/batch (fanout-framed)")
-
-        pipeline: ops.Batches = TenantScan(self, tenant, ctx)
-        pipeline = planner._trace(
-            pipeline, f"Scan({self.label})", plan, lane=lane
+        binding = SourceBinding(
+            self.label, self._binding.schema,
+            feed=_TenantFeed(self, tenant, explain),
         )
-
-        # No conjuncts: the fanout already evaluated this tenant's WHERE.
-        tenant.pipeline, plan.output_schema = planner._build_body(
-            statement, pipeline, schema, ctx, plan, lane=lane
-        )
-        plan.pipeline = _TenantOutput(self, tenant)
-        plan.closers.append(lambda: self.detach(tenant.index))
+        proxies, _ = proxy_services(self._services, index, self.shared_cache)
+        ctx = EvalContext(clock=self._clock, services=proxies, lane=f"tenant-{index}")
+        plan = self._planner.plan(statement, binding, ctx)
+        plan.closers.append(lambda abandoned: self._leave(tenant, abandoned))
         handle = QueryHandle(sql, plan)
         self._tenants.append(tenant)
         self._handles.append(handle)
@@ -618,8 +552,8 @@ class SharedScanGroup:
     def _pump(self) -> bool:
         """Pull and route one source batch on the calling consumer's thread.
 
-        Moves each live tenant's pending rows into its inbox once they
-        fill a ``batch_size`` frame (all of them at end of stream, which
+        Moves each live tenant's pending items into its inbox in frames of
+        exactly ``batch_size`` (the remainder too at end of stream, which
         also stops the scan). Returns False once the stream has ended. A
         source or fanout-conjunct error is stored — every tenant re-raises
         it — and stops the scan.
@@ -636,15 +570,12 @@ class SharedScanGroup:
             self._stop_scan()
             raise
         end = batch is None or batch.last
+        size = self._batch_size
         for tenant in self._tenants:
             pending = tenant.pending
-            if tenant.finished or not pending:
-                continue
-            if end or len(pending) >= self._batch_size:
-                tenant.pending = []
-                tenant.inbox.append(pending)
-                tenant.rows_routed += len(pending)
-                self.stats.rows_routed += len(pending)
+            while pending and not tenant.finished and (end or len(pending) >= size):
+                tenant.inbox.append(pending[:size])
+                del pending[:size]
                 tenant.buffer_highwater = max(
                     tenant.buffer_highwater, len(tenant.inbox)
                 )
@@ -653,21 +584,23 @@ class SharedScanGroup:
         return True
 
     def _route(self, batch: ColumnBatch) -> None:
-        """Append each row of ``batch`` to every live tenant it passes.
+        """Append each item of ``batch`` to every live tenant it passes.
 
-        The conjunct memo is one verdict column per distinct conjunct.
-        For each live tenant in admission order, and each of its
-        conjuncts in order, only the rows of the tenant's surviving
-        selection the memo lacks are evaluated. That visits exactly the
-        (row, conjunct) pairs a per-row memo would, in the same per-row
-        order, so ``predicate_evaluations`` and ``evaluations_shared`` do
-        not depend on the batch size.
+        The items are what the scan delivered (``ColumnBatch.items``), so
+        a tweet is routed as itself; only a conjunct with no column form
+        builds row dicts, for the rows it evaluates. The conjunct memo is
+        one verdict column per distinct conjunct. For each live tenant in
+        admission order, and each of its conjuncts in order, only the rows
+        of the tenant's surviving selection the memo lacks are evaluated.
+        That visits exactly the (row, conjunct) pairs a per-row memo
+        would, in the same per-row order, so ``predicate_evaluations`` and
+        ``evaluations_shared`` do not depend on the batch size.
         """
-        rows = batch.rows
-        if not rows:
+        items = batch.items
+        if not items:
             return
         memo: dict[str, list[Any]] = {}
-        everyone = range(len(rows))
+        everyone = range(len(items))
         for tenant in self._tenants:
             if tenant.finished:
                 continue
@@ -675,7 +608,7 @@ class SharedScanGroup:
             for key in tenant.conjunct_keys:
                 verdicts = memo.get(key)
                 if verdicts is None:
-                    verdicts = memo[key] = [_MISS] * len(rows)
+                    verdicts = memo[key] = [_MISS] * len(items)
                     needed = list(selection)
                 else:
                     needed = [i for i in selection if verdicts[i] is _MISS]
@@ -685,7 +618,9 @@ class SharedScanGroup:
                 selection = [i for i in selection if verdicts[i]]
                 if not selection:
                     break
-            tenant.pending.extend(map(rows.__getitem__, selection))
+            tenant.pending.extend(map(items.__getitem__, selection))
+            tenant.rows_routed += len(selection)
+            self.stats.rows_routed += len(selection)
 
     def _decide(
         self,
@@ -698,12 +633,11 @@ class SharedScanGroup:
         column, whole-column when it has a vector form. Verdicts follow
         SQL WHERE semantics: NULL drops the row like FALSE."""
         predicate, vector = self._predicates[key]
-        ctx = self._fanout_ctx
+        ctx = self._fanout.ctx
         if vector is not None:
             values = expand_column(vector(batch.take(needed), ctx), len(needed))
         else:
-            rows = batch.rows
-            values = [predicate(rows[i], ctx) for i in needed]
+            values = [predicate(batch.row(i), ctx) for i in needed]
         for i, value in zip(needed, values):
             verdicts[i] = value is not None and bool(value)
         ctx.stats.predicate_evaluations += len(needed)
@@ -714,27 +648,19 @@ class SharedScanGroup:
         source, self._source = self._source, None
         if source is not None:
             source.close()
-        for connection in self._fanout_plan.connections:
+        for connection in self._fanout.connections:
             connection.close()
 
-    def _finish(self, tenant: _Tenant) -> None:
-        """A tenant's pipeline ended; stop the scan if no tenant is left."""
-        tenant.done = True
-        if all(t.finished for t in self._tenants):
-            self._stop_scan()
-
-    def detach(self, index: int) -> None:
-        """Drop a live tenant's feed (dead/closed consumer); idempotent.
-
-        A tenant whose pipeline already completed is not "detached" — its
-        handle closing afterwards is the normal lifecycle, so the counter
-        only moves for tenants abandoned mid-stream.
-        """
-        tenant = self._tenants[index]
-        if tenant.finished:
-            return
-        tenant.detached = True
-        self.stats.detached += 1
+    def _leave(self, tenant: _Tenant, abandoned: bool) -> None:
+        """A tenant's handle let go of its pipeline, which ended (done) or
+        was abandoned mid-stream (detached); stop the scan if no tenant is
+        left. Only abandoned tenants count in ``stats.detached``: a handle
+        closed after its pipeline completed is the normal lifecycle."""
+        if abandoned:
+            tenant.detached = True
+            self.stats.detached += 1
+        else:
+            tenant.done = True
         if all(t.finished for t in self._tenants):
             self._stop_scan()
 
@@ -751,7 +677,7 @@ class SharedScanGroup:
                 "shared scan group has no tenants; admit queries first"
             )
         self._started = True
-        self._source = iter(self._scan)
+        self._source = iter(self._fanout.pipeline)
 
     def close(self) -> None:
         """Stop the scan, release the stream, drain fanout service calls."""
@@ -759,7 +685,7 @@ class SharedScanGroup:
             return
         self._closed = True
         self._stop_scan()
-        drain_services(self._fanout_ctx.services)
+        drain_services(self._fanout.ctx.services)
 
     def __enter__(self) -> "SharedScanGroup":
         return self
@@ -772,7 +698,7 @@ class SharedScanGroup:
     @property
     def tracer(self) -> Any:
         """The fanout lane's span recorder (None when tracing is off)."""
-        return self._fanout_plan.tracer
+        return self._fanout.tracer
 
     def explain(self) -> str:
         """Group-level plan description (fanout side)."""
@@ -782,7 +708,7 @@ class SharedScanGroup:
             f"Fanout: {len(self._predicates)} distinct conjunct(s) shared "
             "across tenants",
         ]
-        lines.extend(self._fanout_plan.explain_lines)
+        lines.extend(self._fanout.explain_lines)
         return "\n".join(lines)
 
     def stats_dict(self) -> dict[str, Any]:
@@ -795,13 +721,13 @@ class SharedScanGroup:
         """
         tree: dict[str, Any] = {
             "group": self.stats.as_dict(),
-            "fanout": self._fanout_ctx.stats.as_dict(),
+            "fanout": self._fanout.ctx.stats.as_dict(),
             "tenant": {
                 str(t.index): t.as_dict() for t in self._tenants
             },
             "cache": self.shared_cache.as_dict(),
         }
-        connections = self._fanout_plan.connections
+        connections = self._fanout.connections
         if connections:
             stats = connections[0].stats
             tree["connection"] = {

@@ -25,7 +25,7 @@ The planner implements the decisions the paper describes:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -58,13 +58,18 @@ class SourceBinding:
     """One FROM-able source.
 
     ``api`` is set for the live ``twitter`` source; ``rows_factory`` for
-    registered static/test sources (each call returns a fresh row iterator).
+    registered static/test sources (each call returns a fresh row iterator);
+    ``feed`` for a shared-scan tenant's routed source, a
+    :class:`~repro.engine.operators.ScanSource` that has applied the
+    statement's WHERE clause already and carries the ``explain_lines``
+    that say how.
     """
 
     name: str
     schema: tuple[str, ...]
     api: Any = None  # StreamingAPI | None
     rows_factory: Callable[[], Iterable[Row]] | None = None
+    feed: Any = None
 
 
 @dataclass
@@ -81,9 +86,10 @@ class PhysicalPlan:
     explain_lines: list[str] = field(default_factory=list)
     filter_choice: FilterChoice | None = None
     connections: list[Any] = field(default_factory=list)
-    #: Callbacks that tear down plan-owned resources (a shared-scan
-    #: tenant's detach).
-    closers: list[Callable[[], None]] = field(default_factory=list)
+    #: Callbacks that tear down plan-owned resources when the handle lets
+    #: go of the pipeline, told whether it was abandoned mid-stream (a
+    #: shared-scan tenant is then detached rather than done).
+    closers: list[Callable[[bool], None]] = field(default_factory=list)
     #: Span recorder (:class:`repro.obs.trace.Tracer`) when
     #: ``EngineConfig.tracing`` was on at plan time; None otherwise, in
     #: which case the pipeline carries no instrumentation at all.
@@ -463,8 +469,20 @@ class Planner:
         #: HistoricalStore`) backing the backfill split; None disables it.
         self._store = store
 
-    def plan(self, statement: ast.SelectStatement) -> PhysicalPlan:
+    def plan(
+        self,
+        statement: ast.SelectStatement,
+        binding: SourceBinding | None = None,
+        ctx: EvalContext | None = None,
+    ) -> PhysicalPlan:
         """Plan one parsed statement into a runnable pipeline.
+
+        The one assembler every plan goes through:
+        scan → join → filters → scalar LIMIT → aggregate | project → INTO,
+        each stage wrapped by :meth:`_trace`. ``binding`` defaults to the
+        statement's FROM source; a shared-scan tenant passes its routed
+        feed instead, with a ``ctx`` holding its service views and lane
+        (see :meth:`scan`).
 
         Validation runs through the static analyzer first, so every
         rejection carries a stable ``TQL…`` code and a source span; the
@@ -474,14 +492,132 @@ class Planner:
         """
         self.analyze(statement).raise_first_error()
 
-        from repro.errors import UnknownSourceError
-
-        binding = self._sources.get(statement.source.lower())
+        binding = binding or self._sources.get(statement.source.lower())
         if binding is None:
-            raise UnknownSourceError(
-                statement.source, tuple(sorted(self._sources))
+            from repro.errors import UnknownSourceError
+
+            raise UnknownSourceError(statement.source, tuple(sorted(self._sources)))
+        conjuncts = split_conjuncts(statement.where)
+        plan = self.scan(binding, ctx, conjuncts, self.batch_blocker(statement))
+        pipeline, ctx, schema = plan.pipeline, plan.ctx, binding.schema
+
+        if statement.join is not None:
+            pipeline, schema = self._build_join(
+                statement, pipeline, schema, ctx, plan
             )
-        return self._plan_serial(statement, binding)
+            pipeline = self._trace(pipeline, "Join", plan)
+
+        filtered = self._build_filters(conjuncts, pipeline, schema, ctx, plan)
+        if filtered is not pipeline:
+            pipeline = self._trace(filtered, "Filter", plan)
+
+        has_aggregates = _has_aggregates(statement)
+
+        # Scalar LIMIT sits below the projection: projection is 1:1,
+        # so truncating the filtered batch here yields the same rows while
+        # sparing per-row downstream work — and keeps ``rows_emitted``
+        # exact (the projection would otherwise count a whole batch before
+        # a post-projection limit trimmed it).
+        if not has_aggregates and statement.limit is not None:
+            pipeline = ops.LimitOperator(pipeline, statement.limit)
+            plan.explain_lines.append(f"Limit: {statement.limit}")
+            pipeline = self._trace(pipeline, "Limit", plan)
+
+        if has_aggregates:
+            pipeline, output_schema = self._build_aggregation(
+                statement, pipeline, schema, ctx, plan
+            )
+            pipeline = self._trace(pipeline, "Aggregate", plan)
+        else:
+            if statement.having is not None:
+                raise PlanError("HAVING requires aggregation")
+            if statement.order_by:
+                raise PlanError(
+                    "ORDER BY requires a windowed aggregate query (streams "
+                    "have no global order to sort)"
+                )
+            pipeline, output_schema = self._build_projection(
+                statement, pipeline, schema, ctx, plan
+            )
+            pipeline = self._trace(pipeline, "Project", plan)
+
+        if statement.into is not None:
+            sink = self._table_factory(statement.into)
+            pipeline = ops.IntoOperator(pipeline, sink)
+            plan.explain_lines.append(f"Into: table {statement.into!r}")
+            pipeline = self._trace(pipeline, "Into", plan)
+        plan.pipeline, plan.output_schema = pipeline, output_schema
+        return plan
+
+    def scan(
+        self,
+        binding: SourceBinding,
+        ctx: EvalContext | None = None,
+        conjuncts: list[ast.Expr] | None = None,
+        blocker: str | None = None,
+    ) -> PhysicalPlan:
+        """A plan whose pipeline is ``binding``'s traced scan, and no more.
+
+        Every plan starts here; a shared scan's fanout is this plan alone.
+        The source removes the ``conjuncts`` it applies itself (the API
+        filter's, or all of a routed feed's). ``blocker`` is why the
+        statement must run one row per batch (:meth:`batch_blocker`).
+        Without a ``ctx`` the plan gets the session's services and owns
+        their spans; a caller's context (a shared scan's fanout or
+        tenant) brings its own service views, and then no plan does.
+        """
+        owned = ctx is None
+        if ctx is None:
+            ctx = EvalContext(clock=self._clock, services=dict(self._services))
+        plan = PhysicalPlan(
+            pipeline=iter(()), output_schema=binding.schema, ctx=ctx
+        )
+        # Instrumentation off means *no* wrapper objects anywhere in the
+        # pipeline, so the hot path pays nothing. Sanitized runs always
+        # carry a tracer: SanitizerError reports ride on trace spans, and
+        # the close-time ``reconcile()`` cross-check needs operator probes.
+        from repro.engine.sanitizer import Sanitizer, sanitize_env_enabled
+
+        config = self._config
+        sanitize = getattr(config, "sanitize", False) or sanitize_env_enabled()
+        if sanitize or getattr(config, "tracing", False):
+            from repro.obs.trace import Tracer
+
+            plan.tracer = Tracer(
+                self._clock, batch_spans=getattr(config, "trace_batch_spans", True)
+            )
+        if sanitize:
+            plan.sanitizer = Sanitizer(self._clock)
+        ctx.tracer = plan.tracer
+        self._attach_service_tracers(plan.tracer if owned else None)
+        source = self._build_source(
+            binding, [] if conjuncts is None else conjuncts, plan
+        )
+        size = getattr(config, "batch_size", DEFAULT_BATCH_SIZE)
+        if blocker is not None and size != 1:
+            plan.explain_lines.append(
+                f"Batch: 1 row/batch (row-at-a-time fallback: {blocker})"
+            )
+            size = 1
+        else:
+            plan.explain_lines.append(
+                f"Batch: {size} row{'s' if size != 1 else ''}/batch"
+            )
+        plan.batch_size = size
+        scan = ops.ScanOperator(source, ctx, size)
+        plan.pipeline = self._trace(scan, f"Scan({binding.name})", plan)
+        return plan
+
+    def compile_predicate(
+        self, expr: ast.Expr, plan: PhysicalPlan
+    ) -> tuple[Evaluator, VectorEvaluator | None]:
+        """``expr`` over ``plan``'s output columns, on its context: the
+        scalar closure and the whole-column form (None when it has none)."""
+        schema = plan.output_schema
+        return (
+            compile_expr(expr, self._registry, schema, plan.ctx),
+            self._vector(plan, expr, schema, plan.ctx),
+        )
 
     def analyze(self, statement: ast.SelectStatement):
         """This catalog/config's plan-gating analysis of one statement.
@@ -503,52 +639,17 @@ class Planner:
 
     # -- tracing / sanitizing --------------------------------------------------
 
-    def _sanitize_enabled(self) -> bool:
-        """True when this plan should run under the invariant sanitizer."""
-        if getattr(self._config, "sanitize", False):
-            return True
-        from repro.engine.sanitizer import sanitize_env_enabled
-
-        return sanitize_env_enabled()
-
-    def _make_tracer(self) -> Any:
-        """A fresh Tracer when the config asks for one, else None.
-
-        Disabled tracing means *no* wrapper objects anywhere in the
-        pipeline — the plan is structurally identical to a pre-tracing
-        build, so the hot path pays nothing. Sanitized runs always carry
-        a tracer: SanitizerError reports ride on trace spans, and the
-        close-time ``reconcile()`` cross-check needs operator probes.
-        """
-        if not (
-            getattr(self._config, "tracing", False) or self._sanitize_enabled()
-        ):
-            return None
-        from repro.obs.trace import Tracer
-
-        return Tracer(
-            self._clock,
-            batch_spans=getattr(self._config, "trace_batch_spans", True),
-        )
-
-    def _make_sanitizer(self) -> Any:
-        """A fresh Sanitizer when sanitize mode is on, else None."""
-        if not self._sanitize_enabled():
-            return None
-        from repro.engine.sanitizer import Sanitizer
-
-        return Sanitizer(self._clock)
-
     def _trace(
-        self, pipeline: ops.Batches, name: str, plan: PhysicalPlan,
-        lane: str = "main",
+        self, pipeline: ops.Batches, name: str, plan: PhysicalPlan
     ) -> ops.Batches:
-        """Wrap one stage in the enabled instrumentation (no-op when off).
+        """Wrap one stage in the enabled instrumentation (no-op when off),
+        on the lane of the plan's context.
 
         The sanitize wrapper goes innermost so it observes exactly what
         the wrapped stage produced; the trace wrapper goes outermost so
         its batch spans also cover the sanitizer's checks.
         """
+        lane = plan.ctx.lane
         if plan.sanitizer is not None:
             from repro.engine.sanitizer import SanitizeOperator
 
@@ -585,7 +686,7 @@ class Planner:
 
     # -- batch sizing ----------------------------------------------------------
 
-    def _batch_blocker(self, statement: ast.SelectStatement) -> str | None:
+    def batch_blocker(self, statement: ast.SelectStatement) -> str | None:
         """Why this statement must run one row per batch, or None.
 
         The scan advances stream time over a whole batch before any of the
@@ -599,25 +700,6 @@ class Planner:
                 if isinstance(node, ast.FuncCall) and node.name == "now":
                     return "now() reads stream time row by row"
         return None
-
-    def _batch_size_for(
-        self, statement: ast.SelectStatement, plan: PhysicalPlan
-    ) -> int:
-        """The effective batch size for this statement, with EXPLAIN note
-        (also recorded as ``plan.batch_size``)."""
-        configured = getattr(self._config, "batch_size", DEFAULT_BATCH_SIZE)
-        reason = self._batch_blocker(statement) if configured != 1 else None
-        if reason is not None:
-            plan.explain_lines.append(
-                f"Batch: 1 row/batch (row-at-a-time fallback: {reason})"
-            )
-            configured = 1
-        else:
-            plan.explain_lines.append(
-                f"Batch: {configured} row{'s' if configured != 1 else ''}/batch"
-            )
-        plan.batch_size = configured
-        return configured
 
     def _vector(
         self,
@@ -635,99 +717,6 @@ class Planner:
             expr, self._registry, schema, ctx, aliases=aliases
         )
 
-    def _plan_serial(
-        self, statement: ast.SelectStatement, binding: SourceBinding
-    ) -> PhysicalPlan:
-        ctx = EvalContext(clock=self._clock, services=dict(self._services))
-        plan = PhysicalPlan(
-            pipeline=iter(()), output_schema=(), ctx=ctx
-        )
-        plan.tracer = self._make_tracer()
-        plan.sanitizer = self._make_sanitizer()
-        ctx.tracer = plan.tracer
-        self._attach_service_tracers(plan.tracer)
-
-        conjuncts = split_conjuncts(statement.where)
-
-        # ---- source access + API filter choice ----
-        source = self._build_source(binding, conjuncts, plan)
-        batch_size = self._batch_size_for(statement, plan)
-        schema = binding.schema
-        pipeline: ops.Batches = ops.ScanOperator(source, ctx, batch_size)
-        pipeline = self._trace(pipeline, f"Scan({binding.name})", plan)
-
-        if statement.join is not None:
-            pipeline, schema = self._build_join(
-                statement, pipeline, schema, ctx, plan, batch_size
-            )
-            pipeline = self._trace(pipeline, "Join", plan)
-
-        plan.pipeline, plan.output_schema = self._build_body(
-            statement, pipeline, schema, ctx, plan, conjuncts=conjuncts
-        )
-        return plan
-
-    def _build_body(
-        self,
-        statement: ast.SelectStatement,
-        pipeline: ops.Batches,
-        schema: tuple[str, ...],
-        ctx: EvalContext,
-        plan: PhysicalPlan,
-        lane: str = "main",
-        conjuncts: Sequence[ast.Expr] = (),
-    ) -> tuple[ops.Batches, tuple[str, ...]]:
-        """The query body every plan shape shares, built in one place.
-
-        filters → scalar LIMIT → aggregate | project → INTO
-        over ``pipeline`` (the serial scan or a shared-scan tenant's
-        TenantScan), each stage wrapped by :meth:`_trace` on ``lane``. A
-        tenant's filtering already happened at the fanout, so it passes no
-        conjuncts.
-        """
-        explain = plan.explain_lines
-
-        filtered = self._build_filters(conjuncts, pipeline, schema, ctx, plan)
-        if filtered is not pipeline:
-            pipeline = self._trace(filtered, "Filter", plan, lane)
-
-        has_aggregates = _has_aggregates(statement)
-
-        # Scalar LIMIT sits below the projection: projection is 1:1,
-        # so truncating the filtered batch here yields the same rows while
-        # sparing per-row downstream work — and keeps ``rows_emitted``
-        # exact (the projection would otherwise count a whole batch before
-        # a post-projection limit trimmed it).
-        if not has_aggregates and statement.limit is not None:
-            pipeline = ops.LimitOperator(pipeline, statement.limit)
-            explain.append(f"Limit: {statement.limit}")
-            pipeline = self._trace(pipeline, "Limit", plan, lane)
-
-        if has_aggregates:
-            pipeline, output_schema = self._build_aggregation(
-                statement, pipeline, schema, ctx, plan
-            )
-            pipeline = self._trace(pipeline, "Aggregate", plan, lane)
-        else:
-            if statement.having is not None:
-                raise PlanError("HAVING requires aggregation")
-            if statement.order_by:
-                raise PlanError(
-                    "ORDER BY requires a windowed aggregate query (streams "
-                    "have no global order to sort)"
-                )
-            pipeline, output_schema = self._build_projection(
-                statement, pipeline, schema, ctx, plan
-            )
-            pipeline = self._trace(pipeline, "Project", plan, lane)
-
-        if statement.into is not None:
-            sink = self._table_factory(statement.into)
-            pipeline = ops.IntoOperator(pipeline, sink)
-            explain.append(f"Into: table {statement.into!r}")
-            pipeline = self._trace(pipeline, "Into", plan, lane)
-        return pipeline, output_schema
-
     # -- source --------------------------------------------------------------
 
     def _build_source(
@@ -737,6 +726,11 @@ class Planner:
         plan: PhysicalPlan,
     ) -> ops.ScanSource:
         explain = plan.explain_lines
+        if binding.feed is not None:
+            # A shared-scan tenant: the fanout applied its WHERE clause.
+            explain.extend(binding.feed.explain_lines)
+            conjuncts.clear()
+            return binding.feed
         if binding.api is None:
             assert binding.rows_factory is not None
             explain.append(f"Scan: registered source {binding.name!r}")
@@ -903,7 +897,6 @@ class Planner:
         left_schema: tuple[str, ...],
         ctx: EvalContext,
         plan: PhysicalPlan,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> tuple[ops.Batches, tuple[str, ...]]:
         join = statement.join
         assert join is not None
@@ -992,7 +985,7 @@ class Planner:
             right_key,
             statement.window,
             ctx,
-            batch_size=batch_size,
+            batch_size=plan.batch_size,
         )
         return pipeline, merged_schema
 

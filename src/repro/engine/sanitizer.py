@@ -77,7 +77,7 @@ def sanitize_env_enabled() -> bool:
 class Sanitizer:
     """Shared checking state for one physical plan.
 
-    One instance is created at plan time (``Planner._make_sanitizer``)
+    One instance is created at plan time (``Planner.scan``)
     and shared by every :class:`SanitizeOperator` the planner installs
     and the executor (for the close-time reconciliation).
     """

@@ -81,9 +81,10 @@ class ColumnBatch:
       :class:`~repro.twitter.models.Tweet` and reads a column off the
       tweets through :data:`~repro.twitter.models.TWEET_COLUMNS`; which
       fields exist is known from that table without looking at a tweet.
-      Filters keep the batch tweet-backed, and ``rows`` builds
+      Filters keep the batch tweet-backed (the shared-scan router moves
+      the tweets themselves, through ``items``), and ``rows`` builds
       ``Tweet.to_row()`` dicts only when a row consumer (scalar stages,
-      INTO sinks, CSV, the shared-scan router) asks, once.
+      INTO sinks, CSV) asks, once.
 
     Fully-columnar batches (``_lazy`` False, e.g. projection output)
     behave identically through the same accessors.
@@ -235,6 +236,12 @@ class ColumnBatch:
         if self._rows is None:
             self._rows = self.to_rows()
         return self._rows
+
+    @property
+    def items(self) -> list[Any]:
+        """What a scan wrapped: the tweets of a tweet-backed batch, the
+        row dicts of any other."""
+        return self._tweets if self._tweets is not None else self.rows
 
     @property
     def has_rows(self) -> bool:

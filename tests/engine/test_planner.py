@@ -279,8 +279,7 @@ def test_vector_stages_match_across_plan_shapes(soccer, sql, expected):
     def tenant_stages(**config):
         group = session(**config).shared()
         try:
-            group.query(sql)
-            return vector_stages(group._tenants[0].pipeline)
+            return vector_stages(group.query(sql)._plan.pipeline)
         finally:
             group.close()
 
