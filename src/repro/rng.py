@@ -10,8 +10,8 @@ The helpers here provide:
 - :func:`derive` — fork an independent, deterministic child generator from a
   parent seed and a string label, so subsystems do not perturb one another's
   random sequences when the call order changes.
-- :func:`zipf_sample` — bounded Zipf sampling used for user activity and
-  location-string popularity.
+- :func:`zipf_ranks` — bounded Zipf probability mass; the user population
+  draws tweet authors by it (``random.choices`` over its cumulative sums).
 - :func:`lognormal` — latency model sampling.
 """
 
@@ -20,10 +20,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from collections.abc import Sequence
-from typing import TypeVar
-
-T = TypeVar("T")
 
 DEFAULT_SEED = 20110612  # SIGMOD 2011 started June 12, 2011.
 
@@ -53,36 +49,6 @@ def zipf_ranks(n: int, exponent: float = 1.0) -> list[float]:
     return [w / total for w in weights]
 
 
-def zipf_sample(rng: random.Random, n: int, exponent: float = 1.0) -> int:
-    """Sample a rank in ``[0, n)`` from a bounded Zipf distribution.
-
-    Rank 0 is the most popular. Uses inverse-CDF sampling over the exact
-    normalized mass, which is O(n) per call; callers that sample heavily
-    should precompute with :func:`zipf_chooser`.
-    """
-    return zipf_chooser(rng, n, exponent)()
-
-
-def zipf_chooser(rng: random.Random, n: int, exponent: float = 1.0):
-    """Return a zero-argument callable sampling Zipf ranks in ``[0, n)``.
-
-    Precomputes the CDF once, so each draw is O(log n).
-    """
-    probs = zipf_ranks(n, exponent)
-    cdf: list[float] = []
-    acc = 0.0
-    for p in probs:
-        acc += p
-        cdf.append(acc)
-
-    import bisect
-
-    def choose() -> int:
-        return min(bisect.bisect_left(cdf, rng.random()), n - 1)
-
-    return choose
-
-
 def lognormal(rng: random.Random, mean: float, sigma: float = 0.5) -> float:
     """Sample a lognormal value whose *mean* is ``mean``.
 
@@ -95,14 +61,3 @@ def lognormal(rng: random.Random, mean: float, sigma: float = 0.5) -> float:
         raise ValueError("mean must be positive")
     mu = math.log(mean) - sigma * sigma / 2.0
     return rng.lognormvariate(mu, sigma)
-
-
-def weighted_choice(
-    rng: random.Random, items: Sequence[T], weights: Sequence[float]
-) -> T:
-    """Choose one item with the given (unnormalized) weights."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have equal length")
-    if not items:
-        raise ValueError("cannot choose from an empty sequence")
-    return rng.choices(list(items), weights=list(weights), k=1)[0]

@@ -25,7 +25,7 @@ _MENTION_RE = re.compile(r"@(\w+)")
 _URL_RE = re.compile(r"https?://\S+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class User:
     """A Twitter account.
 
@@ -52,7 +52,7 @@ class User:
     lang: str = "en"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TweetEntities:
     """Entities parsed from tweet text (the API pre-parsed these)."""
 
@@ -70,7 +70,7 @@ class TweetEntities:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tweet:
     """One tweet as delivered by the streaming API.
 

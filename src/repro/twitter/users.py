@@ -19,6 +19,7 @@ skew:
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 from repro import rng as rng_mod
 from repro.geo.gazetteer import City, Gazetteer, default_gazetteer
@@ -78,15 +79,22 @@ class UserPopulation:
         self._homes: list[City] = []
 
         cities = list(self._gazetteer.cities)
-        weights = self._gazetteer.twitter_weights()
+        city_cum = list(accumulate(self._gazetteer.twitter_weights()))
         # Zipf activity mass for ranks; shuffled assignment so user_id is
         # uncorrelated with activity.
         activity_mass = rng_mod.zipf_ranks(size, activity_exponent)
         self._rng.shuffle(activity_mass)
         self._activity = activity_mass
+        # choices(weights=w) is choices(cum_weights=list(accumulate(w))):
+        # one random() and the same bisect, so every draw is unchanged.
+        self._activity_cum = list(accumulate(activity_mass))
+        #: (lat, lon, radius) → (nearby users, their cumulative weights).
+        self._near: dict[
+            tuple[float, float, float], tuple[list[User], list[float]]
+        ] = {}
 
         for user_id in range(1, size + 1):
-            city = self._rng.choices(cities, weights=weights, k=1)[0]
+            city = self._rng.choices(cities, cum_weights=city_cum, k=1)[0]
             self._homes.append(city)
             if self._rng.random() < UNGEOCODABLE_FRACTION:
                 location = self._rng.choice(_UNGEOCODABLE)
@@ -123,7 +131,7 @@ class UserPopulation:
 
     def sample_author(self, rng: random.Random) -> User:
         """Draw a tweet author according to the Zipf activity weights."""
-        return rng.choices(self._users, weights=self._activity, k=1)[0]
+        return rng.choices(self._users, cum_weights=self._activity_cum, k=1)[0]
 
     def sample_author_near(
         self, rng: random.Random, lat: float, lon: float, radius_deg: float
@@ -132,20 +140,26 @@ class UserPopulation:
 
         Used by localized scenarios (an earthquake is tweeted about by
         people who felt it). Falls back to the global draw when nobody
-        lives close enough.
+        lives close enough. The nearby users and their cumulative weights
+        are computed once per point and radius.
         """
-        nearby = [
-            (user, weight)
-            for user, weight, city in zip(
-                self._users, self._activity, self._homes
+        key = (lat, lon, radius_deg)
+        near = self._near.get(key)
+        if near is None:
+            nearby = [
+                index
+                for index, city in enumerate(self._homes)
+                if abs(city.lat - lat) <= radius_deg
+                and abs(city.lon - lon) <= radius_deg
+            ]
+            near = self._near[key] = (
+                [self._users[i] for i in nearby],
+                list(accumulate(self._activity[i] for i in nearby)),
             )
-            if abs(city.lat - lat) <= radius_deg
-            and abs(city.lon - lon) <= radius_deg
-        ]
-        if not nearby:
+        users, cum_weights = near
+        if not users:
             return self.sample_author(rng)
-        users, weights = zip(*nearby)
-        return rng.choices(list(users), weights=list(weights), k=1)[0]
+        return rng.choices(users, cum_weights=cum_weights, k=1)[0]
 
     def geotag_for(self, rng: random.Random, user: User) -> tuple[float, float] | None:
         """Exact coordinates for a tweet by ``user``, if geo-enabled.

@@ -21,16 +21,20 @@ of real reaction spikes on Twitter).
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 from typing import Any
 
 from repro import rng as rng_mod
 from repro.clock import DEFAULT_EPOCH
 from repro.twitter import text as text_mod
 from repro.twitter import vocabulary as V
-from repro.twitter.models import Tweet, User
+from repro.twitter.models import Tweet, TweetEntities, User
 from repro.twitter.users import UserPopulation
 
 #: A composer returns (text, true_sentiment) for a tweet at a given time.
@@ -185,20 +189,28 @@ def _materialize(
     seed: int,
     retweet_rate: float = RETWEET_RATE,
 ) -> Scenario:
-    """Sample every track, sort arrivals, and mint Tweet objects."""
-    from collections import deque
+    """Sample every track, merge arrivals by time, and mint Tweet objects.
 
+    Texts repeat heavily (small composer vocabularies, and retweets of
+    recent tweets), so each distinct text is stored once and parsed for
+    entities once, and equal entity records are one object. Those tables
+    are local to the call.
+    """
     arrivals_rng = rng_mod.derive(seed, f"{name}:arrivals")
     text_rng = rng_mod.derive(seed, f"{name}:text")
     author_rng = rng_mod.derive(seed, f"{name}:authors")
     retweet_rng = rng_mod.derive(seed, f"{name}:retweets")
 
-    drawn: list[tuple[float, _Track]] = []
-    for track in tracks:
-        for t in _arrivals(arrivals_rng, track):
-            drawn.append((t, track))
-    drawn.sort(key=lambda pair: pair[0])
+    # Each track's times increase, so a stable merge of the per-track
+    # lists orders arrivals as a stable sort of all of them by time would.
+    per_track = [
+        zip(list(_arrivals(arrivals_rng, track)), repeat(track))
+        for track in tracks
+    ]
+    drawn = heapq.merge(*per_track, key=itemgetter(0))
 
+    records: dict[str, tuple[str, TweetEntities]] = {}
+    entity_records: dict[TweetEntities, TweetEntities] = {}
     tweets: list[Tweet] = []
     recent_topical: deque[Tweet] = deque(maxlen=_RETWEET_POOL)
     for index, (t, track) in enumerate(drawn):
@@ -216,7 +228,7 @@ def _materialize(
             and recent_topical
             and retweet_rng.random() < retweet_rate
         ):
-            original = retweet_rng.choice(list(recent_topical))
+            original = retweet_rng.choice(recent_topical)
         if original is not None:
             body = f"RT @{original.screen_name}: {original.text}"
             if len(body) > 140:
@@ -233,12 +245,19 @@ def _materialize(
                 "event_id": track.event_id,
                 "coords": author.home,
             }
+        record = records.get(body)
+        if record is None:
+            entities = TweetEntities.from_text(body)
+            entities = entity_records.setdefault(entities, entities)
+            record = records[body] = (body, entities)
+        text, entities = record
         tweet = Tweet(
             tweet_id=index + 1,
             created_at=t,
             user=author,
-            text=body,
+            text=text,
             geo=population.geotag_for(author_rng, author),
+            entities=entities,
             ground_truth=truth,
         )
         tweets.append(tweet)

@@ -41,19 +41,6 @@ def test_zipf_ranks_rejects_nonpositive():
         rng_mod.zipf_ranks(0)
 
 
-def test_zipf_sample_in_range():
-    rng = random.Random(7)
-    for _ in range(200):
-        assert 0 <= rng_mod.zipf_sample(rng, 10) < 10
-
-
-def test_zipf_chooser_skews_low_ranks():
-    rng = random.Random(7)
-    choose = rng_mod.zipf_chooser(rng, 100, exponent=1.2)
-    draws = [choose() for _ in range(5000)]
-    assert draws.count(0) > draws.count(50)
-
-
 def test_lognormal_mean_is_calibrated():
     rng = random.Random(3)
     samples = [rng_mod.lognormal(rng, 0.3, sigma=0.5) for _ in range(20000)]
@@ -64,19 +51,3 @@ def test_lognormal_rejects_nonpositive_mean():
     rng = random.Random(3)
     with pytest.raises(ValueError):
         rng_mod.lognormal(rng, 0.0)
-
-
-def test_weighted_choice_respects_weights():
-    rng = random.Random(5)
-    draws = [
-        rng_mod.weighted_choice(rng, ["a", "b"], [10.0, 1.0]) for _ in range(1000)
-    ]
-    assert draws.count("a") > draws.count("b")
-
-
-def test_weighted_choice_validates():
-    rng = random.Random(5)
-    with pytest.raises(ValueError):
-        rng_mod.weighted_choice(rng, ["a"], [1.0, 2.0])
-    with pytest.raises(ValueError):
-        rng_mod.weighted_choice(rng, [], [])
