@@ -548,7 +548,7 @@ def make_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="historical tier: archive every delivered tweet into this "
-        "SQLite file behind the live path (FTS5/R-tree-indexed; see "
+        "SQLite file behind the live path (indexed on created_at; see "
         "docs/STORAGE.md)",
     )
     parser.add_argument(

@@ -325,7 +325,7 @@ class WindowedAggregateOperator:
         order_by: optional [(evaluator, descending)] applied per window.
         limit: optional per-window row cap (after ordering).
         vector_group_evals: whole-column forms of *every* grouping key, or
-            None (keys then evaluate per row and window).
+            None (keys then evaluate once per row).
         vector_agg_args: per aggregate call site, the argument's
             whole-column form or None.
 
@@ -391,7 +391,7 @@ class WindowedAggregateOperator:
         open_windows = self._open
         extents = self._extents
         vector_groups = self._vector_group_evals
-        vector_args = self._vector_agg_args
+        vector_args = self._vector_agg_args or [None] * len(agg_factories)
         # Earliest end among the open windows: no row before it can close
         # anything, so the open set is scanned only when a row reaches it.
         next_close = float("inf")
@@ -401,21 +401,25 @@ class WindowedAggregateOperator:
             tail_seq = batch.seq + 1
             emitted: list[Row] = []
             n = batch.length
-            key_col: list[tuple] | None = None
-            arg_cols: list[list[Any] | None] | None = None
+            rows = None if self._columns_only else batch.rows
+            # Keys and arguments are evaluated once per row, a batch at a
+            # time, however many windows each row enters. A None column is
+            # COUNT(*), which adds 1.
             if vector_groups is not None:
                 key_col = key_column(vector_groups, batch, ctx)
-            if vector_args is not None:
-                arg_cols = [
-                    expand_column(vec(batch, ctx), n)
-                    if vec is not None
-                    else None
-                    for vec in vector_args
+            else:
+                key_col = [
+                    tuple(evaluate(row, ctx) for evaluate in group_evals)
+                    for row in rows
                 ]
-            rows = (
-                None if key_col is not None and self._columns_only
-                else batch.rows
-            )
+            arg_cols = [
+                None if arg_eval is None
+                else expand_column(vec(batch, ctx), n) if vec is not None
+                else [arg_eval(row, ctx) for row in rows]
+                for (_factory, arg_eval, _skip), vec in zip(
+                    agg_factories, vector_args
+                )
+            ]
             stamps = batch.field("created_at") or [MISSING] * n
             if extents is None:
                 coordinates: Iterable[Any] = stamps
@@ -426,41 +430,34 @@ class WindowedAggregateOperator:
             for i, coordinate in enumerate(coordinates):
                 if coordinate is MISSING:
                     coordinate = ctx.stream_time
-                # None on a columns-only batch: nothing below reads it.
-                row: Any = None if rows is None else rows[i]
                 # Close every window that ended at or before this row.
                 if coordinate >= next_close:
                     next_close = self._close_due(coordinate, emitted)
+                key = key_col[i]
                 for bounds in windows_containing(coordinate, window):
                     groups = open_windows.get(bounds)
                     if groups is None:
                         groups = open_windows[bounds] = {}
                         if bounds[1] < next_close:
                             next_close = bounds[1]
-                    if key_col is not None:
-                        key = key_col[i]
-                    else:
-                        key = tuple(
-                            evaluate(row, ctx) for evaluate in group_evals
-                        )
                     state = groups.get(key)
                     if state is None:
                         state = _GroupState(
                             [factory() for factory, _arg, _skip in agg_factories],
-                            representative=batch.row(i) if row is None else row,
+                            # A columns-only batch builds one row per group.
+                            representative=(
+                                batch.row(i) if rows is None else rows[i]
+                            ),
                         )
                         groups[key] = state
                     state.count += 1
-                    for site, (accumulator, (_factory, arg_eval, skip_nulls)) in enumerate(
-                        zip(state.accumulators, agg_factories)
+                    for accumulator, column, (_factory, _arg, skip_nulls) in zip(
+                        state.accumulators, arg_cols, agg_factories
                     ):
-                        if arg_eval is None:
+                        if column is None:
                             accumulator.add(1)
                             continue
-                        if arg_cols is not None and arg_cols[site] is not None:
-                            value = arg_cols[site][i]
-                        else:
-                            value = arg_eval(row, ctx)
+                        value = column[i]
                         if value is None and skip_nulls:
                             continue
                         accumulator.add(value)

@@ -1089,8 +1089,8 @@ class Planner:
             for expr in statement.group_by
         ]
         # Keys precompute as columns only when *every* key has a column
-        # form (a stateful key must be re-evaluated per (row, window)
-        # exactly as the scalar loop does).
+        # form; otherwise the operator evaluates each row's key tuple once,
+        # before the windows it enters, as the column does.
         present = [vec for vec in vector_keys if vec is not None]
         vector_group_evals = present if len(present) == len(vector_keys) else None
 

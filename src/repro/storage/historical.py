@@ -1,4 +1,4 @@
-"""The historical tier: an indexed, partitioned tweet archive.
+"""The historical tier: a time-indexed tweet archive.
 
 TwitInfo "saves the event and begins logging tweets matching the query" —
 which leaves a freshly created event empty until the live stream catches
@@ -8,23 +8,14 @@ planner splits a windowed query into backfill-from-storage + live-tail
 (see ``repro.engine.planner``), so event creation over a populated store
 renders its timeline instantly.
 
-The index set follows the multi-terabyte geo-tweet database work (Dobos
-et al.) and the SQLite-persistence shape of ``twitter-to-sqlite``:
-
-- btree on ``created_at`` (inherited from :class:`SqliteTweetLog`) — the
-  backfill range scan;
-- FTS5 on ``text``, ``rowid = tweet_id`` — keyword search over history
-  (:meth:`search_text`);
-- R-tree on coordinates, ``id = tweet_id`` — bounding-box search
-  (:meth:`search_box`);
-- an hour-grain ``partition`` column — pruning and per-partition stats
-  (:meth:`partitions`).
-
-FTS5 and the R-tree module are *compile-time* SQLite options; both are
-feature-detected at open and degrade to scan-based fallbacks when the
-linked SQLite lacks them (``fts_enabled`` / ``rtree_enabled`` report
-what the store got). The file runs in WAL mode so the single writer
-thread never blocks concurrent backfill readers.
+The store keeps what the backfill reads: the ``tweets`` table and its
+``created_at`` B-tree (inherited from :class:`SqliteTweetLog`), which
+serve the range scan ``scan(start, cut)``, plus :meth:`watermark`, the
+split point. There is no text index: the streaming API's ``track`` rule
+is a case-insensitive substring match, which a token index cannot
+answer, so :meth:`search_text` filters the time-range scan with that
+rule. The file runs in WAL mode so the single writer thread never blocks
+concurrent backfill readers.
 
 The store also persists metrics-registry snapshots per virtual-time
 window (:meth:`record_metrics` / :meth:`metrics_series`), so the
@@ -34,9 +25,7 @@ event's own timeline.
 
 from __future__ import annotations
 
-import json
 import queue
-import sqlite3
 import threading
 from collections.abc import Iterator
 from numbers import Number
@@ -48,28 +37,19 @@ from repro.twitter.models import Tweet
 
 __all__ = ["HistoricalStore", "StorageWriter"]
 
-#: ``rowid`` is the tweet id, so replacing a tweet's text is a keyed
-#: delete + insert and a search joins back to ``tweets`` on the rowid.
-_FTS_DDL = "CREATE VIRTUAL TABLE IF NOT EXISTS tweets_fts USING fts5(text)"
-#: A geotag is the degenerate box ``(id, lat, lat, lon, lon)``.
-_GEO_INSERT = "INSERT INTO tweets_geo VALUES (?1, ?2, ?2, ?3, ?3)"
-
 
 class HistoricalStore(SqliteTweetLog):
-    """Partitioned, fully indexed SQLite archive of the firehose.
+    """Time-indexed SQLite archive of the firehose.
 
     Everything :class:`SqliteTweetLog` offers (append/extend/scan/count/
-    counts_by_bucket/meta, thread-safe, batched commits) plus full-text
-    and spatial search, time partitions, a backfill watermark, and
-    metrics-snapshot persistence.
+    counts_by_bucket/meta, thread-safe, batched commits) plus a backfill
+    watermark, keyword search over history, and metrics-snapshot
+    persistence.
 
     Args:
         path: SQLite file (or ``":memory:"`` for tests).
-        partition_seconds: width of one time partition (default 1 hour).
         commit_every: single-row appends per batched commit.
     """
-
-    _COLUMNS = SqliteTweetLog._COLUMNS + ", partition"
 
     _HIST_SCHEMA = """
         CREATE TABLE IF NOT EXISTS metrics (
@@ -84,109 +64,14 @@ class HistoricalStore(SqliteTweetLog):
             ON metrics (label, window_start);
     """
 
-    def __init__(
-        self,
-        path: str = ":memory:",
-        partition_seconds: float = 3600.0,
-        commit_every: int = 64,
-    ) -> None:
-        if partition_seconds <= 0:
-            raise StorageError("partition_seconds must be positive")
+    def __init__(self, path: str = ":memory:", commit_every: int = 64) -> None:
         super().__init__(path, commit_every=commit_every)
-        self.partition_seconds = partition_seconds
         with self._lock:
             # WAL lets the backfill reader proceed while the writer
             # thread commits (a no-op on :memory: databases).
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.executescript(self._HIST_SCHEMA)
-            self._ensure_partition_column()
-            self.fts_enabled = self._try_virtual_table(_FTS_DDL)
-            self.rtree_enabled = self._try_virtual_table(
-                "CREATE VIRTUAL TABLE IF NOT EXISTS tweets_geo "
-                "USING rtree(id, min_lat, max_lat, min_lon, max_lon)"
-            )
-            self._reconcile_indexes()
             self._conn.commit()
-
-    # -- schema helpers ----------------------------------------------------
-
-    def _ensure_partition_column(self) -> None:
-        columns = {
-            row[1]
-            for row in self._conn.execute("PRAGMA table_info(tweets)")
-        }
-        if "partition" not in columns:
-            self._conn.execute(
-                "ALTER TABLE tweets ADD COLUMN partition INTEGER NOT NULL "
-                "DEFAULT 0"
-            )
-            # Backfill partitions for rows written by a plain
-            # SqliteTweetLog before the store was upgraded.
-            self._conn.execute(
-                "UPDATE tweets SET partition = "
-                "CAST(created_at / ? AS INTEGER)",
-                (self.partition_seconds,),
-            )
-        self._conn.execute(
-            "CREATE INDEX IF NOT EXISTS idx_tweets_partition_time "
-            "ON tweets (partition, created_at)"
-        )
-
-    def _try_virtual_table(self, ddl: str) -> bool:
-        """Create a virtual table; False when the module isn't compiled in."""
-        try:
-            self._conn.execute(ddl)
-            return True
-        except sqlite3.OperationalError:
-            return False
-
-    def _reconcile_indexes(self) -> None:
-        """Rebuild both indexes from ``tweets``, once per file and layout.
-
-        A plain :class:`SqliteTweetLog` file has rows no index covers, and
-        older stores keyed ``tweets_fts`` by an automatic rowid. The write
-        path skips identical rows, so it would never repair either;
-        ``meta`` records the layout the indexes were last rebuilt for.
-        """
-        layout = {"version": 2, "fts": self.fts_enabled, "rtree": self.rtree_enabled}
-        if self.get_meta("indexes") == layout:
-            return
-        if self.fts_enabled:
-            self._conn.execute("DROP TABLE tweets_fts")
-            self._conn.execute(_FTS_DDL)
-            self._conn.execute(
-                "INSERT INTO tweets_fts (rowid, text) SELECT tweet_id, text FROM tweets"
-            )
-        if self.rtree_enabled:
-            self._conn.execute("DELETE FROM tweets_geo")
-            rows = self._conn.execute("SELECT tweet_id, payload FROM tweets")
-            geotags = ((tweet_id, json.loads(p).get("geo")) for tweet_id, p in rows)
-            self._conn.executemany(
-                _GEO_INSERT, ((tweet_id, *geo) for tweet_id, geo in geotags if geo)
-            )
-        self.set_meta("indexes", layout)
-
-    # -- writes ------------------------------------------------------------
-
-    def _row(self, tweet: Tweet) -> tuple:
-        partition = int(tweet.created_at // self.partition_seconds)
-        return (*super()._row(tweet), partition)
-
-    def _index(self, changed: list[tuple[tuple, Tweet]], replaced: list) -> None:
-        # Both indexes are keyed by tweet id: dropping a replaced row's
-        # old entry is a rowid lookup, never a scan.
-        if self.fts_enabled:
-            self._conn.executemany("DELETE FROM tweets_fts WHERE rowid = ?", replaced)
-            self._conn.executemany(
-                "INSERT INTO tweets_fts (rowid, text) VALUES (?, ?)",
-                [(row[0], row[3]) for row, _ in changed],
-            )
-        if self.rtree_enabled:
-            self._conn.executemany("DELETE FROM tweets_geo WHERE id = ?", replaced)
-            self._conn.executemany(
-                _GEO_INSERT,
-                [(t.tweet_id, *t.geo) for _, t in changed if t.geo is not None],
-            )
 
     # -- backfill support --------------------------------------------------
 
@@ -203,92 +88,17 @@ class HistoricalStore(SqliteTweetLog):
             ).fetchone()
         return None if row[0] is None else float(row[0])
 
-    def partitions(self) -> list[tuple[float, int]]:
-        """(partition_start, row_count) per non-empty partition, in order."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT partition, COUNT(*) FROM tweets "
-                "GROUP BY partition ORDER BY partition"
-            ).fetchall()
-        return [
-            (float(p) * self.partition_seconds, int(n)) for p, n in rows
-        ]
-
-    # -- search ------------------------------------------------------------
-
     def search_text(
         self,
         needle: str,
         start: float | None = None,
         end: float | None = None,
     ) -> Iterator[Tweet]:
-        """Tweets whose text contains ``needle``, in scan order.
-
-        Uses the FTS5 index when available; otherwise falls back to a
-        case-insensitive substring match over the time-range scan (same
-        results, linear cost).
-        """
-        if self.fts_enabled:
-            where, params = self._time_clauses(start, end)
-            with self._lock:
-                cursor = self._conn.execute(
-                    "SELECT t.tweet_id, t.created_at, t.user_id, t.text, "
-                    "t.payload FROM tweets_fts f "
-                    "JOIN tweets t ON t.tweet_id = f.rowid "
-                    f"WHERE tweets_fts MATCH ? AND {where} "
-                    "ORDER BY t.created_at, t.tweet_id",
-                    [self._fts_query(needle), *params],
-                )
-                rows = cursor.fetchall()
-            for row in rows:
-                yield self._row_to_tweet(row)
-            return
-        lowered = needle.lower()
+        """Tweets in ``[start, end)`` whose text contains ``needle`` under
+        the API's ``track`` rule (casefolded substring), in scan order."""
+        keywords = (needle,)
         for tweet in self.scan(start, end):
-            if lowered in tweet.text.lower():
-                yield tweet
-
-    @staticmethod
-    def _fts_query(needle: str) -> str:
-        """Quote a user string into a literal FTS5 phrase query."""
-        escaped = needle.replace('"', '""')
-        return f'"{escaped}"'
-
-    def search_box(
-        self,
-        min_lat: float,
-        max_lat: float,
-        min_lon: float,
-        max_lon: float,
-        start: float | None = None,
-        end: float | None = None,
-    ) -> Iterator[Tweet]:
-        """Geotagged tweets inside the bounding box, in scan order.
-
-        Uses the R-tree index when available; otherwise filters the
-        time-range scan in Python (same results).
-        """
-        if self.rtree_enabled:
-            where, params = self._time_clauses(start, end)
-            with self._lock:
-                cursor = self._conn.execute(
-                    "SELECT t.tweet_id, t.created_at, t.user_id, t.text, "
-                    "t.payload FROM tweets_geo g "
-                    "JOIN tweets t ON t.tweet_id = g.id "
-                    "WHERE g.min_lat >= ? AND g.max_lat <= ? "
-                    "AND g.min_lon >= ? AND g.max_lon <= ? "
-                    f"AND {where} ORDER BY t.created_at, t.tweet_id",
-                    [min_lat, max_lat, min_lon, max_lon, *params],
-                )
-                rows = cursor.fetchall()
-            for row in rows:
-                yield self._row_to_tweet(row)
-            return
-        for tweet in self.scan(start, end):
-            if tweet.geo is None:
-                continue
-            lat, lon = tweet.geo
-            if min_lat <= lat <= max_lat and min_lon <= lon <= max_lon:
+            if tweet.matches_any_keyword(keywords):
                 yield tweet
 
     # -- engine-health history ---------------------------------------------

@@ -225,15 +225,15 @@ class SqliteTweetLog:
         occurrence of a repeated id winning as sequential ``INSERT OR
         REPLACE`` would.
         """
-        entries = [(self._row(tweet), tweet) for tweet in tweets]
+        rows = [self._row(tweet) for tweet in tweets]
         marks = ", ".join("?" * len(self._COLUMNS.split(",")))
         try:
             with self._lock:
                 done = 0
-                while done < len(entries):
+                while done < len(rows):
                     room = min(self._commit_every - self._pending, self._PROBE)
-                    piece = entries[done : done + room]
-                    latest = {entry[0][0]: entry for entry in piece}
+                    piece = rows[done : done + room]
+                    latest = {row[0]: row for row in piece}
                     stored = {
                         row[0]: row
                         for row in self._conn.execute(
@@ -243,20 +243,14 @@ class SqliteTweetLog:
                         )
                     }
                     changed = [
-                        (row, tweet)
-                        for row, tweet in latest.values()
-                        if stored.get(row[0]) != row
+                        row for row in latest.values() if stored.get(row[0]) != row
                     ]
                     self.unchanged += len(latest) - len(changed)
                     if changed:
                         self._conn.executemany(
                             f"INSERT OR REPLACE INTO tweets ({self._COLUMNS}) "
                             f"VALUES ({marks})",
-                            [row for row, _ in changed],
-                        )
-                        self._index(
                             changed,
-                            [(row[0],) for row, _ in changed if row[0] in stored],
                         )
                     done += len(piece)
                     self._pending += len(piece)
@@ -266,11 +260,6 @@ class SqliteTweetLog:
                     self.commit()
         except sqlite3.Error as exc:
             raise StorageError(f"sqlite append failed: {exc}") from exc
-
-    def _index(self, changed: list[tuple[tuple, Tweet]], replaced: list) -> None:
-        """Hook, same transaction: index the ``(row, tweet)`` pairs just
-        written; ``replaced`` holds the ``(tweet_id,)`` of those that
-        overwrote a stored row."""
 
     def __len__(self) -> int:
         with self._lock:

@@ -73,8 +73,9 @@ SHAPES = {
         "GROUP BY upper(lang) WINDOW 120 seconds;",
         "full",
     ),
-    # Sliding, size not a multiple of the slide: the scalar loop evaluates
-    # the argument once per (row, window), the column once per row.
+    # Sliding, size not a multiple of the slide: a row enters two or three
+    # windows, and the scalar loop and the column both evaluate the
+    # argument once per row.
     "udf_agg_sliding": (
         "SELECT AVG(length(text)) AS f, COUNT(*) AS n FROM s "
         "WINDOW 120 seconds EVERY 50 seconds;",
@@ -591,6 +592,55 @@ def test_paper_demo_queries_identical_across_configs(news_week):
         with scalar_only_planner():
             baseline = run_config(batch=1)
         assert run_config(batch=256) == baseline
+
+
+#: Rows three seconds apart: under ``WINDOW 60 seconds EVERY 20
+#: seconds`` each row enters three windows.
+SLIDING_ROWS = [
+    {"created_at": BASE_TS + 3.0 * i, "x": i, "k": i % 3} for i in range(40)
+]
+
+
+@pytest.mark.parametrize(
+    "sql, argument",
+    [
+        (
+            "SELECT SUM(tick(x)) AS s FROM mem "
+            "WINDOW 60 seconds EVERY 20 seconds;",
+            "x",
+        ),
+        (
+            "SELECT COUNT(*) AS n FROM mem GROUP BY tick(k) "
+            "WINDOW 60 seconds EVERY 20 seconds;",
+            "k",
+        ),
+    ],
+    ids=["argument", "group_key"],
+)
+@pytest.mark.parametrize("flavor", ["pure", "stateful", "high_latency"])
+@pytest.mark.parametrize("batch", (1, 7, 256))
+def test_aggregate_call_sites_run_once_per_row(sql, argument, flavor, batch):
+    """An aggregate's argument and a GROUP BY key are evaluated once per
+    row, in row order, however many sliding windows the row enters and
+    whatever the batch size or the UDF's flavor."""
+    calls = []
+
+    def tick(_ctx, value):
+        calls.append(value)
+        return value
+
+    session = TweeQL(config=EngineConfig(batch_size=batch))
+    session.register_source(
+        "mem", lambda: iter([dict(r) for r in SLIDING_ROWS]),
+        ("created_at", "x", "k"),
+    )
+    if flavor == "stateful":
+        session.register_udf("tick", lambda: tick, stateful=True)
+    else:
+        session.register_udf("tick", tick, high_latency=flavor == "high_latency")
+    rows, _stats = run(session, sql)
+    assert rows
+    assert calls == [row[argument] for row in SLIDING_ROWS]
 
 
 # ---------------------------------------------------------------------------

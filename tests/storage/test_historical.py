@@ -1,4 +1,4 @@
-"""The historical tier: indexes, writer, and three-backend equivalence.
+"""The historical tier: search, writer, and three-backend equivalence.
 
 The Hypothesis suite pins ``MemoryTweetLog`` ≡ ``SqliteTweetLog`` ≡
 ``HistoricalStore`` on ``scan`` / ``count`` / ``counts_by_bucket`` over
@@ -57,53 +57,25 @@ def test_watermark_empty_and_populated():
         assert store.watermark() == 30.0
 
 
-def test_partitions_follow_created_at():
-    with HistoricalStore(":memory:", partition_seconds=100.0) as store:
-        store.extend(
-            [make_tweet(1, 10.0), make_tweet(2, 150.0), make_tweet(3, 160.0)]
-        )
-        assert store.partitions() == [(0.0, 1), (100.0, 2)]
-
-
 def test_search_text_matches_scan_filter():
+    """The API's ``track`` rule, a casefolded substring: a token index
+    would miss "goalkeeper" for "goal", and ``str.lower`` would miss
+    "Straßenbahn" for "STRASSE"."""
     with HistoricalStore(":memory:") as store:
         store.extend(
             [
                 make_tweet(1, 10.0, "earthquake in chile"),
                 make_tweet(2, 20.0, "soccer goal"),
                 make_tweet(3, 30.0, "another EARTHQUAKE report"),
+                make_tweet(4, 40.0, "what a goalkeeper"),
+                make_tweet(5, 50.0, "Straßenbahn to the stadium"),
             ]
         )
-        hits = [t.tweet_id for t in store.search_text("earthquake")]
-        assert hits == [1, 3]
+        assert ids(store.search_text("earthquake")) == [1, 3]
         # Time bounds compose with the text match.
-        assert [t.tweet_id for t in store.search_text("earthquake", 15.0)] == [3]
-
-
-def test_search_text_fallback_without_fts():
-    with HistoricalStore(":memory:") as store:
-        store.extend([make_tweet(1, 10.0, "quake"), make_tweet(2, 20.0, "ball")])
-        store.fts_enabled = False  # force the LIKE/scan fallback
-        assert [t.tweet_id for t in store.search_text("quake")] == [1]
-
-
-def test_search_box_matches_scan_filter():
-    with HistoricalStore(":memory:") as store:
-        store.extend(
-            [
-                make_tweet(1, 10.0, geo=(35.0, -71.0)),
-                make_tweet(2, 20.0, geo=(10.0, 10.0)),
-                make_tweet(3, 30.0),  # not geotagged
-            ]
-        )
-        expected = [1]
-        assert [
-            t.tweet_id for t in store.search_box(30.0, 40.0, -80.0, -60.0)
-        ] == expected
-        store.rtree_enabled = False  # force the Python fallback
-        assert [
-            t.tweet_id for t in store.search_box(30.0, 40.0, -80.0, -60.0)
-        ] == expected
+        assert ids(store.search_text("earthquake", 15.0)) == [3]
+        assert ids(store.search_text("goal")) == [2, 4]
+        assert ids(store.search_text("STRASSE")) == [5]
 
 
 def test_metrics_snapshots_round_trip():
@@ -135,30 +107,22 @@ def test_store_file_round_trip(tmp_path):
         assert reopened.metrics_series()[0]["value"] == 5.0
 
 
-WORLD = (-90.0, 90.0, -180.0, 180.0)
-
-
 def ids(tweets):
     return [t.tweet_id for t in tweets]
 
 
-def text_oracle(store, needle):
-    return [t.tweet_id for t in store.scan() if needle in t.text.lower()]
-
-
-def box_oracle(store, min_lat, max_lat, min_lon, max_lon):
+def text_oracle(store, needle, start=None, end=None):
+    """The scan filtered by the API's ``track`` rule."""
     return [
         t.tweet_id
-        for t in store.scan()
-        if t.geo is not None
-        and min_lat <= t.geo[0] <= max_lat
-        and min_lon <= t.geo[1] <= max_lon
+        for t in store.scan(start, end)
+        if t.matches_any_keyword((needle,))
     ]
 
 
 def assert_answers_like_fresh_store(store):
-    """``store``'s scan and both searches equal the Python oracles and a
-    store freshly built from the same tweets."""
+    """``store``'s scan and search equal the Python oracle and a store
+    freshly built from the same tweets."""
     tweets = list(store.scan())
     with HistoricalStore(":memory:") as fresh:
         fresh.extend(tweets)
@@ -167,15 +131,11 @@ def assert_answers_like_fresh_store(store):
             hits = ids(store.search_text(needle))
             assert hits == text_oracle(store, needle)
             assert hits == ids(fresh.search_text(needle))
-        for box in (WORLD, (40.0, 42.0, -72.0, -70.0)):
-            hits = ids(store.search_box(*box))
-            assert hits == box_oracle(store, *box)
-            assert hits == ids(fresh.search_box(*box))
 
 
 def test_historical_store_upgrades_plain_log(tmp_path):
-    """Opening a plain SqliteTweetLog file as a HistoricalStore backfills
-    the partition column and indexes the pre-existing rows."""
+    """Opening a plain SqliteTweetLog file as a HistoricalStore serves its
+    pre-existing rows."""
     path = str(tmp_path / "old.db")
     tweets = [
         make_tweet(
@@ -188,10 +148,9 @@ def test_historical_store_upgrades_plain_log(tmp_path):
     ]
     with SqliteTweetLog(path) as old:
         old.extend(tweets)
-    with HistoricalStore(path, partition_seconds=100.0) as store:
-        assert store.partitions() == [(0.0, 5), (100.0, 7)]
+    with HistoricalStore(path) as store:
+        assert ids(store.scan()) == ids(tweets)
         assert len(ids(store.search_text("goal"))) == 6
-        assert len(ids(store.search_box(*WORLD))) == 4
         assert_answers_like_fresh_store(store)
         # Re-archiving the same tweets is then a no-op, not a repair.
         store.extend(tweets)
@@ -199,33 +158,38 @@ def test_historical_store_upgrades_plain_log(tmp_path):
         assert_answers_like_fresh_store(store)
 
 
-def test_legacy_fts_layout_migrates_once(tmp_path):
-    """``fixtures/legacy_fts_store.db`` was written by the last commit
-    whose FTS table was ``fts5(text, tweet_id UNINDEXED)`` with automatic
-    rowids (60 tweets, the first 10 re-archived so rowids and tweet ids
-    disagree). It must open, migrate to the rowid-keyed layout once, and
-    answer like a freshly built store."""
+def test_legacy_fts_layout_still_works(tmp_path):
+    """``fixtures/legacy_fts_store.db`` was written when the store also
+    kept an FTS5 table, an R-tree and a ``partition`` column (60 tweets,
+    the first 10 re-archived). Those stay in the file, unread: it opens,
+    scans in ``(created_at, tweet_id)`` order, keeps its metrics,
+    re-archives its own tweets as a counted no-op, and answers like a
+    freshly built store."""
     fixture = pathlib.Path(__file__).parent / "fixtures" / "legacy_fts_store.db"
     path = str(tmp_path / "legacy.db")
     shutil.copy(fixture, path)
-    with HistoricalStore(path, partition_seconds=100.0) as store:
-        assert len(store) == 60
-        columns = [
-            row[1]
-            for row in store._conn.execute("PRAGMA table_info(tweets_fts)")
-        ]
-        assert columns == ["text"]
-        assert len(ids(store.search_text("goal"))) == 20
-        assert len(ids(store.search_box(*WORLD))) == 15
-        assert_answers_like_fresh_store(store)
+    with HistoricalStore(path) as store:
+        tweets = list(store.scan())
+        assert len(tweets) == len(store) == 60
+        keys = [(t.created_at, t.tweet_id) for t in tweets]
+        assert keys == sorted(keys)
         assert store.metrics_series(label="legacy")[0]["value"] == 60.0
-        marker = store.get_meta("indexes")
-    with HistoricalStore(path, partition_seconds=100.0) as reopened:
-        # The marker gates the rebuild: a reopen must not touch the index.
-        reopened._conn.execute("DELETE FROM tweets_fts")
-        reopened._reconcile_indexes()
-        assert reopened.get_meta("indexes") == marker
-        assert ids(reopened.search_text("goal")) == []
+        assert len(ids(store.search_text("goal"))) == 20
+        assert_answers_like_fresh_store(store)
+        changes = store._conn.total_changes
+        store.extend(tweets)
+        assert store.unchanged == 60
+        assert store._conn.total_changes == changes  # not one row rewritten
+    with HistoricalStore(path) as reopened:
+        tables = {
+            name
+            for (name,) in reopened._conn.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            )
+        }
+        assert {"tweets_fts", "tweets_geo"} <= tables  # left as they were
+        assert ids(reopened.scan()) == ids(tweets)
+        assert_answers_like_fresh_store(reopened)
 
 
 def test_identical_rearchive_is_a_counted_noop():
@@ -242,21 +206,21 @@ def test_identical_rearchive_is_a_counted_noop():
             store.append(tweet)
         assert store.unchanged == 25
         assert store._conn.total_changes == changes  # not one row rewritten
-        # One changed field still replaces everywhere.
+        # One changed field still replaces the row.
         store.append(make_tweet(3, 3.0, text="offside", geo=None))
         assert store.unchanged == 25
         assert 3 not in ids(store.search_text("goal"))
         assert ids(store.search_text("offside")) == [3]
-        assert 3 not in ids(store.search_box(*WORLD))
+        assert [t.geo for t in store.scan(3.0, 4.0)] == [None]
         assert len(store) == 20
 
 
 @pytest.mark.parametrize("change_text", [False, True], ids=["same", "edited"])
 def test_rearchive_cost_is_linear_in_stored_rows(change_text):
     """Re-archiving n stored tweets costs O(n) SQLite VM steps whether the
-    rows are identical (skipped) or edited (replaced in every index): 4x
-    the tweets may take at most 6x the steps. The per-row FTS scan this
-    replaced took ~16x. Counted with the progress handler: no wall clock."""
+    rows are identical (skipped) or edited (replaced): 4x the tweets may
+    take at most 6x the steps, where a quadratic path would take ~16x.
+    Counted with the progress handler: no wall clock."""
 
     def vm_steps(n):
         def tweets(suffix):
@@ -459,7 +423,7 @@ def _backends(tweets):
     memory = MemoryTweetLog()
     memory.extend(tweets)
     sqlite_log = SqliteTweetLog(":memory:", commit_every=3)
-    historical = HistoricalStore(":memory:", partition_seconds=10.0)
+    historical = HistoricalStore(":memory:")
     for tweet in tweets:  # single-row appends exercise the commit batching
         sqlite_log.append(tweet)
         historical.append(tweet)
@@ -502,16 +466,15 @@ def test_scan_order_is_created_at_then_tweet_id(tweets):
 
 
 @settings(max_examples=20, deadline=None)
-@given(tweets=tweet_sets)
-def test_historical_search_matches_python_filters(tweets):
-    _memory, sqlite_log, historical = _backends(tweets)
+@given(tweets=tweet_sets, window=windows)
+def test_historical_search_matches_python_filters(tweets, window):
+    memory, sqlite_log, historical = _backends(tweets)
     sqlite_log.close()
     try:
-        assert ids(historical.search_text("quake")) == text_oracle(
-            historical, "quake"
-        )
-        box = (39.0, 41.0, -71.0, -69.0)
-        assert ids(historical.search_box(*box)) == box_oracle(historical, *box)
+        for needle in ("quake", "QUAKE", "tweet 1"):
+            assert ids(historical.search_text(needle, *window)) == text_oracle(
+                memory, needle, *window
+            )
     finally:
         historical.close()
 
@@ -542,7 +505,7 @@ write_histories = st.lists(
 @given(history=write_histories)
 def test_upsert_histories_keep_indexes_and_order_exact(history):
     sqlite_log = SqliteTweetLog(":memory:", commit_every=3)
-    historical = HistoricalStore(":memory:", partition_seconds=10.0, commit_every=3)
+    historical = HistoricalStore(":memory:", commit_every=3)
     final, replaced_texts = {}, []
     try:
         for step in history:
@@ -571,12 +534,6 @@ def test_upsert_histories_keep_indexes_and_order_exact(history):
         assert ids(historical.search_text("quake")) == text_oracle(
             memory, "quake"
         )
-        for box in (WORLD, (39.0, 41.0, -71.0, -69.0)):
-            assert ids(historical.search_box(*box)) == box_oracle(memory, *box)
-        (indexed,) = historical._conn.execute(
-            "SELECT COUNT(*) FROM tweets_fts"
-        ).fetchone()
-        assert indexed == len(historical)
         for tweet_id, old_text in replaced_texts:
             if final[tweet_id].text != old_text:
                 assert tweet_id not in ids(
