@@ -12,8 +12,9 @@ from collections.abc import Iterator
 from typing import Any
 
 from repro.engine.planner import PhysicalPlan
-from repro.engine.types import QueryStats, Row
+from repro.engine.types import ColumnBatch, QueryStats, Row
 from repro.errors import ExecutionError
+from repro.twitter.models import Tweet
 
 
 def drain_services(services: dict[str, Any]) -> None:
@@ -28,7 +29,8 @@ class QueryHandle:
     """A running TweeQL query.
 
     Iterate it for result rows (dicts keyed by the output schema), or use
-    :meth:`fetch` / :meth:`all` for batch access. ``stats`` exposes engine
+    :meth:`fetch` / :meth:`all` for batch access; :meth:`tweets` hands out
+    a tweet-backed plan's tweets a batch at a time. ``stats`` exposes engine
     counters, ``explain()`` the plan, and ``close()`` cancels the stream.
     """
 
@@ -36,6 +38,7 @@ class QueryHandle:
         self.sql = sql
         self._plan = plan
         self._iterator: Iterator[Row] | None = None
+        self._batches: Iterator[ColumnBatch] | None = None
         self._closed = False
         self._released = False
         #: True once the pipeline delivered its last=True punctuation —
@@ -154,18 +157,49 @@ class QueryHandle:
     def _iterate(self) -> Iterator[Row]:
         # The pipeline speaks batches; the handle flattens back to rows at
         # the API boundary so callers never see batch framing.
+        for batch in self._pull():
+            yield from batch.rows
+
+    def tweets(self) -> Iterator[list[Tweet]]:
+        """The result a batch at a time, as each batch's tweets.
+
+        One non-empty list per batch: the batch's own tweet list when it
+        is tweet-backed (``SELECT *`` over ``twitter`` passes the scan's
+        batches through), its ``__tweet__`` column otherwise. No row dict
+        is built. Consume a handle through this or through its rows, not
+        both.
+        """
+        if self._closed:
+            raise ExecutionError("query is closed")
+        return self._tweet_lists()
+
+    def _tweet_lists(self) -> Iterator[list[Tweet]]:
+        for batch in self._pull():
+            tweets = batch.tweets
+            if tweets is None:
+                tweets = batch.values("__tweet__")
+            if tweets:
+                yield tweets
+
+    def _pull(self) -> Iterator[ColumnBatch]:
+        """The pipeline's batches, from one generator per handle."""
+        if self._batches is None:
+            self._batches = self._drain()
+        return self._batches
+
+    def _drain(self) -> Iterator[ColumnBatch]:
         pipeline = iter(self._plan.pipeline)
         try:
             for batch in pipeline:
                 if batch.last:
                     self._exhausted = True
-                    # Release *before* yielding the final rows: a caller
-                    # that fetches exactly the available row count leaves
-                    # this generator suspended in the yield below, so the
-                    # finally would never run and in-flight async service
-                    # calls would never drain into the stats.
+                    # Release *before* handing the final batch on: a
+                    # caller that fetches exactly the available row count
+                    # leaves this generator suspended in the yield below,
+                    # so the finally would never run and in-flight async
+                    # service calls would never drain into the stats.
                     self._finish(pipeline)
-                yield from batch.rows
+                yield batch
                 if batch.last:
                     break
         finally:

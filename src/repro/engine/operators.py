@@ -196,10 +196,13 @@ class ProjectOperator:
 
     ``items`` maps output column name → evaluator. ``passthrough_time``
     keeps ``created_at`` on the output row (TwitInfo consumers need it) when
-    the projection didn't select it explicitly. An all-field select list
-    runs the planner's ``fused`` row constructor; otherwise items with a
-    vector form evaluate whole columns; a select list with neither builds
-    its rows with the scalar closures.
+    the projection didn't select it explicitly. With ``identity`` (the
+    select list is the ``twitter`` schema in order: ``SELECT *`` over
+    ``twitter``) a tweet-backed batch passes through unchanged, since its
+    row view, ``Tweet.to_row()``, is already the projected row. Otherwise
+    an all-field select list runs the planner's ``fused`` row constructor;
+    items with a vector form evaluate whole columns; a select list with
+    neither builds its rows with the scalar closures.
     """
 
     def __init__(
@@ -210,6 +213,7 @@ class ProjectOperator:
         passthrough_time: bool = True,
         vector_items: list[VectorEvaluator | None] | None = None,
         fused: Callable[[ColumnBatch], list[Row]] | None = None,
+        identity: bool = False,
     ) -> None:
         self._child = child
         self._items = items
@@ -221,14 +225,20 @@ class ProjectOperator:
             vector_items if vector_items and any(vector_items) else None
         )
         self._fused = fused
+        self._identity = identity
 
     def __iter__(self) -> Iterator[ColumnBatch]:
         stats = self._ctx.stats
         vector_items = self._vector_items
         fused = self._fused
+        identity = self._identity
         for batch in self._child:
             if batch.length or batch.last:
-                out = self._project_fused(batch) if fused is not None else None
+                out = None
+                if identity and batch.tweets is not None:
+                    out = batch
+                elif fused is not None:
+                    out = self._project_fused(batch)
                 if out is None and vector_items is not None:
                     out = self._project_columns(batch, vector_items)
                 if out is None:

@@ -47,6 +47,7 @@ from repro.engine.selectivity import FilterCandidate, FilterChoice, choose_api_f
 from repro.engine.types import DEFAULT_BATCH_SIZE, ColumnBatch, EvalContext, Row
 from repro.errors import PlanError
 from repro.sql import ast
+from repro.twitter.models import TWITTER_SCHEMA
 
 # ---------------------------------------------------------------------------
 # Source bindings
@@ -1034,8 +1035,11 @@ class Planner:
             if "created_at" not in output_names:
                 fused_pairs.append(("created_at", "created_at"))
             fused = build_fused_projector(fused_pairs)
+        # The twitter schema in order: a tweet-backed batch's own rows.
+        identity = fused_pairs == [(name, name) for name in TWITTER_SCHEMA]
         pipeline = ops.ProjectOperator(
-            pipeline, items, ctx, vector_items=vector_items, fused=fused
+            pipeline, items, ctx, vector_items=vector_items, fused=fused,
+            identity=identity,
         )
         if "created_at" not in output_names:
             output_names.append("created_at")

@@ -244,6 +244,11 @@ class ColumnBatch:
         return self._tweets if self._tweets is not None else self.rows
 
     @property
+    def tweets(self) -> list[Any] | None:
+        """The backing tweet list of a tweet-backed batch, else None."""
+        return self._tweets
+
+    @property
     def has_rows(self) -> bool:
         """True when ``rows`` costs nothing: the batch is rows-backed, or
         its row dicts were already built."""

@@ -14,8 +14,9 @@ them.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Sequence, Set as AbstractSet
 from dataclasses import dataclass
+from itertools import chain
 import math
 
 from repro.nlp.tokenize import content_tokens, token_docs
@@ -36,7 +37,8 @@ class KeywordExtractor:
     Feed every event tweet through :meth:`observe` as it arrives; call
     :meth:`extract` with the texts of a peak window to get its labels.
     A caller that already holds each tweet's :func:`content_tokens` uses
-    :meth:`observe_tokens` / :meth:`extract_tokens`; the text-taking
+    :meth:`observe_tokens` / :meth:`extract_tokens`, and one holding each
+    tweet's set of them uses :meth:`observe_term_sets`; the text-taking
     methods tokenize and call those.
     """
 
@@ -50,8 +52,13 @@ class KeywordExtractor:
 
     def observe_tokens(self, tokens: Iterable[str]) -> None:
         """Add one tweet, given as its content tokens."""
-        self._documents += 1
-        self._document_frequency.update(set(tokens))
+        self.observe_term_sets([set(tokens)])
+
+    def observe_term_sets(self, term_sets: Sequence[AbstractSet[str]]) -> None:
+        """Add one tweet per set, each given as its distinct content
+        tokens: one counter update for the whole list."""
+        self._documents += len(term_sets)
+        self._document_frequency.update(chain.from_iterable(term_sets))
 
     def observe_all(self, texts: Iterable[str]) -> None:
         for text in texts:

@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import bisect
 import json
+import operator
 import sqlite3
 import threading
 from collections.abc import Iterator, Sequence
+from itertools import islice
 from typing import Any
 
 from repro.errors import StorageError
@@ -55,6 +57,18 @@ class MemoryTweetLog:
         self._tweets.insert(index, tweet)
 
     def extend(self, tweets: Sequence[Tweet], commit: bool = True) -> None:
+        """Add tweets as :meth:`append` would, one by one. A batch that is
+        already in order and starts at or after the log's end (a stream's
+        usual batch) is appended whole."""
+        keys = [(tweet.created_at, tweet.tweet_id) for tweet in tweets]
+        if (
+            keys
+            and (not self._keys or keys[0] >= self._keys[-1])
+            and all(map(operator.le, keys, islice(keys, 1, None)))
+        ):
+            self._keys.extend(keys)
+            self._tweets.extend(tweets)
+            return
         for tweet in tweets:
             self.append(tweet)
 

@@ -11,6 +11,7 @@ whole event or for one selected peak (the timeline-as-filter drill-down).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from repro.engine.session import TweeQL
@@ -44,6 +45,29 @@ def _connection_coverage(connections: object) -> CoverageEstimate | None:
         observed=sum(s.delivered for s in stats),
         eligible=sum(s.matched for s in stats),
     )
+
+
+def _chunks(
+    handle, limit: int | None = None, every: int | None = None
+) -> Iterator[list[Tweet]]:
+    """``handle``'s tweets a batch at a time, each batch cut so that no
+    list crosses a multiple of ``every`` tweets, ending with the tweet
+    that reaches ``limit`` (at least one tweet is taken)."""
+    cap = None if limit is None else max(limit, 1)
+    seen = 0
+    for tweets in handle.tweets():
+        start, n = 0, len(tweets)
+        while start < n:
+            stop = n
+            if cap is not None:
+                stop = min(stop, start + cap - seen)
+            if every is not None:
+                stop = min(stop, start + every - seen % every)
+            yield tweets if start == 0 and stop == n else tweets[start:stop]
+            seen += stop - start
+            if seen == cap:
+                return
+            start = stop
 
 
 @dataclass
@@ -83,6 +107,43 @@ class EventReport:
         }
 
 
+class TextMemo:
+    """One drain's derivations: text → (sentiment label, content-token
+    tuple, term set).
+
+    Each distinct text is tokenized once, classified with ``classifier``
+    and content-filtered; equal token tuples are one object. A drain keeps
+    one memo for its own call, so nothing outlives it and a retrained
+    classifier is seen by the next drain.
+    """
+
+    def __init__(self, classifier: SentimentClassifier) -> None:
+        self._classify = classifier.classify_tokens
+        self._memo: dict[
+            str, tuple[int, tuple[str, ...], frozenset[str]]
+        ] = {}
+        self._interned: dict[tuple[str, ...], tuple[str, ...]] = {}
+
+    def derive(
+        self, tweets: list[Tweet]
+    ) -> tuple[list[int], list[tuple[str, ...]], list[frozenset[str]]]:
+        """(labels, token tuples, term sets) of ``tweets``, in order."""
+        memo = self._memo
+        texts = [tweet.text for tweet in tweets]
+        for text in [t for t in dict.fromkeys(texts) if t not in memo]:
+            raw = tokenize(text, keep_emoticons=False)
+            label = self._classify(text, raw)
+            tokens = tuple(content_filter(raw))
+            tokens = self._interned.setdefault(tokens, tokens)
+            memo[text] = (label, tokens, frozenset(tokens))
+        entries = list(map(memo.__getitem__, texts))
+        return (
+            [entry[0] for entry in entries],
+            [entry[1] for entry in entries],
+            [entry[2] for entry in entries],
+        )
+
+
 class TrackedEvent:
     """One event being tracked: the log plus every live panel's state."""
 
@@ -99,8 +160,9 @@ class TrackedEvent:
         #: tweet_id → the tweet's content tokens, filled once as the tweet
         #: is ingested; peak labels, Relevant Tweets and the fidelity
         #: digest read these instead of tokenizing the log again. Equal
-        #: tuples are one object (``_interned``), so the cache costs one
-        #: tuple per distinct text.
+        #: tuples are one object (a drain's :class:`TextMemo`, or
+        #: ``_interned`` for :meth:`ingest`), so the cache costs one tuple
+        #: per distinct text.
         self.tokens: dict[int, tuple[str, ...]] = {}
         self._interned: dict[tuple[str, ...], tuple[str, ...]] = {}
         self.links = LinkAggregator()
@@ -121,41 +183,47 @@ class TrackedEvent:
     def ingest(self, tweet: Tweet, sentiment: int) -> None:
         """Process one matching tweet, already labeled ``sentiment``,
         through every panel."""
-        self._ingest(
-            tweet, sentiment, tokenize(tweet.text, keep_emoticons=False)
+        tokens = tuple(
+            content_filter(tokenize(tweet.text, keep_emoticons=False))
         )
-
-    def classify_and_ingest(
-        self, tweet: Tweet, classifier: SentimentClassifier
-    ) -> None:
-        """Label one matching tweet with ``classifier`` and process it
-        through every panel, tokenizing its text once for both."""
-        raw = tokenize(tweet.text, keep_emoticons=False)
-        self._ingest(tweet, classifier.classify_tokens(tweet.text, raw), raw)
-
-    def _ingest(self, tweet: Tweet, sentiment: int, raw: list[str]) -> None:
-        """The panel updates; ``raw`` is the tweet's emoticon-free token
-        list, of which the panels keep the content tokens."""
-        self.log.append(tweet)
-        self.timeline.add(tweet.created_at)
-        tokens = tuple(content_filter(raw))
         tokens = self._interned.setdefault(tokens, tokens)
-        self.tokens[tweet.tweet_id] = tokens
-        self.labeler.observe_tokens(tokens)
-        self.sentiments[tweet.tweet_id] = sentiment
-        assert tweet.entities is not None
-        for url in tweet.entities.urls:
-            self.links.add(url, tweet.created_at)
-        if tweet.geo is not None:
-            self.map.add(
-                MapMarker(
-                    lat=tweet.geo[0],
-                    lon=tweet.geo[1],
-                    sentiment=sentiment,
-                    timestamp=tweet.created_at,
-                    text=tweet.text,
+        self._update([tweet], [sentiment], [tokens], [frozenset(tokens)])
+
+    def ingest_batch(self, tweets: list[Tweet], memo: TextMemo) -> None:
+        """Label a list of matching tweets through ``memo`` and process
+        them through every panel, in order."""
+        self._update(tweets, *memo.derive(tweets))
+
+    def _update(
+        self,
+        tweets: list[Tweet],
+        sentiments: Sequence[int],
+        tokens: Sequence[tuple[str, ...]],
+        term_sets: Sequence[frozenset[str]],
+    ) -> None:
+        """The panel updates: each tweet's sentiment label, content tokens
+        and their set, per tweet in ``tweets``' order."""
+        self.log.extend(tweets)
+        self.timeline.add_all([tweet.created_at for tweet in tweets])
+        ids = [tweet.tweet_id for tweet in tweets]
+        self.tokens.update(zip(ids, tokens))
+        self.sentiments.update(zip(ids, sentiments))
+        self.labeler.extractor.observe_term_sets(term_sets)
+        links = self.links
+        for tweet, sentiment in zip(tweets, sentiments):
+            assert tweet.entities is not None
+            for url in tweet.entities.urls:
+                links.add(url, tweet.created_at)
+            if tweet.geo is not None:
+                self.map.add(
+                    MapMarker(
+                        lat=tweet.geo[0],
+                        lon=tweet.geo[1],
+                        sentiment=sentiment,
+                        timestamp=tweet.created_at,
+                        text=tweet.text,
+                    )
                 )
-            )
 
     # -- live (incremental) peak detection ------------------------------------
 
@@ -337,16 +405,11 @@ class TwitInfoApp:
         """
         if shared is None:
             shared = getattr(self.session.config, "shared_scan", False)
-        classifier = self.session.classifier
+        memo = TextMemo(self.session.classifier)
 
         def ingest(tracked: TrackedEvent, handle) -> None:
-            count = 0
-            for row in handle:
-                tweet: Tweet = row["__tweet__"]
-                tracked.classify_and_ingest(tweet, classifier)
-                count += 1
-                if limit is not None and count >= limit:
-                    break
+            for tweets in _chunks(handle, limit):
+                tracked.ingest_batch(tweets, memo)
             handle.close()
 
         if shared and tracked_list:
@@ -468,24 +531,24 @@ class TwitInfoApp:
         still running — §3.2's realtime monitoring). A final snapshot
         flushes the detector at end of stream.
         """
-        classifier = self.session.classifier
+        if snapshot_every < 1:
+            raise ValueError("snapshot_every must be at least 1")
+        memo = TextMemo(self.session.classifier)
         handle = self.session.query(tracked.definition.to_tweeql())
         seen = 0
         try:
-            for row in handle:
-                tweet: Tweet = row["__tweet__"]
-                tracked.classify_and_ingest(tweet, classifier)
-                seen += 1
+            for tweets in _chunks(handle, limit, snapshot_every):
+                tracked.ingest_batch(tweets, memo)
+                seen += len(tweets)
                 if seen % snapshot_every == 0:
-                    new_peaks = tracked.feed_closed_bins(tweet.created_at)
+                    stream_time = tweets[-1].created_at
+                    new_peaks = tracked.feed_closed_bins(stream_time)
                     yield LiveSnapshot(
-                        stream_time=tweet.created_at,
+                        stream_time=stream_time,
                         tweets_seen=seen,
                         new_peaks=new_peaks,
                         total_peaks=len(tracked.peaks),
                     )
-                if limit is not None and seen >= limit:
-                    break
         finally:
             handle.close()
         tracked.coverage = _connection_coverage(
@@ -528,7 +591,6 @@ class TwitInfoApp:
         """
         from repro.storage.tweetlog import SqliteTweetLog
 
-        classifier = self.session.classifier
         with SqliteTweetLog(path) as db:
             meta = db.get_meta("event")
             if meta is None:
@@ -541,8 +603,9 @@ class TwitInfoApp:
                 bin_seconds=meta["bin_seconds"],
             )
             tracked = TrackedEvent(definition)
-            for tweet in db.scan():
-                tracked.classify_and_ingest(tweet, classifier)
+            tracked.ingest_batch(
+                list(db.scan()), TextMemo(self.session.classifier)
+            )
         tracked.detect_peaks()
         self.events[definition.name] = tracked
         return tracked

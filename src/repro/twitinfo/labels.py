@@ -26,7 +26,8 @@ from repro.twitinfo.peaks import Peak
 class PeakLabeler:
     """Maintains the event's background model and labels peaks.
 
-    Feed every event tweet through :meth:`observe`; call :meth:`annotate`
+    Feed every event tweet through :meth:`observe` (or, holding its
+    content tokens, through :attr:`extractor`); call :meth:`annotate`
     with a peak and the texts inside its window. The ``*_tokens`` methods
     take each tweet's content tokens instead of its text (what
     :class:`~repro.twitinfo.app.TrackedEvent` caches); the text-taking
@@ -47,10 +48,6 @@ class PeakLabeler:
     def observe(self, text: str) -> None:
         """Add one event tweet to the background model."""
         self._extractor.observe(text)
-
-    def observe_tokens(self, tokens: Iterable[str]) -> None:
-        """Add one event tweet, given as its content tokens."""
-        self._extractor.observe_tokens(tokens)
 
     def observe_all(self, texts: Iterable[str]) -> None:
         self._extractor.observe_all(texts)

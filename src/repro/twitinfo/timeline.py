@@ -12,7 +12,7 @@ detector and renderers.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 #: Longest run of gap bins materialized per lull. A week-long quiet spell
@@ -51,6 +51,16 @@ class Timeline:
         """Count one tweet (or ``count`` of them) at ``timestamp``."""
         index = self._bin_index(timestamp)
         self._counts[index] = self._counts.get(index, 0) + count
+
+    def add_all(self, timestamps: Iterable[float]) -> None:
+        """Count one tweet at each of ``timestamps``."""
+        counts = self._counts
+        origin = self.origin
+        width = self.bin_seconds
+        floor = math.floor
+        for timestamp in timestamps:
+            index = floor((timestamp - origin) / width)
+            counts[index] = counts.get(index, 0) + 1
 
     @property
     def total(self) -> int:

@@ -67,3 +67,15 @@ def test_documents_counter():
     extractor = KeywordExtractor()
     extractor.observe_all(["a b", "c d"])
     assert extractor.documents == 2
+
+
+def test_observe_term_sets_equals_observing_each_tweet():
+    docs = [("goal", "tevez", "goal"), (), ("tevez", "3-0"), ("goal",)]
+    one_by_one = KeywordExtractor()
+    for tokens in docs:
+        one_by_one.observe_tokens(tokens)
+    at_once = KeywordExtractor()
+    at_once.observe_term_sets([frozenset(tokens) for tokens in docs])
+    assert at_once.documents == one_by_one.documents == 4
+    for term in ("goal", "tevez", "3-0", "absent"):
+        assert at_once.idf(term) == one_by_one.idf(term)

@@ -1,6 +1,8 @@
 """Tweet logs: memory and sqlite backends behave identically."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.tweetlog import MemoryTweetLog, SqliteTweetLog, TableSink
 from repro.twitter.models import Tweet, User
@@ -220,3 +222,53 @@ def test_table_sink():
     sink.append(row)
     row["x"] = 99
     assert sink.rows[-1]["x"] == 1
+
+
+def _appended(tweets):
+    log = MemoryTweetLog()
+    for tweet in tweets:
+        log.append(tweet)
+    return log
+
+
+@pytest.mark.parametrize(
+    "batches",
+    [
+        # In order, then a batch that starts before the log's end.
+        [[(1, 10.0), (2, 20.0)], [(3, 15.0), (4, 30.0)]],
+        # Out of order inside one batch.
+        [[(1, 10.0), (2, 30.0), (3, 20.0)], [(4, 40.0)]],
+        # Equal created_at: ids out of order, across and inside batches.
+        [[(5, 10.0), (3, 10.0)], [(4, 10.0), (9, 10.0)], [(1, 10.0)]],
+        [[(2, 10.0), (3, 10.0)], [(3, 10.0), (4, 10.0)], [(1, 5.0), (1, 5.0)]],
+        [[], [(7, 1.0)], []],
+    ],
+    ids=["seam", "inside", "ties", "duplicates", "empty"],
+)
+def test_memory_extend_equals_repeated_append(batches):
+    tweets = [[make_tweet(i, t) for i, t in batch] for batch in batches]
+    extended = MemoryTweetLog()
+    for batch in tweets:
+        extended.extend(batch)
+    appended = _appended([t for batch in tweets for t in batch])
+    assert list(extended.scan()) == list(appended.scan())
+    assert extended._keys == appended._keys
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(
+            st.tuples(st.integers(0, 6), st.sampled_from([1.0, 2.0, 3.0])),
+            max_size=6,
+        ),
+        max_size=5,
+    )
+)
+def test_memory_extend_equals_repeated_append_property(batches):
+    tweets = [[make_tweet(i, t) for i, t in batch] for batch in batches]
+    extended = MemoryTweetLog()
+    for batch in tweets:
+        extended.extend(batch)
+    appended = _appended([t for batch in tweets for t in batch])
+    assert [id(t) for t in extended.scan()] == [id(t) for t in appended.scan()]

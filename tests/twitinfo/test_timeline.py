@@ -73,3 +73,14 @@ def test_sparkline_empty():
 def test_invalid_bin_seconds():
     with pytest.raises(ValueError):
         Timeline(bin_seconds=0.0)
+
+
+def test_add_all_equals_repeated_add():
+    stamps = [250.0, 10.0, 59.999, 60.0, -0.5, 10.0, 1e6]
+    one_by_one = Timeline(bin_seconds=60.0, origin=5.0)
+    for t in stamps:
+        one_by_one.add(t)
+    at_once = Timeline(bin_seconds=60.0, origin=5.0)
+    at_once.add_all(stamps)
+    assert list(at_once._counts.items()) == list(one_by_one._counts.items())
+    assert at_once.bins() == one_by_one.bins()

@@ -13,7 +13,7 @@ from repro.nlp.keywords import KeywordExtractor
 from repro.nlp.similarity import cosine_similarity
 from repro.nlp.tokenize import content_tokens
 from repro.twitinfo import TwitInfoApp
-from repro.twitinfo.app import TrackedEvent
+from repro.twitinfo.app import TextMemo, TrackedEvent
 from repro.twitinfo.event import EventDefinition
 from repro.twitter.models import Tweet, User
 
@@ -140,15 +140,16 @@ def tokenize_calls(monkeypatch):
 def test_each_event_tweet_is_tokenized_once(soccer, tokenize_calls, tmp_path):
     """track + detect_peaks + dashboard + a peak drill-down, then
     save/load + dashboard, then monitor and track_many: one ``tokenize``
-    call per event tweet in total, classifier included."""
+    call per distinct event text per drain, classifier included."""
     calls = tokenize_calls
 
     def assert_tokenized_once(*events):
-        texts = Counter()
+        texts = set()
         for event in events:
             assert len(event.tokens) == len(event.log) > 1000
             texts.update(t.text for t in event.log.scan())
-        assert {text: calls[text] for text in texts} == texts
+        assert len(texts) < sum(len(event.log) for event in events)
+        assert {text: calls[text] for text in texts} == dict.fromkeys(texts, 1)
 
     def fresh_app():
         calls.clear()
@@ -188,14 +189,15 @@ def test_each_event_tweet_is_tokenized_once(soccer, tokenize_calls, tmp_path):
         {"Soccer": soccer.keywords, "Goals": ("goal",)},
         start=soccer.start, end=soccer.end,
     )
-    assert_tokenized_once(*together)  # once per event that logged the tweet
+    assert_tokenized_once(*together)  # once per drain, across its events
     assert together[0].tokens == event.tokens
     assert together[0].sentiments == event.sentiments
 
 
-def test_ingest_and_classify_and_ingest_build_the_same_event(soccer):
-    """``ingest(tweet, classify(text))`` — two calls, two tokenizations —
-    and ``classify_and_ingest(tweet, classifier)`` leave identical events."""
+def test_ingest_and_ingest_batch_build_the_same_event(soccer):
+    """``ingest(tweet, classify(text))`` per tweet and ``ingest_batch``
+    over uneven lists through one :class:`TextMemo` leave identical
+    events."""
     session = TweeQL.for_scenarios(soccer, seed=11)
     app = TwitInfoApp(session)
     classifier = session.classifier
@@ -207,13 +209,23 @@ def test_ingest_and_classify_and_ingest_build_the_same_event(soccer):
         event = app.create_event(
             "Soccer", soccer.keywords, start=soccer.start, end=soccer.end
         )
-        for tweet in matching:
-            feed(event, tweet)
+        feed(event)
         event.detect_peaks()
         return event
 
-    two_calls = build(lambda e, t: e.ingest(t, classifier.classify(t.text)))
-    one_call = build(lambda e, t: e.classify_and_ingest(t, classifier))
+    def per_tweet(event):
+        for tweet in matching:
+            event.ingest(tweet, classifier.classify(tweet.text))
+
+    def batched(event):
+        memo = TextMemo(classifier)
+        start = 0
+        for size in (1, 7, 256, 3, 10**6):
+            event.ingest_batch(matching[start:start + size], memo)
+            start += size
+
+    two_calls = build(per_tweet)
+    one_call = build(batched)
     assert one_call.tokens == two_calls.tokens
     assert one_call.sentiments == two_calls.sentiments
     assert one_call.peaks and one_call.peaks == two_calls.peaks
