@@ -492,8 +492,8 @@ def make_parser() -> argparse.ArgumentParser:
         "--sanitize",
         action="store_true",
         help="run queries under the TQLSAN invariant sanitizer: check "
-        "seq monotonicity, punctuation, ColumnBatch coherence, stage "
-        "ownership, and stats monotonicity at every operator boundary "
+        "punctuation, ColumnBatch coherence, stage ownership, and stats "
+        "monotonicity at every operator boundary "
         "(TQL9xx violations; also via TWEEQL_SAN=1; see docs/SANITIZER.md)",
     )
     parser.add_argument(

@@ -118,9 +118,7 @@ class ConfidenceAggregateOperator:
         ctx = self._ctx
         vector_groups = self._vector_group_evals
         vector_value = self._vector_value_eval
-        tail_seq = 0
         for batch in self._child:
-            tail_seq = batch.seq + 1
             emitted: list[Row] = []
             keys = (
                 None if vector_groups is None
@@ -159,7 +157,7 @@ class ConfidenceAggregateOperator:
                     if half is not None and half <= policy.ci_halfwidth:
                         emitted.append(self._emit(key, group, "confidence"))
             if emitted:
-                yield ColumnBatch.from_rows(emitted, batch.seq)
+                yield ColumnBatch.from_rows(emitted)
             if batch.last:
                 break
 
@@ -167,8 +165,7 @@ class ConfidenceAggregateOperator:
         for key in sorted(self._groups, key=_key_order):
             tail.append(self._emit(key, self._groups[key], "eos", pop=False))
         self._groups.clear()
-        # Tail seq stays strictly above the last input batch's.
-        yield ColumnBatch.from_rows(tail, tail_seq, last=True)
+        yield ColumnBatch.from_rows(tail, last=True)
 
     def _flush_aged(self, now: float, emitted: list[Row]) -> None:
         assert self._policy.max_age_seconds is not None

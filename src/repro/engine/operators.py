@@ -61,9 +61,9 @@ Batches = Iterable[ColumnBatch]
 class ScanSource(Protocol):
     """What a scan reads: ``chunks(size)`` yields lists of ``size`` items,
     then one shorter list (possibly empty) that ends the stream, and
-    ``batch(chunk, seq, last)`` wraps one list as a ColumnBatch."""
+    ``batch(chunk, last)`` wraps one list as a ColumnBatch."""
 
-    def batch(self, chunk: list[Any], seq: int, last: bool) -> ColumnBatch: ...
+    def batch(self, chunk: list[Any], last: bool) -> ColumnBatch: ...
 
     def chunks(self, size: int) -> Iterator[list[Any]]: ...
 
@@ -121,10 +121,9 @@ class ScanOperator:
         stats = ctx.stats
         size = self._batch_size
         wrap = self._source.batch
-        seq = 0
         for chunk in self._source.chunks(size):
             last = len(chunk) < size
-            batch = wrap(chunk, seq, last)
+            batch = wrap(chunk, last)
             if chunk:
                 stats.rows_scanned += len(chunk)
                 stats.batches += 1
@@ -132,7 +131,6 @@ class ScanOperator:
             yield batch
             if last:
                 return
-            seq += 1
 
 
 class FilterOperator:
@@ -260,7 +258,7 @@ class ProjectOperator:
         if tweets is not None:
             for out, tweet in zip(projected, tweets):
                 out["__tweet__"] = tweet
-        return ColumnBatch.from_rows(projected, batch.seq, batch.last)
+        return ColumnBatch.from_rows(projected, batch.last)
 
     def _project_columns(
         self, batch: ColumnBatch, vector_items: list[VectorEvaluator | None]
@@ -280,7 +278,7 @@ class ProjectOperator:
         tweets = batch.field("__tweet__")
         if tweets is not None:
             out_cols["__tweet__"] = tweets
-        return ColumnBatch(out_cols, n, seq=batch.seq, last=batch.last)
+        return ColumnBatch(out_cols, n, last=batch.last)
 
     def _project_rows(self, batch: ColumnBatch) -> ColumnBatch:
         """The scalar select list, row by row."""
@@ -298,7 +296,7 @@ class ProjectOperator:
             if "__tweet__" in row:
                 out["__tweet__"] = row["__tweet__"]
             append(out)
-        return ColumnBatch.from_rows(projected, batch.seq, batch.last)
+        return ColumnBatch.from_rows(projected, batch.last)
 
 
 class _GroupState:
@@ -406,9 +404,7 @@ class WindowedAggregateOperator:
         # anything, so the open set is scanned only when a row reaches it.
         next_close = float("inf")
         ordinal = 0
-        tail_seq = 0
         for batch in self._child:
-            tail_seq = batch.seq + 1
             emitted: list[Row] = []
             n = batch.length
             rows = None if self._columns_only else batch.rows
@@ -472,14 +468,13 @@ class WindowedAggregateOperator:
                             continue
                         accumulator.add(value)
             if emitted:
-                yield ColumnBatch.from_rows(emitted, batch.seq)
+                yield ColumnBatch.from_rows(emitted)
             if batch.last:
                 break
-        # End of stream: flush everything still open. The tail batch must
-        # keep seq strictly increasing past the last input batch.
+        # End of stream: flush everything still open.
         tail: list[Row] = []
         self._close_due(float("inf"), tail)
-        yield ColumnBatch.from_rows(tail, tail_seq, last=True)
+        yield ColumnBatch.from_rows(tail, last=True)
 
     def _extend(
         self,
@@ -717,7 +712,7 @@ class LookupJoinOperator:
                 elif self._left_outer:
                     joined.append(self._merge(row, null_extension))
             if joined or batch.last:
-                yield ColumnBatch.from_rows(joined, batch.seq, batch.last)
+                yield ColumnBatch.from_rows(joined, batch.last)
             if batch.last:
                 return
 
@@ -746,9 +741,7 @@ class LimitOperator:
         if remaining <= 0:
             yield ColumnBatch.from_rows([], last=True)
             return
-        tail_seq = 0
         for batch in self._child:
-            tail_seq = batch.seq + 1
             size = len(batch)
             if size >= remaining:
                 yield batch.head(remaining)
@@ -757,9 +750,8 @@ class LimitOperator:
             yield batch
             if batch.last:
                 return
-        # Child ended without a last batch (defensive): punctuate anyway,
-        # with seq strictly above everything already yielded.
-        yield ColumnBatch.from_rows([], tail_seq, last=True)
+        # Child ended without a last batch (defensive): punctuate anyway.
+        yield ColumnBatch.from_rows([], last=True)
 
 
 class IntoOperator:

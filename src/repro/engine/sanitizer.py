@@ -1,15 +1,14 @@
 """TQLSAN — the engine's runtime invariant sanitizer.
 
 The engine's correctness rests on a small set of protocol invariants that
-are easy to state and easy to break silently: batch ``seq`` stamps are
-strictly increasing per producer, every producer punctuates with exactly
-one ``last=True`` batch and nothing after it, ColumnBatches stay coherent
-(column lengths agree, the ``MISSING`` sentinel never leaks into row
-dicts, negative-probe caches never go stale), one pipeline stage is
-driven from one thread, stats counters only grow, and the trace probes
-reconcile with the engine's own counters at close. PRs 1–7 pinned these indirectly through equivalence
-sweeps; this module checks them *directly*, TSAN-style, at every operator
-boundary.
+are easy to state and easy to break silently: every producer punctuates
+with exactly one ``last=True`` batch and nothing after it, ColumnBatches
+stay coherent (column lengths agree, the ``MISSING`` sentinel never leaks
+into row dicts, negative-probe caches never go stale), one pipeline stage
+is driven from one thread, stats counters only grow, and the trace probes
+reconcile with the engine's own counters at close. The equivalence sweeps
+pin these only indirectly; this module checks them *directly*,
+TSAN-style, at every operator boundary.
 
 Two cooperating pieces:
 
@@ -27,7 +26,6 @@ Violation codes (catalogued in ``docs/ANALYSIS.md`` and
 ``docs/SANITIZER.md``):
 
 ======= ====================================================================
-TQL901  batch ``seq`` regression (not strictly increasing per producer)
 TQL902  punctuation protocol: batch after ``last=True`` / stream ended
         without punctuation
 TQL903  ColumnBatch incoherence (column/row length mismatch, stale
@@ -39,6 +37,8 @@ TQL907  trace/stats reconciliation failed at query close
 TQL911  batch ownership violation (one pipeline stage driven from two
         threads)
 ======= ====================================================================
+
+TQL901, TQL905 and TQL910 are retired and not reused.
 
 Everything here is deterministic: violation messages carry stable
 operator/lane labels, so a sanitized CI lane can golden-match its output.
@@ -98,7 +98,6 @@ class Sanitizer:
         lane: str | None = None,
         hint: str | None = None,
         tracer: Any = None,
-        batch_seq: int | None = None,
     ) -> SanitizerError:
         """Build (and trace) a structured violation.
 
@@ -124,7 +123,7 @@ class Sanitizer:
             )
         error = SanitizerError(
             full, code=code, operator=operator, lane=lane, hint=hint,
-            span=span, batch_seq=batch_seq,
+            span=span,
         )
         error.diagnostic = _diagnostic_for(error)
         return error
@@ -170,11 +169,7 @@ def _diagnostic_for(error: SanitizerError) -> Any:
         severity=Severity.ERROR,
         message=str(error),
         hint=error.hint,
-        payload={
-            "operator": error.operator,
-            "lane": error.lane,
-            "batch_seq": error.batch_seq,
-        },
+        payload={"operator": error.operator, "lane": error.lane},
     )
 
 
@@ -218,14 +213,10 @@ class SanitizeOperator:
         self._thread: int | None = None
         sanitizer.wrappers += 1
 
-    def _fail(
-        self, code: str, message: str,
-        batch: ColumnBatch | None = None, hint: str | None = None,
-    ) -> None:
+    def _fail(self, code: str, message: str, hint: str | None = None) -> None:
         raise self._san.violation(
             code, message, operator=self._name, lane=self._lane,
             hint=hint, tracer=self._tracer,
-            batch_seq=None if batch is None else batch.seq,
         )
 
     # -- per-batch checks ------------------------------------------------------
@@ -242,21 +233,6 @@ class SanitizeOperator:
                 hint="each lane's pipeline belongs to exactly one thread, "
                 "and one shared-scan group's handles are pulled from one "
                 "thread",
-            )
-
-    def _check_seq(self, batch: ColumnBatch, prev_seq: int | None) -> None:
-        if not isinstance(batch.seq, int):
-            self._fail(
-                "TQL901",
-                f"batch seq must be an int, got {type(batch.seq).__name__}",
-                batch,
-            )
-        if prev_seq is not None and batch.seq <= prev_seq:
-            self._fail(
-                "TQL901",
-                f"seq regression: batch seq {batch.seq} after {prev_seq} "
-                "(must be strictly increasing per producer)",
-                batch,
             )
 
     def _check_stats(self, previous: dict[str, int] | None) -> dict[str, int]:
@@ -278,29 +254,19 @@ class SanitizeOperator:
 
     def _check_payload(self, batch: ColumnBatch) -> None:
         length = batch.length
-        if length < 0:
-            self._fail("TQL903", f"negative batch length {length}", batch)
         backing = batch._rows
-        tweets = batch._tweets
-        if tweets is not None:
-            self._check_tweets(batch, tweets)
-        elif batch._lazy and backing is None:
-            self._fail(
-                "TQL903", "lazy ColumnBatch lost its backing row list", batch
-            )
+        if batch._tweets is not None:
+            self._check_tweets(batch._tweets, length)
         if backing is not None and not isinstance(backing, list):
             self._fail(
                 "TQL903",
-                "backing rows must be a list, got "
-                f"{type(backing).__name__}",
-                batch,
+                f"backing rows must be a list, got {type(backing).__name__}",
             )
         if backing is not None and len(backing) != length:
             self._fail(
                 "TQL903",
                 f"row/column length mismatch: {len(backing)} backing rows "
                 f"vs declared length {length}",
-                batch,
             )
         absent = batch._absent or ()
         for name, column in batch.columns.items():
@@ -309,36 +275,31 @@ class SanitizeOperator:
                     "TQL903",
                     f"column {name!r} has {len(column)} cells but the "
                     f"batch declares {length} rows",
-                    batch,
                 )
             if name in absent and any(v is not MISSING for v in column):
                 self._fail(
                     "TQL903",
                     f"stale negative-probe cache: {name!r} is marked "
                     "absent but a materialized column has real cells",
-                    batch,
                     hint="the _absent set may only name fields no row "
                     "carries; it must be invalidated on materialization",
                 )
         if backing is not None:
-            self._check_rows(batch, backing)
+            self._check_rows(backing)
 
-    def _check_tweets(self, batch: ColumnBatch, tweets: Any) -> None:
+    def _check_tweets(self, tweets: Any, length: int) -> None:
         """A tweet-backed batch's backing: a list of ``Tweet``s, one per
         row. (Its row dicts, once built, are checked like any others.)"""
         if not isinstance(tweets, list):
             self._fail(
                 "TQL903",
-                "backing tweets must be a list, got "
-                f"{type(tweets).__name__}",
-                batch,
+                f"backing tweets must be a list, got {type(tweets).__name__}",
             )
-        if len(tweets) != batch.length:
+        if len(tweets) != length:
             self._fail(
                 "TQL903",
                 f"tweet/row length mismatch: {len(tweets)} backing tweets "
-                f"vs declared length {batch.length}",
-                batch,
+                f"vs declared length {length}",
             )
         for index, tweet in enumerate(tweets):
             if not isinstance(tweet, Tweet):
@@ -346,16 +307,14 @@ class SanitizeOperator:
                     "TQL903",
                     f"backing tweet {index} is a {type(tweet).__name__}, "
                     "not a Tweet",
-                    batch,
                 )
 
-    def _check_rows(self, batch: ColumnBatch, rows: list[Row]) -> None:
+    def _check_rows(self, rows: list[Row]) -> None:
         for index, row in enumerate(rows):
             if not isinstance(row, dict):
                 self._fail(
                     "TQL903",
                     f"row {index} is a {type(row).__name__}, not a dict",
-                    batch,
                 )
             for key, value in row.items():
                 if value is MISSING:
@@ -363,7 +322,6 @@ class SanitizeOperator:
                         "TQL904",
                         f"MISSING sentinel leaked into row {index} "
                         f"field {key!r}",
-                        batch,
                         hint="MISSING is a column-layout cell marker; "
                         "to_rows() must omit such cells, never emit them",
                     )
@@ -372,7 +330,6 @@ class SanitizeOperator:
 
     def __iter__(self) -> Iterator[ColumnBatch]:
         child = iter(self._child)
-        prev_seq: int | None = None
         stats_snapshot: dict[str, int] | None = None
         while True:
             batch = next(child, None)
@@ -385,8 +342,6 @@ class SanitizeOperator:
                     "last batch (possibly empty)",
                 )
                 return  # pragma: no cover - _fail always raises
-            self._check_seq(batch, prev_seq)
-            prev_seq = batch.seq
             self._check_payload(batch)
             stats_snapshot = self._check_stats(stats_snapshot)
             if batch.last:
@@ -397,9 +352,8 @@ class SanitizeOperator:
                 if extra is not None:
                     self._fail(
                         "TQL902",
-                        f"batch seq {extra.seq} produced after last=True "
-                        f"punctuation (seq {batch.seq})",
-                        extra,
+                        f"a {extra.length}-row batch produced after "
+                        "last=True punctuation",
                     )
                 yield batch
                 return

@@ -135,9 +135,9 @@ class EngineConfig:
             handles (see :mod:`repro.engine.multitenant` and
             :meth:`TweeQL.shared`). Single queries are unaffected.
         sanitize: run queries under the TQLSAN invariant sanitizer —
-            every operator boundary checks seq monotonicity, punctuation
-            exactly-once, ColumnBatch coherence, single-thread stage
-            ownership, and stats monotonicity; ``reconcile()`` is
+            every operator boundary checks punctuation exactly-once,
+            ColumnBatch coherence, single-thread stage ownership, and
+            stats monotonicity; ``reconcile()`` is
             enforced at close. Violations raise
             :class:`~repro.errors.SanitizerError` with a stable
             ``TQL9xx`` code (see docs/SANITIZER.md). Off by default and

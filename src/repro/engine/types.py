@@ -62,10 +62,8 @@ class ColumnBatch:
     such key — rows in one batch need not share a schema). A batch may be
     empty: operators must tolerate an empty final batch (pure punctuation).
 
-    ``seq`` is the emitting operator's batch sequence stamp, strictly
-    increasing per producer (a diagnostic the sanitizer checks). ``last``
-    is end-of-stream punctuation: every producer terminates its output
-    with exactly one ``last`` batch (possibly empty), so downstream
+    ``last`` is end-of-stream punctuation: every producer terminates its
+    output with exactly one ``last`` batch (possibly empty), so downstream
     operators can flush buffered state on it.
 
     Columns materialize *lazily* from a backing list (``_lazy`` True),
@@ -91,20 +89,17 @@ class ColumnBatch:
     """
 
     __slots__ = (
-        "columns", "length", "seq", "last", "_rows", "_tweets", "_lazy",
-        "_absent",
+        "columns", "length", "last", "_rows", "_tweets", "_lazy", "_absent",
     )
 
     def __init__(
         self,
         columns: dict[str, list[Any]],
         length: int,
-        seq: int = 0,
         last: bool = False,
     ) -> None:
         self.columns = columns
         self.length = length
-        self.seq = seq
         self.last = last
         self._rows: list[Row] | None = None
         self._tweets: list[Any] | None = None
@@ -121,16 +116,13 @@ class ColumnBatch:
     # -- bridges --------------------------------------------------------------
 
     @classmethod
-    def from_rows(
-        cls, rows: list[Row], seq: int = 0, last: bool = False
-    ) -> "ColumnBatch":
+    def from_rows(cls, rows: list[Row], last: bool = False) -> "ColumnBatch":
         """Wrap a row list; columns transpose lazily on first access."""
         # Slots set directly: every producer comes through here, once per
-        # row at batch size 1, and __init__ would assign five of them twice.
+        # row at batch size 1, and __init__ would assign four of them twice.
         batch = cls.__new__(cls)
         batch.columns = {}
         batch.length = len(rows)
-        batch.seq = seq
         batch.last = last
         batch._rows = rows
         batch._tweets = None
@@ -139,15 +131,12 @@ class ColumnBatch:
         return batch
 
     @classmethod
-    def from_tweets(
-        cls, tweets: list[Any], seq: int = 0, last: bool = False
-    ) -> "ColumnBatch":
+    def from_tweets(cls, tweets: list[Any], last: bool = False) -> "ColumnBatch":
         """Wrap a list of tweets; columns are read off them on first
         access and row dicts are built only if ``rows`` is asked for."""
         batch = cls.__new__(cls)
         batch.columns = {}
         batch.length = len(tweets)
-        batch.seq = seq
         batch.last = last
         batch._rows = None
         batch._tweets = tweets
@@ -159,20 +148,16 @@ class ColumnBatch:
         self, tweets: list[Any], last: bool | None = None
     ) -> "ColumnBatch":
         """A tweet-backed batch over some of this batch's tweets."""
-        return ColumnBatch.from_tweets(
-            tweets, self.seq, self.last if last is None else last
-        )
+        return ColumnBatch.from_tweets(tweets, self.last if last is None else last)
 
     def subset(self, rows: list[Row], last: bool | None = None) -> "ColumnBatch":
         """A rows-backed batch over some of this batch's rows, in order.
 
-        Keeps ``seq`` (and ``last`` unless overridden) and inherits the
+        Keeps ``last`` unless overridden and inherits the
         negative-probe cache: a subset cannot carry a field the whole
         batch did not.
         """
-        out = ColumnBatch.from_rows(
-            rows, self.seq, self.last if last is None else last
-        )
+        out = ColumnBatch.from_rows(rows, self.last if last is None else last)
         if self._absent:
             out._absent = set(self._absent)
         return out
@@ -365,7 +350,7 @@ class ColumnBatch:
             key: [col[i] for i in indexes]
             for key, col in self.columns.items()
         }
-        return ColumnBatch(columns, len(indexes), seq=self.seq, last=self.last)
+        return ColumnBatch(columns, len(indexes), last=self.last)
 
     def head(self, n: int) -> "ColumnBatch":
         """The first ``n`` rows as a terminal batch (LIMIT truncation)."""
@@ -375,7 +360,7 @@ class ColumnBatch:
             assert self._rows is not None
             return self.subset(self._rows[:n], last=True)
         columns = {key: col[:n] for key, col in self.columns.items()}
-        return ColumnBatch(columns, min(n, self.length), seq=self.seq, last=True)
+        return ColumnBatch(columns, min(n, self.length), last=True)
 
     # -- protocol --------------------------------------------------------------
 
@@ -399,8 +384,7 @@ class ColumnBatch:
         if not isinstance(other, ColumnBatch):
             return NotImplemented
         return (
-            self.seq == other.seq
-            and self.last == other.last
+            self.last == other.last
             and self.length == other.length
             and self._normalized() == other._normalized()
         )
@@ -409,7 +393,7 @@ class ColumnBatch:
         self._materialize_all()
         return (
             f"ColumnBatch(length={self.length}, "
-            f"fields={list(self.columns)}, seq={self.seq}, last={self.last})"
+            f"fields={list(self.columns)}, last={self.last})"
         )
 
 
@@ -425,14 +409,12 @@ def batch_rows(
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
     pending: list[Row] = []
-    seq = 0
     for row in rows:
         pending.append(row)
         if len(pending) >= batch_size:
-            yield ColumnBatch.from_rows(pending, seq)
-            seq += 1
+            yield ColumnBatch.from_rows(pending)
             pending = []
-    yield ColumnBatch.from_rows(pending, seq, last=True)
+    yield ColumnBatch.from_rows(pending, last=True)
 
 
 def iter_rows(batches: Iterable[ColumnBatch]) -> Iterator[Row]:

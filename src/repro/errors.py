@@ -96,9 +96,9 @@ class SanitizerError(ExecutionError):
     """Raised when the runtime invariant sanitizer detects a violation.
 
     Carries a stable ``TQL9xx`` code (catalogued in ``docs/ANALYSIS.md``
-    and ``docs/SANITIZER.md``), the offending operator/lane, the batch
-    sequence number when one is implicated, a repro hint, and — when the
-    plan was traced — the sanitizer's instant span for the violation.
+    and ``docs/SANITIZER.md``), the offending operator/lane, a repro
+    hint, and — when the plan was traced — the sanitizer's instant span
+    for the violation.
     """
 
     def __init__(
@@ -110,7 +110,6 @@ class SanitizerError(ExecutionError):
         lane: str | None = None,
         hint: str | None = None,
         span: Any = None,
-        batch_seq: int | None = None,
     ) -> None:
         super().__init__(message)
         self.code = code
@@ -118,7 +117,6 @@ class SanitizerError(ExecutionError):
         self.lane = lane
         self.hint = hint
         self.span = span
-        self.batch_seq = batch_seq
 
 
 class AdmissionError(PlanError):

@@ -210,7 +210,7 @@ class TraceOperator:
                     tracer.add(
                         probe.name, "batch", t0, t1, lane=probe.lane,
                         parent_id=op_span.span_id,
-                        rows=batch.length, seq=batch.seq, last=batch.last,
+                        rows=batch.length, last=batch.last,
                     )
                 yield batch
                 if batch.last:

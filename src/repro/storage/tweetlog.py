@@ -30,6 +30,11 @@ from repro.errors import StorageError
 from repro.twitter.models import Tweet, TweetEntities, User
 
 
+#: A tweet's place in a :class:`MemoryTweetLog`, and its time alone.
+_order = operator.attrgetter("created_at", "tweet_id")
+_created = operator.attrgetter("created_at")
+
+
 class MemoryTweetLog:
     """Append-mostly in-memory tweet log ordered by ``(created_at, tweet_id)``.
 
@@ -42,31 +47,26 @@ class MemoryTweetLog:
     """
 
     def __init__(self) -> None:
-        self._keys: list[tuple[float, int]] = []
         self._tweets: list[Tweet] = []
 
     def append(self, tweet: Tweet) -> None:
         """Add one tweet, keeping ``(created_at, tweet_id)`` order."""
-        key = (tweet.created_at, tweet.tweet_id)
-        if not self._keys or key >= self._keys[-1]:
-            self._keys.append(key)
-            self._tweets.append(tweet)
+        tweets = self._tweets
+        if not tweets or _order(tweet) >= _order(tweets[-1]):
+            tweets.append(tweet)
             return
-        index = bisect.bisect_right(self._keys, key)
-        self._keys.insert(index, key)
-        self._tweets.insert(index, tweet)
+        bisect.insort_right(tweets, tweet, key=_order)
 
     def extend(self, tweets: Sequence[Tweet], commit: bool = True) -> None:
         """Add tweets as :meth:`append` would, one by one. A batch that is
         already in order and starts at or after the log's end (a stream's
         usual batch) is appended whole."""
-        keys = [(tweet.created_at, tweet.tweet_id) for tweet in tweets]
+        keys = list(map(_order, tweets))
         if (
             keys
-            and (not self._keys or keys[0] >= self._keys[-1])
+            and (not self._tweets or keys[0] >= _order(self._tweets[-1]))
             and all(map(operator.le, keys, islice(keys, 1, None)))
         ):
-            self._keys.extend(keys)
             self._tweets.extend(tweets)
             return
         for tweet in tweets:
@@ -76,13 +76,12 @@ class MemoryTweetLog:
         return len(self._tweets)
 
     def _range(self, start: float | None, end: float | None) -> tuple[int, int]:
-        # ``(t,)`` sorts before ``(t, any_id)``, so bisect_left on the
-        # one-tuple finds the first entry with ``created_at >= t``.
-        lo = 0 if start is None else bisect.bisect_left(self._keys, (start,))
+        tweets = self._tweets
+        lo = 0 if start is None else bisect.bisect_left(tweets, start, key=_created)
         hi = (
-            len(self._keys)
+            len(tweets)
             if end is None
-            else bisect.bisect_left(self._keys, (end,))
+            else bisect.bisect_left(tweets, end, key=_created)
         )
         # An inverted window (end <= start) is empty, as in SQL, never a
         # negative slice.

@@ -65,9 +65,9 @@ def row_lists(draw, cells=cell_values):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=row_lists(), seq=st.integers(0, 9), last=st.booleans())
-def test_row_round_trip_is_exact(rows, seq, last):
-    batch = ColumnBatch.from_rows([dict(r) for r in rows], seq=seq, last=last)
+@given(rows=row_lists(), last=st.booleans())
+def test_row_round_trip_is_exact(rows, last):
+    batch = ColumnBatch.from_rows([dict(r) for r in rows], last=last)
     assert batch.to_rows() == rows
     assert batch.rows == rows  # cached bridge agrees with the eager one
     assert len(batch) == len(rows)
@@ -75,10 +75,10 @@ def test_row_round_trip_is_exact(rows, seq, last):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=row_lists(), seq=st.integers(0, 9), last=st.booleans())
-def test_from_rows_to_rows_round_trip_batch_equality(rows, seq, last):
-    batch = ColumnBatch.from_rows([dict(r) for r in rows], seq=seq, last=last)
-    again = ColumnBatch.from_rows(batch.to_rows(), seq=seq, last=last)
+@given(rows=row_lists(), last=st.booleans())
+def test_from_rows_to_rows_round_trip_batch_equality(rows, last):
+    batch = ColumnBatch.from_rows([dict(r) for r in rows], last=last)
+    again = ColumnBatch.from_rows(batch.to_rows(), last=last)
     assert again == batch
 
 
@@ -105,26 +105,23 @@ def test_take_matches_row_slicing(rows, data):
     )
     taken = batch.take(indexes)
     assert taken.to_rows() == [rows[i] for i in indexes]
-    assert taken.seq == batch.seq
     assert taken.last == batch.last
 
 
 def test_empty_punctuation_batch():
-    batch = ColumnBatch.from_rows([], seq=3, last=True)
+    batch = ColumnBatch.from_rows([], last=True)
     assert len(batch) == 0
     assert batch.rows == []
     assert batch.last
-    assert batch.seq == 3
     assert batch.values("text") == []
 
 
 def test_head_truncates_and_terminates():
     rows = [{"a": i} for i in range(10)]
-    batch = ColumnBatch.from_rows(rows, seq=2)
+    batch = ColumnBatch.from_rows(rows)
     head = batch.head(4)
     assert head.to_rows() == rows[:4]
     assert head.last  # LIMIT truncation punctuates the stream
-    assert head.seq == 2
 
 
 def test_missing_is_distinct_from_null():

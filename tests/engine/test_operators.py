@@ -36,7 +36,6 @@ def test_scan_batches_by_size(ctx):
     rows = rows_at(*((float(i), {}) for i in range(5)))
     batches = list(ops.ScanOperator(ops.RowSource(rows), ctx, batch_size=2))
     assert [len(b) for b in batches] == [2, 2, 1]
-    assert [b.seq for b in batches] == [0, 1, 2]
     assert [b.last for b in batches] == [False, False, True]
     assert ctx.stats.batches == 3
 

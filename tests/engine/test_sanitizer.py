@@ -1,16 +1,21 @@
 """TQLSAN runtime sanitizer: off-mode is zero-cost, on-mode catches bugs.
 
-Two halves. The positive half mirrors the tracing contract: with
+Three parts. The positive part mirrors the tracing contract: with
 ``sanitize=False`` the planner installs zero SanitizeOperator wrappers
 (structural assert, same technique as ``bench_observability``), and with
-it on, a full query sweep across worker counts is row-for-row
-identical to the unsanitized run. The negative half feeds each check a
-deliberately-broken operator and asserts the right ``TQL9xx`` fires —
-every invariant is demonstrated to actually trip, not just documented.
+it on, a query sweep is row-for-row identical to the unsanitized run.
+The negative part feeds each check a hand-built broken producer and
+asserts the right ``TQL9xx`` fires. The seeded-bug part rewrites one line
+of a real engine operator or counter into a plausible bug and shows that
+a sanitized query fails with that check's code — each live check catches
+a bug the engine could really have, not only one built to trip it.
 """
 
 from __future__ import annotations
 
+import __future__
+import inspect
+import textwrap
 import threading
 from dataclasses import replace
 
@@ -18,6 +23,13 @@ import pytest
 
 from repro import EngineConfig, TweeQL
 from repro.clock import VirtualClock
+from repro.engine import expressions
+from repro.engine.operators import (
+    LimitOperator,
+    ProjectOperator,
+    ScanOperator,
+    WindowedAggregateOperator,
+)
 from repro.engine.sanitizer import SanitizeOperator, Sanitizer
 from repro.engine.types import MISSING, ColumnBatch, QueryStats
 from repro.errors import SanitizerError
@@ -37,11 +49,10 @@ ROWS = [
 ]
 
 
-def make_session(sanitize: bool):
-    config = EngineConfig(sanitize=sanitize)
-    session = TweeQL(config=config)
+def make_session(sanitize: bool, rows=ROWS, **config):
+    session = TweeQL(config=EngineConfig(sanitize=sanitize, **config))
     session.register_source(
-        "s", lambda: iter([dict(r) for r in ROWS]), SCHEMA
+        "s", lambda: iter([dict(r) for r in rows]), SCHEMA
     )
     return session
 
@@ -73,7 +84,8 @@ def expect(code: str, operator) -> SanitizerError:
 # ---------------------------------------------------------------------------
 
 
-def test_sanitize_off_adds_no_wrappers():
+def test_sanitize_off_adds_no_wrappers(monkeypatch):
+    monkeypatch.delenv("TWEEQL_SAN", raising=False)
     plan = make_session(sanitize=False).plan("SELECT text FROM s;")
     assert plan.sanitizer is None
     assert wrapper_count(plan.pipeline) == 0
@@ -136,29 +148,11 @@ def sanitize(child, stats=None) -> SanitizeOperator:
     )
 
 
-def test_tql901_seq_regression_fires():
-    def broken():
-        yield ColumnBatch.from_rows([], seq=1)
-        yield ColumnBatch.from_rows([], seq=0, last=True)
-
-    error = expect("TQL901", sanitize(broken()))
-    assert "seq regression" in str(error)
-    assert error.operator == "Broken"
-
-
-def test_tql901_equal_seq_fires():
-    def broken():
-        yield ColumnBatch.from_rows([], seq=3)
-        yield ColumnBatch.from_rows([], seq=3, last=True)
-
-    expect("TQL901", sanitize(broken()))
-
-
 def test_tql902_batch_after_last_fires():
     def broken():
-        yield ColumnBatch.from_rows([], seq=0, last=True)
+        yield ColumnBatch.from_rows([], last=True)
         # double punctuation / late batch
-        yield ColumnBatch.from_rows([], seq=1)
+        yield ColumnBatch.from_rows([])
 
     error = expect("TQL902", sanitize(broken()))
     assert "after last=True" in str(error)
@@ -167,21 +161,21 @@ def test_tql902_batch_after_last_fires():
 def test_tql902_missing_punctuation_fires():
     def broken():
         # the stream just stops, no last=True
-        yield ColumnBatch.from_rows([], seq=0)
+        yield ColumnBatch.from_rows([])
 
     expect("TQL902", sanitize(broken()))
 
 
 def test_tql903_column_length_mismatch_fires():
     def broken():
-        yield ColumnBatch({"a": [1, 2, 3]}, 2, seq=0, last=True)
+        yield ColumnBatch({"a": [1, 2, 3]}, 2, last=True)
 
     expect("TQL903", sanitize(broken()))
 
 
 def test_tql903_stale_negative_cache_fires():
     def broken():
-        batch = ColumnBatch({"a": [1, 2]}, 2, seq=0, last=True)
+        batch = ColumnBatch({"a": [1, 2]}, 2, last=True)
         batch._absent = {"a"}  # claims 'a' absent; a real column exists
         yield batch
 
@@ -191,7 +185,7 @@ def test_tql903_stale_negative_cache_fires():
 
 def test_tql903_non_list_backing_rows_fires():
     def broken():
-        yield ColumnBatch.from_rows(({"a": 1},), seq=0, last=True)
+        yield ColumnBatch.from_rows(({"a": 1},), last=True)
 
     error = expect("TQL903", sanitize(broken()))
     assert "must be a list" in str(error)
@@ -206,14 +200,14 @@ def _tweets(n=3):
 
 
 def test_tweet_backed_batch_passes_clean():
-    batch = ColumnBatch.from_tweets(_tweets(), seq=0, last=True)
+    batch = ColumnBatch.from_tweets(_tweets(), last=True)
     batch.values("text"), batch.rows  # a read column and built rows
     assert list(sanitize([batch])) == [batch]
 
 
 def test_tql903_non_list_backing_tweets_fires():
     def broken():
-        yield ColumnBatch.from_tweets(tuple(_tweets()), seq=0, last=True)
+        yield ColumnBatch.from_tweets(tuple(_tweets()), last=True)
 
     error = expect("TQL903", sanitize(broken()))
     assert "backing tweets must be a list" in str(error)
@@ -221,7 +215,7 @@ def test_tql903_non_list_backing_tweets_fires():
 
 def test_tql903_tweet_count_mismatch_fires():
     def broken():
-        batch = ColumnBatch.from_tweets(_tweets(), seq=0, last=True)
+        batch = ColumnBatch.from_tweets(_tweets(), last=True)
         batch.length = 2  # declares fewer rows than it holds tweets
         yield batch
 
@@ -233,7 +227,7 @@ def test_tql903_backing_row_dict_instead_of_tweet_fires():
     def broken():
         tweets = _tweets()
         yield ColumnBatch.from_tweets(
-            [tweets[0], tweets[1].to_row(), tweets[2]], seq=0, last=True
+            [tweets[0], tweets[1].to_row(), tweets[2]], last=True
         )
 
     error = expect("TQL903", sanitize(broken()))
@@ -245,7 +239,7 @@ def test_tql904_missing_leak_through_tweet_rows_fires():
     def broken():
         tweets = _tweets()
         tweets[2] = replace(tweets[2], user=replace(tweets[2].user, lang=MISSING))
-        batch = ColumnBatch.from_tweets(tweets, seq=0, last=True)
+        batch = ColumnBatch.from_tweets(tweets, last=True)
         batch.rows  # a row consumer asked
         yield batch
 
@@ -255,7 +249,7 @@ def test_tql904_missing_leak_through_tweet_rows_fires():
 
 def test_tql904_missing_leak_fires():
     def broken():
-        yield ColumnBatch.from_rows([{"a": MISSING}], seq=0, last=True)
+        yield ColumnBatch.from_rows([{"a": MISSING}], last=True)
 
     error = expect("TQL904", sanitize(broken()))
     assert "MISSING" in str(error)
@@ -266,9 +260,9 @@ def test_tql906_stats_regression_fires():
 
     def broken():
         stats.rows_scanned = 10
-        yield ColumnBatch.from_rows([], seq=0)
+        yield ColumnBatch.from_rows([])
         stats.rows_scanned = 5  # counter went backwards
-        yield ColumnBatch.from_rows([], seq=1, last=True)
+        yield ColumnBatch.from_rows([], last=True)
 
     expect("TQL906", sanitize(broken(), stats=stats))
 
@@ -299,8 +293,8 @@ def test_tql907_reconcile_mismatch_fires_at_close():
 
 def test_tql911_cross_thread_pull_fires():
     def source():
-        for seq in range(5):
-            yield ColumnBatch.from_rows([], seq=seq, last=seq == 4)
+        for i in range(5):
+            yield ColumnBatch.from_rows([], last=i == 4)
 
     operator = sanitize(source())
     iterator = iter(operator)
@@ -332,23 +326,169 @@ def test_violation_carries_span_and_diagnostic():
     sanitizer = fresh_sanitizer()
     tracer = Tracer(VirtualClock())
     error = sanitizer.violation(
-        "TQL901", "seq went backwards", operator="Filter",
-        lane="worker-1", tracer=tracer,
+        "TQL902", "batch after last=True", operator="Filter",
+        lane="tenant-1", tracer=tracer,
     )
-    assert error.code == "TQL901"
+    assert error.code == "TQL902"
     assert error.span is not None and error.span.kind == "sanitizer"
-    assert error.span.attrs["code"] == "TQL901"
+    assert error.span.attrs["code"] == "TQL902"
     assert error.diagnostic is not None
-    assert error.diagnostic.as_dict()["code"] == "TQL901"
+    assert error.diagnostic.as_dict()["code"] == "TQL902"
     # The violation also landed in the trace record itself.
     assert tracer.spans_of("sanitizer")
 
 
 def test_clean_batches_pass_through_untouched():
     batches = [
-        ColumnBatch.from_rows([{"a": 1}], seq=0),
-        ColumnBatch.from_rows([{"a": 2}], seq=1),
-        ColumnBatch.from_rows([], seq=2, last=True),
+        ColumnBatch.from_rows([{"a": 1}]),
+        ColumnBatch.from_rows([{"a": 2}]),
+        ColumnBatch.from_rows([], last=True),
     ]
     out = list(sanitize(iter(batches)))
     assert out == batches
+
+
+# ---------------------------------------------------------------------------
+# Seeded bugs: each live check catches a plausible bug in a real operator
+# ---------------------------------------------------------------------------
+
+
+def seed_bug(monkeypatch, owner, name, correct, buggy):
+    """Replace ``owner.name`` by its own source with the one occurrence of
+    ``correct`` rewritten to ``buggy``, until the test ends.
+
+    Everything else is the engine's code as it ships, so a failure shows
+    the sanitizer catching the bug in the operator as it really runs; the
+    occurrence check fails loudly if the operator changes under the test.
+    """
+    function = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(correct) == 1, f"{correct!r} is not in {name} once"
+    code = compile(
+        source.replace(correct, buggy),
+        inspect.getsourcefile(function),
+        "exec",
+        flags=__future__.annotations.compiler_flag,
+        dont_inherit=True,
+    )
+    namespace: dict = {}
+    exec(code, function.__globals__, namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+
+
+def seeded_failure(monkeypatch, sql, *bug, rows=ROWS, **config):
+    """``sql`` runs clean under the sanitizer, with the rows an
+    unsanitized run gives; with ``bug`` (``seed_bug``'s owner, name,
+    correct and buggy text) seeded, it fails. Returns the violation."""
+    expected = make_session(False, rows, **config).query(sql).all()
+    handle = make_session(True, rows, **config).query(sql)
+    assert handle.all() == expected
+    handle.close()
+    seed_bug(monkeypatch, *bug)
+    handle = make_session(True, rows, **config).query(sql)
+    with pytest.raises(SanitizerError) as excinfo:
+        try:
+            handle.all()
+        finally:
+            handle.close()
+    return excinfo.value
+
+
+#: ROWS made ragged: every third row has no ``lang``, and every other row
+#: carries a ``__tweet__``, as a row source may.
+RAGGED = [
+    {
+        **{k: v for k, v in row.items() if k != "lang" or i % 3},
+        **({"__tweet__": _tweets(1)[0]} if i % 2 else {}),
+    }
+    for i, row in enumerate(ROWS)
+]
+
+
+def test_seeded_limit_that_truncates_without_punctuation_is_tql902(
+    monkeypatch,
+):
+    # ``take`` keeps the input's last=False, then LIMIT stops pulling.
+    error = seeded_failure(
+        monkeypatch, "SELECT text FROM s LIMIT 7;",
+        LimitOperator, "__iter__",
+        "yield batch.head(remaining)",
+        "yield batch.take(list(range(remaining)))",
+        batch_size=50,
+    )
+    assert error.code == "TQL902"
+    assert "without last=True" in str(error)
+    assert error.operator == "Limit"
+
+
+def test_seeded_flush_under_the_input_punctuation_is_tql902(monkeypatch):
+    # The windows a batch closes go out under the batch's own last=True,
+    # and the end-of-stream flush follows them.
+    error = seeded_failure(
+        monkeypatch,
+        "SELECT COUNT(*) AS n, lang FROM s GROUP BY lang WINDOW 120 seconds;",
+        WindowedAggregateOperator, "__iter__",
+        "yield ColumnBatch.from_rows(emitted)",
+        "yield batch.subset(emitted)",
+    )
+    assert error.code == "TQL902"
+    assert "after last=True" in str(error)
+    assert error.operator == "Aggregate"
+
+
+def test_seeded_vector_call_that_drops_null_cells_is_tql903(monkeypatch):
+    # A whole-column function skips NULL arguments instead of mapping
+    # them to NULL: its column comes out shorter than the batch.
+    error = seeded_failure(
+        monkeypatch, "SELECT lower(lang) AS l FROM s;",
+        expressions, "_vec_call",
+        "return [None if a is None else raw(a) for a in col]",
+        "return [raw(a) for a in col if a is not None]",
+        rows=RAGGED,
+    )
+    assert error.code == "TQL903"
+    assert "column 'l' has 80 cells but the batch declares 120" in str(error)
+    assert error.operator == "Project"
+
+
+def test_seeded_projection_that_leaks_missing_is_tql904(monkeypatch):
+    # The all-field projection loses its ragged-``__tweet__`` guard and
+    # copies the column's MISSING cells into its row dicts.
+    error = seeded_failure(
+        monkeypatch, "SELECT text, lang FROM s;",
+        ProjectOperator, "_project_fused",
+        "MISSING in tweets", "False",
+        rows=RAGGED,
+    )
+    assert error.code == "TQL904"
+    assert "row 0 field '__tweet__'" in str(error)
+    assert error.operator == "Project"
+
+
+def test_seeded_counter_overwrite_is_tql906(monkeypatch):
+    # The scan stores the batch's row count instead of adding it: the
+    # short final batch takes rows_scanned from 50 down to 20.
+    error = seeded_failure(
+        monkeypatch, "SELECT text FROM s;",
+        ScanOperator, "__iter__",
+        "stats.rows_scanned += len(chunk)",
+        "stats.rows_scanned = len(chunk)",
+        batch_size=50,
+    )
+    assert error.code == "TQL906"
+    assert "rows_scanned went 50 -> 20" in str(error)
+    assert error.operator == "Scan(s)"
+
+
+def test_seeded_counter_overcount_is_tql907(monkeypatch):
+    # The scan counts the frame size it asked for, not the rows it got:
+    # 150 rows by the counter, 120 by the probes, found at close.
+    error = seeded_failure(
+        monkeypatch, "SELECT text FROM s;",
+        ScanOperator, "__iter__",
+        "stats.rows_scanned += len(chunk)",
+        "stats.rows_scanned += size",
+        batch_size=50,
+    )
+    assert error.code == "TQL907"
+    assert "scan_rows=120 vs rows_scanned=150" in str(error)

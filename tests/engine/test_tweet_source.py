@@ -24,11 +24,11 @@ NAMES = (*TWEET_COLUMNS, "__agg0", "window_start")
 verdict_cells = st.sampled_from((True, False, None, 0, 1, "", "x"))
 
 
-def pair(tweets, seq=0, last=False):
+def pair(tweets, last=False):
     """(tweet-backed, rows-backed) batches of the same tweets."""
     return (
-        ColumnBatch.from_tweets(list(tweets), seq, last),
-        ColumnBatch.from_rows([t.to_row() for t in tweets], seq, last),
+        ColumnBatch.from_tweets(list(tweets), last),
+        ColumnBatch.from_rows([t.to_row() for t in tweets], last),
     )
 
 
@@ -40,19 +40,17 @@ def assert_equivalent(ours, theirs):
     assert [ours.row(i) for i in range(len(ours))] == theirs.rows
     assert ours.rows == theirs.rows
     assert ours == theirs
-    assert (ours.seq, ours.last, len(ours)) == (
-        theirs.seq, theirs.last, len(theirs)
-    )
+    assert (ours.last, len(ours)) == (theirs.last, len(theirs))
 
 
 @settings(max_examples=120, deadline=2000)
-@given(data=st.data(), seq=st.integers(0, 9), last=st.booleans())
-def test_tweet_backed_batch_equals_its_rows(soccer, data, seq, last):
+@given(data=st.data(), last=st.booleans())
+def test_tweet_backed_batch_equals_its_rows(soccer, data, last):
     tweets = data.draw(
         st.lists(st.sampled_from(soccer.tweets[:400]), max_size=24)
     )
     n = len(tweets)
-    ours, theirs = pair(tweets, seq, last)
+    ours, theirs = pair(tweets, last)
     assert_equivalent(ours, theirs)
 
     verdicts = data.draw(st.lists(verdict_cells, min_size=n, max_size=n))
@@ -67,7 +65,7 @@ def test_tweet_backed_batch_equals_its_rows(soccer, data, seq, last):
     ):
         # Fresh batches, and batches whose columns were already read.
         for warm in (False, True):
-            ours, theirs = pair(tweets, seq, last)
+            ours, theirs = pair(tweets, last)
             if warm:
                 ours.values("text"), theirs.values("text")
             kept, expected = op(ours), op(theirs)

@@ -79,7 +79,8 @@ def test_golden_serial_scenario_with_services(session_factory):
     _check_golden("analyze_soccer_serial", rendered)
 
 
-def test_analyze_requires_tracing():
+def test_analyze_requires_tracing(monkeypatch):
+    monkeypatch.delenv("TWEEQL_SAN", raising=False)
     session = static_session(tracing=False)
     handle = session.query(GROUPED_SQL)
     try:

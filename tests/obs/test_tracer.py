@@ -75,8 +75,8 @@ def test_trace_operator_is_transparent_and_counts():
     tracer = Tracer(clock)
     probe = tracer.probe("Scan(fixed)")
     batches = [
-        ColumnBatch.from_rows([{"a": 1}, {"a": 2}], seq=0),
-        ColumnBatch.from_rows([{"a": 3}], seq=1, last=True),
+        ColumnBatch.from_rows([{"a": 1}, {"a": 2}]),
+        ColumnBatch.from_rows([{"a": 3}], last=True),
     ]
     wrapped = TraceOperator(_ticking_source(clock, batches), probe, tracer)
     assert list(wrapped) == batches  # pass-through, untouched objects
@@ -87,6 +87,9 @@ def test_trace_operator_is_transparent_and_counts():
     batch_spans = tracer.spans_of("batch")
     assert len(op_spans) == 1 and len(batch_spans) == 2
     assert all(s.parent_id == op_spans[0].span_id for s in batch_spans)
+    assert [s.attrs for s in batch_spans] == [
+        {"rows": 2, "last": False}, {"rows": 1, "last": True},
+    ]
     assert op_spans[0].attrs["rows"] == 3
     assert op_spans[0].attrs["batches"] == 2
 
@@ -95,7 +98,7 @@ def test_trace_operator_without_batch_spans():
     clock = FakeClock()
     tracer = Tracer(clock, batch_spans=False)
     probe = tracer.probe("Scan(fixed)")
-    batches = [ColumnBatch.from_rows([{"a": 1}], seq=0, last=True)]
+    batches = [ColumnBatch.from_rows([{"a": 1}], last=True)]
     list(TraceOperator(_ticking_source(clock, batches), probe, tracer))
     assert tracer.spans_of("batch") == []
     assert probe.rows == 1
@@ -108,8 +111,8 @@ def test_trace_operator_finalizes_span_on_generator_close():
     tracer = Tracer(clock)
     probe = tracer.probe("Scan(fixed)")
     batches = [
-        ColumnBatch.from_rows([{"a": 1}], seq=0),
-        ColumnBatch.from_rows([{"a": 2}], seq=1, last=True),
+        ColumnBatch.from_rows([{"a": 1}]),
+        ColumnBatch.from_rows([{"a": 2}], last=True),
     ]
     iterator = iter(TraceOperator(_ticking_source(clock, batches), probe, tracer))
     next(iterator)
