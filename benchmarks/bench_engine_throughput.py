@@ -4,7 +4,7 @@ The engine must keep up with the stream it consumes ("view live streaming
 results"). This bench measures tuples/second through representative
 pipelines over a pre-generated firehose: filter-only, filter+project,
 regex matching, windowed aggregation, grouped windowed aggregation, and
-an eddy with three predicates.
+one filter stage over three local conjuncts.
 
 E9d writes ``BENCH_throughput.json`` into the ``$BENCH_OUTPUT`` directory
 (a directory in every bench that reads it; default: the repo root):
@@ -35,43 +35,34 @@ from repro.engine import planner
 from benchmarks.conftest import SEED
 
 PIPELINES = {
-    "filter-only": (
-        "SELECT text FROM twitter WHERE text contains 'soccer';",
-        None,
-    ),
+    "filter-only": "SELECT text FROM twitter WHERE text contains 'soccer';",
     "filter-project-udf": (
         "SELECT lower(text) AS t, length(text) AS n, hour(created_at) AS h "
-        "FROM twitter WHERE text contains 'soccer';",
-        None,
+        "FROM twitter WHERE text contains 'soccer';"
     ),
-    "regex-match": (
-        "SELECT text FROM twitter WHERE text matches 'g[oa]+l';",
-        None,
-    ),
+    "regex-match": "SELECT text FROM twitter WHERE text matches 'g[oa]+l';",
     "windowed-count": (
         "SELECT COUNT(*) AS n FROM twitter WHERE text contains 'soccer' "
-        "WINDOW 1 minutes;",
-        None,
+        "WINDOW 1 minutes;"
     ),
     "grouped-avg": (
         "SELECT AVG(followers) AS f, lang FROM twitter "
-        "WHERE text contains 'soccer' GROUP BY lang WINDOW 5 minutes;",
-        None,
+        "WHERE text contains 'soccer' GROUP BY lang WINDOW 5 minutes;"
     ),
-    "eddy-3-predicates": (
+    # 'soccer' goes to the API; three conjuncts stay in the local filter.
+    "filter-3-conjuncts": (
         "SELECT text FROM twitter WHERE text contains 'soccer' "
-        "AND followers >= 0 AND length(text) > 10 AND lang = 'en';",
-        EngineConfig(use_eddy=True),
+        "AND followers >= 0 AND length(text) > 10 AND lang = 'en';"
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(PIPELINES))
 def test_pipeline_throughput(benchmark, soccer, name):
-    sql, config = PIPELINES[name]
+    sql = PIPELINES[name]
 
     def run():
-        session = TweeQL.for_scenarios(soccer, config=config, seed=SEED)
+        session = TweeQL.for_scenarios(soccer, seed=SEED)
         handle = session.query(sql)
         rows = handle.all()
         return rows

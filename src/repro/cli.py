@@ -124,7 +124,6 @@ def build_session(args: argparse.Namespace) -> tuple[TweeQL, list[Scenario]]:
     scenarios = build_scenarios(args.scenario, args.seed, args.population)
     config = EngineConfig(
         latency_mode=getattr(args, "latency_mode", "cached"),
-        use_eddy=getattr(args, "use_eddy", False),
         partial_results=getattr(args, "partial_results", False),
         batch_size=getattr(args, "batch_size", 256),
         shared_scan=getattr(args, "shared", False),
@@ -282,7 +281,6 @@ def run_check(args: argparse.Namespace) -> int:
 
     config = EngineConfig(
         latency_mode=getattr(args, "latency_mode", "cached"),
-        use_eddy=getattr(args, "use_eddy", False),
         partial_results=getattr(args, "partial_results", False),
         batch_size=getattr(args, "batch_size", 256),
         sanitize=getattr(args, "sanitize", False),
@@ -495,11 +493,6 @@ def make_parser() -> argparse.ArgumentParser:
         "punctuation, ColumnBatch coherence, stage ownership, and stats "
         "monotonicity at every operator boundary "
         "(TQL9xx violations; also via TWEEQL_SAN=1; see docs/SANITIZER.md)",
-    )
-    parser.add_argument(
-        "--use-eddy",
-        action="store_true",
-        help="adaptive (eddy) ordering for local predicates",
     )
     parser.add_argument(
         "--partial-results",

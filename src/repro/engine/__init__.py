@@ -9,13 +9,13 @@ Layering (bottom to top):
   the UDF registry (the paper's classification/geocoding framework).
 - :mod:`repro.engine.aggregates` — aggregate function implementations.
 - :mod:`repro.engine.windows` — tumbling/sliding window assignment.
-- :mod:`repro.engine.operators` — streaming operators (filter, project,
-  windowed group/aggregate, windowed join, limit).
+- :mod:`repro.engine.operators` — streaming operators (the filter, which
+  reorders its conjuncts by observed selectivity; project, windowed
+  group/aggregate, windowed join, limit).
 - :mod:`repro.engine.confidence` — CONTROL-style confidence-triggered
   group emission ("Uneven Aggregate Groups").
 - :mod:`repro.engine.selectivity` — API filter choice by stream sampling
   ("Uncertain Selectivities").
-- :mod:`repro.engine.eddies` — adaptive predicate reordering.
 - :mod:`repro.engine.latency` — caching/batching/async machinery for
   high-latency web-service UDFs.
 - :mod:`repro.engine.resilience` — retries, circuit breaking, and

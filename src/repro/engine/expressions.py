@@ -622,6 +622,33 @@ def compile_vector_expr(
     ctx: EvalContext,
     aliases: dict[str, ast.Expr] | None = None,
 ) -> VectorEvaluator | None:
+    """Compile an expression to a whole-column evaluator, or None (see
+    :func:`_compile_vector_node`)."""
+    node = _compile_vector_node(expr, registry, schema, ctx, aliases)
+    return None if node is None else node.fn
+
+
+def is_total(
+    expr: ast.Expr,
+    registry: FunctionRegistry,
+    schema: tuple[str, ...],
+    ctx: EvalContext,
+) -> bool:
+    """True when ``expr`` has a vector form that cannot raise on any row:
+    no call, no negation, no arithmetic, no bounding-box test, no dynamic
+    pattern. Such an expression is a pure function of its row, so running
+    it earlier or later changes nothing but the work done."""
+    node = _compile_vector_node(expr, registry, schema, ctx)
+    return node is not None and node.total
+
+
+def _compile_vector_node(
+    expr: ast.Expr,
+    registry: FunctionRegistry,
+    schema: tuple[str, ...],
+    ctx: EvalContext,
+    aliases: dict[str, ast.Expr] | None = None,
+) -> _VectorNode | None:
     """Compile an expression to a whole-column evaluator, or None.
 
     The vector form computes ``(batch, ctx) -> list-of-values`` (or a
@@ -1000,8 +1027,7 @@ def compile_vector_expr(
 
         return None
 
-    node = compile_node(expr)
-    return None if node is None else node.fn
+    return compile_node(expr)
 
 
 def _truthy(value: Any) -> bool:

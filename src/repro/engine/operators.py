@@ -31,6 +31,7 @@ end-of-stream punctuation downstream operators flush on.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 from typing import Any, Protocol
@@ -133,56 +134,133 @@ class ScanOperator:
                 return
 
 
-class FilterOperator:
-    """Applies one compiled predicate; keeps rows where it is exactly TRUE
-    (NULL, like FALSE, drops the row — SQL WHERE semantics).
+#: Input rows a :class:`FilterOperator` reads between re-rankings of its
+#: movable conjuncts; the re-rank waits for the next batch boundary.
+RERANK_ROWS = 1024
 
-    With a vector predicate the whole verdict column is computed in one
-    call and the batch compressed; otherwise the scalar closure runs per
-    row. Both paths keep identical counters and emit identical rows.
+
+class Conjunct:
+    """One WHERE conjunct as the filter stage runs it.
+
+    ``cost`` is its static cost class; ``movable`` marks a conjunct that
+    cannot raise and calls nothing, so evaluating it earlier or later
+    changes no answer. ``evaluations`` and ``passes`` count the rows it
+    saw and kept since the filter last re-ranked.
     """
+
+    __slots__ = (
+        "name", "predicate", "vector", "cost", "movable",
+        "evaluations", "passes",
+    )
 
     def __init__(
         self,
-        child: Batches,
+        name: str,
         predicate: Evaluator,
-        ctx: EvalContext,
-        vector_predicate: VectorEvaluator | None = None,
+        vector: VectorEvaluator | None = None,
+        cost: int = 1,
+        movable: bool = False,
+    ) -> None:
+        self.name = name
+        self.predicate = predicate
+        self.vector = vector
+        self.cost = cost
+        self.movable = movable
+        self.evaluations = 0
+        self.passes = 0
+
+    @property
+    def rank(self) -> float:
+        """Cost class per row dropped since the last re-rank: ``cost /
+        (1 − pass rate)``, the order that minimizes the expected cost of
+        a conjunction of independent tests. Lower runs earlier; a
+        conjunct that dropped no row it saw (or saw none) ranks last."""
+        dropped = self.evaluations - self.passes
+        if not dropped:
+            return math.inf
+        return self.cost * self.evaluations / dropped
+
+    def apply(self, batch: ColumnBatch, ctx: EvalContext) -> ColumnBatch:
+        """The rows of ``batch`` where the conjunct is exactly TRUE."""
+        vector = self.vector
+        if vector is not None:
+            verdicts = vector(batch, ctx)
+            if isinstance(verdicts, Broadcast):
+                value = verdicts.value
+                return batch if value is not None and value else batch.take([])
+            return batch.compress(verdicts)
+        predicate = self.predicate
+        kept: list[Row] = []
+        append = kept.append
+        for row in batch.rows:
+            verdict = predicate(row, ctx)
+            if verdict is not None and verdict:
+                append(row)
+        return batch if len(kept) == batch.length else batch.subset(kept)
+
+
+class FilterOperator:
+    """Applies a WHERE conjunction; keeps rows where every conjunct is
+    exactly TRUE (NULL, like FALSE, drops the row — SQL WHERE semantics).
+
+    Conjuncts run in the filter's current order over a shrinking batch:
+    each sees the rows its predecessors kept, whole-column when it has a
+    vector form, row by row otherwise, and each adds the rows it saw to
+    ``predicate_evaluations`` and the rows it kept to
+    ``rows_after_filter`` — the counters a chain of one stage per
+    conjunct keeps.
+
+    The order starts as written. At the first batch boundary after each
+    :data:`RERANK_ROWS` input rows the movable conjuncts are stable-sorted
+    by :attr:`Conjunct.rank` (cost class per row dropped), Eddies-style,
+    so a conjunct whose selectivity drifts loses or gains the front spot.
+    Only row counts feed the rank — no clock — so the order is a function
+    of the input and the batch size. A conjunct that is not movable (a
+    call, which may raise, hold per-row state or pay a service round
+    trip) keeps its written place and splits the conjunction: movable
+    ones reorder only within the runs between such barriers, so every
+    non-movable conjunct sees exactly the rows, in the order, that the
+    written plan gives it.
+    """
+
+    def __init__(
+        self, child: Batches, conjuncts: list[Conjunct], ctx: EvalContext
     ) -> None:
         self._child = child
-        self._predicate = predicate
+        self.conjuncts = list(conjuncts)
         self._ctx = ctx
-        self._vector_predicate = vector_predicate
+
+    def _rerank(self) -> None:
+        order = self.conjuncts
+        start = 0
+        for end in range(len(order) + 1):
+            if end == len(order) or not order[end].movable:
+                order[start:end] = sorted(
+                    order[start:end], key=lambda c: c.rank
+                )
+                start = end + 1
+        for conjunct in order:
+            conjunct.evaluations = conjunct.passes = 0
 
     def __iter__(self) -> Iterator[ColumnBatch]:
         ctx = self._ctx
         stats = ctx.stats
-        predicate = self._predicate
-        vector = self._vector_predicate
+        since_rerank = 0
         for batch in self._child:
-            if vector is not None:
-                verdicts = vector(batch, ctx)
-                if isinstance(verdicts, Broadcast):
-                    value = verdicts.value
-                    out = (
-                        batch
-                        if value is not None and value
-                        else batch.take([])
-                    )
-                else:
-                    out = batch.compress(verdicts)
-                stats.predicate_evaluations += batch.length
+            out = batch
+            for conjunct in self.conjuncts:
+                seen = out.length
+                out = conjunct.apply(out, ctx)
+                conjunct.evaluations += seen
+                conjunct.passes += out.length
+                stats.predicate_evaluations += seen
                 stats.rows_after_filter += out.length
-            else:
-                kept: list[Row] = []
-                append = kept.append
-                for row in batch.rows:
-                    verdict = predicate(row, ctx)
-                    if verdict is not None and verdict:
-                        append(row)
-                stats.predicate_evaluations += batch.length
-                stats.rows_after_filter += len(kept)
-                out = batch if len(kept) == batch.length else batch.subset(kept)
+                if not (out.length or batch.last):
+                    break
+            since_rerank += batch.length
+            if since_rerank >= RERANK_ROWS:
+                self._rerank()
+                since_rerank = 0
             if out.length or batch.last:
                 yield out
             if batch.last:

@@ -8,10 +8,9 @@ The planner implements the decisions the paper describes:
    candidates, their selectivities are estimated from a shared
    ``statuses/sample`` draw, and the rarest is pushed to the API. The rest
    stay local.
-2. **Adaptive local filtering** (Eddies): with several local conjuncts and
-   ``use_eddy`` enabled, the local filter is an
-   :class:`~repro.engine.eddies.EddyOperator` instead of a fixed-order
-   conjunction.
+2. **Adaptive local filtering** (Eddies): the local conjuncts form one
+   :class:`~repro.engine.operators.FilterOperator`, which reorders the
+   ones that cannot raise by the work each saves per row it drops.
 3. **High-latency UDFs**: latitude/longitude/named_entities compile to
    whole-column nodes that resolve each batch's keys with one
    :meth:`~repro.engine.latency.ManagedCall.resolve`, so the latency
@@ -32,7 +31,6 @@ from typing import Any
 from repro.engine import operators as ops
 from repro.engine.aggregates import AGGREGATE_NAMES, make_aggregate
 from repro.engine.confidence import ConfidenceAggregateOperator, ConfidencePolicy
-from repro.engine.eddies import AdaptivePredicate, EddyOperator
 from repro.engine.expressions import (
     Evaluator,
     VectorEvaluator,
@@ -40,6 +38,7 @@ from repro.engine.expressions import (
     compile_expr,
     compile_vector_expr,
     contains_aggregate,
+    is_total,
     resolve_bbox,
 )
 from repro.engine.functions import FunctionRegistry
@@ -212,6 +211,22 @@ def split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
     if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
         return split_conjuncts(expr.left) + split_conjuncts(expr.right)
     return [expr]
+
+
+#: Static cost classes of a conjunct, by the costliest test it runs: a
+#: comparison, a substring or LIKE scan, a regex search.
+_REGEX_COST, _SUBSTRING_COST, _COMPARE_COST = 4, 2, 1
+
+
+def _cost_class(expr: ast.Expr) -> int:
+    ops_used = {
+        node.op for node in ast.walk(expr) if isinstance(node, ast.BinaryOp)
+    }
+    if "MATCHES" in ops_used:
+        return _REGEX_COST
+    if ops_used & {"CONTAINS", "LIKE"}:
+        return _SUBSTRING_COST
+    return _COMPARE_COST
 
 
 def _time_window(
@@ -844,50 +859,35 @@ class Planner:
         ctx: EvalContext,
         plan: PhysicalPlan,
     ) -> ops.Batches:
-        """The local predicate stage: an eddy or a fixed conjunction.
+        """The local predicate stage: one :class:`~repro.engine.operators.
+        FilterOperator` over the conjuncts, in written order to start.
 
         Each conjunct additionally gets a vectorized form when its
         expression supports one (comparisons / boolean logic / regex /
         calls to functions that are neither stateful nor high-latency)
-        and the plan batches more than one row; the FilterOperator falls
-        back to the scalar closure otherwise.
-        Conjunct order — and therefore ``predicate_evaluations``
-        accounting — is identical either way.
+        and the plan batches more than one row; the filter falls back to
+        the scalar closure otherwise. A conjunct the vector compiler
+        marks total (:func:`~repro.engine.expressions.is_total`) is
+        movable: the filter may reorder it by observed selectivity.
         """
         if not conjuncts:
             return pipeline
-        predicate_evals = [
-            (
+        stages = [
+            ops.Conjunct(
                 conjunct.to_sql(),
                 compile_expr(conjunct, self._registry, schema, ctx),
+                self._vector(plan, conjunct, schema, ctx),
+                cost=_cost_class(conjunct),
+                movable=is_total(conjunct, self._registry, schema, ctx),
             )
             for conjunct in conjuncts
         ]
-        if self._config.use_eddy and len(predicate_evals) > 1:
-            # The eddy reorders predicates per row; it stays row-wise.
-            adaptive = [
-                AdaptivePredicate(name, evaluate)
-                for name, evaluate in predicate_evals
-            ]
-            pipeline = EddyOperator(pipeline, adaptive, ctx)
-            plan.explain_lines.append(
-                "Filter: eddy over "
-                + ", ".join(name for name, _ in predicate_evals)
-            )
-        else:
-            vectorized = 0
-            for conjunct, (_name, evaluate) in zip(conjuncts, predicate_evals):
-                vector = self._vector(plan, conjunct, schema, ctx)
-                if vector is not None:
-                    vectorized += 1
-                pipeline = ops.FilterOperator(
-                    pipeline, evaluate, ctx, vector_predicate=vector
-                )
-            note = "Filter: " + " AND ".join(n for n, _ in predicate_evals)
-            if vectorized:
-                note += f" [vectorized {vectorized}/{len(predicate_evals)}]"
-            plan.explain_lines.append(note)
-        return pipeline
+        note = "Filter: " + " AND ".join(stage.name for stage in stages)
+        vectorized = sum(stage.vector is not None for stage in stages)
+        if vectorized:
+            note += f" [vectorized {vectorized}/{len(stages)}]"
+        plan.explain_lines.append(note)
+        return ops.FilterOperator(pipeline, stages, ctx)
 
     # -- join ----------------------------------------------------------------
 

@@ -84,8 +84,8 @@ class Sanitizer:
 
     def __init__(self, clock: Any = None) -> None:
         self.clock = clock
-        #: Wrappers installed under this sanitizer (off-mode asserts zero).
-        self.wrappers = 0
+        #: Wrappers installed under this sanitizer (off-mode asserts none).
+        self.wrappers: list[SanitizeOperator] = []
 
     # -- violation plumbing ----------------------------------------------------
 
@@ -136,8 +136,11 @@ class Sanitizer:
         The probe/stats reconciliation runs only when the stream was
         drained to punctuation — a query abandoned mid-stream (LIMIT on
         an unbounded source, ``handle.close()``) legitimately leaves
-        probes ahead of the counters.
+        probes ahead of the counters. Before it, each wrapper re-checks
+        the last batch it handed out, which no later pull re-checked.
         """
+        for wrapper in self.wrappers:
+            wrapper.check_probes()
         if not exhausted:
             return
         tracer = getattr(handle, "tracer", None)
@@ -211,7 +214,9 @@ class SanitizeOperator:
         #: The single thread allowed to drive this stage (bound on first
         #: pull); a second thread pulling the same stage is TQL911.
         self._thread: int | None = None
-        sanitizer.wrappers += 1
+        #: The batch last handed out, re-checked once its consumer is done.
+        self._handed: ColumnBatch | None = None
+        sanitizer.wrappers.append(self)
 
     def _fail(self, code: str, message: str, hint: str | None = None) -> None:
         raise self._san.violation(
@@ -285,7 +290,7 @@ class SanitizeOperator:
                     "carries; it must be invalidated on materialization",
                 )
         if backing is not None:
-            self._check_rows(backing)
+            self._check_rows(backing, batch._absent or ())
 
     def _check_tweets(self, tweets: Any, length: int) -> None:
         """A tweet-backed batch's backing: a list of ``Tweet``s, one per
@@ -309,13 +314,30 @@ class SanitizeOperator:
                     "not a Tweet",
                 )
 
-    def _check_rows(self, rows: list[Row]) -> None:
+    def check_probes(self) -> None:
+        """Re-check the batch last handed out against the fields its
+        consumer has cached as absent since: a stale negative probe shows
+        once the consumer is done with the batch, not at the boundary."""
+        batch = self._handed
+        if batch is not None and batch._absent and batch._rows is not None:
+            self._check_rows(batch._rows, batch._absent)
+
+    def _check_rows(self, rows: list[Row], absent: Any = ()) -> None:
         for index, row in enumerate(rows):
             if not isinstance(row, dict):
                 self._fail(
                     "TQL903",
                     f"row {index} is a {type(row).__name__}, not a dict",
                 )
+            for name in absent:
+                if name in row:
+                    self._fail(
+                        "TQL903",
+                        f"stale negative-probe cache: {name!r} is marked "
+                        f"absent but row {index} carries it",
+                        hint="the _absent set may only name fields no row "
+                        "carries",
+                    )
             for key, value in row.items():
                 if value is MISSING:
                     self._fail(
@@ -355,6 +377,9 @@ class SanitizeOperator:
                         f"a {extra.length}-row batch produced after "
                         "last=True punctuation",
                     )
+                self._handed = batch
                 yield batch
                 return
+            self._handed = batch
             yield batch
+            self.check_probes()

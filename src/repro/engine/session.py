@@ -95,8 +95,6 @@ class EngineConfig:
             service call — emit NULL for the not-yet-known value instead
             (Raman & Hellerstein-style partial results; the paper cites
             this as the complementary piece of the async design).
-        use_eddy: route local predicates through an adaptive eddy instead
-            of a fixed-order conjunction.
         confidence_policy: enables CONTROL-style confidence-triggered AVG
             emission for windowless aggregate queries.
         workers: inert; nothing in the engine reads it, and every plan
@@ -165,7 +163,6 @@ class EngineConfig:
     pool_depth: int = 8
     batch_size: int = 256
     partial_results: bool = False
-    use_eddy: bool = False
     confidence_policy: ConfidencePolicy | None = None
     workers: int = 1
     geocode_latency: LatencyModel = field(default_factory=LatencyModel)

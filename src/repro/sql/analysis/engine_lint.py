@@ -7,8 +7,10 @@ same :class:`~repro.sql.analysis.diagnostics.Diagnostic` machinery the
 query analyzer uses (stable codes, caret snippets, ``--format=json``):
 
 ======= ====================================================================
-TQL920  wall-clock read in engine code — ``time.time()`` / ``time.time_ns()``
-        or naive ``datetime.now()`` / ``datetime.utcnow()``. Engine time
+TQL920  wall-clock read in engine code — ``time.time()`` / ``time.time_ns()``,
+        ``time.perf_counter()`` / ``time.perf_counter_ns()``,
+        ``time.monotonic()`` / ``time.monotonic_ns()`` or naive
+        ``datetime.now()`` / ``datetime.utcnow()``. Engine time
         must come from the session's virtual clock (``repro.clock``):
         wall-clock reads make replays, golden traces, and the chaos
         harness nondeterministic.
@@ -52,6 +54,10 @@ __all__ = ["FileFinding", "lint_paths", "lint_source", "main"]
 _WALL_CLOCK_CALLS = {
     ("time", "time"),
     ("time", "time_ns"),
+    ("time", "perf_counter"),
+    ("time", "perf_counter_ns"),
+    ("time", "monotonic"),
+    ("time", "monotonic_ns"),
     ("datetime", "now"),
     ("datetime", "utcnow"),
 }

@@ -153,9 +153,7 @@ def _lint_latency_ordering(
                 "a cheap predicate; every tweet pays the round trip before "
                 "the cheap filter can discard it",
                 span_of(conjuncts[first_slow]),
-                "move cheap predicates first in the WHERE conjunction, or "
-                "enable the eddy (EngineConfig.use_eddy) to reorder "
-                "adaptively",
+                "move cheap predicates first in the WHERE conjunction",
             )
             return
 

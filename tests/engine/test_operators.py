@@ -55,7 +55,11 @@ def test_scan_validates_batch_size(ctx):
 def test_filter_true_only(ctx):
     rows = rows_at((1.0, {"x": 1}), (2.0, {"x": None}), (3.0, {"x": 0}))
     predicate = lambda row, _ctx: (None if row["x"] is None else row["x"] > 0)
-    out = drain(ops.FilterOperator(batch_rows(rows, 2), predicate, ctx))
+    out = drain(
+        ops.FilterOperator(
+            batch_rows(rows, 2), [ops.Conjunct("x > 0", predicate)], ctx
+        )
+    )
     assert [r["x"] for r in out] == [1]  # NULL verdict drops the row
 
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import EngineConfig, TweeQL
+from repro.engine.operators import FilterOperator
 from repro.engine.planner import (
     extract_api_candidates,
     split_conjuncts,
@@ -157,13 +158,25 @@ def test_firehose_fallback_when_no_candidates(soccer_session):
     assert "firehose" in text
 
 
-def test_eddy_appears_in_explain(soccer):
-    session = TweeQL.for_scenarios(soccer, config=EngineConfig(use_eddy=True))
-    text = session.explain(
-        "SELECT text FROM twitter WHERE text contains 'tevez' "
+def test_conjunction_plans_one_filter_stage(soccer_session):
+    plan = soccer_session.plan(
+        "SELECT text FROM twitter WHERE text matches 'tev' "
         "AND followers > 10 AND lang = 'en';"
     )
-    assert "eddy" in text
+    filters = [
+        line for line in plan.explain_lines if line.startswith("Filter")
+    ]
+    # No conjunct is API-eligible, so all three run locally, in one stage.
+    assert filters == [
+        "Filter: (text MATCHES 'tev') AND (followers > 10) AND (lang = 'en') "
+        "[vectorized 3/3]"
+    ]
+    node, stages = plan.pipeline, []
+    while node is not None:
+        if isinstance(node, FilterOperator):
+            stages.append(node)
+        node = getattr(node, "_child", None)
+    assert [len(stage.conjuncts) for stage in stages] == [3]
 
 
 def test_registered_source_schema_validated(soccer_session):

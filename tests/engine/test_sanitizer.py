@@ -465,6 +465,29 @@ def test_seeded_projection_that_leaks_missing_is_tql904(monkeypatch):
     assert error.operator == "Project"
 
 
+@pytest.mark.parametrize(
+    # 256: the stream is one batch, re-checked at close; 60: two full
+    # batches and an empty last one, so only the next pull sees the cache.
+    "batch_size", [256, 60], ids=["checked_at_close", "checked_on_next_pull"]
+)
+def test_seeded_first_row_probe_is_tql903(monkeypatch, batch_size):
+    # The negative probe asks the first row only: RAGGED's first row has
+    # no ``__tweet__``, so the scan's batch caches it as absent while
+    # every other row carries one. The projection's probe fills the cache;
+    # the scan's wrapper finds it stale when the next batch is pulled or,
+    # for the stream's last batch, when the query closes.
+    error = seeded_failure(
+        monkeypatch, "SELECT text, lang FROM s;",
+        ColumnBatch, "field",
+        "if not any(name in row for row in self._rows):",
+        "if name not in self._rows[0]:",
+        rows=RAGGED, batch_size=batch_size,
+    )
+    assert error.code == "TQL903"
+    assert "'__tweet__' is marked absent but row 1 carries it" in str(error)
+    assert error.operator == "Scan(s)"
+
+
 def test_seeded_counter_overwrite_is_tql906(monkeypatch):
     # The scan stores the batch's row count instead of adding it: the
     # short final batch takes rows_scanned from 50 down to 20.

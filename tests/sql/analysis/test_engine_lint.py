@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.sql.analysis.engine_lint import lint_paths, lint_source, main
 
 ENGINE = "src/repro/engine/fake.py"
@@ -31,10 +33,18 @@ def test_wall_clock_reads_flagged():
     ) == ["TQL920"]
 
 
+@pytest.mark.parametrize(
+    "call", ["perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns"]
+)
+def test_host_timer_reads_flagged(call):
+    # A duration timer differs by host as much as the time of day does:
+    # anything ranked or counted by it is not replayable.
+    assert codes(f"import time\nt = time.{call}()\n") == ["TQL920"]
+    assert codes(f"import time\nt = time.{call}()\n", OBS) == ["TQL920"]
+
+
 def test_virtual_clock_not_flagged():
     assert codes("now = clock.now\nlater = ctx.clock.now\n") == []
-    # perf_counter is a duration source, not wall-clock time-of-day.
-    assert codes("import time\nt = time.perf_counter()\n") == []
 
 
 def test_unseeded_random_flagged_seeded_allowed():
