@@ -27,7 +27,7 @@ from itertools import islice
 from typing import Any
 
 from repro.errors import StorageError
-from repro.twitter.models import Tweet, TweetEntities, User
+from repro.twitter.models import Tweet, User
 
 
 #: A tweet's place in a :class:`MemoryTweetLog`, and its time alone.
@@ -114,9 +114,9 @@ class MemoryTweetLog:
 class SqliteTweetLog:
     """SQLite-backed tweet log with the same interface.
 
-    Stores the queryable columns natively and the full record (including
-    ground truth) as JSON, so a reloaded log reconstructs complete
-    :class:`Tweet` objects.
+    Stores the queryable columns natively and the rest of the record (the
+    author's profile and the geotag) as JSON, so a reloaded log
+    reconstructs complete :class:`Tweet` objects.
 
     The connection is opened with ``check_same_thread=False`` and every
     statement runs under an internal lock, so the background
@@ -164,7 +164,7 @@ class SqliteTweetLog:
         self._commit_every = commit_every
         self._pending = 0
         self._closed = False
-        #: Re-archived tweets skipped because the stored row was identical.
+        #: Re-archived tweets skipped because the store already held them.
         self.unchanged = 0
         self._conn.executescript(self._SCHEMA)
 
@@ -205,7 +205,6 @@ class SqliteTweetLog:
         payload = json.dumps(
             {
                 "user": {
-                    "user_id": tweet.user.user_id,
                     "screen_name": tweet.user.screen_name,
                     "location": tweet.user.location,
                     "home": tweet.user.home,
@@ -214,7 +213,6 @@ class SqliteTweetLog:
                     "lang": tweet.user.lang,
                 },
                 "geo": tweet.geo,
-                "ground_truth": tweet.ground_truth,
             }
         )
         return (
@@ -233,10 +231,10 @@ class SqliteTweetLog:
         have hit ``commit_every``, so the commit points are the same
         however tweets were grouped into calls. Per piece, one
         primary-key probe reads the rows the store already holds: a
-        tweet whose row is byte-identical is skipped and counted in
-        ``unchanged``; a fresh or differing row is written, the last
-        occurrence of a repeated id winning as sequential ``INSERT OR
-        REPLACE`` would.
+        tweet the store already holds (:meth:`_holds`) is skipped and
+        counted in ``unchanged``; a fresh or differing row is written,
+        the last occurrence of a repeated id winning as sequential
+        ``INSERT OR REPLACE`` would.
         """
         rows = [self._row(tweet) for tweet in tweets]
         marks = ", ".join("?" * len(self._COLUMNS.split(",")))
@@ -256,7 +254,8 @@ class SqliteTweetLog:
                         )
                     }
                     changed = [
-                        row for row in latest.values() if stored.get(row[0]) != row
+                        row for row in latest.values()
+                        if not self._holds(stored.get(row[0]), row)
                     ]
                     self.unchanged += len(latest) - len(changed)
                     if changed:
@@ -274,6 +273,14 @@ class SqliteTweetLog:
         except sqlite3.Error as exc:
             raise StorageError(f"sqlite append failed: {exc}") from exc
 
+    @classmethod
+    def _holds(cls, stored: tuple | None, row: tuple) -> bool:
+        """Whether ``stored`` already holds ``row``'s tweet: byte for byte,
+        or in an earlier payload shape that decodes to the same tweet."""
+        return stored is not None and (
+            stored == row or cls._row_to_tweet(stored) == cls._row_to_tweet(row)
+        )
+
     def __len__(self) -> int:
         with self._lock:
             row = self._conn.execute("SELECT COUNT(*) FROM tweets").fetchone()
@@ -284,9 +291,9 @@ class SqliteTweetLog:
         tweet_id, created_at, user_id, text, payload_json = row
         payload = json.loads(payload_json)
         user_data = payload["user"]
+        # Earlier payloads also carry ``user_id`` (the native column is
+        # authoritative) and ``ground_truth``; decoding ignores both.
         user = User(
-            # The natively stored column is authoritative — the JSON
-            # payload duplicates it only for forensic completeness.
             user_id=int(user_id),
             screen_name=user_data["screen_name"],
             location=user_data["location"],
@@ -295,17 +302,12 @@ class SqliteTweetLog:
             followers=user_data["followers"],
             lang=user_data["lang"],
         )
-        ground_truth = payload.get("ground_truth") or {}
-        if isinstance(ground_truth.get("coords"), list):
-            ground_truth["coords"] = tuple(ground_truth["coords"])
         return Tweet(
             tweet_id=tweet_id,
             created_at=created_at,
             user=user,
             text=text,
             geo=tuple(payload["geo"]) if payload.get("geo") else None,
-            entities=TweetEntities.from_text(text),
-            ground_truth=ground_truth,
         )
 
     def set_meta(self, key: str, value: Any) -> None:

@@ -297,8 +297,12 @@ class TrackedEvent:
     ) -> SentimentSummary:
         """Pie-chart counts for the event or a timeframe."""
         summary = SentimentSummary()
-        for tweet in self.log.scan(start, end):
-            summary.add(self.sentiments[tweet.tweet_id])
+        if start is None and end is None and len(self.sentiments) == len(self.log):
+            labels = self.sentiments.values()  # the whole event, each tweet once
+        else:
+            labels = (self.sentiments[t.tweet_id] for t in self.log.scan(start, end))
+        for label in labels:
+            summary.add(label)
         return summary
 
     def relevant(

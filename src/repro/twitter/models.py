@@ -5,18 +5,18 @@ These mirror the fields of the 2011 Twitter API objects that TweeQL's
 free-text profile location, optional exact geotag, and derived entities
 (hashtags, mentions, URLs).
 
-``Tweet.ground_truth`` carries generator-side labels (true sentiment, the
-scenario event that caused the tweet, true coordinates) that the *engine
-never sees* — they exist so tests and benchmarks can score detectors against
-reality, playing the role of the human annotators in the TwitInfo
-evaluation.
+A tweet carries only what the API delivered. The generator's labels (true
+sentiment, topic, causal event) live on the scenario that made the stream,
+in :class:`~repro.twitter.workloads.GroundTruth`: the engine never sees
+them, and tests and benchmarks score detectors against them, as TwitInfo's
+evaluation scored against human annotators.
 """
 
 from __future__ import annotations
 
 import re
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any
 
@@ -82,9 +82,6 @@ class Tweet:
         text: the tweet body (<= 140 characters, as in 2011).
         geo: exact (lat, lon) geotag when the user opted in, else None.
         entities: pre-parsed hashtags/mentions/URLs.
-        ground_truth: generator-side labels (dict; keys include
-            ``sentiment`` in {-1, 0, +1}, ``topic``, ``event_id``,
-            ``coords``). Hidden from the query schema.
     """
 
     tweet_id: int
@@ -93,7 +90,6 @@ class Tweet:
     text: str
     geo: tuple[float, float] | None = None
     entities: TweetEntities | None = None
-    ground_truth: dict[str, Any] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
         if self.entities is None:

@@ -47,10 +47,11 @@ class Firehose:
         """Merge several scenarios into one firehose.
 
         Tweets are merged by timestamp and re-assigned globally unique,
-        increasing ids (preserving each tweet's other fields and ground
-        truth). A tweet whose id already equals its merged position is
-        kept as is — tweets are frozen, so sessions built over the same
-        scenario share one copy of the stream instead of one each.
+        increasing ids (preserving their other fields; ground truth stays
+        on each scenario, under that scenario's ids). A tweet whose id
+        already equals its merged position is kept as is — tweets are
+        frozen, so sessions built over the same scenario share one copy
+        of the stream instead of one each.
         """
         merged = heapq.merge(
             *(s.tweets for s in scenarios), key=lambda t: t.created_at
@@ -384,13 +385,6 @@ class StreamingAPI:
     def delivery_ratio(self) -> float:
         """Fraction of matching tweets filtered connections deliver."""
         return self._delivery_ratio
-
-    @property
-    def samples_remaining(self) -> int | None:
-        """Unused ``statuses/sample`` requests; None when unmetered."""
-        if self._sample_budget is None:
-            return None
-        return max(0, self._sample_budget - self._samples_used)
 
     def _connect(self, predicate, description: str) -> StreamConnection:
         if self._open_connections >= self._max_connections:

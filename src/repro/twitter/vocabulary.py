@@ -31,12 +31,6 @@ NEGATIVE_PHRASES: tuple[str, ...] = (
     "this ruined my day", "can't believe how bad", "horrible", "shambles",
 )
 
-NEUTRAL_PHRASES: tuple[str, ...] = (
-    "just saw", "watching", "hearing about", "reading about", "following",
-    "thinking about", "there's news on", "an update on", "more on",
-    "just heard", "people talking about", "checking on", "looking at",
-)
-
 POSITIVE_EMOTICONS: tuple[str, ...] = (":)", ":-)", ":D", ";)", "=)", "<3")
 NEGATIVE_EMOTICONS: tuple[str, ...] = (":(", ":-(", ":'(", "D:", "=(")
 
@@ -192,8 +186,6 @@ NEWS_VERDICTS: tuple[str, ...] = (
 ELECTION_KEYWORDS: tuple[str, ...] = ("election", "ballot", "precinct")
 
 #: Fictional candidates — the scenario is about load shape, not politics.
-ELECTION_CANDIDATES: tuple[str, ...] = ("harmon", "delgado")
-
 ELECTION_STATES: tuple[str, ...] = (
     "ohio", "florida", "colorado", "virginia", "nevada", "iowa",
 )

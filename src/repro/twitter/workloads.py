@@ -7,7 +7,8 @@ against background traffic. This module generates all of them as
 deterministic, seeded streams of :class:`~repro.twitter.models.Tweet`
 objects with retained ground truth:
 
-- every tweet carries its true sentiment, topic, and causal event id;
+- the scenario's :class:`GroundTruth` holds every tweet's true sentiment,
+  topic, causal event id and retweet source, under the scenario's own ids;
 - every scenario carries a list of :class:`ScenarioEvent` records (goal
   times and scorers, quake onsets and magnitudes, news-story days) against
   which peak detection and labeling are scored — these play the role of the
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from array import array
 from collections import deque
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
@@ -66,9 +68,19 @@ class ScenarioEvent:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Everything a scorer needs about a scenario's reality."""
+    """Everything a scorer needs about a scenario's reality: its events,
+    and per-tweet label columns indexed by the scenario's own ``tweet_id
+    - 1``. ``sentiment`` is -1, 0 or +1; ``topic`` indexes ``topics``;
+    ``event_id`` is the event that caused the tweet and ``retweet_of``
+    the id of the tweet it retweets, 0 for none (ids start at 1). A
+    tweet's true coordinates are its author's ``user.home``."""
 
     events: tuple[ScenarioEvent, ...]
+    topics: tuple[str, ...] = ()
+    sentiment: array = field(default_factory=lambda: array("b"), repr=False)
+    topic: array = field(default_factory=lambda: array("B"), repr=False)
+    event_id: array = field(default_factory=lambda: array("i"), repr=False)
+    retweet_of: array = field(default_factory=lambda: array("i"), repr=False)
 
     def event_near(self, time: float, tolerance: float) -> ScenarioEvent | None:
         """The event whose instant lies within ``tolerance`` of ``time``."""
@@ -91,7 +103,7 @@ class Scenario:
             would use.
         start/end: the covered virtual time span.
         tweets: all tweets, sorted by ``created_at``, ids assigned in order.
-        truth: the retained ground truth.
+        truth: the retained ground truth, per event and per tweet.
     """
 
     name: str
@@ -100,10 +112,6 @@ class Scenario:
     end: float
     tweets: list[Tweet]
     truth: GroundTruth
-
-    def stream(self) -> Iterator[Tweet]:
-        """Iterate tweets in timestamp order."""
-        return iter(self.tweets)
 
     def __len__(self) -> int:
         return len(self.tweets)
@@ -185,7 +193,7 @@ def _materialize(
     end: float,
     tracks: list[_Track],
     events: tuple[ScenarioEvent, ...],
-    population: UserPopulation,
+    population: UserPopulation | None,
     seed: int,
     retweet_rate: float = RETWEET_RATE,
 ) -> Scenario:
@@ -194,8 +202,10 @@ def _materialize(
     Texts repeat heavily (small composer vocabularies, and retweets of
     recent tweets), so each distinct text is stored once and parsed for
     entities once, and equal entity records are one object. Those tables
-    are local to the call.
+    are local to the call. A retweet copies its original's truth row. A
+    None ``population`` is the default one for ``seed``.
     """
+    population = population or UserPopulation(seed=seed)
     arrivals_rng = rng_mod.derive(seed, f"{name}:arrivals")
     text_rng = rng_mod.derive(seed, f"{name}:text")
     author_rng = rng_mod.derive(seed, f"{name}:authors")
@@ -212,6 +222,9 @@ def _materialize(
     records: dict[str, tuple[str, TweetEntities]] = {}
     entity_records: dict[TweetEntities, TweetEntities] = {}
     tweets: list[Tweet] = []
+    topic_ids: dict[str, int] = {}
+    sentiments, topics = array("b"), array("B")
+    event_ids, retweet_ofs = array("i"), array("i")
     recent_topical: deque[Tweet] = deque(maxlen=_RETWEET_POOL)
     for index, (t, track) in enumerate(drawn):
         if track.localized is not None:
@@ -233,18 +246,17 @@ def _materialize(
             body = f"RT @{original.screen_name}: {original.text}"
             if len(body) > 140:
                 body = body[:139] + "…"
-            truth = dict(original.ground_truth)
-            truth["coords"] = author.home
-            truth["retweet_of"] = original.tweet_id
+            row = original.tweet_id - 1
+            sentiment, topic, event_id = sentiments[row], topics[row], event_ids[row]
+            retweet_of = original.tweet_id
         else:
-            composed, sentiment = track.compose(text_rng, t)
-            body = composed
-            truth = {
-                "sentiment": sentiment,
-                "topic": track.topic,
-                "event_id": track.event_id,
-                "coords": author.home,
-            }
+            body, sentiment = track.compose(text_rng, t)
+            topic = topic_ids.setdefault(track.topic, len(topic_ids))
+            event_id, retweet_of = track.event_id or 0, 0
+        sentiments.append(sentiment)
+        topics.append(topic)
+        event_ids.append(event_id)
+        retweet_ofs.append(retweet_of)
         record = records.get(body)
         if record is None:
             entities = TweetEntities.from_text(body)
@@ -258,7 +270,6 @@ def _materialize(
             text=text,
             geo=population.geotag_for(author_rng, author),
             entities=entities,
-            ground_truth=truth,
         )
         tweets.append(tweet)
         if track.topic != "chatter" and original is None:
@@ -269,7 +280,9 @@ def _materialize(
         start=start,
         end=end,
         tweets=tweets,
-        truth=GroundTruth(events=events),
+        truth=GroundTruth(
+            events, tuple(topic_ids), sentiments, topics, event_ids, retweet_ofs
+        ),
     )
 
 
@@ -327,7 +340,6 @@ def soccer_match_scenario(
             the paper's annotated example, where Tevez's goal making it 3-0
             is peak "F" labeled with "3-0" and "Tevez".
     """
-    population = population or UserPopulation(seed=seed)
     start = kickoff - 1800.0  # half an hour of build-up
     full_time = kickoff + 95 * 60.0
     end = full_time + 1800.0  # half an hour of post-match talk
@@ -431,7 +443,6 @@ def baseball_game_scenario(
     Args:
         homeruns: (minute, scoring team, slugger, new score) tuples.
     """
-    population = population or UserPopulation(seed=seed)
     start = first_pitch - 1800.0
     final_out = first_pitch + 190 * 60.0  # ~3h10m game
     end = final_out + 1800.0
@@ -631,7 +642,6 @@ def news_month_scenario(
     fight skews negative), so per-peak sentiment differs — the drill-down
     behaviour TwitInfo's dashboard demonstrates.
     """
-    population = population or UserPopulation(seed=seed)
     end = start + days * 24 * 3600.0
     layout_rng = rng_mod.derive(seed, "news:layout")
 
@@ -739,7 +749,6 @@ def election_night_scenario(
         projection_hour: hour offset of the race-deciding projection.
         winner: the candidate the final projection names.
     """
-    population = population or UserPopulation(seed=seed)
     end = start + 6 * 3600.0
 
     tracks = _chatter_tracks(start, end, rate=2.0 * intensity)
@@ -879,7 +888,6 @@ def breaking_news_cascade_scenario(
             fire's region.
         base_rate: tweets/second of the first wave's burst at intensity 1.
     """
-    population = population or UserPopulation(seed=seed)
     start = break_time - 1800.0
     end = break_time + 3.5 * 3600.0
 
@@ -967,7 +975,6 @@ def bot_flood_scenario(
         floods: (hour offset, duration seconds, tweets/sec at intensity 1)
             per bot flood.
     """
-    population = population or UserPopulation(seed=seed)
     end = start + 4 * 3600.0
 
     tracks = _chatter_tracks(start, end, rate=2.0 * intensity)
@@ -1056,7 +1063,6 @@ def background_chatter(
     rate: float = 5.0,
 ) -> Scenario:
     """Topic-free chatter; the null workload for engine/selectivity tests."""
-    population = population or UserPopulation(seed=seed)
     end = start + duration
     tracks = _chatter_tracks(start, end, rate=rate)
     return _materialize(

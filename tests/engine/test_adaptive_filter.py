@@ -213,3 +213,34 @@ def test_rerank_sorts_only_between_barriers():
 def test_the_eddy_knob_is_gone():
     with pytest.raises(TypeError):
         EngineConfig(use_eddy=True)
+
+
+def test_like_ranks_behind_an_equally_selective_regex(monkeypatch):
+    """``LIKE`` costs more per row than ``MATCHES``, so of two conjuncts
+    that each drop half the rows the regex ends up first."""
+    rows = [
+        {"created_at": BASE_TS + i,
+         "t": "goal" if i % 2 else "miss",
+         "u": "goal" if i // 2 % 2 else "miss"}
+        for i in range(N)
+    ]
+    sql = "SELECT t, u FROM s WHERE t LIKE '%goa%' AND u MATCHES 'g[oa]+l';"
+
+    def drain():
+        tweeql = TweeQL(config=EngineConfig(batch_size=256))
+        tweeql.register_source(
+            "s", lambda: iter([dict(r) for r in rows]), ("created_at", "t", "u")
+        )
+        plan = tweeql.plan(sql)
+        (filter_op,) = filters_of(plan.pipeline)
+        assert [c.cost for c in filter_op.conjuncts] == [8, 4]
+        out = [row for batch in plan.pipeline for row in batch.rows]
+        return out, [c.name for c in filter_op.conjuncts]
+
+    rows_out, order = drain()
+    assert order == ["(u MATCHES 'g[oa]+l')", "(t LIKE '%goa%')"]
+    monkeypatch.setattr(operators, "RERANK_ROWS", N + 1)
+    written_rows, written = drain()
+    assert written == ["(t LIKE '%goa%')", "(u MATCHES 'g[oa]+l')"]
+    assert rows_out == written_rows
+    assert len(rows_out) == N // 4

@@ -9,6 +9,7 @@ back in exactly the order a live scan would have produced).
 
 from __future__ import annotations
 
+import json
 import pathlib
 import shutil
 import threading
@@ -41,7 +42,6 @@ def make_tweet(tweet_id, t, text="hello world", geo=None):
         ),
         text=text,
         geo=geo,
-        ground_truth={},
     )
 
 
@@ -161,16 +161,27 @@ def test_historical_store_upgrades_plain_log(tmp_path):
 def test_legacy_fts_layout_still_works(tmp_path):
     """``fixtures/legacy_fts_store.db`` was written when the store also
     kept an FTS5 table, an R-tree and a ``partition`` column (60 tweets,
-    the first 10 re-archived). Those stay in the file, unread: it opens,
-    scans in ``(created_at, tweet_id)`` order, keeps its metrics,
-    re-archives its own tweets as a counted no-op, and answers like a
-    freshly built store."""
+    the first 10 re-archived), and when every payload also carried the
+    author's ``user_id`` and the tweet's ``ground_truth``. Those stay in
+    the file, unread: it opens, scans in ``(created_at, tweet_id)``
+    order, keeps its metrics, re-archives its own tweets as a counted
+    no-op, and answers like a freshly built store."""
     fixture = pathlib.Path(__file__).parent / "fixtures" / "legacy_fts_store.db"
     path = str(tmp_path / "legacy.db")
     shutil.copy(fixture, path)
     with HistoricalStore(path) as store:
+        payloads = [
+            json.loads(payload)
+            for (payload,) in store._conn.execute("SELECT payload FROM tweets")
+        ]
+        assert all(
+            "ground_truth" in p and "user_id" in p["user"] for p in payloads
+        )
         tweets = list(store.scan())
         assert len(tweets) == len(store) == 60
+        assert [t.user.user_id for t in tweets] == [
+            10_000 + t.tweet_id for t in tweets
+        ]
         keys = [(t.created_at, t.tweet_id) for t in tweets]
         assert keys == sorted(keys)
         assert store.metrics_series(label="legacy")[0]["value"] == 60.0

@@ -1,5 +1,7 @@
 """Tweet logs: memory and sqlite backends behave identically."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +18,6 @@ def make_tweet(tweet_id, t, text="hello", geo=None):
                   home=(42.36, -71.06), geo_enabled=bool(geo)),
         text=text,
         geo=geo,
-        ground_truth={"sentiment": 1, "topic": "t", "event_id": None,
-                      "coords": (42.36, -71.06)},
     )
 
 
@@ -83,8 +83,22 @@ def test_sqlite_round_trips_full_tweet():
         assert restored.text == original.text
         assert restored.geo == original.geo
         assert restored.user.screen_name == original.user.screen_name
-        assert restored.ground_truth["coords"] == (42.36, -71.06)
+        assert restored.user.home == (42.36, -71.06)
         assert restored.entities.hashtags == ("mcfc",)
+        assert restored == original
+
+
+def test_sqlite_payload_carries_only_what_decoding_reads():
+    """The native ``user_id`` column is authoritative, and labels live on
+    the scenario: neither is copied into the JSON payload."""
+    with SqliteTweetLog(":memory:") as db:
+        db.append(make_tweet(7, 70.0, geo=(40.0, -74.0)))
+        (payload,) = db._conn.execute("SELECT payload FROM tweets").fetchone()
+    stored = json.loads(payload)
+    assert set(stored) == {"user", "geo"}
+    assert set(stored["user"]) == {
+        "screen_name", "location", "home", "geo_enabled", "followers", "lang",
+    }
 
 
 def test_sqlite_persists_to_file(tmp_path):

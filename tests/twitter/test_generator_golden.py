@@ -78,8 +78,26 @@ GOLDEN = {
 }
 
 
+def truth_items(scenario, tweet) -> list:
+    """A tweet's labels from the scenario's truth columns, as the sorted
+    ``(key, value)`` list the digests were first computed over: its
+    coordinates are its author's home, ``event_id`` is None for no event,
+    and ``retweet_of`` is there only for a retweet."""
+    truth, row = scenario.truth, tweet.tweet_id - 1
+    items = {
+        "sentiment": truth.sentiment[row],
+        "topic": truth.topics[truth.topic[row]],
+        "event_id": truth.event_id[row] or None,
+        "coords": tweet.user.home,
+    }
+    if truth.retweet_of[row]:
+        items["retweet_of"] = truth.retweet_of[row]
+    return sorted(items.items())
+
+
 def scenario_digest(scenario) -> str:
-    """SHA-1 over every field of every tweet, then the truth events."""
+    """SHA-1 over every field and label of every tweet, then the truth
+    events."""
     digest = hashlib.sha1()
     for tweet in scenario.tweets:
         user, entities = tweet.user, tweet.entities
@@ -91,7 +109,7 @@ def scenario_digest(scenario) -> str:
             tweet.text,
             tweet.geo,
             (entities.hashtags, entities.mentions, entities.urls),
-            sorted(tweet.ground_truth.items()),
+            truth_items(scenario, tweet),
         )
         digest.update(repr(record).encode())
         digest.update(b"\n")

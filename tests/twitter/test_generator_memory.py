@@ -3,8 +3,10 @@
 Every benchmark workload and many tests hold a whole scenario in memory,
 and a benchmark builds the next one while it still holds the last. The
 generator therefore stores each distinct text once, parses its entities
-once, and keeps tweet records slotted. This bounds what one small
-election night keeps alive once generation has returned.
+once, keeps tweet records slotted, and keeps per-tweet labels in
+compact columns on the scenario rather than a dict on each tweet. This
+bounds what one small election night keeps alive once generation has
+returned.
 """
 
 from __future__ import annotations
@@ -16,9 +18,11 @@ from repro.twitter.users import UserPopulation
 from repro.twitter.workloads import election_night_scenario
 
 #: Live bytes per tweet. On CPython 3.11, slotted records with one text
-#: and one entity record per distinct text read 391 B/tweet; a text and
-#: an entity record per tweet, in ``__dict__`` records, read 638.
-MAX_BYTES_PER_TWEET = 512
+#: and one entity record per distinct text, and per-tweet labels in the
+#: scenario's truth columns, read 209 B/tweet. The same records with a
+#: label dict on every tweet read 391; a text and an entity record per
+#: tweet, in ``__dict__`` records, 638.
+MAX_BYTES_PER_TWEET = 256
 
 
 def test_scenario_bytes_per_tweet_are_bounded():

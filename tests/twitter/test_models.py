@@ -1,5 +1,7 @@
 """Tweet/user records and schema projection."""
 
+from dataclasses import fields
+
 from repro.twitter.models import (
     TWEET_COLUMNS,
     TWITTER_SCHEMA,
@@ -79,5 +81,8 @@ def test_location_property_is_profile_location():
     assert make_tweet(location="NYC").location == "NYC"
 
 
-def test_ground_truth_defaults_empty():
-    assert make_tweet().ground_truth == {}
+def test_tweet_carries_only_what_the_api_delivered():
+    """Generator labels live on the scenario's truth table, not here."""
+    assert [f.name for f in fields(Tweet)] == [
+        "tweet_id", "created_at", "user", "text", "geo", "entities",
+    ]

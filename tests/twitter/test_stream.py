@@ -44,7 +44,22 @@ def test_merged_firehose_reids_and_keeps_every_other_field(
     assert [t.tweet_id for t in firehose] == list(range(1, len(merged) + 1))
     for tweet, source in zip(firehose, merged):
         assert tweet == replace(source, tweet_id=tweet.tweet_id)
-        assert tweet.ground_truth == source.ground_truth
+
+
+def test_truth_keeps_each_scenarios_ids_after_a_merge(firehose, soccer):
+    """The merge re-ids tweets; a scenario's truth columns still read its
+    own tweets, so ``retweet_of`` names the original it was made from."""
+    merged_id = {(t.created_at, t.text): t.tweet_id for t in firehose}
+    assert any(
+        merged_id[t.created_at, t.text] != t.tweet_id for t in soccer.tweets
+    )
+    retweets = 0
+    for tweet, original in zip(soccer.tweets, soccer.truth.retweet_of):
+        if original:
+            retweets += 1
+            quoted = soccer.tweets[original - 1]
+            assert tweet.text.startswith(f"RT @{quoted.screen_name}: ")
+    assert retweets > 0
 
 
 def test_span(firehose):

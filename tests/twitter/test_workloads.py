@@ -62,18 +62,30 @@ def test_goal_bursts_raise_local_rate(soccer_small):
     assert burst > 3 * max(quiet, 1)
 
 
+def event_of(scenario, tweet):
+    """The id of the event that caused ``tweet``; 0 for none."""
+    return scenario.truth.event_id[tweet.tweet_id - 1]
+
+
+def topic_of(scenario, tweet):
+    truth = scenario.truth
+    return truth.topics[truth.topic[tweet.tweet_id - 1]]
+
+
 def test_ground_truth_labels_present(soccer_small):
+    truth = soccer_small.truth
+    columns = (truth.sentiment, truth.topic, truth.event_id, truth.retweet_of)
+    assert [len(column) for column in columns] == [len(soccer_small)] * 4
+    assert sorted(truth.topics) == ["chatter", "soccer"]
     for tweet in soccer_small.tweets[:500]:
-        truth = tweet.ground_truth
-        assert truth["sentiment"] in (-1, 0, 1)
-        assert truth["topic"] in ("chatter", "soccer")
-        assert "coords" in truth
+        assert truth.sentiment[tweet.tweet_id - 1] in (-1, 0, 1)
+        assert topic_of(soccer_small, tweet) in ("chatter", "soccer")
+        if event_of(soccer_small, tweet):
+            assert topic_of(soccer_small, tweet) == "soccer"
 
 
 def test_goal_tweets_name_the_scorer(soccer_small):
-    goal3 = [
-        t for t in soccer_small.tweets if t.ground_truth["event_id"] == 3
-    ]
+    goal3 = [t for t in soccer_small.tweets if event_of(soccer_small, t) == 3]
     assert goal3
     naming = sum(1 for t in goal3 if "tevez" in t.text.lower())
     assert naming > 0.9 * len(goal3)
@@ -95,8 +107,8 @@ def test_earthquake_events_scale_with_magnitude(pop):
     scenario = earthquake_scenario(seed=5, population=pop, intensity=0.3)
     by_event: dict[int, int] = {}
     for tweet in scenario.tweets:
-        event_id = tweet.ground_truth.get("event_id")
-        if event_id is not None and tweet.ground_truth["topic"] == "earthquake":
+        event_id = event_of(scenario, tweet)
+        if event_id and topic_of(scenario, tweet) == "earthquake":
             by_event[event_id] = by_event.get(event_id, 0) + 1
     magnitudes = {e.event_id: e.info["magnitude"] for e in scenario.truth.events}
     # The M6.9 event must out-tweet the M5.1 event.
@@ -110,14 +122,14 @@ def test_earthquake_authors_cluster_near_epicenter(pop):
     event = scenario.truth.events[0]  # Christchurch
     city = pop.gazetteer.lookup(event.info["place"])
     quake_tweets = [
-        t for t in scenario.tweets if t.ground_truth.get("event_id") == event.event_id
+        t for t in scenario.tweets if event_of(scenario, t) == event.event_id
     ]
     near = sum(
         1
         for t in quake_tweets
-        if t.ground_truth["coords"] is not None
-        and abs(t.ground_truth["coords"][0] - city.lat) <= 12.0
-        and abs(t.ground_truth["coords"][1] - city.lon) <= 12.0
+        if t.user.home is not None
+        and abs(t.user.home[0] - city.lat) <= 12.0
+        and abs(t.user.home[1] - city.lon) <= 12.0
     )
     assert near > 0.9 * len(quake_tweets)
 
@@ -130,8 +142,7 @@ def test_news_month_events_have_expected_terms(pop):
     for event in scenario.truth.events:
         assert event.expected_terms
         story_tweets = [
-            t for t in scenario.tweets
-            if t.ground_truth.get("event_id") == event.event_id
+            t for t in scenario.tweets if event_of(scenario, t) == event.event_id
         ]
         assert story_tweets
         mentioning = sum(
@@ -143,7 +154,8 @@ def test_news_month_events_have_expected_terms(pop):
 def test_chatter_has_no_events(pop):
     scenario = background_chatter(seed=5, population=pop, duration=600.0, rate=2.0)
     assert scenario.truth.events == ()
-    assert all(t.ground_truth["topic"] == "chatter" for t in scenario.tweets)
+    assert scenario.truth.topics == ("chatter",)
+    assert all(topic_of(scenario, t) == "chatter" for t in scenario.tweets)
 
 
 def test_intensity_scales_volume(pop):
