@@ -9,7 +9,7 @@ Aggregate Groups" mechanism — confidence-triggered regional sentiment that
 emits dense regions quickly and ages out sparse ones.
 """
 
-from repro import ConfidencePolicy, EngineConfig, TweeQL
+from repro import TweeQL
 from repro.clock import format_timestamp
 from repro.geo.bbox import BoundingBox
 from repro.twitinfo import TwitInfoApp
@@ -60,16 +60,12 @@ def main() -> None:
     )
 
     # --- Confidence-triggered regional sentiment (fresh session) -------------------
-    config = EngineConfig(
-        confidence_policy=ConfidencePolicy(
-            ci_halfwidth=0.15, max_age_seconds=2 * 3600.0
-        )
-    )
-    session2 = TweeQL.for_scenarios(scenario, config=config)
+    session2 = TweeQL.for_scenarios(scenario)
     handle = session2.query(
         "SELECT AVG(sentiment(text)) AS mood, "
         "floor(latitude(loc) / 10) AS lat_band FROM twitter "
-        "WHERE text contains 'earthquake' GROUP BY lat_band;"
+        "WHERE text contains 'earthquake' GROUP BY lat_band "
+        "WINDOW CONFIDENCE 0.15 MAX 2 hours;"
     )
     print("\nConfidence-triggered regional sentiment (first 12 emissions):")
     for row in handle.fetch(12):

@@ -84,7 +84,7 @@ from typing import Any
 from repro.engine.executor import QueryHandle, drain_services
 from repro.engine.expressions import expand_column
 from repro.engine.latency import ManagedCall, ManagedCallStats
-from repro.engine.planner import Planner, SourceBinding, split_conjuncts
+from repro.engine.planner import Planner, SourceBinding
 from repro.engine.types import ColumnBatch, EvalContext
 from repro.errors import AdmissionError, ExecutionError
 from repro.sql import ast, parse
@@ -512,7 +512,7 @@ class SharedScanGroup:
         # for the whole group.
         keys: list[str] = []
         vectorized = 0
-        for conjunct in split_conjuncts(statement.where):
+        for conjunct in ast.split_conjuncts(statement.where):
             key = conjunct.to_sql()
             if key not in self._predicates:
                 self._predicates[key] = self._planner.compile_predicate(

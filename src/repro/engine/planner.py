@@ -15,10 +15,13 @@ The planner implements the decisions the paper describes:
    whole-column nodes that resolve each batch's keys with one
    :meth:`~repro.engine.latency.ManagedCall.resolve`, so the latency
    mode's batching or async pool sees a batch of keys at a time.
-4. **Aggregation**: windowed GROUP BY when ``WINDOW`` is present;
-   confidence-triggered emission (CONTROL-style) when the query has
-   aggregates but no window and the session configured a
-   :class:`~repro.engine.confidence.ConfidencePolicy`.
+4. **Aggregation**: windowed GROUP BY for ``WINDOW n unit``;
+   confidence-triggered emission (CONTROL-style) for ``WINDOW CONFIDENCE``,
+   with the clause's :class:`~repro.engine.confidence.ConfidencePolicy`.
+
+The planner re-checks nothing: :meth:`Planner.plan` raises the analyzer's
+first gating error (:mod:`repro.sql.analysis.semantic`) before it builds
+anything, so every stage below may assume a well-formed statement.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ from repro.engine.expressions import (
 from repro.engine.functions import FunctionRegistry
 from repro.engine.selectivity import FilterCandidate, FilterChoice, choose_api_filter
 from repro.engine.types import DEFAULT_BATCH_SIZE, ColumnBatch, EvalContext, Row
-from repro.errors import PlanError
 from repro.sql import ast
+from repro.sql.ast import split_conjuncts
 from repro.twitter.models import TWITTER_SCHEMA
 
 # ---------------------------------------------------------------------------
@@ -200,17 +203,8 @@ class BackfillSource:
 
 
 # ---------------------------------------------------------------------------
-# Helpers: conjunct splitting and API-candidate extraction
+# Helpers: conjunct costs and API-candidate extraction
 # ---------------------------------------------------------------------------
-
-
-def split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
-    """Flatten a WHERE tree into top-level AND conjuncts."""
-    if expr is None:
-        return []
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
-    return [expr]
 
 
 #: Static cost classes of a conjunct, by the costliest test it runs: a
@@ -390,22 +384,6 @@ def extract_api_candidates(
     return found
 
 
-def _statement_exprs(statement: ast.SelectStatement) -> list[ast.Expr]:
-    """Every expression a statement evaluates: select items, WHERE
-    conjuncts, GROUP BY keys, HAVING and ORDER BY."""
-    exprs: list[ast.Expr] = [
-        item.expr
-        for item in statement.select
-        if not isinstance(item.expr, ast.Star)
-    ]
-    exprs.extend(split_conjuncts(statement.where))
-    exprs.extend(statement.group_by)
-    if statement.having is not None:
-        exprs.append(statement.having)
-    exprs.extend(expr for expr, _desc in statement.order_by)
-    return exprs
-
-
 def _has_aggregates(statement: ast.SelectStatement) -> bool:
     """Aggregate-mode test, defined once in the analyzer (lazy import: the
     analysis package depends on engine modules)."""
@@ -505,19 +483,12 @@ class Planner:
         feed instead, with a ``ctx`` holding its service views and lane
         (see :meth:`scan`).
 
-        Validation runs through the static analyzer first, so every
-        rejection carries a stable ``TQL…`` code and a source span; the
-        inline raises below remain as backstops for states the analyzer
-        cannot see (and keep this module self-contained under direct
-        unit testing).
+        Validation runs through the static analyzer first and only there,
+        so every rejection carries a stable ``TQL…`` code and a source span.
         """
         self.analyze(statement).raise_first_error()
 
-        binding = binding or self._sources.get(statement.source.lower())
-        if binding is None:
-            from repro.errors import UnknownSourceError
-
-            raise UnknownSourceError(statement.source, tuple(sorted(self._sources)))
+        binding = binding or self._sources[statement.source.lower()]
         conjuncts = split_conjuncts(statement.where)
         plan = self.scan(binding, ctx, conjuncts, self.batch_blocker(statement))
         pipeline, ctx, schema = plan.pipeline, plan.ctx, binding.schema
@@ -550,13 +521,6 @@ class Planner:
             )
             pipeline = self._trace(pipeline, "Aggregate", plan)
         else:
-            if statement.having is not None:
-                raise PlanError("HAVING requires aggregation")
-            if statement.order_by:
-                raise PlanError(
-                    "ORDER BY requires a windowed aggregate query (streams "
-                    "have no global order to sort)"
-                )
             pipeline, output_schema = self._build_projection(
                 statement, pipeline, schema, ctx, plan
             )
@@ -641,7 +605,7 @@ class Planner:
         )
 
     def analyze(self, statement: ast.SelectStatement):
-        """This catalog/config's plan-gating analysis of one statement.
+        """This catalog's plan-gating analysis of one statement.
 
         Returns the gated :class:`repro.sql.analysis.AnalysisResult` —
         only the errors the planner enforces. (Imported lazily: the
@@ -654,7 +618,6 @@ class Planner:
             statement,
             catalog=analysis.catalog_from_sources(self._sources),
             registry=self._registry,
-            config=self._config,
         )
         return analysis.gate_result(result)
 
@@ -716,7 +679,7 @@ class Planner:
         its own row's arrival time. Everything else is batch-invariant:
         resolvers are pure and operators preserve row order.
         """
-        for expr in _statement_exprs(statement):
+        for expr in ast.statement_exprs(statement):
             for node in ast.walk(expr):
                 if isinstance(node, ast.FuncCall) and node.name == "now":
                     return "now() reads stream time row by row"
@@ -906,22 +869,13 @@ class Planner:
     ) -> tuple[ops.Batches, tuple[str, ...]]:
         join = statement.join
         assert join is not None
-        right_binding = self._sources.get(join.source.lower())
-        if right_binding is None:
-            from repro.errors import UnknownSourceError
-
-            raise UnknownSourceError(join.source, tuple(sorted(self._sources)))
+        right_binding = self._sources[join.source.lower()]
         # A right side without timestamps is a dimension table: lookup
         # join, no window needed. Two timestamped streams band-join within
-        # the WINDOW.
+        # the (time) WINDOW.
         is_lookup = "created_at" not in {
             n.lower() for n in right_binding.schema
         }
-        if not is_lookup and (
-            statement.window is None or statement.window.count_based
-        ):
-            raise PlanError("stream-stream JOIN requires a *time* WINDOW "
-                            "clause (streams join within a time band)")
         if right_binding.api is not None:
             right_rows: Iterable[Row] = TweetSource(
                 right_binding.api.unfiltered, plan
@@ -930,28 +884,18 @@ class Planner:
             assert right_binding.rows_factory is not None
             right_rows = right_binding.rows_factory()
 
+        # ``field = field``, one name on each side (TQL215, TQL216).
         condition = join.condition
-        if not (
-            isinstance(condition, ast.BinaryOp)
-            and condition.op == "="
-            and isinstance(condition.left, ast.FieldRef)
-            and isinstance(condition.right, ast.FieldRef)
-        ):
-            raise PlanError(
-                "JOIN ON must be an equality between two field references"
-            )
+        assert isinstance(condition, ast.BinaryOp)
+        left, right = condition.left, condition.right
+        assert isinstance(left, ast.FieldRef) and isinstance(right, ast.FieldRef)
         left_names = {n.lower() for n in left_schema}
         right_names = {n.lower() for n in right_binding.schema}
-        names = (condition.left.name.lower(), condition.right.name.lower())
+        names = (left.name.lower(), right.name.lower())
         if names[0] in left_names and names[1] in right_names:
             left_field, right_field = names
-        elif names[1] in left_names and names[0] in right_names:
-            right_field, left_field = names
         else:
-            raise PlanError(
-                f"cannot resolve join fields {names[0]!r}, {names[1]!r} "
-                "against the two sources"
-            )
+            right_field, left_field = names
         left_key = compile_expr(
             ast.FieldRef(left_field), self._registry, left_schema, ctx
         )
@@ -1067,8 +1011,6 @@ class Planner:
         alias_evals: dict[str, Evaluator] = {}
         alias_exprs: dict[str, ast.Expr] = {}
         for item in statement.select:
-            if isinstance(item.expr, ast.Star):
-                raise PlanError("SELECT * cannot be combined with aggregates")
             rewritten = _rewrite_aggregates(item.expr, sites, by_sql)
             rewritten_items.append((item.output_name, rewritten))
             if item.alias and not contains_aggregate(item.expr):
@@ -1107,13 +1049,7 @@ class Planner:
         vector_agg_args: list[VectorEvaluator | None] = []
         for site in sites:
             call = site.call
-            if len(call.args) != 1:
-                raise PlanError(
-                    f"aggregate {call.name}() takes exactly one argument"
-                )
             count_rows = isinstance(call.args[0], ast.Star)
-            if count_rows and call.name != "count":
-                raise PlanError(f"only COUNT accepts '*', not {call.name}")
             arg_eval = (
                 None
                 if count_rows
@@ -1188,40 +1124,30 @@ class Planner:
             )
             return pipeline, output_schema + window_columns
 
-        policy: ConfidencePolicy | None = self._config.confidence_policy
-        if policy is not None:
-            if len(sites) != 1 or sites[0].call.name != "avg":
-                raise PlanError(
-                    "confidence-triggered emission supports exactly one AVG "
-                    "aggregate; add a WINDOW clause for other aggregate mixes"
-                )
-            if statement.order_by or statement.limit is not None:
-                raise PlanError(
-                    "ORDER BY / LIMIT are not supported with "
-                    "confidence-triggered emission"
-                )
-            value_eval = agg_factories[0][1]
-            assert value_eval is not None
-            plan.explain_lines.append(
-                "Aggregate: confidence-triggered AVG emission "
-                f"(ci≤{policy.ci_halfwidth:g}, z={policy.z:g}, "
-                f"max_age={policy.max_age_seconds})"
-            )
-            pipeline = ConfidenceAggregateOperator(
-                pipeline,
-                group_evals,
-                value_eval,
-                output_items,
-                ctx,
-                policy=policy,
-                vector_group_evals=vector_group_evals,
-                vector_value_eval=vector_agg_args[0],
-            )
-            return pipeline, output_schema + (
-                "n", "ci_halfwidth", "emit_reason"
-            )
-
-        raise PlanError(
-            "aggregate queries need a WINDOW clause (or a session "
-            "confidence policy for AVG; see EngineConfig.confidence_policy)"
+        # WINDOW CONFIDENCE over exactly one AVG and no HAVING / ORDER BY /
+        # LIMIT: the only windowless aggregate the analyzer admits (TQL207,
+        # TQL213).
+        confidence = statement.confidence
+        assert confidence is not None
+        policy = ConfidencePolicy(
+            ci_halfwidth=confidence.halfwidth,
+            max_age_seconds=confidence.max_age_seconds,
         )
+        value_eval = agg_factories[0][1]
+        assert value_eval is not None
+        plan.explain_lines.append(
+            "Aggregate: confidence-triggered AVG emission "
+            f"(ci≤{policy.ci_halfwidth:g}, z={policy.z:g}, "
+            f"max_age={policy.max_age_seconds})"
+        )
+        pipeline = ConfidenceAggregateOperator(
+            pipeline,
+            group_evals,
+            value_eval,
+            output_items,
+            ctx,
+            policy=policy,
+            vector_group_evals=vector_group_evals,
+            vector_value_eval=vector_agg_args[0],
+        )
+        return pipeline, output_schema + ("n", "ci_halfwidth", "emit_reason")

@@ -28,7 +28,6 @@ from typing import Any
 
 from repro import rng as rng_mod
 from repro.clock import VirtualClock
-from repro.engine.confidence import ConfidencePolicy
 from repro.engine.executor import QueryHandle
 from repro.engine.functions import FunctionRegistry, default_registry
 from repro.engine.latency import ManagedCall
@@ -95,8 +94,6 @@ class EngineConfig:
             service call — emit NULL for the not-yet-known value instead
             (Raman & Hellerstein-style partial results; the paper cites
             this as the complementary piece of the async design).
-        confidence_policy: enables CONTROL-style confidence-triggered AVG
-            emission for windowless aggregate queries.
         workers: inert; nothing in the engine reads it, and every plan
             is the serial plan whatever its value. It stays only because
             the ``bench/`` harness's mode probe still builds
@@ -163,7 +160,6 @@ class EngineConfig:
     pool_depth: int = 8
     batch_size: int = 256
     partial_results: bool = False
-    confidence_policy: ConfidencePolicy | None = None
     workers: int = 1
     geocode_latency: LatencyModel = field(default_factory=LatencyModel)
     entities_latency: LatencyModel = field(

@@ -9,7 +9,8 @@ constructs the prose describes:
   ``contains`` (case-insensitive substring) and ``matches`` (regular
   expression) operators, and geographic ``location in [bounding box …]``,
 - ``GROUP BY`` on expressions or select aliases,
-- ``WINDOW n unit [EVERY n unit]`` tumbling/sliding windows,
+- ``WINDOW n unit [EVERY n unit]`` tumbling/sliding windows, and
+  ``WINDOW CONFIDENCE h [MAX n unit]`` confidence-triggered AVG emission,
 - ``HAVING``, ``LIMIT``, and ``INTO table`` for logging results.
 """
 

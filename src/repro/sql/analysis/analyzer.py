@@ -6,10 +6,12 @@ inference, semantic validation, lints — and return an
 :class:`AnalysisResult` holding every finding.
 
 The planner calls :meth:`AnalysisResult.raise_first_error` before
-building a pipeline, so every plan-time rejection carries a stable code
-and source span while still raising the same exception types
-(``UnknownSourceError``, ``UnknownFieldError``, ``UnknownFunctionError``,
-``PlanError``) callers already catch.
+building a pipeline, and rejects nothing itself, so every plan-time
+rejection carries a stable code and source span while raising the
+exception types (``UnknownSourceError``, ``UnknownFieldError``,
+``UnknownFunctionError``, ``PlanError``) callers catch. No gating error
+depends on the session's configuration: what a query means is in its
+text.
 """
 
 from __future__ import annotations
@@ -92,12 +94,12 @@ class AnalysisResult:
     # -- the planner gate ----------------------------------------------------
 
     def raise_first_error(self) -> None:
-        """Raise the error the planner would have raised, typed and coded.
+        """Raise the first gating error, typed and coded.
 
-        Raises in the planner's own validation order (source resolution,
-        then join shape, then expression compilation, then aggregate
-        rules) so existing callers see the same exception type they
-        always did — now carrying ``code``/``diagnostic``. Syntax
+        "First" is in validation order (source resolution, then join
+        shape, then expression compilation, then aggregate rules), so a
+        statement with several errors raises the same exception type
+        whatever their positions; it carries ``code``/``diagnostic``. Syntax
         diagnostics (``TQL001``/``TQL002``) re-raise as
         :class:`LexError`/:class:`ParseError`.
         """
@@ -140,9 +142,9 @@ class AnalysisResult:
         raise exc
 
 
-#: Codes the gate enforces, in the order the planner hits them: source
-#: resolution, join shape, expression compilation (unknown names,
-#: misplaced aggregates, pattern/box literals), then statement shape.
+#: Codes the gate enforces, in validation order: source resolution, join
+#: shape, expression compilation (unknown names, misplaced aggregates,
+#: pattern/box literals), then statement shape.
 #: TQL1xx type findings are advisory and never gate planning, with the
 #: one exception the engine itself enforces at runtime boundaries.
 _PLANNER_ORDER: dict[str, int] = {
@@ -212,23 +214,15 @@ def analyze_statement(
             only (:meth:`Catalog.default`).
         registry: UDF registry; defaults to the builtin set.
         config: the session's ``EngineConfig`` (enables the
-            configuration-dependent checks and lints); None for
-            session-less analysis.
+            configuration-dependent lints; no error depends on it); None
+            for session-less analysis.
         source_sql: original query text for caret snippets.
     """
     catalog = catalog or Catalog.default()
     registry = registry or default_registry()
     sink = DiagnosticSink()
     schema = resolve_statement_schema(statement, catalog, sink)
-    check_statement(
-        statement,
-        schema,
-        registry,
-        sink,
-        has_confidence_policy=(
-            getattr(config, "confidence_policy", None) is not None
-        ),
-    )
+    check_statement(statement, schema, registry, sink)
     run_lints(statement, schema, registry, sink, catalog, config)
     return AnalysisResult(
         source_sql=source_sql,

@@ -3,7 +3,7 @@
 These never block planning — they flag queries that run but behave worse
 than the author probably expects on an unbounded stream:
 
-- ``TQL301`` confidence-triggered aggregation emits approximations;
+- ``TQL301`` ``WINDOW CONFIDENCE`` emits approximations;
 - ``TQL302`` a high-latency web-service UDF predicate ordered before
   cheap predicates (every tweet pays the round trip);
 - ``TQL303`` regex shapes prone to catastrophic backtracking;
@@ -32,8 +32,7 @@ from repro.engine.functions import FunctionRegistry
 from repro.sql import ast
 from repro.sql.analysis.catalog import Catalog
 from repro.sql.analysis.diagnostics import DiagnosticSink
-from repro.sql.analysis.semantic import statement_has_aggregates
-from repro.sql.ast import span_of
+from repro.sql.ast import span_of, split_conjuncts, statement_exprs
 
 
 def run_lints(
@@ -50,8 +49,8 @@ def run_lints(
     session-less analysis; lints that depend on configuration use the
     engine's defaults then).
     """
-    conjuncts = _split_conjuncts(statement.where)
-    _lint_confidence_aggregate(statement, sink, config)
+    conjuncts = split_conjuncts(statement.where)
+    _lint_confidence_aggregate(statement, sink)
     _lint_latency_ordering(conjuncts, registry, sink)
     _lint_regex_shapes(statement, sink)
     _lint_firehose(statement, conjuncts, catalog, sink)
@@ -66,33 +65,10 @@ def run_lints(
 # ---------------------------------------------------------------------------
 
 
-def _split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
-    if expr is None:
-        return []
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
-    return [expr]
-
-
-def _statement_exprs(statement: ast.SelectStatement) -> list[ast.Expr]:
-    exprs: list[ast.Expr] = [
-        item.expr
-        for item in statement.select
-        if not isinstance(item.expr, ast.Star)
-    ]
-    if statement.where is not None:
-        exprs.append(statement.where)
-    exprs.extend(statement.group_by)
-    if statement.having is not None:
-        exprs.append(statement.having)
-    exprs.extend(expr for expr, _desc in statement.order_by)
-    return exprs
-
-
 def _calls_function(
     statement: ast.SelectStatement, predicate: Any
 ) -> ast.FuncCall | None:
-    for expr in _statement_exprs(statement):
+    for expr in statement_exprs(statement):
         for node in ast.walk(expr):
             if isinstance(node, ast.FuncCall) and predicate(node):
                 return node
@@ -100,24 +76,21 @@ def _calls_function(
 
 
 # ---------------------------------------------------------------------------
-# TQL301 — confidence-triggered aggregation is approximate
+# TQL301 — WINDOW CONFIDENCE aggregation is approximate
 # ---------------------------------------------------------------------------
 
 
 def _lint_confidence_aggregate(
-    statement: ast.SelectStatement, sink: DiagnosticSink, config: Any
+    statement: ast.SelectStatement, sink: DiagnosticSink
 ) -> None:
-    policy = getattr(config, "confidence_policy", None)
-    if policy is None:
-        return
-    if statement_has_aggregates(statement) and statement.window is None:
+    if statement.confidence is not None:
         sink.info(
             "TQL301",
-            "aggregate without a WINDOW runs in confidence-triggered mode: "
-            "groups emit when their confidence interval tightens, so "
-            "results are approximations with attached CI columns",
-            None,
-            "add a WINDOW clause for exact per-window results",
+            "WINDOW CONFIDENCE runs in confidence-triggered mode: groups "
+            "emit when their confidence interval tightens, so results are "
+            "approximations with attached CI columns",
+            statement.confidence.span,
+            "use a time WINDOW for exact per-window results",
         )
 
 
@@ -187,7 +160,7 @@ def _suspicious_regex(pattern: str) -> str | None:
 def _lint_regex_shapes(
     statement: ast.SelectStatement, sink: DiagnosticSink
 ) -> None:
-    for expr in _statement_exprs(statement):
+    for expr in statement_exprs(statement):
         for node in ast.walk(expr):
             if (
                 isinstance(node, ast.BinaryOp)

@@ -1,13 +1,15 @@
 """Statement-level semantic validation (``TQL2xx``).
 
-Mirrors, check for check, everything the planner rejects — unknown
-sources, aggregate/window/HAVING/ORDER BY shape rules, join shape and
-field resolution, bounding boxes, LIKE/MATCHES pattern rules, and the
-confidence-policy restrictions — but *collects* every violation instead
-of raising on the first. The planner routes its own validation through
-:func:`repro.sql.analysis.analyzer.analyze_statement`, so a query that
-produces no ``TQL2xx`` error here is exactly a query the planner accepts
-(the no-drift property tested in ``tests/sql/analysis/test_no_drift.py``).
+This is the one place a statement is rejected: unknown sources,
+aggregate/window/HAVING/ORDER BY shape rules, join shape and field
+resolution, bounding boxes, LIKE/MATCHES pattern rules, and the
+``WINDOW CONFIDENCE`` restrictions. Every violation is *collected*, not
+raised on the first. The planner raises the first gating error through
+:meth:`repro.sql.analysis.analyzer.AnalysisResult.raise_first_error`
+before it builds anything and re-checks none of these rules, so a query
+that produces no gating error here is exactly a query the planner
+accepts (the no-drift property tested in
+``tests/sql/analysis/test_no_drift.py``).
 
 Clause-by-clause alias and aggregate scoping copies the engine:
 
@@ -190,7 +192,6 @@ def check_statement(
     schema: tuple[str, ...],
     registry: FunctionRegistry,
     sink: DiagnosticSink,
-    has_confidence_policy: bool = False,
 ) -> None:
     """Run every ``TQL2xx`` / ``TQL1xx`` check over one statement.
 
@@ -276,36 +277,38 @@ def check_statement(
         inferencer(alias_types, allow_aggregates=True).infer(expr)
 
     # ---- aggregate mode rules ----------------------------------------------
-    if has_aggregates:
-        sites = _aggregate_sites(statement)
-        if statement.window is None:
-            if not has_confidence_policy:
-                sink.error(
-                    "TQL207",
-                    "aggregate queries need a WINDOW clause (or a session "
-                    "confidence policy for AVG; see "
-                    "EngineConfig.confidence_policy)",
-                    span_of(sites[0]) if sites else None,
-                    "add e.g. WINDOW 60 SECONDS EVERY 10 SECONDS",
-                )
-            else:
-                if len(sites) != 1 or sites[0].name != "avg":
-                    sink.error(
-                        "TQL213",
-                        "confidence-triggered emission supports exactly one "
-                        "AVG aggregate; add a WINDOW clause for other "
-                        "aggregate mixes",
-                        span_of(sites[0]) if sites else None,
-                    )
-                if statement.order_by or statement.limit is not None:
-                    sink.error(
-                        "TQL213",
-                        "ORDER BY / LIMIT are not supported with "
-                        "confidence-triggered emission",
-                        span_of(statement.order_by[0][0])
-                        if statement.order_by
-                        else None,
-                    )
+    sites = _aggregate_sites(statement)
+    confidence = statement.confidence
+    if confidence is not None:
+        if len(sites) != 1 or sites[0].name != "avg":
+            sink.error(
+                "TQL213",
+                "WINDOW CONFIDENCE supports exactly one AVG aggregate; use a "
+                "time or tweet-count WINDOW for other aggregate mixes",
+                span_of(sites[0]) if sites else confidence.span,
+            )
+        if statement.having is not None:
+            sink.error(
+                "TQL213",
+                "HAVING is not supported with WINDOW CONFIDENCE",
+                span_of(statement.having),
+            )
+        if statement.order_by or statement.limit is not None:
+            sink.error(
+                "TQL213",
+                "ORDER BY / LIMIT are not supported with WINDOW CONFIDENCE",
+                span_of(statement.order_by[0][0])
+                if statement.order_by
+                else None,
+            )
+    elif has_aggregates and statement.window is None:
+        sink.error(
+            "TQL207",
+            "aggregate queries need a WINDOW clause (or WINDOW CONFIDENCE "
+            "for one AVG)",
+            span_of(sites[0]) if sites else None,
+            "add e.g. WINDOW 60 SECONDS EVERY 10 SECONDS",
+        )
 
     # ---- window fan-out -----------------------------------------------------
     window = statement.window
@@ -321,7 +324,10 @@ def check_statement(
             )
 
     # ---- string-operator literal rules --------------------------------------
-    for clause in _all_exprs(statement):
+    exprs = ast.statement_exprs(statement)
+    if statement.join is not None:
+        exprs.append(statement.join.condition)
+    for clause in exprs:
         for node in ast.walk(clause):
             _check_patterns(node, sink)
 
@@ -336,23 +342,6 @@ def _check_predicate_type(
             "applies SQL truthiness (non-zero / non-empty is true)",
             span_of(expr),
         )
-
-
-def _all_exprs(statement: ast.SelectStatement) -> list[ast.Expr]:
-    exprs: list[ast.Expr] = [
-        item.expr
-        for item in statement.select
-        if not isinstance(item.expr, ast.Star)
-    ]
-    if statement.where is not None:
-        exprs.append(statement.where)
-    exprs.extend(statement.group_by)
-    if statement.having is not None:
-        exprs.append(statement.having)
-    exprs.extend(expr for expr, _desc in statement.order_by)
-    if statement.join is not None:
-        exprs.append(statement.join.condition)
-    return exprs
 
 
 def _check_patterns(node: ast.Expr, sink: DiagnosticSink) -> None:

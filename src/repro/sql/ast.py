@@ -267,6 +267,30 @@ class WindowSpec:
 
 
 @dataclass(frozen=True)
+class ConfidenceSpec:
+    """``WINDOW CONFIDENCE halfwidth [MAX n unit]``.
+
+    The paper's "construct for windowing that measures confidence in the
+    aggregated result": each group emits its AVG once the confidence
+    interval's half-width is at most ``halfwidth`` (in the aggregated
+    quantity's units), or ``max_age_seconds`` after its first tweet,
+    whichever comes first. MAX defaults to three hours, the
+    :class:`~repro.engine.confidence.ConfidencePolicy` default; the parser
+    rejects a half-width that is not positive.
+    """
+
+    halfwidth: float
+    max_age_seconds: float = 3 * 3600.0
+    span: Span | None = _span_field()
+
+    def to_sql(self) -> str:
+        return (
+            f"WINDOW CONFIDENCE {self.halfwidth:g} "
+            f"MAX {self.max_age_seconds:g} SECONDS"
+        )
+
+
+@dataclass(frozen=True)
 class JoinClause:
     """``JOIN source ON condition`` (windowed stream join)."""
 
@@ -286,6 +310,7 @@ class SelectStatement:
     where: Expr | None = None
     group_by: tuple[Expr, ...] = ()
     window: WindowSpec | None = None
+    confidence: ConfidenceSpec | None = None
     having: Expr | None = None
     limit: int | None = None
     into: str | None = None
@@ -305,6 +330,8 @@ class SelectStatement:
             parts.append("GROUP BY " + ", ".join(g.to_sql() for g in self.group_by))
         if self.window is not None:
             parts.append(self.window.to_sql())
+        if self.confidence is not None:
+            parts.append(self.confidence.to_sql())
         if self.having is not None:
             parts.append(f"HAVING {self.having.to_sql()}")
         if self.order_by:
@@ -337,6 +364,30 @@ def walk(expr: Expr):
         yield from walk(expr.operand)
         for value in expr.values:
             yield from walk(value)
+
+
+def split_conjuncts(expr: Expr | None) -> list[Expr]:
+    """Flatten a WHERE tree into its top-level AND conjuncts."""
+    if expr is None:
+        return []
+    if isinstance(expr, BinaryOp) and expr.op == "AND":
+        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
+    return [expr]
+
+
+def statement_exprs(statement: SelectStatement) -> list[Expr]:
+    """Every expression a statement evaluates: select items, WHERE, GROUP
+    BY keys, HAVING and ORDER BY (not the join condition)."""
+    exprs: list[Expr] = [
+        item.expr for item in statement.select if not isinstance(item.expr, Star)
+    ]
+    if statement.where is not None:
+        exprs.append(statement.where)
+    exprs.extend(statement.group_by)
+    if statement.having is not None:
+        exprs.append(statement.having)
+    exprs.extend(expr for expr, _desc in statement.order_by)
+    return exprs
 
 
 def field_names(expr: Expr) -> set[str]:

@@ -5,11 +5,17 @@ Grammar (roughly; ``[]`` optional, ``{}`` repetition)::
     statement   := SELECT select_list FROM source [JOIN source ON expr]
                    [WHERE expr] [GROUP BY expr {, expr}] [window]
                    [HAVING expr] [ORDER BY expr [ASC|DESC] {, …}]
-                   [LIMIT int] [INTO ident] [;]
+                   [LIMIT int] [INTO [STREAM] ident] [;]
     select_list := * | item {, item}
     item        := expr [[AS] ident]
     window      := WINDOW number unit [EVERY number unit]
-    unit        := SECOND[S] | MINUTE[S] | HOUR[S] | DAY[S]
+                 | WINDOW CONFIDENCE number [MAX number time_unit]
+    unit        := time_unit | TWEET[S]
+    time_unit   := SECOND[S] | MINUTE[S] | HOUR[S] | DAY[S]
+
+``CONFIDENCE``, ``MAX`` and ``STREAM`` are soft keywords: identifiers
+everywhere but in these clauses, so ``max(followers)`` and a field named
+``confidence`` still parse.
 
 Expressions use conventional precedence (OR < AND < NOT < comparison <
 additive < multiplicative < unary), with the tweet-specific ``CONTAINS``,
@@ -24,6 +30,7 @@ from repro.errors import ParseError
 from repro.sql.ast import (
     BBox,
     BinaryOp,
+    ConfidenceSpec,
     Expr,
     FieldRef,
     FuncCall,
@@ -123,6 +130,14 @@ class _Parser:
             return True
         return False
 
+    def _accept_soft_keyword(self, name: str) -> bool:
+        """Consume an identifier spelled ``name`` (any case), if current."""
+        token = self._current
+        if token.type is TokenType.IDENT and token.value.upper() == name:
+            self._advance()
+            return True
+        return False
+
     def _expect_ident(self, what: str) -> str:
         if self._current.type is TokenType.IDENT:
             return self._advance().value
@@ -160,8 +175,13 @@ class _Parser:
             group_by = tuple(self._parse_expr_list())
 
         window: WindowSpec | None = None
+        confidence: ConfidenceSpec | None = None
         if self._current.is_keyword("WINDOW"):
-            window = self._parse_window()
+            start = self._advance().position
+            if self._accept_soft_keyword("CONFIDENCE"):
+                confidence = self._parse_confidence(start)
+            else:
+                window = self._parse_window(start)
 
         having: Expr | None = None
         if self._accept_keyword("HAVING"):
@@ -216,6 +236,7 @@ class _Parser:
             where=where,
             group_by=group_by,
             window=window,
+            confidence=confidence,
             having=having,
             limit=limit,
             into=into,
@@ -254,8 +275,7 @@ class _Parser:
             exprs.append(self._parse_expr())
         return exprs
 
-    def _parse_window(self) -> WindowSpec:
-        start = self._expect_keyword("WINDOW").position
+    def _parse_window(self, start: int) -> WindowSpec:
         size, size_is_count = self._parse_duration()
         slide: float | None = None
         slide_is_count = size_is_count
@@ -276,6 +296,28 @@ class _Parser:
                 span=span,
             )
         return WindowSpec(size_seconds=size, slide_seconds=slide, span=span)
+
+    def _parse_confidence(self, start: int) -> ConfidenceSpec:
+        token = self._current
+        if token.type is not TokenType.NUMBER:
+            raise self._error("expected a half-width number after CONFIDENCE")
+        self._advance()
+        halfwidth = float(token.value)
+        if halfwidth <= 0:
+            raise self._error(
+                "the confidence half-width must be positive", at=token
+            )
+        if not self._accept_soft_keyword("MAX"):
+            return ConfidenceSpec(halfwidth, span=Span(start, self._prev_end))
+        age_at = self._current
+        max_age, is_count = self._parse_duration()
+        if is_count:
+            raise self._error(
+                "MAX takes a time unit (seconds/minutes/hours/days)", at=age_at
+            )
+        return ConfidenceSpec(
+            halfwidth, max_age, span=Span(start, self._prev_end)
+        )
 
     def _parse_duration(self) -> tuple[float, bool]:
         """Returns (magnitude, is_count): seconds, or a tweet count."""

@@ -189,6 +189,38 @@ def test_registered_source_schema_validated(soccer_session):
         soccer_session.query("SELECT bogus FROM static;")
 
 
+@pytest.mark.parametrize(
+    "code, sql",
+    [
+        ("TQL204", "SELECT text FROM twitter WHERE text contains 'a' "
+                   "HAVING COUNT(*) > 1;"),
+        ("TQL205", "SELECT text FROM twitter WHERE text contains 'a' ORDER BY text;"),
+        ("TQL206", "SELECT *, COUNT(*) FROM twitter WHERE text contains 'a' "
+                   "WINDOW 1 minutes;"),
+        ("TQL207", "SELECT COUNT(*) FROM twitter WHERE text contains 'a';"),
+        ("TQL211", "SELECT SUM(followers, tweet_id) FROM twitter "
+                   "WHERE text contains 'a' WINDOW 1 minutes;"),
+        ("TQL211", "SELECT AVG(*) FROM twitter WHERE text contains 'a' "
+                   "WINDOW 1 minutes;"),
+        ("TQL212", "SELECT x FROM nowhere;"),
+        ("TQL212", "SELECT text FROM twitter JOIN nowhere ON user_id = k "
+                   "WINDOW 1 minutes;"),
+        ("TQL214", "SELECT text FROM twitter JOIN other ON user_id = k;"),
+        ("TQL215", "SELECT text FROM twitter JOIN other ON user_id > k "
+                   "WINDOW 1 minutes;"),
+        ("TQL216", "SELECT text FROM twitter JOIN other ON user_id = nope "
+                   "WINDOW 1 minutes;"),
+    ],
+)
+def test_session_rejections_carry_their_code(soccer_session, code, sql):
+    """Each statement rule is enforced once, by the analyzer, and reaches a
+    session caller as a typed error carrying that rule's code."""
+    soccer_session.register_source("other", lambda: iter(()), ("created_at", "k"))
+    with pytest.raises((PlanError, UnknownSourceError)) as excinfo:
+        soccer_session.query(sql)
+    assert excinfo.value.code == code
+
+
 def test_cannot_shadow_twitter(soccer_session):
     with pytest.raises(PlanError):
         soccer_session.register_source("twitter", lambda: iter(()), ("created_at",))

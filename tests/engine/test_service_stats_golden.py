@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro import EngineConfig, TweeQL
-from repro.engine.confidence import ConfidencePolicy
 
 STATEMENTS = {
     "cached": (
@@ -140,12 +139,11 @@ def test_confidence_avg_resolves_a_batch_at_a_time(soccer):
         config = EngineConfig(
             latency_mode="batched",
             batch_size=batch_size,
-            confidence_policy=ConfidencePolicy(ci_halfwidth=2.0),
         )
         session = TweeQL.for_scenarios(soccer, config=config, seed=11)
         rows = session.query(
             "SELECT AVG(latitude(loc)) AS la, lang FROM twitter "
-            "WHERE text CONTAINS 'goal' GROUP BY lang;"
+            "WHERE text CONTAINS 'goal' GROUP BY lang WINDOW CONFIDENCE 2;"
         ).all()
         return rows, session.geocode_service.stats.batch_requests
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ConfidencePolicy, EngineConfig, TweeQL
+from repro import EngineConfig, TweeQL
 from repro.geo.service import LatencyModel
 
 
@@ -134,30 +134,57 @@ def test_custom_stateful_udf(soccer_session):
     assert [row["n"] for row in rows] == [1, 2, 3, 4, 5]
 
 
-def test_confidence_policy_query(session_factory):
-    config = EngineConfig(
-        confidence_policy=ConfidencePolicy(
-            ci_halfwidth=0.2, max_age_seconds=1800.0
-        )
-    )
-    session = session_factory("soccer", config=config)
-    rows = session.query(
+def test_confidence_clause_query(soccer_session):
+    rows = soccer_session.query(
         "SELECT AVG(sentiment(text)) AS s FROM twitter "
-        "WHERE text contains 'soccer' GROUP BY lang;"
+        "WHERE text contains 'soccer' GROUP BY lang "
+        "WINDOW CONFIDENCE 0.2 MAX 30 minutes;"
     ).all()
     assert rows
     assert {"confidence", "age", "eos"} >= {row["emit_reason"] for row in rows}
 
 
-def test_confidence_policy_rejects_non_avg(session_factory):
+def test_confidence_clause_rejects_non_avg(soccer_session):
     from repro.errors import PlanError
 
-    config = EngineConfig(confidence_policy=ConfidencePolicy(ci_halfwidth=0.2))
-    session = session_factory("soccer", config=config)
-    with pytest.raises(PlanError):
-        session.query(
-            "SELECT COUNT(*) FROM twitter WHERE text contains 'x' GROUP BY lang;"
+    with pytest.raises(PlanError) as excinfo:
+        soccer_session.query(
+            "SELECT COUNT(*) FROM twitter WHERE text contains 'x' GROUP BY lang "
+            "WINDOW CONFIDENCE 0.2;"
         )
+    assert excinfo.value.code == "TQL213"
+
+
+def test_confidence_clause_rejects_having(soccer_session):
+    """HAVING has no meaning under confidence-triggered emission, so it is
+    an error rather than a clause the operator would silently drop."""
+    from repro.errors import PlanError
+
+    with pytest.raises(PlanError) as excinfo:
+        soccer_session.query(
+            "SELECT lang, AVG(followers) AS f FROM twitter "
+            "WHERE text CONTAINS 'goal' GROUP BY lang "
+            "WINDOW CONFIDENCE 200 MAX 30 minutes HAVING 1 = 0;"
+        )
+    assert excinfo.value.code == "TQL213"
+
+
+def test_confidence_clause_is_per_statement(soccer_session):
+    """Two statements in one session run two different targets."""
+    sql = (
+        "SELECT lang, AVG(followers) AS f FROM twitter "
+        "WHERE text CONTAINS 'goal' GROUP BY lang WINDOW CONFIDENCE {};"
+    )
+    tight, loose = (
+        soccer_session.query(sql.format(target)).all() for target in (50, 400)
+    )
+    for rows, target in ((tight, 50), (loose, 400)):
+        assert all(
+            row["ci_halfwidth"] <= target
+            for row in rows
+            if row["emit_reason"] == "confidence"
+        )
+    assert len(loose) > len(tight)
 
 
 def test_latency_modes_agree_on_results(session_factory):

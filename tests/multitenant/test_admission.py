@@ -122,7 +122,7 @@ def test_the_backpressure_knobs_are_gone(shared_session):
     with pytest.raises(TypeError):
         shared_session.shared(buffer_batches=4)
     fields = {f.name for f in dataclasses.fields(EngineConfig)}
-    assert len(fields) == 21
+    assert len(fields) == 20
     assert not {"shared_buffer_batches", "shared_stall_seconds"} & fields
     # Knobs no caller set are module constants or defaults instead (the
     # group's capacity is ``TweeQL.shared(max_tenants=...)``).

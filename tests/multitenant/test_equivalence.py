@@ -101,6 +101,22 @@ def test_group_explain_describes_fanout(mini_soccer):
     )
 
 
+def test_tenants_run_their_own_confidence_targets(mini_soccer):
+    """Confidence is part of each statement, so two tenants of one shared
+    scan run different targets, each row-identical to running alone."""
+    sql = (
+        "SELECT lang, AVG(followers) AS f FROM twitter "
+        "WHERE text contains 'goal' GROUP BY lang WINDOW CONFIDENCE {};"
+    )
+    sqls = [sql.format("50 MAX 30 minutes"), sql.format(400)]
+    shared, group = run_shared(mini_soccer, sqls)
+    for rows, one in zip(shared, sqls):
+        assert rows == run_independent(mini_soccer, one)
+    assert all(shared) and shared[0] != shared[1]
+    assert "ci≤50," in group.handles[0].explain()
+    assert "ci≤400," in group.handles[1].explain()
+
+
 def test_workers_are_ignored_but_rows_identical(mini_soccer):
     """The inert ``workers`` field changes neither a tenant's rows nor
     its EXPLAIN."""

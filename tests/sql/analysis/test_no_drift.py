@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import EngineConfig, TweeQL
@@ -71,6 +71,8 @@ TAILS = (
     " WINDOW 120 seconds",
     " ORDER BY count(*) DESC",  # TQL205 without a windowed aggregate
     " GROUP BY lang WINDOW 60 seconds ORDER BY count(*) DESC LIMIT 2",
+    " GROUP BY lang WINDOW CONFIDENCE 50",   # TQL213 unless one AVG
+    " GROUP BY lang WINDOW CONFIDENCE 50 ORDER BY lang",  # TQL213
 )
 
 
@@ -109,6 +111,14 @@ def run(session: TweeQL, sql: str) -> list[dict]:
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(sql=queries())
+@example(
+    sql="SELECT avg(followers) AS f, lang FROM s WHERE text CONTAINS 'goal' "
+    "GROUP BY lang WINDOW CONFIDENCE 50;"
+)
+@example(
+    sql="SELECT avg(followers) AS f FROM s GROUP BY lang "
+    "WINDOW CONFIDENCE 50 ORDER BY lang;"
+)
 def test_analyzer_verdict_matches_engine(sql):
     baseline_session = make_session()
     gated = gate_result(baseline_session.analyze(sql))

@@ -54,27 +54,45 @@ def test_aggregate_without_window_tql207():
     )
 
 
-def test_confidence_policy_lifts_tql207():
-    from repro.engine.confidence import ConfidencePolicy
+def test_confidence_clause_lifts_tql207():
+    sql = "SELECT avg(followers) FROM twitter WHERE text CONTAINS 'a'"
+    assert "TQL207" not in codes(sql + " WINDOW CONFIDENCE 0.1;")
+    assert "TQL207" in codes(sql + ";")
 
-    config = EngineConfig(confidence_policy=ConfidencePolicy())
-    sql = "SELECT avg(followers) FROM twitter WHERE text CONTAINS 'a';"
-    assert "TQL207" not in codes(sql, config=config)
-    assert "TQL207" in codes(sql)
+
+CONFIDENT = (
+    "SELECT lang, avg(followers) AS f FROM twitter WHERE text CONTAINS 'a' "
+    "GROUP BY lang WINDOW CONFIDENCE 0.1"
+)
 
 
 def test_confidence_mode_restrictions_tql213():
-    from repro.engine.confidence import ConfidencePolicy
+    for sql in (
+        # not exactly one aggregate, or not AVG
+        "SELECT text FROM twitter WHERE text CONTAINS 'a' WINDOW CONFIDENCE 0.1;",
+        "SELECT lang FROM twitter WHERE text CONTAINS 'a' GROUP BY lang "
+        "WINDOW CONFIDENCE 0.1;",
+        "SELECT count(*) FROM twitter WHERE text CONTAINS 'a' "
+        "WINDOW CONFIDENCE 0.1;",
+        "SELECT avg(followers), avg(tweet_id) FROM twitter "
+        "WHERE text CONTAINS 'a' WINDOW CONFIDENCE 0.1;",
+        # clauses confidence-triggered emission has no place for
+        CONFIDENT + " HAVING avg(followers) > 1;",
+        CONFIDENT + " ORDER BY f DESC;",
+        CONFIDENT + " LIMIT 3;",
+    ):
+        assert "TQL213" in codes(sql), sql
 
-    config = EngineConfig(confidence_policy=ConfidencePolicy())
-    assert "TQL213" in codes(
-        "SELECT count(*) FROM twitter WHERE text CONTAINS 'a';",
-        config=config,
-    )
-    assert "TQL213" in codes(
-        "SELECT avg(followers) FROM twitter WHERE text CONTAINS 'a' LIMIT 3;",
-        config=config,
-    )
+
+def test_confidence_clause_is_approximate_tql301():
+    result = analyze_sql(CONFIDENT + ";")
+    assert not result.errors
+    [info] = result.infos
+    assert info.code == "TQL301"
+    clause = (CONFIDENT + ";")[info.span.start:info.span.end]
+    assert clause == "WINDOW CONFIDENCE 0.1"
+    windowed = CONFIDENT.replace("CONFIDENCE 0.1", "60 seconds") + ";"
+    assert "TQL301" not in codes(windowed)
 
 
 def test_invalid_named_bbox_tql208():

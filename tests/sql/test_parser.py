@@ -210,6 +210,59 @@ def test_windowspec_rejects_non_positive_sizes():
         ast.WindowSpec(size_count=5, slide_count=0)
 
 
+def test_window_confidence_clause():
+    statement = parse(
+        "SELECT AVG(sentiment(text)) FROM twitter GROUP BY lat, long "
+        "WINDOW CONFIDENCE 0.1 MAX 3 hours;"
+    )
+    assert statement.window is None
+    assert statement.confidence == ast.ConfidenceSpec(0.1, 3 * 3600.0)
+    assert parse(statement.to_sql()) == statement
+
+
+def test_window_confidence_defaults_and_case():
+    statement = parse("SELECT avg(x) FROM t window confidence 50 max 30 minutes;")
+    assert statement.confidence == ast.ConfidenceSpec(50.0, 1800.0)
+    bare = parse("SELECT avg(x) FROM t WINDOW CONFIDENCE 2;").confidence
+    assert bare == ast.ConfidenceSpec(2.0)
+    assert parse("SELECT avg(x) FROM t WINDOW CONFIDENCE 2 MAX 3 hours;").confidence == bare
+
+
+def test_confidence_max_age_default_is_the_policy_default():
+    from repro.engine.confidence import ConfidencePolicy
+
+    assert ast.ConfidenceSpec(1.0).max_age_seconds == ConfidencePolicy().max_age_seconds
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        "WINDOW CONFIDENCE 0",             # half-width not positive
+        "WINDOW CONFIDENCE -0.1",          # ... nor negative
+        "WINDOW CONFIDENCE",               # missing number
+        "WINDOW CONFIDENCE 0.1 MAX",       # MAX without a duration
+        "WINDOW CONFIDENCE 0.1 MAX 3",     # MAX without a unit
+        "WINDOW CONFIDENCE 0.1 MAX 3 tweets",  # MAX takes a time unit
+        "WINDOW CONFIDENCE 0.1 MAX 0 hours",   # nor a zero age
+    ],
+)
+def test_window_confidence_errors_are_parse_errors(tail):
+    with pytest.raises(ParseError) as excinfo:
+        parse(f"SELECT avg(x) FROM t GROUP BY k {tail};")
+    assert excinfo.value.code == "TQL002"
+
+
+def test_confidence_and_max_stay_identifiers():
+    """Both words are soft keywords: outside the clause they are names."""
+    statement = parse(
+        "SELECT max(followers) AS confidence, confidence AS c2 FROM twitter "
+        "GROUP BY confidence WINDOW 1 minutes;"
+    )
+    assert statement.select[0].expr == ast.FuncCall("max", (ast.FieldRef("followers"),))
+    assert statement.select[0].alias == "confidence"
+    assert statement.group_by == (ast.FieldRef("confidence"),)
+
+
 def test_unterminated_bbox_raises():
     with pytest.raises(ParseError):
         parse("SELECT text FROM twitter WHERE location in [bounding box for;")
@@ -228,6 +281,7 @@ def test_to_sql_round_trips():
         "SELECT AVG(x) AS a, floor(y) AS b FROM twitter GROUP BY b WINDOW 60 seconds;",
         "SELECT text FROM twitter WHERE location in [bounding box for NYC] LIMIT 3;",
         "SELECT COUNT(*) FROM twitter WHERE a >= 1 AND b IS NULL WINDOW 5 minutes EVERY 60 seconds;",
+        "SELECT AVG(x) AS a, k FROM twitter GROUP BY k WINDOW CONFIDENCE 0.25 MAX 2 hours;",
     ]
     for sql in queries:
         first = parse(sql)
