@@ -540,7 +540,7 @@ class SharedScanGroup:
         )
         proxies, _ = proxy_services(self._services, index, self.shared_cache)
         ctx = EvalContext(clock=self._clock, services=proxies, lane=f"tenant-{index}")
-        plan = self._planner.plan(statement, binding, ctx)
+        plan = self._planner.plan(statement, binding, ctx, analyzed=True)
         plan.closers.append(lambda abandoned: self._leave(tenant, abandoned))
         handle = QueryHandle(sql, plan)
         self._tenants.append(tenant)

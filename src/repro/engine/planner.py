@@ -49,7 +49,7 @@ from repro.engine.selectivity import FilterCandidate, FilterChoice, choose_api_f
 from repro.engine.types import DEFAULT_BATCH_SIZE, ColumnBatch, EvalContext, Row
 from repro.sql import ast
 from repro.sql.ast import split_conjuncts
-from repro.twitter.models import TWITTER_SCHEMA
+from repro.twitter.models import TWITTER_SCHEMA, track_rule
 
 # ---------------------------------------------------------------------------
 # Source bindings
@@ -172,9 +172,18 @@ class BackfillSource:
         self._plan = plan
 
     def chunks(self, size: int) -> Iterator[list[Any]]:
-        return ops.frame(self._tweets(), size)
+        """Frames of ``size`` tweets, as the row-at-a-time splice
+        (``ops.frame`` over the store's tweets, then each live tweet at
+        or above the cut) frames them.
 
-    def _tweets(self) -> Iterator[Any]:
+        The store is read a decoded fetch at a time. The live tail opens
+        once history is exhausted: the replayed head of the stream is
+        delivered and discarded in one pass (:meth:`~repro.twitter.stream.
+        StreamConnection.skip_before`), and the tail is taken in lists
+        that complete each frame exactly, so at every frame boundary the
+        connection, its clock and its counters stand where the splice
+        leaves them.
+        """
         start, end = self._window
         watermark = self._store.watermark()
         cut = None
@@ -186,20 +195,33 @@ class BackfillSource:
                 cut = min(cut, end)
         matches = self._server_matches
         served = 0
+        pending: list[Any] = []
         if cut is not None and (start is None or start < cut):
-            for tweet in self._store.scan(start, cut):
-                if matches is not None and not matches(tweet):
-                    continue
-                served += 1
-                yield tweet
+            for tweets in self._store.scan_chunks(start, cut):
+                if matches is not None:
+                    tweets = list(filter(matches, tweets))
+                served += len(tweets)
+                pending += tweets
+                full = len(pending) - len(pending) % size
+                for at in range(0, full, size):
+                    yield pending[at : at + size]
+                pending = pending[full:]
         self._plan.backfill_rows = served
-        # The live tail is pulled a tweet at a time, exactly as far as the
-        # frame it completes: the connection, its clock and its counters
-        # stand where a row-at-a-time splice would leave them.
-        for tweet in self._live.open():
-            if cut is not None and tweet.created_at < cut:
-                continue  # history already served this timestamp range
-            yield tweet
+        connection = self._live.open()
+        try:
+            if cut is not None:
+                # History already served this timestamp range.
+                connection.skip_before(cut)
+            chunk = pending + connection.take(size - len(pending))
+            while len(chunk) == size:
+                yield chunk
+                chunk = connection.take(size)
+        finally:
+            # The stream ended (or the scan was abandoned): the connection
+            # closes before the short frame goes out, as a drained
+            # per-tweet read closes it.
+            connection.close()
+        yield chunk
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +370,7 @@ def extract_api_candidates(
                         kind="track",
                         description=f"track({', '.join(kw)})",
                         api_kwargs={"track": kw},
-                        matches=lambda tweet, kw=kw: tweet.matches_any_keyword(kw),
+                        matches=track_rule(kw),
                     ),
                 )
             )
@@ -473,6 +495,8 @@ class Planner:
         statement: ast.SelectStatement,
         binding: SourceBinding | None = None,
         ctx: EvalContext | None = None,
+        *,
+        analyzed: bool = False,
     ) -> PhysicalPlan:
         """Plan one parsed statement into a runnable pipeline.
 
@@ -485,8 +509,12 @@ class Planner:
 
         Validation runs through the static analyzer first and only there,
         so every rejection carries a stable ``TQL…`` code and a source span.
+        ``analyzed`` says the caller has raised the statement's gating
+        errors already (a shared-scan admission does, before it compiles
+        the tenant's conjuncts), so no statement is analyzed twice.
         """
-        self.analyze(statement).raise_first_error()
+        if not analyzed:
+            self.analyze(statement).raise_first_error()
 
         binding = binding or self._sources[statement.source.lower()]
         conjuncts = split_conjuncts(statement.where)

@@ -33,7 +33,7 @@ from typing import Any
 
 from repro.errors import StorageError
 from repro.storage.tweetlog import SqliteTweetLog
-from repro.twitter.models import Tweet
+from repro.twitter.models import Tweet, track_rule
 
 __all__ = ["HistoricalStore", "StorageWriter"]
 
@@ -96,10 +96,7 @@ class HistoricalStore(SqliteTweetLog):
     ) -> Iterator[Tweet]:
         """Tweets in ``[start, end)`` whose text contains ``needle`` under
         the API's ``track`` rule (casefolded substring), in scan order."""
-        keywords = (needle,)
-        for tweet in self.scan(start, end):
-            if tweet.matches_any_keyword(keywords):
-                yield tweet
+        return filter(track_rule((needle,)), self.scan(start, end))
 
     # -- engine-health history ---------------------------------------------
 

@@ -23,7 +23,7 @@ import operator
 import sqlite3
 import threading
 from collections.abc import Iterator, Sequence
-from itertools import islice
+from itertools import chain, islice
 from typing import Any
 
 from repro.errors import StorageError
@@ -151,6 +151,9 @@ class SqliteTweetLog:
     #: Rows fetched per lock acquisition while scanning (keeps long scans
     #: from starving concurrent writers).
     _SCAN_CHUNK = 512
+
+    #: Decoded payloads a scan keeps for reuse before it starts afresh.
+    _DECODED_MAX = 8192
 
     #: Most ids in one stored-rows probe (SQLite's bound-variable limit
     #: was 999 before 3.32).
@@ -286,9 +289,23 @@ class SqliteTweetLog:
             row = self._conn.execute("SELECT COUNT(*) FROM tweets").fetchone()
         return int(row[0])
 
+    @classmethod
+    def _row_to_tweet(cls, row: tuple) -> Tweet:
+        tweet_id, created_at, user_id, text, payload = row
+        user, geo = cls._decode_payload(user_id, payload)
+        return Tweet(
+            tweet_id=tweet_id,
+            created_at=created_at,
+            user=user,
+            text=text,
+            geo=geo,
+        )
+
     @staticmethod
-    def _row_to_tweet(row: tuple) -> Tweet:
-        tweet_id, created_at, user_id, text, payload_json = row
+    def _decode_payload(
+        user_id: int, payload_json: str
+    ) -> tuple[User, tuple[float, float] | None]:
+        """A stored row's author and geotag."""
         payload = json.loads(payload_json)
         user_data = payload["user"]
         # Earlier payloads also carry ``user_id`` (the native column is
@@ -302,13 +319,7 @@ class SqliteTweetLog:
             followers=user_data["followers"],
             lang=user_data["lang"],
         )
-        return Tweet(
-            tweet_id=tweet_id,
-            created_at=created_at,
-            user=user,
-            text=text,
-            geo=tuple(payload["geo"]) if payload.get("geo") else None,
-        )
+        return user, tuple(payload["geo"]) if payload.get("geo") else None
 
     def set_meta(self, key: str, value: Any) -> None:
         """Store a JSON-serializable metadata value (event definitions…)."""
@@ -343,20 +354,43 @@ class SqliteTweetLog:
 
     def scan(self, start: float | None = None, end: float | None = None) -> Iterator[Tweet]:
         """Tweets with ``start <= created_at < end``, in time order."""
+        return chain.from_iterable(self.scan_chunks(start, end))
+
+    def scan_chunks(
+        self, start: float | None = None, end: float | None = None
+    ) -> Iterator[list[Tweet]]:
+        """:meth:`scan`'s tweets, one decoded list per fetch.
+
+        Each distinct ``(user_id, payload)`` is decoded once per scan and
+        equal authors are one ``User``: an event's archive repeats its
+        authors, and most payloads are an author without a geotag.
+        """
         where, params = self._time_clauses(start, end)
         with self._lock:
             cursor = self._conn.execute(
-                "SELECT tweet_id, created_at, user_id, text, payload "
-                f"FROM tweets WHERE {where} ORDER BY created_at, tweet_id",
+                f"SELECT {self._COLUMNS} FROM tweets WHERE {where} "
+                "ORDER BY created_at, tweet_id",
                 params,
             )
+        decoded: dict[tuple[int, str], tuple[User, Any]] = {}
+        users: dict[User, User] = {}
         while True:
             with self._lock:
                 rows = cursor.fetchmany(self._SCAN_CHUNK)
             if not rows:
                 return
-            for row in rows:
-                yield self._row_to_tweet(row)
+            if len(decoded) > self._DECODED_MAX:
+                decoded.clear()  # a geotag-heavy scan repeats few payloads
+                users.clear()
+            tweets = []
+            for tweet_id, created_at, user_id, text, payload in rows:
+                key = (user_id, payload)
+                author = decoded.get(key)
+                if author is None:
+                    user, geo = self._decode_payload(user_id, payload)
+                    author = decoded[key] = (users.setdefault(user, user), geo)
+                tweets.append(Tweet(tweet_id, created_at, author[0], text, author[1]))
+            yield tweets
 
     def count(self, start: float | None = None, end: float | None = None) -> int:
         where, params = self._time_clauses(start, end)

@@ -15,7 +15,7 @@ evaluation scored against human annotators.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any
@@ -62,12 +62,22 @@ class TweetEntities:
 
     @classmethod
     def from_text(cls, text: str) -> "TweetEntities":
-        """Extract hashtags, mentions, and URLs from raw tweet text."""
+        """Extract hashtags, mentions, and URLs from raw tweet text.
+
+        A text without ``#``, ``@`` or ``://`` has none of them, and gets
+        the one shared empty instance.
+        """
+        if "#" not in text and "@" not in text and "://" not in text:
+            return NO_ENTITIES
         return cls(
             hashtags=tuple(m.group(1).lower() for m in _HASHTAG_RE.finditer(text)),
             mentions=tuple(m.group(1) for m in _MENTION_RE.finditer(text)),
             urls=tuple(m.group(0).rstrip(".,;!?)") for m in _URL_RE.finditer(text)),
         )
+
+
+#: The entities of a text that has none.
+NO_ENTITIES = TweetEntities()
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,6 +153,23 @@ class Tweet:
             "followers": self.user.followers,
             "__tweet__": self,
         }
+
+
+def track_rule(keywords: Iterable[str]) -> Callable[[Tweet], bool]:
+    """The streaming API's ``track`` rule: whether any keyword is a
+    case-insensitive substring of the text (what
+    :meth:`Tweet.matches_any_keyword` answers), with the keywords folded
+    once instead of per tweet."""
+    folded = tuple(keyword.casefold() for keyword in keywords)
+
+    def matches(tweet: Tweet) -> bool:
+        text = tweet.text.casefold()
+        for keyword in folded:
+            if keyword in text:
+                return True
+        return False
+
+    return matches
 
 
 def _geo_lat(tweet: Tweet) -> float | None:

@@ -21,6 +21,7 @@ The firehose itself is a time-ordered sequence of tweets from one or more
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from itertools import chain, islice
@@ -31,7 +32,7 @@ from repro import rng as rng_mod
 from repro.clock import VirtualClock
 from repro.errors import StreamError
 from repro.geo.bbox import BoundingBox
-from repro.twitter.models import Tweet
+from repro.twitter.models import Tweet, track_rule
 from repro.twitter.workloads import Scenario
 
 _created_at = attrgetter("created_at")
@@ -110,12 +111,16 @@ class ConnectionStats:
 class StreamConnection:
     """One long-running filtered stream request.
 
-    :meth:`chunks` is the delivery loop: it yields the matching tweets in
-    timestamp order, a list at a time, and a connection opened with a
-    clock advances it to the newest tweet of each list before yielding
-    the list (stream time drives query time). Iterating the connection is
-    the per-tweet view of ``chunks(1)``. ``predicate`` is the server-side
-    filter; None is the unfiltered firehose.
+    The connection reads the firehose through one cursor. :meth:`take`
+    delivers the next matching tweets in timestamp order, a list at a
+    time, and a connection opened with a clock advances it to the newest
+    tweet of each list before returning the list (stream time drives
+    query time). :meth:`chunks` is the delivery loop of equal-sized
+    ``take`` lists; iterating the connection is its per-tweet view,
+    ``chunks(1)``; :meth:`skip_before` delivers and discards the head of
+    the stream below a time bound (a backfill's replayed range).
+    ``predicate`` is the server-side filter; None is the unfiltered
+    firehose.
 
     ``drops`` is a fault schedule (see
     :class:`~repro.engine.resilience.StreamDrop`): the connection
@@ -140,9 +145,10 @@ class StreamConnection:
         auto_reconnect: bool = True,
         tap=None,
     ) -> None:
-        # The delivery loop reads a list through one iterator, whose
-        # length hint says how far a C-level filter scanned.
+        # Every read advances one cursor over a list, whose length hint
+        # says how far a C-level filter scanned.
         self._tweets = tweets if isinstance(tweets, list) else list(tweets)
+        self._cursor = iter(self._tweets)
         self._predicate = predicate
         self._delivery_ratio = delivery_ratio
         self._rng = rng_mod.derive(seed, f"connection:{description}")
@@ -166,70 +172,15 @@ class StreamConnection:
         return chain.from_iterable(self.chunks(1))
 
     def chunks(self, size: int) -> Iterator[list[Tweet]]:
-        """Delivered tweets, ``size`` to a list, then one shorter list
-        (possibly empty) when the stream ends or the connection closes.
-
-        Each list holds exactly what ``size`` pulls of a per-tweet loop
-        would deliver, and the firehose is read no further than the
-        list's last tweet, so the counters, delivery draws, tap calls and
-        reconnects agree with that loop at every list boundary. While no
-        stream drop can fall inside the next list — always, on a
-        connection without a fault schedule — the predicate runs over the
-        firehose in one ``filter`` call, a lossy connection draws only
-        for the matches, the counters move once and the clock advances
-        once, to the list's newest tweet; otherwise the list is filled
-        tweet by tweet.
-        """
+        """Delivered tweets, ``size`` to a list (see :meth:`take`), then
+        one shorter list (possibly empty) when the stream ends or the
+        connection closes; a drained or abandoned loop closes the
+        connection."""
         if size < 1:
             raise ValueError("size must be positive")
-        source = iter(self._tweets)
-        stats = self.stats
-        predicate = self._predicate
-        tap = self._tap
-        clock = self._clock
-        drops = self._drops
-        lossy = self._delivery_ratio < 1.0
         try:
             while True:
-                if self._closed:
-                    chunk: list[Tweet] = []
-                elif not self._gap_remaining and (
-                    self._next_drop == len(drops)
-                    or stats.delivered + size
-                    <= drops[self._next_drop].after_delivered
-                ):
-                    if predicate is None:
-                        matches = source
-                    else:
-                        before = length_hint(source)
-                        matches = filter(predicate, source)
-                    if lossy:
-                        chunk, matched = self._draw(matches, size)
-                        stats.dropped += matched - len(chunk)
-                    else:
-                        chunk = list(islice(matches, size))
-                        matched = len(chunk)
-                    stats.scanned += (
-                        matched if predicate is None
-                        else before - length_hint(source)
-                    )
-                    stats.matched += matched
-                    stats.delivered += len(chunk)
-                    if tap is not None:
-                        for tweet in chunk:
-                            tap(tweet)
-                    if clock is not None and chunk:
-                        # max() alone costs the per-tweet view a third of
-                        # its time; a one-tweet list needs no comparison.
-                        newest = (
-                            max(map(_created_at, chunk))
-                            if len(chunk) > 1
-                            else chunk[0].created_at
-                        )
-                        if newest > clock.now:
-                            clock.advance_to(newest)
-                else:
-                    chunk = self._walk(source, size)
+                chunk = self.take(size)
                 yield chunk
                 if len(chunk) < size:
                     return
@@ -238,6 +189,88 @@ class StreamConnection:
             # streams end when the server hangs up, not only on client
             # close.
             self.close()
+
+    def take(self, size: int) -> list[Tweet]:
+        """The next ``size`` deliveries from the firehose cursor (fewer
+        when the stream ends; none once the connection is closed).
+
+        The list holds exactly what ``size`` pulls of a per-tweet loop
+        would deliver, and the firehose is read no further than the
+        list's last tweet, so the counters, delivery draws, tap calls and
+        reconnects agree with that loop after every call.
+        """
+        return self._deliver(self._cursor, size)
+
+    def skip_before(self, cut: float) -> None:
+        """Deliver and discard the head of the stream below ``cut``.
+
+        The firehose is in timestamp order, so the head is every tweet
+        before the first one at or after ``cut``; the cursor stops there.
+        The counters, delivery draws, tap calls and clock then stand
+        where a per-tweet loop that drops each delivered tweet below
+        ``cut`` stands at its next delivery at or after it, or at the end
+        of the stream.
+        """
+        cursor = self._cursor
+        at = len(self._tweets) - length_hint(cursor)
+        head = bisect_left(self._tweets, cut, lo=at, key=_created_at) - at
+        if head:
+            self._deliver(islice(cursor, head), head)
+
+    def _deliver(self, source: Iterator[Tweet], size: int) -> list[Tweet]:
+        """Up to ``size`` deliveries out of ``source``, a view of the
+        firehose cursor.
+
+        While no stream drop can fall inside the list — always, on a
+        connection without a fault schedule — the predicate runs over the
+        firehose in one ``filter`` call, a lossy connection draws only
+        for the matches, the counters move once and the clock advances
+        once, to the list's newest tweet; otherwise the list is filled
+        tweet by tweet.
+        """
+        if self._closed:
+            return []
+        stats = self.stats
+        drops = self._drops
+        if self._gap_remaining or not (
+            self._next_drop == len(drops)
+            or stats.delivered + size <= drops[self._next_drop].after_delivered
+        ):
+            return self._walk(source, size)
+        predicate = self._predicate
+        cursor = self._cursor
+        if predicate is None:
+            matches = source
+        else:
+            before = length_hint(cursor)
+            matches = filter(predicate, source)
+        if self._delivery_ratio < 1.0:
+            chunk, matched = self._draw(matches, size)
+            stats.dropped += matched - len(chunk)
+        else:
+            chunk = list(islice(matches, size))
+            matched = len(chunk)
+        stats.scanned += (
+            matched if predicate is None else before - length_hint(cursor)
+        )
+        stats.matched += matched
+        stats.delivered += len(chunk)
+        tap = self._tap
+        if tap is not None:
+            for tweet in chunk:
+                tap(tweet)
+        clock = self._clock
+        if clock is not None and chunk:
+            # max() alone costs the per-tweet view a third of its time; a
+            # one-tweet list needs no comparison.
+            newest = (
+                max(map(_created_at, chunk))
+                if len(chunk) > 1
+                else chunk[0].created_at
+            )
+            if newest > clock.now:
+                clock.advance_to(newest)
+        return chunk
 
     def _draw(
         self, matches: Iterator[Tweet], size: int
@@ -441,19 +474,8 @@ class StreamingAPI:
             )
         if track:
             keywords = tuple(track)
-            # ``Tweet.matches_any_keyword`` with the keywords folded once
-            # per connection instead of once per tweet.
-            folded = tuple(k.casefold() for k in keywords)
-
-            def matches_track(tweet: Tweet) -> bool:
-                text = tweet.text.casefold()
-                for keyword in folded:
-                    if keyword in text:
-                        return True
-                return False
-
             return self._connect(
-                matches_track, description=f"track={','.join(keywords)}"
+                track_rule(keywords), description=f"track={','.join(keywords)}"
             )
         if locations:
             boxes = tuple(locations)

@@ -23,7 +23,7 @@ import pytest
 
 from repro import EngineConfig, TweeQL
 from repro.clock import VirtualClock
-from repro.engine import expressions
+from repro.engine import expressions, operators
 from repro.engine.operators import (
     LimitOperator,
     ProjectOperator,
@@ -449,6 +449,21 @@ def test_seeded_vector_call_that_drops_null_cells_is_tql903(monkeypatch):
     assert error.code == "TQL903"
     assert "column 'l' has 80 cells but the batch declares 120" in str(error)
     assert error.operator == "Project"
+
+
+def test_seeded_tuple_frame_is_tql903(monkeypatch):
+    # The row sources' framing helper hands the scan tuples: every batch
+    # it builds is backed by a tuple of rows instead of a list.
+    error = seeded_failure(
+        monkeypatch, "SELECT text FROM s;",
+        operators, "frame",
+        "chunk = list(islice(items, size))",
+        "chunk = tuple(islice(items, size))",
+        batch_size=50,
+    )
+    assert error.code == "TQL903"
+    assert "backing rows must be a list, got tuple" in str(error)
+    assert error.operator == "Scan(s)"
 
 
 def test_seeded_projection_that_leaks_missing_is_tql904(monkeypatch):

@@ -103,6 +103,29 @@ def test_analyzer_errors_keep_their_diagnostics(shared_session):
     group.close()
 
 
+def test_each_tenant_is_analyzed_once(shared_session, monkeypatch):
+    """Admitting a tenant analyzes its statement once, as a plain
+    ``session.query`` does."""
+    from repro.sql import analysis
+
+    calls = []
+    analyze = analysis.analyze_statement
+
+    def counted(statement, *args, **kwargs):
+        calls.append(statement.to_sql())
+        return analyze(statement, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "analyze_statement", counted)
+    shared_session.query(QUERY_POOL[1]).close()
+    assert len(calls) == 1
+    calls.clear()
+    group = shared_session.shared()
+    for sql in QUERY_POOL[:3]:
+        group.query(sql)
+    assert len(calls) == 3 and len(set(calls)) == 3
+    group.close()
+
+
 def test_group_parameter_validation(shared_session):
     with pytest.raises(ValueError):
         shared_session.shared(max_tenants=0)

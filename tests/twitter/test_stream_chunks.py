@@ -14,6 +14,7 @@ same reconnect spans recorded.
 from __future__ import annotations
 
 import copy
+import math
 from itertools import islice
 
 import pytest
@@ -252,3 +253,40 @@ def test_chunks_reject_a_nonpositive_size(tweets):
     api = StreamingAPI(Firehose(list(tweets)), delivery_ratio=1.0)
     with pytest.raises(ValueError):
         next(api.unfiltered().chunks(0))
+
+
+@settings(max_examples=150, deadline=2000)
+@given(
+    kind=st.sampled_from(("firehose", "track", "locations", "follow")),
+    ratio=st.sampled_from((1.0, 0.98, 0.5)),
+    drops=drop_plans,
+    auto_reconnect=st.booleans(),
+    tapped=st.booleans(),
+    at=st.integers(0, STREAM_TWEETS),
+    nudge=st.sampled_from((-1, 0, 1)),
+    sizes=st.lists(st.integers(1, 300), min_size=1, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+def test_skip_then_take_match_the_per_tweet_loop(
+    tweets, kind, ratio, drops, auto_reconnect, tapped, at, nudge, sizes, seed
+):
+    """``skip_before(cut)`` then ``take`` lists of any sizes is the
+    per-tweet loop with every delivered tweet below ``cut`` dropped: the
+    same tweets, and the same state after each list."""
+    ours, theirs, api = open_pair(
+        tweets, kind, ratio, drops, auto_reconnect, tapped, seed
+    )
+    connection, reference = ours[0], theirs[0]
+    cut = tweets[at].created_at if at < len(tweets) else tweets[-1].created_at
+    if nudge:
+        cut = math.nextafter(cut, nudge * math.inf)
+    connection.skip_before(cut)
+    want = (tweet for tweet in reference if tweet.created_at >= cut)
+    for index, size in enumerate(sizes):
+        chunk, expected = connection.take(size), list(islice(want, size))
+        assert [t.tweet_id for t in chunk] == [t.tweet_id for t in expected]
+        if len(chunk) < size:
+            assert next(want, None) is None
+            assert_same_state(ours, theirs, f"at the end, list {index}")
+            break
+        assert_same_state(ours, theirs, f"after list {index}")
