@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from typing import Any
 
+from repro.engine.latency import managed_calls
 from repro.engine.planner import PhysicalPlan
 from repro.engine.types import ColumnBatch, QueryStats, Row
 from repro.errors import ExecutionError
@@ -18,11 +19,10 @@ from repro.twitter.models import Tweet
 
 
 def drain_services(services: dict[str, Any]) -> None:
-    """Wait out the in-flight async requests of every managed call (or
-    tenant proxy) in a context's ``services``."""
-    for name, managed in services.items():
-        if name.endswith("_managed"):
-            managed.drain()
+    """Wait out the in-flight async requests of every managed call in a
+    context's ``services``."""
+    for managed in managed_calls(services).values():
+        managed.drain()
 
 
 class QueryHandle:
@@ -65,30 +65,24 @@ class QueryHandle:
 
     @property
     def service_stats(self) -> dict[str, dict]:
-        """Per-service call and cache accounting.
+        """Per-service call and cache accounting, keyed by UDF name.
 
-        ``{service: {…ManagedCallStats…, "cache": {…CacheStats…}}}`` — the
-        ``cache`` entry (hits, misses, hit_rate, …) is present only when
-        the latency mode put an LRU in front of the service. When the
-        session enabled retries, ``resilience`` (retries, recoveries,
-        giveups, backoff time) and — with a breaker configured —
-        ``breaker`` (state plus transition counters) appear too.
-
-        A shared-scan tenant's call counters are its own stats mirror
-        (see :class:`~repro.engine.multitenant.TenantManagedCall`);
-        cache/resilience/breaker state lives on the shared service
-        objects.
+        ``{service: {…ManagedCallStats…, "cache": {…CacheStats…}}}``. The
+        call counters are this handle's own: the calls its plan made, a
+        shared-scan tenant's included. The blocks after them describe the
+        session's shared service objects, so they are session-wide: the
+        ``cache`` entry (hits, misses, hit_rate, …), present only when the
+        latency mode put an LRU in front of the service; when the session
+        enabled retries, ``resilience`` (retries, recoveries, giveups,
+        backoff time) and ``breaker`` (state plus transition counters).
         """
+        ctx = self._plan.ctx
         out: dict[str, dict] = {}
-        for name, managed in self._plan.ctx.services.items():
-            if not name.endswith("_managed"):
-                continue
-            service_name = name.removesuffix("_managed")
-            stats = dict(managed.stats.as_dict())
-            cache = getattr(managed, "cache", None)
-            if cache is not None:
-                stats["cache"] = cache.stats.as_dict()
-            service = getattr(managed, "service", None)
+        for name, managed in managed_calls(ctx.services).items():
+            stats: dict[str, Any] = dict(ctx.calls[managed].as_dict())
+            if managed.cache is not None:
+                stats["cache"] = managed.cache.stats.as_dict()
+            service = managed.service
             resilience = getattr(service, "resilience", None)
             if resilience is not None:
                 stats["resilience"] = resilience.as_dict()
@@ -98,7 +92,7 @@ class QueryHandle:
                     "state": breaker.state,
                     **breaker.stats.as_dict(),
                 }
-            out[service_name] = stats
+            out[name] = stats
         return out
 
     @property

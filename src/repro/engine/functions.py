@@ -225,9 +225,10 @@ def _service_udf(
 
     The column form normalises each key (NULL or blank → NULL, else
     ``str``), resolves the whole column with one
-    :meth:`~repro.engine.latency.ManagedCall.resolve` on the context's
-    ``service`` (a shared-scan tenant's context carries its proxy there),
-    and maps ``pick`` over the answers, NULL where the service gave NULL.
+    :meth:`~repro.engine.latency.ManagedCall.resolve` of the context's
+    ``service`` under that context (which counts and traces the calls as
+    the plan's), and maps ``pick`` over the answers, NULL where the
+    service gave NULL.
     The returned scalar implementation is the one-key column.
     """
 
@@ -238,7 +239,7 @@ def _service_udf(
         ]
         return [
             None if answer is None else pick(answer)
-            for answer in ctx.service(service).resolve(keys)
+            for answer in ctx.service(service).resolve(keys, ctx)
         ]
 
     def scalar(ctx: EvalContext, value: Any) -> Any:

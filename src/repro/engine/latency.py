@@ -36,18 +36,30 @@ resolve one after the other; the second finds every key the first
 resolved as long as a batch's distinct keys fit the cache and no TTL runs
 out within one batch's stalls. Below that capacity, or with such a TTL,
 it can request a key again.
+
+A session shares one :class:`ManagedCall` per service among all its
+plans: one cache, one in-flight pool, and ``stats`` counting every call.
+The builtins resolve under the calling plan's
+:class:`~repro.engine.types.EvalContext`, and each counter is written
+there too, at the same site (``ctx.calls``); the plan's tracer gets the
+service, stall and retry spans, and a shared-scan tenant's ``on_lookup``
+hook each lookup. A :class:`ManagedCall` used without a context counts
+only into its own ``stats``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.engine.resilience import ResilientService
 from repro.errors import ServiceError
 from repro.geo.service import SimulatedWebService
 from repro.storage.cache import LRUCache
+
+if TYPE_CHECKING:
+    from repro.engine.types import EvalContext
 
 #: Valid ManagedCall modes.
 MODES = ("blocking", "cached", "batched", "async")
@@ -83,6 +95,11 @@ class ManagedCallStats:
             "prefetched": self.prefetched,
             "partials": self.partials,
         }
+
+
+#: The counters one :meth:`ManagedCall.resolve` writes: the session-wide
+#: ``stats``, then the plan's own under a context.
+Counters = tuple[ManagedCallStats, ...]
 
 
 class ManagedCall:
@@ -140,10 +157,8 @@ class ManagedCall:
             )
         #: key → virtual completion time of the in-flight async request.
         self._in_flight: dict[Any, float] = {}
+        #: Every call the session made through this instance.
         self.stats = ManagedCallStats()
-        #: Span recorder (set by the planner when tracing is on). Checked
-        #: once per service interaction, never per row.
-        self.tracer: Any = None
 
     @property
     def mode(self) -> str:
@@ -160,93 +175,109 @@ class ManagedCall:
     # -- resolution ----------------------------------------------------------
 
     def __call__(self, key: Any) -> Any:
-        """Resolve one key: a one-key :meth:`resolve`."""
+        """Resolve one key: a one-key :meth:`resolve` outside any plan."""
         return self.resolve([key])[0]
 
-    def resolve(self, keys: Sequence[Any]) -> list[Any]:
-        """Resolve a column of keys to their values, in order, in the two
-        phases the module docstring describes."""
-        return self._resolve(keys, None)
-
-    def _resolve(
-        self,
-        keys: Sequence[Any],
-        on_lookup: Callable[[Any, bool], None] | None,
+    def resolve(
+        self, keys: Sequence[Any], ctx: EvalContext | None = None
     ) -> list[Any]:
-        """:meth:`resolve`, reporting each lookup's key and whether it was
-        a cache hit to ``on_lookup`` (a shared-scan tenant's accounting)."""
+        """Resolve a column of keys to their values, in order, in the two
+        phases the module docstring describes.
+
+        Every counter goes to ``stats``; under a plan's ``ctx`` the same
+        counts go to that plan's ``ctx.calls[self]`` too, its spans to
+        ``ctx.tracer``, and each lookup to ``ctx.on_lookup``.
+        """
+        if ctx is None:
+            counters: Counters = (self.stats,)
+            tracer = on_lookup = None
+        else:
+            counters = (self.stats, ctx.calls[self])
+            tracer, on_lookup = ctx.tracer, ctx.on_lookup
         if self._mode in ("batched", "async"):
-            self._warm(keys)
+            self._warm(keys, counters, tracer)
         values: list[Any] = []
+        calls = hits = 0
         for key in keys:
             if key is None:
                 values.append(None)
                 continue
-            hits = self.stats.cache_hits
-            values.append(self._lookup(key))
+            value, hit = self._lookup(key, counters, tracer)
+            calls += 1
+            hits += hit
             if on_lookup is not None:
-                on_lookup(key, self.stats.cache_hits > hits)
+                on_lookup(self, key, hit)
+            values.append(value)
+        for stats in counters:
+            stats.calls += calls
+            stats.cache_hits += hits
         return values
 
-    def _lookup(self, key: Any) -> Any:
-        """Resolve one key, using whatever the warm phase arranged."""
-        self.stats.calls += 1
+    def _lookup(
+        self, key: Any, counters: Counters, tracer: Any
+    ) -> tuple[Any, bool]:
+        """Resolve one key, using whatever the warm phase arranged: the
+        value, and whether a cache probe answered it."""
         value = self._cached(key)
         if value is not _MISSING:
-            return value
+            return value, True
         if self._partial_results:
             # Partial-results mode: never block. If the value is in flight,
             # report "unknown yet"; if it was never requested, launch it
             # asynchronously (pool permitting) and still answer NULL now.
             # Later rows with the same key get the landed value.
             if key not in self._in_flight and len(self._in_flight) < self._pool_depth:
-                self._launch_async(key)
-            self.stats.partials += 1
-            return None
+                self._launch_async(key, tracer)
+            for stats in counters:
+                stats.partials += 1
+            return None, False
         if key in self._in_flight:
             # The async request is still in the air: stall until it lands.
-            done_at = self._in_flight[key]
-            stall = max(0.0, done_at - self._clock.now)
-            self.stats.stalls += 1
-            self.stats.stall_seconds += stall
             before = self._clock.now
-            self._clock.advance_to(max(done_at, self._clock.now))
-            if self.tracer is not None:
-                self.tracer.add(
-                    self._service.name, "stall", before, self._clock.now,
-                    lane="services", key=str(key), path="in_flight",
-                )
+            self._clock.advance_to(max(self._in_flight[key], before))
+            self._stalled(
+                counters, tracer, "stall", before, key=str(key), path="in_flight"
+            )
             # The completion callback has now run and populated the cache.
             value = self._cached(key)
             if value is not _MISSING:
-                return value
-        return self._request_blocking(key)
+                return value, True
+        return self._request_blocking(key, counters, tracer), False
 
     def _cached(self, key: Any) -> Any:
-        """One counted cache probe: the value, or ``_MISSING``."""
+        """One cache probe (the LRU counts it): the value, or ``_MISSING``."""
         if self._cache is None:
             return _MISSING
-        value = self._cache.get(key, _MISSING)
-        if value is not _MISSING:
-            self.stats.cache_hits += 1
-        return value
+        return self._cache.get(key, _MISSING)
 
-    def _request_blocking(self, key: Any) -> Any:
+    def _request_blocking(self, key: Any, counters: Counters, tracer: Any) -> Any:
         before = self._clock.now
         try:
-            value = self._service.request(key)
+            value = self._service.request(key, tracer=tracer)
         except ServiceError:
             value = None
-        self.stats.stall_seconds += self._clock.now - before
-        self.stats.stalls += 1
-        if self.tracer is not None:
-            self.tracer.add(
-                self._service.name, "service", before, self._clock.now,
-                lane="services", key=str(key), path="blocking",
-                failed=value is None,
-            )
+        self._stalled(
+            counters, tracer, "service", before,
+            key=str(key), path="blocking", failed=value is None,
+        )
         self._store(key, value)
         return value
+
+    def _stalled(
+        self, counters: Counters, tracer: Any, kind: str, before: float,
+        **attrs: Any,
+    ) -> None:
+        """Count one consumer stall from ``before`` until now, and record
+        it as a ``kind`` span."""
+        stall = self._clock.now - before
+        for stats in counters:
+            stats.stalls += 1
+            stats.stall_seconds += stall
+        if tracer is not None:
+            tracer.add(
+                self._service.name, kind, before, self._clock.now,
+                lane="services", **attrs,
+            )
 
     def _store(self, key: Any, value: Any) -> None:
         if self._cache is None:
@@ -257,7 +288,7 @@ class ManagedCall:
 
     # -- warm phase ------------------------------------------------------------
 
-    def _warm(self, keys: Iterable[Any]) -> None:
+    def _warm(self, keys: Iterable[Any], counters: Counters, tracer: Any) -> None:
         """The warm phase of :meth:`resolve` (see the module docstring)."""
         pending: list[Any] = []
         seen: set[Any] = set()
@@ -273,27 +304,27 @@ class ManagedCall:
         if not pending:
             return
         if self._mode == "batched":
-            self._prefetch_batched(pending)
+            self._prefetch_batched(pending, counters, tracer)
         else:
-            self._prefetch_async(pending)
+            self._prefetch_async(pending, counters, tracer)
 
-    def _prefetch_batched(self, keys: list[Any]) -> None:
+    def _prefetch_batched(
+        self, keys: list[Any], counters: Counters, tracer: Any
+    ) -> None:
         limit = self._service.max_batch_size
         for start in range(0, len(keys), limit):
             chunk = keys[start : start + limit]
             before = self._clock.now
             try:
-                results = self._service.request_batch(chunk)
+                results = self._service.request_batch(chunk, tracer=tracer)
             except ServiceError:
                 results = [None] * len(chunk)
-            # A prefetch round trip is work done ahead of need, not a
-            # consumer stall — account it separately.
-            self.stats.prefetch_seconds += self._clock.now - before
-            if self.tracer is not None:
-                self.tracer.add(
+            if tracer is not None:
+                tracer.add(
                     self._service.name, "service", before, self._clock.now,
                     lane="services", path="batch", keys=len(chunk),
                 )
+            stored = 0
             for key, value in zip(chunk, results):
                 if isinstance(value, Exception):
                     # A transiently failed item stays uncached: the
@@ -302,9 +333,17 @@ class ManagedCall:
                     # of reading a pinned NULL.
                     continue
                 self._store(key, value)
-                self.stats.prefetched += 1
+                stored += 1
+            # A prefetch round trip is work done ahead of need, not a
+            # consumer stall — account it separately.
+            took = self._clock.now - before
+            for stats in counters:
+                stats.prefetch_seconds += took
+                stats.prefetched += stored
 
-    def _prefetch_async(self, keys: list[Any]) -> None:
+    def _prefetch_async(
+        self, keys: list[Any], counters: Counters, tracer: Any
+    ) -> None:
         for key in keys:
             while len(self._in_flight) >= self._pool_depth:
                 if self._partial_results:
@@ -313,19 +352,15 @@ class ManagedCall:
                     return
                 # Pool full: wait for an in-flight request to land.
                 before = self._clock.now
-                self.stats.stalls += 1
                 self._await_in_flight()
-                self.stats.stall_seconds += self._clock.now - before
-                if self.tracer is not None:
-                    self.tracer.add(
-                        self._service.name, "stall", before, self._clock.now,
-                        lane="services", path="pool_full",
-                    )
-            self._launch_async(key)
-            self.stats.prefetched += 1
+                self._stalled(counters, tracer, "stall", before, path="pool_full")
+            self._launch_async(key, tracer)
+            for stats in counters:
+                stats.prefetched += 1
 
-    def _launch_async(self, key: Any) -> None:
-        """Fire one async request (caller has checked the pool)."""
+    def _launch_async(self, key: Any, tracer: Any) -> None:
+        """Fire one async request (caller has checked the pool). A retried
+        chain records its later spans in the same ``tracer``."""
 
         def on_done(value: Any, error: Exception | None, key=key) -> None:
             self._in_flight.pop(key, None)
@@ -340,11 +375,11 @@ class ManagedCall:
             # Success always lands — including over a prior negative entry.
             self._store(key, value)
 
-        done_at = self._service.request_async(key, on_done)
+        done_at = self._service.request_async(key, on_done, tracer=tracer)
         self._in_flight[key] = done_at
-        if self.tracer is not None:
+        if tracer is not None:
             # Span covers launch → promised completion; retries land later.
-            self.tracer.add(
+            tracer.add(
                 self._service.name, "service", self._clock.now, done_at,
                 lane="services", key=str(key), path="async",
             )
@@ -373,3 +408,11 @@ class ManagedCall:
         while self._in_flight:
             self._await_in_flight()
 
+
+def managed_calls(services: dict[str, Any]) -> dict[str, ManagedCall]:
+    """The managed calls among a context's ``services``, by UDF name."""
+    return {
+        name: service
+        for name, service in services.items()
+        if isinstance(service, ManagedCall)
+    }

@@ -75,15 +75,14 @@ fanout context where the sharing happens.
 
 from __future__ import annotations
 
-import dataclasses
-from collections import deque
+from collections import OrderedDict, deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Any
 
 from repro.engine.executor import QueryHandle, drain_services
 from repro.engine.expressions import expand_column
-from repro.engine.latency import ManagedCall, ManagedCallStats
+from repro.engine.latency import ManagedCall, ManagedCallStats, managed_calls
 from repro.engine.planner import Planner, SourceBinding
 from repro.engine.types import ColumnBatch, EvalContext
 from repro.errors import AdmissionError, ExecutionError
@@ -138,11 +137,14 @@ class SharedServiceCache:
     The :class:`~repro.engine.latency.ManagedCall` LRUs are session-owned,
     so tenants share them by construction; this object only *attributes*
     that sharing — which tenant first requested each key, and how many
-    hits crossed tenant boundaries.
+    hits crossed tenant boundaries. Each service's ownership map holds at
+    most as many keys as the LRU it attributes: past that it forgets its
+    least recently requested key, as the LRU evicts its least recently
+    used one. A service with no LRU never hits, so it keeps no owners.
     """
 
     def __init__(self) -> None:
-        self._owners: dict[tuple[str, Any], int] = {}
+        self._owners: dict[str, OrderedDict[Any, int]] = {}
         self._per_service: dict[str, SharedCacheStats] = {}
 
     def service_stats(self, service: str) -> SharedCacheStats:
@@ -151,9 +153,16 @@ class SharedServiceCache:
             stats = self._per_service[service] = SharedCacheStats()
         return stats
 
-    def record(self, service: str, tenant: int, key: Any, hit: bool) -> None:
-        """Account one tenant request; claims ownership on first sight."""
-        owner = self._owners.setdefault((service, key), tenant)
+    def record(self, call: ManagedCall, tenant: int, key: Any, hit: bool) -> None:
+        """Account one tenant lookup through ``call``; claims ownership of
+        ``key`` on first sight."""
+        service = call.service.name
+        owners = self._owners.setdefault(service, OrderedDict())
+        owner = owners.pop(key, tenant)
+        if call.cache is not None:
+            owners[key] = owner
+            if len(owners) > call.cache.capacity:
+                owners.popitem(last=False)
         stats = self.service_stats(service)
         stats.requests += 1
         if hit:
@@ -166,95 +175,6 @@ class SharedServiceCache:
             name: stats.as_dict()
             for name, stats in sorted(self._per_service.items())
         }
-
-
-_MANAGED_FIELDS = tuple(f.name for f in dataclasses.fields(ManagedCallStats))
-
-
-class TenantManagedCall:
-    """One stage's view of a shared :class:`ManagedCall`: a tenant's, or
-    the fanout's.
-
-    ``stats`` mirrors the *delta* each forwarded call produced on the
-    shared call's global counters, so the tenants' mirrors plus the
-    fanout's sum to the session's own. A tenant view also reports every
-    lookup to the group's :class:`SharedServiceCache` — whether it hit,
-    and who owned the key; the fanout's view (``shared`` None) reports
-    none.
-    """
-
-    def __init__(
-        self,
-        inner: ManagedCall,
-        tenant: int = -1,
-        shared: SharedServiceCache | None = None,
-    ) -> None:
-        self._inner = inner
-        self._tenant = tenant
-        self._shared = shared
-        self._service_name = inner.service.name
-        self.stats = ManagedCallStats()
-
-    @property
-    def cache(self):
-        return self._inner.cache
-
-    @property
-    def service(self):
-        return self._inner.service
-
-    def _snapshot(self) -> tuple:
-        return tuple(getattr(self._inner.stats, f) for f in _MANAGED_FIELDS)
-
-    def _accumulate(self, before: tuple) -> None:
-        after = self._snapshot()
-        for name, b, a in zip(_MANAGED_FIELDS, before, after):
-            setattr(self.stats, name, getattr(self.stats, name) + (a - b))
-
-    def resolve(self, keys: Sequence[Any]) -> list[Any]:
-        """The shared call's :meth:`ManagedCall.resolve`, with the stats
-        delta taken once and every lookup reported to the shared cache."""
-        shared = self._shared
-        record = None if shared is None else (
-            lambda key, hit: shared.record(self._service_name, self._tenant, key, hit)
-        )
-        before = self._snapshot()
-        try:
-            return self._inner._resolve(keys, record)
-        finally:
-            self._accumulate(before)
-
-    def drain(self) -> None:
-        self._inner.drain()
-
-
-def proxy_services(
-    services: dict[str, Any],
-    tenant: int = -1,
-    shared: SharedServiceCache | None = None,
-) -> tuple[dict[str, Any], dict[str, ManagedCallStats]]:
-    """Wrap every ManagedCall in ``services`` with a
-    :class:`TenantManagedCall` view for ``tenant`` (the fanout's when
-    ``shared`` is None).
-
-    Returns the proxied mapping plus {service name → stats mirror}.
-    Aliases of one ManagedCall (``geocode`` / ``geocode_managed``) share
-    one view so the mirror is not double-counted.
-    """
-    proxies: dict[str, Any] = {}
-    by_id: dict[int, TenantManagedCall] = {}
-    stats: dict[str, ManagedCallStats] = {}
-    for name, svc in services.items():
-        if isinstance(svc, ManagedCall):
-            proxy = by_id.get(id(svc))
-            if proxy is None:
-                proxy = TenantManagedCall(svc, tenant, shared)
-                by_id[id(svc)] = proxy
-                stats[svc.service.name] = proxy.stats
-            proxies[name] = proxy
-        else:
-            proxies[name] = svc
-    return proxies, stats
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +332,12 @@ class SharedScanGroup:
         #: prefixes" mechanism.
         self._predicates: dict[str, tuple[Any, Any]] = {}
 
-        # The fanout: the planner's scan of the source, on a context whose
-        # services carry a stats mirror (WHERE conjuncts may call them) so
-        # service attribution reconciles: per-tenant mirrors + the fanout
-        # mirror sum to the session's global counters.
-        fanout_services, self.fanout_service_stats = proxy_services(services)
+        # The fanout: the planner's scan of the source, on a context of
+        # its own, which counts and traces the service calls its WHERE
+        # conjuncts make.
         self._fanout = planner.scan(
             binding,
-            EvalContext(clock=clock, services=fanout_services, lane="fanout"),
+            EvalContext(clock=clock, services=dict(services), lane="fanout"),
         )
         self._batch_size = self._fanout.batch_size
         #: Wraps a frame of routed items as the scan wrapped them.
@@ -538,8 +456,13 @@ class SharedScanGroup:
             self.label, self._binding.schema,
             feed=_TenantFeed(self, tenant, explain),
         )
-        proxies, _ = proxy_services(self._services, index, self.shared_cache)
-        ctx = EvalContext(clock=self._clock, services=proxies, lane=f"tenant-{index}")
+        shared = self.shared_cache
+        ctx = EvalContext(
+            clock=self._clock,
+            services=dict(self._services),
+            lane=f"tenant-{index}",
+            on_lookup=lambda call, key, hit: shared.record(call, index, key, hit),
+        )
         plan = self._planner.plan(statement, binding, ctx, analyzed=True)
         plan.closers.append(lambda abandoned: self._leave(tenant, abandoned))
         handle = QueryHandle(sql, plan)
@@ -699,6 +622,16 @@ class SharedScanGroup:
     def tracer(self) -> Any:
         """The fanout lane's span recorder (None when tracing is off)."""
         return self._fanout.tracer
+
+    @property
+    def fanout_service_stats(self) -> dict[str, ManagedCallStats]:
+        """The service calls the fanout's WHERE conjuncts made, by UDF
+        name (the keys of :attr:`QueryHandle.service_stats`)."""
+        ctx = self._fanout.ctx
+        return {
+            name: ctx.calls[call]
+            for name, call in managed_calls(ctx.services).items()
+        }
 
     def explain(self) -> str:
         """Group-level plan description (fanout side)."""

@@ -504,7 +504,7 @@ class Planner:
         scan → join → filters → scalar LIMIT → aggregate | project → INTO,
         each stage wrapped by :meth:`_trace`. ``binding`` defaults to the
         statement's FROM source; a shared-scan tenant passes its routed
-        feed instead, with a ``ctx`` holding its service views and lane
+        feed instead, with a ``ctx`` holding its lane and its lookup hook
         (see :meth:`scan`).
 
         Validation runs through the static analyzer first and only there,
@@ -575,11 +575,11 @@ class Planner:
         The source removes the ``conjuncts`` it applies itself (the API
         filter's, or all of a routed feed's). ``blocker`` is why the
         statement must run one row per batch (:meth:`batch_blocker`).
-        Without a ``ctx`` the plan gets the session's services and owns
-        their spans; a caller's context (a shared scan's fanout or
-        tenant) brings its own service views, and then no plan does.
+        Without a ``ctx`` the plan gets a context over the session's
+        services; a shared scan's fanout or tenant brings its own. Either
+        way the context gets the plan's tracer, where its service calls
+        record their spans.
         """
-        owned = ctx is None
         if ctx is None:
             ctx = EvalContext(clock=self._clock, services=dict(self._services))
         plan = PhysicalPlan(
@@ -602,7 +602,6 @@ class Planner:
         if sanitize:
             plan.sanitizer = Sanitizer(self._clock)
         ctx.tracer = plan.tracer
-        self._attach_service_tracers(plan.tracer if owned else None)
         source = self._build_source(
             binding, [] if conjuncts is None else conjuncts, plan
         )
@@ -679,22 +678,6 @@ class Planner:
 
         probe = plan.tracer.probe(name, lane)
         return TraceOperator(pipeline, probe, plan.tracer)
-
-    def _attach_service_tracers(self, tracer: Any) -> None:
-        """Point the session's service wrappers at this plan's tracer.
-
-        Service objects are session-owned and shared across plans, so the
-        most recently planned query owns their spans; planning with
-        tracing off resets them (``tracer=None``) so a later untraced run
-        records nothing.
-        """
-        for name, managed in self._services.items():
-            if not name.endswith("_managed"):
-                continue
-            managed.tracer = tracer
-            service = getattr(managed, "service", None)
-            if service is not None and hasattr(service, "resilience"):
-                service.tracer = tracer
 
     # -- batch sizing ----------------------------------------------------------
 

@@ -427,7 +427,9 @@ class ResilientService:
     :class:`~repro.geo.service.SimulatedWebService` (``request``,
     ``request_batch``, ``request_async``, ``clock``, ``max_batch_size``,
     ``name``, ``stats``), so a :class:`~repro.engine.latency.ManagedCall`
-    wraps either interchangeably. Semantics per path:
+    wraps either interchangeably. Each request method takes the calling
+    plan's ``tracer`` (None: record nothing), where every backoff wait
+    becomes one ``retry`` span. Semantics per path:
 
     - ``request``: attempts until success, retry budget exhaustion, or
       deadline; each failed attempt waits ``RetryPolicy.backoff_seconds``
@@ -457,9 +459,6 @@ class ResilientService:
         self.breaker = breaker
         self._rng = rng_mod.derive(seed, f"resilience:{service.name}")
         self.resilience = ResilienceStats()
-        #: Span recorder (set by the planner when tracing is on); each
-        #: backoff wait becomes one ``retry`` span.
-        self.tracer: Any = None
 
     # -- service surface -------------------------------------------------------
 
@@ -515,7 +514,7 @@ class ResilientService:
 
     # -- blocking --------------------------------------------------------------
 
-    def request(self, item: Any) -> Any:
+    def request(self, item: Any, tracer: Any = None) -> Any:
         """Blocking single-item request with retries."""
         self.resilience.calls += 1
         started_at = self.clock.now
@@ -544,13 +543,15 @@ class ResilientService:
             self.resilience.backoff_seconds += wait
             before = self.clock.now
             self.clock.advance(wait)
-            if self.tracer is not None:
-                self.tracer.add(
+            if tracer is not None:
+                tracer.add(
                     self.name, "retry", before, self.clock.now,
                     lane="services", attempt=attempt, key=str(item),
                 )
 
-    def request_batch(self, items: Sequence[Any]) -> list[Any]:
+    def request_batch(
+        self, items: Sequence[Any], tracer: Any = None
+    ) -> list[Any]:
         """Blocking batch request; failed items retried in sub-batches."""
         self.resilience.calls += 1
         started_at = self.clock.now
@@ -598,8 +599,8 @@ class ResilientService:
             self.resilience.backoff_seconds += wait
             before = self.clock.now
             self.clock.advance(wait)
-            if self.tracer is not None:
-                self.tracer.add(
+            if tracer is not None:
+                tracer.add(
                     self.name, "retry", before, self.clock.now,
                     lane="services", attempt=attempt, pending=len(pending),
                 )
@@ -608,12 +609,17 @@ class ResilientService:
     # -- asynchronous ----------------------------------------------------------
 
     def request_async(
-        self, item: Any, callback: Callable[[Any, Exception | None], None]
+        self,
+        item: Any,
+        callback: Callable[[Any, Exception | None], None],
+        tracer: Any = None,
     ) -> float:
         """Non-blocking request whose retries reschedule on the clock.
 
         Returns the *first* attempt's virtual completion time; retries land
         later. ``callback`` fires exactly once, with the final outcome.
+        Each retry's span goes to ``tracer``, the launching plan's, even
+        when another plan's stall advances the clock past the relaunch.
         """
         self.resilience.calls += 1
         started_at = self.clock.now
@@ -639,10 +645,10 @@ class ResilientService:
                 return
             self.resilience.retries += 1
             self.resilience.backoff_seconds += wait
-            if self.tracer is not None:
+            if tracer is not None:
                 # Async retries reschedule rather than block: the span
                 # covers the scheduled backoff window.
-                self.tracer.add(
+                tracer.add(
                     self.name, "retry", self.clock.now, self.clock.now + wait,
                     lane="services", attempt=attempt, key=str(item),
                     path="async",

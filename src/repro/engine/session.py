@@ -207,7 +207,6 @@ class TweeQL:
 
         # Web services behind the resilience + latency machinery.
         geocoder = Geocoder()
-        fault_plan = self.config.fault_plan
 
         def geocode_resolver(location: str):
             try:
@@ -215,58 +214,20 @@ class TweeQL:
             except GeocodeError:
                 return None
 
-        self.geocode_service = SimulatedWebService(
-            "geocoder",
-            geocode_resolver,
-            clock=self.clock,
-            latency=self.config.geocode_latency,
-            failure_rate=self.config.service_failure_rate,
-            seed=seed,
-            fault_injector=(
-                fault_plan.injector_for("geocoder") if fault_plan else None
-            ),
+        (
+            self.geocode_service, self.geocode_resilient, self.geocode_managed
+        ) = self._web_service(
+            "geocoder", geocode_resolver, self.config.geocode_latency, seed
         )
-        self.geocode_resilient = self._wrap_resilient(
-            self.geocode_service, seed=seed
-        )
-        self.geocode_managed = ManagedCall(
-            self.geocode_resilient or self.geocode_service,
-            mode=self.config.latency_mode,
-            cache_capacity=self.config.cache_capacity,
-            cache_ttl=self.config.cache_ttl,
-            pool_depth=self.config.pool_depth,
-            partial_results=self.config.partial_results,
-        )
-
-        extractor = EntityExtractor()
-        self.entities_service = SimulatedWebService(
-            "opencalais",
-            extractor,
-            clock=self.clock,
-            latency=self.config.entities_latency,
-            failure_rate=self.config.service_failure_rate,
-            seed=seed + 1,
-            fault_injector=(
-                fault_plan.injector_for("opencalais") if fault_plan else None
-            ),
-        )
-        self.entities_resilient = self._wrap_resilient(
-            self.entities_service, seed=seed + 1
-        )
-        self.entities_managed = ManagedCall(
-            self.entities_resilient or self.entities_service,
-            mode=self.config.latency_mode,
-            cache_capacity=self.config.cache_capacity,
-            cache_ttl=self.config.cache_ttl,
-            pool_depth=self.config.pool_depth,
-            partial_results=self.config.partial_results,
+        (
+            self.entities_service, self.entities_resilient, self.entities_managed
+        ) = self._web_service(
+            "opencalais", EntityExtractor(), self.config.entities_latency, seed + 1
         )
 
         self._services: dict[str, Any] = {
             "geocode": self.geocode_managed,
-            "geocode_managed": self.geocode_managed,
             "entities": self.entities_managed,
-            "entities_managed": self.entities_managed,
             "sentiment": self._classifier.classify,
             "sentiment_score": self._classifier.score,
         }
@@ -321,23 +282,49 @@ class TweeQL:
     def __exit__(self, *_exc: Any) -> None:
         self.close()
 
-    def _wrap_resilient(
-        self, service: SimulatedWebService, seed: int
-    ) -> ResilientService | None:
-        """Retry/breaker wrapper per config; None when retries are off."""
-        if self.config.retries <= 0:
-            return None
-        policy = RetryPolicy(
-            max_retries=self.config.retries,
-            deadline_seconds=self.config.retry_deadline_seconds,
+    def _web_service(
+        self,
+        name: str,
+        resolver: Callable[[Any], Any],
+        latency: LatencyModel,
+        seed: int,
+    ) -> tuple[SimulatedWebService, ResilientService | None, ManagedCall]:
+        """One web service behind the resilience and latency machinery: the
+        simulated service, its retry/breaker wrapper (None when retries are
+        off), and the managed call its UDFs reach it through."""
+        config = self.config
+        fault_plan = config.fault_plan
+        service = SimulatedWebService(
+            name,
+            resolver,
+            clock=self.clock,
+            latency=latency,
+            failure_rate=config.service_failure_rate,
+            seed=seed,
+            fault_injector=fault_plan.injector_for(name) if fault_plan else None,
         )
-        breaker = CircuitBreaker(
-            self.clock,
-            failure_threshold=BREAKER_THRESHOLD,
-            reset_timeout_seconds=BREAKER_RESET_SECONDS,
-            name=service.name,
+        resilient = None
+        if config.retries > 0:
+            policy = RetryPolicy(
+                max_retries=config.retries,
+                deadline_seconds=config.retry_deadline_seconds,
+            )
+            breaker = CircuitBreaker(
+                self.clock,
+                failure_threshold=BREAKER_THRESHOLD,
+                reset_timeout_seconds=BREAKER_RESET_SECONDS,
+                name=name,
+            )
+            resilient = ResilientService(service, policy, breaker=breaker, seed=seed)
+        managed = ManagedCall(
+            resilient or service,
+            mode=config.latency_mode,
+            cache_capacity=config.cache_capacity,
+            cache_ttl=config.cache_ttl,
+            pool_depth=config.pool_depth,
+            partial_results=config.partial_results,
         )
-        return ResilientService(service, policy, breaker=breaker, seed=seed)
+        return service, resilient, managed
 
     # -- construction helpers --------------------------------------------------
 

@@ -14,7 +14,7 @@ size, including the one-row batches ``now()`` queries are pinned to.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -474,6 +474,22 @@ class EvalContext:
     #: The lane label this context's spans carry ("main" for a plan of its
     #: own, "fanout" / "tenant-N" for a shared scan's stages).
     lane: str = "main"
+    #: A shared-scan tenant's report of each service lookup to its group's
+    #: cache attribution, as ``(managed call, key, hit)``; None elsewhere.
+    on_lookup: Callable[[Any, Any, bool], None] | None = None
+    #: This plan's service-call counters: one
+    #: :class:`~repro.engine.latency.ManagedCallStats` per managed call in
+    #: ``services``, keyed by the call. They are built with the context,
+    #: so a service the plan never called reports zeros.
+    calls: dict[Any, Any] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Imported here: the latency layer sits above this module.
+        from repro.engine.latency import ManagedCallStats, managed_calls
+
+        self.calls = {
+            call: ManagedCallStats() for call in managed_calls(self.services).values()
+        }
 
     def advance_to(self, batch: ColumnBatch) -> None:
         """Move stream time up to the newest ``created_at`` in ``batch``.

@@ -111,6 +111,11 @@ class SimulatedWebService:
             and latency spikes. Independent of the rate-based
             ``failure_rate`` machinery; injected failures also count in
             ``stats.failures``.
+
+    Each request method takes a ``tracer`` keyword only to share its
+    surface with :class:`~repro.engine.resilience.ResilientService`, which
+    records retry spans there; a bare service retries nothing and records
+    no span.
     """
 
     def __init__(
@@ -157,7 +162,7 @@ class SimulatedWebService:
             return None
         return self.fault_injector.draw(item)
 
-    def request(self, item: Any) -> Any:
+    def request(self, item: Any, tracer: Any = None) -> Any:
         """Blocking single-item request.
 
         Advances the virtual clock by one latency sample, then resolves.
@@ -176,7 +181,9 @@ class SimulatedWebService:
             raise fault.error
         return self._resolver(item)
 
-    def request_batch(self, items: Sequence[Any]) -> list[Any]:
+    def request_batch(
+        self, items: Sequence[Any], tracer: Any = None
+    ) -> list[Any]:
         """Blocking batch request; one round trip for up to ``max_batch_size``
         items.
 
@@ -216,7 +223,10 @@ class SimulatedWebService:
         return results
 
     def request_async(
-        self, item: Any, callback: Callable[[Any, Exception | None], None]
+        self,
+        item: Any,
+        callback: Callable[[Any, Exception | None], None],
+        tracer: Any = None,
     ) -> float:
         """Non-blocking request.
 

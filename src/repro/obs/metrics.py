@@ -244,21 +244,19 @@ def app_metrics(app: Any) -> MetricsRegistry:
             registry.gauge(f"{prefix}.coverage_confidence").set(
                 coverage.confidence
             )
+    from repro.engine.latency import managed_calls
+
     session = app.session
-    for key, managed in session._services.items():
-        if not key.endswith("_managed"):
-            continue
-        service_name = key.removesuffix("_managed")
+    for service_name, managed in managed_calls(session._services).items():
         registry.absorb(
             f"service.{service_name}", managed.stats.as_dict()
         )
-        cache = getattr(managed, "cache", None)
+        cache = managed.cache
         if cache is not None:
             registry.absorb(
                 f"service.{service_name}.cache", cache.stats.as_dict()
             )
-        inner = getattr(managed, "service", None)
-        resilience = getattr(inner, "resilience", None)
+        resilience = getattr(managed.service, "resilience", None)
         if resilience is not None:
             registry.absorb(
                 f"service.{service_name}.resilience", resilience.as_dict()

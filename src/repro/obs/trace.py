@@ -108,8 +108,10 @@ class Tracer:
         self.batch_spans = batch_spans
         self.spans: list[Span] = []
         self.probes: list[OperatorProbe] = []
-        # Session-owned service wrappers share one tracer across plans,
-        # and each plan's handle may be pulled on its own thread.
+        # An async retry chain records its spans here, the launching
+        # plan's tracer, from whichever thread advances the session's
+        # clock past its relaunch: possibly another plan's handle, pulled
+        # on its own thread.
         self._lock = threading.Lock()
         self._next_id = 0
         self._lane_seq: dict[str, int] = {}

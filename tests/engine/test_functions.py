@@ -97,13 +97,13 @@ def test_sentiment_uses_service(ctx):
 
 class Resolver:
     """A managed-service stand-in: ``resolve`` maps ``answer`` over a key
-    column, NULL keys to NULL."""
+    column, NULL keys to NULL, and ignores the calling plan's context."""
 
     def __init__(self, answer):
         self.answer = answer
         self.keys = []
 
-    def resolve(self, keys):
+    def resolve(self, keys, ctx=None):
         self.keys.extend(keys)
         return [None if key is None else self.answer(key) for key in keys]
 

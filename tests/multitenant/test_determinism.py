@@ -63,6 +63,6 @@ def test_identical_shared_runs_agree_on_every_byte(mini_soccer, mode):
     first = _run(mini_soccer, mode)
     second = _run(mini_soccer, mode)
     assert all(first["rows"]), "every tenant should produce rows"
-    assert first["fanout_service_stats"]["geocoder"]["calls"] > 0
+    assert first["fanout_service_stats"]["geocode"]["calls"] > 0
     for key in first:
         assert first[key] == second[key], f"{mode}: {key} differs"

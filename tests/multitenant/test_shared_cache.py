@@ -2,11 +2,11 @@
 
 Tenants on one session share the ManagedCall LRUs by construction; the
 group's :class:`SharedServiceCache` attributes that sharing — who first
-requested each key, and how many hits crossed tenant boundaries. These
-tests pin the attribution invariants and, critically, that the stats
-mirrors *reconcile*: per-tenant mirrors + the fanout mirror sum exactly
-to the session's global ManagedCall counters, and the metrics registry
-reports the same numbers.
+requested each key, and how many hits crossed tenant boundaries — with an
+ownership map no larger than the cache. These tests pin the attribution
+invariants and, critically, that the call counters *reconcile*: the
+tenants' counters + the fanout's sum exactly to the session's global
+ManagedCall counters, and the metrics registry reports the same numbers.
 """
 
 from __future__ import annotations
@@ -14,7 +14,11 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import TweeQL
+from repro import EngineConfig, TweeQL
+from repro.clock import VirtualClock
+from repro.engine.latency import ManagedCall
+from repro.engine.multitenant import SharedServiceCache
+from repro.geo.service import LatencyModel, SimulatedWebService
 
 from tests.multitenant.conftest import SEED, clean, run_independent
 
@@ -59,7 +63,7 @@ def test_cross_tenant_geocode_hits(mini_soccer, tenants):
 
 
 def test_tenant_mirrors_reconcile_with_session_globals(mini_soccer):
-    """sum(per-tenant mirror) + fanout mirror == the session ManagedCall's
+    """sum(per-tenant counters) + the fanout's == the session ManagedCall's
     own counters — no call is double-counted or lost, even when a WHERE
     conjunct sends service traffic through the fanout context."""
     session = _fresh(mini_soccer)
@@ -85,7 +89,7 @@ def test_tenant_mirrors_reconcile_with_session_globals(mini_soccer):
         if mirror is not None:
             tenant_calls += mirror["calls"]
             tenant_hits += mirror["cache_hits"]
-    fanout = group.fanout_service_stats["geocoder"]
+    fanout = group.fanout_service_stats["geocode"]
     globals_ = session.geocode_managed.stats
     assert tenant_calls + fanout.calls == globals_.calls
     assert tenant_hits + fanout.cache_hits == globals_.cache_hits
@@ -118,3 +122,42 @@ def test_shared_cache_stats_match_metrics_registry(mini_soccer):
         handle.service_stats["geocode"]["calls"] for handle in group.handles
     )
     assert tree["cache"]["geocoder"]["requests"] == tenant_requests
+
+
+def test_key_owners_are_capped_at_the_cache_capacity(mini_soccer):
+    """The ownership map holds no more keys than the LRU it attributes:
+    with an 8-entry geocode cache, two geocoding tenants over far more
+    than 8 distinct locations leave exactly 8 owned keys."""
+    session = TweeQL.for_scenarios(
+        mini_soccer, config=EngineConfig(cache_capacity=8),
+        delivery_ratio=1.0, seed=SEED,
+    )
+    group = session.shared()
+    handles = [group.query(GEO_SQLS[0]), group.query(GEO_SQLS[1])]
+    try:
+        for handle in handles:
+            handle.all()
+    finally:
+        group.close()
+    assert session.geocode_managed.cache.stats.evictions > 0
+    assert len(group.shared_cache._owners["geocoder"]) == 8
+
+
+def test_key_owners_forget_the_least_recently_requested_key():
+    """Past capacity the map drops the key requested longest ago, so a
+    later hit on it is attributed to whoever requests it next."""
+    clock = VirtualClock()
+    service = SimulatedWebService(
+        "svc", str, clock=clock, latency=LatencyModel(0.0, sigma=0.0)
+    )
+    call = ManagedCall(service, mode="cached", cache_capacity=2)
+    shared = SharedServiceCache()
+    shared.record(call, 0, "a", hit=False)
+    shared.record(call, 0, "b", hit=False)
+    shared.record(call, 1, "a", hit=True)  # refreshes "a"; owner stays 0
+    shared.record(call, 1, "c", hit=False)  # evicts "b"
+    assert dict(shared._owners["svc"]) == {"a": 0, "c": 1}
+    shared.record(call, 1, "b", hit=False)  # "b" is tenant 1's now
+    shared.record(call, 1, "b", hit=True)
+    stats = shared.service_stats("svc")
+    assert (stats.requests, stats.hits, stats.cross_tenant_hits) == (6, 2, 1)
