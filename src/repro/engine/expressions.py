@@ -570,7 +570,8 @@ def _vec_call(impl: Callable[..., Any], args: list[_VectorNode]) -> VectorEvalua
 def _vec_service(
     column: Callable[[EvalContext, list[Any]], list[Any]], arg: _VectorNode
 ) -> VectorEvaluator:
-    """A web-service builtin: the batch's whole key column in one call."""
+    """A web-service or memoized text builtin: the batch's whole key
+    column in one call."""
     return lambda batch, ctx: column(
         ctx, expand_column(arg.fn(batch, ctx), batch.length)
     )
@@ -663,7 +664,9 @@ def _compile_vector_node(
     argument columns are evaluated once per batch and the implementation
     mapped over them in row order. A web-service builtin (``latitude``,
     ``longitude``, ``named_entities``) instead hands its whole key column
-    to one :meth:`~repro.engine.latency.ManagedCall.resolve`. A field
+    to one :meth:`~repro.engine.latency.ManagedCall.resolve`, and a
+    memoized text builtin (``sentiment``, ``sentiment_score``) its whole
+    text column to the plan's memo. A field
     reference naming a select alias (``aliases``: name → the aliased
     expression) compiles that expression; the schema wins over an alias,
     as in ``compile_expr``. Returns None — the planner then keeps the

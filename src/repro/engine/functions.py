@@ -9,7 +9,9 @@ detector). The registry models all three:
 - ``scalar``: pure functions of their arguments. The engine calls one once
   per row per call site, in row order within the site — possibly a whole
   batch at a time (:func:`~repro.engine.expressions.compile_vector_expr`),
-  so the order of calls *across* call sites is not row-major,
+  so the order of calls *across* call sites is not row-major. The
+  classifier builtins (``sentiment``, ``sentiment_score``) go further and
+  classify each distinct text once per plan (:func:`_text_udf`),
 - ``stateful``: a factory is instantiated per *call site* per query, so the
   UDF can carry running state across tuples (the peak detector),
 - ``high_latency``: the function's cost is a remote round trip. The
@@ -242,6 +244,16 @@ def _service_udf(
             for answer in ctx.service(service).resolve(keys, ctx)
         ]
 
+    return _column_udf(column)
+
+
+def _column_udf(
+    column: Callable[[EvalContext, list[Any]], list[Any]],
+) -> Callable[..., Any]:
+    """The scalar implementation of a one-argument builtin written over
+    a column: ``column`` applied to one value, carrying ``column`` for
+    :func:`service_column`."""
+
     def scalar(ctx: EvalContext, value: Any) -> Any:
         return column(ctx, [value])[0]
 
@@ -253,7 +265,8 @@ def service_column(
     impl: Callable[..., Any],
 ) -> Callable[[EvalContext, list[Any]], list[Any]] | None:
     """The whole-column form of a web-service builtin (see
-    :func:`_service_udf`); None for every other implementation."""
+    :func:`_service_udf`) or a memoized text builtin (see
+    :func:`_text_udf`); None for every other implementation."""
     return getattr(impl, "column", None)
 
 
@@ -265,18 +278,50 @@ _fn_longitude = _service_udf("geocode", lambda coords: coords[1])
 _fn_named_entities = _service_udf("entities", tuple)
 
 
-def _fn_sentiment(ctx: EvalContext, text: Any) -> int | None:
-    """Classify tweet text sentiment: +1 positive, -1 negative, 0 neutral."""
-    if text is None:
-        return None
-    return ctx.service("sentiment")(str(text))
+# --- classification framework ------------------------------------------------
+
+#: Texts one plan's memo of a text derivation holds before it starts afresh
+#: (an election-night statement has about 6,600 distinct texts).
+TEXT_MEMO_MAX = 32768
+
+_UNSEEN = object()
 
 
-def _fn_sentiment_score(ctx: EvalContext, text: Any) -> float | None:
-    """Signed classifier confidence in [-1, 1] (negative → negative class)."""
-    if text is None:
-        return None
-    return ctx.service("sentiment_score")(str(text))
+def _text_udf(service: str) -> Callable[..., Any]:
+    """A pure function of tweet text, written once over a column of texts.
+
+    The column form maps each ``str(value)`` through the context's
+    ``service`` once per distinct text: answers are kept in the plan's
+    ``ctx.memo[service]``, which starts afresh at :data:`TEXT_MEMO_MAX`
+    entries and dies with the plan, so the next query sees a retrained
+    classifier. NULL stays NULL; a text the service raises on is not
+    cached. The returned scalar implementation is the one-value column.
+    """
+
+    def column(ctx: EvalContext, values: list[Any]) -> list[Any]:
+        memo = ctx.memo.setdefault(service, {})
+        derive = ctx.service(service)
+        out = []
+        for value in values:
+            if value is None:
+                out.append(None)
+                continue
+            text = str(value)
+            answer = memo.get(text, _UNSEEN)
+            if answer is _UNSEEN:
+                if len(memo) >= TEXT_MEMO_MAX:
+                    memo.clear()
+                answer = memo[text] = derive(text)
+            out.append(answer)
+        return out
+
+    return _column_udf(column)
+
+
+#: Classify tweet text sentiment: +1 positive, -1 negative, 0 neutral.
+_fn_sentiment = _text_udf("sentiment")
+#: Signed classifier confidence in [-1, 1] (negative → negative class).
+_fn_sentiment_score = _text_udf("sentiment_score")
 
 
 def _fn_extract(

@@ -567,10 +567,15 @@ class SharedScanGroup:
 
     def _stop_scan(self) -> None:
         """Close the scan (running its trace finalizers) and release the
-        (scarce) streaming connection; idempotent."""
+        (scarce) streaming connection, and a derived source's upstream
+        plan with its connection; idempotent."""
         source, self._source = self._source, None
         if source is not None:
             source.close()
+            # A derived source's upstream plan: the group lets go of it
+            # here, whether or not it ran out.
+            for closer in self._fanout.closers:
+                closer(True)
         for connection in self._fanout.connections:
             connection.close()
 

@@ -50,6 +50,7 @@ from repro.engine.types import (
     EvalContext,
     Row,
     batch_rows,
+    has_missing,
     iter_rows,
 )
 from repro.sql.ast import WindowSpec
@@ -329,7 +330,7 @@ class ProjectOperator:
         re-attach a homogeneous ``__tweet__`` column (None on a ragged
         one: the general path handles that)."""
         tweets = batch.field("__tweet__")
-        if tweets is not None and MISSING in tweets:
+        if tweets is not None and has_missing(tweets):
             return None
         assert self._fused is not None
         projected = self._fused(batch)

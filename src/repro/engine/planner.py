@@ -46,7 +46,13 @@ from repro.engine.expressions import (
 )
 from repro.engine.functions import FunctionRegistry
 from repro.engine.selectivity import FilterCandidate, FilterChoice, choose_api_filter
-from repro.engine.types import DEFAULT_BATCH_SIZE, ColumnBatch, EvalContext, Row
+from repro.engine.types import (
+    DEFAULT_BATCH_SIZE,
+    ColumnBatch,
+    EvalContext,
+    Row,
+    iter_rows,
+)
 from repro.sql import ast
 from repro.sql.ast import split_conjuncts
 from repro.twitter.models import TWITTER_SCHEMA, track_rule
@@ -62,6 +68,8 @@ class SourceBinding:
 
     ``api`` is set for the live ``twitter`` source; ``rows_factory`` for
     registered static/test sources (each call returns a fresh row iterator);
+    ``upstream`` for an ``INTO STREAM`` stream, the statement whose rows it
+    is (each reader runs a fresh plan of it, see :meth:`Planner.rows`);
     ``feed`` for a shared-scan tenant's routed source, a
     :class:`~repro.engine.operators.ScanSource` that has applied the
     statement's WHERE clause already and carries the ``explain_lines``
@@ -72,6 +80,7 @@ class SourceBinding:
     schema: tuple[str, ...]
     api: Any = None  # StreamingAPI | None
     rows_factory: Callable[[], Iterable[Row]] | None = None
+    upstream: ast.SelectStatement | None = None
     feed: Any = None
 
 
@@ -620,6 +629,37 @@ class Planner:
         plan.pipeline = self._trace(scan, f"Scan({binding.name})", plan)
         return plan
 
+    def rows(self, binding: SourceBinding, plan: PhysicalPlan) -> Iterable[Row]:
+        """A fresh row iterator over a registered source or a derived
+        stream, read by ``plan``.
+
+        A derived stream's upstream is planned here, on a context that
+        shares the reader's service accounting and text memo (see
+        :meth:`EvalContext.upstream`): the calls its rows cost are the
+        reader's, in its ``service_stats`` and its tracer. Its operators
+        keep counters, and when instrumented a tracer, of their own.
+        Releasing the reader releases the upstream plan too, so a reader
+        closed mid-stream gives its upstream's connection back.
+        """
+        if binding.upstream is None:
+            assert binding.rows_factory is not None
+            return binding.rows_factory()
+        ctx = plan.ctx
+        upstream_ctx = ctx.upstream()
+        upstream = self.plan(binding.upstream, ctx=upstream_ctx)
+        # Planning pointed the context at the upstream plan's own tracer;
+        # its service spans belong in the reader's.
+        upstream_ctx.tracer = ctx.tracer
+
+        def release(abandoned: bool) -> None:
+            for closer in upstream.closers:
+                closer(abandoned)
+            for connection in upstream.connections:
+                connection.close()
+
+        plan.closers.append(release)
+        return iter_rows(upstream.pipeline)
+
     def compile_predicate(
         self, expr: ast.Expr, plan: PhysicalPlan
     ) -> tuple[Evaluator, VectorEvaluator | None]:
@@ -727,9 +767,8 @@ class Planner:
             conjuncts.clear()
             return binding.feed
         if binding.api is None:
-            assert binding.rows_factory is not None
             explain.append(f"Scan: registered source {binding.name!r}")
-            return ops.RowSource(binding.rows_factory())
+            return ops.RowSource(self.rows(binding, plan))
 
         api = binding.api
         # The backfill window is read *before* the API-filter choice
@@ -892,8 +931,7 @@ class Planner:
                 right_binding.api.unfiltered, plan
             ).rows()
         else:
-            assert right_binding.rows_factory is not None
-            right_rows = right_binding.rows_factory()
+            right_rows = self.rows(right_binding, plan)
 
         # ``field = field``, one name on each side (TQL215, TQL216).
         condition = join.condition

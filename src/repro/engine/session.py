@@ -39,7 +39,7 @@ from repro.engine.resilience import (
     ResilientService,
     RetryPolicy,
 )
-from repro.engine.types import Row, iter_rows
+from repro.engine.types import Row
 from repro.errors import GeocodeError, PlanError
 from repro.geo.geocode import Geocoder
 from repro.geo.service import LatencyModel, SimulatedWebService
@@ -468,12 +468,6 @@ class TweeQL:
         name = statement.into_stream.lower()
         if name == "twitter" and self.api is not None:
             raise PlanError("cannot shadow the live twitter source")
-        base = replace_into_stream(statement)
-
-        def rows_factory():
-            derived_plan = self._planner().plan(base)
-            return iter_rows(derived_plan.pipeline)
-
         columns = [
             column.lower() for column in schema if not column.startswith("__")
         ]
@@ -481,7 +475,7 @@ class TweeQL:
         self._sources[name] = SourceBinding(
             name=name,
             schema=tuple(dict.fromkeys(columns)),
-            rows_factory=rows_factory,
+            upstream=replace_into_stream(statement),
         )
 
     def shared(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Any
 
 from repro.clock import VirtualClock
@@ -52,6 +53,13 @@ class _Missing:
 #: Column cell marking "this row has no such key". ``None`` cells are SQL
 #: NULL; ``MISSING`` cells disappear again in :meth:`ColumnBatch.to_rows`.
 MISSING = _Missing()
+
+
+def has_missing(cells: Iterable[Any]) -> bool:
+    """Whether any cell is :data:`MISSING`, compared by identity at C
+    speed. (``MISSING in cells`` falls back to ``==`` per cell, which on a
+    ``__tweet__`` column runs the dataclass ``Tweet.__eq__`` frame per row.)"""
+    return any(map(is_, cells, itertools.repeat(MISSING)))
 
 
 class ColumnBatch:
@@ -201,7 +209,7 @@ class ColumnBatch:
         columns = self.columns
         if not columns:
             return [{} for _ in range(n)]
-        if not any(MISSING in col for col in columns.values()):
+        if not any(map(has_missing, columns.values())):
             # Dense batch (the usual case): one C-level zip per row beats
             # a Python cell-by-cell loop by a wide margin.
             names = tuple(columns)
@@ -304,8 +312,7 @@ class ColumnBatch:
             col = self._materialize(name)
         if col is None:
             return [None] * self.length
-        # `in` runs the C identity-first scan — far cheaper than a genexpr.
-        if MISSING in col:
+        if has_missing(col):
             return [None if v is MISSING else v for v in col]
         return col
 
@@ -482,6 +489,10 @@ class EvalContext:
     #: ``services``, keyed by the call. They are built with the context,
     #: so a service the plan never called reports zeros.
     calls: dict[Any, Any] = field(init=False, repr=False)
+    #: This plan's memos of pure text derivations (``sentiment``,
+    #: ``sentiment_score``): ``service → {text: answer}``, filled by
+    #: :func:`repro.engine.functions._text_udf`.
+    memo: dict[str, dict[str, Any]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         # Imported here: the latency layer sits above this module.
@@ -490,6 +501,22 @@ class EvalContext:
         self.calls = {
             call: ManagedCallStats() for call in managed_calls(self.services).values()
         }
+
+    def upstream(self) -> EvalContext:
+        """A context for the plan whose rows feed this one (a derived
+        stream's upstream): its own stream time, state and counters, but
+        this plan's service counters, tracer, lane, lookup hook and text
+        memo, so the calls the upstream makes are this plan's."""
+        ctx = EvalContext(
+            clock=self.clock,
+            services=self.services,
+            tracer=self.tracer,
+            lane=self.lane,
+            on_lookup=self.on_lookup,
+            memo=self.memo,
+        )
+        ctx.calls = self.calls
+        return ctx
 
     def advance_to(self, batch: ColumnBatch) -> None:
         """Move stream time up to the newest ``created_at`` in ``batch``.

@@ -31,7 +31,7 @@ from repro.engine.expressions import (
 )
 from repro.engine.functions import default_registry
 from repro.engine.latency import ManagedCall
-from repro.engine.types import MISSING, ColumnBatch, EvalContext
+from repro.engine.types import MISSING, ColumnBatch, EvalContext, has_missing
 from repro.geo.service import LatencyModel, SimulatedWebService
 from repro.sql import ast, parse
 
@@ -131,6 +131,24 @@ def test_missing_is_distinct_from_null():
     assert batch.field("zzz") is None
     assert batch.values("b") == [None, None]
     assert batch.to_rows() == rows  # MISSING vanishes, NULL survives
+
+
+class EqualToEverything:
+    def __eq__(self, other):
+        return True
+
+    __hash__ = object.__hash__
+
+
+def test_missing_scans_compare_by_identity():
+    """Only the sentinel itself is MISSING: a cell whose ``==`` says yes
+    to everything is a value, and the scan never asks it."""
+    cell = EqualToEverything()
+    assert not has_missing([cell, None, 1])
+    assert has_missing([cell, MISSING])
+    batch = ColumnBatch.from_rows([{"a": cell}, {"a": cell, "b": 2}])
+    assert all(value is cell for value in batch.values("a"))
+    assert [row["a"] is cell for row in batch.to_rows()] == [True, True]
 
 
 def test_missing_sentinel_survives_pickling():

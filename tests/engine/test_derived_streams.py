@@ -109,3 +109,27 @@ def test_into_stream_handle_also_yields_rows(soccer_session):
         "LIMIT 3 INTO STREAM tevez_stream;"
     )
     assert len(handle.all()) == 3
+
+
+def test_closing_a_reader_releases_its_upstream_connection(soccer_session):
+    """Each read of a derived stream opens a connection for its upstream
+    plan; a reader closed mid-stream (a handle, or a shared scan over the
+    stream) gives it back, so repeated reads stay within the API's
+    connection budget."""
+    soccer_session.query(
+        "SELECT text FROM twitter WHERE text contains 'goal' "
+        "INTO STREAM goals;"
+    ).close()
+    api = soccer_session.api
+    for _read in range(6):
+        handle = soccer_session.query("SELECT text FROM goals;")
+        next(iter(handle))
+        handle.close()
+        assert api.open_connections == 0
+
+        group = soccer_session.shared("goals")
+        tenant = group.query("SELECT text FROM goals;")
+        next(iter(tenant))
+        tenant.close()
+        group.close()
+        assert api.open_connections == 0

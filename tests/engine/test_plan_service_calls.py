@@ -118,6 +118,33 @@ def test_shared_group_keeps_an_earlier_traced_query_spans(match):
     assert service_spans(group.tracer) == []
 
 
+def test_derived_stream_reader_counts_and_traces_its_upstream_calls(match):
+    """A query over an ``INTO STREAM`` stream runs the stream's upstream
+    plan, so the service calls that plan makes are the reader's: counted
+    in its ``service_stats`` and traced in its tracer, exactly as the
+    upstream statement counts them when it runs on its own."""
+    upstream = (
+        "SELECT latitude(loc) AS la, text FROM twitter WHERE text contains 'goal'"
+    )
+    alone = session_for(match, latency_mode="cached", tracing=True)
+    direct = alone.query(upstream + ";")
+    direct_rows = direct.all()
+
+    session = session_for(match, latency_mode="cached", tracing=True)
+    session.query(upstream + " INTO STREAM g;").close()
+    reader = session.query("SELECT la FROM g;")
+    rows = reader.all()
+
+    assert [row["la"] for row in rows] == [row["la"] for row in direct_rows]
+    assert counters(reader) == counters(direct)
+    assert counters(reader)["geocode"]["calls"] > 0
+    spans = service_spans(reader.tracer)
+    assert len(spans) == stalls(reader) == len(service_spans(direct.tracer)) > 0
+    assert {span.name for span in spans} == {"geocoder"}
+    for handle in (direct, reader):
+        handle.close()
+
+
 def test_service_stats_count_only_the_handles_own_calls(match):
     """Another handle running on the session moves the session-wide
     cache block, not this handle's call counters."""

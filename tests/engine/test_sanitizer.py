@@ -472,7 +472,7 @@ def test_seeded_projection_that_leaks_missing_is_tql904(monkeypatch):
     error = seeded_failure(
         monkeypatch, "SELECT text, lang FROM s;",
         ProjectOperator, "_project_fused",
-        "MISSING in tweets", "False",
+        "has_missing(tweets)", "False",
         rows=RAGGED,
     )
     assert error.code == "TQL904"
